@@ -795,7 +795,7 @@ def _disjoint_edges_hard(v: EdgeField, edges: Sequence[CoarseEdge]) -> Helmholtz
             f"no element-aligned subdomain split at h=1/{mesh.denom} "
             f"(needs h <= {wdt / 2})"
         )
-    wlat = int(mesh.denom * wdt)
+    wdt_f = float(wdt)  # dyadic, so exact; a Fraction would compare per element
     vol, _ = fem.tet_geometry(mesh)
     cent = mesh.verts[mesh.tets].mean(axis=1)
 
@@ -808,7 +808,7 @@ def _disjoint_edges_hard(v: EdgeField, edges: Sequence[CoarseEdge]) -> Helmholtz
         for a in range(3):
             if a == d:
                 continue
-            m &= np.abs(cent[:, a] - lo[a]) <= wdt
+            m &= np.abs(cent[:, a] - lo[a]) <= wdt_f
         col_masks.append(m)
     g0 = ~np.logical_or.reduce(col_masks)
     if not g0.any():

@@ -39,6 +39,16 @@ __all__ = [
 _LOCK = threading.RLock()
 
 
+def mesh_cached(mesh: TetMesh, key, build):
+    """`mesh._cache[key]`, made by `build()` when missing.  Thread-safe."""
+    with _LOCK:
+        out = mesh._cache.get(key)
+        if out is None:
+            out = build()
+            mesh._cache[key] = out
+        return out
+
+
 # --------------------------------------------------------------------------
 # fields
 # --------------------------------------------------------------------------
@@ -82,18 +92,6 @@ class FaceField:
 Field = NodalField | NodalVectorField | EdgeField | FaceField
 
 
-def zero_field(mesh: TetMesh, kind: str):
-    if kind == "Z":
-        return NodalField(mesh, np.zeros(mesh.nv))
-    if kind == "Z3":
-        return NodalVectorField(mesh, np.zeros((mesh.nv, 3)))
-    if kind == "V":
-        return EdgeField(mesh, np.zeros(mesh.ne))
-    if kind == "W":
-        return FaceField(mesh, np.zeros(mesh.nf))
-    raise ValueError(kind)
-
-
 @dataclass
 class SparseOperator:
     """Sparse operator with an asserted symmetry flag."""
@@ -130,10 +128,8 @@ class SparseOperator:
 
 def tet_geometry(mesh: TetMesh):
     """(volumes (nt,), grads (nt,4,3)) of barycentric coordinates."""
-    with _LOCK:
-        cached = mesh._cache.get("tetgeom")
-        if cached is not None:
-            return cached
+
+    def build():
         v = mesh.verts
         t = mesh.tets
         e = np.stack([v[t[:, k]] - v[t[:, 0]] for k in (1, 2, 3)], axis=1)  # (nt,3,3)
@@ -145,8 +141,9 @@ def tet_geometry(mesh: TetMesh):
         g[:, 0, :] = -g[:, 1:, :].sum(axis=1)
         vol.setflags(write=False)
         g.setflags(write=False)
-        mesh._cache["tetgeom"] = (vol, g)
         return vol, g
+
+    return mesh_cached(mesh, "tetgeom", build)
 
 
 def curl_of_edge_field(v: EdgeField) -> np.ndarray:
@@ -177,35 +174,33 @@ def curl_of_nodal_field(w: NodalVectorField) -> np.ndarray:
 
 def gradient_map(mesh: TetMesh) -> SparseOperator:
     """Integer incidence Z_h -> V_h: lambda_e(grad p) = p(head) - p(tail)."""
-    with _LOCK:
-        op = mesh._cache.get("gradient_map")
-        if op is None:
-            ne = mesh.ne
-            rows = np.repeat(np.arange(ne), 2)
-            cols = mesh.edges.ravel()
-            data = np.tile(np.array([-1.0, 1.0]), ne)
-            op = SparseOperator(sp.csr_matrix((data, (rows, cols)), shape=(ne, mesh.nv)))
-            mesh._cache["gradient_map"] = op
-        return op
+
+    def build():
+        ne = mesh.ne
+        rows = np.repeat(np.arange(ne), 2)
+        cols = mesh.edges.ravel()
+        data = np.tile(np.array([-1.0, 1.0]), ne)
+        return SparseOperator(sp.csr_matrix((data, (rows, cols)), shape=(ne, mesh.nv)))
+
+    return mesh_cached(mesh, "gradient_map", build)
 
 
 def curl_map(mesh: TetMesh) -> SparseOperator:
     """Integer incidence V_h -> W_h; the face coefficient is the flux of
     curl v through the face with its canonical normal."""
-    with _LOCK:
-        op = mesh._cache.get("curl_map")
-        if op is None:
-            f = mesh.faces
-            pairs = np.stack([f[:, [0, 1]], f[:, [1, 2]], f[:, [0, 2]]], axis=1)  # (nf,3,2)
-            keys = pairs[:, :, 0].astype(np.int64) * mesh.nv + pairs[:, :, 1]
-            eids = mesh.edge_ids(keys.ravel()).reshape(-1, 3)
-            rows = np.repeat(np.arange(mesh.nf), 3)
-            data = np.tile(np.array([1.0, 1.0, -1.0]), mesh.nf)
-            op = SparseOperator(
-                sp.csr_matrix((data, (rows, eids.ravel())), shape=(mesh.nf, mesh.ne))
-            )
-            mesh._cache["curl_map"] = op
-        return op
+
+    def build():
+        f = mesh.faces
+        pairs = np.stack([f[:, [0, 1]], f[:, [1, 2]], f[:, [0, 2]]], axis=1)  # (nf,3,2)
+        keys = pairs[:, :, 0].astype(np.int64) * mesh.nv + pairs[:, :, 1]
+        eids = mesh.edge_ids(keys.ravel()).reshape(-1, 3)
+        rows = np.repeat(np.arange(mesh.nf), 3)
+        data = np.tile(np.array([1.0, 1.0, -1.0]), mesh.nf)
+        return SparseOperator(
+            sp.csr_matrix((data, (rows, eids.ravel())), shape=(mesh.nf, mesh.ne))
+        )
+
+    return mesh_cached(mesh, "curl_map", build)
 
 
 # --------------------------------------------------------------------------
@@ -277,24 +272,24 @@ def _assemble_edge(mesh: TetMesh, kind: str, weight) -> sp.csr_matrix:
 def _face_signs(mesh: TetMesh):
     """sigma[t,f] = +1 iff the canonical normal of local face f points out
     of tet t."""
-    with _LOCK:
-        s = mesh._cache.get("face_signs")
-        if s is None:
-            v = mesh.verts
-            t = mesh.tets
-            s = np.empty((mesh.nt, 4), dtype=np.int8)
-            from .mesh import TET_FACES
 
-            for lf, (a, b, c) in enumerate(TET_FACES):
-                tri = np.sort(t[:, [a, b, c]], axis=1)
-                n = np.cross(v[tri[:, 1]] - v[tri[:, 0]], v[tri[:, 2]] - v[tri[:, 0]])
-                opp = t[:, [k for k in range(4) if k not in (a, b, c)][0]]
-                s[:, lf] = np.where(
-                    np.einsum("ij,ij->i", n, v[opp] - v[tri[:, 0]]) < 0, 1, -1
-                )
-            s.setflags(write=False)
-            mesh._cache["face_signs"] = s
+    def build():
+        from .mesh import TET_FACES
+
+        v = mesh.verts
+        t = mesh.tets
+        s = np.empty((mesh.nt, 4), dtype=np.int8)
+        for lf, (a, b, c) in enumerate(TET_FACES):
+            tri = np.sort(t[:, [a, b, c]], axis=1)
+            n = np.cross(v[tri[:, 1]] - v[tri[:, 0]], v[tri[:, 2]] - v[tri[:, 0]])
+            opp = t[:, [k for k in range(4) if k not in (a, b, c)][0]]
+            s[:, lf] = np.where(
+                np.einsum("ij,ij->i", n, v[opp] - v[tri[:, 0]]) < 0, 1, -1
+            )
+        s.setflags(write=False)
         return s
+
+    return mesh_cached(mesh, "face_signs", build)
 
 
 def _assemble_face(mesh: TetMesh, kind: str, weight) -> sp.csr_matrix:
@@ -485,14 +480,17 @@ def quadrature_form(u: Field, v: Field, kind: str) -> float:
 # cached sparse factorizations
 # --------------------------------------------------------------------------
 
-def cached_solver(mesh: TetMesh, key, build):
+# SuperLU settings for an SPD matrix: minimum degree on A^T + A and
+# diagonal pivots, so the factor keeps the symmetric fill
+_SPD_SPLU = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                 options=dict(SymmetricMode=True))
+
+
+def cached_solver(mesh: TetMesh, key, build, spd: bool = False):
     """splu factorization cached on the mesh; `build` returns the csc/csr
-    matrix when the key is missing.  Thread-safe, immutable after build."""
-    full_key = ("splu",) + tuple(key)
-    with _LOCK:
-        s = mesh._cache.get(full_key)
-        if s is None:
-            m = build().tocsc()
-            s = spla.splu(m)
-            mesh._cache[full_key] = s
-        return s
+    matrix when the key is missing, `spd` selects the symmetric-mode
+    settings.  Thread-safe, immutable after build."""
+    return mesh_cached(
+        mesh, ("splu",) + tuple(key),
+        lambda: spla.splu(build().tocsc(), **(_SPD_SPLU if spd else {})),
+    )

@@ -15,6 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import breadth_first_order
 
 from . import fem
 from .fem import EdgeField, NodalField, NodalVectorField, cached_solver
@@ -194,68 +195,119 @@ def harmonic_extend(mesh: TetMesh, boundary_values: np.ndarray) -> NodalField:
     if len(iidx) == 0:
         return NodalField(mesh, out)
     K = fem.assemble(mesh, "Z", "stiffness").mat
-    solver = cached_solver(mesh, ("harm", "interior"), lambda: K[iidx][:, iidx])
     rhs = -K[iidx][:, np.nonzero(bn)[0]] @ out[bn]
-    out[iidx] = solver.solve(rhs)
+    out[iidx] = _interior_poisson(mesh, iidx).solve(rhs)
     return NodalField(mesh, out)
 
 
-def harmonic_extend_vector(mesh: TetMesh, boundary_values: np.ndarray) -> NodalVectorField:
-    out = np.zeros((mesh.nv, 3))
-    for c in range(3):
-        out[:, c] = harmonic_extend(mesh, boundary_values[:, c]).values
-    return NodalVectorField(mesh, out)
+def _interior_poisson(mesh: TetMesh, iidx: np.ndarray):
+    """Factor of the nodal stiffness on the interior nodes `iidx` (the
+    Dirichlet Laplacian), shared by the harmonic and curl-harmonic
+    extensions."""
+    return cached_solver(
+        mesh, ("harm", "interior"),
+        lambda: fem.assemble(mesh, "Z", "stiffness").mat[iidx][:, iidx],
+    )
 
 
 # --------------------------------------------------------------------------
 # curl-harmonic extension
 # --------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class _CotreeGauge:
+    """Per-mesh blocks of the tree-cotree gauged curl-harmonic extension:
+    interior and boundary edges, interior nodes, cotree edges, the curl
+    stiffness rows K[cotree][:, boundary], the interior gradient G_i and
+    the gauge right-hand side map G_i^T M[interior]."""
+
+    ie: np.ndarray
+    bidx: np.ndarray
+    inodes: np.ndarray
+    cotree: np.ndarray
+    Kcb: sp.csr_matrix
+    Gi: sp.csr_matrix
+    GtM: sp.csr_matrix
+
+
+def _cotree_gauge(mesh: TetMesh) -> _CotreeGauge:
+    def build():
+        be = mesh.boundary_edge_mask()
+        ie = np.nonzero(~be)[0]
+        bidx = np.nonzero(be)[0]
+        inodes = np.nonzero(~mesh.boundary_node_mask())[0]
+        # interior-edge graph with every boundary node merged into root 0;
+        # edges joining two boundary nodes are root self-loops (cotree)
+        gid = np.zeros(mesh.nv, dtype=np.int64)
+        gid[inodes] = np.arange(1, len(inodes) + 1)
+        ends = gid[mesh.edges[ie]]
+        lo, hi = ends.min(axis=1), ends.max(axis=1)
+        ng = len(inodes) + 1
+        keep = hi > 0
+        graph = sp.csr_matrix((np.ones(int(keep.sum())), (lo[keep], hi[keep])),
+                              shape=(ng, ng))
+        order, pred = breadth_first_order(graph, 0, directed=False)
+        if len(order) != ng:
+            raise PreconditionError(
+                f"interior edge graph of {mesh.name} misses "
+                f"{ng - len(order)} interior node(s)", entity=mesh.name)
+        # tree edge of each BFS child: the lowest interior edge joining it
+        # to its predecessor
+        child = order[1:].astype(np.int64)
+        parent = pred[child].astype(np.int64)
+        keys = lo * ng + hi
+        sort = np.argsort(keys, kind="stable")
+        tkeys = np.minimum(parent, child) * ng + np.maximum(parent, child)
+        tree = sort[np.searchsorted(keys[sort], tkeys)]
+        on_cotree = np.ones(len(ie), dtype=bool)
+        on_cotree[tree] = False
+        cotree = ie[on_cotree]
+        K = fem.assemble(mesh, "V", "stiffness").mat
+        M = fem.assemble(mesh, "V", "mass").mat
+        Gi = fem.gradient_map(mesh).mat[ie][:, inodes].tocsr()
+        return _CotreeGauge(ie, bidx, inodes, cotree, K[cotree][:, bidx],
+                            Gi, (Gi.T @ M[ie]).tocsr())
+
+    return fem.mesh_cached(mesh, ("curlharm", "cotree"), build)
+
+
 def curl_harmonic_extend(mesh: TetMesh, boundary_moments: np.ndarray) -> EdgeField:
     """Among edge fields matching the prescribed moments on all boundary
-    edges, minimize the curl energy; the remaining gradient gauge is fixed
-    by minimizing the L2 norm over the solution set.  Both stages combine
-    into one augmented sparse system
+    edges, the one of least curl energy whose gradient gauge is fixed by
+    the L2 condition G_i^T M v = 0 (G_i: gradients of the interior nodal
+    hat functions).  Two SPD solves give it:
 
-        [ K_ii   (M G)_i ] [v_i]   [-K_ib v_b      ]
-        [ (M G)_i^T   0  ] [ q ] = [-(M G)_b^T v_b ]
+    1. tree-cotree gauge: take a BFS spanning tree of the interior-edge
+       graph, with all boundary nodes merged into its root; set u = 0 on
+       the tree edges and solve K_cc u_c = -(K_ib v_b)_c on the cotree
+       edges (SuperLU in symmetric mode);
+    2. L2 projection: v_i = u - G_i q with (G_i^T M_ii G_i) q = G_i^T (M u)_i.
+       Whitney edge fields contain the gradients exactly, so G_i^T M_ii G_i
+       is the interior Dirichlet nodal stiffness, whose factor is shared
+       with `harmonic_extend`.
 
-    with G the gradient map of the interior nodal space (q = 0 at the
-    solution; the block is nonsingular on simply connected domains).
+    Both rest on curl-free interior fields being interior gradients (the
+    curl kernel of K_ii is range G_i), which holds on simply connected
+    domains with a connected boundary; then K_cc is SPD, and the result is
+    the solution of the saddle point [[K_ii, M_ii G_i], [G_i^T M_ii, 0]].
     """
-    be = mesh.boundary_edge_mask()
     if boundary_moments.shape != (mesh.ne,):
         raise PreconditionError(
             f"boundary data must be a full edge vector (ne={mesh.ne}), got {boundary_moments.shape}"
         )
-    ie = np.nonzero(~be)[0]
-    bidx = np.nonzero(be)[0]
+    gauge = _cotree_gauge(mesh)
     out = np.zeros(mesh.ne)
-    out[bidx] = boundary_moments[bidx]
-    if len(ie) == 0:
-        return EdgeField(mesh, out)
-
-    def build():
-        K = fem.assemble(mesh, "V", "stiffness").mat
-        M = fem.assemble(mesh, "V", "mass").mat
-        G = fem.gradient_map(mesh).mat
-        bn = mesh.boundary_node_mask()
-        inodes = np.nonzero(~bn)[0]
-        B = (M @ G[:, inodes]).tocsr()
-        Kii = K[ie][:, ie]
-        Bi = B[ie]
-        sys = sp.bmat([[Kii, Bi], [Bi.T, None]], format="csc")
-        mesh._cache[("curlharm", "parts")] = (K, B, ie, bidx, len(inodes))
-        return sys
-
-    solver = cached_solver(mesh, ("curlharm",), build)
-    K, B, _, _, nint = mesh._cache[("curlharm", "parts")]
-    rhs = np.concatenate([
-        -(K[ie][:, bidx] @ out[bidx]),
-        -(B[bidx].T @ out[bidx]),
-    ])
-    sol = solver.solve(rhs)
-    out[ie] = sol[: len(ie)]
+    out[gauge.bidx] = boundary_moments[gauge.bidx]
+    if len(gauge.cotree):
+        solver = cached_solver(
+            mesh, ("curlharm", "cotree"),
+            lambda: fem.assemble(mesh, "V", "stiffness").mat[gauge.cotree][:, gauge.cotree],
+            spd=True,
+        )
+        out[gauge.cotree] = solver.solve(-(gauge.Kcb @ out[gauge.bidx]))
+    if len(gauge.inodes):
+        q = _interior_poisson(mesh, gauge.inodes).solve(gauge.GtM @ out)
+        out[gauge.ie] -= gauge.Gi @ q
     return EdgeField(mesh, out)
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
 from helmdec import fem, operators as ops
@@ -115,6 +117,61 @@ def test_curl_harmonic_minimality(cube4, rng):
     data[be] = v.values[be]
     ext = ops.curl_harmonic_extend(cube4, data)
     assert fem.norm(ext, "curl_semi") <= fem.norm(v, "curl_semi") + 1e-12
+
+
+# every distinct mesh the decomposition routes send to the curl-harmonic
+# extension at h = 1/4: (geometry, block or None for the whole complex)
+CURLHARM_MESHES = [("unit_cube", None), ("pyramid", None), ("cube_in_box_B", None)] + [
+    ("vertex_junction_star3", b) for b in range(3)
+]
+
+
+def _saddle_point_reference(mesh, data):
+    """The extension from the augmented system [[K_ii, (MG)_i], [(MG)_i^T, 0]]."""
+    K = fem.assemble(mesh, "V", "stiffness").mat
+    M = fem.assemble(mesh, "V", "mass").mat
+    G = fem.gradient_map(mesh).mat
+    be = mesh.boundary_edge_mask()
+    ie, bidx = np.nonzero(~be)[0], np.nonzero(be)[0]
+    B = (M @ G[:, np.nonzero(~mesh.boundary_node_mask())[0]]).tocsr()
+    system = sp.bmat([[K[ie][:, ie], B[ie]], [B[ie].T, None]], format="csc")
+    rhs = np.concatenate([-(K[ie][:, bidx] @ data[bidx]), -(B[bidx].T @ data[bidx])])
+    out = data.copy()
+    out[ie] = spla.spsolve(system, rhs)[: len(ie)]
+    return out
+
+
+@pytest.mark.parametrize("geometry,block", CURLHARM_MESHES)
+def test_curl_harmonic_matches_saddle_point(geometry, block, monkeypatch):
+    mesh = build_complex(geometry, 0.25)
+    if block is not None:
+        mesh = extract_block(mesh, block).mesh
+    rng = np.random.default_rng(7)
+    be = mesh.boundary_edge_mask()
+    data = np.zeros(mesh.ne)
+    data[be] = rng.uniform(-1, 1, int(be.sum()))
+    factorizations = []
+    splu = spla.splu
+
+    def counting_splu(*args, **kwargs):
+        factorizations.append(args[0].shape)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counting_splu)
+    ext = ops.curl_harmonic_extend(mesh, data).values
+    assert factorizations
+    ref = _saddle_point_reference(mesh, data)
+    assert np.abs(ext - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert np.array_equal(ext[be], data[be])
+    # L2 gauge: orthogonal to the gradients of the interior hat functions
+    Gi = fem.gradient_map(mesh).mat[:, np.nonzero(~mesh.boundary_node_mask())[0]]
+    Mv = fem.assemble(mesh, "V", "mass").mat @ ext
+    assert np.abs(Gi.T @ Mv).max() <= 1e-12 * (abs(Gi.T) @ np.abs(Mv)).max()
+    # warm call: cached factors only
+    n = len(factorizations)
+    again = ops.curl_harmonic_extend(mesh, data).values
+    assert len(factorizations) == n
+    assert np.array_equal(again, ext)
 
 
 # -- loops ---------------------------------------------------------------------
