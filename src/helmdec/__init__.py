@@ -7,20 +7,15 @@ from .fem import (EdgeField, FaceField, NodalField, NodalVectorField,
                   restrict_zero)
 from . import decompose
 from .decompose import (CompatibilityViolation, HelmholtzSplit,
-                        decompose_disjoint_edges, decompose_edge,
-                        decompose_edge_junction, decompose_face_plus_edge,
-                        decompose_face_trace, decompose_isolated_vertex_union,
-                        decompose_loop, decompose_vertex_junction,
-                        gradient_field, incompatible_field, kernel_convex,
+                        gradient_field, incompatible_field,
                         random_admissible_field)
 from .geometry import CATALOG, catalog_info, catalog_names
 from .hx import HXPreconditioner, ModelProblem, assemble_problem, pcg_solve
 from .mesh import TetMesh, build_complex, read_mesh, refine, write_mesh
 from .operators import (BoundaryLoop, LoopDecomposition, PreconditionError,
                         build_loop, curl_harmonic_extend, edge_interpolate_rh,
-                        epsilon_correction, face_cutoff, harmonic_extend,
-                        junction_functionals, loop_constant_extension,
-                        loop_decompose, scott_zhang)
+                        epsilon_correction, graph_cutoff, harmonic_extend,
+                        loop_constant_extension, loop_decompose, scott_zhang)
 from .trace import TraceSet, check_assumption31, surface, tag_trace
 from .verify import (StabilityReport, fit_log_growth, invariant_battery,
                      sweep, trace_inequality_probe)

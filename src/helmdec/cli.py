@@ -38,7 +38,7 @@ EXIT_COMPATIBILITY = 4
 
 _EXPERIMENT_KEYS = {
     "geometry", "trace", "route", "levels", "samples", "seed", "input",
-    "ratio", "tol_f",
+    "ratio",
 }
 _HX_KEYS = {"alpha", "beta", "jumps", "tol", "maxit"}
 
@@ -57,7 +57,6 @@ class ExperimentConfig:
     seed: int = 0
     input: str = "random"
     ratio: str = "w_h1"
-    tol_f: float = 1e-10
     alpha: float = 1.0
     beta: float = 1.0
     jumps: tuple = (1.0, 1e2, 1e4, 1e6)
@@ -102,7 +101,6 @@ def load_config(path: str, seed_override=None) -> ExperimentConfig:
     try:
         cfg.samples = int(e.get("samples", cfg.samples))
         cfg.seed = int(e.get("seed", cfg.seed))
-        cfg.tol_f = float(e.get("tol_f", cfg.tol_f))
     except ValueError as ex:
         raise ConfigError(str(ex)) from None
     cfg.input = e.get("input", cfg.input)
@@ -174,8 +172,7 @@ def cmd_decompose(cfg: ExperimentConfig, out: Path) -> int:
         v = incompatible_field(mesh, trace, cfg.seed)
     else:
         v = random_admissible_field(mesh, trace, cfg.seed)
-    result = _dispatch(v, trace) if cfg.route == "auto" else \
-        verify._route_call(cfg.route)(v, trace)
+    result = _dispatch(v, trace, cfg.route)
     if isinstance(result, CompatibilityViolation):
         print(result.message, file=sys.stderr)
         print("functionals: " + " ".join(repr(float(x)) for x in result.functionals))

@@ -1,13 +1,19 @@
 """Discrete regular Helmholtz decompositions v = grad p + r_h w + R.
 
-Every constructor returns a HelmholtzSplit with an exact DOF identity and
-exact zero coefficients of p, w on the trace entities (zeros are placed,
-never rounded).  The routes mirror the constructions the stability theory
-is built on: a two-Poisson kernel on convex-extension traces, the chained
+`decompose` is the one entry point.  It routes the field to a construction
+and returns a HelmholtzSplit with an exact DOF identity and exact zero
+coefficients of p, w on the trace entities (zeros are placed, never
+rounded).  The routes mirror the constructions the stability theory is
+built on: a two-Poisson kernel on convex-extension traces, the chained
 block construction for non-convex face traces, curl-harmonic face/edge
 splittings, the boundary-loop subtraction for edges, and the edge/vertex
-junction pipelines with their compatibility gate.  Stability is measured
-(norm quotients against the claimed bound), not assumed.
+junction pipelines with their compatibility gate.
+
+Every route is a private function returning the fields (p, w, path,
+claims, meta), or a CompatibilityViolation; nested routes call these
+functions, so the residual R and the norm battery are computed once, in
+`_finish`.  Stability is measured (norm quotients against the claimed
+bound), not assumed.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import fem, operators as ops
-from .fem import EdgeField, NodalField, NodalVectorField, cached_solver
+from .fem import EdgeField, NodalField, NodalVectorField
 from .geometry import GeometryError
 from .mesh import Submesh, TetMesh, build_complex, extract_block, extract_tets
 from .operators import PreconditionError
@@ -30,18 +36,15 @@ from .trace import (CoarseEdge, CoarseFace, TraceSet, geometry_info,
 __all__ = [
     "HelmholtzSplit",
     "CompatibilityViolation",
-    "kernel_convex",
-    "decompose_face_trace",
-    "decompose_loop",
-    "decompose_edge",
-    "decompose_isolated_vertex_union",
-    "decompose_face_plus_edge",
-    "decompose_disjoint_edges",
     "decompose",
-    "decompose_edge_junction",
-    "decompose_vertex_junction",
     "random_admissible_field",
+    "gradient_field",
+    "incompatible_field",
 ]
+
+# vertex-junction gate: the compatibility functionals must vanish to this
+# tolerance relative to |v|_curl
+VERTEX_GATE_TOL = 1e-10
 
 
 @dataclass
@@ -65,6 +68,8 @@ class HelmholtzSplit:
     meta: dict = field(default_factory=dict)
 
     def identity_residual(self, v: EdgeField) -> float:
+        # summed as grad p + r_h w + R, not through `_residual`, so the
+        # check measures the identity instead of reading R's own rounding
         lhs = v.values
         rhs = (
             fem.gradient_map(self.mesh).mat @ self.p.values
@@ -155,12 +160,12 @@ def _kernel_fields(mesh: TetMesh, v: np.ndarray, gamma_nodes: np.ndarray):
         def build():
             return sp.bmat([[K, mz[:, None]], [mz[None, :], None]], format="csc")
 
-        solver = cached_solver(mesh, ("kernel", "gauge"), build)
+        solver = fem.cached_solver(mesh, ("kernel", "gauge"), build)
 
         def solve(rhs):
             return solver.solve(np.concatenate([rhs, [0.0]]))[:-1]
     else:
-        solver = cached_solver(mesh, ("kernel", key_mask), lambda: K[free][:, free])
+        solver = fem.cached_solver(mesh, ("kernel", key_mask), lambda: K[free][:, free])
 
         def solve(rhs):
             out = np.zeros(mesh.nv)
@@ -179,11 +184,38 @@ def _kernel_fields(mesh: TetMesh, v: np.ndarray, gamma_nodes: np.ndarray):
     return p, w
 
 
-def _finish(mesh, v: EdgeField, p: np.ndarray, w: np.ndarray, path: str,
-            claims: dict, meta: Optional[dict] = None) -> HelmholtzSplit:
+def _pinned_kernel(mesh: TetMesh, v: np.ndarray, pins: np.ndarray):
+    """Kernel fields with exact zeros placed on the pinned nodes."""
+    p, w = _kernel_fields(mesh, v, pins)
+    p[pins] = 0.0
+    w[pins] = 0.0
+    return p, w
+
+
+def _residual(mesh: TetMesh, v: np.ndarray, p: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Edge moments of v - grad p - r_h w."""
+    return (v - fem.gradient_map(mesh).mat @ p
+            - ops.edge_interpolate_rh(NodalVectorField(mesh, w)).values)
+
+
+def _block_kernel(sub: Submesh, v: np.ndarray, pins: np.ndarray, p, w, R):
+    """Block-kernel pass: the pinned kernel of v restricted to the block,
+    its residual there, all three added into the parent accumulators.
+    Returns the block's p and w."""
+    vb = sub.restrict_edge(v)
+    pb, wb = _pinned_kernel(sub.mesh, vb, pins)
+    p[sub.vert_map] += pb
+    w[sub.vert_map] += wb
+    R[sub.edge_map] += _residual(sub.mesh, vb, pb, wb)
+    return pb, wb
+
+
+def _finish(v: EdgeField, p: np.ndarray, w: np.ndarray, path: str,
+            claims: dict, meta: dict) -> HelmholtzSplit:
+    mesh = v.mesh
     pf = NodalField(mesh, p)
     wf = NodalVectorField(mesh, w)
-    R = EdgeField(mesh, v.values - fem.gradient_map(mesh).mat @ p - ops.edge_interpolate_rh(wf).values)
+    R = EdgeField(mesh, _residual(mesh, v.values, p, w))
     norms = {
         "h": mesh.h,
         "v_l2": fem.norm(v, "L2"),
@@ -207,13 +239,7 @@ def _finish(mesh, v: EdgeField, p: np.ndarray, w: np.ndarray, path: str,
         ratios["w_h1_vs_curl_full"] = norms["w_h1"] / norms["v_curl"]
     if norms["v_l2"] > 0:
         ratios["w_l2_p_h1_vs_l2"] = (norms["w_l2"] + norms["p_h1"]) / norms["v_l2"]
-    return HelmholtzSplit(mesh, pf, wf, R, path, dict(claims), norms, ratios, meta or {})
-
-
-def _masks_from_trace(trace: Optional[TraceSet], mesh: TetMesh):
-    if trace is None:
-        return np.zeros(mesh.nv, dtype=bool), np.zeros(mesh.ne, dtype=bool)
-    return trace.node_mask, trace.edge_mask
+    return HelmholtzSplit(mesh, pf, wf, R, path, dict(claims), norms, ratios, meta)
 
 
 def _face_masks(mesh: TetMesh, faces: Sequence[CoarseFace]):
@@ -222,19 +248,6 @@ def _face_masks(mesh: TetMesh, faces: Sequence[CoarseFace]):
     for f in faces:
         nm[f.fine_nodes] = True
         em[f.fine_edges] = True
-    return nm, em
-
-
-def _complement_masks(mesh: TetMesh, faces: Sequence[CoarseFace]):
-    """(partial G \\ F) union boundary-of-F masks."""
-    nm = mesh.boundary_node_mask().copy()
-    em = mesh.boundary_edge_mask().copy()
-    fn, fe = _face_masks(mesh, faces)
-    nm &= ~fn
-    em &= ~fe
-    for f in faces:
-        em[f.boundary_edges] = True
-        nm[mesh.edges[f.boundary_edges].ravel()] = True
     return nm, em
 
 
@@ -248,27 +261,23 @@ def _loop_flux(mesh: TetMesh, v: EdgeField, faces: Sequence[CoarseFace]) -> floa
     return tot
 
 
+def _mask_from_ids(n, ids):
+    m = np.zeros(n, dtype=bool)
+    m[ids] = True
+    return m
+
+
 # --------------------------------------------------------------------------
 # kernel route (convex / extension traces)
 # --------------------------------------------------------------------------
 
-def _kernel_split(mesh, v: EdgeField, nmask, emask, path, claims, trace=None, meta=None):
-    p, w = _kernel_fields(mesh, v.values, nmask)
-    # mirror the analytic pipeline: quasi-interpolate with exact trace zeros
-    if trace is not None:
-        w = ops.scott_zhang(NodalVectorField(mesh, w), mesh, trace).values
-    w[nmask] = 0.0
-    p[nmask] = 0.0
-    return _finish(mesh, v, p, w, path, claims, meta)
-
-
-def kernel_convex(v: EdgeField, trace: Optional[TraceSet]) -> HelmholtzSplit:
+def _kernel_route(v: EdgeField, trace: TraceSet):
     """Computable decomposition kernel: constrained Poisson projection for
     p, constrained vector Poisson solve with curl data for w, exact
     residual R.  Valid whenever every trace component admits a Lipschitz
     extension (decided by catalog lookup)."""
     mesh = v.mesh
-    if trace is not None and not trace.empty:
+    if not trace.empty:
         rep = check_assumption31(mesh, trace)
         if not rep.satisfiable:
             raise PreconditionError(f"kernel route needs extension blocks: {rep.reason}")
@@ -282,14 +291,8 @@ def kernel_convex(v: EdgeField, trace: Optional[TraceSet]) -> HelmholtzSplit:
         claims = {"rhs1": "curl_semi", "rhs2": "l2" if convex_b else "curl", "log": False}
     else:
         claims = {"rhs1": "curl", "rhs2": "l2", "log": False}
-    nmask, emask = _masks_from_trace(trace, mesh)
-    return _kernel_split(mesh, v, nmask, emask, "kernel", claims, trace)
-
-
-def _catalog_names():
-    from .geometry import CATALOG
-
-    return CATALOG
+    p, w = _pinned_kernel(mesh, v.values, trace.node_mask)
+    return p, w, "kernel", claims, {}
 
 
 # --------------------------------------------------------------------------
@@ -309,7 +312,6 @@ def _layer_extension(mesh: TetMesh, face_nodes: np.ndarray, source: np.ndarray,
     """Extend nodal data given on an axis-aligned interface into a block by
     linear layer decay along the interface normal (exact zeros beyond)."""
     a, c = _axis_of_plane(plane)
-    idx = mesh.node_index()
     fset = {}
     for n in face_nodes:
         key = tuple(mesh.verts_int[n])
@@ -330,7 +332,7 @@ def _layer_extension(mesh: TetMesh, face_nodes: np.ndarray, source: np.ndarray,
     return np.array(out_nodes, dtype=np.int64), np.array(out_vals)
 
 
-def decompose_face_trace(v: EdgeField, trace: TraceSet) -> HelmholtzSplit:
+def _face_chain(v: EdgeField, trace: TraceSet):
     """Face-trace decomposition on a non-convex block union: kernel on the
     first block set, cut-off interface extensions of w, harmonic extension
     of p, zero extension of R, then residual kernels on the second set."""
@@ -340,8 +342,8 @@ def decompose_face_trace(v: EdgeField, trace: TraceSet) -> HelmholtzSplit:
     rep = check_assumption31(mesh, trace)
     if rep.satisfiable and rep.extended_domain_convex:
         claims = {"rhs1": "curl_semi", "rhs2": "l2", "log": False}
-        return _kernel_split(mesh, v, trace.node_mask, trace.edge_mask,
-                             "face-chain/convex-ext", claims, trace)
+        p, w = _pinned_kernel(mesh, v.values, trace.node_mask)
+        return p, w, "face-chain/convex-ext", claims, {}
     if not info.sigma2:
         raise PreconditionError(f"no block split recorded for {mesh.name}")
 
@@ -349,29 +351,18 @@ def decompose_face_trace(v: EdgeField, trace: TraceSet) -> HelmholtzSplit:
     p_t = np.zeros(mesh.nv)
     w_t = np.zeros((mesh.nv, 3))
     R_t = np.zeros(mesh.ne)
-    loops_meta = []
 
     for b1 in info.sigma1:
         sub = extract_block(mesh, b1)
-        v1 = sub.restrict_edge(v.values)
-        g1 = trace.node_mask[sub.vert_map]
-        p1, w1 = _kernel_fields(sub.mesh, v1, g1)
-        p1[g1] = 0.0
-        w1[g1] = 0.0
-        R1 = v1 - fem.gradient_map(sub.mesh).mat @ p1 - ops.edge_interpolate_rh(
-            NodalVectorField(sub.mesh, w1)).values
-        # global accumulators: block values on the block, extensions beyond
         sub_nodes = sub.vert_map
-        p_t[sub_nodes] += p1
-        w_t[sub_nodes] += w1
-        R_t[sub.edge_map] += R1
+        # global accumulators: block values on the block, extensions beyond
+        p1, w1 = _block_kernel(sub, v.values, trace.node_mask[sub_nodes], p_t, w_t, R_t)
 
         for iface in ifaces:
             if b1 not in iface.blocks:
                 continue
             k = iface.blocks[0] if iface.blocks[1] == b1 else iface.blocks[1]
             subk = extract_block(mesh, k)
-            kn_mask = subk.node_mask()
             # cut-off values on the interface: w1 at interior nodes, 0 on
             # the interface boundary curve
             src = np.zeros((mesh.nv, 3))
@@ -392,74 +383,59 @@ def decompose_face_trace(v: EdgeField, trace: TraceSet) -> HelmholtzSplit:
             sel = addmask & (np.abs(pk.values) > 0)
             p_t[subk.vert_map[sel]] += pk.values[sel]
 
-    v_res = EdgeField(mesh, v.values - fem.gradient_map(mesh).mat @ p_t
-                      - ops.edge_interpolate_rh(NodalVectorField(mesh, w_t)).values - R_t)
+    v_res = _residual(mesh, v.values, p_t, w_t) - R_t
 
     for k in info.sigma2:
         subk = extract_block(mesh, k)
-        vk = subk.restrict_edge(v_res.values)
         gk = trace.node_mask[subk.vert_map].copy()
         for iface in ifaces:
             if k in iface.blocks and (iface.blocks[0] in info.sigma1 or iface.blocks[1] in info.sigma1):
                 gk |= np.isin(subk.vert_map, iface.fine_nodes)
-        pk, wk = _kernel_fields(subk.mesh, vk, gk)
-        pk[gk] = 0.0
-        wk[gk] = 0.0
-        Rk = vk - fem.gradient_map(subk.mesh).mat @ pk - ops.edge_interpolate_rh(
-            NodalVectorField(subk.mesh, wk)).values
-        p_t[subk.vert_map] += pk
-        w_t[subk.vert_map] += wk
-        R_t[subk.edge_map] += Rk
+        _block_kernel(subk, v_res, gk, p_t, w_t, R_t)
 
     p_t[trace.node_mask] = 0.0
     w_t[trace.node_mask] = 0.0
     claims = {"rhs1": "curl_semi", "rhs2": "l2", "log": True}
-    return _finish(mesh, v, p_t, w_t, "face-chain", claims, {"loops": loops_meta})
+    return p_t, w_t, "face-chain", claims, {}
 
 
 # --------------------------------------------------------------------------
-# loop split (zero data on the boundary curve of a face patch)
+# curl-harmonic and loop splits against a face patch
 # --------------------------------------------------------------------------
 
-def decompose_loop(v: EdgeField, faces: Union[CoarseFace, Sequence[CoarseFace]],
-                   extra: Optional[TraceSet] = None, path="face-loop-split",
-                   claims=None, meta=None) -> HelmholtzSplit:
-    """Split off the curl-harmonic part vanishing on a face patch, then run
-    the kernel on both halves; p and w vanish on the patch boundary curve
-    (and on `extra`, when the route embeds a larger trace)."""
+def _curl_harmonic_split(v: EdgeField, faces: Sequence[CoarseFace],
+                         extra_a: np.ndarray, extra_b: np.ndarray):
+    """Split v into the curl-harmonic extension of its boundary moments off
+    the face patch (it vanishes on the patch) and the rest (it vanishes off
+    the patch), and run the kernel on each: the first pinned on the patch
+    and `extra_a`, the second on the complement, the patch boundary curve
+    and `extra_b`.  Returns the summed p, w and the curve's node mask."""
     mesh = v.mesh
-    if isinstance(faces, CoarseFace):
-        faces = [faces]
-    loop = ops.build_loop(mesh, faces)
-    _check_zero_moments(v, _mask_from_ids(mesh.ne, loop.edges), "the patch boundary")
-
-    xn, xe = _masks_from_trace(extra, mesh)
     fn, fe = _face_masks(mesh, faces)
-    cn, ce = _complement_masks(mesh, faces)
-
-    # curl-harmonic part carrying the data away from the patch
+    # the complement (boundary minus the patch) and the patch boundary curve
+    cn = mesh.boundary_node_mask() & ~fn
+    for f in faces:
+        cn[mesh.edges[f.boundary_edges].ravel()] = True
     bdata = np.zeros(mesh.ne)
     bmask = mesh.boundary_edge_mask() & ~fe
     bdata[bmask] = v.values[bmask]
-    vFc_part = ops.curl_harmonic_extend(mesh, bdata)   # vanishes on the patch
-    vF_part = EdgeField(mesh, v.values - vFc_part.values)  # vanishes off it
+    part = ops.curl_harmonic_extend(mesh, bdata).values
+    pa, wa = _kernel_fields(mesh, part, fn | extra_a)
+    pb, wb = _kernel_fields(mesh, v.values - part, cn | extra_b)
+    return pa + pb, wa + wb, fn & cn
 
-    pa, wa = _kernel_fields(mesh, vFc_part.values, fn | xn)
-    pb, wb = _kernel_fields(mesh, vF_part.values, cn | xn)
-    p = pa + pb
-    w = wa + wb
-    zero = (fn & cn) | xn
+
+def _loop_split(v: EdgeField, faces: Sequence[CoarseFace], loop: ops.BoundaryLoop,
+                extra: np.ndarray):
+    """Loop split of a field with zero data on the boundary curve of a face
+    patch: the curl-harmonic split, with p and w exactly zero on the curve
+    and on the `extra` nodes (a larger trace the route embeds)."""
+    _check_zero_moments(v, _mask_from_ids(v.mesh.ne, loop.edges), "the patch boundary")
+    p, w, curve = _curl_harmonic_split(v, faces, extra, extra)
+    zero = curve | extra
     p[zero] = 0.0
     w[zero] = 0.0
-    if claims is None:
-        claims = {"rhs1": "curl_semi", "rhs2": "curl", "log": True}
-    return _finish(mesh, v, p, w, path, claims, meta)
-
-
-def _mask_from_ids(n, ids):
-    m = np.zeros(n, dtype=bool)
-    m[ids] = True
-    return m
+    return p, w
 
 
 # --------------------------------------------------------------------------
@@ -468,6 +444,10 @@ def _mask_from_ids(n, ids):
 
 def _edge_list(E) -> list[CoarseEdge]:
     return [E] if isinstance(E, CoarseEdge) else list(E)
+
+
+def _edge_nodes(E: Sequence[CoarseEdge]) -> np.ndarray:
+    return np.unique(np.concatenate([e.fine_nodes for e in E]))
 
 
 def _find_face_for_edge(mesh, E: list[CoarseEdge], forbidden_nodes=None) -> CoarseFace:
@@ -486,25 +466,38 @@ def _find_face_for_edge(mesh, E: list[CoarseEdge], forbidden_nodes=None) -> Coar
 
 def _edge_subtraction(v: EdgeField, E: list[CoarseEdge], F: CoarseFace):
     """Boundary-loop subtraction for zero-moment edge data: returns the
-    subtracted field, the global potential, the constant extension and the
-    loop record (C, l0, flux)."""
+    subtracted field, the global potential, the constant extension, the
+    loop record (C, l0, flux) and the loop of F."""
     mesh = v.mesh
     loop = ops.build_loop(mesh, [F])
-    dec = ops.loop_decompose(v, loop, zero_edge=E if len(E) > 1 else E[0])
+    zero_edge = E if len(E) > 1 else E[0]
+    dec = ops.loop_decompose(v, loop, zero_edge=zero_edge)
     phi = np.zeros(mesh.nv)
     phi[loop.nodes] = dec.phi
     per_edge = np.full(loop.n, dec.C)
-    pos = ops._edge_arc_positions(loop, E if len(E) > 1 else E[0])
-    per_edge[pos] = 0.0
-    pinned = np.unique(np.concatenate([e.fine_nodes for e in E]))
-    ctilde = ops.loop_constant_extension(dec.C, loop, pinned, per_edge)
-    vhat = EdgeField(mesh, v.values - fem.gradient_map(mesh).mat @ phi
-                     - ops.edge_interpolate_rh(ctilde).values)
+    per_edge[ops._edge_arc_positions(loop, zero_edge)] = 0.0
+    ctilde = ops.loop_constant_extension(dec.C, loop, _edge_nodes(E), per_edge).values
+    vhat = EdgeField(mesh, _residual(mesh, v.values, phi, ctilde))
     record = (dec.C, dec.l0, _loop_flux(mesh, v, [F]))
-    return vhat, phi, ctilde, record
+    return vhat, phi, ctilde, record, loop
 
 
-def decompose_edge(v: EdgeField, E, face: Optional[CoarseFace] = None) -> HelmholtzSplit:
+def _edge_loop_split(v: EdgeField, E: list[CoarseEdge], F: CoarseFace, extra: np.ndarray):
+    """Edge subtraction on F, the loop split of the subtracted field, and
+    exact zeros on `extra` and the edge nodes.  Returns p, w and the loop
+    record."""
+    vhat, phi, ctilde, record, loop = _edge_subtraction(v, E, F)
+    p, w = _loop_split(vhat, [F], loop, extra)
+    p = phi + p
+    w = ctilde + w
+    zero = extra.copy()
+    zero[_edge_nodes(E)] = True
+    p[zero] = 0.0
+    w[zero] = 0.0
+    return p, w, record
+
+
+def _edge_route(v: EdgeField, E, face: Optional[CoarseFace] = None):
     """Decomposition with zero data on a coarse edge (or connected edge
     union): loop subtraction on a containing face, then the loop split."""
     mesh = v.mesh
@@ -512,19 +505,12 @@ def decompose_edge(v: EdgeField, E, face: Optional[CoarseFace] = None) -> Helmho
     for e in E:
         _check_zero_moments(v, _mask_from_ids(mesh.ne, e.fine_edges), e.name)
     F = face if face is not None else _find_face_for_edge(mesh, E)
-    vhat, phi, ctilde, record = _edge_subtraction(v, E, F)
+    p, w, record = _edge_loop_split(v, E, F, np.zeros(mesh.nv, dtype=bool))
     claims = {"rhs1": "curl_semi", "rhs2": "curl", "log": True}
-    inner = decompose_loop(vhat, F, claims=claims)
-    p = phi + inner.p.values
-    w = ctilde.values + inner.w.values
-    enodes = np.unique(np.concatenate([e.fine_nodes for e in E]))
-    p[enodes] = 0.0
-    w[enodes] = 0.0
-    meta = {"loops": [record]}
-    return _finish(mesh, v, p, w, "edge-cut", claims, meta)
+    return p, w, "edge-cut", claims, {"loops": [record]}
 
 
-def decompose_isolated_vertex_union(v: EdgeField, trace: TraceSet) -> HelmholtzSplit:
+def _corner_pair(v: EdgeField, trace: TraceSet):
     """Trace = two faces meeting at a single vertex: route the edge pair
     through the shared neighbour face, then split against the face-union
     traces so p, w vanish on the whole union."""
@@ -558,28 +544,20 @@ def decompose_isolated_vertex_union(v: EdgeField, trace: TraceSet) -> HelmholtzS
     if W is None:
         raise PreconditionError("no auxiliary face adjoins both trace faces at the vertex")
 
-    vhat, phi, ctilde, record = _edge_subtraction(v, [E1, E2], W)
-
+    vhat, phi, ctilde, record, _ = _edge_subtraction(v, [E1, E2], W)
     # curl-harmonic split against W: one kernel on (boundary \ W) + dW, one
     # on trace + W
-    wn, we = _face_masks(mesh, [W])
-    cn, ce = _complement_masks(mesh, [W])
-    bdata = np.zeros(mesh.ne)
-    bmask = mesh.boundary_edge_mask() & ~we
-    bdata[bmask] = vhat.values[bmask]
-    part_c = ops.curl_harmonic_extend(mesh, bdata)
-    part_w = EdgeField(mesh, vhat.values - part_c.values)
-    pa, wa = _kernel_fields(mesh, part_c.values, wn)
-    pb, wb = _kernel_fields(mesh, part_w.values, cn | trace.node_mask)
-    p = phi + pa + pb
-    w = ctilde.values + wa + wb
+    p, w, _ = _curl_harmonic_split(vhat, [W], np.zeros(mesh.nv, dtype=bool),
+                                   trace.node_mask)
+    p = phi + p
+    w = ctilde + w
     p[trace.node_mask] = 0.0
     w[trace.node_mask] = 0.0
     claims = {"rhs1": "curl_semi", "rhs2": "curl", "log": True}
-    return _finish(mesh, v, p, w, "corner-pair-faces", claims, {"loops": [record]})
+    return p, w, "corner-pair-faces", claims, {"loops": [record]}
 
 
-def decompose_face_plus_edge(v: EdgeField, trace: TraceSet, E) -> HelmholtzSplit:
+def _face_plus_edge(v: EdgeField, trace: TraceSet, E):
     """Zero data on a face union plus one coarse edge that either touches
     the union at an endpoint or stays clear of it (possibly demanding the
     recorded extension complex)."""
@@ -589,10 +567,9 @@ def decompose_face_plus_edge(v: EdgeField, trace: TraceSet, E) -> HelmholtzSplit
     _check_zero_moments(v, trace.edge_mask, "the trace")
     for e in E:
         _check_zero_moments(v, _mask_from_ids(mesh.ne, e.fine_edges), e.name)
-    enodes = np.unique(np.concatenate([e.fine_nodes for e in E]))
-    touching = trace.node_mask[enodes].any()
+    enodes = _edge_nodes(E)
 
-    if touching:
+    if trace.node_mask[enodes].any():
         # endpoint case: extend the edge by a trace edge through the contact
         contact = enodes[trace.node_mask[enodes]]
         if len(contact) != 1:
@@ -606,35 +583,19 @@ def decompose_face_plus_edge(v: EdgeField, trace: TraceSet, E) -> HelmholtzSplit
             raise PreconditionError("no trace edge through the contact vertex")
         union = E + [eprime]
         F = _find_face_for_edge(mesh, union)
-        vhat, phi, ctilde, record = _edge_subtraction(v, union, F)
+        p, w, record = _edge_loop_split(v, union, F, trace.node_mask)
         claims = {"rhs1": "curl_semi", "rhs2": "curl", "log": True}
-        split = decompose_loop(vhat, F, extra=trace, claims=claims)
-        p = phi + split.p.values
-        w = ctilde.values + split.w.values
-        zero = trace.node_mask.copy()
-        zero[enodes] = True
-        p[zero] = 0.0
-        w[zero] = 0.0
-        return _finish(mesh, v, p, w, "faces-plus-edge/endpoint", claims,
-                       {"loops": [record]})
+        return p, w, "faces-plus-edge/endpoint", claims, {"loops": [record]}
 
     # disjoint case (i): a containing face avoiding the trace
     try:
         F = _find_face_for_edge(mesh, E, forbidden_nodes=trace.node_mask)
     except PreconditionError:
         F = None
+    claims = {"rhs1": "curl", "rhs2": "curl", "log": True}
     if F is not None:
-        vhat, phi, ctilde, record = _edge_subtraction(v, E, F)
-        claims = {"rhs1": "curl", "rhs2": "curl", "log": True}
-        split = decompose_loop(vhat, F, extra=trace, claims=claims)
-        p = phi + split.p.values
-        w = ctilde.values + split.w.values
-        zero = trace.node_mask.copy()
-        zero[enodes] = True
-        p[zero] = 0.0
-        w[zero] = 0.0
-        return _finish(mesh, v, p, w, "faces-plus-edge/clear-face", claims,
-                       {"loops": [record]})
+        p, w, record = _edge_loop_split(v, E, F, trace.node_mask)
+        return p, w, "faces-plus-edge/clear-face", claims, {"loops": [record]}
 
     # disjoint case (ii): run the edge machinery on the recorded extension
     info = geometry_info(mesh)
@@ -648,13 +609,11 @@ def decompose_face_plus_edge(v: EdgeField, trace: TraceSet, E) -> HelmholtzSplit
     vB = EdgeField(B, np.zeros(B.ne))
     vB.values[gmap] = v.values
     surfB = surface(B)
-    EB = [surfB.edge_by_name(e.name) for e in E]
-    splitB = decompose_edge(vB, EB if len(EB) > 1 else EB[0])
+    pB, wB, _, _, metaB = _edge_route(vB, [surfB.edge_by_name(e.name) for e in E])
     nmap = _embed_nodes(mesh, B)
-    pG = splitB.p.values[nmap]
-    wG = splitB.w.values[nmap]
+    pG = pB[nmap]
+    wG = wB[nmap]
     # subtract boundary extensions so p, w vanish on the trace as well
-    bn = mesh.boundary_node_mask()
     data = np.zeros(mesh.nv)
     data[trace.node_mask] = pG[trace.node_mask]
     p = pG - ops.harmonic_extend(mesh, data).values
@@ -663,14 +622,11 @@ def decompose_face_plus_edge(v: EdgeField, trace: TraceSet, E) -> HelmholtzSplit
         dc = np.zeros(mesh.nv)
         dc[trace.node_mask] = wG[trace.node_mask, c]
         w[:, c] -= ops.harmonic_extend(mesh, dc).values
-    w = ops.scott_zhang(NodalVectorField(mesh, w), mesh, trace).values
     zero = trace.node_mask.copy()
     zero[enodes] = True
     p[zero] = 0.0
     w[zero] = 0.0
-    claims = {"rhs1": "curl", "rhs2": "curl", "log": True}
-    return _finish(mesh, v, p, w, "faces-plus-edge/extension", claims,
-                   {"loops": splitB.meta.get("loops", [])})
+    return p, w, "faces-plus-edge/extension", claims, {"loops": metaB["loops"]}
 
 
 def _extended_mesh(mesh: TetMesh, ext_id: str) -> TetMesh:
@@ -707,8 +663,8 @@ def _embed_edges(mesh: TetMesh, B: TetMesh) -> np.ndarray:
 # disjoint edges
 # --------------------------------------------------------------------------
 
-def decompose_disjoint_edges(v: EdgeField, edges: Sequence[CoarseEdge],
-                             trace: Optional[TraceSet] = None) -> HelmholtzSplit:
+def _disjoint_edges(v: EdgeField, edges: Sequence[CoarseEdge],
+                    trace: Optional[TraceSet] = None):
     """Zero data on pairwise disjoint coarse edges.  Simple case: per-edge
     loop subtractions on non-interfering faces plus one curl-harmonic
     split.  Hard case (every containing face meets another edge): the
@@ -724,59 +680,41 @@ def decompose_disjoint_edges(v: EdgeField, edges: Sequence[CoarseEdge],
                     f"edges {edges[i].name} and {edges[j].name} are not disjoint"
                 )
     if len(edges) == 1:
-        return decompose_edge(v, edges[0])
+        return _edge_route(v, edges[0])
 
-    forbidden = {}
-    for e in edges:
-        m = np.zeros(mesh.nv, dtype=bool)
-        for o in edges:
-            if o.id != e.id:
-                m[o.fine_nodes] = True
-        if trace is not None:
-            m |= trace.node_mask
-        forbidden[e.id] = m
-
+    xn = trace.node_mask if trace is not None else np.zeros(mesh.nv, dtype=bool)
     picks = []
-    ok = True
     used_nodes = np.zeros(mesh.nv, dtype=bool)
     for e in edges:
+        forbidden = xn | used_nodes
+        for o in edges:
+            if o.id != e.id:
+                forbidden[o.fine_nodes] = True
         try:
-            F = _find_face_for_edge(mesh, [e], forbidden_nodes=forbidden[e.id] | used_nodes)
+            F = _find_face_for_edge(mesh, [e], forbidden_nodes=forbidden)
         except PreconditionError:
-            ok = False
             break
         picks.append(F)
         used_nodes[F.fine_nodes] = True
-    if ok:
+    else:
         p = np.zeros(mesh.nv)
         w = np.zeros((mesh.nv, 3))
         vhat = v
         records = []
         for e, F in zip(edges, picks):
-            vhat, phi, ctilde, rec = _edge_subtraction(vhat, [e], F)
+            vhat, phi, ctilde, rec, _ = _edge_subtraction(vhat, [e], F)
             p += phi
-            w += ctilde.values
+            w += ctilde
             records.append(rec)
-        fn, fe = _face_masks(mesh, picks)
-        cn, ce = _complement_masks(mesh, picks)
-        xn = trace.node_mask if trace is not None else np.zeros(mesh.nv, dtype=bool)
-        bdata = np.zeros(mesh.ne)
-        bmask = mesh.boundary_edge_mask() & ~fe
-        bdata[bmask] = vhat.values[bmask]
-        part_c = ops.curl_harmonic_extend(mesh, bdata)
-        part_f = EdgeField(mesh, vhat.values - part_c.values)
-        pa, wa = _kernel_fields(mesh, part_c.values, fn | xn)
-        pb, wb = _kernel_fields(mesh, part_f.values, cn | xn)
-        p += pa + pb
-        w += wa + wb
+        ps, ws, _ = _curl_harmonic_split(vhat, picks, xn, xn)
+        p += ps
+        w += ws
         zero = xn.copy()
-        for e in edges:
-            zero[e.fine_nodes] = True
+        zero[_edge_nodes(edges)] = True
         p[zero] = 0.0
         w[zero] = 0.0
         claims = {"rhs1": "curl", "rhs2": "curl", "log": True}
-        return _finish(mesh, v, p, w, "disjoint-edges/simple", claims,
-                       {"loops": records})
+        return p, w, "disjoint-edges/simple", claims, {"loops": records}
 
     if trace is not None and not trace.empty:
         raise PreconditionError("interfering disjoint edges with a face trace "
@@ -784,95 +722,71 @@ def decompose_disjoint_edges(v: EdgeField, edges: Sequence[CoarseEdge],
     return _disjoint_edges_hard(v, edges)
 
 
-def _disjoint_edges_hard(v: EdgeField, edges: Sequence[CoarseEdge]) -> HelmholtzSplit:
+def _subdomain_split(mesh: TetMesh, edges: Sequence[CoarseEdge]):
+    """The recorded element-aligned subdomain split for the edges: per
+    column its edge ids and cut-off (1 on the column, 2-layer graph-distance
+    decay beyond), and the core submesh with its interface pins.  Cached
+    per (mesh, edge ids), so the core kernel factor is reused."""
+
+    def build():
+        info = geometry_info(mesh)
+        if info.split_width is None:
+            raise PreconditionError(f"no subdomain split recorded for {mesh.name}")
+        wdt = info.split_width
+        if mesh.denom * wdt.numerator % wdt.denominator or mesh.denom * wdt < 1:
+            raise PreconditionError(
+                f"no element-aligned subdomain split at h=1/{mesh.denom} "
+                f"(needs h <= {wdt / 2})"
+            )
+        wdt_f = float(wdt)  # dyadic, so exact; a Fraction would compare per element
+        cent = mesh.verts[mesh.tets].mean(axis=1)
+        col_masks = []
+        for e in edges:
+            lo = mesh.verts[e.fine_nodes[0]]
+            hi = mesh.verts[e.fine_nodes[-1]]
+            d = np.argmax(np.abs(hi - lo))
+            m = np.ones(mesh.nt, dtype=bool)
+            for a in range(3):
+                if a == d:
+                    continue
+                m &= np.abs(cent[:, a] - lo[a]) <= wdt_f
+            col_masks.append(m)
+        g0 = ~np.logical_or.reduce(col_masks)
+        if not g0.any():
+            raise PreconditionError("subdomain split leaves no interior subdomain")
+        core = extract_tets(mesh, g0, "core")
+        core_nodes = core.node_mask()
+        iface = np.zeros(mesh.nv, dtype=bool)
+        columns = []
+        for m in col_masks:
+            cn = _mask_from_ids(mesh.nv, mesh.tets[m].ravel())
+            iface |= cn & core_nodes
+            columns.append((np.unique(mesh.tet_edges[m]), ops.graph_cutoff(mesh, cn)))
+        return columns, core, iface[core.vert_map]
+
+    return fem.mesh_cached(mesh, ("subdomain-split", tuple(e.id for e in edges)), build)
+
+
+def _disjoint_edges_hard(v: EdgeField, edges: Sequence[CoarseEdge]):
     mesh = v.mesh
-    info = geometry_info(mesh)
-    if info.split_width is None:
-        raise PreconditionError(f"no subdomain split recorded for {mesh.name}")
-    wdt = info.split_width
-    if mesh.denom * wdt.numerator % wdt.denominator or mesh.denom * wdt < 1:
-        raise PreconditionError(
-            f"no element-aligned subdomain split at h=1/{mesh.denom} "
-            f"(needs h <= {wdt / 2})"
-        )
-    wdt_f = float(wdt)  # dyadic, so exact; a Fraction would compare per element
-    vol, _ = fem.tet_geometry(mesh)
-    cent = mesh.verts[mesh.tets].mean(axis=1)
-
-    col_masks = []
-    for e in edges:
-        lo = mesh.verts[e.fine_nodes[0]]
-        hi = mesh.verts[e.fine_nodes[-1]]
-        d = np.argmax(np.abs(hi - lo))
-        m = np.ones(mesh.nt, dtype=bool)
-        for a in range(3):
-            if a == d:
-                continue
-            m &= np.abs(cent[:, a] - lo[a]) <= wdt_f
-        col_masks.append(m)
-    g0 = ~np.logical_or.reduce(col_masks)
-    if not g0.any():
-        raise PreconditionError("subdomain split leaves no interior subdomain")
-
+    columns, core, core_pins = _subdomain_split(mesh, edges)
     p = np.zeros(mesh.nv)
     w = np.zeros((mesh.nv, 3))
     R = np.zeros(mesh.ne)
     records = []
-    col_nodes = []
-    for e, m in zip(edges, col_masks):
-        sub = extract_tets(mesh, m, "col")
-        col_nodes.append(sub.node_mask())
+    for e, (col_edges, theta) in zip(edges, columns):
+        pe, we, _, _, meta = _edge_route(v, e)
+        records.extend(meta["loops"])
+        p += theta * pe
+        w += theta[:, None] * we
+        R[col_edges] += _residual(mesh, v.values, pe, we)[col_edges]
 
-    ptr, eids = mesh.vertex_edges()
-    for e, m, cn in zip(edges, col_masks, col_nodes):
-        split = decompose_edge(v, e)
-        records.extend(split.meta.get("loops", []))
-        # cut-off: 1 on the column, 2-layer decay beyond (graph distance)
-        dist = np.full(mesh.nv, -1, dtype=np.int64)
-        dist[cn] = 0
-        frontier = np.nonzero(cn)[0]
-        for dd in (1, 2):
-            nxt = []
-            for n in frontier:
-                for eid in eids[ptr[n]:ptr[n + 1]]:
-                    for mm in mesh.edges[eid]:
-                        if dist[mm] < 0:
-                            dist[mm] = dd
-                            nxt.append(mm)
-            frontier = np.array(nxt, dtype=np.int64)
-        theta = np.zeros(mesh.nv)
-        sel = dist >= 0
-        theta[sel] = np.maximum(0.0, 1.0 - dist[sel] / 2.0)
-        theta[cn] = 1.0
-        p += theta * split.p.values
-        w += theta[:, None] * split.w.values
-        sub = extract_tets(mesh, m, "col")
-        R[sub.edge_map] += split.R.values[sub.edge_map]
-
-    sub0 = extract_tets(mesh, g0, "core")
-    v0 = sub0.restrict_edge(
-        v.values - fem.gradient_map(mesh).mat @ p
-        - ops.edge_interpolate_rh(NodalVectorField(mesh, w)).values - R
-    )
-    iface_nodes = np.zeros(mesh.nv, dtype=bool)
-    for cn in col_nodes:
-        iface_nodes |= cn & sub0.node_mask()
-    g0mask = iface_nodes[sub0.vert_map]
-    p0, w0 = _kernel_fields(sub0.mesh, v0, g0mask)
-    p0[g0mask] = 0.0
-    w0[g0mask] = 0.0
-    R0 = v0 - fem.gradient_map(sub0.mesh).mat @ p0 - ops.edge_interpolate_rh(
-        NodalVectorField(sub0.mesh, w0)).values
-    p[sub0.vert_map] += p0
-    w[sub0.vert_map] += w0
-    R[sub0.edge_map] += R0
+    _block_kernel(core, _residual(mesh, v.values, p, w) - R, core_pins, p, w, R)
     for e in edges:
         p[e.fine_nodes] = 0.0
         w[e.fine_nodes] = 0.0
     claims = {"rhs1": "curl", "rhs2": "curl", "log": True}
-    split = _finish(mesh, v, p, w, "disjoint-edges/subdomains", claims,
-                    {"loops": records})
-    return split
+    return p, w, "disjoint-edges/subdomains", claims, {"loops": records}
 
 
 # --------------------------------------------------------------------------
@@ -899,73 +813,75 @@ def _group_edges(edges: Sequence[CoarseEdge]) -> list[list[CoarseEdge]]:
     return groups
 
 
-def decompose(v: EdgeField, trace: TraceSet) -> Union[HelmholtzSplit, CompatibilityViolation]:
-    """Route a decomposition by the trace metadata: face traces through the
-    kernel or the chained block construction, edge traces through the loop
-    machinery, mixed traces through the face-plus-edge composition, and
-    junction complexes through their dedicated pipelines.  Claims (which
-    right-hand side, log factor present or droppable) are recorded on the
-    result."""
+def _route(v: EdgeField, trace: TraceSet):
+    """Route by the trace metadata: face traces through the kernel or the
+    chained block construction, edge traces through the loop machinery,
+    mixed traces through the face-plus-edge composition, and junction
+    complexes through their dedicated pipelines."""
     mesh = v.mesh
     info = geometry_info(mesh)
     _check_zero_moments(v, trace.edge_mask, "the trace")
 
     if info.junction_edge is not None:
-        return decompose_edge_junction(v, trace)
+        return _edge_junction(v, trace)
     if info.junction_vertex is not None:
-        return decompose_vertex_junction(v, trace)
+        return _vertex_junction(v, trace)
     if trace.vertex_nodes:
         raise PreconditionError("standalone vertex traces are not a catalog route")
 
     if trace.empty:
-        return kernel_convex(v, trace)
+        return _kernel_route(v, trace)
 
     if trace.has_faces() and not trace.has_edges():
         if trace.J == 1:
             comp = trace.components[0]
             if not comp["lipschitz"]:
-                return decompose_isolated_vertex_union(v, trace)
+                return _corner_pair(v, trace)
             rep = check_assumption31(mesh, trace)
             if rep.extended_domain_convex:
-                return kernel_convex(v, trace)
+                return _kernel_route(v, trace)
             if info.sigma2:
-                return decompose_face_trace(v, trace)
+                return _face_chain(v, trace)
             claims = {"rhs1": "curl_semi", "rhs2": "curl", "log": True}
-            return _kernel_split(mesh, v, trace.node_mask, trace.edge_mask,
-                                 "kernel-fallback", claims, trace)
+            return _pinned_kernel(mesh, v.values, trace.node_mask) + (
+                "kernel-fallback", claims, {})
         # J >= 2 faces only: multi-component kernel; the curl-semi-norm bound
         # is known to fail here, so the claim references the full norm
-        log = not trace.lipschitz
-        claims = {"rhs1": "curl", "rhs2": "l2", "log": log}
-        return _kernel_split(mesh, v, trace.node_mask, trace.edge_mask,
-                             "kernel-multi", claims, trace)
+        claims = {"rhs1": "curl", "rhs2": "l2", "log": not trace.lipschitz}
+        return _pinned_kernel(mesh, v.values, trace.node_mask) + (
+            "kernel-multi", claims, {})
 
     if trace.has_edges() and not trace.has_faces():
         groups = _group_edges(trace.coarse_edges)
         if len(groups) == 1:
-            g = groups[0]
-            return decompose_edge(v, g if len(g) > 1 else g[0])
+            return _edge_route(v, groups[0])
         if all(len(g) == 1 for g in groups):
-            return decompose_disjoint_edges(v, [g[0] for g in groups])
+            return _disjoint_edges(v, [g[0] for g in groups])
         raise PreconditionError("disjoint unions of edge chains are outside the catalog")
 
     # mixed faces + edges
     face_trace = _faces_only_trace(trace)
     groups = _group_edges(trace.coarse_edges)
     if len(groups) == 1:
-        g = groups[0]
-        return decompose_face_plus_edge(v, face_trace, g if len(g) > 1 else g[0])
+        return _face_plus_edge(v, face_trace, groups[0])
     singles = [g[0] for g in groups if len(g) == 1]
     if len(singles) == len(groups):
-        return decompose_disjoint_edges(v, singles, trace=face_trace)
+        return _disjoint_edges(v, singles, trace=face_trace)
     raise PreconditionError("mixed trace outside the catalog routes")
 
 
-def trace_nodes_touch(trace: TraceSet, group) -> bool:
-    for e in group:
-        if trace.node_mask[e.fine_nodes].any():
-            return True
-    return False
+def decompose(v: EdgeField, trace: TraceSet,
+              route: str = "auto") -> Union[HelmholtzSplit, CompatibilityViolation]:
+    """Decompose v with zero data on the trace.  `route="auto"` picks the
+    construction from the trace metadata; "kernel" and "face-chain" force
+    those routes.  Claims (which right-hand side, log factor present or
+    droppable) are recorded on the result."""
+    if route not in _ROUTES:
+        raise ValueError(f"unknown route {route!r}; use 'auto', 'kernel' or 'face-chain'")
+    out = _ROUTES[route](v, trace)
+    if isinstance(out, CompatibilityViolation):
+        return out
+    return _finish(v, *out)
 
 
 def _faces_only_trace(trace: TraceSet) -> TraceSet:
@@ -984,15 +900,16 @@ def _sub_trace(sub: Submesh, node_mask: np.ndarray, edge_mask: np.ndarray) -> Tr
 
 
 def _block_split(sub: Submesh, v: EdgeField, node_mask, edge_mask):
+    """The routed fields of v restricted to a block, with the trace
+    restricted to it."""
     vs = EdgeField(sub.mesh, sub.restrict_edge(v.values))
-    tr = _sub_trace(sub, node_mask, edge_mask)
-    res = decompose(vs, tr)
-    if isinstance(res, CompatibilityViolation):
-        raise PreconditionError(res.message)
-    return res
+    out = _route(vs, _sub_trace(sub, node_mask, edge_mask))
+    if isinstance(out, CompatibilityViolation):
+        raise PreconditionError(out.message)
+    return out
 
 
-def decompose_edge_junction(v: EdgeField, trace: TraceSet) -> HelmholtzSplit:
+def _edge_junction(v: EdgeField, trace: TraceSet):
     """Two blocks meeting along one coarse edge: independent block splits
     when the junction edge carries trace data on both sides, otherwise the
     chained residual pipeline through the second block."""
@@ -1011,18 +928,15 @@ def decompose_edge_junction(v: EdgeField, trace: TraceSet) -> HelmholtzSplit:
     records = []
 
     if e_in_trace:
-        r0 = _block_split(sub0, v, trace.node_mask, trace.edge_mask)
-        r1 = _block_split(sub1, v, trace.node_mask, trace.edge_mask)
-        for sub, r in ((sub0, r0), (sub1, r1)):
-            p[sub.vert_map] = r.p.values
-            w[sub.vert_map] = r.w.values
-            records.extend(r.meta.get("loops", []))
+        for sub in (sub0, sub1):
+            pb, wb, _, _, meta = _block_split(sub, v, trace.node_mask, trace.edge_mask)
+            p[sub.vert_map] = pb
+            w[sub.vert_map] = wb
+            records.extend(meta.get("loops", []))
         log = trace.has_edges() or not all(c["lipschitz"] for c in trace.components)
         claims = {"rhs1": "curl_semi" if trace.J == 1 else "curl",
                   "rhs2": "curl", "log": bool(log)}
-        split = _finish(mesh, v, p, w, "edge-junction/shared", claims,
-                        {"loops": records})
-        return split
+        return p, w, "edge-junction/shared", claims, {"loops": records}
     if partial:
         raise PreconditionError(
             "the junction edge meets the trace in a proper subset; "
@@ -1032,28 +946,26 @@ def decompose_edge_junction(v: EdgeField, trace: TraceSet) -> HelmholtzSplit:
     # junction edge clear of the trace: decompose block 0, extend with zero
     # data off the junction edge, decompose the residual on block 1 with the
     # edge added to its trace
-    r0 = _block_split(sub0, v, trace.node_mask, trace.edge_mask)
-    records.extend(r0.meta.get("loops", []))
-    p[sub0.vert_map] = r0.p.values
-    w[sub0.vert_map] = r0.w.values
+    p0, w0, _, _, meta0 = _block_split(sub0, v, trace.node_mask, trace.edge_mask)
+    records.extend(meta0.get("loops", []))
+    p[sub0.vert_map] = p0
+    w[sub0.vert_map] = w0
     R0 = np.zeros(mesh.ne)
-    R0[sub0.edge_map] = r0.R.values
-    v_res = EdgeField(mesh, v.values - fem.gradient_map(mesh).mat @ p
-                      - ops.edge_interpolate_rh(NodalVectorField(mesh, w)).values - R0)
+    R0[sub0.edge_map] = _residual(sub0.mesh, sub0.restrict_edge(v.values), p0, w0)
+    v_res = EdgeField(mesh, _residual(mesh, v.values, p, w) - R0)
     em1 = trace.edge_mask.copy()
     em1[E.fine_edges] = True
     nm1 = trace.node_mask.copy()
     nm1[E.fine_nodes] = True
-    r1 = _block_split(sub1, v_res, nm1, em1)
-    records.extend(r1.meta.get("loops", []))
-    p[sub1.vert_map] += r1.p.values
-    w[sub1.vert_map] += r1.w.values
+    p1, w1, _, _, meta1 = _block_split(sub1, v_res, nm1, em1)
+    records.extend(meta1.get("loops", []))
+    p[sub1.vert_map] += p1
+    w[sub1.vert_map] += w1
     p[trace.node_mask] = 0.0
     w[trace.node_mask] = 0.0
     claims = {"rhs1": "curl_semi" if trace.J <= 1 else "curl", "rhs2": "curl",
               "log": True}
-    return _finish(mesh, v, p, w, "edge-junction/chained", claims,
-                   {"loops": records})
+    return p, w, "edge-junction/chained", claims, {"loops": records}
 
 
 # --------------------------------------------------------------------------
@@ -1169,9 +1081,7 @@ def _vertex_gate(v: EdgeField, trace: TraceSet):
     return v0, kinds, setups, vals, ref, records
 
 
-def decompose_vertex_junction(
-    v: EdgeField, trace: TraceSet, tol_factor: float = 1e-10
-) -> Union[HelmholtzSplit, CompatibilityViolation]:
+def _vertex_junction(v: EdgeField, trace: TraceSet):
     """Blocks meeting at a single vertex.  Blocks whose trace pins the
     vertex decompose independently, blocks with no trace ride along with a
     free potential constant, and trace-anchored blocks go through the
@@ -1183,7 +1093,7 @@ def decompose_vertex_junction(
     vcurl = fem.norm(v, "curl")
     v0, kinds, setups, vals, ref, records = _vertex_gate(v, trace)
     functionals = vals[1:] - vals[:-1]
-    tol = tol_factor * max(vcurl, 1e-30)
+    tol = VERTEX_GATE_TOL * max(vcurl, 1e-30)
     if np.abs(functionals).max(initial=0.0) > tol:
         return CompatibilityViolation(mesh.name, functionals, tol)
 
@@ -1193,11 +1103,9 @@ def decompose_vertex_junction(
     for b, kind in enumerate(kinds):
         sub = extract_block(mesh, b)
         if kind == "pinned":
-            r = _block_split(sub, v, trace.node_mask, trace.edge_mask)
-            records.extend(r.meta.get("loops", []))
-            pb = r.p.values
-            wb = r.w.values
-            any_log = any_log or r.claims.get("log", False)
+            pb, wb, _, claims, meta = _block_split(sub, v, trace.node_mask, trace.edge_mask)
+            records.extend(meta.get("loops", []))
+            any_log = any_log or claims.get("log", False)
         else:
             F, loop, E, dec = setups[b]
             if kind == "anchored":
@@ -1233,17 +1141,16 @@ def decompose_vertex_junction(
                 pin_nodes = np.array([v0])
             phi_g = np.zeros(mesh.nv)
             phi_g[loop.nodes] = phi_vals
-            ct = ops.loop_constant_extension(dec.C, loop, pin_nodes, per_edge)
-            vhat = EdgeField(mesh, v.values - fem.gradient_map(mesh).mat @ phi_g
-                             - ops.edge_interpolate_rh(ct).values)
-            vb = EdgeField(sub.mesh, sub.restrict_edge(vhat.values))
+            ct = ops.loop_constant_extension(dec.C, loop, pin_nodes, per_edge).values
+            vhat = _residual(mesh, v.values, phi_g, ct)
+            vb = EdgeField(sub.mesh, sub.restrict_edge(vhat))
             fsub = [f for f in surface(sub.mesh).faces
                     if np.isin(sub.vert_map[f.fine_nodes], F.fine_nodes).all()
-                    and len(f.fine_nodes) == len(F.fine_nodes)]
+                    and len(f.fine_nodes) == len(F.fine_nodes)][:1]
             xr = _sub_trace(sub, trace.node_mask, trace.edge_mask)
-            inner = decompose_loop(vb, fsub[0], extra=xr if not xr.empty else None)
-            pb = phi_g[sub.vert_map] + inner.p.values
-            wb = ct.values[sub.vert_map] + inner.w.values
+            pl, wl = _loop_split(vb, fsub, ops.build_loop(sub.mesh, fsub), xr.node_mask)
+            pb = phi_g[sub.vert_map] + pl
+            wb = ct[sub.vert_map] + wl
             any_log = True
         keep = np.ones(len(sub.vert_map), dtype=bool)
         if b > 0:
@@ -1257,7 +1164,10 @@ def decompose_vertex_junction(
               "log": bool(any_log)}
     meta = {"loops": records, "functionals": functionals.tolist(), "tol": tol,
             "block_kinds": kinds}
-    return _finish(mesh, v, p, w, "vertex-junction", claims, meta)
+    return p, w, "vertex-junction", claims, meta
+
+
+_ROUTES = {"auto": _route, "kernel": _kernel_route, "face-chain": _face_chain}
 
 
 # --------------------------------------------------------------------------

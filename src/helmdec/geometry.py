@@ -175,11 +175,9 @@ class GeometryInfo:
     convex           -- the union is a convex polyhedron
     lipschitz        -- the union is a Lipschitz domain (false for junctions)
     sigma1 / sigma2  -- block-id split driving the chained face-trace route
-    trace_edges      -- edge names of the built-in multi-edge trace study
-    split_width      -- column half... width (block units) of the subdomain
+    split_width      -- column half-width (block units) of the subdomain
                         split used by the disjoint-edge hard case
-    extension_id     -- catalog id of the extended complex B, with
-                        ext_gamma/ext_edge naming the canonical trace
+    extension_id     -- catalog id of the extended complex B
     junction_vertex  -- common vertex of a vertex-junction complex
     junction_edge    -- name of the common edge of an edge-junction complex
     """
@@ -189,11 +187,8 @@ class GeometryInfo:
     lipschitz: bool = True
     sigma1: tuple[int, ...] = ()
     sigma2: tuple[int, ...] = ()
-    trace_edges: tuple[str, ...] = ()
     split_width: Optional[Fraction] = None
     extension_id: Optional[str] = None
-    ext_gamma: tuple[str, ...] = ()
-    ext_edge: Optional[str] = None
     junction_vertex: Optional[tuple[int, int, int]] = None
     junction_edge: Optional[str] = None
     internal: bool = False
@@ -255,8 +250,6 @@ def _build_catalog() -> dict[str, GeometryInfo]:
             BlockComplex("cube_in_box", (unit,), ()),
             convex=True,
             extension_id="cube_in_box_B",
-            ext_gamma=("z=0", "y=1"),
-            ext_edge="e:y=0,z=1",
         )
     )
     bextra = (
@@ -277,7 +270,6 @@ def _build_catalog() -> dict[str, GeometryInfo]:
         GeometryInfo(
             BlockComplex("four_edge_cube", (unit,), ()),
             convex=True,
-            trace_edges=("e:x=0,y=0", "e:x=1,y=0", "e:x=1,y=1", "e:x=0,y=1"),
             split_width=Fraction(1, 4),
         )
     )

@@ -491,31 +491,12 @@ class Submesh:
     edge_map: np.ndarray  # sub edge id -> parent edge id
     tet_map: np.ndarray   # sub tet id -> parent tet id
 
-    def restrict_nodal(self, values: np.ndarray) -> np.ndarray:
-        return values[self.vert_map].copy()
-
     def restrict_edge(self, values: np.ndarray) -> np.ndarray:
         return values[self.edge_map].copy()
-
-    def extend_nodal(self, values: np.ndarray, out=None) -> np.ndarray:
-        shape = (self.parent.nv,) + values.shape[1:]
-        res = np.zeros(shape) if out is None else out
-        res[self.vert_map] = values
-        return res
-
-    def extend_edge(self, values: np.ndarray, out=None) -> np.ndarray:
-        res = np.zeros(self.parent.ne) if out is None else out
-        res[self.edge_map] = values
-        return res
 
     def node_mask(self) -> np.ndarray:
         m = np.zeros(self.parent.nv, dtype=bool)
         m[self.vert_map] = True
-        return m
-
-    def edge_mask(self) -> np.ndarray:
-        m = np.zeros(self.parent.ne, dtype=bool)
-        m[self.edge_map] = True
         return m
 
 

@@ -1,11 +1,10 @@
 """Transfer and extension operators used by the decomposition routes.
 
 Covers: the edge-moment interpolation onto the edge element space, a
-Scott-Zhang quasi-interpolation preserving zero traces, face cut-off
-functions, discrete harmonic and curl-harmonic extensions, and the
+Scott-Zhang quasi-interpolation preserving zero traces, the graph-distance
+cut-off, discrete harmonic and curl-harmonic extensions, and the
 boundary-loop calculus (loop averages, cumulative potentials, constant
-extensions, the piecewise-constant loop correction, and the
-vertex-junction compatibility functionals).
+extensions and the piecewise-constant loop correction).
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ __all__ = [
     "edge_interpolate_rh",
     "rh_matrix",
     "scott_zhang",
-    "face_cutoff",
+    "graph_cutoff",
     "harmonic_extend",
     "curl_harmonic_extend",
     "BoundaryLoop",
@@ -36,7 +35,6 @@ __all__ = [
     "loop_decompose",
     "loop_constant_extension",
     "epsilon_correction",
-    "junction_functionals",
 ]
 
 
@@ -92,20 +90,9 @@ def scott_zhang(f, mesh: TetMesh, trace: Optional[TraceSet] = None) -> NodalVect
     """Nodal quasi-interpolation by dual-basis averages over one selection
     entity per node; nodes on the trace average over a fine face inside the
     trace, so zero trace data is preserved exactly.  Reproduces continuous
-    piecewise-linear fields.
-
-    `f` is a NodalVectorField (projection: returned unchanged up to exact
-    re-imposition of trace zeros) or a callable points (m,3) -> (m,3).
+    piecewise-linear fields.  `f` is a callable points (m,3) -> (m,3).
     """
     gamma_nodes = trace.node_mask if trace is not None else np.zeros(mesh.nv, dtype=bool)
-    if isinstance(f, NodalVectorField):
-        # dual-basis averages of a field that is linear on every selection
-        # entity reproduce the nodal values; skip the quadrature and only
-        # re-impose the exact trace zeros
-        out = f.values.copy()
-        out[gamma_nodes] = 0.0
-        return NodalVectorField(mesh, out)
-
     values = np.zeros((mesh.nv, 3))
     verts = mesh.verts
     # selection: lowest trace face for trace nodes, else lowest incident tet
@@ -138,47 +125,35 @@ def scott_zhang(f, mesh: TetMesh, trace: Optional[TraceSet] = None) -> NodalVect
 
 
 # --------------------------------------------------------------------------
-# face cut-off function
+# graph-distance cut-off
 # --------------------------------------------------------------------------
 
-def face_cutoff(mesh: TetMesh, face_nodes: np.ndarray, boundary_nodes: np.ndarray,
-                block_nodes: np.ndarray, block_boundary_nodes: np.ndarray,
-                layers: int = 2) -> NodalField:
-    """Cut-off nodal function for an interface face inside one block:
-    1 at the interior face nodes, 0 on the face boundary curve and at every
-    other block-boundary node, linear layer decay inside the block.
+def _node_adjacency(mesh: TetMesh) -> sp.csr_matrix:
+    def build():
+        i, j = mesh.edges[:, 0], mesh.edges[:, 1]
+        ones = np.ones(2 * mesh.ne)
+        return sp.csr_matrix((ones, (np.concatenate([i, j]), np.concatenate([j, i]))),
+                             shape=(mesh.nv, mesh.nv))
 
-    `face_nodes` / `boundary_nodes` are the interface's node set and its
-    boundary-curve node set; `block_nodes` masks the block, and
-    `block_boundary_nodes` its boundary nodes.
-    """
-    interior = np.setdiff1d(face_nodes, boundary_nodes)
-    # graph distance (mesh edges restricted to the block) from interior-F
-    dist = np.full(mesh.nv, -1, dtype=np.int64)
-    dist[interior] = 0
-    frontier = interior
-    ptr, eids = mesh.vertex_edges()
-    for d in range(1, layers + 1):
-        nxt = []
-        for n in frontier:
-            for e in eids[ptr[n]:ptr[n + 1]]:
-                for m in mesh.edges[e]:
-                    if block_nodes[m] and dist[m] < 0:
-                        dist[m] = d
-                        nxt.append(m)
-        frontier = np.array(nxt, dtype=np.int64)
-        if len(frontier) == 0:
-            break
-    vals = np.zeros(mesh.nv)
-    reached = dist >= 0
-    vals[reached] = np.maximum(0.0, 1.0 - dist[reached] / layers)
-    # hard zeros on the face boundary and the rest of the block boundary
-    vals[boundary_nodes] = 0.0
-    mask = block_boundary_nodes.copy()
-    mask[face_nodes] = False
-    vals[mask] = 0.0
-    vals[interior] = 1.0
-    return NodalField(mesh, vals)
+    return fem.mesh_cached(mesh, "node_adjacency", build)
+
+
+def graph_cutoff(mesh: TetMesh, seed_mask: np.ndarray, layers: int = 2,
+                 within: Optional[np.ndarray] = None) -> np.ndarray:
+    """Nodal cut-off: 1 on the seed nodes, 1 - d/layers at graph distance d
+    (mesh edges), 0 from distance `layers` on.  With `within`, the distance
+    only walks through those nodes, so every other node stays 0."""
+    adj = _node_adjacency(mesh)
+    theta = seed_mask.astype(float)
+    reached = seed_mask.copy()
+    frontier = seed_mask
+    for d in range(1, layers):
+        frontier = (adj @ frontier.astype(float) > 0) & ~reached
+        if within is not None:
+            frontier &= within
+        theta[frontier] = 1.0 - d / layers
+        reached |= frontier
+    return theta
 
 
 # --------------------------------------------------------------------------
@@ -647,28 +622,3 @@ def epsilon_correction(
     eps[pos1] = lenE / (2.0 * len1) * C
     eps[pos2] = lenE / (2.0 * len2) * C
     return eps
-
-
-# --------------------------------------------------------------------------
-# vertex-junction compatibility functionals
-# --------------------------------------------------------------------------
-
-def junction_functionals(
-    v: EdgeField,
-    loops: Sequence[BoundaryLoop],
-    vertex_node: int,
-    zero_mean_edges: Sequence[Optional[CoarseEdge]],
-) -> np.ndarray:
-    """Per-block loop potentials evaluated at the junction vertex, returned
-    as the s-1 successive differences; their vanishing is the gate for a
-    decomposition continuous at the vertex.  A loop given as None stands
-    for a block whose trace pins the vertex value to zero."""
-    vals = []
-    for loop, ze in zip(loops, zero_mean_edges):
-        if loop is None:
-            vals.append(0.0)
-            continue
-        dec = loop_decompose(v, loop, zero_mean_edge=ze)
-        vals.append(dec.phi_at(vertex_node))
-    vals = np.array(vals)
-    return vals[1:] - vals[:-1]

@@ -17,7 +17,7 @@ from math import gcd
 
 import numpy as np
 
-from .geometry import GeometryInfo, catalog_info
+from .geometry import CATALOG, GeometryInfo, catalog_info
 from .mesh import TetMesh, _pack_pairs
 
 
@@ -105,18 +105,14 @@ class Surface:
         raise TraceError(f"no coarse edge {name!r} on {self.mesh.name}; "
                          f"have {[e.name for e in self.edges]}")
 
-    def faces_containing_edge(self, edge: CoarseEdge) -> list[CoarseFace]:
-        out = []
-        for f in self.faces:
-            if np.all(np.isin(edge.fine_edges, f.fine_edges)):
-                out.append(f)
-        return out
 
-    def faces_containing_node(self, node: int) -> list[CoarseFace]:
-        return [f for f in self.faces if node in f.fine_nodes]
-
-    def edges_containing_node(self, node: int) -> list[CoarseEdge]:
-        return [e for e in self.edges if node in e.fine_nodes]
+def _reduced_planes(mesh: TetMesh, tri: np.ndarray, normals: np.ndarray) -> np.ndarray:
+    """(m, 4) integer rows (n, c): each normal divided by the gcd of its
+    components, and the offset n . x of the triangle's first vertex."""
+    g = np.gcd.reduce(np.abs(normals), axis=1)
+    n = normals // np.where(g == 0, 1, g)[:, None]
+    c = np.einsum("ij,ij->i", n, mesh.verts_int[tri[:, 0]])
+    return np.column_stack([n, c])
 
 
 def _face_plane_keys(mesh: TetMesh, fids: np.ndarray):
@@ -124,34 +120,25 @@ def _face_plane_keys(mesh: TetMesh, fids: np.ndarray):
     tri = mesh.faces[fids]
     v = mesh.verts_int
     n = np.cross(v[tri[:, 1]] - v[tri[:, 0]], v[tri[:, 2]] - v[tri[:, 0]])
-    # orient away from the owning tet
-    own = mesh.face_tets[fids, 0]
-    opp = np.empty(len(fids), dtype=np.int64)
-    tv = mesh.tets[own]
-    for k in range(len(fids)):
-        s = set(tv[k]) - set(tri[k])
-        opp[k] = s.pop()
+    # orient away from the owning tet; its fourth vertex is the id sum
+    # minus the face's
+    opp = mesh.tets[mesh.face_tets[fids, 0]].sum(axis=1) - tri.sum(axis=1)
     inward = np.einsum("ij,ij->i", n, v[opp] - v[tri[:, 0]])
     n = np.where((inward > 0)[:, None], -n, n)
-    keys = []
-    for k in range(len(fids)):
-        nr = _reduce_vec(n[k])
-        c = int(np.dot(nr, v[tri[k, 0]]))
-        keys.append((nr, c))
-    return keys
+    return [((a, b, c), d) for a, b, c, d in _reduced_planes(mesh, tri, n).tolist()]
 
 
 def _interior_plane_set(mesh: TetMesh) -> set:
-    ifids = np.nonzero(~mesh.boundary_face_mask())[0]
-    tri = mesh.faces[ifids]
+    tri = mesh.faces[~mesh.boundary_face_mask()]
     v = mesh.verts_int
     n = np.cross(v[tri[:, 1]] - v[tri[:, 0]], v[tri[:, 2]] - v[tri[:, 0]])
-    out = set()
-    for k in range(len(ifids)):
-        nr = _canon_sign(_reduce_vec(n[k]))
-        c = int(np.dot(nr, v[tri[k, 0]]))
-        out.add((nr, c))
-    return out
+    # canonical sign: first nonzero component positive
+    first = n[np.arange(len(n)), np.argmax(n != 0, axis=1)]
+    n = np.where((first < 0)[:, None], -n, n)
+    planes = _reduced_planes(mesh, tri, n)
+    planes = planes[np.lexsort(planes.T[::-1])]
+    distinct = np.concatenate([[True], np.any(planes[1:] != planes[:-1], axis=1)])
+    return {((a, b, c), d) for a, b, c, d in planes[distinct].tolist()}
 
 
 def _fmt_block_val(num: int, denom: int) -> str:
@@ -345,7 +332,7 @@ def surface(mesh: TetMesh) -> Surface:
         e.id = i
 
     # coarse vertices: block corners present on the boundary
-    info = catalog_info(mesh.name) if mesh.name in _safe_catalog() else None
+    info = CATALOG.get(mesh.name)
     vertices: dict[str, int] = {}
     if info is not None:
         idx = mesh.node_index()
@@ -364,12 +351,6 @@ def surface(mesh: TetMesh) -> Surface:
     surf = Surface(mesh, faces, edges, vertices, aliases)
     mesh._cache["surface"] = surf
     return surf
-
-
-def _safe_catalog():
-    from .geometry import CATALOG
-
-    return CATALOG
 
 
 # --------------------------------------------------------------------------

@@ -19,8 +19,7 @@ import numpy as np
 
 from . import fem, operators as ops
 from .decompose import (CompatibilityViolation, decompose as _dispatch,
-                        decompose_face_trace, gradient_field, kernel_convex,
-                        random_admissible_field)
+                        gradient_field, random_admissible_field)
 from .mesh import TetMesh, build_complex
 from .trace import tag_trace
 
@@ -104,22 +103,6 @@ def _mesh_cached(geometry: str, k: int) -> TetMesh:
     return build_complex(geometry, 1.0 / (1 << k))
 
 
-def _route_call(route: str):
-    if route == "auto":
-        return _dispatch
-    table = {
-        "kernel": kernel_convex,
-        "face-chain": decompose_face_trace,
-    }
-    if route in table:
-        return table[route]
-    raise ValueError(f"unknown route {route!r}; use 'auto', 'kernel' or 'face-chain'")
-
-
-def _mesh_at(geometry: str, k: int) -> TetMesh:
-    return _mesh_cached(geometry, k)
-
-
 def sweep(geometry: str, trace_spec, route: str, levels, samples: int, seed: int,
           ratio_key: str = "w_h1") -> StabilityReport:
     """Per level, decompose `samples` seeded admissible fields and record
@@ -131,17 +114,16 @@ def sweep(geometry: str, trace_spec, route: str, levels, samples: int, seed: int
     levels = list(levels)
     if len(levels) < 3:
         raise ValueError("a growth fit needs at least 3 levels")
-    call = _route_call(route)
     rows = []
     no_log = False
 
     def run_level(k):
-        mesh = _mesh_at(geometry, k)
+        mesh = _mesh_cached(geometry, k)
         trace = tag_trace(mesh, trace_spec)
         best = None
         for s in range(samples):
             v = random_admissible_field(mesh, trace, [seed, k, s])
-            split = call(v, trace)
+            split = _dispatch(v, trace, route)
             if isinstance(split, CompatibilityViolation):
                 raise RuntimeError(f"sample refused at level {k}: {split.message}")
             r = split.ratios.get(ratio_key)
@@ -189,15 +171,14 @@ def invariant_battery(geometry: str, trace_spec, route: str, seed: int,
                       level: int = 2) -> list[dict]:
     """Run every assertable invariant for one geometry/trace/route combo and
     return the ledger (failures are data, not exceptions)."""
-    mesh = _mesh_at(geometry, level)
+    mesh = _mesh_cached(geometry, level)
     trace = tag_trace(mesh, trace_spec)
-    call = _route_call(route)
     ledger = []
     scale_tol = 1e-10
 
     # decomposition invariants on a random admissible field
     v = random_admissible_field(mesh, trace, [seed, 0])
-    split = call(v, trace)
+    split = _dispatch(v, trace, route)
     if isinstance(split, CompatibilityViolation):
         ledger.append(_entry("dispatch", 1.0, 0.0))
         return ledger
@@ -217,7 +198,7 @@ def invariant_battery(geometry: str, trace_spec, route: str, seed: int,
 
     # gradient absorption
     gv, q = gradient_field(mesh, trace, [seed, 1])
-    gsplit = call(gv, trace)
+    gsplit = _dispatch(gv, trace, route)
     qn = max(fem.norm(q, "H1"), 1e-300)
     resid = (fem.norm(gsplit.w, "H1") + fem.norm(gsplit.R, "L2") / mesh.h) / qn
     ledger.append(_entry("gradient_absorption", resid, 1e-9))
@@ -234,7 +215,7 @@ def invariant_battery(geometry: str, trace_spec, route: str, seed: int,
 
     # zero input
     z = fem.EdgeField(mesh, np.zeros(mesh.ne))
-    zsplit = call(z, trace)
+    zsplit = _dispatch(z, trace, route)
     znorm = (np.abs(zsplit.p.values).max() + np.abs(zsplit.w.values).max()
              + np.abs(zsplit.R.values).max())
     ledger.append(_entry("zero_field", znorm, 0.0))
@@ -253,7 +234,7 @@ def trace_inequality_probe(geometry: str, levels, samples: int, seed: int) -> di
         raise ValueError("a growth fit needs at least 3 levels")
     rows = []
     for k in levels:
-        mesh = _mesh_at(geometry, k)
+        mesh = _mesh_cached(geometry, k)
         be = mesh.boundary_edge_mask()
         best = 0.0
         skipped = 0

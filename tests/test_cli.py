@@ -55,8 +55,10 @@ def test_mesh_three_cube_reimport(tmp_path):
 
 
 def test_unknown_key_is_config_error(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, "[experiment]\ngeometry = unit_cube\nwobble = 3\n")
-    assert run("mesh", cfg, tmp_path / "x") == 2
+    # the vertex gate tolerance is a constant, not a config key
+    for key in ("wobble = 3", "tol_f = 1e-10"):
+        cfg = write_cfg(tmp_path, f"[experiment]\ngeometry = unit_cube\n{key}\n")
+        assert run("mesh", cfg, tmp_path / "x") == 2
 
 
 def test_unknown_geometry_is_config_error(tmp_path):

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
-from helmdec import fem
+from helmdec import fem, operators as ops
 import helmdec.decompose as dc
 from helmdec.mesh import build_complex
 from helmdec.operators import PreconditionError
@@ -24,6 +25,19 @@ def assert_contract(split, v, trace, extra_edge_names=()):
         assert np.all(split.R.values[e.fine_edges] == 0.0)
 
 
+def split_of(v, p, w):
+    """A HelmholtzSplit of route fields, R their residual (no norm battery)."""
+    mesh = v.mesh
+    R = dc._residual(mesh, v.values, p, w)
+    return dc.HelmholtzSplit(mesh, fem.NodalField(mesh, p), fem.NodalVectorField(mesh, w),
+                             fem.EdgeField(mesh, R), "", {})
+
+
+def loop_split(v, face):
+    no_nodes = np.zeros(v.mesh.nv, dtype=bool)
+    return split_of(v, *dc._loop_split(v, [face], ops.build_loop(v.mesh, [face]), no_nodes))
+
+
 def assert_absorbs_gradient(call, mesh, trace, seed=3):
     gv, q = dc.gradient_field(mesh, trace, seed)
     split = call(gv, trace)
@@ -39,7 +53,7 @@ def test_kernel_gradient_reproduction(cube4, rng):
     q = rng.uniform(-1, 1, cube4.nv)
     q[t.node_mask] = 0.0
     v = fem.EdgeField(cube4, fem.gradient_map(cube4).mat @ q)
-    s = dc.kernel_convex(v, t)
+    s = dc.decompose(v, t, route="kernel")
     assert np.abs(s.p.values - q).max() < 1e-10
     assert fem.norm(s.w, "H1") < 1e-12
     assert fem.norm(s.R, "L2") < 1e-12
@@ -47,7 +61,7 @@ def test_kernel_gradient_reproduction(cube4, rng):
 
 def test_kernel_zero_field(cube4):
     t = tag_trace(cube4, ["z=0"])
-    s = dc.kernel_convex(fem.EdgeField(cube4, np.zeros(cube4.ne)), t)
+    s = dc.decompose(fem.EdgeField(cube4, np.zeros(cube4.ne)), t, route="kernel")
     assert np.abs(s.p.values).max() == 0.0
     assert np.abs(s.w.values).max() == 0.0
     assert np.abs(s.R.values).max() == 0.0
@@ -56,7 +70,7 @@ def test_kernel_zero_field(cube4):
 def test_kernel_random(cube4):
     t = tag_trace(cube4, ["z=0"])
     v = dc.random_admissible_field(cube4, t, 10)
-    s = dc.kernel_convex(v, t)
+    s = dc.decompose(v, t, route="kernel")
     assert_contract(s, v, t)
     assert s.claims == {"rhs1": "curl_semi", "rhs2": "l2", "log": False}
 
@@ -65,13 +79,13 @@ def test_kernel_rejects_unsatisfiable(pyramid4):
     t = tag_trace(pyramid4, ["lat:x-", "lat:x+"])
     v = dc.random_admissible_field(pyramid4, t, 1)
     with pytest.raises(PreconditionError):
-        dc.kernel_convex(v, t)
+        dc.decompose(v, t, route="kernel")
 
 
 def test_kernel_empty_trace_gauge(cube4):
     t = tag_trace(cube4, [])
     v = dc.random_admissible_field(cube4, t, 2)
-    s = dc.kernel_convex(v, t)
+    s = dc.decompose(v, t, route="kernel")
     assert_contract(s, v, t)
     # mean-zero gauge on p
     M = fem.assemble(cube4, "Z", "mass").mat
@@ -145,18 +159,18 @@ def test_decompose_loop_examples(cube4, rng):
     surf = surface(cube4)
     top = surf.face_by_name("z=1")
     z = fem.EdgeField(cube4, np.zeros(cube4.ne))
-    s = dc.decompose_loop(z, top)
+    s = loop_split(z, top)
     assert np.abs(s.p.values).max() == 0.0 and np.abs(s.R.values).max() == 0.0
     # admissible random: invariants
     v = fem.EdgeField(cube4, rng.uniform(-1, 1, cube4.ne))
     loop_nodes = np.unique(cube4.edges[top.boundary_edges].ravel())
     v.values[top.boundary_edges] = 0.0
-    s = dc.decompose_loop(v, top)
+    s = loop_split(v, top)
     assert s.identity_residual(v) <= 1e-10
     assert np.all(s.p.values[loop_nodes] == 0.0)
     assert np.all(s.w.values[loop_nodes] == 0.0)
     with pytest.raises(PreconditionError):
-        dc.decompose_loop(fem.EdgeField(cube4, rng.uniform(0.5, 1, cube4.ne)), top)
+        loop_split(fem.EdgeField(cube4, rng.uniform(0.5, 1, cube4.ne)), top)
 
 
 # -- edge routes ---------------------------------------------------------------
@@ -173,8 +187,8 @@ def test_edge_route_stokes_record(cube4):
 def test_single_edge_equals_disjoint_union(cube4):
     t = tag_trace(cube4, ["e:x=0,y=0"])
     v = dc.random_admissible_field(cube4, t, 13)
-    a = dc.decompose_edge(v, t.coarse_edges[0])
-    b = dc.decompose_disjoint_edges(v, t.coarse_edges)
+    a = split_of(v, *dc._edge_route(v, t.coarse_edges[0])[:2])
+    b = split_of(v, *dc._disjoint_edges(v, t.coarse_edges)[:2])
     assert np.array_equal(a.p.values, b.p.values)
     assert np.array_equal(a.w.values, b.w.values)
     assert np.array_equal(a.R.values, b.R.values)
@@ -189,7 +203,7 @@ def test_disjoint_edges_simple_case(cube4):
     assert_contract(s, v, t)
 
 
-def test_four_edge_hard_case():
+def test_four_edge_hard_case(monkeypatch):
     mesh = build_complex("four_edge_cube", 0.25)
     spec = ["e:x=0,y=0", "e:x=1,y=0", "e:x=1,y=1", "e:x=0,y=1"]
     t = tag_trace(mesh, spec)
@@ -197,6 +211,13 @@ def test_four_edge_hard_case():
     s = dc.decompose(v, t)
     assert s.path == "disjoint-edges/subdomains"
     assert_contract(s, v, t)
+    # a warm call reuses the subdomain split and its core kernel factor
+    factorizations = []
+    splu = spla.splu
+    monkeypatch.setattr(spla, "splu", lambda *a, **k: factorizations.append(1) or splu(*a, **k))
+    v2 = dc.random_admissible_field(mesh, t, 16)
+    assert_contract(dc.decompose(v2, t), v2, t)
+    assert factorizations == []
     # no element-aligned split at h=1/2
     coarse = build_complex("four_edge_cube", 0.5)
     tc = tag_trace(coarse, spec)
@@ -212,7 +233,7 @@ def test_overlapping_edges_rejected(cube4):
     assert s.path == "edge-cut"
     assert_contract(s, v, t)
     with pytest.raises(PreconditionError):
-        dc.decompose_disjoint_edges(v, t.coarse_edges)
+        dc._disjoint_edges(v, t.coarse_edges)
 
 
 # -- junctions -------------------------------------------------------------------
@@ -270,7 +291,7 @@ def test_kernel_invariants_random_seeds(seed):
     mesh = build_complex("unit_cube", 0.25)
     t = tag_trace(mesh, ["z=0"])
     v = dc.random_admissible_field(mesh, t, seed)
-    s = dc.kernel_convex(v, t)
+    s = dc.decompose(v, t, route="kernel")
     assert s.identity_residual(v) <= 1e-10
     assert np.all(s.p.values[t.node_mask] == 0.0)
     assert np.all(s.R.values[t.edge_mask] == 0.0)
@@ -290,7 +311,7 @@ def test_dispatcher_matches_direct_constructor(cube4):
     t = tag_trace(cube4, ["e:x=0,y=0"])
     v = dc.random_admissible_field(cube4, t, 30)
     via_dispatch = dc.decompose(v, t)
-    direct = dc.decompose_edge(v, t.coarse_edges[0])
+    direct = split_of(v, *dc._edge_route(v, t.coarse_edges[0])[:2])
     assert np.array_equal(via_dispatch.p.values, direct.p.values)
     assert np.array_equal(via_dispatch.w.values, direct.w.values)
     assert np.array_equal(via_dispatch.R.values, direct.R.values)
@@ -302,12 +323,12 @@ def test_edge_route_degenerates_to_loop_split(cube4, rng):
     E = surf.edge_by_name("e:y=0,z=1")
     v = fem.EdgeField(cube4, rng.uniform(-1, 1, cube4.ne))
     v.values[F.fine_edges] = 0.0  # zero trace on the whole face closure
-    via_edge = dc.decompose_edge(v, E, face=F)
-    via_loop = dc.decompose_loop(v, F, claims=via_edge.claims)
-    assert np.abs(via_edge.p.values - via_loop.p.values).max() < 1e-12
-    assert np.abs(via_edge.w.values - via_loop.w.values).max() < 1e-12
+    p, w, _, _, meta = dc._edge_route(v, E, face=F)
+    via_loop = loop_split(v, F)
+    assert np.abs(p - via_loop.p.values).max() < 1e-12
+    assert np.abs(w - via_loop.w.values).max() < 1e-12
     # the loop average and the constant extension vanish with the trace
-    C, l0, flux = via_edge.meta["loops"][0]
+    C, l0, flux = meta["loops"][0]
     assert abs(C) < 1e-14 and abs(flux) < 1e-12
 
 
@@ -322,3 +343,30 @@ def test_zero_field_gives_zero_split(geometry, spec, path):
     assert np.abs(s.w.values).max() < 1e-12
     assert np.abs(s.R.values).max() < 1e-12
     assert s.ratios == {} or all(v == 0 for v in s.ratios.values())
+
+
+# -- one norm battery per decomposition ------------------------------------------
+
+from test_acceptance import VALID_CONFIGS  # noqa: E402
+
+
+@pytest.mark.parametrize("geometry,spec", [(g, s) for g, s, _ in VALID_CONFIGS],
+                         ids=[f"{g}-{'+'.join(s)}" for g, s, _ in VALID_CONFIGS])
+def test_one_norm_battery_per_decompose(geometry, spec, monkeypatch):
+    """Nested routes hand fields up, so `decompose` runs the six norms of
+    the battery once; the vertex gate adds |v|_curl."""
+    mesh = build_complex(geometry, 0.25)
+    t = tag_trace(mesh, spec)
+    v = dc.random_admissible_field(mesh, t, 31)
+    calls = []
+    norm = fem.norm
+
+    def counting_norm(field, which):
+        calls.append(which)
+        return norm(field, which)
+
+    monkeypatch.setattr(fem, "norm", counting_norm)
+    s = dc.decompose(v, t)
+    assert isinstance(s, dc.HelmholtzSplit)
+    gated = geometry.startswith("vertex_junction")
+    assert len(calls) == (7 if gated else 6), (s.path, calls)

@@ -4,6 +4,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
+import helmdec.decompose as dc
 from helmdec import fem, operators as ops
 from helmdec.mesh import build_complex, extract_block
 from helmdec.trace import interface_faces, surface, tag_trace
@@ -48,26 +49,32 @@ def test_scott_zhang_preserves_zero_trace(cube4):
     assert np.all(out.values[t.node_mask] == 0.0)
 
 
-def test_scott_zhang_projection(cube4, rng):
-    w = fem.NodalVectorField(cube4, rng.uniform(-1, 1, (cube4.nv, 3)))
-    out = ops.scott_zhang(w, cube4)
-    assert np.array_equal(out.values, w.values)
-
-
-# -- face cutoff --------------------------------------------------------------
+# -- graph cut-off ------------------------------------------------------------
 
 def test_face_cutoff_values(lshape4):
+    # cut-off of an interface face inside its block: seeded on the interior
+    # face nodes, walking only through block nodes off the block boundary
+    # (the face boundary curve and the other interfaces stay 0)
     iface = interface_faces(lshape4)[0]  # blocks (0,1)
     sub = extract_block(lshape4, 0)
-    theta = ops.face_cutoff(
-        lshape4, iface.fine_nodes, iface.boundary_nodes,
-        sub.node_mask(), sub.node_mask() & lshape4.boundary_node_mask()
-        | _iface_mask(lshape4, 0),
-    )
     interior = np.setdiff1d(iface.fine_nodes, iface.boundary_nodes)
-    assert np.all(theta.values[interior] == 1.0)
-    assert np.all(theta.values[iface.boundary_nodes] == 0.0)
-    assert theta.values.min() >= 0.0 and theta.values.max() <= 1.0
+    seed = np.zeros(lshape4.nv, dtype=bool)
+    seed[interior] = True
+    hard_zero = sub.node_mask() & lshape4.boundary_node_mask() | _iface_mask(lshape4, 0)
+    theta = ops.graph_cutoff(lshape4, seed, within=sub.node_mask() & ~hard_zero)
+    assert np.all(theta[interior] == 1.0)
+    assert np.all(theta[iface.boundary_nodes] == 0.0)
+    assert theta.min() >= 0.0 and theta.max() <= 1.0
+    # one mesh edge away from the seed: 1/2; beyond the block: 0
+    assert np.any(theta == 0.5)
+    assert np.all(theta[~sub.node_mask()] == 0.0)
+    # unrestricted, it is the two-layer graph-distance decay
+    free = ops.graph_cutoff(lshape4, seed)
+    ptr, eids = lshape4.vertex_edges()
+    near = np.unique(lshape4.edges[np.concatenate(
+        [eids[ptr[n]:ptr[n + 1]] for n in interior])].ravel())
+    assert np.all(free[np.setdiff1d(near, interior)] == 0.5)
+    assert np.count_nonzero(free) == len(near)
 
 
 def _iface_mask(mesh, block):
@@ -335,24 +342,31 @@ def test_epsilon_correction_values_and_integral(cube4):
 # -- junction functionals -----------------------------------------------------------
 
 def test_junction_functionals_zero_and_gradient():
+    # the vertex-junction gate on the trace x=0, x=2: both blocks are
+    # anchored, with loops around y=1#0 and y=1#1 normalized on their trace
+    # edges e:x=0,y=1 and e:x=2,y=1
     mesh = build_complex("vertex_junction_pair", 0.25)
     surf = surface(mesh)
+    trace = tag_trace(mesh, ["x=0", "x=2"])
     v0 = mesh.node_index()[(mesh.denom, mesh.denom, mesh.denom)]
-    faces = []
-    zed = []
-    for b, fname, ename in ((0, "z=1#0", "e:x=0,z=1"), (1, "z=1#1", "e:x=2,z=1")):
-        f = surf.face_by_name(fname)
-        faces.append(ops.build_loop(mesh, [f]))
-        zed.append(surf.edge_by_name(ename))
+    zed = [surf.edge_by_name("e:x=0,y=1"), surf.edge_by_name("e:x=2,y=1")]
+
+    def functionals(v):
+        node, kinds, setups, vals, _, _ = dc._vertex_gate(v, trace)
+        assert node == v0 and kinds == ["anchored", "anchored"]
+        assert [s[0].name for s in setups] == ["y=1#0", "y=1#1"]
+        assert [s[2].name for s in setups] == [e.name for e in zed]
+        return vals[1:] - vals[:-1]
+
     z = fem.EdgeField(mesh, np.zeros(mesh.ne))
-    F = ops.junction_functionals(z, faces, v0, zed)
+    F = functionals(z)
     assert np.abs(F).max() == 0.0
     rng = np.random.default_rng(5)
     q = rng.uniform(-1, 1, mesh.nv)
     q[zed[0].fine_nodes] = 0.0
     q[zed[1].fine_nodes] = 0.0
     gv = fem.EdgeField(mesh, fem.gradient_map(mesh).mat @ q)
-    F = ops.junction_functionals(gv, faces, v0, zed)
+    F = functionals(gv)
     # phi values equal q-differences anchored at the zero-mean edges
     assert np.abs(F).max() < 1e-12
 

@@ -1,0 +1,41 @@
+"""Smoke runs of the study scripts at their smallest settings."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name, args, cwd):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
+                          cwd=cwd, env=env, capture_output=True, text=True, timeout=600)
+
+
+def test_stability_study_smallest(tmp_path):
+    out = tmp_path / "stability"
+    res = run_script("run_stability_study.py",
+                     ["--levels", "1,2,3", "--samples", "1", "--out", str(out)], tmp_path)
+    assert res.returncode == 0, res.stderr
+    # 11 configurations x 3 ratios, one CSV and one JSON each
+    assert len(list(out.glob("*.csv"))) == 33
+    assert len(list(out.glob("*.json"))) == 33
+    rep = json.loads(next(out.glob("unit_cube__z0__w_h1.json")).read_text())
+    assert [lv["level"] for lv in rep["levels"]] == [1, 2, 3]
+    assert "verdict policy" in res.stdout
+
+
+def test_hx_study_smallest(tmp_path):
+    out = tmp_path / "hx_study.json"
+    res = run_script("run_hx_study.py",
+                     ["--levels", "1,2", "--jumps", "1", "--out", str(out)], tmp_path)
+    assert res.returncode == 0, res.stderr
+    rows = json.loads(out.read_text())
+    assert [(r["geometry"], r["level"]) for r in rows] == [
+        ("unit_cube", 1), ("unit_cube", 2), ("three_cube_L", 3)]
+    assert all(r["hx_iterations"] < r["cg_iterations"] for r in rows)

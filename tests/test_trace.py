@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import helmdec.trace as trace_mod
+from helmdec.geometry import catalog_names
 from helmdec.mesh import build_complex
 from helmdec.trace import (TraceError, check_assumption31, interface_faces,
                            surface, tag_trace, trace_from_fine)
@@ -98,3 +100,55 @@ def test_group_aliases(cube4):
     t = tag_trace(cube4, ["boundary"])
     assert len(t.coarse_faces) == 6
     assert t.node_mask.sum() == cube4.boundary_node_mask().sum()
+
+
+# the per-face loops the plane keys were once computed with
+def _reference_face_plane_keys(mesh, fids):
+    tri = mesh.faces[fids]
+    v = mesh.verts_int
+    n = np.cross(v[tri[:, 1]] - v[tri[:, 0]], v[tri[:, 2]] - v[tri[:, 0]])
+    own = mesh.face_tets[fids, 0]
+    opp = np.empty(len(fids), dtype=np.int64)
+    tv = mesh.tets[own]
+    for k in range(len(fids)):
+        s = set(tv[k]) - set(tri[k])
+        opp[k] = s.pop()
+    inward = np.einsum("ij,ij->i", n, v[opp] - v[tri[:, 0]])
+    n = np.where((inward > 0)[:, None], -n, n)
+    keys = []
+    for k in range(len(fids)):
+        nr = trace_mod._reduce_vec(n[k])
+        keys.append((nr, int(np.dot(nr, v[tri[k, 0]]))))
+    return keys
+
+
+def _reference_interior_plane_set(mesh):
+    ifids = np.nonzero(~mesh.boundary_face_mask())[0]
+    tri = mesh.faces[ifids]
+    v = mesh.verts_int
+    n = np.cross(v[tri[:, 1]] - v[tri[:, 0]], v[tri[:, 2]] - v[tri[:, 0]])
+    out = set()
+    for k in range(len(ifids)):
+        nr = trace_mod._canon_sign(trace_mod._reduce_vec(n[k]))
+        out.add((nr, int(np.dot(nr, v[tri[k, 0]]))))
+    return out
+
+
+@pytest.mark.parametrize("geometry", catalog_names(include_internal=True))
+def test_plane_keys_match_reference_loop(geometry, monkeypatch):
+    for h in (0.5, 0.25, 0.125):
+        mesh = build_complex(geometry, h)
+        bfids = np.nonzero(mesh.boundary_face_mask())[0]
+        assert trace_mod._face_plane_keys(mesh, bfids) == \
+            _reference_face_plane_keys(mesh, bfids)
+        assert trace_mod._interior_plane_set(mesh) == _reference_interior_plane_set(mesh)
+        new = surface(mesh)
+        mesh._cache.pop("surface")
+        with monkeypatch.context() as mp:
+            mp.setattr(trace_mod, "_face_plane_keys", _reference_face_plane_keys)
+            mp.setattr(trace_mod, "_interior_plane_set", _reference_interior_plane_set)
+            old = surface(mesh)
+        assert [f.name for f in new.faces] == [f.name for f in old.faces]
+        assert [f.concave for f in new.faces] == [f.concave for f in old.faces]
+        for a, b in zip(new.faces, old.faces):
+            assert np.array_equal(a.fine_faces, b.fine_faces)
