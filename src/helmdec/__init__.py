@@ -11,7 +11,7 @@ from .decompose import (CompatibilityViolation, HelmholtzSplit,
                         random_admissible_field)
 from .geometry import CATALOG, catalog_info, catalog_names
 from .hx import HXPreconditioner, ModelProblem, assemble_problem, pcg_solve
-from .mesh import TetMesh, build_complex, read_mesh, refine, write_mesh
+from .mesh import TetMesh, build_complex, read_mesh, write_mesh
 from .operators import (BoundaryLoop, LoopDecomposition, PreconditionError,
                         build_loop, curl_harmonic_extend, edge_interpolate_rh,
                         epsilon_correction, graph_cutoff, harmonic_extend,

@@ -117,8 +117,8 @@ def _check_zero_moments(v: EdgeField, edge_mask: np.ndarray, what: str, tol=1e-1
 
 def _curl_rhs_matrix(mesh: TetMesh) -> sp.csr_matrix:
     """(3*nt) x (3*nv) map: nodal vector field -> per-tet constant curl."""
-    m = mesh._cache.get("curl_rhs")
-    if m is None:
+
+    def build():
         vol, g = fem.tet_geometry(mesh)
         nt = mesh.nt
         rows, cols, vals = [], [], []
@@ -138,9 +138,9 @@ def _curl_rhs_matrix(mesh: TetMesh) -> sp.csr_matrix:
         rows = np.concatenate(rows)
         cols = np.concatenate(cols)
         vals = np.concatenate(vals)
-        m = sp.csr_matrix((vals, (rows, cols)), shape=(3 * nt, 3 * mesh.nv))
-        mesh._cache["curl_rhs"] = m
-    return m
+        return sp.csr_matrix((vals, (rows, cols)), shape=(3 * nt, 3 * mesh.nv))
+
+    return mesh.cached("curl_rhs", build)
 
 
 def _kernel_fields(mesh: TetMesh, v: np.ndarray, gamma_nodes: np.ndarray):
@@ -312,24 +312,21 @@ def _layer_extension(mesh: TetMesh, face_nodes: np.ndarray, source: np.ndarray,
     """Extend nodal data given on an axis-aligned interface into a block by
     linear layer decay along the interface normal (exact zeros beyond)."""
     a, c = _axis_of_plane(plane)
-    fset = {}
-    for n in face_nodes:
-        key = tuple(mesh.verts_int[n])
-        fset[key] = n
-    out_nodes, out_vals = [], []
-    for n in target_nodes:
-        p = mesh.verts_int[n]
-        layer = abs(int(p[a]) - c)
-        if layer == 0 or layer >= layers:
-            continue
-        key = list(p)
-        key[a] = c
-        src = fset.get(tuple(key))
-        if src is None:
-            continue
-        out_nodes.append(n)
-        out_vals.append(source[src] * (1.0 - layer / layers))
-    return np.array(out_nodes, dtype=np.int64), np.array(out_vals)
+    v = mesh.verts_int
+    layer = np.abs(v[target_nodes, a] - c)
+    keep = (layer > 0) & (layer < layers)
+    nodes, layer = target_nodes[keep], layer[keep]
+    # a target's source is the face node with the same in-plane lattice
+    # coordinates; match them on packed keys
+    b0, b1 = [b for b in range(3) if b != a]
+    span = int(np.ptp(v[:, b1])) + 1
+    fkeys = v[face_nodes, b0] * span + v[face_nodes, b1]
+    order = np.argsort(fkeys)
+    tkeys = v[nodes, b0] * span + v[nodes, b1]
+    pos = np.minimum(np.searchsorted(fkeys[order], tkeys), len(order) - 1)
+    hit = fkeys[order][pos] == tkeys
+    src = face_nodes[order[pos[hit]]]
+    return nodes[hit], source[src] * (1.0 - layer[hit] / layers)[:, None]
 
 
 def _face_chain(v: EdgeField, trace: TraceSet):
@@ -630,33 +627,24 @@ def _face_plus_edge(v: EdgeField, trace: TraceSet, E):
 
 
 def _extended_mesh(mesh: TetMesh, ext_id: str) -> TetMesh:
-    key = ("extension", ext_id)
-    B = mesh._cache.get(key)
-    if B is None:
-        B = build_complex(ext_id, mesh.h)
-        mesh._cache[key] = B
-    return B
+    return mesh.cached(("extension", ext_id), lambda: build_complex(ext_id, mesh.h))
 
 
 def _embed_nodes(mesh: TetMesh, B: TetMesh) -> np.ndarray:
-    key = ("embed_nodes", B.name)
-    m = mesh._cache.get(key)
-    if m is None:
+    def build():
         idx = B.node_index()
-        m = np.array([idx[tuple(p)] for p in mesh.verts_int], dtype=np.int64)
-        mesh._cache[key] = m
-    return m
+        return np.array([idx[p] for p in map(tuple, mesh.verts_int.tolist())],
+                        dtype=np.int64)
+
+    return mesh.cached(("embed_nodes", B.name), build)
 
 
 def _embed_edges(mesh: TetMesh, B: TetMesh) -> np.ndarray:
-    key = ("embed_edges", B.name)
-    m = mesh._cache.get(key)
-    if m is None:
-        nmap = _embed_nodes(mesh, B)
-        pairs = np.sort(nmap[mesh.edges], axis=1)
-        m = B.edge_ids(pairs[:, 0].astype(np.int64) * B.nv + pairs[:, 1])
-        mesh._cache[key] = m
-    return m
+    def build():
+        pairs = np.sort(_embed_nodes(mesh, B)[mesh.edges], axis=1)
+        return B.edge_ids(pairs[:, 0].astype(np.int64) * B.nv + pairs[:, 1])
+
+    return mesh.cached(("embed_edges", B.name), build)
 
 
 # --------------------------------------------------------------------------
@@ -764,7 +752,7 @@ def _subdomain_split(mesh: TetMesh, edges: Sequence[CoarseEdge]):
             columns.append((np.unique(mesh.tet_edges[m]), ops.graph_cutoff(mesh, cn)))
         return columns, core, iface[core.vert_map]
 
-    return fem.mesh_cached(mesh, ("subdomain-split", tuple(e.id for e in edges)), build)
+    return mesh.cached(("subdomain-split", tuple(e.id for e in edges)), build)
 
 
 def _disjoint_edges_hard(v: EdgeField, edges: Sequence[CoarseEdge]):

@@ -9,7 +9,6 @@ quadrature oracle is provided for cross-checks.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,19 +34,6 @@ __all__ = [
     "curl_of_nodal_field",
     "quadrature_form",
 ]
-
-_LOCK = threading.RLock()
-
-
-def mesh_cached(mesh: TetMesh, key, build):
-    """`mesh._cache[key]`, made by `build()` when missing.  Thread-safe."""
-    with _LOCK:
-        out = mesh._cache.get(key)
-        if out is None:
-            out = build()
-            mesh._cache[key] = out
-        return out
-
 
 # --------------------------------------------------------------------------
 # fields
@@ -139,21 +125,32 @@ def tet_geometry(mesh: TetMesh):
         g = np.empty((len(t), 4, 3))
         g[:, 1:, :] = np.transpose(inv, (0, 2, 1))
         g[:, 0, :] = -g[:, 1:, :].sum(axis=1)
-        vol.setflags(write=False)
-        g.setflags(write=False)
         return vol, g
 
-    return mesh_cached(mesh, "tetgeom", build)
+    return mesh.cached("tetgeom", build)
+
+
+def _curl_basis(mesh: TetMesh) -> np.ndarray:
+    """(nt,6,3) curls 2 grad(lam_i) x grad(lam_j) of the local Whitney
+    functions, in TET_EDGES order."""
+
+    def build():
+        _, g = tet_geometry(mesh)
+        return np.stack(
+            [2.0 * np.cross(g[:, i, :], g[:, j, :]) for (i, j) in TET_EDGES], axis=1
+        )
+
+    return mesh.cached("curl_basis", build)
 
 
 def curl_of_edge_field(v: EdgeField) -> np.ndarray:
     """Per-tet constant curl of a Whitney edge field, (nt,3)."""
     mesh = v.mesh
-    vol, g = tet_geometry(mesh)
+    c = _curl_basis(mesh)
     coef = v.values[mesh.tet_edges] * mesh.tet_edge_sign  # (nt,6)
     out = np.zeros((mesh.nt, 3))
-    for k, (i, j) in enumerate(TET_EDGES):
-        out += coef[:, k, None] * 2.0 * np.cross(g[:, i, :], g[:, j, :])
+    for k in range(len(TET_EDGES)):
+        out += coef[:, k, None] * c[:, k, :]
     return out
 
 
@@ -182,7 +179,7 @@ def gradient_map(mesh: TetMesh) -> SparseOperator:
         data = np.tile(np.array([-1.0, 1.0]), ne)
         return SparseOperator(sp.csr_matrix((data, (rows, cols)), shape=(ne, mesh.nv)))
 
-    return mesh_cached(mesh, "gradient_map", build)
+    return mesh.cached("gradient_map", build)
 
 
 def curl_map(mesh: TetMesh) -> SparseOperator:
@@ -190,17 +187,12 @@ def curl_map(mesh: TetMesh) -> SparseOperator:
     curl v through the face with its canonical normal."""
 
     def build():
-        f = mesh.faces
-        pairs = np.stack([f[:, [0, 1]], f[:, [1, 2]], f[:, [0, 2]]], axis=1)  # (nf,3,2)
-        keys = pairs[:, :, 0].astype(np.int64) * mesh.nv + pairs[:, :, 1]
-        eids = mesh.edge_ids(keys.ravel()).reshape(-1, 3)
         rows = np.repeat(np.arange(mesh.nf), 3)
-        data = np.tile(np.array([1.0, 1.0, -1.0]), mesh.nf)
-        return SparseOperator(
-            sp.csr_matrix((data, (rows, eids.ravel())), shape=(mesh.nf, mesh.ne))
-        )
+        data = np.tile(np.array([1.0, 1.0, -1.0]), mesh.nf)  # pairs 01, 12, 02
+        return SparseOperator(sp.csr_matrix(
+            (data, (rows, mesh.face_edges().ravel())), shape=(mesh.nf, mesh.ne)))
 
-    return mesh_cached(mesh, "curl_map", build)
+    return mesh.cached("curl_map", build)
 
 
 # --------------------------------------------------------------------------
@@ -258,9 +250,7 @@ def _assemble_edge(mesh: TetMesh, kind: str, weight) -> sp.csr_matrix:
                 )
         loc *= w[:, None, None]
     else:
-        c = np.stack(
-            [2.0 * np.cross(g[:, i, :], g[:, j, :]) for (i, j) in TET_EDGES], axis=1
-        )  # (nt,6,3)
+        c = _curl_basis(mesh)
         loc = w[:, None, None] * np.einsum("tad,tbd->tab", c, c)
     loc *= sign[:, :, None] * sign[:, None, :]
     te = mesh.tet_edges
@@ -286,10 +276,9 @@ def _face_signs(mesh: TetMesh):
             s[:, lf] = np.where(
                 np.einsum("ij,ij->i", n, v[opp] - v[tri[:, 0]]) < 0, 1, -1
             )
-        s.setflags(write=False)
         return s
 
-    return mesh_cached(mesh, "face_signs", build)
+    return mesh.cached("face_signs", build)
 
 
 def _assemble_face(mesh: TetMesh, kind: str, weight) -> sp.csr_matrix:
@@ -332,23 +321,21 @@ def assemble(mesh: TetMesh, space: str, kind: str, tet_weight=None) -> SparseOpe
     """
     if space not in ("Z", "Z3", "V", "W") or kind not in ("mass", "stiffness"):
         raise ValueError(f"unknown assembly {space}/{kind}")
-    key = ("op", space, kind)
-    with _LOCK:
-        if tet_weight is None and key in mesh._cache:
-            return mesh._cache[key]
-    if space in ("Z", "Z3"):
-        m = _assemble_nodal(mesh, kind, tet_weight)
-        if space == "Z3":
-            m = sp.kron(m, sp.eye(3), format="csr")
-    elif space == "V":
-        m = _assemble_edge(mesh, kind, tet_weight)
-    else:
-        m = _assemble_face(mesh, kind, tet_weight)
-    op = SparseOperator(m.tocsr(), symmetric=True)
-    if tet_weight is None:
-        with _LOCK:
-            mesh._cache[key] = op
-    return op
+
+    def build():
+        if space in ("Z", "Z3"):
+            m = _assemble_nodal(mesh, kind, tet_weight)
+            if space == "Z3":
+                m = sp.kron(m, sp.eye(3), format="csr")
+        elif space == "V":
+            m = _assemble_edge(mesh, kind, tet_weight)
+        else:
+            m = _assemble_face(mesh, kind, tet_weight)
+        return SparseOperator(m.tocsr(), symmetric=True)
+
+    if tet_weight is not None:
+        return build()
+    return mesh.cached(("op", space, kind), build)
 
 
 # --------------------------------------------------------------------------
@@ -489,8 +476,6 @@ _SPD_SPLU = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
 def cached_solver(mesh: TetMesh, key, build, spd: bool = False):
     """splu factorization cached on the mesh; `build` returns the csc/csr
     matrix when the key is missing, `spd` selects the symmetric-mode
-    settings.  Thread-safe, immutable after build."""
-    return mesh_cached(
-        mesh, ("splu",) + tuple(key),
-        lambda: spla.splu(build().tocsc(), **(_SPD_SPLU if spd else {})),
-    )
+    settings."""
+    return mesh.cached(("splu",) + tuple(key), lambda: spla.splu(
+        build().tocsc(), **(_SPD_SPLU if spd else {})))

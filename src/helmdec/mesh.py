@@ -9,6 +9,7 @@ so node identification across blocks and refinement levels is exact.
 from __future__ import annotations
 
 import io
+import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
@@ -18,11 +19,14 @@ import numpy as np
 from .geometry import (BlockComplex, Brick, GeometryError, GeometryInfo,
                        Pyramid, catalog_info)
 
-__all__ = ["TetMesh", "build_complex", "refine", "write_mesh", "read_mesh"]
+__all__ = ["TetMesh", "build_complex", "write_mesh", "read_mesh"]
 
 # local vertex pairs of a tet, in lexicographic order
 TET_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 TET_FACES = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
+
+# guards every build of per-mesh derived data (`TetMesh.cached`)
+_LOCK = threading.RLock()
 
 
 def _signed_volumes(verts: np.ndarray, tets: np.ndarray) -> np.ndarray:
@@ -99,14 +103,13 @@ class TetMesh:
         self.tet_faces = finv.reshape(-1, 4)
         if counts.max(initial=0) > 2:
             raise ValueError("non-conforming mesh: face shared by >2 tets")
-        ft = np.full((len(ufk), 2), -1, dtype=np.int64)
+        # two slots per face, filled in tet order: the rank of each face
+        # occurrence within its group of the face-sorted occurrences
         order = np.argsort(finv, kind="stable")
-        tid = order // 4
-        pos = np.zeros(len(ufk), dtype=np.int64)
-        for k in range(len(order)):
-            f = finv[order[k]]
-            ft[f, pos[f]] = tid[k]
-            pos[f] += 1
+        sf = finv[order]
+        slot = np.arange(len(order)) - (np.cumsum(counts) - counts)[sf]
+        ft = np.full((len(ufk), 2), -1, dtype=np.int64)
+        ft[sf, slot] = order // 4
         self.face_tets = ft
         for arr in (self.verts_int, self.tets, self.edges, self.faces,
                     self.tet_edges, self.tet_edge_sign, self.tet_faces,
@@ -135,31 +138,35 @@ class TetMesh:
     def h(self) -> float:
         return 1.0 / self.denom
 
+    def cached(self, key, build):
+        """The derived value stored under `key`, made by `build()` on first
+        use.  Builds run under one process-wide lock, so threads sharing a
+        mesh get the same object; ndarray results (also inside a returned
+        tuple) are frozen read-only."""
+        out = self._cache.get(key)
+        if out is None:
+            with _LOCK:
+                out = self._cache.get(key)
+                if out is None:
+                    out = build()
+                    for a in out if isinstance(out, tuple) else (out,):
+                        if isinstance(a, np.ndarray):
+                            a.setflags(write=False)
+                    self._cache[key] = out
+        return out
+
     @property
     def verts(self) -> np.ndarray:
         """Float coordinates in block units (exact dyadic values)."""
-        v = self._cache.get("verts")
-        if v is None:
-            v = self.verts_int / float(self.denom)
-            v.setflags(write=False)
-            self._cache["verts"] = v
-        return v
+        return self.cached("verts", lambda: self.verts_int / float(self.denom))
 
     def edge_vectors(self) -> np.ndarray:
-        v = self._cache.get("edge_vectors")
-        if v is None:
-            v = self.verts[self.edges[:, 1]] - self.verts[self.edges[:, 0]]
-            v.setflags(write=False)
-            self._cache["edge_vectors"] = v
-        return v
+        return self.cached("edge_vectors", lambda: (
+            self.verts[self.edges[:, 1]] - self.verts[self.edges[:, 0]]))
 
     def edge_lengths(self) -> np.ndarray:
-        v = self._cache.get("edge_lengths")
-        if v is None:
-            v = np.linalg.norm(self.edge_vectors(), axis=1)
-            v.setflags(write=False)
-            self._cache["edge_lengths"] = v
-        return v
+        return self.cached("edge_lengths",
+                           lambda: np.linalg.norm(self.edge_vectors(), axis=1))
 
     @property
     def max_edge(self) -> float:
@@ -174,79 +181,50 @@ class TetMesh:
 
     # -- adjacency maps --------------------------------------------------
     def boundary_face_mask(self) -> np.ndarray:
-        m = self._cache.get("bface")
-        if m is None:
-            m = self.face_tets[:, 1] < 0
-            m.setflags(write=False)
-            self._cache["bface"] = m
-        return m
+        return self.cached("bface", lambda: self.face_tets[:, 1] < 0)
 
     def boundary_node_mask(self) -> np.ndarray:
-        m = self._cache.get("bnode")
-        if m is None:
+        def build():
             m = np.zeros(self.nv, dtype=bool)
             m[self.faces[self.boundary_face_mask()].ravel()] = True
-            m.setflags(write=False)
-            self._cache["bnode"] = m
-        return m
+            return m
+
+        return self.cached("bnode", build)
 
     def boundary_edge_mask(self) -> np.ndarray:
-        m = self._cache.get("bedge")
-        if m is None:
-            bf = self.faces[self.boundary_face_mask()]
-            pairs = np.sort(bf[:, [[0, 1], [0, 2], [1, 2]]].reshape(-1, 2), axis=1)
-            keys = _pack_pairs(pairs, self.nv)
-            ids = self.edge_ids(keys)
+        def build():
             m = np.zeros(self.ne, dtype=bool)
-            m[ids] = True
-            m.setflags(write=False)
-            self._cache["bedge"] = m
-        return m
+            m[self.face_edges()[self.boundary_face_mask()].ravel()] = True
+            return m
+
+        return self.cached("bedge", build)
 
     def edge_ids(self, packed_keys: np.ndarray) -> np.ndarray:
         """Edge ids for packed (lo*nv+hi) vertex-pair keys."""
-        ekeys = _pack_pairs(self.edges, self.nv)
+        ekeys = self.cached("edge_keys", lambda: _pack_pairs(self.edges, self.nv))
         idx = np.searchsorted(ekeys, packed_keys)
         if np.any(ekeys[idx] != packed_keys):
             raise KeyError("unknown edge")
         return idx
 
-    def edge_id_map(self):
-        """dict-free lookup helper: returns the sorted packed key array."""
-        return _pack_pairs(self.edges, self.nv)
+    def face_edges(self) -> np.ndarray:
+        """(nf, 3) edge ids of each face, for its vertex pairs 01, 12, 02."""
+        def build():
+            f = self.faces
+            keys = f[:, [0, 1, 0]].astype(np.int64) * self.nv + f[:, [1, 2, 2]]
+            return self.edge_ids(keys.ravel()).reshape(-1, 3)
 
-    def vertex_edges(self):
-        """CSR-style vertex -> incident edge ids."""
-        c = self._cache.get("vertex_edges")
-        if c is None:
-            ends = self.edges.ravel()
-            eids = np.repeat(np.arange(self.ne), 2)
-            order = np.argsort(ends, kind="stable")
-            counts = np.bincount(ends, minlength=self.nv)
-            ptr = np.concatenate([[0], np.cumsum(counts)])
-            c = (ptr, eids[order])
-            self._cache["vertex_edges"] = c
-        return c
+        return self.cached("face_edges", build)
 
-    def edge_tets(self):
-        """CSR-style edge -> incident tet ids."""
-        c = self._cache.get("edge_tets")
-        if c is None:
-            eids = self.tet_edges.ravel()
-            tids = np.repeat(np.arange(self.nt), 6)
-            order = np.argsort(eids, kind="stable")
-            counts = np.bincount(eids, minlength=self.ne)
-            ptr = np.concatenate([[0], np.cumsum(counts)])
-            c = (ptr, tids[order])
-            self._cache["edge_tets"] = c
-        return c
+    def patch_boundary(self, fids: np.ndarray) -> np.ndarray:
+        """Sorted ids of the edges on the boundary curve of the face patch
+        `fids`: those lying on exactly one of its faces."""
+        counts = np.bincount(self.face_edges()[fids].ravel(), minlength=self.ne)
+        return np.nonzero(counts == 1)[0]
 
     def node_index(self) -> dict:
-        idx = self._cache.get("node_index")
-        if idx is None:
-            idx = {tuple(p): i for i, p in enumerate(self.verts_int)}
-            self._cache["node_index"] = idx
-        return idx
+        return self.cached("node_index", lambda: {
+            tuple(p): i for i, p in enumerate(self.verts_int.tolist())})
 
 
 # --------------------------------------------------------------------------
@@ -410,13 +388,6 @@ def build_complex(name: str, h: float | Fraction) -> TetMesh:
     return _assemble_mesh(name, tet_coords, labels, denom, level)
 
 
-def refine(mesh: TetMesh) -> TetMesh:
-    """Uniform red refinement halving h; block labels inherited."""
-    coords, children = _red_refine_arrays(mesh.verts_int, mesh.tets)
-    block = np.repeat(mesh.block_of_tet, 8)
-    return TetMesh(mesh.name, coords, mesh.denom * 2, children, block, mesh.level + 1)
-
-
 # --------------------------------------------------------------------------
 # text export / import
 # --------------------------------------------------------------------------
@@ -437,38 +408,77 @@ def write_mesh(mesh: TetMesh, stream, trace_tags: list[str] | None = None) -> No
         w(f"g {tag}\n")
 
 
+def _parse(convert, text: str, where: str):
+    try:
+        return convert(text)
+    except ValueError:
+        raise ValueError(f"{where}: bad value {text!r}") from None
+
+
 def read_mesh(stream) -> tuple[TetMesh, list[str]]:
+    """Parse the `write_mesh` format.  Input that does not describe one
+    whole mesh (bad header or counts, a missing, duplicate or out-of-range
+    vertex or tet) raises a ValueError naming the line or entity."""
     header = stream.readline().split()
     if not header or header[0] != "helmdec-mesh":
         raise ValueError("not a helmdec mesh file")
+    if (len(header) != 5 or header[1] != "1" or not header[3].startswith("level=")
+            or not header[4].startswith("denom=")):
+        raise ValueError(f"line 1: malformed header {' '.join(header)!r}")
     name = header[2]
-    level = int(header[3].split("=")[1])
-    denom = int(header[4].split("=")[1])
+    level = _parse(int, header[3][6:], "line 1")
+    denom = _parse(int, header[4][6:], "line 1")
+    if level < 0 or denom != 1 << level:
+        raise ValueError(f"line 1: denom={denom} is not 2^level with level={level}")
     counts = stream.readline().split()
-    nv, nt = int(counts[1]), int(counts[2])
-    verts = np.empty((nv, 3), dtype=np.int64)
-    tets = np.empty((nt, 4), dtype=np.int64)
-    block = np.empty(nt, dtype=np.int64)
+    if len(counts) != 6 or counts[0] != "counts":
+        raise ValueError(f"line 2: malformed counts {' '.join(counts)!r}")
+    nv, nt, ne, nf = (_parse(int, x, "line 2") for x in counts[1:5])
+    if min(nv, nt, ne, nf) < 1:
+        raise ValueError(f"line 2: counts must be positive, got {counts[1:5]}")
+    verts = np.zeros((nv, 3), dtype=np.int64)
+    tets = np.zeros((nt, 4), dtype=np.int64)
+    block = np.zeros(nt, dtype=np.int64)
+    seen = {"v": np.zeros(nv, dtype=bool), "t": np.zeros(nt, dtype=bool)}
     tags = []
-    for line in stream:
+    for ln, line in enumerate(stream, start=3):
         parts = line.split()
         if not parts:
             continue
-        if parts[0] == "v":
-            i = int(parts[1])
-            for d in range(3):
-                x = float(parts[2 + d]) * denom
-                xi = int(round(x))
-                if xi != x:
-                    raise ValueError(f"non-dyadic coordinate in vertex {i}")
-                verts[i, d] = xi
-        elif parts[0] == "t":
-            i = int(parts[1])
-            tets[i] = [int(p) for p in parts[2:6]]
-            block[i] = int(parts[6])
-        elif parts[0] == "g":
+        kind, where = parts[0], f"line {ln}"
+        if kind == "g":
             tags.append(line[2:].strip())
-    return TetMesh(name, verts, denom, tets, block, level), tags
+            continue
+        if kind not in seen or len(parts) != (5 if kind == "v" else 7):
+            raise ValueError(f"{where}: malformed record {line.strip()!r}")
+        i = _parse(int, parts[1], where)
+        if not 0 <= i < len(seen[kind]):
+            raise ValueError(f"{where}: {kind} id {i} outside [0, {len(seen[kind])})")
+        if seen[kind][i]:
+            raise ValueError(f"{where}: duplicate {kind} id {i}")
+        seen[kind][i] = True
+        if kind == "v":
+            for d in range(3):
+                x = _parse(float, parts[2 + d], where) * denom
+                if not (np.isfinite(x) and x == int(x)):
+                    raise ValueError(f"{where}: non-dyadic coordinate in vertex {i}")
+                verts[i, d] = int(x)
+        else:
+            ids = [_parse(int, x, where) for x in parts[2:6]]
+            if min(ids) < 0 or max(ids) >= nv:
+                raise ValueError(f"{where}: tet {i} has a vertex id outside [0, {nv})")
+            tets[i] = ids
+            block[i] = _parse(int, parts[6], where)
+    for kind, what in (("v", "vertex"), ("t", "tet")):
+        missing = np.nonzero(~seen[kind])[0]
+        if len(missing):
+            raise ValueError(f"{what} {missing[0]} missing: {len(missing)} of "
+                             f"{len(seen[kind])} {kind} lines absent")
+    mesh = TetMesh(name, verts, denom, tets, block, level)
+    if (mesh.ne, mesh.nf) != (ne, nf):
+        raise ValueError(f"line 2: counts give ne={ne} nf={nf}, the tets "
+                         f"give ne={mesh.ne} nf={mesh.nf}")
+    return mesh, tags
 
 
 def mesh_to_text(mesh: TetMesh, trace_tags: list[str] | None = None) -> str:
@@ -526,16 +536,14 @@ def extract_tets(mesh: TetMesh, tet_mask: np.ndarray, name: str) -> Submesh:
 
 
 def extract_block(mesh: TetMesh, block: int) -> Submesh:
-    key = ("block_submesh", block)
-    sub = mesh._cache.get(key)
-    if sub is None:
+    def build():
         sub = extract_tets(mesh, mesh.block_of_tet == block, f"{mesh.name}[{block}]")
         try:
             blk = catalog_info(mesh.name).complex.blocks[block]
-            sub.mesh._cache["geometry_info"] = GeometryInfo(
-                BlockComplex(sub.mesh.name, (blk,), ()), convex=True
-            )
         except GeometryError:
-            pass
-        mesh._cache[key] = sub
-    return sub
+            return sub
+        sub.mesh.cached("geometry_info", lambda: GeometryInfo(
+            BlockComplex(sub.mesh.name, (blk,), ()), convex=True))
+        return sub
+
+    return mesh.cached(("block_submesh", block), build)

@@ -62,8 +62,8 @@ def edge_interpolate_rh(w: NodalVectorField) -> EdgeField:
 
 def rh_matrix(mesh: TetMesh) -> sp.csr_matrix:
     """Sparse matrix of edge_interpolate_rh: (ne) x (3*nv)."""
-    m = mesh._cache.get("rh_matrix")
-    if m is None:
+
+    def build():
         d = mesh.edge_vectors()
         ne = mesh.ne
         rows = np.repeat(np.arange(ne), 6)
@@ -73,9 +73,9 @@ def rh_matrix(mesh: TetMesh) -> sp.csr_matrix:
             for c in range(3):
                 cols[:, 3 * side + c] = 3 * mesh.edges[:, side] + c
                 vals[:, 3 * side + c] = 0.5 * d[:, c]
-        m = sp.csr_matrix((vals.ravel(), (rows, cols.ravel())), shape=(ne, 3 * mesh.nv))
-        mesh._cache["rh_matrix"] = m
-    return m
+        return sp.csr_matrix((vals.ravel(), (rows, cols.ravel())), shape=(ne, 3 * mesh.nv))
+
+    return mesh.cached("rh_matrix", build)
 
 
 # --------------------------------------------------------------------------
@@ -135,7 +135,7 @@ def _node_adjacency(mesh: TetMesh) -> sp.csr_matrix:
         return sp.csr_matrix((ones, (np.concatenate([i, j]), np.concatenate([j, i]))),
                              shape=(mesh.nv, mesh.nv))
 
-    return fem.mesh_cached(mesh, "node_adjacency", build)
+    return mesh.cached("node_adjacency", build)
 
 
 def graph_cutoff(mesh: TetMesh, seed_mask: np.ndarray, layers: int = 2,
@@ -243,7 +243,7 @@ def _cotree_gauge(mesh: TetMesh) -> _CotreeGauge:
         return _CotreeGauge(ie, bidx, inodes, cotree, K[cotree][:, bidx],
                             Gi, (Gi.T @ M[ie]).tocsr())
 
-    return fem.mesh_cached(mesh, ("curlharm", "cotree"), build)
+    return mesh.cached(("curlharm", "cotree"), build)
 
 
 def curl_harmonic_extend(mesh: TetMesh, boundary_moments: np.ndarray) -> EdgeField:
@@ -326,15 +326,9 @@ class BoundaryLoop:
 def build_loop(mesh: TetMesh, faces: Sequence[CoarseFace]) -> BoundaryLoop:
     """Boundary loop of a coarse face or a face union with one connected
     boundary curve."""
-    from .trace import _pack_pairs  # local import keeps module deps one-way
-
     fset = np.concatenate([f.fine_faces for f in faces])
-    tri = mesh.faces[fset]
-    pairs = np.sort(tri[:, [[0, 1], [0, 2], [1, 2]]].reshape(-1, 2), axis=1)
-    eids = mesh.edge_ids(_pack_pairs(pairs, mesh.nv)).reshape(-1, 3)
-    counts = np.zeros(mesh.ne, dtype=np.int64)
-    np.add.at(counts, eids.ravel(), 1)
-    loop_edges = np.nonzero(counts == 1)[0]
+    eids = mesh.face_edges()[fset]
+    loop_edges = mesh.patch_boundary(fset)
     if len(loop_edges) == 0:
         raise PreconditionError("face union has no boundary curve (it is closed)")
 

@@ -18,16 +18,13 @@ from math import gcd
 import numpy as np
 
 from .geometry import CATALOG, GeometryInfo, catalog_info
-from .mesh import TetMesh, _pack_pairs
+from .mesh import TetMesh
 
 
 def geometry_info(mesh: TetMesh) -> GeometryInfo:
     """Catalog entry of a mesh, or the synthetic entry attached to a
     submesh (single convex block, no junctions)."""
-    info = mesh._cache.get("geometry_info")
-    if info is not None:
-        return info
-    return catalog_info(mesh.name)
+    return mesh.cached("geometry_info", lambda: catalog_info(mesh.name))
 
 __all__ = [
     "CoarseFace",
@@ -198,19 +195,16 @@ def _connected_components(items: list[int], adjacency) -> list[list[int]]:
 
 def surface(mesh: TetMesh) -> Surface:
     """Coarse entities of the mesh boundary (cached on the mesh)."""
-    cached = mesh._cache.get("surface")
-    if cached is not None:
-        return cached
+    return mesh.cached("surface", lambda: _build_surface(mesh))
 
+
+def _build_surface(mesh: TetMesh) -> Surface:
     bmask = mesh.boundary_face_mask()
     bfids = np.nonzero(bmask)[0]
     keys = _face_plane_keys(mesh, bfids)
     interior_planes = _interior_plane_set(mesh)
 
-    # fine edges of each boundary face
-    tri = mesh.faces[bfids]
-    pairs = np.sort(tri[:, [[0, 1], [0, 2], [1, 2]]].reshape(-1, 2), axis=1)
-    face_edge_ids = mesh.edge_ids(_pack_pairs(pairs, mesh.nv)).reshape(-1, 3)
+    face_edge_ids = mesh.face_edges()[bfids]
 
     # group boundary faces by oriented plane key, then by edge connectivity
     groups: dict[tuple, list[int]] = {}
@@ -236,9 +230,7 @@ def surface(mesh: TetMesh) -> Surface:
             ffaces = bfids[comp]
             fedges = np.unique(face_edge_ids[comp].ravel())
             fnodes = np.unique(mesh.faces[ffaces].ravel())
-            counts = np.zeros(mesh.ne, dtype=np.int64)
-            np.add.at(counts, face_edge_ids[comp].ravel(), 1)
-            bedges = np.nonzero(counts == 1)[0]
+            bedges = mesh.patch_boundary(ffaces)
             concave = (_canon_sign(key[0]), key[1] if key[0] == _canon_sign(key[0]) else -key[1]) in interior_planes
             cf = CoarseFace(
                 id=-1,
@@ -348,9 +340,7 @@ def surface(mesh: TetMesh) -> Surface:
                 vertices[f"v:({bu[0]},{bu[1]},{bu[2]})"] = nid
 
     aliases = dict(info.aliases) if info is not None else {}
-    surf = Surface(mesh, faces, edges, vertices, aliases)
-    mesh._cache["surface"] = surf
-    return surf
+    return Surface(mesh, faces, edges, vertices, aliases)
 
 
 # --------------------------------------------------------------------------
@@ -551,9 +541,10 @@ class InterfaceFace:
 def interface_faces(mesh: TetMesh) -> list[InterfaceFace]:
     """Coarse block-interface faces (fine faces whose two tets carry
     different block labels), grouped per block pair."""
-    cached = mesh._cache.get("interfaces")
-    if cached is not None:
-        return cached
+    return mesh.cached("interfaces", lambda: _build_interfaces(mesh))
+
+
+def _build_interfaces(mesh: TetMesh) -> list[InterfaceFace]:
     ft = mesh.face_tets
     inner = ft[:, 1] >= 0
     lab = mesh.block_of_tet
@@ -568,24 +559,19 @@ def interface_faces(mesh: TetMesh) -> list[InterfaceFace]:
     for pair in sorted(groups):
         ff = np.array(groups[pair])
         tri = mesh.faces[ff]
-        pairs = np.sort(tri[:, [[0, 1], [0, 2], [1, 2]]].reshape(-1, 2), axis=1)
-        eids = mesh.edge_ids(_pack_pairs(pairs, mesh.nv)).reshape(-1, 3)
-        counts = np.zeros(mesh.ne, dtype=np.int64)
-        np.add.at(counts, eids.ravel(), 1)
-        bedges = np.nonzero(counts == 1)[0]
+        bedges = mesh.patch_boundary(ff)
         n = _canon_sign(_reduce_vec(np.cross(v[tri[0, 1]] - v[tri[0, 0]], v[tri[0, 2]] - v[tri[0, 0]])))
         out.append(
             InterfaceFace(
                 blocks=pair,
                 fine_faces=ff,
-                fine_edges=np.unique(eids.ravel()),
+                fine_edges=np.unique(mesh.face_edges()[ff]),
                 fine_nodes=np.unique(tri.ravel()),
                 boundary_edges=bedges,
                 boundary_nodes=np.unique(mesh.edges[bedges].ravel()),
                 plane=(n, int(np.dot(n, v[tri[0, 0]]))),
             )
         )
-    mesh._cache["interfaces"] = out
     return out
 
 

@@ -5,9 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from helmdec import fem, operators as ops
 import helmdec.decompose as dc
-from helmdec.mesh import build_complex
+from helmdec.mesh import build_complex, extract_block
 from helmdec.operators import PreconditionError
-from helmdec.trace import surface, tag_trace
+from helmdec.trace import interface_faces, surface, tag_trace
 
 
 def assert_contract(split, v, trace, extra_edge_names=()):
@@ -370,3 +370,34 @@ def test_one_norm_battery_per_decompose(geometry, spec, monkeypatch):
     assert isinstance(s, dc.HelmholtzSplit)
     gated = geometry.startswith("vertex_junction")
     assert len(calls) == (7 if gated else 6), (s.path, calls)
+
+
+def _reference_layer_extension(mesh, face_nodes, source, target_nodes, plane, layers=2):
+    a, c = dc._axis_of_plane(plane)
+    fset = {tuple(mesh.verts_int[n]): n for n in face_nodes}
+    nodes, vals = [], []
+    for n in target_nodes:
+        p = mesh.verts_int[n]
+        layer = abs(int(p[a]) - c)
+        key = list(p)
+        key[a] = c
+        src = fset.get(tuple(key))
+        if 0 < layer < layers and src is not None:
+            nodes.append(n)
+            vals.append(source[src] * (1.0 - layer / layers))
+    return np.array(nodes, dtype=np.int64), np.array(vals)
+
+
+@pytest.mark.parametrize("geometry", ["three_cube_L", "edge_junction_pair"])
+def test_layer_extension_matches_reference_loop(geometry, rng):
+    mesh = build_complex(geometry, 0.125)
+    source = rng.uniform(-1, 1, (mesh.nv, 3))
+    for iface in interface_faces(mesh):
+        for k in iface.blocks:
+            vmap = extract_block(mesh, k).vert_map
+            targets = vmap[~np.isin(vmap, iface.fine_nodes)]
+            args = (mesh, iface.fine_nodes, source, targets, iface.plane)
+            nodes, vals = dc._layer_extension(*args)
+            ref_nodes, ref_vals = _reference_layer_extension(*args)
+            assert len(nodes) and np.array_equal(nodes, ref_nodes)
+            assert np.array_equal(vals, ref_vals)

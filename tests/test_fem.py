@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helmdec import fem
-from helmdec.mesh import build_complex
+from helmdec.mesh import TET_EDGES, build_complex
 from helmdec.trace import tag_trace
 
 
@@ -40,7 +40,7 @@ def test_unit_circulation_single_face_flux(cube2):
     # circulate around face f following its canonical boundary orientation
     pairs = [(tri[0], tri[1], 1.0), (tri[1], tri[2], 1.0), (tri[0], tri[2], -1.0)]
     for a, b, s in pairs:
-        e = fem.np.searchsorted(cube2.edge_id_map(), int(a) * cube2.nv + int(b))
+        e = cube2.edge_ids(np.array([int(a) * cube2.nv + int(b)]))[0]
         v[e] = s
     flux = C @ v
     assert flux[f] == pytest.approx(3.0)  # each edge contributes its moment
@@ -158,7 +158,7 @@ def test_circulation_leaves_far_faces_untouched(cube4, rng):
     tri = cube4.faces[f]
     v = np.zeros(cube4.ne)
     for a, b, s in [(tri[0], tri[1], 1.0), (tri[1], tri[2], 1.0), (tri[0], tri[2], -1.0)]:
-        e = np.searchsorted(cube4.edge_id_map(), int(a) * cube4.nv + int(b))
+        e = cube4.edge_ids(np.array([int(a) * cube4.nv + int(b)]))[0]
         v[e] = s
     flux = C @ v
     touched = set(cube4.tet_faces[np.unique(cube4.face_tets[f])].ravel().tolist())
@@ -178,3 +178,13 @@ def test_curl_map_matches_analytic_tet_curls(cube4, rng):
     own = cube4.face_tets[:, 0]
     direct = np.einsum("fd,fd->f", nvec, ct[own])
     assert np.abs(flux - direct).max() < 1e-12
+
+
+def test_curl_of_edge_field_matches_cross_product_loop(lshape4, rng):
+    v = fem.EdgeField(lshape4, rng.uniform(-1, 1, lshape4.ne))
+    _, g = fem.tet_geometry(lshape4)
+    coef = v.values[lshape4.tet_edges] * lshape4.tet_edge_sign
+    ref = np.zeros((lshape4.nt, 3))
+    for k, (i, j) in enumerate(TET_EDGES):
+        ref += coef[:, k, None] * 2.0 * np.cross(g[:, i, :], g[:, j, :])
+    assert np.array_equal(fem.curl_of_edge_field(v), ref)

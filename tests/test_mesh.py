@@ -1,13 +1,21 @@
 import io
+import re
+import sys
+import threading
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import helmdec
+from helmdec import fem
 from helmdec.geometry import (BlockComplex, Brick, GeometryError, Pyramid,
                               catalog_info, catalog_names)
-from helmdec.mesh import build_complex, extract_block, read_mesh, refine, write_mesh
+from helmdec.mesh import build_complex, extract_block, read_mesh, write_mesh
+from helmdec.operators import rh_matrix
+from helmdec.trace import interface_faces, surface
 
 CATALOG_8 = [
     "unit_cube", "three_cube_L", "pyramid", "cube_in_box", "four_edge_cube",
@@ -41,21 +49,73 @@ def test_three_cube_block_labels():
     assert (masks[0] & masks[1]).any() and (masks[0] & masks[2]).any()
 
 
-def test_refine_halves_h_and_octuples():
-    m = build_complex("unit_cube", 1)
-    r = refine(m)
-    assert r.h == 0.5
-    assert r.nt == 8 * m.nt
-    r2 = refine(r)
-    assert r2.h == 0.25
+@pytest.mark.parametrize("name", ["unit_cube", "three_cube_L", "pyramid",
+                                  "vertex_junction_star3"])
+def test_build_complex_levels_nest(name):
+    """Every tet at h = 1/4 lies in one tet at h = 1/2 of the same block, and
+    each coarse tet holds eight: integer barycentrics on the lattice 1/16."""
+    coarse, fine = build_complex(name, 0.5), build_complex(name, 0.25)
+    assert fine.h == coarse.h / 2
+    P = coarse.verts_int[coarse.tets] * 8
+    c = P[:, 1:] - P[:, :1]
+    adj = np.stack([np.cross(c[:, 1], c[:, 2]), np.cross(c[:, 2], c[:, 0]),
+                    np.cross(c[:, 0], c[:, 1])], axis=1)
+    det = np.einsum("cd,cd->c", adj[:, 0], c[:, 0])
+    assert (det > 0).all()
+
+    def bary(x):  # (m,3) lattice points -> (m, nt_coarse, 4) numerators
+        lam = np.einsum("cid,mcd->mci", adj, x[:, None, :] - P[None, :, 0])
+        return np.concatenate([(det - lam.sum(axis=2))[..., None], lam], axis=2)
+
+    corners = fine.verts_int[fine.tets] * 4
+    inside = (bary(corners.sum(axis=1) // 4) > 0).all(axis=2)  # centroids
+    assert (inside.sum(axis=1) == 1).all()
+    parent = inside.argmax(axis=1)
+    for k in range(4):
+        assert (bary(corners[:, k])[np.arange(fine.nt), parent] >= 0).all()
+    assert np.array_equal(np.bincount(parent, minlength=coarse.nt),
+                          np.full(coarse.nt, 8))
+    assert np.array_equal(fine.block_of_tet, coarse.block_of_tet[parent])
 
 
 def test_refined_mesh_is_conforming_and_quasi_uniform():
     for name in ("unit_cube", "pyramid", "three_cube_L"):
-        m = build_complex(name, 0.5)
-        for _ in range(2):
-            m = refine(m)  # the TetMesh constructor rejects non-conforming input
-            assert m.quasi_uniformity_ratio() <= 4.0
+        for h in (0.25, 0.125):
+            # the TetMesh constructor rejects non-conforming input
+            m = build_complex(name, h)
+            assert m.quasi_uniformity_ratio() <= 4.0, (name, h)
+
+
+def test_refine_preserves_ratio():
+    # Kuhn cells: the ratio is the same on every level
+    for name in ("unit_cube", "three_cube_L"):
+        ratio = build_complex(name, 0.5).quasi_uniformity_ratio()
+        for h in (0.25, 0.125):
+            assert build_complex(name, h).quasi_uniformity_ratio() == pytest.approx(ratio)
+
+
+@pytest.mark.parametrize("name", ["three_cube_L", "pyramid", "vertex_junction_star3"])
+def test_face_tets_match_reference_loop(name):
+    m = build_complex(name, 0.25)
+    finv = m.tet_faces.ravel()
+    ref = np.full((m.nf, 2), -1, dtype=np.int64)
+    for k in np.argsort(finv, kind="stable"):
+        f = finv[k]
+        ref[f, int(ref[f, 0] >= 0)] = k // 4
+    assert np.array_equal(m.face_tets, ref)
+
+
+def test_face_edges_and_patch_boundary(cube4):
+    fe = cube4.face_edges()
+    for f in (0, 7, cube4.nf - 1):
+        a, b, c = cube4.faces[f]
+        for k, (u, w) in enumerate([(a, b), (b, c), (a, c)]):
+            assert tuple(cube4.edges[fe[f, k]]) == (u, w)
+    fids = np.nonzero(cube4.boundary_face_mask())[0]
+    ref = [e for e in range(cube4.ne) if np.count_nonzero(fe[fids] == e) == 1]
+    assert cube4.patch_boundary(fids).tolist() == ref == []
+    one = cube4.patch_boundary(fids[:1])
+    assert sorted(one.tolist()) == sorted(fe[fids[0]].tolist())
 
 
 def test_euler_characteristic_catalog():
@@ -68,12 +128,6 @@ def test_quasi_uniformity_all_catalog():
     for name in CATALOG_8:
         m = build_complex(name, 0.5)
         assert m.quasi_uniformity_ratio() <= 4.0, name
-
-
-def test_refine_preserves_ratio():
-    m = build_complex("unit_cube", 0.5)
-    r = refine(m)
-    assert r.quasi_uniformity_ratio() == pytest.approx(m.quasi_uniformity_ratio())
 
 
 def test_bad_geometry_and_bad_h():
@@ -147,3 +201,75 @@ def test_export_import_roundtrip(name):
 
 def test_catalog_is_closed():
     assert set(CATALOG_8) <= set(catalog_names())
+
+
+def _drop_line(text, prefix):
+    lines = text.splitlines(keepends=True)
+    k = max(i for i, ln in enumerate(lines) if ln.startswith(prefix))
+    return "".join(lines[:k] + lines[k + 1:])
+
+
+def _bad_tet_index(text):
+    lines = text.splitlines(keepends=True)
+    k = next(i for i, ln in enumerate(lines) if ln.startswith("t "))
+    parts = lines[k].split()
+    parts[3] = str(10**6)
+    lines[k] = " ".join(parts) + "\n"
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda t: _drop_line(t, "v "), r"vertex \d+ missing"),
+    (lambda t: _drop_line(t, "t "), r"tet \d+ missing"),
+    (_bad_tet_index, r"line \d+: tet 0 has a vertex id outside"),
+], ids=["missing-vertex", "missing-tet", "tet-index-out-of-range"])
+def test_read_mesh_rejects_bad_files(corrupt, message):
+    buf = io.StringIO()
+    write_mesh(build_complex("unit_cube", 0.5), buf)
+    with pytest.raises(ValueError, match=message):
+        read_mesh(io.StringIO(corrupt(buf.getvalue())))
+
+
+def test_memo_is_shared_across_threads():
+    """Threads asking a fresh mesh for the same derived data get the same
+    objects: every build runs once."""
+    calls = [surface, interface_faces, rh_matrix,
+             lambda m: fem.assemble(m, "V", "stiffness")]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            mesh = build_complex("three_cube_L", 0.125)
+            start = threading.Barrier(4)
+            got = [None] * 4
+
+            def work(k):
+                start.wait()
+                got[k] = [f(mesh) for f in calls]
+
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+                assert not t.is_alive()
+            assert all(all(a is b for a, b in zip(got[0], g)) for g in got[1:])
+    finally:
+        sys.setswitchinterval(switch)
+
+
+def test_memoized_arrays_are_read_only(cube2):
+    vol, g = fem.tet_geometry(cube2)
+    for a in (cube2.verts, cube2.edge_lengths(), cube2.boundary_edge_mask(),
+              cube2.face_edges(), vol, g, fem._curl_basis(cube2)):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0
+
+
+def test_only_mesh_module_touches_the_memo():
+    src = Path(helmdec.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        if path.name != "mesh.py":
+            text = path.read_text()
+            assert not re.search(r"\._cache\b|\bthreading\b", text), path.name

@@ -89,12 +89,3 @@ def test_threaded_sweep_matches_serial(monkeypatch):
     monkeypatch.setenv("HELMDEC_THREADS", "3")
     threaded = verify.sweep("unit_cube", ["z=0"], "kernel", [1, 2, 3], 4, 6)
     assert serial.to_json() == threaded.to_json()
-
-
-def test_edge_tets_adjacency(cube4):
-    ptr, tids = cube4.edge_tets()
-    assert ptr[-1] == 6 * cube4.nt
-    e = 0
-    incident = set(tids[ptr[e]:ptr[e + 1]].tolist())
-    ref = {t for t in range(cube4.nt) if e in cube4.tet_edges[t]}
-    assert incident == ref
