@@ -2,9 +2,8 @@
 decompositions with exact tangential-trace preservation, their measured
 stability, and the auxiliary-space preconditioner they support."""
 
-from .fem import (EdgeField, FaceField, NodalField, NodalVectorField,
-                  SparseOperator, assemble, curl_map, gradient_map, norm,
-                  restrict_zero)
+from .fem import (EdgeField, NodalField, NodalVectorField, assemble, curl_map,
+                  gradient_map, norm)
 from . import decompose
 from .decompose import (CompatibilityViolation, HelmholtzSplit,
                         gradient_field, incompatible_field,
@@ -15,7 +14,7 @@ from .mesh import TetMesh, build_complex, read_mesh, write_mesh
 from .operators import (BoundaryLoop, LoopDecomposition, PreconditionError,
                         build_loop, curl_harmonic_extend, edge_interpolate_rh,
                         epsilon_correction, graph_cutoff, harmonic_extend,
-                        loop_constant_extension, loop_decompose, scott_zhang)
+                        loop_constant_extension, loop_decompose)
 from .trace import TraceSet, check_assumption31, surface, tag_trace
 from .verify import (StabilityReport, fit_log_growth, invariant_battery,
                      sweep, trace_inequality_probe)

@@ -29,9 +29,9 @@ from .fem import EdgeField, NodalField, NodalVectorField
 from .geometry import GeometryError
 from .mesh import Submesh, TetMesh, build_complex, extract_block, extract_tets
 from .operators import PreconditionError
-from .trace import (CoarseEdge, CoarseFace, TraceSet, geometry_info,
-                    interface_faces, surface, trace_from_fine,
-                    check_assumption31)
+from .trace import (CoarseEdge, CoarseFace, TraceSet, _fine_closure,
+                    check_assumption31, geometry_info, interface_faces,
+                    linked_components, surface, trace_from_fine)
 
 __all__ = [
     "HelmholtzSplit",
@@ -72,7 +72,7 @@ class HelmholtzSplit:
         # check measures the identity instead of reading R's own rounding
         lhs = v.values
         rhs = (
-            fem.gradient_map(self.mesh).mat @ self.p.values
+            fem.gradient_map(self.mesh) @ self.p.values
             + ops.edge_interpolate_rh(self.w).values
             + self.R.values
         )
@@ -147,15 +147,15 @@ def _kernel_fields(mesh: TetMesh, v: np.ndarray, gamma_nodes: np.ndarray):
     """Two constrained Poisson solves: p from (grad p, grad q) = (v, grad q)
     and w from (grad w, grad phi) = (curl v, curl phi), both over the
     nodal space vanishing at gamma_nodes (mean-zero gauge when empty)."""
-    K = fem.assemble(mesh, "Z", "stiffness").mat
-    G = fem.gradient_map(mesh).mat
-    M = fem.assemble(mesh, "V", "mass").mat
+    K = fem.assemble(mesh, "Z", "stiffness")
+    G = fem.gradient_map(mesh)
+    M = fem.assemble(mesh, "V", "mass")
     free = np.nonzero(~gamma_nodes)[0]
     key_mask = gamma_nodes.tobytes()
     gauge = len(free) == mesh.nv
 
     if gauge:
-        mz = fem.assemble(mesh, "Z", "mass").mat @ np.ones(mesh.nv)
+        mz = fem.assemble(mesh, "Z", "mass") @ np.ones(mesh.nv)
 
         def build():
             return sp.bmat([[K, mz[:, None]], [mz[None, :], None]], format="csc")
@@ -194,7 +194,7 @@ def _pinned_kernel(mesh: TetMesh, v: np.ndarray, pins: np.ndarray):
 
 def _residual(mesh: TetMesh, v: np.ndarray, p: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Edge moments of v - grad p - r_h w."""
-    return (v - fem.gradient_map(mesh).mat @ p
+    return (v - fem.gradient_map(mesh) @ p
             - ops.edge_interpolate_rh(NodalVectorField(mesh, w)).values)
 
 
@@ -242,19 +242,10 @@ def _finish(v: EdgeField, p: np.ndarray, w: np.ndarray, path: str,
     return HelmholtzSplit(mesh, pf, wf, R, path, dict(claims), norms, ratios, meta)
 
 
-def _face_masks(mesh: TetMesh, faces: Sequence[CoarseFace]):
-    nm = np.zeros(mesh.nv, dtype=bool)
-    em = np.zeros(mesh.ne, dtype=bool)
-    for f in faces:
-        nm[f.fine_nodes] = True
-        em[f.fine_edges] = True
-    return nm, em
-
-
 def _loop_flux(mesh: TetMesh, v: EdgeField, faces: Sequence[CoarseFace]) -> float:
     """Outward flux of curl v through a face patch (exact Stokes mate of the
     loop average)."""
-    flux = fem.curl_map(mesh).mat @ v.values
+    flux = fem.curl_map(mesh) @ v.values
     tot = 0.0
     for f in faces:
         tot += float((flux[f.fine_faces] * f.outward_sign).sum())
@@ -408,7 +399,7 @@ def _curl_harmonic_split(v: EdgeField, faces: Sequence[CoarseFace],
     and `extra_a`, the second on the complement, the patch boundary curve
     and `extra_b`.  Returns the summed p, w and the curve's node mask."""
     mesh = v.mesh
-    fn, fe = _face_masks(mesh, faces)
+    fn, fe = _fine_closure(mesh, faces, (), ())
     # the complement (boundary minus the patch) and the patch boundary curve
     cn = mesh.boundary_node_mask() & ~fn
     for f in faces:
@@ -781,26 +772,6 @@ def _disjoint_edges_hard(v: EdgeField, edges: Sequence[CoarseEdge]):
 # the dispatcher
 # --------------------------------------------------------------------------
 
-def _group_edges(edges: Sequence[CoarseEdge]) -> list[list[CoarseEdge]]:
-    """Connected unions of coarse edges (shared endpoints)."""
-    groups = []
-    pool = list(edges)
-    while pool:
-        cur = [pool.pop(0)]
-        nodes = set(cur[0].fine_nodes.tolist())
-        changed = True
-        while changed:
-            changed = False
-            for e in list(pool):
-                if nodes & set(e.fine_nodes.tolist()):
-                    cur.append(e)
-                    nodes |= set(e.fine_nodes.tolist())
-                    pool.remove(e)
-                    changed = True
-        groups.append(cur)
-    return groups
-
-
 def _route(v: EdgeField, trace: TraceSet):
     """Route by the trace metadata: face traces through the kernel or the
     chained block construction, edge traces through the loop machinery,
@@ -839,8 +810,10 @@ def _route(v: EdgeField, trace: TraceSet):
         return _pinned_kernel(mesh, v.values, trace.node_mask) + (
             "kernel-multi", claims, {})
 
+    # connected unions of coarse edges (shared endpoints)
+    groups = [[trace.coarse_edges[i] for i in comp]
+              for comp in linked_components([e.fine_nodes for e in trace.coarse_edges])]
     if trace.has_edges() and not trace.has_faces():
-        groups = _group_edges(trace.coarse_edges)
         if len(groups) == 1:
             return _edge_route(v, groups[0])
         if all(len(g) == 1 for g in groups):
@@ -849,7 +822,6 @@ def _route(v: EdgeField, trace: TraceSet):
 
     # mixed faces + edges
     face_trace = _faces_only_trace(trace)
-    groups = _group_edges(trace.coarse_edges)
     if len(groups) == 1:
         return _face_plus_edge(v, face_trace, groups[0])
     singles = [g[0] for g in groups if len(g) == 1]
@@ -1042,9 +1014,10 @@ def _vertex_gate(v: EdgeField, trace: TraceSet):
     nblocks = len(info.complex.blocks)
     kinds, setups, values = [], [], []
     records = []
-    block_faces = {b: [f for f in surf.faces
-                       if np.isin(f.fine_nodes, extract_block(mesh, b).vert_map).all()]
-                   for b in range(nblocks)}
+    # the surface faces of each block depend on the mesh alone
+    block_faces = mesh.cached("block_faces", lambda: [
+        [f for f in surf.faces if np.isin(f.fine_nodes, extract_block(mesh, b).vert_map).all()]
+        for b in range(nblocks)])
     for b in range(nblocks):
         kind = _block_kind(trace, extract_block(mesh, b), v0)
         kinds.append(kind)
@@ -1188,7 +1161,7 @@ def gradient_field(mesh: TetMesh, trace: Optional[TraceSet], seed) -> tuple[Edge
     if trace is not None:
         q[trace.node_mask] = 0.0
     qf = NodalField(mesh, q)
-    return EdgeField(mesh, fem.gradient_map(mesh).mat @ q), qf
+    return EdgeField(mesh, fem.gradient_map(mesh) @ q), qf
 
 
 def _compatibilize(v: EdgeField, trace: TraceSet) -> EdgeField:

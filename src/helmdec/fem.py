@@ -1,10 +1,11 @@
-"""Lowest-order FEM cores: P1 nodal, Whitney edge, RT0 face elements.
+"""Lowest-order FEM cores: P1 nodal and Whitney edge elements.
 
 DOF conventions: nodal values per vertex; edge moments lambda_e(v) =
-int_e v.t ds with the global low-id -> high-id orientation; face fluxes
-with the canonical (ascending vertex triple, right-hand) normal.  Mass and
-stiffness use exact barycentric integral formulas; an independent fixed
-quadrature oracle is provided for cross-checks.
+int_e v.t ds with the global low-id -> high-id orientation; the curl
+incidence gives face fluxes with the canonical (ascending vertex triple,
+right-hand) normal.  Mass and stiffness use exact barycentric integral
+formulas; an independent fixed quadrature oracle is provided for
+cross-checks.
 """
 
 from __future__ import annotations
@@ -16,19 +17,15 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .mesh import TET_EDGES, TetMesh
-from .trace import TraceSet
 
 __all__ = [
     "NodalField",
     "NodalVectorField",
     "EdgeField",
-    "FaceField",
-    "SparseOperator",
     "gradient_map",
     "curl_map",
     "assemble",
     "norm",
-    "restrict_zero",
     "tet_geometry",
     "curl_of_edge_field",
     "curl_of_nodal_field",
@@ -66,46 +63,7 @@ class EdgeField:
         return EdgeField(self.mesh, self.values.copy())
 
 
-@dataclass
-class FaceField:
-    mesh: TetMesh
-    values: np.ndarray  # (nf,)
-
-    def copy(self):
-        return FaceField(self.mesh, self.values.copy())
-
-
-Field = NodalField | NodalVectorField | EdgeField | FaceField
-
-
-@dataclass
-class SparseOperator:
-    """Sparse operator with an asserted symmetry flag."""
-
-    mat: sp.csr_matrix
-    symmetric: bool = False
-
-    @property
-    def shape(self):
-        return self.mat.shape
-
-    def __matmul__(self, x):
-        return self.mat @ x
-
-    def quadratic(self, u, v=None) -> float:
-        v = u if v is None else v
-        return float(u.ravel() @ (self.mat @ v.ravel()))
-
-    def check_symmetry(self, rtol=1e-13) -> bool:
-        d = self.mat - self.mat.T
-        scale = max(abs(self.mat).max(), 1.0)
-        return bool(abs(d).max() <= rtol * scale)
-
-    def to_text(self) -> str:
-        coo = self.mat.tocoo()
-        order = np.lexsort((coo.col, coo.row))
-        lines = [f"{coo.row[k]} {coo.col[k]} {coo.data[k]!r}" for k in order]
-        return "\n".join([f"{self.mat.shape[0]} {self.mat.shape[1]} {len(order)}"] + lines) + "\n"
+Field = NodalField | NodalVectorField | EdgeField
 
 
 # --------------------------------------------------------------------------
@@ -169,7 +127,7 @@ def curl_of_nodal_field(w: NodalVectorField) -> np.ndarray:
 # incidence operators
 # --------------------------------------------------------------------------
 
-def gradient_map(mesh: TetMesh) -> SparseOperator:
+def gradient_map(mesh: TetMesh) -> sp.csr_matrix:
     """Integer incidence Z_h -> V_h: lambda_e(grad p) = p(head) - p(tail)."""
 
     def build():
@@ -177,20 +135,21 @@ def gradient_map(mesh: TetMesh) -> SparseOperator:
         rows = np.repeat(np.arange(ne), 2)
         cols = mesh.edges.ravel()
         data = np.tile(np.array([-1.0, 1.0]), ne)
-        return SparseOperator(sp.csr_matrix((data, (rows, cols)), shape=(ne, mesh.nv)))
+        return sp.csr_matrix((data, (rows, cols)), shape=(ne, mesh.nv))
 
     return mesh.cached("gradient_map", build)
 
 
-def curl_map(mesh: TetMesh) -> SparseOperator:
-    """Integer incidence V_h -> W_h; the face coefficient is the flux of
-    curl v through the face with its canonical normal."""
+def curl_map(mesh: TetMesh) -> sp.csr_matrix:
+    """Integer incidence from edge moments to face fluxes: the face
+    coefficient is the flux of curl v through the face with its canonical
+    normal."""
 
     def build():
         rows = np.repeat(np.arange(mesh.nf), 3)
         data = np.tile(np.array([1.0, 1.0, -1.0]), mesh.nf)  # pairs 01, 12, 02
-        return SparseOperator(sp.csr_matrix(
-            (data, (rows, mesh.face_edges().ravel())), shape=(mesh.nf, mesh.ne)))
+        return sp.csr_matrix(
+            (data, (rows, mesh.face_edges().ravel())), shape=(mesh.nf, mesh.ne))
 
     return mesh.cached("curl_map", build)
 
@@ -226,15 +185,9 @@ def _assemble_nodal(mesh: TetMesh, kind: str, weight) -> sp.csr_matrix:
     return _scatter(rows, cols, loc.reshape(len(t), 16), (mesh.nv, mesh.nv))
 
 
-def _edge_locals(mesh: TetMesh):
-    """Signed local Whitney data shared by V-space assemblies."""
+def _assemble_edge(mesh: TetMesh, kind: str, weight) -> sp.csr_matrix:
     vol, g = tet_geometry(mesh)
     sign = mesh.tet_edge_sign.astype(float)
-    return vol, g, sign
-
-
-def _assemble_edge(mesh: TetMesh, kind: str, weight) -> sp.csr_matrix:
-    vol, g, sign = _edge_locals(mesh)
     w = vol if weight is None else vol * weight
     nt = mesh.nt
     loc = np.zeros((nt, 6, 6))
@@ -259,79 +212,20 @@ def _assemble_edge(mesh: TetMesh, kind: str, weight) -> sp.csr_matrix:
     return _scatter(rows, cols, loc.reshape(nt, 36), (mesh.ne, mesh.ne))
 
 
-def _face_signs(mesh: TetMesh):
-    """sigma[t,f] = +1 iff the canonical normal of local face f points out
-    of tet t."""
+def assemble(mesh: TetMesh, space: str, kind: str, tet_weight=None) -> sp.csr_matrix:
+    """Symmetric mass/stiffness matrix for space in {Z, Z3, V}.
 
-    def build():
-        from .mesh import TET_FACES
-
-        v = mesh.verts
-        t = mesh.tets
-        s = np.empty((mesh.nt, 4), dtype=np.int8)
-        for lf, (a, b, c) in enumerate(TET_FACES):
-            tri = np.sort(t[:, [a, b, c]], axis=1)
-            n = np.cross(v[tri[:, 1]] - v[tri[:, 0]], v[tri[:, 2]] - v[tri[:, 0]])
-            opp = t[:, [k for k in range(4) if k not in (a, b, c)][0]]
-            s[:, lf] = np.where(
-                np.einsum("ij,ij->i", n, v[opp] - v[tri[:, 0]]) < 0, 1, -1
-            )
-        return s
-
-    return mesh.cached("face_signs", build)
-
-
-def _assemble_face(mesh: TetMesh, kind: str, weight) -> sp.csr_matrix:
-    from .mesh import TET_FACES
-
-    vol, g = tet_geometry(mesh)
-    w = vol if weight is None else vol * weight
-    v = mesh.verts
-    t = mesh.tets
-    sigma = _face_signs(mesh).astype(float)
-    nt = mesh.nt
-    if kind == "stiffness":  # div-div form
-        loc = (sigma[:, :, None] * sigma[:, None, :]) / (vol[:, None, None] ** 2)
-        loc *= w[:, None, None]
-    else:
-        # psi_f = sigma_f (x - x_opp) / (3V); expand in barycentric basis
-        opp_idx = [
-            [k for k in range(4) if k not in fc][0] for fc in TET_FACES
-        ]
-        coeff = np.zeros((nt, 4, 4, 3))  # face, bary index, xyz
-        xt = v[t]  # (nt,4,3)
-        for lf in range(4):
-            for a in range(4):
-                coeff[:, lf, a, :] = xt[:, a, :] - xt[:, opp_idx[lf], :]
-        loc = np.einsum("ab,tiad,tjbd->tij", _S4, coeff, coeff)
-        loc *= (sigma[:, :, None] * sigma[:, None, :]) * (
-            w / (9.0 * vol * vol)
-        )[:, None, None]
-    tf = mesh.tet_faces
-    rows = np.repeat(tf, 4, axis=1)
-    cols = np.tile(tf, (1, 4))
-    return _scatter(rows, cols, loc.reshape(nt, 16), (mesh.nf, mesh.nf))
-
-
-def assemble(mesh: TetMesh, space: str, kind: str, tet_weight=None) -> SparseOperator:
-    """Mass/stiffness operator for space in {Z, Z3, V, W}.
-
-    V-stiffness is the curl-curl form, W-stiffness the div-div form.
-    `tet_weight` is an optional per-tet coefficient (not cached).
+    V-stiffness is the curl-curl form.  `tet_weight` is an optional per-tet
+    coefficient (not cached).
     """
-    if space not in ("Z", "Z3", "V", "W") or kind not in ("mass", "stiffness"):
+    if space not in ("Z", "Z3", "V") or kind not in ("mass", "stiffness"):
         raise ValueError(f"unknown assembly {space}/{kind}")
 
     def build():
-        if space in ("Z", "Z3"):
-            m = _assemble_nodal(mesh, kind, tet_weight)
-            if space == "Z3":
-                m = sp.kron(m, sp.eye(3), format="csr")
-        elif space == "V":
-            m = _assemble_edge(mesh, kind, tet_weight)
-        else:
-            m = _assemble_face(mesh, kind, tet_weight)
-        return SparseOperator(m.tocsr(), symmetric=True)
+        if space == "V":
+            return _assemble_edge(mesh, kind, tet_weight)
+        m = _assemble_nodal(mesh, kind, tet_weight)
+        return sp.kron(m, sp.eye(3), format="csr") if space == "Z3" else m
 
     if tet_weight is not None:
         return build()
@@ -348,20 +242,19 @@ def norm(field: Field, which: str) -> float:
     mesh = field.mesh
     x = field.values.ravel()
     if which == "L2":
-        space = {NodalField: "Z", NodalVectorField: "Z3", EdgeField: "V", FaceField: "W"}[
-            type(field)
-        ]
-        q = assemble(mesh, space, "mass").quadratic(x)
-        return float(np.sqrt(max(q, 0.0)))
+        space = {NodalField: "Z", NodalVectorField: "Z3", EdgeField: "V"}[type(field)]
+        M = assemble(mesh, space, "mass")
+        return float(np.sqrt(max(float(x @ (M @ x)), 0.0)))
     if which in ("H1", "H1_semi"):
         if not isinstance(field, (NodalField, NodalVectorField)):
             raise ValueError("H1 norm requires a nodal field")
         space = "Z" if isinstance(field, NodalField) else "Z3"
-        semi = assemble(mesh, space, "stiffness").quadratic(x)
+        K = assemble(mesh, space, "stiffness")
+        semi = float(x @ (K @ x))
         if which == "H1_semi":
             return float(np.sqrt(max(semi, 0.0)))
-        q = assemble(mesh, space, "mass").quadratic(x)
-        return float(np.sqrt(max(semi + q, 0.0)))
+        M = assemble(mesh, space, "mass")
+        return float(np.sqrt(max(semi + float(x @ (M @ x)), 0.0)))
     if which in ("curl", "curl_semi"):
         if not isinstance(field, EdgeField):
             raise ValueError("curl norms require an edge field")
@@ -373,23 +266,9 @@ def norm(field: Field, which: str) -> float:
         semi = float(np.sum(vol * np.einsum("td,td->t", c, c)))
         if which == "curl_semi":
             return float(np.sqrt(semi))
-        q = assemble(mesh, "V", "mass").quadratic(x)
-        return float(np.sqrt(semi + max(q, 0.0)))
+        M = assemble(mesh, "V", "mass")
+        return float(np.sqrt(semi + max(float(x @ (M @ x)), 0.0)))
     raise ValueError(f"unknown norm {which!r}")
-
-
-def restrict_zero(field: Field, trace: TraceSet) -> Field:
-    """Zero the coefficients on the trace entities, exactly."""
-    if field.mesh is not trace.mesh:
-        raise ValueError("field and trace live on different meshes")
-    out = field.copy()
-    if isinstance(field, (NodalField, NodalVectorField)):
-        out.values[trace.node_mask] = 0.0
-    elif isinstance(field, EdgeField):
-        out.values[trace.edge_mask] = 0.0
-    else:
-        out.values[trace.face_mask] = 0.0
-    return out
 
 
 # --------------------------------------------------------------------------

@@ -12,9 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 __all__ = [
     "Brick",
@@ -130,35 +132,19 @@ class BlockComplex:
 
     def validate(self) -> None:
         declared = {(min(i, j), max(i, j)): k for i, j, k in self.junctions}
-        actual = {}
-        n = len(self.blocks)
-        for i in range(n):
-            for j in range(i + 1, n):
-                kind = _block_intersection_kind(self.blocks[i], self.blocks[j])
-                if kind is not None:
-                    actual[(i, j)] = kind
+        actual = {(i, j): k for i, j, k in _auto_junctions(self.blocks)}
         if declared != actual:
             raise GeometryError(
                 f"{self.name}: declared junctions {declared} do not match geometry {actual}"
             )
-        # connectivity of the union
-        if n > 1:
-            adj = {i: set() for i in range(n)}
-            for (i, j) in actual:
-                adj[i].add(j)
-                adj[j].add(i)
-            seen = {0}
-            stack = [0]
-            while stack:
-                for j in adj[stack.pop()]:
-                    if j not in seen:
-                        seen.add(j)
-                        stack.append(j)
-            if len(seen) != n:
-                raise GeometryError(f"{self.name}: block union is not connected")
+        n = len(self.blocks)
+        pairs = np.array(list(actual), dtype=np.int64).reshape(-1, 2)
+        graph = sp.coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(n, n))
+        if connected_components(graph, directed=False)[0] > 1:
+            raise GeometryError(f"{self.name}: block union is not connected")
 
 
-def _auto_junctions(blocks: list[Block]) -> tuple[tuple[int, int, str], ...]:
+def _auto_junctions(blocks: Sequence[Block]) -> tuple[tuple[int, int, str], ...]:
     out = []
     for i in range(len(blocks)):
         for j in range(i + 1, len(blocks)):

@@ -59,8 +59,8 @@ def assemble_problem(problem: ModelProblem) -> CurlSystem:
     mesh = problem.mesh
     aw = problem.alpha[mesh.block_of_tet]
     bw = problem.beta[mesh.block_of_tet]
-    K = fem.assemble(mesh, "V", "stiffness", tet_weight=aw).mat
-    M = fem.assemble(mesh, "V", "mass", tet_weight=bw).mat
+    K = fem.assemble(mesh, "V", "stiffness", tet_weight=aw)
+    M = fem.assemble(mesh, "V", "mass", tet_weight=bw)
     A = (K + M).tocsr()
     if problem.trace is not None:
         free_e = np.nonzero(~problem.trace.edge_mask)[0]
@@ -92,7 +92,7 @@ class HXPreconditioner:
         self._diag = sys.A.diagonal()
         if np.any(self._diag <= 0):
             raise ValueError("system diagonal is not positive")
-        G = fem.gradient_map(mesh).mat
+        G = fem.gradient_map(mesh)
         self._G = G[sys.free_edges][:, sys.free_nodes].tocsr()
         P = ops.rh_matrix(mesh)
         cols = np.concatenate([3 * sys.free_nodes + c for c in range(3)])
@@ -118,6 +118,7 @@ class PCGResult:
     iterations: int
     converged: bool
     residuals: list  # preconditioned residual norms, relative to the first
+    true_residual: float  # ||b - A x|| / ||b|| at exit
 
     @property
     def final_residual(self) -> float:
@@ -127,9 +128,15 @@ class PCGResult:
 def pcg_solve(system: CurlSystem, preconditioner=None, tol: float = 1e-8,
               maxit: int = 2000, x0: Optional[np.ndarray] = None,
               callback=None) -> PCGResult:
-    """Preconditioned conjugate gradients on the free-DOF system; stops at
-    a relative preconditioned residual below tol.  Reaching maxit is a
-    typed outcome (converged=False), not an exception."""
+    """Preconditioned conjugate gradients on the free-DOF system.
+
+    The stopping norm is the preconditioned one: the iteration stops once
+    sqrt(r.Br), relative to its initial value, is below tol (B the
+    preconditioner).  The true relative residual ||b - A x|| / ||b|| can
+    differ from it by the conditioning of B; it is computed once at exit
+    and reported as `true_residual`.  Reaching maxit, and a breakdown
+    d.Ad <= 0 of a system that is not SPD, are typed outcomes
+    (converged=False), not exceptions."""
     A = system.A
     b = system.b
     apply_m = preconditioner if preconditioner is not None else (lambda r: r)
@@ -139,13 +146,22 @@ def pcg_solve(system: CurlSystem, preconditioner=None, tol: float = 1e-8,
     rz = float(r @ z)
     base = np.sqrt(abs(rz)) if rz != 0 else 0.0
     history = [1.0 if base > 0 else 0.0]
+
+    def result(it, converged):
+        bn = float(np.linalg.norm(b))
+        rn = float(np.linalg.norm(b - A @ x))
+        return PCGResult(x, it, converged, history, rn / bn if bn > 0 else rn)
+
     if base == 0.0:
-        return PCGResult(x, 0, True, history)
+        return result(0, True)
     d = z.copy()
     it = 0
     while it < maxit:
         Ad = A @ d
-        alpha = rz / float(d @ Ad)
+        dAd = float(d @ Ad)
+        if dAd <= 0.0:
+            return result(it, False)
+        alpha = rz / dAd
         x += alpha * d
         r -= alpha * Ad
         z = apply_m(r)
@@ -156,7 +172,7 @@ def pcg_solve(system: CurlSystem, preconditioner=None, tol: float = 1e-8,
         if callback is not None:
             callback(x.copy())
         if rel <= tol:
-            return PCGResult(x, it, True, history)
+            return result(it, True)
         d = z + (rz_new / rz) * d
         rz = rz_new
-    return PCGResult(x, it, False, history)
+    return result(it, False)

@@ -61,7 +61,7 @@ class TetMesh:
     """Conforming tetrahedral mesh with full entity enumeration.
 
     vertices are `verts_int / denom` in block units; `h` is the dyadic grid
-    spacing 1/2^level (`max_edge` is the realized max edge length).  Edges
+    spacing 1/2^level (`edge_lengths` gives the realized ones).  Edges
     are globally oriented low id -> high id.
     """
 
@@ -167,10 +167,6 @@ class TetMesh:
     def edge_lengths(self) -> np.ndarray:
         return self.cached("edge_lengths",
                            lambda: np.linalg.norm(self.edge_vectors(), axis=1))
-
-    @property
-    def max_edge(self) -> float:
-        return float(self.edge_lengths().max())
 
     def quasi_uniformity_ratio(self) -> float:
         ln = self.edge_lengths()
@@ -418,30 +414,34 @@ def _parse(convert, text: str, where: str):
 def read_mesh(stream) -> tuple[TetMesh, list[str]]:
     """Parse the `write_mesh` format.  Input that does not describe one
     whole mesh (bad header or counts, a missing, duplicate or out-of-range
-    vertex or tet) raises a ValueError naming the line or entity."""
-    header = stream.readline().split()
+    vertex or tet) raises a ValueError naming the line or entity.  `#`
+    comment lines before the header are skipped."""
+    line, hl = stream.readline(), 1
+    while line.startswith("#"):
+        line, hl = stream.readline(), hl + 1
+    header = line.split()
     if not header or header[0] != "helmdec-mesh":
         raise ValueError("not a helmdec mesh file")
     if (len(header) != 5 or header[1] != "1" or not header[3].startswith("level=")
             or not header[4].startswith("denom=")):
-        raise ValueError(f"line 1: malformed header {' '.join(header)!r}")
+        raise ValueError(f"line {hl}: malformed header {' '.join(header)!r}")
     name = header[2]
-    level = _parse(int, header[3][6:], "line 1")
-    denom = _parse(int, header[4][6:], "line 1")
+    level = _parse(int, header[3][6:], f"line {hl}")
+    denom = _parse(int, header[4][6:], f"line {hl}")
     if level < 0 or denom != 1 << level:
-        raise ValueError(f"line 1: denom={denom} is not 2^level with level={level}")
+        raise ValueError(f"line {hl}: denom={denom} is not 2^level with level={level}")
     counts = stream.readline().split()
     if len(counts) != 6 or counts[0] != "counts":
-        raise ValueError(f"line 2: malformed counts {' '.join(counts)!r}")
-    nv, nt, ne, nf = (_parse(int, x, "line 2") for x in counts[1:5])
+        raise ValueError(f"line {hl + 1}: malformed counts {' '.join(counts)!r}")
+    nv, nt, ne, nf = (_parse(int, x, f"line {hl + 1}") for x in counts[1:5])
     if min(nv, nt, ne, nf) < 1:
-        raise ValueError(f"line 2: counts must be positive, got {counts[1:5]}")
+        raise ValueError(f"line {hl + 1}: counts must be positive, got {counts[1:5]}")
     verts = np.zeros((nv, 3), dtype=np.int64)
     tets = np.zeros((nt, 4), dtype=np.int64)
     block = np.zeros(nt, dtype=np.int64)
     seen = {"v": np.zeros(nv, dtype=bool), "t": np.zeros(nt, dtype=bool)}
     tags = []
-    for ln, line in enumerate(stream, start=3):
+    for ln, line in enumerate(stream, start=hl + 2):
         parts = line.split()
         if not parts:
             continue
@@ -476,7 +476,7 @@ def read_mesh(stream) -> tuple[TetMesh, list[str]]:
                              f"{len(seen[kind])} {kind} lines absent")
     mesh = TetMesh(name, verts, denom, tets, block, level)
     if (mesh.ne, mesh.nf) != (ne, nf):
-        raise ValueError(f"line 2: counts give ne={ne} nf={nf}, the tets "
+        raise ValueError(f"line {hl + 1}: counts give ne={ne} nf={nf}, the tets "
                          f"give ne={mesh.ne} nf={mesh.nf}")
     return mesh, tags
 

@@ -1,10 +1,9 @@
 """Transfer and extension operators used by the decomposition routes.
 
-Covers: the edge-moment interpolation onto the edge element space, a
-Scott-Zhang quasi-interpolation preserving zero traces, the graph-distance
-cut-off, discrete harmonic and curl-harmonic extensions, and the
-boundary-loop calculus (loop averages, cumulative potentials, constant
-extensions and the piecewise-constant loop correction).
+Covers: the edge-moment interpolation onto the edge element space, the
+graph-distance cut-off, discrete harmonic and curl-harmonic extensions,
+and the boundary-loop calculus (loop averages, cumulative potentials,
+constant extensions and the piecewise-constant loop correction).
 """
 
 from __future__ import annotations
@@ -19,13 +18,12 @@ from scipy.sparse.csgraph import breadth_first_order
 from . import fem
 from .fem import EdgeField, NodalField, NodalVectorField, cached_solver
 from .mesh import TetMesh
-from .trace import CoarseEdge, CoarseFace, TraceSet
+from .trace import CoarseEdge, CoarseFace
 
 __all__ = [
     "PreconditionError",
     "edge_interpolate_rh",
     "rh_matrix",
-    "scott_zhang",
     "graph_cutoff",
     "harmonic_extend",
     "curl_harmonic_extend",
@@ -79,52 +77,6 @@ def rh_matrix(mesh: TetMesh) -> sp.csr_matrix:
 
 
 # --------------------------------------------------------------------------
-# Scott-Zhang quasi-interpolation
-# --------------------------------------------------------------------------
-
-_TRI_QP = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
-_TRI_QW = np.full(3, 1.0 / 3.0)
-
-
-def scott_zhang(f, mesh: TetMesh, trace: Optional[TraceSet] = None) -> NodalVectorField:
-    """Nodal quasi-interpolation by dual-basis averages over one selection
-    entity per node; nodes on the trace average over a fine face inside the
-    trace, so zero trace data is preserved exactly.  Reproduces continuous
-    piecewise-linear fields.  `f` is a callable points (m,3) -> (m,3).
-    """
-    gamma_nodes = trace.node_mask if trace is not None else np.zeros(mesh.nv, dtype=bool)
-    values = np.zeros((mesh.nv, 3))
-    verts = mesh.verts
-    # selection: lowest trace face for trace nodes, else lowest incident tet
-    sel_face = np.full(mesh.nv, -1, dtype=np.int64)
-    if trace is not None:
-        for fid in np.nonzero(trace.face_mask)[0][::-1]:
-            sel_face[mesh.faces[fid]] = fid
-    sel_tet = np.full(mesh.nv, -1, dtype=np.int64)
-    for t in range(mesh.nt - 1, -1, -1):
-        sel_tet[mesh.tets[t]] = t
-    for n in range(mesh.nv):
-        if gamma_nodes[n] and sel_face[n] >= 0:
-            tri = mesh.faces[sel_face[n]]
-            loc = int(np.nonzero(tri == n)[0][0])
-            pts = _TRI_QP @ verts[tri]
-            fv = np.asarray(f(pts))
-            # P1 dual basis on a triangle: psi_i = (12 lam_i - 3)/|sigma|
-            psi = (12.0 * _TRI_QP[:, loc] - 3.0)
-            values[n] = np.einsum("q,qc->c", _TRI_QW * psi, fv)
-        else:
-            t = sel_tet[n]
-            tet = mesh.tets[t]
-            loc = int(np.nonzero(tet == n)[0][0])
-            pts = fem._QPTS @ verts[tet]
-            fv = np.asarray(f(pts))
-            psi = 20.0 * fem._QPTS[:, loc] - 4.0
-            values[n] = np.einsum("q,qc->c", fem._QW * psi, fv)
-    values[gamma_nodes & (sel_face < 0)] = 0.0
-    return NodalVectorField(mesh, values)
-
-
-# --------------------------------------------------------------------------
 # graph-distance cut-off
 # --------------------------------------------------------------------------
 
@@ -169,7 +121,7 @@ def harmonic_extend(mesh: TetMesh, boundary_values: np.ndarray) -> NodalField:
     out[bn] = boundary_values[bn]
     if len(iidx) == 0:
         return NodalField(mesh, out)
-    K = fem.assemble(mesh, "Z", "stiffness").mat
+    K = fem.assemble(mesh, "Z", "stiffness")
     rhs = -K[iidx][:, np.nonzero(bn)[0]] @ out[bn]
     out[iidx] = _interior_poisson(mesh, iidx).solve(rhs)
     return NodalField(mesh, out)
@@ -181,7 +133,7 @@ def _interior_poisson(mesh: TetMesh, iidx: np.ndarray):
     extensions."""
     return cached_solver(
         mesh, ("harm", "interior"),
-        lambda: fem.assemble(mesh, "Z", "stiffness").mat[iidx][:, iidx],
+        lambda: fem.assemble(mesh, "Z", "stiffness")[iidx][:, iidx],
     )
 
 
@@ -237,9 +189,9 @@ def _cotree_gauge(mesh: TetMesh) -> _CotreeGauge:
         on_cotree = np.ones(len(ie), dtype=bool)
         on_cotree[tree] = False
         cotree = ie[on_cotree]
-        K = fem.assemble(mesh, "V", "stiffness").mat
-        M = fem.assemble(mesh, "V", "mass").mat
-        Gi = fem.gradient_map(mesh).mat[ie][:, inodes].tocsr()
+        K = fem.assemble(mesh, "V", "stiffness")
+        M = fem.assemble(mesh, "V", "mass")
+        Gi = fem.gradient_map(mesh)[ie][:, inodes].tocsr()
         return _CotreeGauge(ie, bidx, inodes, cotree, K[cotree][:, bidx],
                             Gi, (Gi.T @ M[ie]).tocsr())
 
@@ -276,7 +228,7 @@ def curl_harmonic_extend(mesh: TetMesh, boundary_moments: np.ndarray) -> EdgeFie
     if len(gauge.cotree):
         solver = cached_solver(
             mesh, ("curlharm", "cotree"),
-            lambda: fem.assemble(mesh, "V", "stiffness").mat[gauge.cotree][:, gauge.cotree],
+            lambda: fem.assemble(mesh, "V", "stiffness")[gauge.cotree][:, gauge.cotree],
             spd=True,
         )
         out[gauge.cotree] = solver.solve(-(gauge.Kcb @ out[gauge.bidx]))

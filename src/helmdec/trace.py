@@ -16,6 +16,8 @@ from fractions import Fraction
 from math import gcd
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from .geometry import CATALOG, GeometryInfo, catalog_info
 from .mesh import TetMesh
@@ -34,6 +36,7 @@ __all__ = [
     "TraceSet",
     "tag_trace",
     "check_assumption31",
+    "linked_components",
     "TraceError",
 ]
 
@@ -174,23 +177,26 @@ def _edge_name(mesh: TetMesh, nodes: np.ndarray) -> str:
     return f"e:{fmt(p0)}-{fmt(p1)}"
 
 
-def _connected_components(items: list[int], adjacency) -> list[list[int]]:
-    seen = set()
-    comps = []
-    for start in items:
-        if start in seen:
-            continue
-        comp = [start]
-        seen.add(start)
-        stack = [start]
-        while stack:
-            for nb in adjacency(stack.pop()):
-                if nb not in seen:
-                    seen.add(nb)
-                    comp.append(nb)
-                    stack.append(nb)
-        comps.append(sorted(comp))
-    return comps
+def linked_components(keysets) -> list[np.ndarray]:
+    """Connected components of items linked by common keys: item i holds the
+    integer keys keysets[i] (a sequence of 1-D arrays, or the rows of a 2-D
+    array).  Each component is the ascending array of its item indices; the
+    components come in the order of their smallest items."""
+    n = len(keysets)
+    # a csgraph call costs ~0.2 ms whatever its size, and routes rebuild
+    # single-entity traces on every call
+    if n <= 1:
+        return [np.arange(n)] if n else []
+    owner = np.repeat(np.arange(n), [len(k) for k in keysets])
+    keys, key = np.unique(np.concatenate(keysets), return_inverse=True)
+    m = n + len(keys)
+    # bipartite item-key graph: two items share a component iff a chain of
+    # common keys joins them
+    graph = sp.coo_matrix((np.ones(len(owner)), (owner, n + key)), shape=(m, m))
+    label = connected_components(graph, directed=False)[1][:n]
+    order = np.argsort(label, kind="stable")
+    comps = np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
+    return sorted(comps, key=lambda c: c[0])
 
 
 def surface(mesh: TetMesh) -> Surface:
@@ -206,44 +212,32 @@ def _build_surface(mesh: TetMesh) -> Surface:
 
     face_edge_ids = mesh.face_edges()[bfids]
 
-    # group boundary faces by oriented plane key, then by edge connectivity
-    groups: dict[tuple, list[int]] = {}
-    for k, key in enumerate(keys):
-        groups.setdefault(key, []).append(k)
-
+    # boundary faces linked by a common edge on a common oriented plane,
+    # taken in plane-key order
+    rank = {key: i for i, key in enumerate(sorted(set(keys)))}
+    pid = np.array([rank[key] for key in keys], dtype=np.int64)
     faces: list[CoarseFace] = []
     named: dict[str, list[CoarseFace]] = {}
-    for key in sorted(groups, key=lambda p: (p[0], p[1])):
-        members = groups[key]
-        edge_to_faces: dict[int, list[int]] = {}
-        for k in members:
-            for e in face_edge_ids[k]:
-                edge_to_faces.setdefault(int(e), []).append(k)
-
-        def adj(k):
-            out = []
-            for e in face_edge_ids[k]:
-                out.extend(edge_to_faces[int(e)])
-            return out
-
-        for comp in _connected_components(members, adj):
-            ffaces = bfids[comp]
-            fedges = np.unique(face_edge_ids[comp].ravel())
-            fnodes = np.unique(mesh.faces[ffaces].ravel())
-            bedges = mesh.patch_boundary(ffaces)
-            concave = (_canon_sign(key[0]), key[1] if key[0] == _canon_sign(key[0]) else -key[1]) in interior_planes
-            cf = CoarseFace(
-                id=-1,
-                name=_face_name(key, mesh.denom),
-                plane=key,
-                fine_faces=ffaces,
-                fine_edges=fedges,
-                fine_nodes=fnodes,
-                boundary_edges=bedges,
-                concave=concave,
-                outward_sign=np.ones(len(ffaces), dtype=np.int8),
-            )
-            named.setdefault(cf.name, []).append(cf)
+    patches = linked_components(pid[:, None] * mesh.ne + face_edge_ids)
+    for comp in sorted(patches, key=lambda c: pid[c[0]]):
+        key = keys[comp[0]]
+        ffaces = bfids[comp]
+        fedges = np.unique(face_edge_ids[comp].ravel())
+        fnodes = np.unique(mesh.faces[ffaces].ravel())
+        bedges = mesh.patch_boundary(ffaces)
+        concave = (_canon_sign(key[0]), key[1] if key[0] == _canon_sign(key[0]) else -key[1]) in interior_planes
+        cf = CoarseFace(
+            id=-1,
+            name=_face_name(key, mesh.denom),
+            plane=key,
+            fine_faces=ffaces,
+            fine_edges=fedges,
+            fine_nodes=fnodes,
+            boundary_edges=bedges,
+            concave=concave,
+            outward_sign=np.ones(len(ffaces), dtype=np.int8),
+        )
+        named.setdefault(cf.name, []).append(cf)
 
     for name in sorted(named):
         group = named[name]
@@ -269,48 +263,39 @@ def _build_surface(mesh: TetMesh) -> Surface:
     for k, key in enumerate(keys):
         for e in face_edge_ids[k]:
             edge_planes.setdefault(int(e), set()).add(key)
-    crease = sorted(e for e, ps in edge_planes.items() if len(ps) >= 2)
+    crease = np.array(sorted(e for e, ps in edge_planes.items() if len(ps) >= 2),
+                      dtype=np.int64)
 
-    # chains split where the incident boundary planes change: collinear
-    # crease edges of different dihedral structure (e.g. two blocks meeting
-    # at a junction vertex) stay distinct coarse edges
-    line_groups: dict[tuple, list[int]] = {}
+    # crease edges linked by a common node on a common line key; chains
+    # split where the incident boundary planes change: collinear crease
+    # edges of different dihedral structure (e.g. two blocks meeting at a
+    # junction vertex) stay distinct coarse edges
+    lines = []
     for e in crease:
         a, b = mesh.edges[e]
         d = _canon_sign(_reduce_vec(v[b] - v[a]))
         m = tuple(int(x) for x in np.cross(v[a], np.array(d, dtype=np.int64)))
-        planes = tuple(sorted(edge_planes[e]))
-        line_groups.setdefault((d, m, planes), []).append(e)
+        lines.append((d, m, tuple(sorted(edge_planes[e]))))
+    rank = {key: i for i, key in enumerate(sorted(set(lines)))}
+    lid = np.array([rank[key] for key in lines], dtype=np.int64)
 
     edges: list[CoarseEdge] = []
-    for key in sorted(line_groups):
-        members = line_groups[key]
-        node_to_edges: dict[int, list[int]] = {}
-        for e in members:
-            for nd in mesh.edges[e]:
-                node_to_edges.setdefault(int(nd), []).append(e)
-
-        def eadj(e):
-            out = []
-            for nd in mesh.edges[e]:
-                out.extend(node_to_edges[int(nd)])
-            return out
-
-        d = np.array(key[0], dtype=np.int64)
-        for comp in _connected_components(members, eadj):
-            nodes = np.unique(mesh.edges[comp].ravel())
-            order = np.argsort(v[nodes] @ d, kind="stable")
-            nodes = nodes[order]
-            fe = np.array(sorted(comp, key=lambda e: int(v[mesh.edges[e]].min(axis=0) @ d)))
-            edges.append(
-                CoarseEdge(
-                    id=-1,
-                    name=_edge_name(mesh, nodes),
-                    fine_edges=fe,
-                    fine_nodes=nodes,
-                    endpoints=(int(nodes[0]), int(nodes[-1])),
-                )
+    chains = linked_components(lid[:, None] * mesh.nv + mesh.edges[crease])
+    for comp in sorted(chains, key=lambda c: lid[c[0]]):
+        d = np.array(lines[comp[0]][0], dtype=np.int64)
+        fe = crease[comp]
+        nodes = np.unique(mesh.edges[fe].ravel())
+        nodes = nodes[np.argsort(v[nodes] @ d, kind="stable")]
+        fe = np.array(sorted(fe, key=lambda e: int(v[mesh.edges[e]].min(axis=0) @ d)))
+        edges.append(
+            CoarseEdge(
+                id=-1,
+                name=_edge_name(mesh, nodes),
+                fine_edges=fe,
+                fine_nodes=nodes,
+                endpoints=(int(nodes[0]), int(nodes[-1])),
             )
+        )
     by_name: dict[str, list[CoarseEdge]] = {}
     for e in edges:
         by_name.setdefault(e.name, []).append(e)
@@ -358,7 +343,6 @@ class TraceSet:
     vertex_nodes: list[int]
     node_mask: np.ndarray
     edge_mask: np.ndarray
-    face_mask: np.ndarray
     components: list[dict] = field(default_factory=list)
     contains_concave: bool = False
 
@@ -374,10 +358,6 @@ class TraceSet:
     def lipschitz(self) -> bool:
         return all(c["lipschitz"] for c in self.components)
 
-    @property
-    def isolated_vertex_union(self) -> bool:
-        return any(not c["lipschitz"] for c in self.components)
-
     def has_faces(self) -> bool:
         return bool(self.coarse_faces)
 
@@ -386,11 +366,10 @@ class TraceSet:
 
 
 def _fine_closure(mesh: TetMesh, faces, edges, vnodes):
+    """Node and edge masks of the union of the given coarse entities."""
     nmask = np.zeros(mesh.nv, dtype=bool)
     emask = np.zeros(mesh.ne, dtype=bool)
-    fmask = np.zeros(mesh.nf, dtype=bool)
     for f in faces:
-        fmask[f.fine_faces] = True
         emask[f.fine_edges] = True
         nmask[f.fine_nodes] = True
     for e in edges:
@@ -398,7 +377,7 @@ def _fine_closure(mesh: TetMesh, faces, edges, vnodes):
         nmask[e.fine_nodes] = True
     for nd in vnodes:
         nmask[nd] = True
-    return nmask, emask, fmask
+    return nmask, emask
 
 
 def trace_from_fine(mesh: TetMesh, node_mask: np.ndarray, edge_mask: np.ndarray) -> TraceSet:
@@ -462,23 +441,12 @@ def tag_trace(mesh: TetMesh, spec) -> TraceSet:
 
 
 def _assemble_trace(mesh, faces, edges, vnodes, spec) -> "TraceSet":
-    nmask, emask, fmask = _fine_closure(mesh, faces, edges, vnodes)
+    nmask, emask = _fine_closure(mesh, faces, edges, vnodes)
 
     # connected components over tagged coarse entities via shared fine nodes
     ents = [("f", f) for f in faces] + [("e", e) for e in edges] + [("v", n) for n in vnodes]
-    nodesets = []
-    for kind, ent in ents:
-        if kind == "f":
-            nodesets.append(set(ent.fine_nodes.tolist()))
-        elif kind == "e":
-            nodesets.append(set(ent.fine_nodes.tolist()))
-        else:
-            nodesets.append({ent})
-
-    def adj(i):
-        return [j for j in range(len(ents)) if j != i and nodesets[i] & nodesets[j]]
-
-    comps = _connected_components(list(range(len(ents))), adj)
+    comps = linked_components([f.fine_nodes for f in faces] + [e.fine_nodes for e in edges]
+                              + [[n] for n in vnodes])
     components = []
     for comp in comps:
         cf = [ents[i][1] for i in comp if ents[i][0] == "f"]
@@ -486,15 +454,7 @@ def _assemble_trace(mesh, faces, edges, vnodes, spec) -> "TraceSet":
         cv = [ents[i][1] for i in comp if ents[i][0] == "v"]
         # Lipschitz: the faces of the component are connected through shared
         # coarse-face *edges*; false iff two faces meet only at a vertex.
-        lip = True
-        if len(cf) > 1:
-            esets = [set(f.fine_edges.tolist()) for f in cf]
-
-            def fadj(i):
-                return [j for j in range(len(cf)) if j != i and esets[i] & esets[j]]
-
-            sub = _connected_components(list(range(len(cf))), fadj)
-            lip = len(sub) == 1
+        lip = len(linked_components([f.fine_edges for f in cf])) <= 1
         components.append(
             {
                 "faces": cf,
@@ -514,7 +474,6 @@ def _assemble_trace(mesh, faces, edges, vnodes, spec) -> "TraceSet":
         vertex_nodes=vnodes,
         node_mask=nmask,
         edge_mask=emask,
-        face_mask=fmask,
         components=components,
         contains_concave=bool(concave_all) and concave_all <= {f.id for f in faces},
     )

@@ -35,8 +35,7 @@ def test_mesh_roundtrip(tmp_path):
     cfg = write_cfg(tmp_path, BASE)
     assert run("mesh", cfg, tmp_path / "m") == 0
     text = (tmp_path / "m" / "unit_cube_L2.mesh.txt").read_text()
-    buf = io.StringIO(text[text.index("helmdec-mesh"):])
-    mesh, tags = read_mesh(buf)
+    mesh, tags = read_mesh(io.StringIO(text))
     ref = build_complex("unit_cube", 0.25)
     assert (mesh.nv, mesh.ne, mesh.nf, mesh.nt) == (ref.nv, ref.ne, ref.nf, ref.nt)
     assert tags == ["z=0"]
@@ -48,8 +47,7 @@ def test_mesh_three_cube_reimport(tmp_path):
                     .replace("trace = z=0", "trace = concave"))
     assert run("mesh", cfg, tmp_path / "m") == 0
     text = (tmp_path / "m" / "three_cube_L_L1.mesh.txt").read_text()
-    buf = io.StringIO(text[text.index("helmdec-mesh"):])
-    mesh, _ = read_mesh(buf)
+    mesh, _ = read_mesh(io.StringIO(text))
     ref = build_complex("three_cube_L", 0.5)
     assert (mesh.nv, mesh.nt) == (ref.nv, ref.nt)
 

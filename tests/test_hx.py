@@ -33,7 +33,7 @@ def test_jump_scales_block_entries_linearly(lshape4):
         lshape4, np.array([1e6, 1.0, 1.0]), np.array([1.0, 1.0, 1.0]), t,
         fem.EdgeField(lshape4, np.zeros(lshape4.ne))))
     K1 = fem.assemble(lshape4, "V", "stiffness",
-                      tet_weight=(lshape4.block_of_tet == 0).astype(float)).mat
+                      tet_weight=(lshape4.block_of_tet == 0).astype(float))
     free = base.free_edges
     diff = (big.A - base.A) - (1e6 - 1.0) * K1[free][:, free]
     assert abs(diff).max() < 1e-6  # relative to 1e6-scaled entries
@@ -105,6 +105,23 @@ def test_maxit_is_typed_outcome(cube4):
     assert res.iterations == 2
 
 
+def test_true_residual_is_recomputed(lshape4):
+    sysm = make_system(lshape4, [1e6, 1.0, 1.0], [1.0, 1.0, 1.0], seed=6)
+    pre = hx.HXPreconditioner(sysm)
+    for res in (hx.pcg_solve(sysm, pre, tol=1e-8), hx.pcg_solve(sysm, None, maxit=5)):
+        ref = np.linalg.norm(sysm.b - sysm.A @ res.x) / np.linalg.norm(sysm.b)
+        assert res.true_residual == pytest.approx(ref, rel=1e-12)
+
+
+def test_indefinite_system_is_typed_breakdown():
+    A = sp.csr_matrix(np.diag([1.0, -1.0]))
+    for b in ([1.0, 1.0], [1.0, 2.0]):  # zero, then negative curvature d.Ad
+        sysm = hx.CurlSystem(None, A, np.arange(2), np.arange(0), np.array(b))
+        res = hx.pcg_solve(sysm, None)
+        assert not res.converged and res.iterations == 0
+        assert res.true_residual == 1.0
+
+
 def test_jump_sweep_converges(lshape4):
     for a in (1.0, 1e2, 1e4, 1e6):
         sysm = make_system(lshape4, [a, 1.0, 1.0], [1.0, 1.0, 1.0], seed=5)
@@ -120,7 +137,7 @@ def test_gradient_rhs_solve_residual(cube4):
     rng = np.random.default_rng(8)
     q = rng.uniform(-1, 1, cube4.nv)
     q[t.node_mask] = 0.0
-    rhs = fem.EdgeField(cube4, fem.gradient_map(cube4).mat @ q)
+    rhs = fem.EdgeField(cube4, fem.gradient_map(cube4) @ q)
     prob = hx.ModelProblem(cube4, np.array([1e6]), np.array([1.0]), t, rhs)
     sysm = hx.assemble_problem(prob)
     pre = hx.HXPreconditioner(sysm)

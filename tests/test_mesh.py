@@ -222,7 +222,9 @@ def _bad_tet_index(text):
     (lambda t: _drop_line(t, "v "), r"vertex \d+ missing"),
     (lambda t: _drop_line(t, "t "), r"tet \d+ missing"),
     (_bad_tet_index, r"line \d+: tet 0 has a vertex id outside"),
-], ids=["missing-vertex", "missing-tet", "tet-index-out-of-range"])
+    # comment lines before the header are skipped and counted
+    (lambda t: "# a\n# b\n" + t.replace("counts", "count", 1), r"line 4: malformed counts"),
+], ids=["missing-vertex", "missing-tet", "tet-index-out-of-range", "commented-bad-counts"])
 def test_read_mesh_rejects_bad_files(corrupt, message):
     buf = io.StringIO()
     write_mesh(build_complex("unit_cube", 0.5), buf)

@@ -22,7 +22,6 @@ def test_pyramid_isolated_vertex(pyramid4):
     t = tag_trace(pyramid4, ["lat:x-", "lat:x+"])
     assert t.J == 1
     assert not t.lipschitz
-    assert t.isolated_vertex_union
 
 
 def test_adjacent_faces_are_lipschitz(cube4):
@@ -134,6 +133,46 @@ def _reference_interior_plane_set(mesh):
     return out
 
 
+# the hand-rolled walk the entity groupings were once computed with: depth
+# first over items sharing a key, components in the order of their first item
+def _reference_linked_components(keysets):
+    holders = {}
+    for i, ks in enumerate(keysets):
+        for k in np.ravel(ks).tolist():
+            holders.setdefault(k, []).append(i)
+    seen, comps = set(), []
+    for start in range(len(keysets)):
+        if start in seen:
+            continue
+        comp, stack = [start], [start]
+        seen.add(start)
+        while stack:
+            for k in np.ravel(keysets[stack.pop()]).tolist():
+                for j in holders[k]:
+                    if j not in seen:
+                        seen.add(j)
+                        comp.append(j)
+                        stack.append(j)
+        comps.append(np.array(sorted(comp), dtype=np.int64))
+    return comps
+
+
+def _trace_specs(surf):
+    faces = [f.name for f in surf.faces]
+    pairs = [[a, b] for i, a in enumerate(faces) for b in faces[i + 1:]]
+    return ([["boundary"], [e.name for e in surf.edges], list(surf.vertices)]
+            + [[f] for f in faces] + pairs)
+
+
+def _components(mesh, specs):
+    out = []
+    for spec in specs:
+        t = tag_trace(mesh, spec)
+        out.append([([f.name for f in c["faces"]], [e.name for e in c["edges"]],
+                     c["vertices"], c["lipschitz"]) for c in t.components])
+    return out
+
+
 @pytest.mark.parametrize("geometry", catalog_names(include_internal=True))
 def test_plane_keys_match_reference_loop(geometry, monkeypatch):
     for h in (0.5, 0.25, 0.125):
@@ -143,12 +182,22 @@ def test_plane_keys_match_reference_loop(geometry, monkeypatch):
             _reference_face_plane_keys(mesh, bfids)
         assert trace_mod._interior_plane_set(mesh) == _reference_interior_plane_set(mesh)
         new = surface(mesh)
+        specs = _trace_specs(new)
+        new_components = _components(mesh, specs)
         mesh._cache.pop("surface")
         with monkeypatch.context() as mp:
             mp.setattr(trace_mod, "_face_plane_keys", _reference_face_plane_keys)
             mp.setattr(trace_mod, "_interior_plane_set", _reference_interior_plane_set)
+            mp.setattr(trace_mod, "linked_components", _reference_linked_components)
             old = surface(mesh)
+            assert _components(mesh, specs) == new_components
         assert [f.name for f in new.faces] == [f.name for f in old.faces]
         assert [f.concave for f in new.faces] == [f.concave for f in old.faces]
         for a, b in zip(new.faces, old.faces):
+            assert a.id == b.id
             assert np.array_equal(a.fine_faces, b.fine_faces)
+            assert np.array_equal(a.boundary_edges, b.boundary_edges)
+        assert [e.name for e in new.edges] == [e.name for e in old.edges]
+        for a, b in zip(new.edges, old.edges):
+            assert np.array_equal(a.fine_edges, b.fine_edges)
+            assert np.array_equal(a.fine_nodes, b.fine_nodes)

@@ -76,7 +76,7 @@ def test_trace_probe_gradient_data():
     # gradient tangential data has a curl-free extension
     mesh = build_complex("unit_cube", 0.25)
     rng = np.random.default_rng(9)
-    gv = fem.EdgeField(mesh, fem.gradient_map(mesh).mat @ rng.uniform(-1, 1, mesh.nv))
+    gv = fem.EdgeField(mesh, fem.gradient_map(mesh) @ rng.uniform(-1, 1, mesh.nv))
     be = mesh.boundary_edge_mask()
     data = np.zeros(mesh.ne)
     data[be] = gv.values[be]
