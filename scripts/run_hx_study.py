@@ -43,7 +43,7 @@ def solve_one(geometry, k, alpha_first, seed, tol):
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="results/hx_study.json")
-    ap.add_argument("--levels", default="2,3,4")
+    ap.add_argument("--levels", default="2,3,4,5")
     ap.add_argument("--jumps", default="1,100,10000,1000000")
     ap.add_argument("--seed", type=int, default=20260810)
     ap.add_argument("--tol", type=float, default=1e-8)

@@ -3,9 +3,13 @@ auxiliary-space preconditioner built from the decomposition transfers.
 
 The bilinear form is (alpha curl u, curl v) + (beta u, v) with essential
 tangential data on the trace.  The preconditioner combines a point Jacobi
-smoother with exact solves of the two Galerkin auxiliary problems: the
-scalar nodal space carried over by the gradient map and the vector nodal
-space carried over by the edge-moment interpolation.
+smoother with inexact, spectrally equivalent solves of the two Galerkin
+auxiliary problems: the scalar nodal space carried over by the gradient
+map and the vector nodal space carried over by the edge-moment
+interpolation.  Each auxiliary solve is one geometric multigrid V-cycle on
+the nested `build_complex` hierarchy (`TetMesh.coarser`), with a direct
+solve on the coarsest level only.  Blocks are resolved on every level, so
+coefficient jumps line up with every coarse grid.
 """
 
 from __future__ import annotations
@@ -73,18 +77,74 @@ def assemble_problem(problem: ModelProblem) -> CurlSystem:
     return CurlSystem(problem, Aff, free_e, free_n, b)
 
 
+# damped Jacobi weight of the V-cycle smoother; the cycle is SPD while
+# _OMEGA * lambda_max(D^-1 A) < 2 on every smoothed level
+_OMEGA = 0.6
+
+
+def _symmetric(A) -> sp.csr_matrix:
+    """The symmetric part of a product that is symmetric in exact
+    arithmetic.  Rounding in it is not: under a 1e6 jump, G^T A G is the
+    cancellation of the curl term and carries an asymmetry of ~1e-8 of its
+    largest entry."""
+    return (0.5 * (A + A.T)).tocsr()
+
+
+class _VCycle:
+    """Symmetric V(2,2)-cycle for the SPD matrix A: damped Jacobi smoothing,
+    Galerkin coarse operators P^T A P for the prolongations `transfers`
+    (finest first), and one sparse LU on the coarsest level.  With no
+    transfers it is that exact solve."""
+
+    def __init__(self, A: sp.csr_matrix, transfers: list):
+        self.P = transfers
+        self.A = [_symmetric(A)]
+        for P in transfers:
+            self.A.append(_symmetric(P.T @ self.A[-1] @ P))
+        self.w = [_OMEGA / a.diagonal() for a in self.A[:-1]]
+        self.coarse = spla.splu(self.A[-1].tocsc(), **fem._SPD_SPLU)
+
+    def __call__(self, b: np.ndarray, level: int = 0) -> np.ndarray:
+        if level == len(self.P):
+            return self.coarse.solve(b)
+        A, w, P = self.A[level], self.w[level], self.P[level]
+        x = w * b
+        x += w * (b - A @ x)
+        x += P @ self(P.T @ (b - A @ x), level + 1)
+        x += w * (b - A @ x)
+        x += w * (b - A @ x)
+        return x
+
+
+def _transfers(mesh: TetMesh, free_nodes: np.ndarray):
+    """Prolongations of the scalar and the vector (3*node + c) nodal spaces
+    down the mesh hierarchy, restricted to free nodes; a coarse vertex is
+    free where its fine node is."""
+    free = np.zeros(mesh.nv, dtype=bool)
+    free[free_nodes] = True
+    scalar, vector = [], []
+    while (step := mesh.coarser()) is not None:
+        mesh, P, vids = step
+        cfree = free[vids]
+        scalar.append(P[free][:, cfree].tocsr())
+        P3 = sp.kron(P, sp.identity(3), format="csr")
+        vector.append(P3[np.repeat(free, 3)][:, np.repeat(cfree, 3)].tocsr())
+        free = cfree
+    return scalar, vector
+
+
 @dataclass
 class HXPreconditioner:
     """Additive three-term auxiliary-space correction:
-    Jacobi smoother + gradient-space solve + vector-nodal-space solve,
+    Jacobi smoother + gradient-space V-cycle + vector-nodal-space V-cycle,
     both auxiliary operators assembled as Galerkin products with A."""
 
     system: CurlSystem
     _diag: np.ndarray = field(init=False)
     _G: sp.csr_matrix = field(init=False)
     _P: sp.csr_matrix = field(init=False)
-    _grad_solver: object = field(init=False)
-    _nodal_solver: object = field(init=False)
+    _grad_solver: _VCycle = field(init=False)
+    _nodal_solver: _VCycle = field(init=False)
 
     def __post_init__(self):
         sys = self.system
@@ -98,15 +158,14 @@ class HXPreconditioner:
         cols = np.concatenate([3 * sys.free_nodes + c for c in range(3)])
         cols.sort()
         self._P = P[sys.free_edges][:, cols].tocsr()
-        Ag = (self._G.T @ sys.A @ self._G).tocsc()
-        An = (self._P.T @ sys.A @ self._P).tocsc()
-        self._grad_solver = spla.splu(Ag)
-        self._nodal_solver = spla.splu(An)
+        scalar, vector = _transfers(mesh, sys.free_nodes)
+        self._grad_solver = _VCycle(self._G.T @ sys.A @ self._G, scalar)
+        self._nodal_solver = _VCycle(self._P.T @ sys.A @ self._P, vector)
 
     def apply(self, r: np.ndarray) -> np.ndarray:
         out = r / self._diag
-        out = out + self._G @ self._grad_solver.solve(self._G.T @ r)
-        out = out + self._P @ self._nodal_solver.solve(self._P.T @ r)
+        out = out + self._G @ self._grad_solver(self._G.T @ r)
+        out = out + self._P @ self._nodal_solver(self._P.T @ r)
         return out
 
     __call__ = apply

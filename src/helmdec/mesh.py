@@ -15,6 +15,7 @@ from fractions import Fraction
 from itertools import permutations
 
 import numpy as np
+import scipy.sparse as sp
 
 from .geometry import (BlockComplex, Brick, GeometryError, GeometryInfo,
                        Pyramid, catalog_info)
@@ -27,6 +28,7 @@ TET_FACES = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
 
 # guards every build of per-mesh derived data (`TetMesh.cached`)
 _LOCK = threading.RLock()
+_MISSING = object()
 
 
 def _signed_volumes(verts: np.ndarray, tets: np.ndarray) -> np.ndarray:
@@ -143,11 +145,11 @@ class TetMesh:
         use.  Builds run under one process-wide lock, so threads sharing a
         mesh get the same object; ndarray results (also inside a returned
         tuple) are frozen read-only."""
-        out = self._cache.get(key)
-        if out is None:
+        out = self._cache.get(key, _MISSING)
+        if out is _MISSING:
             with _LOCK:
-                out = self._cache.get(key)
-                if out is None:
+                out = self._cache.get(key, _MISSING)
+                if out is _MISSING:
                     out = build()
                     for a in out if isinstance(out, tuple) else (out,):
                         if isinstance(a, np.ndarray):
@@ -221,6 +223,15 @@ class TetMesh:
     def node_index(self) -> dict:
         return self.cached("node_index", lambda: {
             tuple(p): i for i, p in enumerate(self.verts_int.tolist())})
+
+    def coarser(self):
+        """`(coarse, P, vids)` for `coarse = build_complex(name, 2h)`: the
+        exact P1 prolongation P (nv x coarse.nv) and the fine node id of
+        each coarse vertex.  Every row of P is one coarse vertex (value 1)
+        or the midpoint of one coarse edge (1/2, 1/2).  None at h = 1/2,
+        for a name outside the catalog, and when the coarse vertices and
+        edge midpoints are not exactly the fine nodes."""
+        return self.cached("coarser", lambda: _coarser(self))
 
 
 # --------------------------------------------------------------------------
@@ -382,6 +393,38 @@ def build_complex(name: str, h: float | Fraction) -> TetMesh:
             tet_coords.append(_mesh_pyramid(blk, level))
         labels.append(bid)
     return _assemble_mesh(name, tet_coords, labels, denom, level)
+
+
+def _coarser(fine: TetMesh):
+    if fine.level <= 1:
+        return None
+    try:
+        coarse = build_complex(fine.name, Fraction(2, fine.denom))
+    except GeometryError:
+        return None
+    if coarse.nv + coarse.ne != fine.nv:
+        return None
+    # the coarse points on the fine lattice: vertices, then edge midpoints
+    pts = np.vstack([2 * coarse.verts_int, coarse.verts_int[coarse.edges].sum(axis=1)])
+    lo = fine.verts_int.min(axis=0)
+    span = fine.verts_int.max(axis=0) - lo + 1
+
+    def keys(x):
+        x = x - lo
+        return (x[:, 0] * span[1] + x[:, 1]) * span[2] + x[:, 2]
+
+    fkeys = keys(fine.verts_int)
+    order = np.argsort(fkeys)
+    pos = np.searchsorted(fkeys, keys(pts), sorter=order).clip(max=fine.nv - 1)
+    ids = order[pos]
+    if not np.array_equal(fine.verts_int[ids], pts):
+        return None
+    nc = coarse.nv
+    rows = np.concatenate([ids[:nc], np.repeat(ids[nc:], 2)])
+    cols = np.concatenate([np.arange(nc), coarse.edges.ravel()])
+    vals = np.concatenate([np.ones(nc), np.full(2 * coarse.ne, 0.5)])
+    P = sp.csr_matrix((vals, (rows, cols)), shape=(fine.nv, nc))
+    return coarse, P, ids[:nc]
 
 
 # --------------------------------------------------------------------------

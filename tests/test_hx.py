@@ -1,10 +1,19 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from helmdec import fem, hx
 from helmdec.mesh import build_complex
+from helmdec.operators import rh_matrix
 from helmdec.trace import tag_trace
+
+JUMPS = (1.0, 1e2, 1e4, 1e6)
+
+
+@pytest.fixture(scope="module")
+def lshape8():
+    return build_complex("three_cube_L", 0.125)
 
 
 def make_system(mesh, alpha, beta, seed=0, spec=("boundary",)):
@@ -45,18 +54,91 @@ def test_nonpositive_coefficient_rejected(cube4):
                         fem.EdgeField(cube4, np.zeros(cube4.ne)))
 
 
-def test_hx_apply_probes(cube4, rng):
-    sysm = make_system(cube4, [1.0], [1.0])
+def test_hx_apply_probes(cube4, lshape8, rng):
+    """The V-cycle preconditioner is linear, symmetric and positive, also
+    under a 1e6 jump on the three-level L shape."""
+    for sysm in (make_system(cube4, [1.0], [1.0]),
+                 make_system(lshape8, [1e6, 1.0, 1.0], [1.0, 1.0, 1.0])):
+        pre = hx.HXPreconditioner(sysm)
+        assert np.abs(pre(np.zeros(sysm.n))).max() == 0.0
+        r1 = rng.standard_normal(sysm.n)
+        r2 = rng.standard_normal(sysm.n)
+        s12 = float(pre(r1) @ r2)
+        s21 = float(r1 @ pre(r2))
+        assert abs(s12 - s21) <= 1e-10 * max(abs(s12), 1.0)
+        assert float(pre(r1) @ r1) > 0
+        lin = pre(2.5 * r1 - 0.7 * r2) - (2.5 * pre(r1) - 0.7 * pre(r2))
+        assert np.abs(lin).max() <= 1e-12 * max(1.0, np.abs(pre(r1)).max())
+
+
+def test_vcycle_smoother_is_convergent_on_every_level(lshape8):
+    """omega * lambda_max(D^-1 A_l) < 2 on every smoothed level of both
+    auxiliary hierarchies, so the V-cycle is SPD."""
+    sysm = make_system(lshape8, [1e6, 1.0, 1.0], [1.0, 1.0, 1.0])
     pre = hx.HXPreconditioner(sysm)
-    assert np.abs(pre(np.zeros(sysm.n))).max() == 0.0
-    r1 = rng.standard_normal(sysm.n)
-    r2 = rng.standard_normal(sysm.n)
-    s12 = float(pre(r1) @ r2)
-    s21 = float(r1 @ pre(r2))
-    assert abs(s12 - s21) <= 1e-10 * max(abs(s12), 1.0)
-    assert float(pre(r1) @ r1) > 0
-    lin = pre(2.5 * r1 - 0.7 * r2) - (2.5 * pre(r1) - 0.7 * pre(r2))
-    assert np.abs(lin).max() <= 1e-12 * max(1.0, np.abs(pre(r1)).max())
+    for cycle in (pre._grad_solver, pre._nodal_solver):
+        assert len(cycle.A) == 3  # h = 1/8, 1/4 and the direct solve at 1/2
+        for A in cycle.A[:-1]:
+            s = sp.diags(1.0 / np.sqrt(A.diagonal()))
+            lam = spla.eigsh(s @ A @ s, k=1, which="LA", return_eigenvectors=False)[0]
+            assert hx._OMEGA * lam < 2.0, lam
+
+
+def exact_aux_reference(sysm):
+    """The same three-term preconditioner with both auxiliary problems
+    solved exactly by sparse LU."""
+    mesh = sysm.problem.mesh
+    G = fem.gradient_map(mesh)[sysm.free_edges][:, sysm.free_nodes]
+    cols = np.sort(np.concatenate([3 * sysm.free_nodes + c for c in range(3)]))
+    P = rh_matrix(mesh)[sysm.free_edges][:, cols]
+    lu_g = spla.splu((G.T @ sysm.A @ G).tocsc())
+    lu_p = spla.splu((P.T @ sysm.A @ P).tocsc())
+    diag = sysm.A.diagonal()
+    return lambda r: (r / diag + G @ lu_g.solve(G.T @ r) + P @ lu_p.solve(P.T @ r))
+
+
+def test_matches_exact_auxiliary_reference(lshape8):
+    """Across the jump sweep the V-cycles cost at most 3 iterations over
+    exact auxiliary solves, and PCG meets the benchmark's energy-norm bound
+    (1e-6 relative against a direct solve)."""
+    for a in JUMPS:
+        sysm = make_system(lshape8, [a, 1.0, 1.0], [1.0, 1.0, 1.0], seed=7)
+        res = hx.pcg_solve(sysm, hx.HXPreconditioner(sysm), tol=1e-8)
+        ref = hx.pcg_solve(sysm, exact_aux_reference(sysm), tol=1e-8)
+        assert res.converged and ref.converged
+        assert abs(res.iterations - ref.iterations) <= 3, (a, res.iterations,
+                                                           ref.iterations)
+        xd = spla.spsolve(sysm.A.tocsc(), sysm.b)
+        e = res.x - xd
+        assert np.sqrt(e @ (sysm.A @ e) / (xd @ (sysm.A @ xd))) <= 1e-6, a
+
+
+def test_only_the_coarsest_level_is_factored(cube2, monkeypatch):
+    """No factored matrix is larger than the h = 1/2 vector auxiliary
+    system; trace=None and a one-level mesh converge."""
+    sizes = []
+    splu = spla.splu
+
+    def recording_splu(A, *args, **kwargs):
+        sizes.append(A.shape[0])
+        return splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", recording_splu)
+    coarsest = 3 * int((~tag_trace(cube2, ["boundary"]).node_mask).sum())
+    hx.HXPreconditioner(make_system(build_complex("unit_cube", 0.125), [1.0], [1.0]))
+    assert sizes and max(sizes) <= coarsest, (sizes, coarsest)
+    monkeypatch.undo()
+
+    cube8 = build_complex("unit_cube", 0.125)
+    rng = np.random.default_rng(9)
+    free = hx.assemble_problem(hx.ModelProblem(
+        cube8, np.array([1.0]), np.array([1.0]), None,
+        fem.EdgeField(cube8, rng.uniform(-1, 1, cube8.ne))))
+    assert free.n == cube8.ne and len(free.free_nodes) == cube8.nv
+    one_level = make_system(cube2, [1.0], [1.0])
+    for sysm in (free, one_level):
+        res = hx.pcg_solve(sysm, hx.HXPreconditioner(sysm), tol=1e-8)
+        assert res.converged and res.true_residual <= 1e-6
 
 
 def test_pcg_identity_system(cube2):
@@ -123,7 +205,7 @@ def test_indefinite_system_is_typed_breakdown():
 
 
 def test_jump_sweep_converges(lshape4):
-    for a in (1.0, 1e2, 1e4, 1e6):
+    for a in JUMPS:
         sysm = make_system(lshape4, [a, 1.0, 1.0], [1.0, 1.0, 1.0], seed=5)
         pre = hx.HXPreconditioner(sysm)
         res = hx.pcg_solve(sysm, pre, tol=1e-8)

@@ -13,7 +13,8 @@ import helmdec
 from helmdec import fem
 from helmdec.geometry import (BlockComplex, Brick, GeometryError, Pyramid,
                               catalog_info, catalog_names)
-from helmdec.mesh import build_complex, extract_block, read_mesh, write_mesh
+from helmdec.mesh import (build_complex, extract_block, extract_tets, read_mesh,
+                          write_mesh)
 from helmdec.operators import rh_matrix
 from helmdec.trace import interface_faces, surface
 
@@ -76,6 +77,29 @@ def test_build_complex_levels_nest(name):
     assert np.array_equal(np.bincount(parent, minlength=coarse.nt),
                           np.full(coarse.nt, 8))
     assert np.array_equal(fine.block_of_tet, coarse.block_of_tet[parent])
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_coarser_prolongation_is_exact(name):
+    """From 2h to h, P interpolates the coordinate functions exactly, and
+    the fine nodes are the coarse vertices plus one midpoint per coarse edge."""
+    for h in (0.25, 0.125):
+        fine = build_complex(name, h)
+        coarse, P, vids = fine.coarser()
+        assert coarse.h == 2 * fine.h
+        assert coarse.nv + coarse.ne == fine.nv
+        assert np.array_equal(fine.verts_int[vids], 2 * coarse.verts_int)
+        for d in range(3):
+            assert np.array_equal(P @ coarse.verts[:, d], fine.verts[:, d])
+
+
+def test_coarser_ends_the_hierarchy():
+    fine = build_complex("three_cube_L", 0.25)
+    assert fine.coarser()[0].coarser() is None  # h = 1/2
+    assert extract_block(fine, 0).mesh.coarser() is None  # not in the catalog
+    cube = build_complex("unit_cube", 0.25)
+    part = extract_tets(cube, cube.verts[cube.tets[:, 0], 0] < 0.5, "unit_cube")
+    assert part.mesh.coarser() is None  # a catalog name, but not nested
 
 
 def test_refined_mesh_is_conforming_and_quasi_uniform():
