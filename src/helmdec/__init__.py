@@ -17,6 +17,6 @@ from .operators import (BoundaryLoop, LoopDecomposition, PreconditionError,
                         loop_constant_extension, loop_decompose)
 from .trace import TraceSet, check_assumption31, surface, tag_trace
 from .verify import (StabilityReport, fit_log_growth, invariant_battery,
-                     sweep, trace_inequality_probe)
+                     sweep)
 
 __version__ = "0.1.0"

@@ -102,11 +102,11 @@ class CompatibilityViolation:
 # shared machinery
 # --------------------------------------------------------------------------
 
-def _check_zero_moments(v: EdgeField, edge_mask: np.ndarray, what: str, tol=1e-12):
+def _check_zero_moments(v: EdgeField, edge_mask: np.ndarray, what: str):
     if not edge_mask.any():
         return
     scale = max(1.0, float(np.abs(v.values).max()))
-    bad = np.nonzero(edge_mask & (np.abs(v.values) > tol * scale))[0]
+    bad = np.nonzero(edge_mask & (np.abs(v.values) > 1e-12 * scale))[0]
     if len(bad):
         raise PreconditionError(
             f"nonzero tangential moment on {what}: fine edge {int(bad[0])} "
@@ -299,14 +299,13 @@ def _axis_of_plane(plane) -> tuple[int, int]:
 
 
 def _layer_extension(mesh: TetMesh, face_nodes: np.ndarray, source: np.ndarray,
-                     target_nodes: np.ndarray, plane, layers: int = 2) -> np.ndarray:
+                     target_nodes: np.ndarray, plane) -> np.ndarray:
     """Extend nodal data given on an axis-aligned interface into a block by
-    linear layer decay along the interface normal (exact zeros beyond)."""
+    the two-layer decay along the interface normal: half the face value
+    one lattice layer off the interface, exact zeros beyond."""
     a, c = _axis_of_plane(plane)
     v = mesh.verts_int
-    layer = np.abs(v[target_nodes, a] - c)
-    keep = (layer > 0) & (layer < layers)
-    nodes, layer = target_nodes[keep], layer[keep]
+    nodes = target_nodes[np.abs(v[target_nodes, a] - c) == 1]
     # a target's source is the face node with the same in-plane lattice
     # coordinates; match them on packed keys
     b0, b1 = [b for b in range(3) if b != a]
@@ -317,7 +316,7 @@ def _layer_extension(mesh: TetMesh, face_nodes: np.ndarray, source: np.ndarray,
     pos = np.minimum(np.searchsorted(fkeys[order], tkeys), len(order) - 1)
     hit = fkeys[order][pos] == tkeys
     src = face_nodes[order[pos[hit]]]
-    return nodes[hit], source[src] * (1.0 - layer[hit] / layers)[:, None]
+    return nodes[hit], source[src] * 0.5
 
 
 def _face_chain(v: EdgeField, trace: TraceSet):
@@ -452,6 +451,18 @@ def _find_face_for_edge(mesh, E: list[CoarseEdge], forbidden_nodes=None) -> Coar
     )
 
 
+def _loop_subtraction(v: np.ndarray, loop: ops.BoundaryLoop, C: float,
+                      phi: np.ndarray, per_edge: np.ndarray, pins: np.ndarray):
+    """Subtract a loop potential (as p) and the constant extension of the
+    per-edge drift, pinned at `pins` (as w), from the edge moments v.
+    Returns the subtracted moments, p and w."""
+    mesh = loop.mesh
+    p = np.zeros(mesh.nv)
+    p[loop.nodes] = phi
+    w = ops.loop_constant_extension(C, loop, pins, per_edge).values
+    return _residual(mesh, v, p, w), p, w
+
+
 def _edge_subtraction(v: EdgeField, E: list[CoarseEdge], F: CoarseFace):
     """Boundary-loop subtraction for zero-moment edge data: returns the
     subtracted field, the global potential, the constant extension, the
@@ -460,14 +471,12 @@ def _edge_subtraction(v: EdgeField, E: list[CoarseEdge], F: CoarseFace):
     loop = ops.build_loop(mesh, [F])
     zero_edge = E if len(E) > 1 else E[0]
     dec = ops.loop_decompose(v, loop, zero_edge=zero_edge)
-    phi = np.zeros(mesh.nv)
-    phi[loop.nodes] = dec.phi
     per_edge = np.full(loop.n, dec.C)
     per_edge[ops._edge_arc_positions(loop, zero_edge)] = 0.0
-    ctilde = ops.loop_constant_extension(dec.C, loop, _edge_nodes(E), per_edge).values
-    vhat = EdgeField(mesh, _residual(mesh, v.values, phi, ctilde))
+    vhat, phi, ctilde = _loop_subtraction(v.values, loop, dec.C, dec.phi, per_edge,
+                                          _edge_nodes(E))
     record = (dec.C, dec.l0, _loop_flux(mesh, v, [F]))
-    return vhat, phi, ctilde, record, loop
+    return EdgeField(mesh, vhat), phi, ctilde, record, loop
 
 
 def _edge_loop_split(v: EdgeField, E: list[CoarseEdge], F: CoarseFace, extra: np.ndarray):
@@ -992,13 +1001,14 @@ def _free_setup(mesh, block_faces, v0):
 
 def _adjacent_coarse_edges(surf, loop, E):
     """Coarse edges of the loop immediately before and after E."""
-    pos = ops._edge_arc_positions(loop, E)
-    before, after = ops._cyclic_arc_bounds(loop.n, pos)
+    first, last = ops._cyclic_arc(loop.n, ops._edge_arc_positions(loop, E))
+    before = loop.edges[(first - 1) % loop.n]
+    after = loop.edges[(last + 1) % loop.n]
     e1 = e2 = None
     for ce in surf.edges:
-        if loop.edges[before] in ce.fine_edges:
+        if before in ce.fine_edges:
             e1 = ce
-        if loop.edges[after] in ce.fine_edges:
+        if after in ce.fine_edges:
             e2 = ce
     return e1, e2
 
@@ -1077,14 +1087,8 @@ def _vertex_junction(v: EdgeField, trace: TraceSet):
                     # edge, keeping its value at the vertex
                     e1, e2 = _adjacent_coarse_edges(surf, loop, E)
                     eps = ops.epsilon_correction(loop, E, e1, e2, dec.C)
-                    start = loop.node_pos(v0)
-                    acc = 0.0
-                    J = np.zeros(loop.n)
-                    for j in range(loop.n):
-                        k = (start + j) % loop.n
-                        acc += eps[k] * loop.lengths[k]
-                        J[(k + 1) % loop.n] = acc
-                    phi_vals = phi_vals - J
+                    phi_vals = phi_vals - ops._loop_walk(eps * loop.lengths,
+                                                         loop.node_pos(v0), loop.n)
                     per_edge = dec.C + eps
                 else:
                     per_edge = np.full(loop.n, dec.C)
@@ -1093,23 +1097,21 @@ def _vertex_junction(v: EdgeField, trace: TraceSet):
                 if np.abs(phi_vals[ez]).max() > 1e-9 * scale:
                     raise PreconditionError("loop correction failed to zero the trace edge")
                 phi_vals[ez] = 0.0
-                per_edge = per_edge.copy()
                 per_edge[posE] = 0.0
                 pin_nodes = np.concatenate([[v0], E.fine_nodes])
             else:  # free block: pin the potential at the vertex to ref
                 phi_vals = dec.phi - dec.phi_at(v0) + ref
                 per_edge = np.full(loop.n, dec.C)
                 pin_nodes = np.array([v0])
-            phi_g = np.zeros(mesh.nv)
-            phi_g[loop.nodes] = phi_vals
-            ct = ops.loop_constant_extension(dec.C, loop, pin_nodes, per_edge).values
-            vhat = _residual(mesh, v.values, phi_g, ct)
+            vhat, phi_g, ct = _loop_subtraction(v.values, loop, dec.C, phi_vals,
+                                                per_edge, pin_nodes)
             vb = EdgeField(sub.mesh, sub.restrict_edge(vhat))
-            fsub = [f for f in surface(sub.mesh).faces
-                    if np.isin(sub.vert_map[f.fine_nodes], F.fine_nodes).all()
-                    and len(f.fine_nodes) == len(F.fine_nodes)][:1]
+            fsub = next((f for f in surface(sub.mesh).faces if f.plane == F.plane), None)
+            if fsub is None:
+                raise PreconditionError(
+                    f"block {b} has no surface face on the plane of {F.name}", entity=F.name)
             xr = _sub_trace(sub, trace.node_mask, trace.edge_mask)
-            pl, wl = _loop_split(vb, fsub, ops.build_loop(sub.mesh, fsub), xr.node_mask)
+            pl, wl = _loop_split(vb, [fsub], ops.build_loop(sub.mesh, [fsub]), xr.node_mask)
             pb = phi_g[sub.vert_map] + pl
             wb = ct[sub.vert_map] + wl
             any_log = True

@@ -88,6 +88,17 @@ def tet_geometry(mesh: TetMesh):
     return mesh.cached("tetgeom", build)
 
 
+def _gradient_gram(mesh: TetMesh) -> np.ndarray:
+    """(nt,4,4) dot products grad(lam_a).grad(lam_b) of the barycentric
+    gradients, shared by the nodal stiffness and the edge mass."""
+
+    def build():
+        _, g = tet_geometry(mesh)
+        return np.einsum("tad,tbd->tab", g, g)
+
+    return mesh.cached("gradient_gram", build)
+
+
 def _curl_basis(mesh: TetMesh) -> np.ndarray:
     """(nt,6,3) curls 2 grad(lam_i) x grad(lam_j) of the local Whitney
     functions, in TET_EDGES order."""
@@ -173,26 +184,26 @@ _S4 = _bary_mass()
 
 
 def _assemble_nodal(mesh: TetMesh, kind: str, weight) -> sp.csr_matrix:
-    vol, g = tet_geometry(mesh)
+    vol, _ = tet_geometry(mesh)
     w = vol if weight is None else vol * weight
     t = mesh.tets
     if kind == "mass":
         loc = w[:, None, None] * _S4[None, :, :]
     else:
-        loc = w[:, None, None] * np.einsum("tad,tbd->tab", g, g)
+        loc = w[:, None, None] * _gradient_gram(mesh)
     rows = np.repeat(t, 4, axis=1)          # position 4a+b -> v_a
     cols = np.tile(t, (1, 4))               # position 4a+b -> v_b
     return _scatter(rows, cols, loc.reshape(len(t), 16), (mesh.nv, mesh.nv))
 
 
 def _assemble_edge(mesh: TetMesh, kind: str, weight) -> sp.csr_matrix:
-    vol, g = tet_geometry(mesh)
+    vol, _ = tet_geometry(mesh)
     sign = mesh.tet_edge_sign.astype(float)
     w = vol if weight is None else vol * weight
     nt = mesh.nt
     loc = np.zeros((nt, 6, 6))
     if kind == "mass":
-        gg = np.einsum("tad,tbd->tab", g, g)  # (nt,4,4)
+        gg = _gradient_gram(mesh)
         for a, (i, j) in enumerate(TET_EDGES):
             for b, (k, l) in enumerate(TET_EDGES):
                 loc[:, a, b] = (
@@ -245,14 +256,12 @@ def norm(field: Field, which: str) -> float:
         space = {NodalField: "Z", NodalVectorField: "Z3", EdgeField: "V"}[type(field)]
         M = assemble(mesh, space, "mass")
         return float(np.sqrt(max(float(x @ (M @ x)), 0.0)))
-    if which in ("H1", "H1_semi"):
+    if which == "H1":
         if not isinstance(field, (NodalField, NodalVectorField)):
             raise ValueError("H1 norm requires a nodal field")
         space = "Z" if isinstance(field, NodalField) else "Z3"
         K = assemble(mesh, space, "stiffness")
         semi = float(x @ (K @ x))
-        if which == "H1_semi":
-            return float(np.sqrt(max(semi, 0.0)))
         M = assemble(mesh, space, "mass")
         return float(np.sqrt(max(semi + float(x @ (M @ x)), 0.0)))
     if which in ("curl", "curl_semi"):

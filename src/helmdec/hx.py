@@ -83,10 +83,9 @@ _OMEGA = 0.6
 
 
 def _symmetric(A) -> sp.csr_matrix:
-    """The symmetric part of a product that is symmetric in exact
-    arithmetic.  Rounding in it is not: under a 1e6 jump, G^T A G is the
-    cancellation of the curl term and carries an asymmetry of ~1e-8 of its
-    largest entry."""
+    """The symmetric part of a Galerkin product P^T A P, which is symmetric
+    in exact arithmetic only: its (i, j) and (j, i) entries are summed in
+    different orders.  PCG needs a symmetric cycle."""
     return (0.5 * (A + A.T)).tocsr()
 
 
@@ -136,8 +135,11 @@ def _transfers(mesh: TetMesh, free_nodes: np.ndarray):
 @dataclass
 class HXPreconditioner:
     """Additive three-term auxiliary-space correction:
-    Jacobi smoother + gradient-space V-cycle + vector-nodal-space V-cycle,
-    both auxiliary operators assembled as Galerkin products with A."""
+    Jacobi smoother + gradient-space V-cycle + vector-nodal-space V-cycle.
+    The vector auxiliary operator is the Galerkin product P^T A P.  The
+    gradient one, G^T A G, is assembled as the beta-weighted nodal
+    stiffness on the free nodes, which it equals exactly: the curl of a
+    gradient is zero, and every edge at a free node is free."""
 
     system: CurlSystem
     _diag: np.ndarray = field(init=False)
@@ -159,7 +161,9 @@ class HXPreconditioner:
         cols.sort()
         self._P = P[sys.free_edges][:, cols].tocsr()
         scalar, vector = _transfers(mesh, sys.free_nodes)
-        self._grad_solver = _VCycle(self._G.T @ sys.A @ self._G, scalar)
+        beta = sys.problem.beta[mesh.block_of_tet]
+        K = fem.assemble(mesh, "Z", "stiffness", tet_weight=beta)
+        self._grad_solver = _VCycle(K[sys.free_nodes][:, sys.free_nodes], scalar)
         self._nodal_solver = _VCycle(self._P.T @ sys.A @ self._P, vector)
 
     def apply(self, r: np.ndarray) -> np.ndarray:
@@ -185,8 +189,7 @@ class PCGResult:
 
 
 def pcg_solve(system: CurlSystem, preconditioner=None, tol: float = 1e-8,
-              maxit: int = 2000, x0: Optional[np.ndarray] = None,
-              callback=None) -> PCGResult:
+              maxit: int = 2000, callback=None) -> PCGResult:
     """Preconditioned conjugate gradients on the free-DOF system.
 
     The stopping norm is the preconditioned one: the iteration stops once
@@ -199,7 +202,7 @@ def pcg_solve(system: CurlSystem, preconditioner=None, tol: float = 1e-8,
     A = system.A
     b = system.b
     apply_m = preconditioner if preconditioner is not None else (lambda r: r)
-    x = np.zeros_like(b) if x0 is None else x0.copy()
+    x = np.zeros_like(b)
     r = b - A @ x
     z = apply_m(r)
     rz = float(r @ z)

@@ -8,8 +8,10 @@ so node identification across blocks and refinement levels is exact.
 
 from __future__ import annotations
 
+import ctypes
 import io
 import threading
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
@@ -29,6 +31,32 @@ TET_FACES = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
 # guards every build of per-mesh derived data (`TetMesh.cached`)
 _LOCK = threading.RLock()
 _MISSING = object()
+
+# A mesh's memo holds most of a process's memory (operators, factorizations).
+# When a mesh is collected, glibc keeps the freed pages in its heap and the
+# next meshes' arrays fragment around them, so a process that builds meshes
+# generation after generation grew with each one (perfbench's catalog sweep
+# on a 2-vCPU VM: 660 MB peak RSS after one round, 800 MB after two).  So
+# the first mesh built after a collection hands the freed pages back to the
+# system.  The finalizer only marks the trim as due: it runs before the memo
+# is freed.  Without glibc's malloc_trim this does nothing.
+try:
+    _malloc_trim = ctypes.CDLL(None).malloc_trim
+except (OSError, AttributeError, TypeError):
+    _malloc_trim = None
+_trim_due = False
+
+
+def _mesh_collected():
+    global _trim_due
+    _trim_due = True
+
+
+def _release_freed_memory():
+    global _trim_due
+    if _trim_due and _malloc_trim is not None:
+        _trim_due = False
+        _malloc_trim(0)
 
 
 def _signed_volumes(verts: np.ndarray, tets: np.ndarray) -> np.ndarray:
@@ -81,6 +109,8 @@ class TetMesh:
     face_tets: np.ndarray = field(init=False)      # (nf,2) tet ids, -1 pad
 
     def __post_init__(self):
+        _release_freed_memory()
+        weakref.finalize(self, _mesh_collected)
         self.tets = _canonical_tets(self.verts_int, np.asarray(self.tets))
         nv = self.nv
         # edges
@@ -169,13 +199,6 @@ class TetMesh:
     def edge_lengths(self) -> np.ndarray:
         return self.cached("edge_lengths",
                            lambda: np.linalg.norm(self.edge_vectors(), axis=1))
-
-    def quasi_uniformity_ratio(self) -> float:
-        ln = self.edge_lengths()
-        return float(ln.max() / ln.min())
-
-    def euler_characteristic(self) -> int:
-        return self.nv - self.ne + self.nf - self.nt
 
     # -- adjacency maps --------------------------------------------------
     def boundary_face_mask(self) -> np.ndarray:

@@ -90,21 +90,16 @@ def _node_adjacency(mesh: TetMesh) -> sp.csr_matrix:
     return mesh.cached("node_adjacency", build)
 
 
-def graph_cutoff(mesh: TetMesh, seed_mask: np.ndarray, layers: int = 2,
+def graph_cutoff(mesh: TetMesh, seed_mask: np.ndarray,
                  within: Optional[np.ndarray] = None) -> np.ndarray:
-    """Nodal cut-off: 1 on the seed nodes, 1 - d/layers at graph distance d
-    (mesh edges), 0 from distance `layers` on.  With `within`, the distance
-    only walks through those nodes, so every other node stays 0."""
-    adj = _node_adjacency(mesh)
+    """Nodal cut-off two mesh edges wide: 1 on the seed nodes, 1/2 on their
+    graph neighbours, 0 beyond.  With `within`, only those nodes take the
+    1/2, so every other node stays 0."""
+    near = (_node_adjacency(mesh) @ seed_mask.astype(float) > 0) & ~seed_mask
+    if within is not None:
+        near &= within
     theta = seed_mask.astype(float)
-    reached = seed_mask.copy()
-    frontier = seed_mask
-    for d in range(1, layers):
-        frontier = (adj @ frontier.astype(float) > 0) & ~reached
-        if within is not None:
-            frontier &= within
-        theta[frontier] = 1.0 - d / layers
-        reached |= frontier
+    theta[near] = 0.5
     return theta
 
 
@@ -247,9 +242,9 @@ class BoundaryLoop:
     """Ordered fine-edge cycle along the boundary curve of a coarse face or
     face union, traversed with the surface-induced (Stokes) orientation.
 
-    nodes[k] -> nodes[k+1] is edges[k] (cyclically); signs[k] flips the
-    global edge orientation onto the loop direction; t[k] is the arc
-    length of nodes[k] from the start (lowest node id).
+    nodes[k] -> nodes[k+1] is edges[k] (cyclically), starting at the lowest
+    node id; signs[k] flips the global edge orientation onto the loop
+    direction.
     """
 
     mesh: TetMesh
@@ -257,9 +252,7 @@ class BoundaryLoop:
     edges: np.ndarray
     signs: np.ndarray
     lengths: np.ndarray
-    t: np.ndarray
     total_length: float
-    face_fine_faces: np.ndarray
 
     @property
     def n(self) -> int:
@@ -275,63 +268,44 @@ class BoundaryLoop:
         return np.nonzero(np.isin(self.edges, fine_edges))[0]
 
 
+# sign of each face-edge slot (vertex pairs 01, 12, 02 of an ascending
+# triple a < b < c) in the vertex cycle a -> b -> c -> a
+_SLOT_SIGN = np.array([1, 1, -1])
+
+
 def build_loop(mesh: TetMesh, faces: Sequence[CoarseFace]) -> BoundaryLoop:
     """Boundary loop of a coarse face or a face union with one connected
     boundary curve."""
     fset = np.concatenate([f.fine_faces for f in faces])
-    eids = mesh.face_edges()[fset]
-    loop_edges = mesh.patch_boundary(fset)
-    if len(loop_edges) == 0:
+    slots = mesh.face_edges()[fset].ravel()
+    curve = np.zeros(mesh.ne, dtype=bool)
+    curve[mesh.patch_boundary(fset)] = True
+    on_curve = np.nonzero(curve[slots])[0]
+    if len(on_curve) == 0:
         raise PreconditionError("face union has no boundary curve (it is closed)")
-
-    # chain into a cycle
-    nbr: dict[int, list[tuple[int, int]]] = {}
-    for e in loop_edges:
-        a, b = (int(x) for x in mesh.edges[e])
-        nbr.setdefault(a, []).append((b, int(e)))
-        nbr.setdefault(b, []).append((a, int(e)))
-    if any(len(v) != 2 for v in nbr.values()):
+    # each curve edge lies in one patch triangle: direct it as in that
+    # triangle's outward-oriented vertex cycle
+    edges = slots[on_curve]
+    outward = np.concatenate([f.outward_sign for f in faces])
+    fwd = _SLOT_SIGN[on_curve % 3] * outward[on_curve // 3] > 0
+    ends = mesh.edges[edges]
+    tail, head = np.where(fwd[:, None], ends, ends[:, ::-1]).T
+    by_tail = np.argsort(tail)
+    tails = tail[by_tail]
+    if np.any(tails[1:] == tails[:-1]) or not np.array_equal(tails, np.sort(head)):
         raise PreconditionError("face-union boundary is not a single simple curve")
-
-    start = min(nbr)
-    # surface-induced direction at the start: the first loop edge appears in
-    # exactly one patch triangle; traverse it as in that triangle's
-    # outward-oriented vertex cycle
-    cand = nbr[start]
-    owner = {}
-    sign_of = {}
-    for f in faces:
-        for k, fid in enumerate(f.fine_faces):
-            owner[int(fid)] = f.outward_sign[k]
-    first = None
-    for nxt, e in sorted(cand):
-        rows = np.nonzero(np.any(np.isin(eids, e), axis=1))[0]
-        fid = int(fset[rows[0]])
-        a, b, c = (int(x) for x in mesh.faces[fid])
-        cyc = [a, b, c] if owner[fid] > 0 else [a, c, b]
-        k = cyc.index(start)
-        if cyc[(k + 1) % 3] == nxt:
-            first = (nxt, e)
-            break
-    if first is None:
-        raise PreconditionError("could not orient boundary loop")
-
-    nodes = [start, first[0]]
-    edges = [first[1]]
-    while nodes[-1] != start:
-        cur, prev_e = nodes[-1], edges[-1]
-        (n1, e1), (n2, e2) = nbr[cur]
-        nxt, e = (n1, e1) if e1 != prev_e else (n2, e2)
-        nodes.append(nxt)
-        edges.append(e)
-    nodes = np.array(nodes[:-1])
-    edges = np.array(edges)
+    # the curve is a permutation of its nodes; walk it from the lowest id
+    succ = np.searchsorted(tails, head[by_tail]).tolist()
+    walk = [0]
+    while (k := succ[walk[-1]]) != 0:
+        walk.append(k)
+    if len(walk) != len(tails):
+        raise PreconditionError("face-union boundary is not a single simple curve")
+    edges = edges[by_tail[walk]]
+    nodes = tails[walk]
     signs = np.where(mesh.edges[edges, 0] == nodes, 1.0, -1.0)
     lengths = mesh.edge_lengths()[edges]
-    t = np.concatenate([[0.0], np.cumsum(lengths[:-1])])
-    return BoundaryLoop(
-        mesh, nodes, edges, signs, lengths, t, float(lengths.sum()), fset
-    )
+    return BoundaryLoop(mesh, nodes, edges, signs, lengths, float(lengths.sum()))
 
 
 @dataclass
@@ -370,12 +344,35 @@ def _edge_arc_positions(loop: BoundaryLoop, E) -> np.ndarray:
     return pos
 
 
+def _cyclic_arc(n: int, pos: np.ndarray) -> tuple[int, int]:
+    """First and last position of the arc `pos` of an n-cycle; the arc must
+    be cyclically contiguous and leave at least one position out."""
+    mask = np.zeros(n, dtype=bool)
+    mask[pos] = True
+    first = np.nonzero(mask & ~np.roll(mask, 1))[0]
+    last = np.nonzero(mask & ~np.roll(mask, -1))[0]
+    if len(first) != 1:
+        raise PreconditionError("edge arc is not contiguous on the loop")
+    return int(first[0]), int(last[0])
+
+
+def _loop_walk(steps: np.ndarray, start: int, count: int) -> np.ndarray:
+    """Cumulative sums of the per-edge `steps` walking `count` edges from
+    position `start`: the head of each walked edge gets the running sum, the
+    other nodes 0.  The sum runs in sequence from 0.0, so it is bit for bit
+    the one of a scalar accumulator."""
+    n = len(steps)
+    k = (start + np.arange(count)) % n
+    out = np.zeros(n)
+    out[(k + 1) % n] = np.cumsum(np.concatenate(([0.0], steps[k])))[1:]
+    return out
+
+
 def loop_decompose(
     v: EdgeField,
     loop: BoundaryLoop,
     zero_edge: Optional[CoarseEdge] = None,
     zero_mean_edge: Optional[CoarseEdge] = None,
-    tol: float = 1e-12,
 ) -> LoopDecomposition:
     """Loop average C and cumulative potential phi of the tangential
     moments of v along the loop.
@@ -387,50 +384,36 @@ def loop_decompose(
     edge vanishes (c_shift is the applied constant).
     """
     lam = _loop_moments(v, loop)
-    scale = max(1.0, float(np.abs(v.values).max()))
     if zero_edge is not None and zero_mean_edge is not None:
         raise ValueError("zero_edge and zero_mean_edge are mutually exclusive")
 
     if zero_edge is not None:
         pos = _edge_arc_positions(loop, zero_edge)
         _, zname = _edge_fine_set(zero_edge)
-        bad = np.nonzero(np.abs(lam[pos]) > tol * scale)[0]
+        scale = max(1.0, float(np.abs(v.values).max()))
+        bad = np.nonzero(np.abs(lam[pos]) > 1e-12 * scale)[0]
         if len(bad):
             raise PreconditionError(
                 f"nonzero moment on {zname} (fine edge {loop.edges[pos[bad[0]]]})",
                 entity=int(loop.edges[pos[bad[0]]]),
             )
+        if len(pos) == loop.n:
+            return LoopDecomposition(loop, 0.0, np.zeros(loop.n), 0.0, 0.0)
+        _, last = _cyclic_arc(loop.n, pos)
         onzero = np.zeros(loop.n, dtype=bool)
         onzero[pos] = True
-        if not _cyclically_contiguous(onzero):
-            raise PreconditionError(f"{zname} is not contiguous on the loop")
         l0 = float(loop.lengths[~onzero].sum())
-        if l0 == 0.0:
-            return LoopDecomposition(loop, 0.0, np.zeros(loop.n), 0.0, 0.0)
         C = float(lam[~onzero].sum() / l0)
-        # walk the complement starting right after the zero arc
-        order = _cyclic_order_after(onzero)
-        phi = np.zeros(loop.n)
-        acc = 0.0
-        for k in order:
-            nxt = (k + 1) % loop.n
-            acc += lam[k] - C * loop.lengths[k]
-            phi[nxt] = acc
-        # exact zeros on the zero arc (closure residual is roundoff)
-        zero_nodes = np.zeros(loop.n, dtype=bool)
-        for k in np.nonzero(onzero)[0]:
-            zero_nodes[k] = True
-            zero_nodes[(k + 1) % loop.n] = True
-        phi[zero_nodes] = 0.0
+        # walk the complement starting right after the zero arc, then place
+        # exact zeros on the arc nodes (the closure residual is roundoff)
+        phi = _loop_walk(lam - C * loop.lengths, last + 1, loop.n - len(pos))
+        phi[pos] = 0.0
+        phi[(pos + 1) % loop.n] = 0.0
         return LoopDecomposition(loop, C, phi, 0.0, l0)
 
     l0 = loop.total_length
     C = float(lam.sum() / l0)
-    phi = np.zeros(loop.n)
-    acc = 0.0
-    for k in range(loop.n - 1):
-        acc += lam[k] - C * loop.lengths[k]
-        phi[k + 1] = acc
+    phi = _loop_walk(lam - C * loop.lengths, 0, loop.n - 1)
     c_shift = 0.0
     if zero_mean_edge is not None:
         pos = _edge_arc_positions(loop, zero_mean_edge)
@@ -442,24 +425,6 @@ def loop_decompose(
     return LoopDecomposition(loop, C, phi, c_shift, l0)
 
 
-def _cyclically_contiguous(mask: np.ndarray) -> bool:
-    n = len(mask)
-    runs = 0
-    for k in range(n):
-        if mask[k] and not mask[(k - 1) % n]:
-            runs += 1
-    return runs <= 1
-
-
-def _cyclic_order_after(mask: np.ndarray) -> list[int]:
-    """Indices of the unmasked positions, walking cyclically starting just
-    after the masked arc."""
-    n = len(mask)
-    starts = [k for k in range(n) if not mask[k] and mask[(k - 1) % n]]
-    start = starts[0] if starts else 0
-    return [(start + j) % n for j in range(n) if not mask[(start + j) % n]]
-
-
 # --------------------------------------------------------------------------
 # minimum-norm constant extension along a loop
 # --------------------------------------------------------------------------
@@ -468,81 +433,63 @@ def loop_constant_extension(
     C: float,
     loop: BoundaryLoop,
     pinned_nodes: np.ndarray,
-    per_edge_values: Optional[np.ndarray] = None,
-    rcond: float = 1e-12,
+    per_edge_values: np.ndarray,
 ) -> NodalVectorField:
     """Nodal vector field on the loop nodes whose interpolated moments
-    equal `per_edge_values[k] * |e_k|` (default: the constant C) on every
-    loop edge with a free endpoint, minimizing the loop L2 norm; pinned
-    nodes (the excluded edge and its endpoints, or the junction vertex)
-    stay exactly zero.  Minimum-norm tie-break via pseudoinverse with
-    singular values below rcond*sigma_max dropped.
+    equal `per_edge_values[k] * |e_k|` on every loop edge with a free
+    endpoint, minimizing the loop L2 norm; pinned nodes (the excluded edge
+    and its endpoints, or the junction vertex) stay exactly zero.
+    Minimum-norm tie-break via pseudoinverse with singular values below
+    1e-12*sigma_max dropped.  C scales the tolerance of the zero targets
+    on edges with both ends pinned.
     """
     mesh = loop.mesh
-    if per_edge_values is None:
-        per_edge_values = np.full(loop.n, C)
-    pinned = set(int(p) for p in pinned_nodes)
-    free = [int(nd) for nd in loop.nodes if nd not in pinned]
-    if not free:
+    free_node = np.ones(mesh.nv, dtype=bool)
+    free_node[pinned_nodes] = False
+    free = np.nonzero(free_node[loop.nodes])[0]
+    if len(free) == 0:
         if np.any(np.abs(per_edge_values) > 0):
             raise PreconditionError("all loop nodes pinned with nonzero target")
         return NodalVectorField(mesh, np.zeros((mesh.nv, 3)))
-    col = {nd: 3 * k for k, nd in enumerate(free)}
-    nfree = 3 * len(free)
+    # slot of each loop position among the free nodes (-1: pinned), for the
+    # tail a and the head b of every loop edge
+    slot = np.full(loop.n, -1)
+    slot[free] = np.arange(len(free))
+    sa, sb = slot, np.roll(slot, -1)
+    L = loop.lengths
+    tgt = per_edge_values * L
+    pinned_edge = (sa < 0) & (sb < 0)
+    if np.any(np.abs(tgt[pinned_edge]) > 1e-13 * max(1.0, abs(C))):
+        raise PreconditionError("pinned loop edge with nonzero target")
 
-    verts = mesh.verts
-    rows_A = []
-    rhs = []
-    M = np.zeros((nfree, nfree))
-    for k in range(loop.n):
-        a = int(loop.nodes[k])
-        b = int(loop.nodes[(k + 1) % loop.n])
-        L = loop.lengths[k]
-        tgt = per_edge_values[k] * L
-        fa, fb = a in col, b in col
-        if not fa and not fb:
-            if abs(tgt) > 1e-13 * max(1.0, abs(C)):
-                raise PreconditionError("pinned loop edge with nonzero target")
-            continue
-        d = (verts[b] - verts[a])
-        row = np.zeros(nfree)
-        if fa:
-            row[col[a]:col[a] + 3] = 0.5 * d
-        if fb:
-            row[col[b]:col[b] + 3] = 0.5 * d
-        rows_A.append(row)
-        rhs.append(tgt)
-        # consistent 1D P1 mass on the loop edge (vector-valued)
-        for (na, nb, w) in ((a, a, L / 3.0), (b, b, L / 3.0), (a, b, L / 6.0), (b, a, L / 6.0)):
-            if na in col and nb in col:
-                ia, ib = col[na], col[nb]
-                M[ia:ia + 3, ib:ib + 3] += w * np.eye(3)
-    A = np.array(rows_A)
-    b = np.array(rhs)
+    # one constraint row per edge with a free end: 0.5*(head - tail) at
+    # each free end; a pinned end writes into a spare last column
+    rows = np.nonzero(~pinned_edge)[0]
+    half_d = 0.5 * (mesh.verts[np.roll(loop.nodes, -1)] - mesh.verts[loop.nodes])[rows]
+    A = np.zeros((len(rows), len(free) + 1, 3))
+    A[np.arange(len(rows)), sa[rows]] = half_d
+    A[np.arange(len(rows)), sb[rows]] = half_d
+    A = A[:, :-1].reshape(len(rows), -1)
+    b = tgt[rows]
+    # consistent 1D P1 mass on the loop edges (vector-valued): L/3 from
+    # each edge at a free node, L/6 between the free ends of an edge
+    Ms = np.diag((np.roll(L, 1) / 3.0 + L / 3.0)[free])
+    both = np.nonzero((sa >= 0) & (sb >= 0))[0]
+    Ms[sa[both], sb[both]] = L[both] / 6.0
+    Ms[sb[both], sa[both]] = L[both] / 6.0
+    M = np.kron(Ms, np.eye(3))
     Minv_At = np.linalg.solve(M, A.T)
     S = A @ Minv_At
-    lam = np.linalg.pinv(S, rcond=rcond) @ b
+    lam = np.linalg.pinv(S, rcond=1e-12) @ b
     x = Minv_At @ lam
     out = np.zeros((mesh.nv, 3))
-    for nd in free:
-        out[nd] = x[col[nd]:col[nd] + 3]
+    out[loop.nodes[free]] = x.reshape(-1, 3)
     return NodalVectorField(mesh, out)
 
 
 # --------------------------------------------------------------------------
 # piecewise-constant loop correction
 # --------------------------------------------------------------------------
-
-def _cyclic_arc_bounds(n: int, pos: np.ndarray) -> tuple[int, int]:
-    """(position before, position after) a cyclically contiguous arc."""
-    mask = np.zeros(n, dtype=bool)
-    mask[pos] = True
-    starts = [k for k in pos if not mask[(k - 1) % n]]
-    ends = [k for k in pos if not mask[(k + 1) % n]]
-    if len(starts) != 1 or len(ends) != 1:
-        raise PreconditionError("edge arc is not contiguous on the loop")
-    return (starts[0] - 1) % n, (ends[0] + 1) % n
-
 
 def epsilon_correction(
     loop: BoundaryLoop,
@@ -560,8 +507,8 @@ def epsilon_correction(
     lenE = float(loop.lengths[posE].sum())
     len1 = float(loop.lengths[pos1].sum())
     len2 = float(loop.lengths[pos2].sum())
-    before, after = _cyclic_arc_bounds(loop.n, posE)
-    if before not in pos1 or after not in pos2:
+    first, last = _cyclic_arc(loop.n, posE)
+    if (first - 1) % loop.n not in pos1 or (last + 1) % loop.n not in pos2:
         raise PreconditionError("E1/E2 must be the loop edges adjacent to E")
     eps = np.zeros(loop.n)
     eps[posE] = -C

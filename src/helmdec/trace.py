@@ -76,7 +76,6 @@ class CoarseEdge:
     name: str
     fine_edges: np.ndarray  # ordered along the line
     fine_nodes: np.ndarray  # ordered along the line
-    endpoints: tuple[int, int]
 
 
 @dataclass
@@ -293,7 +292,6 @@ def _build_surface(mesh: TetMesh) -> Surface:
                 name=_edge_name(mesh, nodes),
                 fine_edges=fe,
                 fine_nodes=nodes,
-                endpoints=(int(nodes[0]), int(nodes[-1])),
             )
         )
     by_name: dict[str, list[CoarseEdge]] = {}

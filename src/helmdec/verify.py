@@ -1,6 +1,5 @@
 """Stability harness: h-sweeps of the decomposition routes, norm-ratio
-collection with logarithmic-growth fits, the invariant test battery, and
-the tangential-trace surrogate probe.
+collection with logarithmic-growth fits, and the invariant test battery.
 
 The claimed bounds are asymptotic with unknown constants, so acceptance is
 a fit policy: ratio(h) ~ a + b*log(1/h) must fit with small relative
@@ -27,7 +26,6 @@ __all__ = [
     "StabilityReport",
     "sweep",
     "invariant_battery",
-    "trace_inequality_probe",
     "fit_log_growth",
     "worker_count",
 ]
@@ -220,37 +218,3 @@ def invariant_battery(geometry: str, trace_spec, route: str, seed: int,
              + np.abs(zsplit.R.values).max())
     ledger.append(_entry("zero_field", znorm, 0.0))
     return ledger
-
-
-# --------------------------------------------------------------------------
-# trace-inequality surrogate probe
-# --------------------------------------------------------------------------
-
-def trace_inequality_probe(geometry: str, levels, samples: int, seed: int) -> dict:
-    """Quotients of the computable surrogate for the tangential trace
-    inequality: |curl-harmonic extension of (v x n)|_curl / |v|_curl."""
-    levels = list(levels)
-    if len(levels) < 3:
-        raise ValueError("a growth fit needs at least 3 levels")
-    rows = []
-    for k in levels:
-        mesh = _mesh_cached(geometry, k)
-        be = mesh.boundary_edge_mask()
-        best = 0.0
-        skipped = 0
-        for s in range(samples):
-            rng = np.random.default_rng([seed, k, s])
-            v = fem.EdgeField(mesh, rng.uniform(-1, 1, mesh.ne))
-            denom = fem.norm(v, "curl")
-            if denom == 0.0:
-                skipped += 1
-                continue
-            data = np.zeros(mesh.ne)
-            data[be] = v.values[be]
-            ext = ops.curl_harmonic_extend(mesh, data)
-            best = max(best, fem.norm(ext, "curl") / denom)
-        rows.append({"level": k, "h": 1.0 / (1 << k), "ratio": best,
-                     "skipped": skipped})
-    a, b, rel = fit_log_growth([r["h"] for r in rows], [r["ratio"] for r in rows])
-    return {"geometry": geometry, "levels": rows, "fit_a": a, "fit_b": b,
-            "fit_residual": rel}

@@ -1,3 +1,4 @@
+import gc
 import io
 import re
 import sys
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import helmdec
 from helmdec import fem
+from helmdec import mesh as hmesh
 from helmdec.geometry import (BlockComplex, Brick, GeometryError, Pyramid,
                               catalog_info, catalog_names)
 from helmdec.mesh import (build_complex, extract_block, extract_tets, read_mesh,
@@ -102,20 +104,25 @@ def test_coarser_ends_the_hierarchy():
     assert part.mesh.coarser() is None  # a catalog name, but not nested
 
 
+def _quasi_uniformity_ratio(m):
+    ln = m.edge_lengths()
+    return float(ln.max() / ln.min())
+
+
 def test_refined_mesh_is_conforming_and_quasi_uniform():
     for name in ("unit_cube", "pyramid", "three_cube_L"):
         for h in (0.25, 0.125):
             # the TetMesh constructor rejects non-conforming input
             m = build_complex(name, h)
-            assert m.quasi_uniformity_ratio() <= 4.0, (name, h)
+            assert _quasi_uniformity_ratio(m) <= 4.0, (name, h)
 
 
 def test_refine_preserves_ratio():
     # Kuhn cells: the ratio is the same on every level
     for name in ("unit_cube", "three_cube_L"):
-        ratio = build_complex(name, 0.5).quasi_uniformity_ratio()
+        ratio = _quasi_uniformity_ratio(build_complex(name, 0.5))
         for h in (0.25, 0.125):
-            assert build_complex(name, h).quasi_uniformity_ratio() == pytest.approx(ratio)
+            assert _quasi_uniformity_ratio(build_complex(name, h)) == pytest.approx(ratio)
 
 
 @pytest.mark.parametrize("name", ["three_cube_L", "pyramid", "vertex_junction_star3"])
@@ -145,13 +152,13 @@ def test_face_edges_and_patch_boundary(cube4):
 def test_euler_characteristic_catalog():
     for name in CATALOG_8:
         m = build_complex(name, 0.5)
-        assert m.euler_characteristic() == 1, name
+        assert m.nv - m.ne + m.nf - m.nt == 1, name
 
 
 def test_quasi_uniformity_all_catalog():
     for name in CATALOG_8:
         m = build_complex(name, 0.5)
-        assert m.quasi_uniformity_ratio() <= 4.0, name
+        assert _quasi_uniformity_ratio(m) <= 4.0, name
 
 
 def test_bad_geometry_and_bad_h():
@@ -291,6 +298,23 @@ def test_memoized_arrays_are_read_only(cube2):
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[0] = 0
+
+
+def test_next_build_releases_a_collected_mesh(monkeypatch):
+    """After a mesh is collected, the next mesh built trims the heap once;
+    a build with no collection since does not."""
+    trims = []
+    monkeypatch.setattr(hmesh, "_malloc_trim", trims.append)
+    first = build_complex("unit_cube", 0.5)   # settles a trim left due
+    trims.clear()
+    second = build_complex("unit_cube", 0.5)
+    assert trims == []
+    del first
+    gc.collect()
+    third = build_complex("unit_cube", 0.5)
+    build_complex("unit_cube", 0.5)
+    assert trims == [0]
+    assert second.nt == third.nt
 
 
 def test_only_mesh_module_touches_the_memo():

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import helmdec.decompose as dc
 from helmdec import fem, operators as ops
+from helmdec.geometry import catalog_names
 from helmdec.mesh import build_complex, extract_block
 from helmdec.trace import interface_faces, surface, tag_trace
 
@@ -365,3 +366,281 @@ def test_rh_of_constant_gradient_equals_gradient_map(cube4):
     lhs = ops.edge_interpolate_rh(w).values
     rhs = fem.gradient_map(cube4) @ p
     assert np.abs(lhs - rhs).max() < 1e-13
+
+
+# -- the loop calculus against its scalar reference ----------------------------
+#
+# The functions below are the scalar implementations the vectorized loop
+# calculus replaced, kept as references: the outputs must agree bit for bit.
+
+def _ref_build_loop(mesh, faces):
+    fset = np.concatenate([f.fine_faces for f in faces])
+    eids = mesh.face_edges()[fset]
+    loop_edges = mesh.patch_boundary(fset)
+    if len(loop_edges) == 0:
+        raise ops.PreconditionError("face union has no boundary curve (it is closed)")
+
+    # chain into a cycle
+    nbr: dict[int, list[tuple[int, int]]] = {}
+    for e in loop_edges:
+        a, b = (int(x) for x in mesh.edges[e])
+        nbr.setdefault(a, []).append((b, int(e)))
+        nbr.setdefault(b, []).append((a, int(e)))
+    if any(len(v) != 2 for v in nbr.values()):
+        raise ops.PreconditionError("face-union boundary is not a single simple curve")
+
+    start = min(nbr)
+    # surface-induced direction at the start: the first loop edge appears in
+    # exactly one patch triangle; traverse it as in that triangle's
+    # outward-oriented vertex cycle
+    cand = nbr[start]
+    owner = {}
+    for f in faces:
+        for k, fid in enumerate(f.fine_faces):
+            owner[int(fid)] = f.outward_sign[k]
+    first = None
+    for nxt, e in sorted(cand):
+        rows = np.nonzero(np.any(np.isin(eids, e), axis=1))[0]
+        fid = int(fset[rows[0]])
+        a, b, c = (int(x) for x in mesh.faces[fid])
+        cyc = [a, b, c] if owner[fid] > 0 else [a, c, b]
+        k = cyc.index(start)
+        if cyc[(k + 1) % 3] == nxt:
+            first = (nxt, e)
+            break
+    if first is None:
+        raise ops.PreconditionError("could not orient boundary loop")
+
+    nodes = [start, first[0]]
+    edges = [first[1]]
+    while nodes[-1] != start:
+        cur, prev_e = nodes[-1], edges[-1]
+        (n1, e1), (n2, e2) = nbr[cur]
+        nxt, e = (n1, e1) if e1 != prev_e else (n2, e2)
+        nodes.append(nxt)
+        edges.append(e)
+    nodes = np.array(nodes[:-1])
+    edges = np.array(edges)
+    signs = np.where(mesh.edges[edges, 0] == nodes, 1.0, -1.0)
+    lengths = mesh.edge_lengths()[edges]
+    return nodes, edges, signs, lengths, float(lengths.sum())
+
+
+def _ref_loop_decompose(v, loop, zero_edge=None, zero_mean_edge=None, tol=1e-12):
+    """(C, phi, c_shift, l0)"""
+    lam = ops._loop_moments(v, loop)
+    scale = max(1.0, float(np.abs(v.values).max()))
+    if zero_edge is not None:
+        pos = ops._edge_arc_positions(loop, zero_edge)
+        _, zname = ops._edge_fine_set(zero_edge)
+        bad = np.nonzero(np.abs(lam[pos]) > tol * scale)[0]
+        if len(bad):
+            raise ops.PreconditionError(
+                f"nonzero moment on {zname} (fine edge {loop.edges[pos[bad[0]]]})",
+                entity=int(loop.edges[pos[bad[0]]]),
+            )
+        onzero = np.zeros(loop.n, dtype=bool)
+        onzero[pos] = True
+        if not _ref_cyclically_contiguous(onzero):
+            raise ops.PreconditionError(f"{zname} is not contiguous on the loop")
+        l0 = float(loop.lengths[~onzero].sum())
+        if l0 == 0.0:
+            return 0.0, np.zeros(loop.n), 0.0, 0.0
+        C = float(lam[~onzero].sum() / l0)
+        # walk the complement starting right after the zero arc
+        order = _ref_cyclic_order_after(onzero)
+        phi = np.zeros(loop.n)
+        acc = 0.0
+        for k in order:
+            nxt = (k + 1) % loop.n
+            acc += lam[k] - C * loop.lengths[k]
+            phi[nxt] = acc
+        # exact zeros on the zero arc (closure residual is roundoff)
+        zero_nodes = np.zeros(loop.n, dtype=bool)
+        for k in np.nonzero(onzero)[0]:
+            zero_nodes[k] = True
+            zero_nodes[(k + 1) % loop.n] = True
+        phi[zero_nodes] = 0.0
+        return C, phi, 0.0, l0
+
+    l0 = loop.total_length
+    C = float(lam.sum() / l0)
+    phi = np.zeros(loop.n)
+    acc = 0.0
+    for k in range(loop.n - 1):
+        acc += lam[k] - C * loop.lengths[k]
+        phi[k + 1] = acc
+    c_shift = 0.0
+    if zero_mean_edge is not None:
+        pos = ops._edge_arc_positions(loop, zero_mean_edge)
+        ln = loop.lengths[pos]
+        heads = (pos + 1) % loop.n
+        mean = float(np.sum(ln * 0.5 * (phi[pos] + phi[heads])) / ln.sum())
+        c_shift = -mean
+        phi = phi + c_shift
+    return C, phi, c_shift, l0
+
+
+def _ref_cyclically_contiguous(mask):
+    n = len(mask)
+    runs = 0
+    for k in range(n):
+        if mask[k] and not mask[(k - 1) % n]:
+            runs += 1
+    return runs <= 1
+
+
+def _ref_cyclic_order_after(mask):
+    n = len(mask)
+    starts = [k for k in range(n) if not mask[k] and mask[(k - 1) % n]]
+    start = starts[0] if starts else 0
+    return [(start + j) % n for j in range(n) if not mask[(start + j) % n]]
+
+
+def _ref_loop_constant_extension(C, loop, pinned_nodes, per_edge_values, rcond=1e-12):
+    mesh = loop.mesh
+    pinned = set(int(p) for p in pinned_nodes)
+    free = [int(nd) for nd in loop.nodes if nd not in pinned]
+    if not free:
+        if np.any(np.abs(per_edge_values) > 0):
+            raise ops.PreconditionError("all loop nodes pinned with nonzero target")
+        return np.zeros((mesh.nv, 3))
+    col = {nd: 3 * k for k, nd in enumerate(free)}
+    nfree = 3 * len(free)
+
+    verts = mesh.verts
+    rows_A = []
+    rhs = []
+    M = np.zeros((nfree, nfree))
+    for k in range(loop.n):
+        a = int(loop.nodes[k])
+        b = int(loop.nodes[(k + 1) % loop.n])
+        L = loop.lengths[k]
+        tgt = per_edge_values[k] * L
+        fa, fb = a in col, b in col
+        if not fa and not fb:
+            if abs(tgt) > 1e-13 * max(1.0, abs(C)):
+                raise ops.PreconditionError("pinned loop edge with nonzero target")
+            continue
+        d = (verts[b] - verts[a])
+        row = np.zeros(nfree)
+        if fa:
+            row[col[a]:col[a] + 3] = 0.5 * d
+        if fb:
+            row[col[b]:col[b] + 3] = 0.5 * d
+        rows_A.append(row)
+        rhs.append(tgt)
+        # consistent 1D P1 mass on the loop edge (vector-valued)
+        for (na, nb, w) in ((a, a, L / 3.0), (b, b, L / 3.0), (a, b, L / 6.0), (b, a, L / 6.0)):
+            if na in col and nb in col:
+                ia, ib = col[na], col[nb]
+                M[ia:ia + 3, ib:ib + 3] += w * np.eye(3)
+    A = np.array(rows_A)
+    b = np.array(rhs)
+    Minv_At = np.linalg.solve(M, A.T)
+    S = A @ Minv_At
+    lam = np.linalg.pinv(S, rcond=rcond) @ b
+    x = Minv_At @ lam
+    out = np.zeros((mesh.nv, 3))
+    for nd in free:
+        out[nd] = x[col[nd]:col[nd] + 3]
+    return out
+
+
+def _ref_epsilon_walk(loop, eps, v0):
+    start = loop.node_pos(v0)
+    acc = 0.0
+    J = np.zeros(loop.n)
+    for j in range(loop.n):
+        k = (start + j) % loop.n
+        acc += eps[k] * loop.lengths[k]
+        J[(k + 1) % loop.n] = acc
+    return J
+
+
+def _identical(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    # bytes, not values: signed zeros must agree too
+    return np.array_equal(a, b) and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _check_decomposition(v, loop, **mode):
+    dec = ops.loop_decompose(v, loop, **mode)
+    C, phi, c_shift, l0 = _ref_loop_decompose(v, loop, **mode)
+    assert (dec.C, dec.c_shift, dec.l0) == (C, c_shift, l0)
+    assert _identical(dec.phi, phi)
+    return dec
+
+
+def _check_extension(C, loop, pins, per_edge):
+    new = ops.loop_constant_extension(C, loop, pins, per_edge).values
+    assert _identical(new, _ref_loop_constant_extension(C, loop, pins, per_edge))
+
+
+@pytest.mark.parametrize("geometry", catalog_names())
+def test_loop_calculus_matches_reference(geometry):
+    for h in (0.5, 0.25, 0.125):
+        mesh = build_complex(geometry, h)
+        surf = surface(mesh)
+        for F in surf.faces:
+            loop = ops.build_loop(mesh, [F])
+            ref = _ref_build_loop(mesh, [F])
+            for got, want in zip((loop.nodes, loop.edges, loop.signs, loop.lengths,
+                                  loop.total_length), ref):
+                assert _identical(got, want), (geometry, h, F.name)
+            rng = np.random.default_rng([int(1 / h), F.id])
+            v = fem.EdgeField(mesh, rng.uniform(-1, 1, mesh.ne))
+            dec = _check_decomposition(v, loop)
+            # the zero field: moments of -0.0 on reversed edges must sum to
+            # +0.0, as in the scalar accumulator
+            zero = fem.EdgeField(mesh, np.zeros(mesh.ne))
+            _check_decomposition(zero, loop)
+            corner = int(loop.nodes[0])
+            _check_extension(dec.C, loop, np.array([corner]), np.full(loop.n, dec.C))
+            for E in surf.edges:
+                if not np.isin(E.fine_edges, F.boundary_edges).all():
+                    continue
+                _check_decomposition(v, loop, zero_mean_edge=E)
+                vz = v.copy()
+                vz.values[E.fine_edges] = 0.0
+                _check_decomposition(zero, loop, zero_edge=E)
+                dec = _check_decomposition(vz, loop, zero_edge=E)
+                # edge subtraction: zero drift on E, pinned at its nodes
+                posE = ops._edge_arc_positions(loop, E)
+                per_edge = np.full(loop.n, dec.C)
+                per_edge[posE] = 0.0
+                _check_extension(dec.C, loop, E.fine_nodes, per_edge)
+                # anchored vertex-junction block: the epsilon walk from a
+                # node off E, pinned there and on E
+                e1, e2 = dc._adjacent_coarse_edges(surf, loop, E)
+                eps = ops.epsilon_correction(loop, E, e1, e2, dec.C)
+                _, last = ops._cyclic_arc(loop.n, posE)
+                v0 = int(loop.nodes[(last + 1 + (loop.n - len(posE)) // 2) % loop.n])
+                walk = ops._loop_walk(eps * loop.lengths, loop.node_pos(v0), loop.n)
+                assert _identical(walk, _ref_epsilon_walk(loop, eps, v0))
+                per_edge = dec.C + eps
+                per_edge[posE] = 0.0
+                _check_extension(dec.C, loop, np.concatenate([[v0], E.fine_nodes]),
+                                 per_edge)
+
+
+def test_loop_calculus_arc_edge_cases(cube4):
+    surf = surface(cube4)
+    loop = loop_of(cube4, "z=1")
+    rng = np.random.default_rng(3)
+    v = fem.EdgeField(cube4, rng.uniform(-1, 1, cube4.ne))
+    # two opposite sides of the face: not one arc of the loop
+    split = [surf.edge_by_name("e:y=0,z=1"), surf.edge_by_name("e:y=1,z=1")]
+    for e in split:
+        v.values[e.fine_edges] = 0.0
+    with pytest.raises(ops.PreconditionError, match="contiguous"):
+        ops.loop_decompose(v, loop, zero_edge=split)
+    with pytest.raises(ops.PreconditionError, match="contiguous"):
+        _ref_loop_decompose(v, loop, zero_edge=split)
+    # all four sides: the zero arc is the whole loop, l0 = 0
+    whole = [e for e in surf.edges if np.isin(e.fine_edges, loop.edges).all()]
+    assert len(whole) == 4
+    for e in whole:
+        v.values[e.fine_edges] = 0.0
+    dec = _check_decomposition(v, loop, zero_edge=whole)
+    assert dec.l0 == 0.0 and dec.C == 0.0 and not dec.phi.any()

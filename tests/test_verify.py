@@ -61,17 +61,6 @@ def test_battery_edge_route():
     assert all(item["passed"] for item in ledger), ledger
 
 
-def test_trace_probe_bounded_and_guarded():
-    rep = verify.trace_inequality_probe("unit_cube", [1, 2, 3], 3, 5)
-    assert len(rep["levels"]) == 3
-    assert all(0 < lv["ratio"] <= 1.5 for lv in rep["levels"])
-    # the surrogate quotient does not grow across levels
-    assert rep["fit_b"] <= 0.05
-    assert rep["fit_residual"] <= 0.2
-    with pytest.raises(ValueError):
-        verify.trace_inequality_probe("unit_cube", [1, 2], 3, 5)
-
-
 def test_trace_probe_gradient_data():
     # gradient tangential data has a curl-free extension
     mesh = build_complex("unit_cube", 0.25)
