@@ -266,7 +266,8 @@ def cmd_hx(cfg: ExperimentConfig, out: Path) -> int:
                         f"{res.iterations},{plain.iterations},{res.final_residual!r}")
             summary.append({"level": k, "alpha": a, "hx_iterations": res.iterations,
                             "cg_iterations": plain.iterations,
-                            "converged": res.converged})
+                            "converged": res.converged,
+                            "cg_converged": plain.converged})
     base = _slug(["hx", cfg.geometry, f"s{cfg.seed}"])
     _write(out / f"{base}.csv", f"# config={cfg.hash}\n" + "\n".join(rows) + "\n")
     _write(out / f"{base}.json", _json_dump({"config": cfg.hash, "runs": summary}))

@@ -10,10 +10,14 @@ splittings, the boundary-loop subtraction for edges, and the edge/vertex
 junction pipelines with their compatibility gate.
 
 Every route is a private function returning the fields (p, w, path,
-claims, meta), or a CompatibilityViolation; nested routes call these
-functions, so the residual R and the norm battery are computed once, in
-`_finish`.  Stability is measured (norm quotients against the claimed
-bound), not assumed.
+claims, meta), or a CompatibilityViolation.  Routes are built from shared
+passes: `_routed` runs every top-level route (and every junction block)
+between one entry check, zero trace moments of v, and one exit placement,
+exact zeros of p and w on the trace nodes; `_loop_cuts` is the one
+boundary-loop subtraction and curl-harmonic split behind every edge route;
+`_block_kernel` is the one block-kernel pass.  The residual R and the norm
+battery are computed once, in `_finish`.  Stability is measured (norm
+quotients against the claimed bound), not assumed.
 """
 
 from __future__ import annotations
@@ -184,14 +188,6 @@ def _kernel_fields(mesh: TetMesh, v: np.ndarray, gamma_nodes: np.ndarray):
     return p, w
 
 
-def _pinned_kernel(mesh: TetMesh, v: np.ndarray, pins: np.ndarray):
-    """Kernel fields with exact zeros placed on the pinned nodes."""
-    p, w = _kernel_fields(mesh, v, pins)
-    p[pins] = 0.0
-    w[pins] = 0.0
-    return p, w
-
-
 def _residual(mesh: TetMesh, v: np.ndarray, p: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Edge moments of v - grad p - r_h w."""
     return (v - fem.gradient_map(mesh) @ p
@@ -199,11 +195,11 @@ def _residual(mesh: TetMesh, v: np.ndarray, p: np.ndarray, w: np.ndarray) -> np.
 
 
 def _block_kernel(sub: Submesh, v: np.ndarray, pins: np.ndarray, p, w, R):
-    """Block-kernel pass: the pinned kernel of v restricted to the block,
+    """Block-kernel pass: the kernel of v restricted to the block,
     its residual there, all three added into the parent accumulators.
     Returns the block's p and w."""
     vb = sub.restrict_edge(v)
-    pb, wb = _pinned_kernel(sub.mesh, vb, pins)
+    pb, wb = _kernel_fields(sub.mesh, vb, pins)
     p[sub.vert_map] += pb
     w[sub.vert_map] += wb
     R[sub.edge_map] += _residual(sub.mesh, vb, pb, wb)
@@ -272,7 +268,6 @@ def _kernel_route(v: EdgeField, trace: TraceSet):
         rep = check_assumption31(mesh, trace)
         if not rep.satisfiable:
             raise PreconditionError(f"kernel route needs extension blocks: {rep.reason}")
-        _check_zero_moments(v, trace.edge_mask, "the trace")
         convex_b = rep.extended_domain_convex
         J = trace.J
     else:
@@ -282,7 +277,7 @@ def _kernel_route(v: EdgeField, trace: TraceSet):
         claims = {"rhs1": "curl_semi", "rhs2": "l2" if convex_b else "curl", "log": False}
     else:
         claims = {"rhs1": "curl", "rhs2": "l2", "log": False}
-    p, w = _pinned_kernel(mesh, v.values, trace.node_mask)
+    p, w = _kernel_fields(mesh, v.values, trace.node_mask)
     return p, w, "kernel", claims, {}
 
 
@@ -325,11 +320,10 @@ def _face_chain(v: EdgeField, trace: TraceSet):
     of p, zero extension of R, then residual kernels on the second set."""
     mesh = v.mesh
     info = geometry_info(mesh)
-    _check_zero_moments(v, trace.edge_mask, "the trace")
     rep = check_assumption31(mesh, trace)
     if rep.satisfiable and rep.extended_domain_convex:
         claims = {"rhs1": "curl_semi", "rhs2": "l2", "log": False}
-        p, w = _pinned_kernel(mesh, v.values, trace.node_mask)
+        p, w = _kernel_fields(mesh, v.values, trace.node_mask)
         return p, w, "face-chain/convex-ext", claims, {}
     if not info.sigma2:
         raise PreconditionError(f"no block split recorded for {mesh.name}")
@@ -380,8 +374,6 @@ def _face_chain(v: EdgeField, trace: TraceSet):
                 gk |= np.isin(subk.vert_map, iface.fine_nodes)
         _block_kernel(subk, v_res, gk, p_t, w_t, R_t)
 
-    p_t[trace.node_mask] = 0.0
-    w_t[trace.node_mask] = 0.0
     claims = {"rhs1": "curl_semi", "rhs2": "l2", "log": True}
     return p_t, w_t, "face-chain", claims, {}
 
@@ -396,7 +388,8 @@ def _curl_harmonic_split(v: EdgeField, faces: Sequence[CoarseFace],
     the face patch (it vanishes on the patch) and the rest (it vanishes off
     the patch), and run the kernel on each: the first pinned on the patch
     and `extra_a`, the second on the complement, the patch boundary curve
-    and `extra_b`.  Returns the summed p, w and the curve's node mask."""
+    and `extra_b`.  Returns the summed p and w; both vanish on the nodes
+    pinned in both kernels, the curve among them."""
     mesh = v.mesh
     fn, fe = _fine_closure(mesh, faces, (), ())
     # the complement (boundary minus the patch) and the patch boundary curve
@@ -409,20 +402,16 @@ def _curl_harmonic_split(v: EdgeField, faces: Sequence[CoarseFace],
     part = ops.curl_harmonic_extend(mesh, bdata).values
     pa, wa = _kernel_fields(mesh, part, fn | extra_a)
     pb, wb = _kernel_fields(mesh, v.values - part, cn | extra_b)
-    return pa + pb, wa + wb, fn & cn
+    return pa + pb, wa + wb
 
 
 def _loop_split(v: EdgeField, faces: Sequence[CoarseFace], loop: ops.BoundaryLoop,
                 extra: np.ndarray):
     """Loop split of a field with zero data on the boundary curve of a face
-    patch: the curl-harmonic split, with p and w exactly zero on the curve
-    and on the `extra` nodes (a larger trace the route embeds)."""
+    patch: the curl-harmonic split, with p and w zero on the curve and on
+    the `extra` nodes (a larger trace the route embeds)."""
     _check_zero_moments(v, _mask_from_ids(v.mesh.ne, loop.edges), "the patch boundary")
-    p, w, curve = _curl_harmonic_split(v, faces, extra, extra)
-    zero = curve | extra
-    p[zero] = 0.0
-    w[zero] = 0.0
-    return p, w
+    return _curl_harmonic_split(v, faces, extra, extra)
 
 
 # --------------------------------------------------------------------------
@@ -463,48 +452,44 @@ def _loop_subtraction(v: np.ndarray, loop: ops.BoundaryLoop, C: float,
     return _residual(mesh, v, p, w), p, w
 
 
-def _edge_subtraction(v: EdgeField, E: list[CoarseEdge], F: CoarseFace):
-    """Boundary-loop subtraction for zero-moment edge data: returns the
-    subtracted field, the global potential, the constant extension, the
-    loop record (C, l0, flux) and the loop of F."""
+def _loop_cuts(v: EdgeField, cuts, extra_a: np.ndarray, extra_b: np.ndarray):
+    """The loop-cut pass behind every edge route.  Each cut (edges, face)
+    in turn subtracts, from the running field, the potential of its loop
+    (into p) and the constant extension of the per-edge drift, pinned on
+    the edges (into w); the edges carry zero moments, and the subtracted
+    field has zero moments on the whole loop.  One curl-harmonic split
+    against all the cut faces follows.  Returns p, w and the loop records
+    (C, l0, flux)."""
     mesh = v.mesh
-    loop = ops.build_loop(mesh, [F])
-    zero_edge = E if len(E) > 1 else E[0]
-    dec = ops.loop_decompose(v, loop, zero_edge=zero_edge)
-    per_edge = np.full(loop.n, dec.C)
-    per_edge[ops._edge_arc_positions(loop, zero_edge)] = 0.0
-    vhat, phi, ctilde = _loop_subtraction(v.values, loop, dec.C, dec.phi, per_edge,
-                                          _edge_nodes(E))
-    record = (dec.C, dec.l0, _loop_flux(mesh, v, [F]))
-    return EdgeField(mesh, vhat), phi, ctilde, record, loop
-
-
-def _edge_loop_split(v: EdgeField, E: list[CoarseEdge], F: CoarseFace, extra: np.ndarray):
-    """Edge subtraction on F, the loop split of the subtracted field, and
-    exact zeros on `extra` and the edge nodes.  Returns p, w and the loop
-    record."""
-    vhat, phi, ctilde, record, loop = _edge_subtraction(v, E, F)
-    p, w = _loop_split(vhat, [F], loop, extra)
-    p = phi + p
-    w = ctilde + w
-    zero = extra.copy()
-    zero[_edge_nodes(E)] = True
-    p[zero] = 0.0
-    w[zero] = 0.0
-    return p, w, record
+    p = np.zeros(mesh.nv)
+    w = np.zeros((mesh.nv, 3))
+    records = []
+    for E, F in cuts:
+        loop = ops.build_loop(mesh, [F])
+        dec = ops.loop_decompose(v, loop, zero_edge=E)
+        per_edge = np.full(loop.n, dec.C)
+        per_edge[ops._edge_arc_positions(loop, E)] = 0.0
+        records.append((dec.C, dec.l0, _loop_flux(mesh, v, [F])))
+        vhat, phi, ctilde = _loop_subtraction(v.values, loop, dec.C, dec.phi, per_edge,
+                                              _edge_nodes(E))
+        v = EdgeField(mesh, vhat)
+        _check_zero_moments(v, _mask_from_ids(mesh.ne, loop.edges), "the patch boundary")
+        p += phi
+        w += ctilde
+    ps, ws = _curl_harmonic_split(v, [F for _, F in cuts], extra_a, extra_b)
+    return p + ps, w + ws, records
 
 
 def _edge_route(v: EdgeField, E, face: Optional[CoarseFace] = None):
     """Decomposition with zero data on a coarse edge (or connected edge
-    union): loop subtraction on a containing face, then the loop split."""
+    union): one loop cut on a containing face."""
     mesh = v.mesh
     E = _edge_list(E)
-    for e in E:
-        _check_zero_moments(v, _mask_from_ids(mesh.ne, e.fine_edges), e.name)
     F = face if face is not None else _find_face_for_edge(mesh, E)
-    p, w, record = _edge_loop_split(v, E, F, np.zeros(mesh.nv, dtype=bool))
+    no_pins = np.zeros(mesh.nv, dtype=bool)
+    p, w, records = _loop_cuts(v, [(E, F)], no_pins, no_pins)
     claims = {"rhs1": "curl_semi", "rhs2": "curl", "log": True}
-    return p, w, "edge-cut", claims, {"loops": [record]}
+    return p, w, "edge-cut", claims, {"loops": records}
 
 
 def _corner_pair(v: EdgeField, trace: TraceSet):
@@ -515,7 +500,6 @@ def _corner_pair(v: EdgeField, trace: TraceSet):
     surf = surface(mesh)
     comp = next(c for c in trace.components if not c["lipschitz"])
     f1, f2 = comp["faces"][:2]
-    _check_zero_moments(v, trace.edge_mask, "the trace")
     shared = np.intersect1d(f1.fine_nodes, f2.fine_nodes)
     if len(shared) != 1:
         raise PreconditionError("faces do not meet at a single vertex")
@@ -541,17 +525,12 @@ def _corner_pair(v: EdgeField, trace: TraceSet):
     if W is None:
         raise PreconditionError("no auxiliary face adjoins both trace faces at the vertex")
 
-    vhat, phi, ctilde, record, _ = _edge_subtraction(v, [E1, E2], W)
-    # curl-harmonic split against W: one kernel on (boundary \ W) + dW, one
-    # on trace + W
-    p, w, _ = _curl_harmonic_split(vhat, [W], np.zeros(mesh.nv, dtype=bool),
-                                   trace.node_mask)
-    p = phi + p
-    w = ctilde + w
-    p[trace.node_mask] = 0.0
-    w[trace.node_mask] = 0.0
+    # the curl-harmonic split against W: one kernel pinned on W, one on
+    # (boundary \ W) + dW + the trace
+    p, w, records = _loop_cuts(v, [([E1, E2], W)], np.zeros(mesh.nv, dtype=bool),
+                               trace.node_mask)
     claims = {"rhs1": "curl_semi", "rhs2": "curl", "log": True}
-    return p, w, "corner-pair-faces", claims, {"loops": [record]}
+    return p, w, "corner-pair-faces", claims, {"loops": records}
 
 
 def _face_plus_edge(v: EdgeField, trace: TraceSet, E):
@@ -561,9 +540,6 @@ def _face_plus_edge(v: EdgeField, trace: TraceSet, E):
     mesh = v.mesh
     E = _edge_list(E)
     surf = surface(mesh)
-    _check_zero_moments(v, trace.edge_mask, "the trace")
-    for e in E:
-        _check_zero_moments(v, _mask_from_ids(mesh.ne, e.fine_edges), e.name)
     enodes = _edge_nodes(E)
 
     if trace.node_mask[enodes].any():
@@ -580,9 +556,9 @@ def _face_plus_edge(v: EdgeField, trace: TraceSet, E):
             raise PreconditionError("no trace edge through the contact vertex")
         union = E + [eprime]
         F = _find_face_for_edge(mesh, union)
-        p, w, record = _edge_loop_split(v, union, F, trace.node_mask)
+        p, w, records = _loop_cuts(v, [(union, F)], trace.node_mask, trace.node_mask)
         claims = {"rhs1": "curl_semi", "rhs2": "curl", "log": True}
-        return p, w, "faces-plus-edge/endpoint", claims, {"loops": [record]}
+        return p, w, "faces-plus-edge/endpoint", claims, {"loops": records}
 
     # disjoint case (i): a containing face avoiding the trace
     try:
@@ -591,8 +567,8 @@ def _face_plus_edge(v: EdgeField, trace: TraceSet, E):
         F = None
     claims = {"rhs1": "curl", "rhs2": "curl", "log": True}
     if F is not None:
-        p, w, record = _edge_loop_split(v, E, F, trace.node_mask)
-        return p, w, "faces-plus-edge/clear-face", claims, {"loops": [record]}
+        p, w, records = _loop_cuts(v, [(E, F)], trace.node_mask, trace.node_mask)
+        return p, w, "faces-plus-edge/clear-face", claims, {"loops": records}
 
     # disjoint case (ii): run the edge machinery on the recorded extension
     info = geometry_info(mesh)
@@ -619,10 +595,6 @@ def _face_plus_edge(v: EdgeField, trace: TraceSet, E):
         dc = np.zeros(mesh.nv)
         dc[trace.node_mask] = wG[trace.node_mask, c]
         w[:, c] -= ops.harmonic_extend(mesh, dc).values
-    zero = trace.node_mask.copy()
-    zero[enodes] = True
-    p[zero] = 0.0
-    w[zero] = 0.0
     return p, w, "faces-plus-edge/extension", claims, {"loops": metaB["loops"]}
 
 
@@ -659,8 +631,6 @@ def _disjoint_edges(v: EdgeField, edges: Sequence[CoarseEdge],
     recorded element-aligned subdomain split with cut-off localization."""
     mesh = v.mesh
     edges = _edge_list(edges)
-    for e in edges:
-        _check_zero_moments(v, _mask_from_ids(mesh.ne, e.fine_edges), e.name)
     for i in range(len(edges)):
         for j in range(i + 1, len(edges)):
             if np.intersect1d(edges[i].fine_nodes, edges[j].fine_nodes).size:
@@ -685,22 +655,7 @@ def _disjoint_edges(v: EdgeField, edges: Sequence[CoarseEdge],
         picks.append(F)
         used_nodes[F.fine_nodes] = True
     else:
-        p = np.zeros(mesh.nv)
-        w = np.zeros((mesh.nv, 3))
-        vhat = v
-        records = []
-        for e, F in zip(edges, picks):
-            vhat, phi, ctilde, rec, _ = _edge_subtraction(vhat, [e], F)
-            p += phi
-            w += ctilde
-            records.append(rec)
-        ps, ws, _ = _curl_harmonic_split(vhat, picks, xn, xn)
-        p += ps
-        w += ws
-        zero = xn.copy()
-        zero[_edge_nodes(edges)] = True
-        p[zero] = 0.0
-        w[zero] = 0.0
+        p, w, records = _loop_cuts(v, [([e], F) for e, F in zip(edges, picks)], xn, xn)
         claims = {"rhs1": "curl", "rhs2": "curl", "log": True}
         return p, w, "disjoint-edges/simple", claims, {"loops": records}
 
@@ -770,9 +725,6 @@ def _disjoint_edges_hard(v: EdgeField, edges: Sequence[CoarseEdge]):
         R[col_edges] += _residual(mesh, v.values, pe, we)[col_edges]
 
     _block_kernel(core, _residual(mesh, v.values, p, w) - R, core_pins, p, w, R)
-    for e in edges:
-        p[e.fine_nodes] = 0.0
-        w[e.fine_nodes] = 0.0
     claims = {"rhs1": "curl", "rhs2": "curl", "log": True}
     return p, w, "disjoint-edges/subdomains", claims, {"loops": records}
 
@@ -788,7 +740,6 @@ def _route(v: EdgeField, trace: TraceSet):
     complexes through their dedicated pipelines."""
     mesh = v.mesh
     info = geometry_info(mesh)
-    _check_zero_moments(v, trace.edge_mask, "the trace")
 
     if info.junction_edge is not None:
         return _edge_junction(v, trace)
@@ -811,12 +762,12 @@ def _route(v: EdgeField, trace: TraceSet):
             if info.sigma2:
                 return _face_chain(v, trace)
             claims = {"rhs1": "curl_semi", "rhs2": "curl", "log": True}
-            return _pinned_kernel(mesh, v.values, trace.node_mask) + (
+            return _kernel_fields(mesh, v.values, trace.node_mask) + (
                 "kernel-fallback", claims, {})
         # J >= 2 faces only: multi-component kernel; the curl-semi-norm bound
         # is known to fail here, so the claim references the full norm
         claims = {"rhs1": "curl", "rhs2": "l2", "log": not trace.lipschitz}
-        return _pinned_kernel(mesh, v.values, trace.node_mask) + (
+        return _kernel_fields(mesh, v.values, trace.node_mask) + (
             "kernel-multi", claims, {})
 
     # connected unions of coarse edges (shared endpoints)
@@ -847,10 +798,23 @@ def decompose(v: EdgeField, trace: TraceSet,
     droppable) are recorded on the result."""
     if route not in _ROUTES:
         raise ValueError(f"unknown route {route!r}; use 'auto', 'kernel' or 'face-chain'")
-    out = _ROUTES[route](v, trace)
+    out = _routed(_ROUTES[route], v, trace)
     if isinstance(out, CompatibilityViolation):
         return out
     return _finish(v, *out)
+
+
+def _routed(route, v: EdgeField, trace: TraceSet):
+    """Run a route between the shared entry and exit passes: the trace
+    moments of v must vanish, and p, w get exact zeros on the trace nodes."""
+    _check_zero_moments(v, trace.edge_mask, "the trace")
+    out = route(v, trace)
+    if isinstance(out, CompatibilityViolation):
+        return out
+    p, w = out[:2]
+    p[trace.node_mask] = 0.0
+    w[trace.node_mask] = 0.0
+    return out
 
 
 def _faces_only_trace(trace: TraceSet) -> TraceSet:
@@ -872,7 +836,7 @@ def _block_split(sub: Submesh, v: EdgeField, node_mask, edge_mask):
     """The routed fields of v restricted to a block, with the trace
     restricted to it."""
     vs = EdgeField(sub.mesh, sub.restrict_edge(v.values))
-    out = _route(vs, _sub_trace(sub, node_mask, edge_mask))
+    out = _routed(_route, vs, _sub_trace(sub, node_mask, edge_mask))
     if isinstance(out, CompatibilityViolation):
         raise PreconditionError(out.message)
     return out
@@ -886,7 +850,6 @@ def _edge_junction(v: EdgeField, trace: TraceSet):
     info = geometry_info(mesh)
     surf = surface(mesh)
     E = surf.edge_by_name(info.junction_edge)
-    _check_zero_moments(v, trace.edge_mask, "the trace")
     e_in_trace = trace.edge_mask[E.fine_edges].all()
     partial = trace.node_mask[E.fine_nodes].any() and not e_in_trace
 
@@ -930,8 +893,6 @@ def _edge_junction(v: EdgeField, trace: TraceSet):
     records.extend(meta1.get("loops", []))
     p[sub1.vert_map] += p1
     w[sub1.vert_map] += w1
-    p[trace.node_mask] = 0.0
-    w[trace.node_mask] = 0.0
     claims = {"rhs1": "curl_semi" if trace.J <= 1 else "curl", "rhs2": "curl",
               "log": True}
     return p, w, "edge-junction/chained", claims, {"loops": records}
@@ -1060,7 +1021,6 @@ def _vertex_junction(v: EdgeField, trace: TraceSet):
     outcome) unless all gated loop potentials agree at the vertex."""
     mesh = v.mesh
     surf = surface(mesh)
-    _check_zero_moments(v, trace.edge_mask, "the trace")
     vcurl = fem.norm(v, "curl")
     v0, kinds, setups, vals, ref, records = _vertex_gate(v, trace)
     functionals = vals[1:] - vals[:-1]
@@ -1120,8 +1080,6 @@ def _vertex_junction(v: EdgeField, trace: TraceSet):
             keep = sub.vert_map != v0
         p[sub.vert_map[keep]] = pb[keep]
         w[sub.vert_map[keep]] = wb[keep]
-    p[trace.node_mask] = 0.0
-    w[trace.node_mask] = 0.0
     all_connected = all(c["lipschitz"] for c in trace.components)
     claims = {"rhs1": "curl_semi" if all_connected else "curl", "rhs2": "curl",
               "log": bool(any_log)}
@@ -1205,6 +1163,10 @@ def _bump_loop_potential(v: EdgeField, trace: TraceSet, loop, E, v0, delta) -> E
 def incompatible_field(mesh: TetMesh, trace: TraceSet, seed, magnitude=1.0) -> EdgeField:
     """A compatibilized random field perturbed by a circulation on one gated
     block loop so the first compatibility functional is order `magnitude`."""
+    if geometry_info(mesh).junction_vertex is None:
+        raise PreconditionError(
+            f"incompatible fields need a vertex junction; {mesh.name} has none",
+            entity=mesh.name)
     v = random_admissible_field(mesh, trace, seed)
     v0, kinds, setups, vals, ref, _ = _vertex_gate(v, trace)
     anchored = [b for b, k in enumerate(kinds) if k == "anchored"]

@@ -203,6 +203,22 @@ def surface(mesh: TetMesh) -> Surface:
     return mesh.cached("surface", lambda: _build_surface(mesh))
 
 
+def _number(ents: list) -> None:
+    """Suffix `#i` to names shared by several entities, ordered by their
+    lowest fine node, then sort the entities by name and assign their ids."""
+    named: dict[str, list] = {}
+    for x in ents:
+        named.setdefault(x.name, []).append(x)
+    for name, group in named.items():
+        if len(group) > 1:
+            group.sort(key=lambda x: int(x.fine_nodes.min()))
+            for i, x in enumerate(group):
+                x.name = f"{name}#{i}"
+    ents.sort(key=lambda x: x.name)
+    for i, x in enumerate(ents):
+        x.id = i
+
+
 def _build_surface(mesh: TetMesh) -> Surface:
     bmask = mesh.boundary_face_mask()
     bfids = np.nonzero(bmask)[0]
@@ -216,7 +232,6 @@ def _build_surface(mesh: TetMesh) -> Surface:
     rank = {key: i for i, key in enumerate(sorted(set(keys)))}
     pid = np.array([rank[key] for key in keys], dtype=np.int64)
     faces: list[CoarseFace] = []
-    named: dict[str, list[CoarseFace]] = {}
     patches = linked_components(pid[:, None] * mesh.ne + face_edge_ids)
     for comp in sorted(patches, key=lambda c: pid[c[0]]):
         key = keys[comp[0]]
@@ -236,18 +251,8 @@ def _build_surface(mesh: TetMesh) -> Surface:
             concave=concave,
             outward_sign=np.ones(len(ffaces), dtype=np.int8),
         )
-        named.setdefault(cf.name, []).append(cf)
-
-    for name in sorted(named):
-        group = named[name]
-        if len(group) > 1:
-            group.sort(key=lambda f: int(f.fine_nodes.min()))
-            for i, f in enumerate(group):
-                f.name = f"{name}#{i}"
-        faces.extend(group)
-    faces.sort(key=lambda f: f.name)
-    for i, f in enumerate(faces):
-        f.id = i
+        faces.append(cf)
+    _number(faces)
 
     # outward sign of the canonical fine-face normal per patch face
     v = mesh.verts_int
@@ -294,17 +299,7 @@ def _build_surface(mesh: TetMesh) -> Surface:
                 fine_nodes=nodes,
             )
         )
-    by_name: dict[str, list[CoarseEdge]] = {}
-    for e in edges:
-        by_name.setdefault(e.name, []).append(e)
-    for name, group in by_name.items():
-        if len(group) > 1:
-            group.sort(key=lambda e: int(e.fine_nodes.min()))
-            for i, e in enumerate(group):
-                e.name = f"{name}#{i}"
-    edges.sort(key=lambda e: e.name)
-    for i, e in enumerate(edges):
-        e.id = i
+    _number(edges)
 
     # coarse vertices: block corners present on the boundary
     info = CATALOG.get(mesh.name)
@@ -385,11 +380,7 @@ def trace_from_fine(mesh: TetMesh, node_mask: np.ndarray, edge_mask: np.ndarray)
     decompose into whole coarse entities (partial coverage)."""
     surf = surface(mesh)
     faces = [f for f in surf.faces if edge_mask[f.fine_edges].all() and node_mask[f.fine_nodes].all()]
-    covered_e = np.zeros(mesh.ne, dtype=bool)
-    covered_n = np.zeros(mesh.nv, dtype=bool)
-    for f in faces:
-        covered_e[f.fine_edges] = True
-        covered_n[f.fine_nodes] = True
+    covered_n, covered_e = _fine_closure(mesh, faces, (), ())
     edges = []
     for e in surf.edges:
         rest = edge_mask[e.fine_edges] & ~covered_e[e.fine_edges]

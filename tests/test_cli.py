@@ -117,6 +117,13 @@ seed = 3
     assert run("decompose", cfg, tmp_path / "d") == 3
 
 
+def test_perturbed_input_needs_a_vertex_junction(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, BASE.replace("input = random", "input = perturbed")
+                    .replace("levels = 1,2,3", "levels = 1"))
+    assert run("decompose", cfg, tmp_path / "d") == 3
+    assert "unit_cube" in capsys.readouterr().err
+
+
 def test_sweep_two_levels_rejected(tmp_path):
     cfg = write_cfg(tmp_path, BASE.replace("levels = 1,2,3", "levels = 1,2"))
     assert run("sweep", cfg, tmp_path / "s") == 2
@@ -163,6 +170,7 @@ tol = 1e-8
     assert _tree_bytes(a) == _tree_bytes(b)
     data = json.loads(next(a.glob("hx__*.json")).read_text())
     assert all(r["hx_iterations"] < r["cg_iterations"] for r in data["runs"])
+    assert all(r["cg_converged"] is True for r in data["runs"])
 
 
 def test_seed_override_changes_hash(tmp_path):

@@ -1,3 +1,6 @@
+import inspect
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -126,13 +129,25 @@ def test_every_route_absorbs_gradients(geometry, spec, path):
     assert_absorbs_gradient(dc.decompose, mesh, t)
 
 
-def test_dispatcher_rejects_nonzero_moment(cube4, rng):
+@pytest.mark.parametrize("route", ["auto", "kernel", "face-chain"])
+def test_dispatcher_rejects_nonzero_moment(cube4, rng, route):
     t = tag_trace(cube4, ["z=0"])
     v = fem.EdgeField(cube4, rng.uniform(0.5, 1.0, cube4.ne))
     with pytest.raises(PreconditionError) as exc:
-        dc.decompose(v, t)
+        dc.decompose(v, t, route=route)
     assert exc.value.entity is not None
     assert t.edge_mask[exc.value.entity]
+
+
+def test_trace_entry_and_exit_only_in_routed():
+    # the trace-moment check and the trace-zero placement are the shared
+    # entry and exit passes of every route, written once
+    routed = inspect.getsource(dc._routed)
+    rest = inspect.getsource(dc).replace(routed, "")
+    for pattern in (r'trace\.edge_mask, "the trace"',
+                    r"\b(p|w|p_t|w_t)\[trace\.node_mask\] = 0\.0"):
+        assert re.search(pattern, routed), pattern
+        assert not re.search(pattern, rest), pattern
 
 
 def test_no_log_claims():
