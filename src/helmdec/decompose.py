@@ -9,15 +9,24 @@ block construction for non-convex face traces, curl-harmonic face/edge
 splittings, the boundary-loop subtraction for edges, and the edge/vertex
 junction pipelines with their compatibility gate.
 
-Every route is a private function returning the fields (p, w, path,
-claims, meta), or a CompatibilityViolation.  Routes are built from shared
-passes: `_routed` runs every top-level route (and every junction block)
-between one entry check, zero trace moments of v, and one exit placement,
-exact zeros of p and w on the trace nodes; `_loop_cuts` is the one
-boundary-loop subtraction and curl-harmonic split behind every edge route;
-`_block_kernel` is the one block-kernel pass.  The residual R and the norm
-battery are computed once, in `_finish`.  Stability is measured (norm
-quotients against the claimed bound), not assumed.
+Every route is split into a plan and an apply.  For a fixed mesh and trace
+the route is a linear map v -> (p, w), so a route is a private planner
+`(mesh, trace) -> apply`: it derives once what depends on the mesh and the
+trace alone (the branch taken, the cut faces, the boundary loops and their
+arc positions, the kernel pin masks, the sub-traces and block data of the
+junctions, the interface masks of the face chain), and returns a function
+of v that does only matvecs and solves on cached factors, returning
+(p, w, path, claims, meta) or a CompatibilityViolation.  `_plan` memoizes
+one plan per (mesh, route, coarse trace entities) on the mesh, so a second
+call on the same (mesh, trace) builds no loop and factors nothing; each
+kernel pass is one 4-column solve [p | w_x w_y w_z].  Routes are built from
+shared passes: `_routed` runs every top-level route (and every junction
+block) between one entry check, zero trace moments of v, and one exit
+placement, exact zeros of p and w on the trace nodes; `_loop_cuts` is the
+one boundary-loop subtraction and curl-harmonic split behind every edge
+route; `_block_kernel` is the one block-kernel pass.  The residual R and
+the norm battery are computed once, in `_finish`.  Stability is measured
+(norm quotients against the claimed bound), not assumed.
 """
 
 from __future__ import annotations
@@ -119,8 +128,10 @@ def _check_zero_moments(v: EdgeField, edge_mask: np.ndarray, what: str):
         )
 
 
-def _curl_rhs_matrix(mesh: TetMesh) -> sp.csr_matrix:
-    """(3*nt) x (3*nv) map: nodal vector field -> per-tet constant curl."""
+def _curl_rhs_transpose(mesh: TetMesh) -> sp.csc_matrix:
+    """(3*nv) x (3*nt) map: per-tet constant curl -> its pairing with the
+    curls of the nodal vector hat functions.  A transpose view of the
+    csr matrix (no copy)."""
 
     def build():
         vol, g = fem.tet_geometry(mesh)
@@ -142,50 +153,39 @@ def _curl_rhs_matrix(mesh: TetMesh) -> sp.csr_matrix:
         rows = np.concatenate(rows)
         cols = np.concatenate(cols)
         vals = np.concatenate(vals)
-        return sp.csr_matrix((vals, (rows, cols)), shape=(3 * nt, 3 * mesh.nv))
+        return sp.csr_matrix((vals, (rows, cols)), shape=(3 * nt, 3 * mesh.nv)).T
 
-    return mesh.cached("curl_rhs", build)
+    return mesh.cached("curl_rhs_T", build)
 
 
 def _kernel_fields(mesh: TetMesh, v: np.ndarray, gamma_nodes: np.ndarray):
-    """Two constrained Poisson solves: p from (grad p, grad q) = (v, grad q)
-    and w from (grad w, grad phi) = (curl v, curl phi), both over the
-    nodal space vanishing at gamma_nodes (mean-zero gauge when empty)."""
-    K = fem.assemble(mesh, "Z", "stiffness")
-    G = fem.gradient_map(mesh)
+    """Two constrained Poisson solves on one factor, made as one 4-column
+    solve: p from (grad p, grad q) = (v, grad q) and w from (grad w, grad
+    phi) = (curl v, curl phi), both over the nodal space vanishing at
+    gamma_nodes (mean-zero gauge when empty)."""
     M = fem.assemble(mesh, "V", "mass")
+    vol, _ = fem.tet_geometry(mesh)
+    curl = fem.curl_of_edge_field(EdgeField(mesh, v))
+    rhs = np.empty((mesh.nv, 4))
+    rhs[:, 0] = mesh.cached("gradient_map_T", lambda: fem.gradient_map(mesh).T) @ (M @ v)
+    rhs[:, 1:] = (_curl_rhs_transpose(mesh) @ (vol[:, None] * curl).ravel()).reshape(mesh.nv, 3)
+    K = fem.assemble(mesh, "Z", "stiffness")
     free = np.nonzero(~gamma_nodes)[0]
-    key_mask = gamma_nodes.tobytes()
-    gauge = len(free) == mesh.nv
 
-    if gauge:
+    if len(free) == mesh.nv:
         mz = fem.assemble(mesh, "Z", "mass") @ np.ones(mesh.nv)
 
         def build():
             return sp.bmat([[K, mz[:, None]], [mz[None, :], None]], format="csc")
 
         solver = fem.cached_solver(mesh, ("kernel", "gauge"), build)
-
-        def solve(rhs):
-            return solver.solve(np.concatenate([rhs, [0.0]]))[:-1]
+        out = solver.solve(np.vstack([rhs, np.zeros((1, 4))]))[:-1]
     else:
-        solver = fem.cached_solver(mesh, ("kernel", key_mask), lambda: K[free][:, free])
-
-        def solve(rhs):
-            out = np.zeros(mesh.nv)
-            out[free] = solver.solve(rhs[free])
-            return out
-
-    p = solve(G.T @ (M @ v))
-
-    curl = fem.curl_of_edge_field(EdgeField(mesh, v))
-    vol, _ = fem.tet_geometry(mesh)
-    rhs_w = _curl_rhs_matrix(mesh).T @ (vol[:, None] * curl).ravel()
-    rhs_w = rhs_w.reshape(mesh.nv, 3)
-    w = np.zeros((mesh.nv, 3))
-    for c in range(3):
-        w[:, c] = solve(rhs_w[:, c])
-    return p, w
+        solver = fem.cached_solver(mesh, ("kernel", gamma_nodes.tobytes()),
+                                   lambda: K[free][:, free], spd=True)
+        out = np.zeros((mesh.nv, 4))
+        out[free] = solver.solve(rhs[free])
+    return np.ascontiguousarray(out[:, 0]), np.ascontiguousarray(out[:, 1:])
 
 
 def _residual(mesh: TetMesh, v: np.ndarray, p: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -258,12 +258,20 @@ def _mask_from_ids(n, ids):
 # kernel route (convex / extension traces)
 # --------------------------------------------------------------------------
 
-def _kernel_route(v: EdgeField, trace: TraceSet):
+def _kernel_pass(mesh: TetMesh, pins: np.ndarray, path: str, claims: dict):
+    """Plan of a route that is one kernel pass pinned at `pins`."""
+
+    def apply(v: EdgeField):
+        return _kernel_fields(mesh, v.values, pins) + (path, claims, {})
+
+    return apply
+
+
+def _kernel_route(mesh: TetMesh, trace: TraceSet):
     """Computable decomposition kernel: constrained Poisson projection for
     p, constrained vector Poisson solve with curl data for w, exact
     residual R.  Valid whenever every trace component admits a Lipschitz
     extension (decided by catalog lookup)."""
-    mesh = v.mesh
     if not trace.empty:
         rep = check_assumption31(mesh, trace)
         if not rep.satisfiable:
@@ -277,8 +285,7 @@ def _kernel_route(v: EdgeField, trace: TraceSet):
         claims = {"rhs1": "curl_semi", "rhs2": "l2" if convex_b else "curl", "log": False}
     else:
         claims = {"rhs1": "curl", "rhs2": "l2", "log": False}
-    p, w = _kernel_fields(mesh, v.values, trace.node_mask)
-    return p, w, "kernel", claims, {}
+    return _kernel_pass(mesh, trace.node_mask, "kernel", claims)
 
 
 # --------------------------------------------------------------------------
@@ -293,11 +300,12 @@ def _axis_of_plane(plane) -> tuple[int, int]:
     raise GeometryError("interface plane is not axis-aligned")
 
 
-def _layer_extension(mesh: TetMesh, face_nodes: np.ndarray, source: np.ndarray,
-                     target_nodes: np.ndarray, plane) -> np.ndarray:
-    """Extend nodal data given on an axis-aligned interface into a block by
-    the two-layer decay along the interface normal: half the face value
-    one lattice layer off the interface, exact zeros beyond."""
+def _layer_extension(mesh: TetMesh, face_nodes: np.ndarray, target_nodes: np.ndarray,
+                     plane) -> tuple[np.ndarray, np.ndarray]:
+    """Support of the two-layer decay of nodal data given on an
+    axis-aligned interface into a block: the target nodes one lattice layer
+    off the interface, which take half the value of their source face node
+    (returned alongside), with exact zeros beyond."""
     a, c = _axis_of_plane(plane)
     v = mesh.verts_int
     nodes = target_nodes[np.abs(v[target_nodes, a] - c) == 1]
@@ -310,108 +318,131 @@ def _layer_extension(mesh: TetMesh, face_nodes: np.ndarray, source: np.ndarray,
     tkeys = v[nodes, b0] * span + v[nodes, b1]
     pos = np.minimum(np.searchsorted(fkeys[order], tkeys), len(order) - 1)
     hit = fkeys[order][pos] == tkeys
-    src = face_nodes[order[pos[hit]]]
-    return nodes[hit], source[src] * 0.5
+    return nodes[hit], face_nodes[order[pos[hit]]]
 
 
-def _face_chain(v: EdgeField, trace: TraceSet):
+def _face_chain(mesh: TetMesh, trace: TraceSet):
     """Face-trace decomposition on a non-convex block union: kernel on the
     first block set, cut-off interface extensions of w, harmonic extension
     of p, zero extension of R, then residual kernels on the second set."""
-    mesh = v.mesh
+    surf = surface(mesh)
+    extra = [e.name for e in trace.coarse_edges] + [
+        next((k for k, n in surf.vertices.items() if n == node), f"node {node}")
+        for node in trace.vertex_nodes]
+    if extra:
+        raise PreconditionError(
+            f"the face-chain route needs a trace of faces only; {extra[0]} is not a face",
+            entity=extra[0])
     info = geometry_info(mesh)
     rep = check_assumption31(mesh, trace)
     if rep.satisfiable and rep.extended_domain_convex:
         claims = {"rhs1": "curl_semi", "rhs2": "l2", "log": False}
-        p, w = _kernel_fields(mesh, v.values, trace.node_mask)
-        return p, w, "face-chain/convex-ext", claims, {}
+        return _kernel_pass(mesh, trace.node_mask, "face-chain/convex-ext", claims)
     if not info.sigma2:
         raise PreconditionError(f"no block split recorded for {mesh.name}")
 
     ifaces = interface_faces(mesh)
-    p_t = np.zeros(mesh.nv)
-    w_t = np.zeros((mesh.nv, 3))
-    R_t = np.zeros(mesh.ne)
-
+    # per first-set block: its kernel pins and, per interface into a
+    # second-set block, the layer support of w with its source nodes (those
+    # on the interface boundary curve take 0), the interface nodes carrying
+    # the p data, and the block nodes p is extended to
+    first = []
     for b1 in info.sigma1:
         sub = extract_block(mesh, b1)
-        sub_nodes = sub.vert_map
-        # global accumulators: block values on the block, extensions beyond
-        p1, w1 = _block_kernel(sub, v.values, trace.node_mask[sub_nodes], p_t, w_t, R_t)
-
+        exts = []
         for iface in ifaces:
             if b1 not in iface.blocks:
                 continue
             k = iface.blocks[0] if iface.blocks[1] == b1 else iface.blocks[1]
             subk = extract_block(mesh, k)
-            # cut-off values on the interface: w1 at interior nodes, 0 on
-            # the interface boundary curve
-            src = np.zeros((mesh.nv, 3))
-            src[sub_nodes] = w1
-            src[iface.boundary_nodes] = 0.0
-            targets = subk.vert_map[~np.isin(subk.vert_map, iface.fine_nodes)]
-            nodes, vals = _layer_extension(mesh, iface.fine_nodes, src, targets, iface.plane)
-            if len(nodes):
-                w_t[nodes] += vals
-            # discrete harmonic p-extension into the block
-            bdata = np.zeros(subk.mesh.nv)
             on_iface = np.isin(subk.vert_map, iface.fine_nodes)
-            gp = np.zeros(mesh.nv)
-            gp[sub_nodes] = p1
-            bdata[on_iface] = gp[subk.vert_map[on_iface]]
-            pk = ops.harmonic_extend(subk.mesh, bdata)
-            addmask = ~np.isin(subk.vert_map, sub_nodes)
-            sel = addmask & (np.abs(pk.values) > 0)
-            p_t[subk.vert_map[sel]] += pk.values[sel]
-
-    v_res = _residual(mesh, v.values, p_t, w_t) - R_t
-
+            nodes, src = _layer_extension(mesh, iface.fine_nodes, subk.vert_map[~on_iface],
+                                          iface.plane)
+            exts.append((nodes, src, np.isin(src, iface.boundary_nodes), subk, on_iface,
+                         ~np.isin(subk.vert_map, sub.vert_map)))
+        first.append((sub, trace.node_mask[sub.vert_map], exts))
+    second = []
     for k in info.sigma2:
         subk = extract_block(mesh, k)
         gk = trace.node_mask[subk.vert_map].copy()
         for iface in ifaces:
             if k in iface.blocks and (iface.blocks[0] in info.sigma1 or iface.blocks[1] in info.sigma1):
                 gk |= np.isin(subk.vert_map, iface.fine_nodes)
-        _block_kernel(subk, v_res, gk, p_t, w_t, R_t)
-
+        second.append((subk, gk))
     claims = {"rhs1": "curl_semi", "rhs2": "l2", "log": True}
-    return p_t, w_t, "face-chain", claims, {}
+
+    def apply(v: EdgeField):
+        p_t = np.zeros(mesh.nv)
+        w_t = np.zeros((mesh.nv, 3))
+        R_t = np.zeros(mesh.ne)
+        for sub, pins, exts in first:
+            # global accumulators: block values on the block, extensions beyond
+            p1, w1 = _block_kernel(sub, v.values, pins, p_t, w_t, R_t)
+            gp = np.zeros(mesh.nv)
+            gp[sub.vert_map] = p1
+            gw = np.zeros((mesh.nv, 3))
+            gw[sub.vert_map] = w1
+            for nodes, src, on_curve, subk, on_iface, addmask in exts:
+                # cut-off values on the interface: w1 at interior nodes, 0 on
+                # the interface boundary curve
+                vals = gw[src] * 0.5
+                vals[on_curve] = 0.0
+                w_t[nodes] += vals
+                # discrete harmonic p-extension into the block
+                bdata = np.zeros(subk.mesh.nv)
+                bdata[on_iface] = gp[subk.vert_map[on_iface]]
+                pk = ops.harmonic_extend(subk.mesh, bdata).values
+                sel = addmask & (np.abs(pk) > 0)
+                p_t[subk.vert_map[sel]] += pk[sel]
+
+        v_res = _residual(mesh, v.values, p_t, w_t) - R_t
+        for subk, gk in second:
+            _block_kernel(subk, v_res, gk, p_t, w_t, R_t)
+        return p_t, w_t, "face-chain", claims, {}
+
+    return apply
 
 
 # --------------------------------------------------------------------------
 # curl-harmonic and loop splits against a face patch
 # --------------------------------------------------------------------------
 
-def _curl_harmonic_split(v: EdgeField, faces: Sequence[CoarseFace],
-                         extra_a: np.ndarray, extra_b: np.ndarray):
-    """Split v into the curl-harmonic extension of its boundary moments off
-    the face patch (it vanishes on the patch) and the rest (it vanishes off
-    the patch), and run the kernel on each: the first pinned on the patch
-    and `extra_a`, the second on the complement, the patch boundary curve
-    and `extra_b`.  Returns the summed p and w; both vanish on the nodes
-    pinned in both kernels, the curve among them."""
-    mesh = v.mesh
+def _split_plan(mesh: TetMesh, faces: Sequence[CoarseFace], extra_a: np.ndarray,
+                extra_b: np.ndarray):
+    """Plan of the curl-harmonic split against a face patch: the boundary
+    edges off the patch closure (the data of the extension), and the pins
+    of its two kernels: the patch and `extra_a`; the complement (boundary
+    minus the patch), the patch boundary curve and `extra_b`."""
     fn, fe = _fine_closure(mesh, faces, (), ())
-    # the complement (boundary minus the patch) and the patch boundary curve
     cn = mesh.boundary_node_mask() & ~fn
     for f in faces:
         cn[mesh.edges[f.boundary_edges].ravel()] = True
+    return mesh.boundary_edge_mask() & ~fe, fn | extra_a, cn | extra_b
+
+
+def _curl_harmonic_split(v: EdgeField, plan):
+    """Split v into the curl-harmonic extension of its boundary moments off
+    the face patch (it vanishes on the patch) and the rest (it vanishes off
+    the patch), and run the kernel on each, pinned as `_split_plan` says.
+    Returns the summed p and w; both vanish on the nodes pinned in both
+    kernels, the curve among them."""
+    mesh = v.mesh
+    bmask, pins_a, pins_b = plan
     bdata = np.zeros(mesh.ne)
-    bmask = mesh.boundary_edge_mask() & ~fe
     bdata[bmask] = v.values[bmask]
     part = ops.curl_harmonic_extend(mesh, bdata).values
-    pa, wa = _kernel_fields(mesh, part, fn | extra_a)
-    pb, wb = _kernel_fields(mesh, v.values - part, cn | extra_b)
+    pa, wa = _kernel_fields(mesh, part, pins_a)
+    pb, wb = _kernel_fields(mesh, v.values - part, pins_b)
     return pa + pb, wa + wb
 
 
-def _loop_split(v: EdgeField, faces: Sequence[CoarseFace], loop: ops.BoundaryLoop,
-                extra: np.ndarray):
+def _loop_split(v: EdgeField, loop_edges: np.ndarray, plan):
     """Loop split of a field with zero data on the boundary curve of a face
-    patch: the curl-harmonic split, with p and w zero on the curve and on
-    the `extra` nodes (a larger trace the route embeds)."""
-    _check_zero_moments(v, _mask_from_ids(v.mesh.ne, loop.edges), "the patch boundary")
-    return _curl_harmonic_split(v, faces, extra, extra)
+    patch (`loop_edges`, an edge mask): the curl-harmonic split, with p and
+    w zero on the curve and on the extra nodes of the plan (a larger trace
+    the route embeds)."""
+    _check_zero_moments(v, loop_edges, "the patch boundary")
+    return _curl_harmonic_split(v, plan)
 
 
 # --------------------------------------------------------------------------
@@ -452,51 +483,57 @@ def _loop_subtraction(v: np.ndarray, loop: ops.BoundaryLoop, C: float,
     return _residual(mesh, v, p, w), p, w
 
 
-def _loop_cuts(v: EdgeField, cuts, extra_a: np.ndarray, extra_b: np.ndarray):
-    """The loop-cut pass behind every edge route.  Each cut (edges, face)
-    in turn subtracts, from the running field, the potential of its loop
-    (into p) and the constant extension of the per-edge drift, pinned on
-    the edges (into w); the edges carry zero moments, and the subtracted
+def _loop_cuts(mesh: TetMesh, cuts, extra_a: np.ndarray, extra_b: np.ndarray,
+               path: str, claims: dict):
+    """Plan of the loop-cut pass behind every edge route.  Each cut (edges,
+    face) in turn subtracts, from the running field, the potential of its
+    loop (into p) and the constant extension of the per-edge drift, pinned
+    on the edges (into w); the edges carry zero moments, and the subtracted
     field has zero moments on the whole loop.  One curl-harmonic split
-    against all the cut faces follows.  Returns p, w and the loop records
-    (C, l0, flux)."""
-    mesh = v.mesh
-    p = np.zeros(mesh.nv)
-    w = np.zeros((mesh.nv, 3))
-    records = []
+    against all the cut faces follows.  The meta records (C, l0, flux) per
+    loop."""
+    steps = []
     for E, F in cuts:
         loop = ops.build_loop(mesh, [F])
-        dec = ops.loop_decompose(v, loop, zero_edge=E)
-        per_edge = np.full(loop.n, dec.C)
-        per_edge[ops._edge_arc_positions(loop, E)] = 0.0
-        records.append((dec.C, dec.l0, _loop_flux(mesh, v, [F])))
-        vhat, phi, ctilde = _loop_subtraction(v.values, loop, dec.C, dec.phi, per_edge,
-                                              _edge_nodes(E))
-        v = EdgeField(mesh, vhat)
-        _check_zero_moments(v, _mask_from_ids(mesh.ne, loop.edges), "the patch boundary")
-        p += phi
-        w += ctilde
-    ps, ws = _curl_harmonic_split(v, [F for _, F in cuts], extra_a, extra_b)
-    return p + ps, w + ws, records
+        steps.append((E, F, loop, ops._edge_arc_positions(loop, E), _edge_nodes(E),
+                      _mask_from_ids(mesh.ne, loop.edges)))
+    split = _split_plan(mesh, [F for _, F in cuts], extra_a, extra_b)
+
+    def apply(v: EdgeField):
+        p = np.zeros(mesh.nv)
+        w = np.zeros((mesh.nv, 3))
+        records = []
+        for E, F, loop, posE, pins, on_loop in steps:
+            dec = ops.loop_decompose(v, loop, zero_edge=E)
+            per_edge = np.full(loop.n, dec.C)
+            per_edge[posE] = 0.0
+            records.append((dec.C, dec.l0, _loop_flux(mesh, v, [F])))
+            vhat, phi, ctilde = _loop_subtraction(v.values, loop, dec.C, dec.phi, per_edge,
+                                                  pins)
+            v = EdgeField(mesh, vhat)
+            _check_zero_moments(v, on_loop, "the patch boundary")
+            p += phi
+            w += ctilde
+        ps, ws = _curl_harmonic_split(v, split)
+        return p + ps, w + ws, path, claims, {"loops": records}
+
+    return apply
 
 
-def _edge_route(v: EdgeField, E, face: Optional[CoarseFace] = None):
+def _edge_route(mesh: TetMesh, E, face: Optional[CoarseFace] = None):
     """Decomposition with zero data on a coarse edge (or connected edge
     union): one loop cut on a containing face."""
-    mesh = v.mesh
     E = _edge_list(E)
     F = face if face is not None else _find_face_for_edge(mesh, E)
     no_pins = np.zeros(mesh.nv, dtype=bool)
-    p, w, records = _loop_cuts(v, [(E, F)], no_pins, no_pins)
     claims = {"rhs1": "curl_semi", "rhs2": "curl", "log": True}
-    return p, w, "edge-cut", claims, {"loops": records}
+    return _loop_cuts(mesh, [(E, F)], no_pins, no_pins, "edge-cut", claims)
 
 
-def _corner_pair(v: EdgeField, trace: TraceSet):
+def _corner_pair(mesh: TetMesh, trace: TraceSet):
     """Trace = two faces meeting at a single vertex: route the edge pair
     through the shared neighbour face, then split against the face-union
     traces so p, w vanish on the whole union."""
-    mesh = v.mesh
     surf = surface(mesh)
     comp = next(c for c in trace.components if not c["lipschitz"])
     f1, f2 = comp["faces"][:2]
@@ -527,17 +564,15 @@ def _corner_pair(v: EdgeField, trace: TraceSet):
 
     # the curl-harmonic split against W: one kernel pinned on W, one on
     # (boundary \ W) + dW + the trace
-    p, w, records = _loop_cuts(v, [([E1, E2], W)], np.zeros(mesh.nv, dtype=bool),
-                               trace.node_mask)
     claims = {"rhs1": "curl_semi", "rhs2": "curl", "log": True}
-    return p, w, "corner-pair-faces", claims, {"loops": records}
+    return _loop_cuts(mesh, [([E1, E2], W)], np.zeros(mesh.nv, dtype=bool),
+                      trace.node_mask, "corner-pair-faces", claims)
 
 
-def _face_plus_edge(v: EdgeField, trace: TraceSet, E):
+def _face_plus_edge(mesh: TetMesh, trace: TraceSet, E):
     """Zero data on a face union plus one coarse edge that either touches
     the union at an endpoint or stays clear of it (possibly demanding the
     recorded extension complex)."""
-    mesh = v.mesh
     E = _edge_list(E)
     surf = surface(mesh)
     enodes = _edge_nodes(E)
@@ -556,9 +591,9 @@ def _face_plus_edge(v: EdgeField, trace: TraceSet, E):
             raise PreconditionError("no trace edge through the contact vertex")
         union = E + [eprime]
         F = _find_face_for_edge(mesh, union)
-        p, w, records = _loop_cuts(v, [(union, F)], trace.node_mask, trace.node_mask)
         claims = {"rhs1": "curl_semi", "rhs2": "curl", "log": True}
-        return p, w, "faces-plus-edge/endpoint", claims, {"loops": records}
+        return _loop_cuts(mesh, [(union, F)], trace.node_mask, trace.node_mask,
+                          "faces-plus-edge/endpoint", claims)
 
     # disjoint case (i): a containing face avoiding the trace
     try:
@@ -567,8 +602,8 @@ def _face_plus_edge(v: EdgeField, trace: TraceSet, E):
         F = None
     claims = {"rhs1": "curl", "rhs2": "curl", "log": True}
     if F is not None:
-        p, w, records = _loop_cuts(v, [(E, F)], trace.node_mask, trace.node_mask)
-        return p, w, "faces-plus-edge/clear-face", claims, {"loops": records}
+        return _loop_cuts(mesh, [(E, F)], trace.node_mask, trace.node_mask,
+                          "faces-plus-edge/clear-face", claims)
 
     # disjoint case (ii): run the edge machinery on the recorded extension
     info = geometry_info(mesh)
@@ -579,23 +614,25 @@ def _face_plus_edge(v: EdgeField, trace: TraceSet, E):
         )
     B = _extended_mesh(mesh, info.extension_id)
     gmap = _embed_edges(mesh, B)
-    vB = EdgeField(B, np.zeros(B.ne))
-    vB.values[gmap] = v.values
-    surfB = surface(B)
-    pB, wB, _, _, metaB = _edge_route(vB, [surfB.edge_by_name(e.name) for e in E])
     nmap = _embed_nodes(mesh, B)
-    pG = pB[nmap]
-    wG = wB[nmap]
-    # subtract boundary extensions so p, w vanish on the trace as well
-    data = np.zeros(mesh.nv)
-    data[trace.node_mask] = pG[trace.node_mask]
-    p = pG - ops.harmonic_extend(mesh, data).values
-    w = wG.copy()
-    for c in range(3):
-        dc = np.zeros(mesh.nv)
-        dc[trace.node_mask] = wG[trace.node_mask, c]
-        w[:, c] -= ops.harmonic_extend(mesh, dc).values
-    return p, w, "faces-plus-edge/extension", claims, {"loops": metaB["loops"]}
+    surfB = surface(B)
+    edge_B = _edge_route(B, [surfB.edge_by_name(e.name) for e in E])
+    on_trace = trace.node_mask
+
+    def apply(v: EdgeField):
+        vB = EdgeField(B, np.zeros(B.ne))
+        vB.values[gmap] = v.values
+        pB, wB, _, _, metaB = edge_B(vB)
+        pw = np.column_stack([pB[nmap], wB[nmap]])
+        # subtract the boundary extension of [p | w] on the trace, one
+        # 4-column solve, so p, w vanish on the trace as well
+        data = np.zeros((mesh.nv, 4))
+        data[on_trace] = pw[on_trace]
+        pw -= ops.harmonic_extend(mesh, data).values
+        return (np.ascontiguousarray(pw[:, 0]), np.ascontiguousarray(pw[:, 1:]),
+                "faces-plus-edge/extension", claims, {"loops": metaB["loops"]})
+
+    return apply
 
 
 def _extended_mesh(mesh: TetMesh, ext_id: str) -> TetMesh:
@@ -623,13 +660,12 @@ def _embed_edges(mesh: TetMesh, B: TetMesh) -> np.ndarray:
 # disjoint edges
 # --------------------------------------------------------------------------
 
-def _disjoint_edges(v: EdgeField, edges: Sequence[CoarseEdge],
+def _disjoint_edges(mesh: TetMesh, edges: Sequence[CoarseEdge],
                     trace: Optional[TraceSet] = None):
     """Zero data on pairwise disjoint coarse edges.  Simple case: per-edge
     loop subtractions on non-interfering faces plus one curl-harmonic
     split.  Hard case (every containing face meets another edge): the
     recorded element-aligned subdomain split with cut-off localization."""
-    mesh = v.mesh
     edges = _edge_list(edges)
     for i in range(len(edges)):
         for j in range(i + 1, len(edges)):
@@ -638,7 +674,7 @@ def _disjoint_edges(v: EdgeField, edges: Sequence[CoarseEdge],
                     f"edges {edges[i].name} and {edges[j].name} are not disjoint"
                 )
     if len(edges) == 1:
-        return _edge_route(v, edges[0])
+        return _edge_route(mesh, edges[0])
 
     xn = trace.node_mask if trace is not None else np.zeros(mesh.nv, dtype=bool)
     picks = []
@@ -655,14 +691,14 @@ def _disjoint_edges(v: EdgeField, edges: Sequence[CoarseEdge],
         picks.append(F)
         used_nodes[F.fine_nodes] = True
     else:
-        p, w, records = _loop_cuts(v, [([e], F) for e, F in zip(edges, picks)], xn, xn)
         claims = {"rhs1": "curl", "rhs2": "curl", "log": True}
-        return p, w, "disjoint-edges/simple", claims, {"loops": records}
+        return _loop_cuts(mesh, [([e], F) for e, F in zip(edges, picks)], xn, xn,
+                          "disjoint-edges/simple", claims)
 
     if trace is not None and not trace.empty:
         raise PreconditionError("interfering disjoint edges with a face trace "
                                 "are outside the catalog")
-    return _disjoint_edges_hard(v, edges)
+    return _disjoint_edges_hard(mesh, edges)
 
 
 def _subdomain_split(mesh: TetMesh, edges: Sequence[CoarseEdge]):
@@ -710,83 +746,84 @@ def _subdomain_split(mesh: TetMesh, edges: Sequence[CoarseEdge]):
     return mesh.cached(("subdomain-split", tuple(e.id for e in edges)), build)
 
 
-def _disjoint_edges_hard(v: EdgeField, edges: Sequence[CoarseEdge]):
-    mesh = v.mesh
+def _disjoint_edges_hard(mesh: TetMesh, edges: Sequence[CoarseEdge]):
     columns, core, core_pins = _subdomain_split(mesh, edges)
-    p = np.zeros(mesh.nv)
-    w = np.zeros((mesh.nv, 3))
-    R = np.zeros(mesh.ne)
-    records = []
-    for e, (col_edges, theta) in zip(edges, columns):
-        pe, we, _, _, meta = _edge_route(v, e)
-        records.extend(meta["loops"])
-        p += theta * pe
-        w += theta[:, None] * we
-        R[col_edges] += _residual(mesh, v.values, pe, we)[col_edges]
-
-    _block_kernel(core, _residual(mesh, v.values, p, w) - R, core_pins, p, w, R)
+    edge_routes = [_edge_route(mesh, e) for e in edges]
     claims = {"rhs1": "curl", "rhs2": "curl", "log": True}
-    return p, w, "disjoint-edges/subdomains", claims, {"loops": records}
+
+    def apply(v: EdgeField):
+        p = np.zeros(mesh.nv)
+        w = np.zeros((mesh.nv, 3))
+        R = np.zeros(mesh.ne)
+        records = []
+        for edge_route, (col_edges, theta) in zip(edge_routes, columns):
+            pe, we, _, _, meta = edge_route(v)
+            records.extend(meta["loops"])
+            p += theta * pe
+            w += theta[:, None] * we
+            R[col_edges] += _residual(mesh, v.values, pe, we)[col_edges]
+
+        _block_kernel(core, _residual(mesh, v.values, p, w) - R, core_pins, p, w, R)
+        return p, w, "disjoint-edges/subdomains", claims, {"loops": records}
+
+    return apply
 
 
 # --------------------------------------------------------------------------
 # the dispatcher
 # --------------------------------------------------------------------------
 
-def _route(v: EdgeField, trace: TraceSet):
+def _route(mesh: TetMesh, trace: TraceSet):
     """Route by the trace metadata: face traces through the kernel or the
     chained block construction, edge traces through the loop machinery,
     mixed traces through the face-plus-edge composition, and junction
     complexes through their dedicated pipelines."""
-    mesh = v.mesh
     info = geometry_info(mesh)
 
     if info.junction_edge is not None:
-        return _edge_junction(v, trace)
+        return _edge_junction(mesh, trace)
     if info.junction_vertex is not None:
-        return _vertex_junction(v, trace)
+        return _vertex_junction(mesh, trace)
     if trace.vertex_nodes:
         raise PreconditionError("standalone vertex traces are not a catalog route")
 
     if trace.empty:
-        return _kernel_route(v, trace)
+        return _kernel_route(mesh, trace)
 
     if trace.has_faces() and not trace.has_edges():
         if trace.J == 1:
             comp = trace.components[0]
             if not comp["lipschitz"]:
-                return _corner_pair(v, trace)
+                return _corner_pair(mesh, trace)
             rep = check_assumption31(mesh, trace)
             if rep.extended_domain_convex:
-                return _kernel_route(v, trace)
+                return _kernel_route(mesh, trace)
             if info.sigma2:
-                return _face_chain(v, trace)
+                return _face_chain(mesh, trace)
             claims = {"rhs1": "curl_semi", "rhs2": "curl", "log": True}
-            return _kernel_fields(mesh, v.values, trace.node_mask) + (
-                "kernel-fallback", claims, {})
+            return _kernel_pass(mesh, trace.node_mask, "kernel-fallback", claims)
         # J >= 2 faces only: multi-component kernel; the curl-semi-norm bound
         # is known to fail here, so the claim references the full norm
         claims = {"rhs1": "curl", "rhs2": "l2", "log": not trace.lipschitz}
-        return _kernel_fields(mesh, v.values, trace.node_mask) + (
-            "kernel-multi", claims, {})
+        return _kernel_pass(mesh, trace.node_mask, "kernel-multi", claims)
 
     # connected unions of coarse edges (shared endpoints)
     groups = [[trace.coarse_edges[i] for i in comp]
               for comp in linked_components([e.fine_nodes for e in trace.coarse_edges])]
     if trace.has_edges() and not trace.has_faces():
         if len(groups) == 1:
-            return _edge_route(v, groups[0])
+            return _edge_route(mesh, groups[0])
         if all(len(g) == 1 for g in groups):
-            return _disjoint_edges(v, [g[0] for g in groups])
+            return _disjoint_edges(mesh, [g[0] for g in groups])
         raise PreconditionError("disjoint unions of edge chains are outside the catalog")
 
     # mixed faces + edges
     face_trace = _faces_only_trace(trace)
     if len(groups) == 1:
-        return _face_plus_edge(v, face_trace, groups[0])
+        return _face_plus_edge(mesh, face_trace, groups[0])
     singles = [g[0] for g in groups if len(g) == 1]
     if len(singles) == len(groups):
-        return _disjoint_edges(v, singles, trace=face_trace)
+        return _disjoint_edges(mesh, singles, trace=face_trace)
     raise PreconditionError("mixed trace outside the catalog routes")
 
 
@@ -798,17 +835,35 @@ def decompose(v: EdgeField, trace: TraceSet,
     droppable) are recorded on the result."""
     if route not in _ROUTES:
         raise ValueError(f"unknown route {route!r}; use 'auto', 'kernel' or 'face-chain'")
-    out = _routed(_ROUTES[route], v, trace)
+    out = _routed(route, v, trace)
     if isinstance(out, CompatibilityViolation):
         return out
     return _finish(v, *out)
 
 
-def _routed(route, v: EdgeField, trace: TraceSet):
+def _trace_key(trace: TraceSet) -> tuple:
+    """The trace's coarse entities.  Its masks would not do as a key: a face
+    and an edge of its closure cover the fine entities of the face alone,
+    and route differently."""
+    return (tuple(f.id for f in trace.coarse_faces), tuple(e.id for e in trace.coarse_edges),
+            tuple(trace.vertex_nodes))
+
+
+def _plan(route: str, trace: TraceSet):
+    """The route's plan on (mesh, trace), made once per mesh: everything
+    the route derives from the mesh and the trace alone (branch, faces,
+    loops, masks, sub-traces), held by a function of v that does only
+    matvecs and cached solves."""
+    mesh = trace.mesh
+    return mesh.cached(("plan", route) + _trace_key(trace),
+                       lambda: _ROUTES[route](mesh, trace))
+
+
+def _routed(route: str, v: EdgeField, trace: TraceSet):
     """Run a route between the shared entry and exit passes: the trace
     moments of v must vanish, and p, w get exact zeros on the trace nodes."""
     _check_zero_moments(v, trace.edge_mask, "the trace")
-    out = route(v, trace)
+    out = _plan(route, trace)(v)
     if isinstance(out, CompatibilityViolation):
         return out
     p, w = out[:2]
@@ -832,21 +887,20 @@ def _sub_trace(sub: Submesh, node_mask: np.ndarray, edge_mask: np.ndarray) -> Tr
     return trace_from_fine(sub.mesh, node_mask[sub.vert_map], edge_mask[sub.edge_map])
 
 
-def _block_split(sub: Submesh, v: EdgeField, node_mask, edge_mask):
-    """The routed fields of v restricted to a block, with the trace
-    restricted to it."""
+def _block_split(sub: Submesh, v: EdgeField, trace: TraceSet):
+    """The routed fields of v restricted to a block, with the block's
+    trace (a trace of the block mesh)."""
     vs = EdgeField(sub.mesh, sub.restrict_edge(v.values))
-    out = _routed(_route, vs, _sub_trace(sub, node_mask, edge_mask))
+    out = _routed("auto", vs, trace)
     if isinstance(out, CompatibilityViolation):
         raise PreconditionError(out.message)
     return out
 
 
-def _edge_junction(v: EdgeField, trace: TraceSet):
+def _edge_junction(mesh: TetMesh, trace: TraceSet):
     """Two blocks meeting along one coarse edge: independent block splits
     when the junction edge carries trace data on both sides, otherwise the
     chained residual pipeline through the second block."""
-    mesh = v.mesh
     info = geometry_info(mesh)
     surf = surface(mesh)
     E = surf.edge_by_name(info.junction_edge)
@@ -855,20 +909,26 @@ def _edge_junction(v: EdgeField, trace: TraceSet):
 
     sub0 = extract_block(mesh, 0)
     sub1 = extract_block(mesh, 1)
-    p = np.zeros(mesh.nv)
-    w = np.zeros((mesh.nv, 3))
-    records = []
 
     if e_in_trace:
-        for sub in (sub0, sub1):
-            pb, wb, _, _, meta = _block_split(sub, v, trace.node_mask, trace.edge_mask)
-            p[sub.vert_map] = pb
-            w[sub.vert_map] = wb
-            records.extend(meta.get("loops", []))
+        blocks = [(sub, _sub_trace(sub, trace.node_mask, trace.edge_mask))
+                  for sub in (sub0, sub1)]
         log = trace.has_edges() or not all(c["lipschitz"] for c in trace.components)
         claims = {"rhs1": "curl_semi" if trace.J == 1 else "curl",
                   "rhs2": "curl", "log": bool(log)}
-        return p, w, "edge-junction/shared", claims, {"loops": records}
+
+        def shared(v: EdgeField):
+            p = np.zeros(mesh.nv)
+            w = np.zeros((mesh.nv, 3))
+            records = []
+            for sub, sub_trace in blocks:
+                pb, wb, _, _, meta = _block_split(sub, v, sub_trace)
+                p[sub.vert_map] = pb
+                w[sub.vert_map] = wb
+                records.extend(meta.get("loops", []))
+            return p, w, "edge-junction/shared", claims, {"loops": records}
+
+        return shared
     if partial:
         raise PreconditionError(
             "the junction edge meets the trace in a proper subset; "
@@ -878,24 +938,33 @@ def _edge_junction(v: EdgeField, trace: TraceSet):
     # junction edge clear of the trace: decompose block 0, extend with zero
     # data off the junction edge, decompose the residual on block 1 with the
     # edge added to its trace
-    p0, w0, _, _, meta0 = _block_split(sub0, v, trace.node_mask, trace.edge_mask)
-    records.extend(meta0.get("loops", []))
-    p[sub0.vert_map] = p0
-    w[sub0.vert_map] = w0
-    R0 = np.zeros(mesh.ne)
-    R0[sub0.edge_map] = _residual(sub0.mesh, sub0.restrict_edge(v.values), p0, w0)
-    v_res = EdgeField(mesh, _residual(mesh, v.values, p, w) - R0)
+    trace0 = _sub_trace(sub0, trace.node_mask, trace.edge_mask)
     em1 = trace.edge_mask.copy()
     em1[E.fine_edges] = True
     nm1 = trace.node_mask.copy()
     nm1[E.fine_nodes] = True
-    p1, w1, _, _, meta1 = _block_split(sub1, v_res, nm1, em1)
-    records.extend(meta1.get("loops", []))
-    p[sub1.vert_map] += p1
-    w[sub1.vert_map] += w1
+    trace1 = _sub_trace(sub1, nm1, em1)
     claims = {"rhs1": "curl_semi" if trace.J <= 1 else "curl", "rhs2": "curl",
               "log": True}
-    return p, w, "edge-junction/chained", claims, {"loops": records}
+
+    def chained(v: EdgeField):
+        p = np.zeros(mesh.nv)
+        w = np.zeros((mesh.nv, 3))
+        records = []
+        p0, w0, _, _, meta0 = _block_split(sub0, v, trace0)
+        records.extend(meta0.get("loops", []))
+        p[sub0.vert_map] = p0
+        w[sub0.vert_map] = w0
+        R0 = np.zeros(mesh.ne)
+        R0[sub0.edge_map] = _residual(sub0.mesh, sub0.restrict_edge(v.values), p0, w0)
+        v_res = EdgeField(mesh, _residual(mesh, v.values, p, w) - R0)
+        p1, w1, _, _, meta1 = _block_split(sub1, v_res, trace1)
+        records.extend(meta1.get("loops", []))
+        p[sub1.vert_map] += p1
+        w[sub1.vert_map] += w1
+        return p, w, "edge-junction/chained", claims, {"loops": records}
+
+    return chained
 
 
 # --------------------------------------------------------------------------
@@ -956,7 +1025,7 @@ def _anchored_setup(mesh, surf, block_faces, v0, trace: TraceSet):
 def _free_setup(mesh, block_faces, v0):
     for f in block_faces:
         if v0 in f.fine_nodes:
-            return f, ops.build_loop(mesh, [f])
+            return f, ops.build_loop(mesh, [f]), None
     raise PreconditionError("no block face through the junction vertex")
 
 
@@ -974,118 +1043,151 @@ def _adjacent_coarse_edges(surf, loop, E):
     return e1, e2
 
 
+def _gate_plan(mesh: TetMesh, trace: TraceSet):
+    """The junction vertex, and per block its kind and loop setup (face,
+    loop, anchor edge; None for pinned blocks), made once per (mesh,
+    trace)."""
+
+    def build():
+        info = geometry_info(mesh)
+        surf = surface(mesh)
+        v0 = mesh.node_index()[tuple(x * mesh.denom for x in info.junction_vertex)]
+        nblocks = len(info.complex.blocks)
+        # the surface faces of each block depend on the mesh alone
+        block_faces = mesh.cached("block_faces", lambda: [
+            [f for f in surf.faces if np.isin(f.fine_nodes, extract_block(mesh, b).vert_map).all()]
+            for b in range(nblocks)])
+        kinds, setups = [], []
+        for b in range(nblocks):
+            kind = _block_kind(trace, extract_block(mesh, b), v0)
+            kinds.append(kind)
+            if kind == "pinned":
+                setups.append(None)
+            elif kind == "anchored":
+                setups.append(_anchored_setup(mesh, surf, block_faces[b], v0, trace))
+            else:
+                setups.append(_free_setup(mesh, block_faces[b], v0))
+        return v0, kinds, setups
+
+    return mesh.cached(("vertex-gate",) + _trace_key(trace), build)
+
+
 def _vertex_gate(v: EdgeField, trace: TraceSet):
     """Per-block loop data and the compatibility functionals: pinned blocks
     contribute 0, anchored blocks their normalized loop potential at the
     vertex, free blocks adapt (no contribution)."""
     mesh = v.mesh
-    info = geometry_info(mesh)
-    surf = surface(mesh)
-    v0 = mesh.node_index()[tuple(x * mesh.denom for x in info.junction_vertex)]
-    nblocks = len(info.complex.blocks)
-    kinds, setups, values = [], [], []
-    records = []
-    # the surface faces of each block depend on the mesh alone
-    block_faces = mesh.cached("block_faces", lambda: [
-        [f for f in surf.faces if np.isin(f.fine_nodes, extract_block(mesh, b).vert_map).all()]
-        for b in range(nblocks)])
-    for b in range(nblocks):
-        kind = _block_kind(trace, extract_block(mesh, b), v0)
-        kinds.append(kind)
+    v0, kinds, plan = _gate_plan(mesh, trace)
+    setups, values, records = [], [], []
+    for kind, setup in zip(kinds, plan):
         if kind == "pinned":
             setups.append(None)
             values.append(0.0)
-        elif kind == "anchored":
-            F, loop, E = _anchored_setup(mesh, surf, block_faces[b], v0, trace)
-            dec = ops.loop_decompose(v, loop, zero_mean_edge=E)
-            setups.append((F, loop, E, dec))
-            values.append(dec.phi_at(v0))
-            records.append((dec.C, dec.l0, _loop_flux(mesh, v, [F])))
-        else:
-            F, loop = _free_setup(mesh, block_faces[b], v0)
-            dec = ops.loop_decompose(v, loop)
-            setups.append((F, loop, None, dec))
-            values.append(None)
-            records.append((dec.C, loop.total_length, _loop_flux(mesh, v, [F])))
+            continue
+        F, loop, E = setup
+        dec = ops.loop_decompose(v, loop, zero_mean_edge=E)
+        setups.append((F, loop, E, dec))
+        values.append(dec.phi_at(v0) if kind == "anchored" else None)
+        records.append((dec.C, dec.l0, _loop_flux(mesh, v, [F])))
     gated = [x for x in values if x is not None]
     ref = gated[0] if gated else 0.0
     vals = np.array([ref if x is None else x for x in values])
     return v0, kinds, setups, vals, ref, records
 
 
-def _vertex_junction(v: EdgeField, trace: TraceSet):
+def _vertex_junction(mesh: TetMesh, trace: TraceSet):
     """Blocks meeting at a single vertex.  Blocks whose trace pins the
     vertex decompose independently, blocks with no trace ride along with a
     free potential constant, and trace-anchored blocks go through the
     normalized loop subtraction.  The decomposition is refused (typed
     outcome) unless all gated loop potentials agree at the vertex."""
-    mesh = v.mesh
     surf = surface(mesh)
-    vcurl = fem.norm(v, "curl")
-    v0, kinds, setups, vals, ref, records = _vertex_gate(v, trace)
-    functionals = vals[1:] - vals[:-1]
-    tol = VERTEX_GATE_TOL * max(vcurl, 1e-30)
-    if np.abs(functionals).max(initial=0.0) > tol:
-        return CompatibilityViolation(mesh.name, functionals, tol)
-
-    p = np.zeros(mesh.nv)
-    w = np.zeros((mesh.nv, 3))
-    any_log = False
-    for b, kind in enumerate(kinds):
+    v0, kinds, gate = _gate_plan(mesh, trace)
+    # per block: its submesh, the nodes it writes (the vertex only from
+    # block 0), its trace, and for a loop block (anchored or free) the
+    # loop-subtraction data and the loop split on the block face
+    blocks = []
+    for b, (kind, setup) in enumerate(zip(kinds, gate)):
         sub = extract_block(mesh, b)
+        keep = sub.vert_map != v0 if b > 0 else np.ones(len(sub.vert_map), dtype=bool)
+        xr = _sub_trace(sub, trace.node_mask, trace.edge_mask)
         if kind == "pinned":
-            pb, wb, _, claims, meta = _block_split(sub, v, trace.node_mask, trace.edge_mask)
-            records.extend(meta.get("loops", []))
-            any_log = any_log or claims.get("log", False)
+            blocks.append((sub, keep, xr, None))
+            continue
+        F, loop, E = setup
+        fsub = next((f for f in surface(sub.mesh).faces if f.plane == F.plane), None)
+        if fsub is None:
+            raise PreconditionError(
+                f"block {b} has no surface face on the plane of {F.name}", entity=F.name)
+        sub_loop = ops.build_loop(sub.mesh, [fsub])
+        split = (_mask_from_ids(sub.mesh.ne, sub_loop.edges),
+                 _split_plan(sub.mesh, [fsub], xr.node_mask, xr.node_mask))
+        if kind == "anchored":
+            posE = ops._edge_arc_positions(loop, E)
+            anchor = (posE, np.unique(np.concatenate([posE, (posE + 1) % loop.n])),
+                      _adjacent_coarse_edges(surf, loop, E))
+            pin_nodes = np.concatenate([[v0], E.fine_nodes])
         else:
-            F, loop, E, dec = setups[b]
-            if kind == "anchored":
-                phi_vals = dec.phi.copy()
-                posE = ops._edge_arc_positions(loop, E)
-                if abs(dec.C) > 0:
-                    # correct the potential so it vanishes on the trace
-                    # edge, keeping its value at the vertex
-                    e1, e2 = _adjacent_coarse_edges(surf, loop, E)
-                    eps = ops.epsilon_correction(loop, E, e1, e2, dec.C)
-                    phi_vals = phi_vals - ops._loop_walk(eps * loop.lengths,
-                                                         loop.node_pos(v0), loop.n)
-                    per_edge = dec.C + eps
-                else:
-                    per_edge = np.full(loop.n, dec.C)
-                ez = np.unique(np.concatenate([posE, (posE + 1) % loop.n]))
-                scale = max(1.0, np.abs(phi_vals).max())
-                if np.abs(phi_vals[ez]).max() > 1e-9 * scale:
-                    raise PreconditionError("loop correction failed to zero the trace edge")
-                phi_vals[ez] = 0.0
-                per_edge[posE] = 0.0
-                pin_nodes = np.concatenate([[v0], E.fine_nodes])
-            else:  # free block: pin the potential at the vertex to ref
-                phi_vals = dec.phi - dec.phi_at(v0) + ref
-                per_edge = np.full(loop.n, dec.C)
-                pin_nodes = np.array([v0])
-            vhat, phi_g, ct = _loop_subtraction(v.values, loop, dec.C, phi_vals,
-                                                per_edge, pin_nodes)
-            vb = EdgeField(sub.mesh, sub.restrict_edge(vhat))
-            fsub = next((f for f in surface(sub.mesh).faces if f.plane == F.plane), None)
-            if fsub is None:
-                raise PreconditionError(
-                    f"block {b} has no surface face on the plane of {F.name}", entity=F.name)
-            xr = _sub_trace(sub, trace.node_mask, trace.edge_mask)
-            pl, wl = _loop_split(vb, [fsub], ops.build_loop(sub.mesh, [fsub]), xr.node_mask)
-            pb = phi_g[sub.vert_map] + pl
-            wb = ct[sub.vert_map] + wl
-            any_log = True
-        keep = np.ones(len(sub.vert_map), dtype=bool)
-        if b > 0:
-            keep = sub.vert_map != v0
-        p[sub.vert_map[keep]] = pb[keep]
-        w[sub.vert_map[keep]] = wb[keep]
+            anchor = None
+            pin_nodes = np.array([v0])
+        blocks.append((sub, keep, xr, (anchor, pin_nodes, split)))
     all_connected = all(c["lipschitz"] for c in trace.components)
-    claims = {"rhs1": "curl_semi" if all_connected else "curl", "rhs2": "curl",
-              "log": bool(any_log)}
-    meta = {"loops": records, "functionals": functionals.tolist(), "tol": tol,
-            "block_kinds": kinds}
-    return p, w, "vertex-junction", claims, meta
+
+    def apply(v: EdgeField):
+        vcurl = fem.norm(v, "curl")
+        _, _, setups, vals, ref, records = _vertex_gate(v, trace)
+        functionals = vals[1:] - vals[:-1]
+        tol = VERTEX_GATE_TOL * max(vcurl, 1e-30)
+        if np.abs(functionals).max(initial=0.0) > tol:
+            return CompatibilityViolation(mesh.name, functionals, tol)
+
+        p = np.zeros(mesh.nv)
+        w = np.zeros((mesh.nv, 3))
+        any_log = False
+        for (sub, keep, xr, block), setup in zip(blocks, setups):
+            if block is None:
+                pb, wb, _, claims, meta = _block_split(sub, v, xr)
+                records.extend(meta.get("loops", []))
+                any_log = any_log or claims.get("log", False)
+            else:
+                anchor, pin_nodes, (loop_edges, split) = block
+                F, loop, E, dec = setup
+                if anchor is not None:
+                    posE, ez, (e1, e2) = anchor
+                    phi_vals = dec.phi.copy()
+                    if abs(dec.C) > 0:
+                        # correct the potential so it vanishes on the trace
+                        # edge, keeping its value at the vertex
+                        eps = ops.epsilon_correction(loop, E, e1, e2, dec.C)
+                        phi_vals = phi_vals - ops._loop_walk(eps * loop.lengths,
+                                                             loop.node_pos(v0), loop.n)
+                        per_edge = dec.C + eps
+                    else:
+                        per_edge = np.full(loop.n, dec.C)
+                    scale = max(1.0, np.abs(phi_vals).max())
+                    if np.abs(phi_vals[ez]).max() > 1e-9 * scale:
+                        raise PreconditionError("loop correction failed to zero the trace edge")
+                    phi_vals[ez] = 0.0
+                    per_edge[posE] = 0.0
+                else:  # free block: pin the potential at the vertex to ref
+                    phi_vals = dec.phi - dec.phi_at(v0) + ref
+                    per_edge = np.full(loop.n, dec.C)
+                vhat, phi_g, ct = _loop_subtraction(v.values, loop, dec.C, phi_vals,
+                                                    per_edge, pin_nodes)
+                vb = EdgeField(sub.mesh, sub.restrict_edge(vhat))
+                pl, wl = _loop_split(vb, loop_edges, split)
+                pb = phi_g[sub.vert_map] + pl
+                wb = ct[sub.vert_map] + wl
+                any_log = True
+            p[sub.vert_map[keep]] = pb[keep]
+            w[sub.vert_map[keep]] = wb[keep]
+        claims = {"rhs1": "curl_semi" if all_connected else "curl", "rhs2": "curl",
+                  "log": bool(any_log)}
+        meta = {"loops": records, "functionals": functionals.tolist(), "tol": tol,
+                "block_kinds": list(kinds)}
+        return p, w, "vertex-junction", claims, meta
+
+    return apply
 
 
 _ROUTES = {"auto": _route, "kernel": _kernel_route, "face-chain": _face_chain}

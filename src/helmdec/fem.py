@@ -364,6 +364,12 @@ _SPD_SPLU = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
 def cached_solver(mesh: TetMesh, key, build, spd: bool = False):
     """splu factorization cached on the mesh; `build` returns the csc/csr
     matrix when the key is missing, `spd` selects the symmetric-mode
-    settings."""
+    settings.  The SPD keys are stiffness blocks with Dirichlet rows
+    removed: the pinned kernel factor ("kernel", pin mask), the interior
+    Poisson factor ("harm", "interior") and the cotree curl-curl block
+    ("curlharm", "cotree").
+    The gauge kernel ("kernel", "gauge") is the stiffness bordered by the
+    mean-value row, a saddle point with a zero diagonal entry, so it keeps
+    the default partial-pivoting settings."""
     return mesh.cached(("splu",) + tuple(key), lambda: spla.splu(
         build().tocsc(), **(_SPD_SPLU if spd else {})))

@@ -109,26 +109,29 @@ def graph_cutoff(mesh: TetMesh, seed_mask: np.ndarray,
 
 def harmonic_extend(mesh: TetMesh, boundary_values: np.ndarray) -> NodalField:
     """Discrete harmonic extension of Dirichlet data given at all boundary
-    nodes of `mesh` (interior entries of `boundary_values` are ignored)."""
+    nodes of `mesh` (interior entries of `boundary_values` are ignored).
+    The data may be one nodal vector (nv,) or k columns (nv, k), which are
+    extended by one k-column solve."""
     bn = mesh.boundary_node_mask()
     iidx = np.nonzero(~bn)[0]
-    out = np.zeros(mesh.nv)
+    out = np.zeros(boundary_values.shape)
     out[bn] = boundary_values[bn]
     if len(iidx) == 0:
         return NodalField(mesh, out)
-    K = fem.assemble(mesh, "Z", "stiffness")
-    rhs = -K[iidx][:, np.nonzero(bn)[0]] @ out[bn]
-    out[iidx] = _interior_poisson(mesh, iidx).solve(rhs)
+    neg_Kib = mesh.cached(("harm", "-K_ib"), lambda: -fem.assemble(
+        mesh, "Z", "stiffness")[iidx][:, np.nonzero(bn)[0]])
+    out[iidx] = _interior_poisson(mesh, iidx).solve(neg_Kib @ out[bn])
     return NodalField(mesh, out)
 
 
 def _interior_poisson(mesh: TetMesh, iidx: np.ndarray):
-    """Factor of the nodal stiffness on the interior nodes `iidx` (the
+    """SPD factor of the nodal stiffness on the interior nodes `iidx` (the
     Dirichlet Laplacian), shared by the harmonic and curl-harmonic
     extensions."""
     return cached_solver(
         mesh, ("harm", "interior"),
         lambda: fem.assemble(mesh, "Z", "stiffness")[iidx][:, iidx],
+        spd=True,
     )
 
 
@@ -441,7 +444,8 @@ def loop_constant_extension(
     and its endpoints, or the junction vertex) stay exactly zero.
     Minimum-norm tie-break via pseudoinverse with singular values below
     1e-12*sigma_max dropped.  C scales the tolerance of the zero targets
-    on edges with both ends pinned.
+    on edges with both ends pinned.  The dense operators depend only on the
+    loop and its free positions and are built once per mesh.
     """
     mesh = loop.mesh
     free_node = np.ones(mesh.nv, dtype=bool)
@@ -451,16 +455,30 @@ def loop_constant_extension(
         if np.any(np.abs(per_edge_values) > 0):
             raise PreconditionError("all loop nodes pinned with nonzero target")
         return NodalVectorField(mesh, np.zeros((mesh.nv, 3)))
+    pinned_edge, rows, Minv_At, pinv_S = mesh.cached(
+        ("loop-extension", loop.edges.tobytes(), free.tobytes()),
+        lambda: _constant_extension_operator(loop, free))
+    tgt = per_edge_values * loop.lengths
+    if np.any(np.abs(tgt[pinned_edge]) > 1e-13 * max(1.0, abs(C))):
+        raise PreconditionError("pinned loop edge with nonzero target")
+    x = Minv_At @ (pinv_S @ tgt[rows])
+    out = np.zeros((mesh.nv, 3))
+    out[loop.nodes[free]] = x.reshape(-1, 3)
+    return NodalVectorField(mesh, out)
+
+
+def _constant_extension_operator(loop: BoundaryLoop, free: np.ndarray):
+    """The parts of the constant extension that depend only on the loop and
+    its free positions: the mask of edges with both ends pinned, the
+    constraint rows (the other edges), M^-1 A^T and pinv(A M^-1 A^T)."""
+    mesh = loop.mesh
     # slot of each loop position among the free nodes (-1: pinned), for the
     # tail a and the head b of every loop edge
     slot = np.full(loop.n, -1)
     slot[free] = np.arange(len(free))
     sa, sb = slot, np.roll(slot, -1)
     L = loop.lengths
-    tgt = per_edge_values * L
     pinned_edge = (sa < 0) & (sb < 0)
-    if np.any(np.abs(tgt[pinned_edge]) > 1e-13 * max(1.0, abs(C))):
-        raise PreconditionError("pinned loop edge with nonzero target")
 
     # one constraint row per edge with a free end: 0.5*(head - tail) at
     # each free end; a pinned end writes into a spare last column
@@ -470,7 +488,6 @@ def loop_constant_extension(
     A[np.arange(len(rows)), sa[rows]] = half_d
     A[np.arange(len(rows)), sb[rows]] = half_d
     A = A[:, :-1].reshape(len(rows), -1)
-    b = tgt[rows]
     # consistent 1D P1 mass on the loop edges (vector-valued): L/3 from
     # each edge at a free node, L/6 between the free ends of an edge
     Ms = np.diag((np.roll(L, 1) / 3.0 + L / 3.0)[free])
@@ -480,11 +497,7 @@ def loop_constant_extension(
     M = np.kron(Ms, np.eye(3))
     Minv_At = np.linalg.solve(M, A.T)
     S = A @ Minv_At
-    lam = np.linalg.pinv(S, rcond=1e-12) @ b
-    x = Minv_At @ lam
-    out = np.zeros((mesh.nv, 3))
-    out[loop.nodes[free]] = x.reshape(-1, 3)
-    return NodalVectorField(mesh, out)
+    return pinned_edge, rows, Minv_At, np.linalg.pinv(S, rcond=1e-12)
 
 
 # --------------------------------------------------------------------------

@@ -37,8 +37,12 @@ def split_of(v, p, w):
 
 
 def loop_split(v, face):
-    no_nodes = np.zeros(v.mesh.nv, dtype=bool)
-    return split_of(v, *dc._loop_split(v, [face], ops.build_loop(v.mesh, [face]), no_nodes))
+    mesh = v.mesh
+    no_nodes = np.zeros(mesh.nv, dtype=bool)
+    loop_edges = np.zeros(mesh.ne, dtype=bool)
+    loop_edges[ops.build_loop(mesh, [face]).edges] = True
+    return split_of(v, *dc._loop_split(v, loop_edges,
+                                       dc._split_plan(mesh, [face], no_nodes, no_nodes)))
 
 
 def assert_absorbs_gradient(call, mesh, trace, seed=3):
@@ -202,8 +206,8 @@ def test_edge_route_stokes_record(cube4):
 def test_single_edge_equals_disjoint_union(cube4):
     t = tag_trace(cube4, ["e:x=0,y=0"])
     v = dc.random_admissible_field(cube4, t, 13)
-    a = split_of(v, *dc._edge_route(v, t.coarse_edges[0])[:2])
-    b = split_of(v, *dc._disjoint_edges(v, t.coarse_edges)[:2])
+    a = split_of(v, *dc._edge_route(cube4, t.coarse_edges[0])(v)[:2])
+    b = split_of(v, *dc._disjoint_edges(cube4, t.coarse_edges)(v)[:2])
     assert np.array_equal(a.p.values, b.p.values)
     assert np.array_equal(a.w.values, b.w.values)
     assert np.array_equal(a.R.values, b.R.values)
@@ -248,7 +252,7 @@ def test_overlapping_edges_rejected(cube4):
     assert s.path == "edge-cut"
     assert_contract(s, v, t)
     with pytest.raises(PreconditionError):
-        dc._disjoint_edges(v, t.coarse_edges)
+        dc._disjoint_edges(cube4, t.coarse_edges)
 
 
 # -- junctions -------------------------------------------------------------------
@@ -326,7 +330,7 @@ def test_dispatcher_matches_direct_constructor(cube4):
     t = tag_trace(cube4, ["e:x=0,y=0"])
     v = dc.random_admissible_field(cube4, t, 30)
     via_dispatch = dc.decompose(v, t)
-    direct = split_of(v, *dc._edge_route(v, t.coarse_edges[0])[:2])
+    direct = split_of(v, *dc._edge_route(cube4, t.coarse_edges[0])(v)[:2])
     assert np.array_equal(via_dispatch.p.values, direct.p.values)
     assert np.array_equal(via_dispatch.w.values, direct.w.values)
     assert np.array_equal(via_dispatch.R.values, direct.R.values)
@@ -338,7 +342,7 @@ def test_edge_route_degenerates_to_loop_split(cube4, rng):
     E = surf.edge_by_name("e:y=0,z=1")
     v = fem.EdgeField(cube4, rng.uniform(-1, 1, cube4.ne))
     v.values[F.fine_edges] = 0.0  # zero trace on the whole face closure
-    p, w, _, _, meta = dc._edge_route(v, E, face=F)
+    p, w, _, _, meta = dc._edge_route(cube4, E, face=F)(v)
     via_loop = loop_split(v, F)
     assert np.abs(p - via_loop.p.values).max() < 1e-12
     assert np.abs(w - via_loop.w.values).max() < 1e-12
@@ -411,8 +415,126 @@ def test_layer_extension_matches_reference_loop(geometry, rng):
         for k in iface.blocks:
             vmap = extract_block(mesh, k).vert_map
             targets = vmap[~np.isin(vmap, iface.fine_nodes)]
-            args = (mesh, iface.fine_nodes, source, targets, iface.plane)
-            nodes, vals = dc._layer_extension(*args)
-            ref_nodes, ref_vals = _reference_layer_extension(*args)
+            nodes, src = dc._layer_extension(mesh, iface.fine_nodes, targets, iface.plane)
+            vals = source[src] * 0.5
+            ref_nodes, ref_vals = _reference_layer_extension(
+                mesh, iface.fine_nodes, source, targets, iface.plane)
             assert len(nodes) and np.array_equal(nodes, ref_nodes)
             assert np.array_equal(vals, ref_vals)
+
+
+# -- route plans ---------------------------------------------------------------
+
+@pytest.mark.parametrize("spec", [["e:x=0,y=0"], ["x=0", "e:x=0,y=0"]])
+def test_face_chain_rejects_coarse_edges(spec):
+    mesh = build_complex("three_cube_L", 0.25)
+    t = tag_trace(mesh, spec)
+    v = dc.random_admissible_field(mesh, t, 40)
+    with pytest.raises(PreconditionError, match="e:x=0,y=0") as exc:
+        dc.decompose(v, t, route="face-chain")
+    assert exc.value.entity == "e:x=0,y=0"
+
+
+FOUR_EDGES = ["e:x=0,y=0", "e:x=1,y=0", "e:x=1,y=1", "e:x=0,y=1"]
+
+# one configuration per route path
+WARM_PATHS = [
+    ("unit_cube", ["boundary"], "kernel"),
+    ("three_cube_L", ["x=0"], "face-chain"),
+    ("unit_cube", ["e:x=0,y=0"], "edge-cut"),
+    ("pyramid", ["lat:x-", "lat:x+"], "corner-pair-faces"),
+    ("unit_cube", ["z=0", "e:x=0,y=0"], "faces-plus-edge/endpoint"),
+    ("unit_cube", ["z=0", "e:y=1,z=1"], "faces-plus-edge/clear-face"),
+    ("cube_in_box", ["z=0", "y=1", "e:y=0,z=1"], "faces-plus-edge/extension"),
+    ("unit_cube", ["e:x=0,y=0", "e:x=1,y=1"], "disjoint-edges/simple"),
+    ("four_edge_cube", FOUR_EDGES, "disjoint-edges/subdomains"),
+    ("edge_junction_pair", ["x=1#0", "y=1#1"], "edge-junction/shared"),
+    ("edge_junction_pair", ["x=0"], "edge-junction/chained"),
+    ("vertex_junction_pair", ["x=0", "x=2"], "vertex-junction"),
+]
+
+
+class _CountingLU:
+    """A factorization that counts its solves."""
+
+    def __init__(self, lu, counts):
+        self._lu = lu
+        self._counts = counts
+
+    def solve(self, rhs, trans="N"):
+        self._counts["solve"] += 1
+        return self._lu.solve(rhs, trans)
+
+    def __getattr__(self, name):
+        return getattr(self._lu, name)
+
+
+@pytest.mark.parametrize("geometry,spec,path", WARM_PATHS)
+def test_warm_call_factors_nothing_and_builds_no_loop(geometry, spec, path, monkeypatch):
+    """A second call on the same (mesh, trace) only applies its plan: no
+    loop, no factorization, no dense solve, and one triangular solve per
+    kernel pass."""
+    counts = dict.fromkeys(["splu", "solve", "build_loop", "dense"], 0)
+    passes = []
+
+    def counted(key, fn):
+        def call(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    splu = spla.splu
+    monkeypatch.setattr(spla, "splu", lambda *a, **k: _CountingLU(
+        counted("splu", splu)(*a, **k), counts))
+    monkeypatch.setattr(ops, "build_loop", counted("build_loop", ops.build_loop))
+    monkeypatch.setattr(np.linalg, "solve", counted("dense", np.linalg.solve))
+    monkeypatch.setattr(np.linalg, "pinv", counted("dense", np.linalg.pinv))
+    kernel_fields = dc._kernel_fields
+
+    def kernel_pass(*args):
+        before = counts["solve"]
+        out = kernel_fields(*args)
+        passes.append(counts["solve"] - before)
+        return out
+
+    monkeypatch.setattr(dc, "_kernel_fields", kernel_pass)
+
+    h = 0.125 if geometry == "four_edge_cube" else 0.25
+    mesh = build_complex(geometry, h)
+    t = tag_trace(mesh, spec)
+    cold, warm = (dc.random_admissible_field(mesh, t, s) for s in (41, 42))
+    assert dc.decompose(cold, t).path == path
+    assert counts["splu"] and counts["solve"]
+    counts.update(dict.fromkeys(counts, 0))
+    passes.clear()
+    s = dc.decompose(warm, t)
+    assert s.path == path
+    assert_contract(s, warm, t)
+    assert counts["splu"] == counts["build_loop"] == counts["dense"] == 0, counts
+    assert passes and passes == [1] * len(passes)
+
+
+def _fingerprint(mesh, spec, route, seed):
+    t = tag_trace(mesh, spec)
+    v = dc.random_admissible_field(mesh, t, seed)
+    try:
+        s = dc.decompose(v, t, route=route)
+    except PreconditionError as exc:
+        return str(exc)
+    return (s.path, s.p.values.tobytes(), s.w.values.tobytes(), s.R.values.tobytes())
+
+
+@pytest.mark.parametrize("geometry,calls", [
+    ("unit_cube", [(["z=0"], "auto"), (["z=1"], "auto")]),
+    ("three_cube_L", [(["x=0"], "kernel"), (["x=0"], "auto")]),
+    # equal fine masks, different coarse entities: a face, then the face
+    # and an edge of its closure (no catalog route)
+    ("unit_cube", [(["z=0"], "auto"), (["z=0", "e:x=0,z=0"], "auto")]),
+])
+def test_plan_memo_keys(geometry, calls):
+    """Plans memoized on a mesh for one trace and route never serve
+    another: each call matches the same call on a fresh mesh."""
+    mesh = build_complex(geometry, 0.25)
+    for spec, route in calls:
+        shared = _fingerprint(mesh, spec, route, 43)
+        assert shared == _fingerprint(build_complex(geometry, 0.25), spec, route, 43)
