@@ -11,28 +11,29 @@ junction pipelines with their compatibility gate.
 
 Every route is split into a plan and an apply.  For a fixed mesh and trace
 the route is a linear map v -> (p, w), so a route is a private planner
-`(mesh, trace) -> apply`: it derives once what depends on the mesh and the
-trace alone (the branch taken, the cut faces, the boundary loops and their
-arc positions, the kernel pin masks, the sub-traces and block data of the
-junctions, the interface masks of the face chain), and returns a function
-of v that does only matvecs and solves on cached factors, returning
-(p, w, path, claims, meta) or a CompatibilityViolation.  `_plan` memoizes
-one plan per (mesh, route, coarse trace entities) on the mesh, so a second
-call on the same (mesh, trace) builds no loop and factors nothing; each
-kernel pass is one 4-column solve [p | w_x w_y w_z].  Routes are built from
-shared passes: `_routed` runs every top-level route (and every junction
-block) between one entry check, zero trace moments of v, and one exit
-placement, exact zeros of p and w on the trace nodes; `_loop_cuts` is the
-one boundary-loop subtraction and curl-harmonic split behind every edge
-route; `_block_kernel` is the one block-kernel pass.  The residual R and
-the norm battery are computed once, in `_finish`.  Stability is measured
-(norm quotients against the claimed bound), not assumed.
+`(mesh, trace) -> _Route(path, claims, apply)`: it fixes the path and the
+claims, derives once what depends on the mesh and the trace alone (the
+branch taken, the cut faces, the boundary loops and their arc positions,
+the kernel pin masks, the block plans of the junctions, the interface
+masks of the face chain), and holds `apply`, a function of v that does
+only matvecs and solves on cached factors and returns (p, w, meta) or a
+CompatibilityViolation.  `_plan` memoizes one plan per (mesh, route,
+coarse trace entities) on the mesh, so a second call on the same (mesh,
+trace) builds no loop and factors nothing; each kernel pass is one
+4-column solve [p | w_x w_y w_z].  Routes are built from shared passes:
+`_routed` applies every top-level plan (and every junction block plan)
+between one entry check, zero trace moments of v, and one exit placement,
+exact zeros of p and w on the trace nodes; `_loop_cuts` is the one
+boundary-loop subtraction and curl-harmonic split behind every edge route;
+`_block_kernel` is the one block-kernel pass.  The residual R and the norm
+battery are computed once, in `_finish`.  Stability is measured (norm
+quotients against the claimed bound), not assumed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -223,7 +224,12 @@ def _finish(v: EdgeField, p: np.ndarray, w: np.ndarray, path: str,
     }
     norms["v_curl"] = float(np.hypot(norms["v_l2"], norms["v_curl_semi"]))
     ratios = {}
-    rhs1 = norms["v_curl_semi"] if claims.get("rhs1") == "curl_semi" else norms["v_curl"]
+    # |v|_curl_semi of a gradient is roundoff on a non-Kuhn mesh; a quotient
+    # against it measures nothing, so it counts as 0 there
+    semi = norms["v_curl_semi"]
+    if semi <= 1e-12 * norms["v_l2"] / mesh.h:
+        semi = 0.0
+    rhs1 = semi if claims.get("rhs1") == "curl_semi" else norms["v_curl"]
     rhs2 = norms["v_l2"] if claims.get("rhs2") == "l2" else norms["v_curl"]
     if rhs1 > 0:
         ratios["w_h1"] = norms["w_h1"] / rhs1
@@ -254,20 +260,25 @@ def _mask_from_ids(n, ids):
     return m
 
 
+class _Route(NamedTuple):
+    """A route's plan on one (mesh, trace): its path and claims, and
+    `apply(v) -> (p, w, meta)` or a CompatibilityViolation."""
+
+    path: str
+    claims: dict
+    apply: Callable
+
+
 # --------------------------------------------------------------------------
 # kernel route (convex / extension traces)
 # --------------------------------------------------------------------------
 
-def _kernel_pass(mesh: TetMesh, pins: np.ndarray, path: str, claims: dict):
+def _kernel_pass(mesh: TetMesh, pins: np.ndarray, path: str, claims: dict) -> _Route:
     """Plan of a route that is one kernel pass pinned at `pins`."""
-
-    def apply(v: EdgeField):
-        return _kernel_fields(mesh, v.values, pins) + (path, claims, {})
-
-    return apply
+    return _Route(path, claims, lambda v: _kernel_fields(mesh, v.values, pins) + ({},))
 
 
-def _kernel_route(mesh: TetMesh, trace: TraceSet):
+def _kernel_route(mesh: TetMesh, trace: TraceSet) -> _Route:
     """Computable decomposition kernel: constrained Poisson projection for
     p, constrained vector Poisson solve with curl data for w, exact
     residual R.  Valid whenever every trace component admits a Lipschitz
@@ -321,7 +332,7 @@ def _layer_extension(mesh: TetMesh, face_nodes: np.ndarray, target_nodes: np.nda
     return nodes[hit], face_nodes[order[pos[hit]]]
 
 
-def _face_chain(mesh: TetMesh, trace: TraceSet):
+def _face_chain(mesh: TetMesh, trace: TraceSet) -> _Route:
     """Face-trace decomposition on a non-convex block union: kernel on the
     first block set, cut-off interface extensions of w, harmonic extension
     of p, zero extension of R, then residual kernels on the second set."""
@@ -398,9 +409,9 @@ def _face_chain(mesh: TetMesh, trace: TraceSet):
         v_res = _residual(mesh, v.values, p_t, w_t) - R_t
         for subk, gk in second:
             _block_kernel(subk, v_res, gk, p_t, w_t, R_t)
-        return p_t, w_t, "face-chain", claims, {}
+        return p_t, w_t, {}
 
-    return apply
+    return _Route("face-chain", claims, apply)
 
 
 # --------------------------------------------------------------------------
@@ -436,22 +447,9 @@ def _curl_harmonic_split(v: EdgeField, plan):
     return pa + pb, wa + wb
 
 
-def _loop_split(v: EdgeField, loop_edges: np.ndarray, plan):
-    """Loop split of a field with zero data on the boundary curve of a face
-    patch (`loop_edges`, an edge mask): the curl-harmonic split, with p and
-    w zero on the curve and on the extra nodes of the plan (a larger trace
-    the route embeds)."""
-    _check_zero_moments(v, loop_edges, "the patch boundary")
-    return _curl_harmonic_split(v, plan)
-
-
 # --------------------------------------------------------------------------
 # edge routes
 # --------------------------------------------------------------------------
-
-def _edge_list(E) -> list[CoarseEdge]:
-    return [E] if isinstance(E, CoarseEdge) else list(E)
-
 
 def _edge_nodes(E: Sequence[CoarseEdge]) -> np.ndarray:
     return np.unique(np.concatenate([e.fine_nodes for e in E]))
@@ -484,7 +482,7 @@ def _loop_subtraction(v: np.ndarray, loop: ops.BoundaryLoop, C: float,
 
 
 def _loop_cuts(mesh: TetMesh, cuts, extra_a: np.ndarray, extra_b: np.ndarray,
-               path: str, claims: dict):
+               path: str, claims: dict) -> _Route:
     """Plan of the loop-cut pass behind every edge route.  Each cut (edges,
     face) in turn subtracts, from the running field, the potential of its
     loop (into p) and the constant extension of the per-edge drift, pinned
@@ -515,22 +513,21 @@ def _loop_cuts(mesh: TetMesh, cuts, extra_a: np.ndarray, extra_b: np.ndarray,
             p += phi
             w += ctilde
         ps, ws = _curl_harmonic_split(v, split)
-        return p + ps, w + ws, path, claims, {"loops": records}
+        return p + ps, w + ws, {"loops": records}
 
-    return apply
+    return _Route(path, claims, apply)
 
 
-def _edge_route(mesh: TetMesh, E, face: Optional[CoarseFace] = None):
-    """Decomposition with zero data on a coarse edge (or connected edge
-    union): one loop cut on a containing face."""
-    E = _edge_list(E)
-    F = face if face is not None else _find_face_for_edge(mesh, E)
+def _edge_route(mesh: TetMesh, E: list[CoarseEdge]) -> _Route:
+    """Decomposition with zero data on a connected union of coarse edges:
+    one loop cut on a containing face."""
     no_pins = np.zeros(mesh.nv, dtype=bool)
     claims = {"rhs1": "curl_semi", "rhs2": "curl", "log": True}
-    return _loop_cuts(mesh, [(E, F)], no_pins, no_pins, "edge-cut", claims)
+    return _loop_cuts(mesh, [(E, _find_face_for_edge(mesh, E))], no_pins, no_pins,
+                      "edge-cut", claims)
 
 
-def _corner_pair(mesh: TetMesh, trace: TraceSet):
+def _corner_pair(mesh: TetMesh, trace: TraceSet) -> _Route:
     """Trace = two faces meeting at a single vertex: route the edge pair
     through the shared neighbour face, then split against the face-union
     traces so p, w vanish on the whole union."""
@@ -569,11 +566,10 @@ def _corner_pair(mesh: TetMesh, trace: TraceSet):
                       trace.node_mask, "corner-pair-faces", claims)
 
 
-def _face_plus_edge(mesh: TetMesh, trace: TraceSet, E):
+def _face_plus_edge(mesh: TetMesh, trace: TraceSet, E: list[CoarseEdge]) -> _Route:
     """Zero data on a face union plus one coarse edge that either touches
     the union at an endpoint or stays clear of it (possibly demanding the
     recorded extension complex)."""
-    E = _edge_list(E)
     surf = surface(mesh)
     enodes = _edge_nodes(E)
 
@@ -613,8 +609,9 @@ def _face_plus_edge(mesh: TetMesh, trace: TraceSet, E):
             "that is not in the catalog"
         )
     B = _extended_mesh(mesh, info.extension_id)
-    gmap = _embed_edges(mesh, B)
     nmap = _embed_nodes(mesh, B)
+    pairs = np.sort(nmap[mesh.edges], axis=1)
+    gmap = B.edge_ids(pairs[:, 0] * B.nv + pairs[:, 1])
     surfB = surface(B)
     edge_B = _edge_route(B, [surfB.edge_by_name(e.name) for e in E])
     on_trace = trace.node_mask
@@ -622,7 +619,7 @@ def _face_plus_edge(mesh: TetMesh, trace: TraceSet, E):
     def apply(v: EdgeField):
         vB = EdgeField(B, np.zeros(B.ne))
         vB.values[gmap] = v.values
-        pB, wB, _, _, metaB = edge_B(vB)
+        pB, wB, metaB = edge_B.apply(vB)
         pw = np.column_stack([pB[nmap], wB[nmap]])
         # subtract the boundary extension of [p | w] on the trace, one
         # 4-column solve, so p, w vanish on the trace as well
@@ -630,9 +627,9 @@ def _face_plus_edge(mesh: TetMesh, trace: TraceSet, E):
         data[on_trace] = pw[on_trace]
         pw -= ops.harmonic_extend(mesh, data).values
         return (np.ascontiguousarray(pw[:, 0]), np.ascontiguousarray(pw[:, 1:]),
-                "faces-plus-edge/extension", claims, {"loops": metaB["loops"]})
+                {"loops": metaB["loops"]})
 
-    return apply
+    return _Route("faces-plus-edge/extension", claims, apply)
 
 
 def _extended_mesh(mesh: TetMesh, ext_id: str) -> TetMesh:
@@ -640,33 +637,21 @@ def _extended_mesh(mesh: TetMesh, ext_id: str) -> TetMesh:
 
 
 def _embed_nodes(mesh: TetMesh, B: TetMesh) -> np.ndarray:
-    def build():
-        idx = B.node_index()
-        return np.array([idx[p] for p in map(tuple, mesh.verts_int.tolist())],
-                        dtype=np.int64)
-
-    return mesh.cached(("embed_nodes", B.name), build)
-
-
-def _embed_edges(mesh: TetMesh, B: TetMesh) -> np.ndarray:
-    def build():
-        pairs = np.sort(_embed_nodes(mesh, B)[mesh.edges], axis=1)
-        return B.edge_ids(pairs[:, 0].astype(np.int64) * B.nv + pairs[:, 1])
-
-    return mesh.cached(("embed_edges", B.name), build)
+    """Node ids in B of the nodes of a mesh embedded in it."""
+    idx = B.node_index()
+    return np.array([idx[p] for p in map(tuple, mesh.verts_int.tolist())], dtype=np.int64)
 
 
 # --------------------------------------------------------------------------
 # disjoint edges
 # --------------------------------------------------------------------------
 
-def _disjoint_edges(mesh: TetMesh, edges: Sequence[CoarseEdge],
-                    trace: Optional[TraceSet] = None):
+def _disjoint_edges(mesh: TetMesh, edges: list[CoarseEdge],
+                    trace: Optional[TraceSet] = None) -> _Route:
     """Zero data on pairwise disjoint coarse edges.  Simple case: per-edge
     loop subtractions on non-interfering faces plus one curl-harmonic
     split.  Hard case (every containing face meets another edge): the
     recorded element-aligned subdomain split with cut-off localization."""
-    edges = _edge_list(edges)
     for i in range(len(edges)):
         for j in range(i + 1, len(edges)):
             if np.intersect1d(edges[i].fine_nodes, edges[j].fine_nodes).size:
@@ -674,7 +659,7 @@ def _disjoint_edges(mesh: TetMesh, edges: Sequence[CoarseEdge],
                     f"edges {edges[i].name} and {edges[j].name} are not disjoint"
                 )
     if len(edges) == 1:
-        return _edge_route(mesh, edges[0])
+        return _edge_route(mesh, edges)
 
     xn = trace.node_mask if trace is not None else np.zeros(mesh.nv, dtype=bool)
     picks = []
@@ -701,54 +686,46 @@ def _disjoint_edges(mesh: TetMesh, edges: Sequence[CoarseEdge],
     return _disjoint_edges_hard(mesh, edges)
 
 
-def _subdomain_split(mesh: TetMesh, edges: Sequence[CoarseEdge]):
-    """The recorded element-aligned subdomain split for the edges: per
-    column its edge ids and cut-off (1 on the column, 2-layer graph-distance
-    decay beyond), and the core submesh with its interface pins.  Cached
-    per (mesh, edge ids), so the core kernel factor is reused."""
-
-    def build():
-        info = geometry_info(mesh)
-        if info.split_width is None:
-            raise PreconditionError(f"no subdomain split recorded for {mesh.name}")
-        wdt = info.split_width
-        if mesh.denom * wdt.numerator % wdt.denominator or mesh.denom * wdt < 1:
-            raise PreconditionError(
-                f"no element-aligned subdomain split at h=1/{mesh.denom} "
-                f"(needs h <= {wdt / 2})"
-            )
-        wdt_f = float(wdt)  # dyadic, so exact; a Fraction would compare per element
-        cent = mesh.verts[mesh.tets].mean(axis=1)
-        col_masks = []
-        for e in edges:
-            lo = mesh.verts[e.fine_nodes[0]]
-            hi = mesh.verts[e.fine_nodes[-1]]
-            d = np.argmax(np.abs(hi - lo))
-            m = np.ones(mesh.nt, dtype=bool)
-            for a in range(3):
-                if a == d:
-                    continue
-                m &= np.abs(cent[:, a] - lo[a]) <= wdt_f
-            col_masks.append(m)
-        g0 = ~np.logical_or.reduce(col_masks)
-        if not g0.any():
-            raise PreconditionError("subdomain split leaves no interior subdomain")
-        core = extract_tets(mesh, g0, "core")
-        core_nodes = core.node_mask()
-        iface = np.zeros(mesh.nv, dtype=bool)
-        columns = []
-        for m in col_masks:
-            cn = _mask_from_ids(mesh.nv, mesh.tets[m].ravel())
-            iface |= cn & core_nodes
-            columns.append((np.unique(mesh.tet_edges[m]), ops.graph_cutoff(mesh, cn)))
-        return columns, core, iface[core.vert_map]
-
-    return mesh.cached(("subdomain-split", tuple(e.id for e in edges)), build)
-
-
-def _disjoint_edges_hard(mesh: TetMesh, edges: Sequence[CoarseEdge]):
-    columns, core, core_pins = _subdomain_split(mesh, edges)
-    edge_routes = [_edge_route(mesh, e) for e in edges]
+def _disjoint_edges_hard(mesh: TetMesh, edges: list[CoarseEdge]) -> _Route:
+    """The recorded element-aligned subdomain split: per edge a column, its
+    edge route localized by a cut-off (1 on the column, 2-layer
+    graph-distance decay beyond), then one block-kernel pass on the core
+    left between the columns, pinned on its interface."""
+    info = geometry_info(mesh)
+    if info.split_width is None:
+        raise PreconditionError(f"no subdomain split recorded for {mesh.name}")
+    wdt = info.split_width
+    if mesh.denom * wdt.numerator % wdt.denominator or mesh.denom * wdt < 1:
+        raise PreconditionError(
+            f"no element-aligned subdomain split at h=1/{mesh.denom} "
+            f"(needs h <= {wdt / 2})"
+        )
+    wdt_f = float(wdt)  # dyadic, so exact; a Fraction would compare per element
+    cent = mesh.verts[mesh.tets].mean(axis=1)
+    col_masks = []
+    for e in edges:
+        lo = mesh.verts[e.fine_nodes[0]]
+        hi = mesh.verts[e.fine_nodes[-1]]
+        d = np.argmax(np.abs(hi - lo))
+        m = np.ones(mesh.nt, dtype=bool)
+        for a in range(3):
+            if a == d:
+                continue
+            m &= np.abs(cent[:, a] - lo[a]) <= wdt_f
+        col_masks.append(m)
+    g0 = ~np.logical_or.reduce(col_masks)
+    if not g0.any():
+        raise PreconditionError("subdomain split leaves no interior subdomain")
+    core = extract_tets(mesh, g0, "core")
+    core_nodes = core.node_mask()
+    iface = np.zeros(mesh.nv, dtype=bool)
+    columns = []
+    for e, m in zip(edges, col_masks):
+        cn = _mask_from_ids(mesh.nv, mesh.tets[m].ravel())
+        iface |= cn & core_nodes
+        columns.append((_edge_route(mesh, [e]), np.unique(mesh.tet_edges[m]),
+                        ops.graph_cutoff(mesh, cn)))
+    core_pins = iface[core.vert_map]
     claims = {"rhs1": "curl", "rhs2": "curl", "log": True}
 
     def apply(v: EdgeField):
@@ -756,24 +733,24 @@ def _disjoint_edges_hard(mesh: TetMesh, edges: Sequence[CoarseEdge]):
         w = np.zeros((mesh.nv, 3))
         R = np.zeros(mesh.ne)
         records = []
-        for edge_route, (col_edges, theta) in zip(edge_routes, columns):
-            pe, we, _, _, meta = edge_route(v)
+        for edge_route, col_edges, theta in columns:
+            pe, we, meta = edge_route.apply(v)
             records.extend(meta["loops"])
             p += theta * pe
             w += theta[:, None] * we
             R[col_edges] += _residual(mesh, v.values, pe, we)[col_edges]
 
         _block_kernel(core, _residual(mesh, v.values, p, w) - R, core_pins, p, w, R)
-        return p, w, "disjoint-edges/subdomains", claims, {"loops": records}
+        return p, w, {"loops": records}
 
-    return apply
+    return _Route("disjoint-edges/subdomains", claims, apply)
 
 
 # --------------------------------------------------------------------------
 # the dispatcher
 # --------------------------------------------------------------------------
 
-def _route(mesh: TetMesh, trace: TraceSet):
+def _route(mesh: TetMesh, trace: TraceSet) -> _Route:
     """Route by the trace metadata: face traces through the kernel or the
     chained block construction, edge traces through the loop machinery,
     mixed traces through the face-plus-edge composition, and junction
@@ -835,10 +812,12 @@ def decompose(v: EdgeField, trace: TraceSet,
     droppable) are recorded on the result."""
     if route not in _ROUTES:
         raise ValueError(f"unknown route {route!r}; use 'auto', 'kernel' or 'face-chain'")
-    out = _routed(route, v, trace)
+    plan = _plan(route, trace)
+    out = _routed(plan, v, trace)
     if isinstance(out, CompatibilityViolation):
         return out
-    return _finish(v, *out)
+    p, w, meta = out
+    return _finish(v, p, w, plan.path, plan.claims, meta)
 
 
 def _trace_key(trace: TraceSet) -> tuple:
@@ -849,24 +828,24 @@ def _trace_key(trace: TraceSet) -> tuple:
             tuple(trace.vertex_nodes))
 
 
-def _plan(route: str, trace: TraceSet):
-    """The route's plan on (mesh, trace), made once per mesh: everything
-    the route derives from the mesh and the trace alone (branch, faces,
-    loops, masks, sub-traces), held by a function of v that does only
-    matvecs and cached solves."""
+def _plan(route: str, trace: TraceSet) -> _Route:
+    """The route's plan on (mesh, trace), made once per mesh: its path and
+    claims, and everything it derives from the mesh and the trace alone
+    (branch, faces, loops, masks, sub-traces), held by a function of v that
+    does only matvecs and cached solves."""
     mesh = trace.mesh
     return mesh.cached(("plan", route) + _trace_key(trace),
                        lambda: _ROUTES[route](mesh, trace))
 
 
-def _routed(route: str, v: EdgeField, trace: TraceSet):
-    """Run a route between the shared entry and exit passes: the trace
+def _routed(plan: _Route, v: EdgeField, trace: TraceSet):
+    """Apply a plan between the shared entry and exit passes: the trace
     moments of v must vanish, and p, w get exact zeros on the trace nodes."""
     _check_zero_moments(v, trace.edge_mask, "the trace")
-    out = _plan(route, trace)(v)
+    out = plan.apply(v)
     if isinstance(out, CompatibilityViolation):
         return out
-    p, w = out[:2]
+    p, w, _ = out
     p[trace.node_mask] = 0.0
     w[trace.node_mask] = 0.0
     return out
@@ -887,84 +866,65 @@ def _sub_trace(sub: Submesh, node_mask: np.ndarray, edge_mask: np.ndarray) -> Tr
     return trace_from_fine(sub.mesh, node_mask[sub.vert_map], edge_mask[sub.edge_map])
 
 
-def _block_split(sub: Submesh, v: EdgeField, trace: TraceSet):
-    """The routed fields of v restricted to a block, with the block's
-    trace (a trace of the block mesh)."""
-    vs = EdgeField(sub.mesh, sub.restrict_edge(v.values))
-    out = _routed("auto", vs, trace)
-    if isinstance(out, CompatibilityViolation):
-        raise PreconditionError(out.message)
-    return out
+def _block_plan(sub: Submesh, node_mask: np.ndarray, edge_mask: np.ndarray):
+    """A block, the trace masks restricted to it as a trace of the block
+    mesh, and that trace's plan."""
+    trace = _sub_trace(sub, node_mask, edge_mask)
+    return sub, trace, _plan("auto", trace)
 
 
-def _edge_junction(mesh: TetMesh, trace: TraceSet):
-    """Two blocks meeting along one coarse edge: independent block splits
-    when the junction edge carries trace data on both sides, otherwise the
-    chained residual pipeline through the second block."""
+def _block_split(block, v: np.ndarray):
+    """The routed (p, w, meta) of the edge moments v restricted to a block.
+    A block is one convex block, so its route is never a vertex junction
+    and never refuses."""
+    sub, trace, plan = block
+    return _routed(plan, EdgeField(sub.mesh, sub.restrict_edge(v)), trace)
+
+
+def _edge_junction(mesh: TetMesh, trace: TraceSet) -> _Route:
+    """Two blocks meeting along one coarse edge E, in one chained pass:
+    decompose block 0, extend with zero data off E, and decompose what is
+    left of v on block 1 with E added to its trace.  When E is in the trace
+    already, p and w of block 0 vanish on E, the only nodes the blocks
+    share, so what is left on block 1 is v itself: the block splits are
+    independent."""
     info = geometry_info(mesh)
-    surf = surface(mesh)
-    E = surf.edge_by_name(info.junction_edge)
-    e_in_trace = trace.edge_mask[E.fine_edges].all()
-    partial = trace.node_mask[E.fine_nodes].any() and not e_in_trace
-
-    sub0 = extract_block(mesh, 0)
-    sub1 = extract_block(mesh, 1)
-
-    if e_in_trace:
-        blocks = [(sub, _sub_trace(sub, trace.node_mask, trace.edge_mask))
-                  for sub in (sub0, sub1)]
-        log = trace.has_edges() or not all(c["lipschitz"] for c in trace.components)
-        claims = {"rhs1": "curl_semi" if trace.J == 1 else "curl",
-                  "rhs2": "curl", "log": bool(log)}
-
-        def shared(v: EdgeField):
-            p = np.zeros(mesh.nv)
-            w = np.zeros((mesh.nv, 3))
-            records = []
-            for sub, sub_trace in blocks:
-                pb, wb, _, _, meta = _block_split(sub, v, sub_trace)
-                p[sub.vert_map] = pb
-                w[sub.vert_map] = wb
-                records.extend(meta.get("loops", []))
-            return p, w, "edge-junction/shared", claims, {"loops": records}
-
-        return shared
-    if partial:
+    E = surface(mesh).edge_by_name(info.junction_edge)
+    shared = trace.edge_mask[E.fine_edges].all()
+    if trace.node_mask[E.fine_nodes].any() and not shared:
         raise PreconditionError(
             "the junction edge meets the trace in a proper subset; "
             "not a catalog case"
         )
-
-    # junction edge clear of the trace: decompose block 0, extend with zero
-    # data off the junction edge, decompose the residual on block 1 with the
-    # edge added to its trace
-    trace0 = _sub_trace(sub0, trace.node_mask, trace.edge_mask)
+    sub0 = extract_block(mesh, 0)
+    sub1 = extract_block(mesh, 1)
+    block0 = _block_plan(sub0, trace.node_mask, trace.edge_mask)
     em1 = trace.edge_mask.copy()
     em1[E.fine_edges] = True
     nm1 = trace.node_mask.copy()
     nm1[E.fine_nodes] = True
-    trace1 = _sub_trace(sub1, nm1, em1)
+    block1 = _block_plan(sub1, nm1, em1)
+    log = not shared or trace.has_edges() or not all(c["lipschitz"] for c in trace.components)
     claims = {"rhs1": "curl_semi" if trace.J <= 1 else "curl", "rhs2": "curl",
-              "log": True}
+              "log": bool(log)}
 
-    def chained(v: EdgeField):
+    def apply(v: EdgeField):
         p = np.zeros(mesh.nv)
         w = np.zeros((mesh.nv, 3))
-        records = []
-        p0, w0, _, _, meta0 = _block_split(sub0, v, trace0)
-        records.extend(meta0.get("loops", []))
+        p0, w0, meta0 = _block_split(block0, v.values)
         p[sub0.vert_map] = p0
         w[sub0.vert_map] = w0
-        R0 = np.zeros(mesh.ne)
-        R0[sub0.edge_map] = _residual(sub0.mesh, sub0.restrict_edge(v.values), p0, w0)
-        v_res = EdgeField(mesh, _residual(mesh, v.values, p, w) - R0)
-        p1, w1, _, _, meta1 = _block_split(sub1, v_res, trace1)
-        records.extend(meta1.get("loops", []))
+        v1 = v.values
+        if not shared:
+            R0 = np.zeros(mesh.ne)
+            R0[sub0.edge_map] = _residual(sub0.mesh, sub0.restrict_edge(v.values), p0, w0)
+            v1 = _residual(mesh, v.values, p, w) - R0
+        p1, w1, meta1 = _block_split(block1, v1)
         p[sub1.vert_map] += p1
         w[sub1.vert_map] += w1
-        return p, w, "edge-junction/chained", claims, {"loops": records}
+        return p, w, {"loops": meta0.get("loops", []) + meta1.get("loops", [])}
 
-    return chained
+    return _Route("edge-junction/shared" if shared else "edge-junction/chained", claims, apply)
 
 
 # --------------------------------------------------------------------------
@@ -1095,7 +1055,7 @@ def _vertex_gate(v: EdgeField, trace: TraceSet):
     return v0, kinds, setups, vals, ref, records
 
 
-def _vertex_junction(mesh: TetMesh, trace: TraceSet):
+def _vertex_junction(mesh: TetMesh, trace: TraceSet) -> _Route:
     """Blocks meeting at a single vertex.  Blocks whose trace pins the
     vertex decompose independently, blocks with no trace ride along with a
     free potential constant, and trace-anchored blocks go through the
@@ -1104,16 +1064,21 @@ def _vertex_junction(mesh: TetMesh, trace: TraceSet):
     surf = surface(mesh)
     v0, kinds, gate = _gate_plan(mesh, trace)
     # per block: its submesh, the nodes it writes (the vertex only from
-    # block 0), its trace, and for a loop block (anchored or free) the
-    # loop-subtraction data and the loop split on the block face
+    # block 0), and for a pinned block its block plan, for a loop block
+    # (anchored or free) the loop-subtraction data and the loop split on
+    # the block face
     blocks = []
+    log = False
     for b, (kind, setup) in enumerate(zip(kinds, gate)):
         sub = extract_block(mesh, b)
         keep = sub.vert_map != v0 if b > 0 else np.ones(len(sub.vert_map), dtype=bool)
-        xr = _sub_trace(sub, trace.node_mask, trace.edge_mask)
         if kind == "pinned":
-            blocks.append((sub, keep, xr, None))
+            block = _block_plan(sub, trace.node_mask, trace.edge_mask)
+            blocks.append((sub, keep, block))
+            log = log or block[2].claims["log"]  # the claims of the block's plan
             continue
+        log = True
+        xr = _sub_trace(sub, trace.node_mask, trace.edge_mask)
         F, loop, E = setup
         fsub = next((f for f in surface(sub.mesh).faces if f.plane == F.plane), None)
         if fsub is None:
@@ -1130,8 +1095,9 @@ def _vertex_junction(mesh: TetMesh, trace: TraceSet):
         else:
             anchor = None
             pin_nodes = np.array([v0])
-        blocks.append((sub, keep, xr, (anchor, pin_nodes, split)))
-    all_connected = all(c["lipschitz"] for c in trace.components)
+        blocks.append((sub, keep, (anchor, pin_nodes, split)))
+    claims = {"rhs1": "curl_semi" if all(c["lipschitz"] for c in trace.components) else "curl",
+              "rhs2": "curl", "log": bool(log)}
 
     def apply(v: EdgeField):
         vcurl = fem.norm(v, "curl")
@@ -1143,12 +1109,10 @@ def _vertex_junction(mesh: TetMesh, trace: TraceSet):
 
         p = np.zeros(mesh.nv)
         w = np.zeros((mesh.nv, 3))
-        any_log = False
-        for (sub, keep, xr, block), setup in zip(blocks, setups):
-            if block is None:
-                pb, wb, _, claims, meta = _block_split(sub, v, xr)
+        for kind, (sub, keep, block), setup in zip(kinds, blocks, setups):
+            if kind == "pinned":
+                pb, wb, meta = _block_split(block, v.values)
                 records.extend(meta.get("loops", []))
-                any_log = any_log or claims.get("log", False)
             else:
                 anchor, pin_nodes, (loop_edges, split) = block
                 F, loop, E, dec = setup
@@ -1175,19 +1139,17 @@ def _vertex_junction(mesh: TetMesh, trace: TraceSet):
                 vhat, phi_g, ct = _loop_subtraction(v.values, loop, dec.C, phi_vals,
                                                     per_edge, pin_nodes)
                 vb = EdgeField(sub.mesh, sub.restrict_edge(vhat))
-                pl, wl = _loop_split(vb, loop_edges, split)
+                _check_zero_moments(vb, loop_edges, "the patch boundary")
+                pl, wl = _curl_harmonic_split(vb, split)
                 pb = phi_g[sub.vert_map] + pl
                 wb = ct[sub.vert_map] + wl
-                any_log = True
             p[sub.vert_map[keep]] = pb[keep]
             w[sub.vert_map[keep]] = wb[keep]
-        claims = {"rhs1": "curl_semi" if all_connected else "curl", "rhs2": "curl",
-                  "log": bool(any_log)}
         meta = {"loops": records, "functionals": functionals.tolist(), "tol": tol,
                 "block_kinds": list(kinds)}
-        return p, w, "vertex-junction", claims, meta
+        return p, w, meta
 
-    return apply
+    return _Route("vertex-junction", claims, apply)
 
 
 _ROUTES = {"auto": _route, "kernel": _kernel_route, "face-chain": _face_chain}

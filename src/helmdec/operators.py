@@ -90,14 +90,10 @@ def _node_adjacency(mesh: TetMesh) -> sp.csr_matrix:
     return mesh.cached("node_adjacency", build)
 
 
-def graph_cutoff(mesh: TetMesh, seed_mask: np.ndarray,
-                 within: Optional[np.ndarray] = None) -> np.ndarray:
+def graph_cutoff(mesh: TetMesh, seed_mask: np.ndarray) -> np.ndarray:
     """Nodal cut-off two mesh edges wide: 1 on the seed nodes, 1/2 on their
-    graph neighbours, 0 beyond.  With `within`, only those nodes take the
-    1/2, so every other node stays 0."""
+    graph neighbours, 0 beyond."""
     near = (_node_adjacency(mesh) @ seed_mask.astype(float) > 0) & ~seed_mask
-    if within is not None:
-        near &= within
     theta = seed_mask.astype(float)
     theta[near] = 0.5
     return theta

@@ -10,7 +10,7 @@ from helmdec import fem, operators as ops
 import helmdec.decompose as dc
 from helmdec.mesh import build_complex, extract_block
 from helmdec.operators import PreconditionError
-from helmdec.trace import interface_faces, surface, tag_trace
+from helmdec.trace import interface_faces, surface, tag_trace, trace_from_fine
 
 
 def assert_contract(split, v, trace, extra_edge_names=()):
@@ -41,8 +41,9 @@ def loop_split(v, face):
     no_nodes = np.zeros(mesh.nv, dtype=bool)
     loop_edges = np.zeros(mesh.ne, dtype=bool)
     loop_edges[ops.build_loop(mesh, [face]).edges] = True
-    return split_of(v, *dc._loop_split(v, loop_edges,
-                                       dc._split_plan(mesh, [face], no_nodes, no_nodes)))
+    dc._check_zero_moments(v, loop_edges, "the patch boundary")
+    return split_of(v, *dc._curl_harmonic_split(
+        v, dc._split_plan(mesh, [face], no_nodes, no_nodes)))
 
 
 def assert_absorbs_gradient(call, mesh, trace, seed=3):
@@ -206,8 +207,8 @@ def test_edge_route_stokes_record(cube4):
 def test_single_edge_equals_disjoint_union(cube4):
     t = tag_trace(cube4, ["e:x=0,y=0"])
     v = dc.random_admissible_field(cube4, t, 13)
-    a = split_of(v, *dc._edge_route(cube4, t.coarse_edges[0])(v)[:2])
-    b = split_of(v, *dc._disjoint_edges(cube4, t.coarse_edges)(v)[:2])
+    a = split_of(v, *dc._edge_route(cube4, t.coarse_edges).apply(v)[:2])
+    b = split_of(v, *dc._disjoint_edges(cube4, t.coarse_edges).apply(v)[:2])
     assert np.array_equal(a.p.values, b.p.values)
     assert np.array_equal(a.w.values, b.w.values)
     assert np.array_equal(a.R.values, b.R.values)
@@ -265,6 +266,22 @@ def test_edge_junction_shared_no_log():
     assert s.path == "edge-junction/shared"
     assert s.claims["log"] is False
     assert_contract(s, v, t)
+
+
+def test_edge_junction_shared_is_per_block_decompose():
+    """With the junction edge in the trace, each block of the shared split
+    is `decompose` on that block with the restricted trace, to the byte."""
+    mesh = build_complex("edge_junction_pair", 0.25)
+    t = tag_trace(mesh, ["x=1#0", "y=1#1"])
+    v = dc.random_admissible_field(mesh, t, 17)
+    s = dc.decompose(v, t)
+    assert s.path == "edge-junction/shared"
+    for b in (0, 1):
+        sub = extract_block(mesh, b)
+        tb = trace_from_fine(sub.mesh, t.node_mask[sub.vert_map], t.edge_mask[sub.edge_map])
+        sb = dc.decompose(fem.EdgeField(sub.mesh, sub.restrict_edge(v.values)), tb)
+        assert s.p.values[sub.vert_map].tobytes() == sb.p.values.tobytes()
+        assert s.w.values[sub.vert_map].tobytes() == sb.w.values.tobytes()
 
 
 def test_edge_junction_partial_contact_rejected():
@@ -326,11 +343,24 @@ def test_ratios_recorded(cube4):
     assert "w_l2_p_h1_vs_l2" in s.ratios
 
 
+@pytest.mark.parametrize("spec", [["base"], ["lat:x-", "lat:x+"]])
+def test_gradient_ratios_skip_roundoff_curl(pyramid4, spec):
+    """|v|_curl_semi of a gradient is roundoff on the pyramid, not 0: the
+    two ratios against it are left out, and the norms keep the value."""
+    t = tag_trace(pyramid4, spec)
+    gv, _ = dc.gradient_field(pyramid4, t, 23)
+    s = dc.decompose(gv, t)
+    assert s.claims["rhs1"] == "curl_semi"
+    assert 0.0 < s.norms["v_curl_semi"] <= 1e-12 * s.norms["v_l2"] / pyramid4.h
+    assert "w_h1" not in s.ratios and "R_scaled" not in s.ratios
+    assert {"w_l2_p_h1", "w_h1_vs_curl_full", "w_l2_p_h1_vs_l2"} <= set(s.ratios)
+
+
 def test_dispatcher_matches_direct_constructor(cube4):
     t = tag_trace(cube4, ["e:x=0,y=0"])
     v = dc.random_admissible_field(cube4, t, 30)
     via_dispatch = dc.decompose(v, t)
-    direct = split_of(v, *dc._edge_route(cube4, t.coarse_edges[0])(v)[:2])
+    direct = split_of(v, *dc._edge_route(cube4, t.coarse_edges).apply(v)[:2])
     assert np.array_equal(via_dispatch.p.values, direct.p.values)
     assert np.array_equal(via_dispatch.w.values, direct.w.values)
     assert np.array_equal(via_dispatch.R.values, direct.R.values)
@@ -342,7 +372,8 @@ def test_edge_route_degenerates_to_loop_split(cube4, rng):
     E = surf.edge_by_name("e:y=0,z=1")
     v = fem.EdgeField(cube4, rng.uniform(-1, 1, cube4.ne))
     v.values[F.fine_edges] = 0.0  # zero trace on the whole face closure
-    p, w, _, _, meta = dc._edge_route(cube4, E, face=F)(v)
+    no_pins = np.zeros(cube4.nv, dtype=bool)
+    p, w, meta = dc._loop_cuts(cube4, [([E], F)], no_pins, no_pins, "edge-cut", {}).apply(v)
     via_loop = loop_split(v, F)
     assert np.abs(p - via_loop.p.values).max() < 1e-12
     assert np.abs(w - via_loop.w.values).max() < 1e-12
@@ -512,6 +543,20 @@ def test_warm_call_factors_nothing_and_builds_no_loop(geometry, spec, path, monk
     assert_contract(s, warm, t)
     assert counts["splu"] == counts["build_loop"] == counts["dense"] == 0, counts
     assert passes and passes == [1] * len(passes)
+
+
+@pytest.mark.parametrize("geometry,spec,route", [(g, s, "auto") for g, s, _ in ROUTING]
+                         + [("unit_cube", ["z=0"], "kernel")])
+def test_plan_records_path_and_claims(geometry, spec, route):
+    """The plan is built before any apply and fixes the split's path and
+    claims; the call applies that same plan."""
+    mesh = build_complex(geometry, 0.25)
+    t = tag_trace(mesh, spec)
+    plan = dc._plan(route, t)
+    assert isinstance(plan, dc._Route)
+    s = dc.decompose(dc.random_admissible_field(mesh, t, 44), t, route=route)
+    assert dc._plan(route, t) is plan
+    assert (plan.path, plan.claims) == (s.path, s.claims)
 
 
 def _fingerprint(mesh, spec, route, seed):

@@ -38,36 +38,18 @@ def test_rh_reproduces_nodal_gradients(cube4, rng):
 # -- graph cut-off ------------------------------------------------------------
 
 def test_face_cutoff_values(lshape4):
-    # cut-off of an interface face inside its block: seeded on the interior
-    # face nodes, walking only through block nodes off the block boundary
-    # (the face boundary curve and the other interfaces stay 0)
-    iface = interface_faces(lshape4)[0]  # blocks (0,1)
-    sub = extract_block(lshape4, 0)
+    # cut-off seeded on the interior nodes of an interface face: the
+    # two-layer graph-distance decay
+    iface = interface_faces(lshape4)[0]
     interior = np.setdiff1d(iface.fine_nodes, iface.boundary_nodes)
     seed = np.zeros(lshape4.nv, dtype=bool)
     seed[interior] = True
-    hard_zero = sub.node_mask() & lshape4.boundary_node_mask() | _iface_mask(lshape4, 0)
-    theta = ops.graph_cutoff(lshape4, seed, within=sub.node_mask() & ~hard_zero)
-    assert np.all(theta[interior] == 1.0)
-    assert np.all(theta[iface.boundary_nodes] == 0.0)
-    assert theta.min() >= 0.0 and theta.max() <= 1.0
-    # one mesh edge away from the seed: 1/2; beyond the block: 0
-    assert np.any(theta == 0.5)
-    assert np.all(theta[~sub.node_mask()] == 0.0)
-    # unrestricted, it is the two-layer graph-distance decay
-    free = ops.graph_cutoff(lshape4, seed)
+    theta = ops.graph_cutoff(lshape4, seed)
     edges = lshape4.edges
     near = np.unique(edges[np.isin(edges, interior).any(axis=1)])
-    assert np.all(free[np.setdiff1d(near, interior)] == 0.5)
-    assert np.count_nonzero(free) == len(near)
-
-
-def _iface_mask(mesh, block):
-    m = np.zeros(mesh.nv, dtype=bool)
-    for i in interface_faces(mesh):
-        if block in i.blocks:
-            m[i.fine_nodes] = True
-    return m
+    assert np.all(theta[interior] == 1.0)
+    assert np.all(theta[np.setdiff1d(near, interior)] == 0.5)
+    assert np.count_nonzero(theta) == len(near)
 
 
 # -- harmonic extension -------------------------------------------------------

@@ -39,3 +39,19 @@ def test_hx_study_smallest(tmp_path):
     assert [(r["geometry"], r["level"]) for r in rows] == [
         ("unit_cube", 1), ("unit_cube", 2), ("three_cube_L", 3)]
     assert all(r["hx_iterations"] < r["cg_iterations"] for r in rows)
+
+
+def test_output_digest_smallest(tmp_path):
+    out = tmp_path / "digest.txt"
+    res = run_script("output_digest.py", ["--levels", "1", "--out", str(out)], tmp_path)
+    assert res.returncode == 0, res.stderr
+    lines = out.read_text().splitlines()
+    # 24 configurations x 4 inputs x 3 routes at one level
+    assert len(lines) == 24 * 4 * 3
+    first = lines[0].split()
+    assert first[:5] == ["unit_cube", "z=0", "L1", "random", "auto"]
+    assert len(first[5]) == 64
+    # a rerun writes the same file
+    again = tmp_path / "again.txt"
+    run_script("output_digest.py", ["--levels", "1", "--out", str(again)], tmp_path)
+    assert again.read_text() == out.read_text()
