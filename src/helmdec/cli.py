@@ -177,7 +177,8 @@ def cmd_decompose(cfg: ExperimentConfig, out: Path) -> int:
         print(result.message, file=sys.stderr)
         print("functionals: " + " ".join(repr(float(x)) for x in result.functionals))
         return EXIT_COMPATIBILITY
-    base = _slug([cfg.geometry, ",".join(cfg.trace), result.path, f"s{cfg.seed}"])
+    base = _slug([cfg.geometry, ",".join(cfg.trace), result.path, cfg.input,
+                  f"s{cfg.seed}"])
     _write(out / f"{base}.p.txt", _field_text(result.p.values, cfg.hash))
     _write(out / f"{base}.w.txt", _field_text(result.w.values, cfg.hash))
     _write(out / f"{base}.R.txt", _field_text(result.R.values, cfg.hash))

@@ -23,8 +23,10 @@ trace) builds no loop and factors nothing; each kernel pass is one
 4-column solve [p | w_x w_y w_z].  Routes are built from shared passes:
 `_routed` applies every top-level plan (and every junction block plan)
 between one entry check, zero trace moments of v, and one exit placement,
-exact zeros of p and w on the trace nodes; `_loop_cuts` is the one
-boundary-loop subtraction and curl-harmonic split behind every edge route;
+exact zeros of p and w on the trace nodes; `_loop_cut_columns` is the one
+boundary-loop subtraction and curl-harmonic split behind every edge route,
+run for k pass plans in lockstep (k = 1 on one edge route, k = 4 on the
+four-edge subdomain split, whose column extensions are one 4-column solve);
 `_block_kernel` is the one block-kernel pass.  The residual R and the norm
 battery are computed once, in `_finish`.  Stability is measured (norm
 quotients against the claimed bound), not assumed.
@@ -431,20 +433,28 @@ def _split_plan(mesh: TetMesh, faces: Sequence[CoarseFace], extra_a: np.ndarray,
     return mesh.boundary_edge_mask() & ~fe, fn | extra_a, cn | extra_b
 
 
+def _curl_harmonic_splits(mesh: TetMesh, fields: Sequence[np.ndarray], plans) -> list:
+    """Split each edge field of `fields` into the curl-harmonic extension of
+    its boundary moments off its face patch (it vanishes on the patch) and
+    the rest (it vanishes off the patch), and run the kernel on each, pinned
+    as its `_split_plan` says.  The k extensions are one k-column solve.
+    Returns per field the summed p and w; both vanish on the nodes pinned
+    in both kernels, the curve among them."""
+    bdata = np.zeros((mesh.ne, len(fields)))
+    for c, (v, (bmask, _, _)) in enumerate(zip(fields, plans)):
+        bdata[bmask, c] = v[bmask]
+    parts = ops.curl_harmonic_extend(mesh, bdata).values.T
+    out = []
+    for v, part, (_, pins_a, pins_b) in zip(fields, parts, plans):
+        pa, wa = _kernel_fields(mesh, part, pins_a)
+        pb, wb = _kernel_fields(mesh, v - part, pins_b)
+        out.append((pa + pb, wa + wb))
+    return out
+
+
 def _curl_harmonic_split(v: EdgeField, plan):
-    """Split v into the curl-harmonic extension of its boundary moments off
-    the face patch (it vanishes on the patch) and the rest (it vanishes off
-    the patch), and run the kernel on each, pinned as `_split_plan` says.
-    Returns the summed p and w; both vanish on the nodes pinned in both
-    kernels, the curve among them."""
-    mesh = v.mesh
-    bmask, pins_a, pins_b = plan
-    bdata = np.zeros(mesh.ne)
-    bdata[bmask] = v.values[bmask]
-    part = ops.curl_harmonic_extend(mesh, bdata).values
-    pa, wa = _kernel_fields(mesh, part, pins_a)
-    pb, wb = _kernel_fields(mesh, v.values - part, pins_b)
-    return pa + pb, wa + wb
+    """`_curl_harmonic_splits` of one field (k = 1): its summed p and w."""
+    return _curl_harmonic_splits(v.mesh, [v.values], [plan])[0]
 
 
 # --------------------------------------------------------------------------
@@ -481,41 +491,56 @@ def _loop_subtraction(v: np.ndarray, loop: ops.BoundaryLoop, C: float,
     return _residual(mesh, v, p, w), p, w
 
 
-def _loop_cuts(mesh: TetMesh, cuts, extra_a: np.ndarray, extra_b: np.ndarray,
-               path: str, claims: dict) -> _Route:
-    """Plan of the loop-cut pass behind every edge route.  Each cut (edges,
-    face) in turn subtracts, from the running field, the potential of its
-    loop (into p) and the constant extension of the per-edge drift, pinned
-    on the edges (into w); the edges carry zero moments, and the subtracted
-    field has zero moments on the whole loop.  One curl-harmonic split
-    against all the cut faces follows.  The meta records (C, l0, flux) per
-    loop."""
+def _cut_plan(mesh: TetMesh, cuts, extra_a: np.ndarray, extra_b: np.ndarray):
+    """Plan of one loop-cut pass: per cut (edges, face) its loop, the arc
+    of the edges on it, the edge nodes and the loop edge mask; and the
+    curl-harmonic split against all the cut faces."""
     steps = []
     for E, F in cuts:
         loop = ops.build_loop(mesh, [F])
         steps.append((E, F, loop, ops._edge_arc_positions(loop, E), _edge_nodes(E),
                       _mask_from_ids(mesh.ne, loop.edges)))
-    split = _split_plan(mesh, [F for _, F in cuts], extra_a, extra_b)
+    return steps, _split_plan(mesh, [F for _, F in cuts], extra_a, extra_b)
 
-    def apply(v: EdgeField):
-        p = np.zeros(mesh.nv)
-        w = np.zeros((mesh.nv, 3))
-        records = []
-        for E, F, loop, posE, pins, on_loop in steps:
-            dec = ops.loop_decompose(v, loop, zero_edge=E)
-            per_edge = np.full(loop.n, dec.C)
-            per_edge[posE] = 0.0
-            records.append((dec.C, dec.l0, _loop_flux(mesh, v, [F])))
-            vhat, phi, ctilde = _loop_subtraction(v.values, loop, dec.C, dec.phi, per_edge,
-                                                  pins)
-            v = EdgeField(mesh, vhat)
-            _check_zero_moments(v, on_loop, "the patch boundary")
-            p += phi
-            w += ctilde
-        ps, ws = _curl_harmonic_split(v, split)
-        return p + ps, w + ws, {"loops": records}
 
-    return _Route(path, claims, apply)
+def _cut_loops(mesh: TetMesh, steps, v: EdgeField):
+    """The loop cuts of one pass: each cut in turn subtracts, from the
+    running field, the potential of its loop (into p) and the constant
+    extension of the per-edge drift, pinned on the edges (into w); the
+    edges carry zero moments, and the subtracted field has zero moments on
+    the whole loop.  Returns that field, p, w and (C, l0, flux) per loop."""
+    p = np.zeros(mesh.nv)
+    w = np.zeros((mesh.nv, 3))
+    records = []
+    for E, F, loop, posE, pins, on_loop in steps:
+        dec = ops.loop_decompose(v, loop, zero_edge=E)
+        per_edge = np.full(loop.n, dec.C)
+        per_edge[posE] = 0.0
+        records.append((dec.C, dec.l0, _loop_flux(mesh, v, [F])))
+        vhat, phi, ctilde = _loop_subtraction(v.values, loop, dec.C, dec.phi, per_edge, pins)
+        v = EdgeField(mesh, vhat)
+        _check_zero_moments(v, on_loop, "the patch boundary")
+        p += phi
+        w += ctilde
+    return v.values, p, w, records
+
+
+def _loop_cut_columns(mesh: TetMesh, plans, v: EdgeField) -> list:
+    """The loop-cut pass behind every edge route, for k pass plans on one
+    mesh applied to v in lockstep: each plan's loop cuts, then one
+    k-column curl-harmonic split of what they leave.  Returns per plan
+    (p, w, meta); the meta records (C, l0, flux) per loop."""
+    cut = [_cut_loops(mesh, steps, v) for steps, _ in plans]
+    splits = _curl_harmonic_splits(mesh, [c[0] for c in cut], [split for _, split in plans])
+    return [(p + ps, w + ws, {"loops": records})
+            for (_, p, w, records), (ps, ws) in zip(cut, splits)]
+
+
+def _loop_cuts(mesh: TetMesh, cuts, extra_a: np.ndarray, extra_b: np.ndarray,
+               path: str, claims: dict) -> _Route:
+    """Plan of a route that is one loop-cut pass (k = 1)."""
+    plan = _cut_plan(mesh, cuts, extra_a, extra_b)
+    return _Route(path, claims, lambda v: _loop_cut_columns(mesh, [plan], v)[0])
 
 
 def _edge_route(mesh: TetMesh, E: list[CoarseEdge]) -> _Route:
@@ -690,7 +715,8 @@ def _disjoint_edges_hard(mesh: TetMesh, edges: list[CoarseEdge]) -> _Route:
     """The recorded element-aligned subdomain split: per edge a column, its
     edge route localized by a cut-off (1 on the column, 2-layer
     graph-distance decay beyond), then one block-kernel pass on the core
-    left between the columns, pinned on its interface."""
+    left between the columns, pinned on its interface.  The column routes
+    run in lockstep, so their curl-harmonic extensions are one solve."""
     info = geometry_info(mesh)
     if info.split_width is None:
         raise PreconditionError(f"no subdomain split recorded for {mesh.name}")
@@ -719,12 +745,14 @@ def _disjoint_edges_hard(mesh: TetMesh, edges: list[CoarseEdge]) -> _Route:
     core = extract_tets(mesh, g0, "core")
     core_nodes = core.node_mask()
     iface = np.zeros(mesh.nv, dtype=bool)
-    columns = []
+    no_pins = np.zeros(mesh.nv, dtype=bool)
+    plans, columns = [], []
     for e, m in zip(edges, col_masks):
         cn = _mask_from_ids(mesh.nv, mesh.tets[m].ravel())
         iface |= cn & core_nodes
-        columns.append((_edge_route(mesh, [e]), np.unique(mesh.tet_edges[m]),
-                        ops.graph_cutoff(mesh, cn)))
+        plans.append(_cut_plan(mesh, [([e], _find_face_for_edge(mesh, [e]))], no_pins,
+                               no_pins))
+        columns.append((np.unique(mesh.tet_edges[m]), ops.graph_cutoff(mesh, cn)))
     core_pins = iface[core.vert_map]
     claims = {"rhs1": "curl", "rhs2": "curl", "log": True}
 
@@ -733,8 +761,8 @@ def _disjoint_edges_hard(mesh: TetMesh, edges: list[CoarseEdge]) -> _Route:
         w = np.zeros((mesh.nv, 3))
         R = np.zeros(mesh.ne)
         records = []
-        for edge_route, col_edges, theta in columns:
-            pe, we, meta = edge_route.apply(v)
+        for (pe, we, meta), (col_edges, theta) in zip(_loop_cut_columns(mesh, plans, v),
+                                                      columns):
             records.extend(meta["loops"])
             p += theta * pe
             w += theta[:, None] * we

@@ -4,8 +4,8 @@ DOF conventions: nodal values per vertex; edge moments lambda_e(v) =
 int_e v.t ds with the global low-id -> high-id orientation; the curl
 incidence gives face fluxes with the canonical (ascending vertex triple,
 right-hand) normal.  Mass and stiffness use exact barycentric integral
-formulas; an independent fixed quadrature oracle is provided for
-cross-checks.
+formulas.  The per-tet curl of an edge field is one matvec with a cached
+sparse (3nt x ne) curl matrix.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ __all__ = [
     "tet_geometry",
     "curl_of_edge_field",
     "curl_of_nodal_field",
-    "quadrature_form",
 ]
 
 # --------------------------------------------------------------------------
@@ -101,26 +100,34 @@ def _gradient_gram(mesh: TetMesh) -> np.ndarray:
 
 def _curl_basis(mesh: TetMesh) -> np.ndarray:
     """(nt,6,3) curls 2 grad(lam_i) x grad(lam_j) of the local Whitney
-    functions, in TET_EDGES order."""
+    functions, in TET_EDGES order; formed on each call, not memoized."""
+    _, g = tet_geometry(mesh)
+    return np.stack([2.0 * np.cross(g[:, i, :], g[:, j, :]) for (i, j) in TET_EDGES], axis=1)
+
+
+def _curl_matrix(mesh: TetMesh) -> sp.csr_matrix:
+    """(3nt x ne) map from edge moments to per-tet curls.  Row 3t+d holds
+    the d-components of the signed local curls of tet t in TET_EDGES order,
+    so the matvec sums in the order of the per-edge loop, bit for bit.  Its
+    arrays are frozen read-only, as the memo freezes its ndarrays."""
 
     def build():
-        _, g = tet_geometry(mesh)
-        return np.stack(
-            [2.0 * np.cross(g[:, i, :], g[:, j, :]) for (i, j) in TET_EDGES], axis=1
-        )
+        nt = mesh.nt
+        c = _curl_basis(mesh) * mesh.tet_edge_sign[:, :, None]  # (nt,6,3)
+        data = np.ascontiguousarray(c.transpose(0, 2, 1)).ravel()
+        indices = np.repeat(mesh.tet_edges, 3, axis=0).ravel()
+        C = sp.csr_matrix((data, indices, np.arange(0, 18 * nt + 1, 6)),
+                          shape=(3 * nt, mesh.ne))
+        for a in (C.data, C.indices, C.indptr):
+            a.setflags(write=False)
+        return C
 
-    return mesh.cached("curl_basis", build)
+    return mesh.cached("curl_matrix", build)
 
 
 def curl_of_edge_field(v: EdgeField) -> np.ndarray:
     """Per-tet constant curl of a Whitney edge field, (nt,3)."""
-    mesh = v.mesh
-    c = _curl_basis(mesh)
-    coef = v.values[mesh.tet_edges] * mesh.tet_edge_sign  # (nt,6)
-    out = np.zeros((mesh.nt, 3))
-    for k in range(len(TET_EDGES)):
-        out += coef[:, k, None] * c[:, k, :]
-    return out
+    return (_curl_matrix(v.mesh) @ v.values).reshape(-1, 3)
 
 
 def curl_of_nodal_field(w: NodalVectorField) -> np.ndarray:
@@ -278,77 +285,6 @@ def norm(field: Field, which: str) -> float:
         M = assemble(mesh, "V", "mass")
         return float(np.sqrt(semi + max(float(x @ (M @ x)), 0.0)))
     raise ValueError(f"unknown norm {which!r}")
-
-
-# --------------------------------------------------------------------------
-# independent quadrature oracle
-# --------------------------------------------------------------------------
-
-_QP_A = 0.5854101966249685
-_QP_B = 0.1381966011250105
-_QPTS = np.array(
-    [
-        [_QP_A, _QP_B, _QP_B, _QP_B],
-        [_QP_B, _QP_A, _QP_B, _QP_B],
-        [_QP_B, _QP_B, _QP_A, _QP_B],
-        [_QP_B, _QP_B, _QP_B, _QP_A],
-    ]
-)
-_QW = np.full(4, 0.25)
-
-
-def _whitney_values(mesh: TetMesh, coefs: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """(nt,3) Whitney field values at one barycentric point."""
-    vol, g = tet_geometry(mesh)
-    sc = coefs[mesh.tet_edges] * mesh.tet_edge_sign
-    out = np.zeros((mesh.nt, 3))
-    for k, (i, j) in enumerate(TET_EDGES):
-        out += sc[:, k, None] * (lam[i] * g[:, j, :] - lam[j] * g[:, i, :])
-    return out
-
-
-def quadrature_form(u: Field, v: Field, kind: str) -> float:
-    """Second-order Gauss evaluation of the mass/stiffness bilinear forms.
-
-    Integrands are polynomial of degree <= 2, so the rule is exact up to
-    roundoff; the evaluation path (pointwise basis values) is independent
-    of the closed-form assembly.
-    """
-    mesh = u.mesh
-    vol, g = tet_geometry(mesh)
-    if kind == "stiffness" and isinstance(u, EdgeField):
-        cu = curl_of_edge_field(u)
-        cv = curl_of_edge_field(v)
-        return float(np.sum(vol * np.einsum("td,td->t", cu, cv)))
-    if kind == "stiffness":
-        ut = u.values[mesh.tets]
-        vt = v.values[mesh.tets]
-        if ut.ndim == 2:
-            gu = np.einsum("tad,ta->td", g, ut)
-            gv = np.einsum("tad,ta->td", g, vt)
-            return float(np.sum(vol * np.einsum("td,td->t", gu, gv)))
-        gu = np.einsum("tad,tac->tdc", g, ut)
-        gv = np.einsum("tad,tac->tdc", g, vt)
-        return float(np.sum(vol * np.einsum("tdc,tdc->t", gu, gv)))
-    # mass forms by quadrature
-    total = np.zeros(mesh.nt)
-    for q in range(len(_QW)):
-        lam = _QPTS[q]
-        if isinstance(u, EdgeField):
-            uu = _whitney_values(mesh, u.values, lam)
-            vv = _whitney_values(mesh, v.values, lam)
-            total += _QW[q] * np.einsum("td,td->t", uu, vv)
-        elif isinstance(u, NodalField):
-            uu = np.einsum("a,ta->t", lam, u.values[mesh.tets])
-            vv = np.einsum("a,ta->t", lam, v.values[mesh.tets])
-            total += _QW[q] * uu * vv
-        elif isinstance(u, NodalVectorField):
-            uu = np.einsum("a,tac->tc", lam, u.values[mesh.tets])
-            vv = np.einsum("a,tac->tc", lam, v.values[mesh.tets])
-            total += _QW[q] * np.einsum("tc,tc->t", uu, vv)
-        else:
-            raise ValueError("quadrature oracle: unsupported field")
-    return float(np.sum(vol * total))
 
 
 # --------------------------------------------------------------------------

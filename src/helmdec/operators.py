@@ -50,12 +50,9 @@ class PreconditionError(ValueError):
 
 def edge_interpolate_rh(w: NodalVectorField) -> EdgeField:
     """Edge moments of a continuous piecewise-linear field (trapezoid of
-    the endpoint values; exact for linear integrands).  Exact zeros where
-    both endpoint values vanish."""
-    mesh = w.mesh
-    d = mesh.edge_vectors()
-    mid = w.values[mesh.edges[:, 0]] + w.values[mesh.edges[:, 1]]
-    return EdgeField(mesh, 0.5 * np.einsum("ed,ed->e", mid, d))
+    the endpoint values; exact for linear integrands): one matvec with
+    `rh_matrix`.  Exact zeros where both endpoint values vanish."""
+    return EdgeField(w.mesh, rh_matrix(w.mesh) @ w.values.ravel())
 
 
 def rh_matrix(mesh: TetMesh) -> sp.csr_matrix:
@@ -196,7 +193,9 @@ def curl_harmonic_extend(mesh: TetMesh, boundary_moments: np.ndarray) -> EdgeFie
     """Among edge fields matching the prescribed moments on all boundary
     edges, the one of least curl energy whose gradient gauge is fixed by
     the L2 condition G_i^T M v = 0 (G_i: gradients of the interior nodal
-    hat functions).  Two SPD solves give it:
+    hat functions).  The data may be one edge vector (ne,) or k columns
+    (ne, k), which are extended by one k-column solve on each factor.  Two
+    SPD solves give it:
 
     1. tree-cotree gauge: take a BFS spanning tree of the interior-edge
        graph, with all boundary nodes merged into its root; set u = 0 on
@@ -212,12 +211,13 @@ def curl_harmonic_extend(mesh: TetMesh, boundary_moments: np.ndarray) -> EdgeFie
     domains with a connected boundary; then K_cc is SPD, and the result is
     the solution of the saddle point [[K_ii, M_ii G_i], [G_i^T M_ii, 0]].
     """
-    if boundary_moments.shape != (mesh.ne,):
+    if boundary_moments.ndim not in (1, 2) or len(boundary_moments) != mesh.ne:
         raise PreconditionError(
-            f"boundary data must be a full edge vector (ne={mesh.ne}), got {boundary_moments.shape}"
+            f"boundary data must be full edge vectors (ne={mesh.ne}[, k]), "
+            f"got {boundary_moments.shape}"
         )
     gauge = _cotree_gauge(mesh)
-    out = np.zeros(mesh.ne)
+    out = np.zeros(boundary_moments.shape)
     out[gauge.bidx] = boundary_moments[gauge.bidx]
     if len(gauge.cotree):
         solver = cached_solver(

@@ -79,6 +79,19 @@ def test_decompose_gradient_summary(tmp_path, capsys):
     assert summary["identity_residual"] <= 1e-10
 
 
+def test_decompose_outputs_of_each_input_kind_are_kept(tmp_path):
+    """Runs that differ only in the input kind write distinct files into
+    one output directory."""
+    out = tmp_path / "d"
+    for kind in ("random", "gradient"):
+        cfg = write_cfg(tmp_path, BASE.replace("input = random", f"input = {kind}"),
+                        name=f"{kind}.cfg")
+        assert run("decompose", cfg, out) == 0
+    summaries = [json.loads(p.read_text()) for p in out.glob("*.summary.json")]
+    assert sorted(s["input"] for s in summaries) == ["gradient", "random"]
+    assert len(list(out.iterdir())) == 8
+
+
 def test_decompose_no_log_banner(tmp_path, capsys):
     cfg = write_cfg(tmp_path, BASE.replace("trace = z=0", "trace = boundary")
                     .replace("levels = 1,2,3", "levels = 2"))

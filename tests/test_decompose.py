@@ -545,6 +545,26 @@ def test_warm_call_factors_nothing_and_builds_no_loop(geometry, spec, path, monk
     assert passes and passes == [1] * len(passes)
 
 
+def test_warm_four_edge_call_is_one_cotree_solve(monkeypatch):
+    """The four column routes run in lockstep: a warm call extends the four
+    columns by one solve on the cotree curl-curl factor."""
+    counts = {"solve": 0}
+    cached_solver = ops.cached_solver
+
+    def counting(mesh, key, build, spd=False):
+        lu = cached_solver(mesh, key, build, spd=spd)
+        return _CountingLU(lu, counts) if tuple(key) == ("curlharm", "cotree") else lu
+
+    monkeypatch.setattr(ops, "cached_solver", counting)
+    mesh = build_complex("four_edge_cube", 0.25)
+    t = tag_trace(mesh, FOUR_EDGES)
+    dc.decompose(dc.random_admissible_field(mesh, t, 41), t)
+    counts["solve"] = 0
+    s = dc.decompose(dc.random_admissible_field(mesh, t, 42), t)
+    assert s.path == "disjoint-edges/subdomains"
+    assert counts["solve"] == 1
+
+
 @pytest.mark.parametrize("geometry,spec,route", [(g, s, "auto") for g, s, _ in ROUTING]
                          + [("unit_cube", ["z=0"], "kernel")])
 def test_plan_records_path_and_claims(geometry, spec, route):

@@ -35,6 +35,14 @@ def test_rh_reproduces_nodal_gradients(cube4, rng):
     assert np.abs(ce - cw).max() < 1e-12
 
 
+def test_rh_matches_trapezoid_formula(lshape4, rng):
+    w = fem.NodalVectorField(lshape4, rng.uniform(-1, 1, (lshape4.nv, 3)))
+    a, b = lshape4.edges.T
+    ref = 0.5 * np.einsum("ed,ed->e", w.values[a] + w.values[b], lshape4.edge_vectors())
+    lam = ops.edge_interpolate_rh(w).values
+    assert np.abs(lam - ref).max() <= 1e-15 * np.abs(ref).max()
+
+
 # -- graph cut-off ------------------------------------------------------------
 
 def test_face_cutoff_values(lshape4):
@@ -92,6 +100,19 @@ def test_curl_harmonic_minimality(cube4, rng):
     data[be] = v.values[be]
     ext = ops.curl_harmonic_extend(cube4, data)
     assert fem.norm(ext, "curl_semi") <= fem.norm(v, "curl_semi") + 1e-12
+
+
+def test_curl_harmonic_columns_match_single_calls(lshape4, rng):
+    """(ne, k) data is extended by one k-column solve, column by column as
+    k single calls."""
+    be = lshape4.boundary_edge_mask()
+    data = np.zeros((lshape4.ne, 4))
+    data[be] = rng.uniform(-1, 1, (int(be.sum()), 4))
+    ext = ops.curl_harmonic_extend(lshape4, data).values
+    assert ext.shape == data.shape
+    for c in range(4):
+        one = ops.curl_harmonic_extend(lshape4, np.ascontiguousarray(data[:, c])).values
+        assert np.abs(ext[:, c] - one).max() <= 1e-13 * np.abs(one).max()
 
 
 # every distinct mesh the decomposition routes send to the curl-harmonic
