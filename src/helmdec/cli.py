@@ -71,7 +71,34 @@ class ExperimentConfig:
 
 
 def _parse_levels(s: str):
-    return tuple(int(x) for x in s.replace(" ", "").split(",") if x)
+    levels = tuple(int(x) for x in s.replace(" ", "").split(",") if x)
+    if not levels:
+        raise ValueError("no level given")
+    if min(levels) < 0:
+        raise ValueError("negative level; a level k >= 0 gives h = 1/2^k")
+    return levels
+
+
+def _parse_count(s: str) -> int:
+    n = int(s)
+    if n < 1:
+        raise ValueError("must be at least 1")
+    return n
+
+
+def _parse_floats(s: str):
+    return tuple(float(x) for x in s.split(","))
+
+
+def _get(section, name: str, key: str, parse, default):
+    """parse(section[key]), or `default` if the key is absent; a value that
+    does not parse is a ConfigError naming [name] key."""
+    if key not in section:
+        return default
+    try:
+        return parse(section[key])
+    except ValueError as ex:
+        raise ConfigError(f"[{name}] {key} = {section[key]!r}: {ex}") from None
 
 
 def load_config(path: str, seed_override=None) -> ExperimentConfig:
@@ -96,28 +123,20 @@ def load_config(path: str, seed_override=None) -> ExperimentConfig:
         raise ConfigError(f"unknown geometry {cfg.geometry!r}")
     cfg.trace = tuple(t.strip() for t in e.get("trace", "").split(";") if t.strip())
     cfg.route = e.get("route", cfg.route)
-    if "levels" in e:
-        cfg.levels = _parse_levels(e["levels"])
-    try:
-        cfg.samples = int(e.get("samples", cfg.samples))
-        cfg.seed = int(e.get("seed", cfg.seed))
-    except ValueError as ex:
-        raise ConfigError(str(ex)) from None
+    cfg.levels = _get(e, "experiment", "levels", _parse_levels, cfg.levels)
+    cfg.samples = _get(e, "experiment", "samples", _parse_count, cfg.samples)
+    cfg.seed = _get(e, "experiment", "seed", int, cfg.seed)
     cfg.input = e.get("input", cfg.input)
     if cfg.input not in ("random", "gradient", "perturbed"):
         raise ConfigError(f"unknown input kind {cfg.input!r}")
     cfg.ratio = e.get("ratio", cfg.ratio)
     if cp.has_section("hx"):
         h = cp["hx"]
-        try:
-            cfg.alpha = float(h.get("alpha", cfg.alpha))
-            cfg.beta = float(h.get("beta", cfg.beta))
-            if "jumps" in h:
-                cfg.jumps = tuple(float(x) for x in h["jumps"].split(","))
-            cfg.hx_tol = float(h.get("tol", cfg.hx_tol))
-            cfg.hx_maxit = int(h.get("maxit", cfg.hx_maxit))
-        except ValueError as ex:
-            raise ConfigError(str(ex)) from None
+        cfg.alpha = _get(h, "hx", "alpha", float, cfg.alpha)
+        cfg.beta = _get(h, "hx", "beta", float, cfg.beta)
+        cfg.jumps = _get(h, "hx", "jumps", _parse_floats, cfg.jumps)
+        cfg.hx_tol = _get(h, "hx", "tol", float, cfg.hx_tol)
+        cfg.hx_maxit = _get(h, "hx", "maxit", int, cfg.hx_maxit)
     if seed_override is not None:
         cfg.seed = seed_override
     return cfg

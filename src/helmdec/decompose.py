@@ -131,47 +131,18 @@ def _check_zero_moments(v: EdgeField, edge_mask: np.ndarray, what: str):
         )
 
 
-def _curl_rhs_transpose(mesh: TetMesh) -> sp.csc_matrix:
-    """(3*nv) x (3*nt) map: per-tet constant curl -> its pairing with the
-    curls of the nodal vector hat functions.  A transpose view of the
-    csr matrix (no copy)."""
-
-    def build():
-        vol, g = fem.tet_geometry(mesh)
-        nt = mesh.nt
-        rows, cols, vals = [], [], []
-        eps = np.zeros((3, 3, 3))
-        eps[0, 1, 2] = eps[1, 2, 0] = eps[2, 0, 1] = 1
-        eps[0, 2, 1] = eps[1, 0, 2] = eps[2, 1, 0] = -1
-        for a in range(4):
-            nodes = mesh.tets[:, a]
-            for d in range(3):
-                for c in range(3):
-                    for e in range(3):
-                        if eps[d, c, e] == 0:
-                            continue
-                        rows.append(3 * np.arange(nt) + d)
-                        cols.append(3 * nodes + e)
-                        vals.append(eps[d, c, e] * g[:, a, c])
-        rows = np.concatenate(rows)
-        cols = np.concatenate(cols)
-        vals = np.concatenate(vals)
-        return sp.csr_matrix((vals, (rows, cols)), shape=(3 * nt, 3 * mesh.nv)).T
-
-    return mesh.cached("curl_rhs_T", build)
-
-
 def _kernel_fields(mesh: TetMesh, v: np.ndarray, gamma_nodes: np.ndarray):
     """Two constrained Poisson solves on one factor, made as one 4-column
     solve: p from (grad p, grad q) = (v, grad q) and w from (grad w, grad
     phi) = (curl v, curl phi), both over the nodal space vanishing at
-    gamma_nodes (mean-zero gauge when empty)."""
-    M = fem.assemble(mesh, "V", "mass")
-    vol, _ = fem.tet_geometry(mesh)
-    curl = fem.curl_of_edge_field(EdgeField(mesh, v))
+    gamma_nodes (mean-zero gauge when empty).  The right-hand sides come
+    from the cached edge operators: G^T (M_V v) for p, and r_h^T (K_V v)
+    for w, exact because curl r_h phi = curl phi for every nodal vector
+    hat function phi."""
     rhs = np.empty((mesh.nv, 4))
-    rhs[:, 0] = mesh.cached("gradient_map_T", lambda: fem.gradient_map(mesh).T) @ (M @ v)
-    rhs[:, 1:] = (_curl_rhs_transpose(mesh) @ (vol[:, None] * curl).ravel()).reshape(mesh.nv, 3)
+    rhs[:, 0] = fem.gradient_map(mesh).T @ (fem.assemble(mesh, "V", "mass") @ v)
+    rhs[:, 1:] = (ops.rh_matrix(mesh).T
+                  @ (fem.assemble(mesh, "V", "stiffness") @ v)).reshape(mesh.nv, 3)
     K = fem.assemble(mesh, "Z", "stiffness")
     free = np.nonzero(~gamma_nodes)[0]
 

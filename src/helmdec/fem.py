@@ -3,9 +3,11 @@
 DOF conventions: nodal values per vertex; edge moments lambda_e(v) =
 int_e v.t ds with the global low-id -> high-id orientation; the curl
 incidence gives face fluxes with the canonical (ascending vertex triple,
-right-hand) normal.  Mass and stiffness use exact barycentric integral
-formulas.  The per-tet curl of an edge field is one matvec with a cached
-sparse (3nt x ne) curl matrix.
+right-hand) normal.  Mass and the nodal stiffness use exact barycentric
+integral formulas.  Every curl-curl form is built from one cached sparse
+(3nt x ne) curl matrix C: the per-tet curl of an edge field is one matvec
+C v, and the (weighted) edge stiffness is C^T W C with W the per-tet
+weighted volumes, repeated for the three curl components.
 """
 
 from __future__ import annotations
@@ -98,25 +100,20 @@ def _gradient_gram(mesh: TetMesh) -> np.ndarray:
     return mesh.cached("gradient_gram", build)
 
 
-def _curl_basis(mesh: TetMesh) -> np.ndarray:
-    """(nt,6,3) curls 2 grad(lam_i) x grad(lam_j) of the local Whitney
-    functions, in TET_EDGES order; formed on each call, not memoized."""
-    _, g = tet_geometry(mesh)
-    return np.stack([2.0 * np.cross(g[:, i, :], g[:, j, :]) for (i, j) in TET_EDGES], axis=1)
-
-
 def _curl_matrix(mesh: TetMesh) -> sp.csr_matrix:
     """(3nt x ne) map from edge moments to per-tet curls.  Row 3t+d holds
-    the d-components of the signed local curls of tet t in TET_EDGES order,
-    so the matvec sums in the order of the per-edge loop, bit for bit.  Its
-    arrays are frozen read-only, as the memo freezes its ndarrays."""
+    the d-components of the signed local Whitney curls 2 grad(lam_i) x
+    grad(lam_j) of tet t in TET_EDGES order, so the matvec sums in the
+    order of the per-edge loop, bit for bit.  Its arrays are frozen
+    read-only, as the memo freezes its ndarrays."""
 
     def build():
         nt = mesh.nt
-        c = _curl_basis(mesh) * mesh.tet_edge_sign[:, :, None]  # (nt,6,3)
-        data = np.ascontiguousarray(c.transpose(0, 2, 1)).ravel()
+        _, g = tet_geometry(mesh)
+        c = np.stack([2.0 * np.cross(g[:, i, :], g[:, j, :]) for (i, j) in TET_EDGES],
+                     axis=2) * mesh.tet_edge_sign[:, None, :]  # (nt,3,6)
         indices = np.repeat(mesh.tet_edges, 3, axis=0).ravel()
-        C = sp.csr_matrix((data, indices, np.arange(0, 18 * nt + 1, 6)),
+        C = sp.csr_matrix((c.ravel(), indices, np.arange(0, 18 * nt + 1, 6)),
                           shape=(3 * nt, mesh.ne))
         for a in (C.data, C.indices, C.indptr):
             a.setflags(write=False)
@@ -205,25 +202,23 @@ def _assemble_nodal(mesh: TetMesh, kind: str, weight) -> sp.csr_matrix:
 
 def _assemble_edge(mesh: TetMesh, kind: str, weight) -> sp.csr_matrix:
     vol, _ = tet_geometry(mesh)
-    sign = mesh.tet_edge_sign.astype(float)
     w = vol if weight is None else vol * weight
+    if kind == "stiffness":
+        C = _curl_matrix(mesh)
+        return (C.T @ (sp.diags(np.repeat(w, 3)) @ C)).tocsr()
     nt = mesh.nt
+    gg = _gradient_gram(mesh)
     loc = np.zeros((nt, 6, 6))
-    if kind == "mass":
-        gg = _gradient_gram(mesh)
-        for a, (i, j) in enumerate(TET_EDGES):
-            for b, (k, l) in enumerate(TET_EDGES):
-                loc[:, a, b] = (
-                    _S4[i, k] * gg[:, j, l]
-                    - _S4[i, l] * gg[:, j, k]
-                    - _S4[j, k] * gg[:, i, l]
-                    + _S4[j, l] * gg[:, i, k]
-                )
-        loc *= w[:, None, None]
-    else:
-        c = _curl_basis(mesh)
-        loc = w[:, None, None] * np.einsum("tad,tbd->tab", c, c)
-    loc *= sign[:, :, None] * sign[:, None, :]
+    for a, (i, j) in enumerate(TET_EDGES):
+        for b, (k, l) in enumerate(TET_EDGES):
+            loc[:, a, b] = (
+                _S4[i, k] * gg[:, j, l]
+                - _S4[i, l] * gg[:, j, k]
+                - _S4[j, k] * gg[:, i, l]
+                + _S4[j, l] * gg[:, i, k]
+            )
+    sign = mesh.tet_edge_sign.astype(float)
+    loc *= w[:, None, None] * sign[:, :, None] * sign[:, None, :]
     te = mesh.tet_edges
     rows = np.repeat(te, 6, axis=1)
     cols = np.tile(te, (1, 6))
@@ -233,8 +228,8 @@ def _assemble_edge(mesh: TetMesh, kind: str, weight) -> sp.csr_matrix:
 def assemble(mesh: TetMesh, space: str, kind: str, tet_weight=None) -> sp.csr_matrix:
     """Symmetric mass/stiffness matrix for space in {Z, Z3, V}.
 
-    V-stiffness is the curl-curl form.  `tet_weight` is an optional per-tet
-    coefficient (not cached).
+    V-stiffness is the curl-curl form C^T W C on the cached curl matrix.
+    `tet_weight` is an optional per-tet coefficient (not cached).
     """
     if space not in ("Z", "Z3", "V") or kind not in ("mass", "stiffness"):
         raise ValueError(f"unknown assembly {space}/{kind}")

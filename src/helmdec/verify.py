@@ -38,7 +38,11 @@ def worker_count() -> int:
     env = os.environ.get("HELMDEC_THREADS")
     if not env:
         return 1
-    return max(1, min(int(env), os.cpu_count() or 1))
+    try:
+        n = int(env)
+    except ValueError:
+        raise ValueError(f"HELMDEC_THREADS = {env!r} is not an integer") from None
+    return max(1, min(n, os.cpu_count() or 1))
 
 
 def fit_log_growth(hs, ratios):

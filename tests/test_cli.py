@@ -1,5 +1,6 @@
 import io
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -57,6 +58,22 @@ def test_unknown_key_is_config_error(tmp_path, capsys):
     for key in ("wobble = 3", "tol_f = 1e-10"):
         cfg = write_cfg(tmp_path, f"[experiment]\ngeometry = unit_cube\n{key}\n")
         assert run("mesh", cfg, tmp_path / "x") == 2
+
+
+@pytest.mark.parametrize("command,line,key", [
+    ("decompose", "levels = a", "levels"),
+    ("decompose", "levels =", "levels"),
+    ("battery", "levels =", "levels"),
+    ("mesh", "levels = 1,-1,2", "levels"),
+    ("sweep", "samples = 0", "samples"),
+    ("sweep", "seed = x", "seed"),
+])
+def test_bad_value_is_config_error_naming_its_key(tmp_path, capsys, command, line, key):
+    body = re.sub(rf"^{key} = .*$", line, BASE, flags=re.M)
+    assert line in body
+    assert run(command, write_cfg(tmp_path, body), tmp_path / "x") == 2
+    err = capsys.readouterr().err
+    assert f"{key} = " in err and "Traceback" not in err
 
 
 def test_unknown_geometry_is_config_error(tmp_path):

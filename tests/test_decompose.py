@@ -67,6 +67,20 @@ def test_kernel_gradient_reproduction(cube4, rng):
     assert fem.norm(s.R, "L2") < 1e-12
 
 
+@pytest.mark.parametrize("geometry", ["unit_cube", "pyramid", "three_cube_L"])
+def test_kernel_rhs_pairs_curls_through_rh(geometry, rng):
+    """The kernel's w right-hand side r_h^T (K_V v) is the pairing (curl v,
+    curl u) with nodal vector fields u, by curl r_h u = curl u."""
+    mesh = build_complex(geometry, 0.25)
+    u = rng.uniform(-1, 1, (mesh.nv, 3))
+    v = fem.EdgeField(mesh, rng.uniform(-1, 1, mesh.ne))
+    lhs = u.ravel() @ (ops.rh_matrix(mesh).T @ (fem.assemble(mesh, "V", "stiffness") @ v.values))
+    vol, _ = fem.tet_geometry(mesh)
+    ref = np.sum(vol[:, None] * fem.curl_of_nodal_field(fem.NodalVectorField(mesh, u))
+                 * fem.curl_of_edge_field(v))
+    assert abs(lhs - ref) <= 1e-13 * abs(ref)
+
+
 def test_kernel_zero_field(cube4):
     t = tag_trace(cube4, ["z=0"])
     s = dc.decompose(fem.EdgeField(cube4, np.zeros(cube4.ne)), t, route="kernel")

@@ -193,11 +193,15 @@ def test_zero_extension_preserves_norms():
         assert fem.norm(wB, which) == pytest.approx(fem.norm(wg, which), rel=1e-13)
 
 
-def test_symmetry_flags(cube4):
+def test_symmetry_flags(cube4, rng):
     for space in ("Z", "Z3", "V"):
         for kind in ("mass", "stiffness"):
             A = fem.assemble(cube4, space, kind)
             assert abs(A - A.T).max() <= 1e-13 * max(abs(A).max(), 1.0)
+    # the curl-curl pattern, which the cotree factor sees, stores no
+    # coupling that sums to exactly zero
+    for weight in (None, rng.uniform(0.5, 2.0, cube4.nt)):
+        assert np.all(fem.assemble(cube4, "V", "stiffness", weight).data != 0.0)
 
 
 def test_circulation_leaves_far_faces_untouched(cube4, rng):

@@ -73,6 +73,12 @@ def test_trace_probe_gradient_data():
     assert fem.norm(ext, "curl_semi") < 1e-10
 
 
+def test_worker_count_names_the_variable(monkeypatch):
+    monkeypatch.setenv("HELMDEC_THREADS", "abc")
+    with pytest.raises(ValueError, match="HELMDEC_THREADS"):
+        verify.worker_count()
+
+
 def test_threaded_sweep_matches_serial(monkeypatch):
     serial = verify.sweep("unit_cube", ["z=0"], "kernel", [1, 2, 3], 4, 6)
     monkeypatch.setenv("HELMDEC_THREADS", "3")
