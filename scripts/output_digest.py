@@ -10,6 +10,10 @@ The configurations are the acceptance gate's 18 and six more traces; the
 inputs are a seeded random field, a gradient, the zero field and a
 perturbed (incompatible) field; the routes are auto, kernel and
 face-chain.
+
+After them comes one line `geometry - L<k> mesh - digest` per meshed
+(geometry, level): the sha256 of the mesh arrays (vertices, tets, edges,
+faces, block labels) and of every field of its coarse surface.
 """
 
 import argparse
@@ -22,7 +26,7 @@ from helmdec import fem
 from helmdec.decompose import (CompatibilityViolation, decompose, gradient_field,
                                incompatible_field, random_admissible_field)
 from helmdec.mesh import build_complex
-from helmdec.trace import tag_trace
+from helmdec.trace import surface, tag_trace
 
 FOUR_EDGES = ["e:x=0,y=0", "e:x=1,y=0", "e:x=1,y=1", "e:x=0,y=1"]
 
@@ -87,6 +91,18 @@ def digest(mesh, spec, kind, route, seed) -> str:
     return h.hexdigest()
 
 
+def mesh_digest(mesh) -> str:
+    h = hashlib.sha256()
+    for arr in (mesh.verts_int, mesh.tets, mesh.edges, mesh.faces, mesh.block_of_tet):
+        h.update(np.ascontiguousarray(arr).tobytes())
+    surf = surface(mesh)
+    for ent in surf.faces + surf.edges:
+        for val in vars(ent).values():
+            h.update(val.tobytes() if isinstance(val, np.ndarray) else repr(val).encode())
+    h.update(repr((surf.vertices, surf.aliases)).encode())
+    return h.hexdigest()
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -94,14 +110,17 @@ def main():
     ap.add_argument("--out", required=True, help="digest file to write")
     args = ap.parse_args()
     levels = [int(x) for x in args.levels.split(",") if x]
-    lines = []
+    lines, meshes = [], {}
     for geometry, spec in CONFIGS:
         for k in levels:
             mesh = build_complex(geometry, 1.0 / (1 << k))
+            if (geometry, k) not in meshes:
+                meshes[geometry, k] = f"{geometry} - L{k} mesh - {mesh_digest(mesh)}"
             for kind in INPUTS:
                 for route in ROUTES:
                     d = digest(mesh, spec, kind, route, [SEED, k])
                     lines.append(f"{geometry} {';'.join(spec) or '-'} L{k} {kind} {route} {d}")
+    lines.extend(meshes.values())
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text("\n".join(lines) + "\n")

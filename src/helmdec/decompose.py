@@ -634,8 +634,7 @@ def _extended_mesh(mesh: TetMesh, ext_id: str) -> TetMesh:
 
 def _embed_nodes(mesh: TetMesh, B: TetMesh) -> np.ndarray:
     """Node ids in B of the nodes of a mesh embedded in it."""
-    idx = B.node_index()
-    return np.array([idx[p] for p in map(tuple, mesh.verts_int.tolist())], dtype=np.int64)
+    return B.node_ids(mesh.verts_int)
 
 
 # --------------------------------------------------------------------------
@@ -1010,7 +1009,7 @@ def _gate_plan(mesh: TetMesh, trace: TraceSet):
     def build():
         info = geometry_info(mesh)
         surf = surface(mesh)
-        v0 = mesh.node_index()[tuple(x * mesh.denom for x in info.junction_vertex)]
+        v0 = int(mesh.node_ids(np.multiply(info.junction_vertex, mesh.denom))[0])
         nblocks = len(info.complex.blocks)
         # the surface faces of each block depend on the mesh alone
         block_faces = mesh.cached("block_faces", lambda: [

@@ -78,6 +78,14 @@ def _canonical_tets(verts_int: np.ndarray, tets: np.ndarray) -> np.ndarray:
     return t
 
 
+def _lattice_keys(points: np.ndarray, lo: np.ndarray, span: np.ndarray) -> np.ndarray:
+    """int64 keys (x*span_y + y)*span_z + z of (m, 3) lattice points taken
+    relative to `lo`; for points in the box [lo, lo + span) they are
+    distinct and ordered as the points are lexicographically."""
+    x = points - lo
+    return (x[:, 0] * span[1] + x[:, 1]) * span[2] + x[:, 2]
+
+
 def _pack_pairs(pairs: np.ndarray, nv: int) -> np.ndarray:
     return pairs[:, 0].astype(np.int64) * nv + pairs[:, 1]
 
@@ -243,9 +251,25 @@ class TetMesh:
         counts = np.bincount(self.face_edges()[fids].ravel(), minlength=self.ne)
         return np.nonzero(counts == 1)[0]
 
-    def node_index(self) -> dict:
-        return self.cached("node_index", lambda: {
-            tuple(p): i for i, p in enumerate(self.verts_int.tolist())})
+    def node_ids(self, points) -> np.ndarray:
+        """Node ids of (m, 3) lattice points in `verts_int` units.  A point
+        that is not a node raises a GeometryError naming the first one."""
+        def build():
+            lo = self.verts_int.min(axis=0)
+            span = self.verts_int.max(axis=0) - lo + 1
+            keys = _lattice_keys(self.verts_int, lo, span)
+            order = np.argsort(keys, kind="stable")
+            return lo, span, keys[order], order
+
+        lo, span, keys, order = self.cached("node_keys", build)
+        points = np.asarray(points, dtype=np.int64).reshape(-1, 3)
+        pos = np.searchsorted(keys, _lattice_keys(points, lo, span))
+        ids = order[pos.clip(max=self.nv - 1)]
+        missing = np.any(self.verts_int[ids] != points, axis=1)
+        if missing.any():
+            p = ",".join(str(Fraction(int(x), self.denom)) for x in points[missing.argmax()])
+            raise GeometryError(f"no node of {self.name} at ({p})")
+        return ids
 
     def coarser(self):
         """`(coarse, P, vids)` for `coarse = build_complex(name, 2h)`: the
@@ -386,7 +410,10 @@ def _assemble_mesh(name: str, tet_coords: list[np.ndarray], labels: list[int],
                    denom: int, level: int) -> TetMesh:
     """Merge per-block (nt,4,3) coord tets, identifying nodes exactly."""
     allc = np.concatenate([tc.reshape(-1, 3) for tc in tet_coords])
-    uverts, inv = np.unique(allc, axis=0, return_inverse=True)
+    lo = allc.min(axis=0)
+    keys = _lattice_keys(allc, lo, allc.max(axis=0) - lo + 1)
+    _, first, inv = np.unique(keys, return_index=True, return_inverse=True)
+    uverts = allc[first]
     tets = inv.reshape(-1, 4)
     block = np.concatenate(
         [np.full(len(tc), lab, dtype=np.int64) for tc, lab in zip(tet_coords, labels)]
@@ -428,19 +455,10 @@ def _coarser(fine: TetMesh):
     if coarse.nv + coarse.ne != fine.nv:
         return None
     # the coarse points on the fine lattice: vertices, then edge midpoints
-    pts = np.vstack([2 * coarse.verts_int, coarse.verts_int[coarse.edges].sum(axis=1)])
-    lo = fine.verts_int.min(axis=0)
-    span = fine.verts_int.max(axis=0) - lo + 1
-
-    def keys(x):
-        x = x - lo
-        return (x[:, 0] * span[1] + x[:, 1]) * span[2] + x[:, 2]
-
-    fkeys = keys(fine.verts_int)
-    order = np.argsort(fkeys)
-    pos = np.searchsorted(fkeys, keys(pts), sorter=order).clip(max=fine.nv - 1)
-    ids = order[pos]
-    if not np.array_equal(fine.verts_int[ids], pts):
+    try:
+        ids = fine.node_ids(np.vstack([2 * coarse.verts_int,
+                                       coarse.verts_int[coarse.edges].sum(axis=1)]))
+    except GeometryError:
         return None
     nc = coarse.nv
     rows = np.concatenate([ids[:nc], np.repeat(ids[nc:], 2)])

@@ -105,39 +105,22 @@ class Surface:
                          f"have {[e.name for e in self.edges]}")
 
 
-def _reduced_planes(mesh: TetMesh, tri: np.ndarray, normals: np.ndarray) -> np.ndarray:
-    """(m, 4) integer rows (n, c): each normal divided by the gcd of its
-    components, and the offset n . x of the triangle's first vertex."""
-    g = np.gcd.reduce(np.abs(normals), axis=1)
-    n = normals // np.where(g == 0, 1, g)[:, None]
-    c = np.einsum("ij,ij->i", n, mesh.verts_int[tri[:, 0]])
-    return np.column_stack([n, c])
+def _row_ranks(rows: np.ndarray):
+    """The distinct rows of an integer array in lexicographic order, and
+    the rank of each row among them."""
+    order = np.lexsort(rows.T[::-1])
+    srt = rows[order]
+    new = np.ones(len(srt), dtype=bool)
+    new[1:] = np.any(srt[1:] != srt[:-1], axis=1)
+    rank = np.empty(len(rows), dtype=np.int64)
+    rank[order] = np.cumsum(new) - 1
+    return srt[new], rank
 
 
-def _face_plane_keys(mesh: TetMesh, fids: np.ndarray):
-    """Outward-oriented reduced plane key per boundary face id."""
-    tri = mesh.faces[fids]
-    v = mesh.verts_int
-    n = np.cross(v[tri[:, 1]] - v[tri[:, 0]], v[tri[:, 2]] - v[tri[:, 0]])
-    # orient away from the owning tet; its fourth vertex is the id sum
-    # minus the face's
-    opp = mesh.tets[mesh.face_tets[fids, 0]].sum(axis=1) - tri.sum(axis=1)
-    inward = np.einsum("ij,ij->i", n, v[opp] - v[tri[:, 0]])
-    n = np.where((inward > 0)[:, None], -n, n)
-    return [((a, b, c), d) for a, b, c, d in _reduced_planes(mesh, tri, n).tolist()]
-
-
-def _interior_plane_set(mesh: TetMesh) -> set:
-    tri = mesh.faces[~mesh.boundary_face_mask()]
-    v = mesh.verts_int
-    n = np.cross(v[tri[:, 1]] - v[tri[:, 0]], v[tri[:, 2]] - v[tri[:, 0]])
-    # canonical sign: first nonzero component positive
-    first = n[np.arange(len(n)), np.argmax(n != 0, axis=1)]
-    n = np.where((first < 0)[:, None], -n, n)
-    planes = _reduced_planes(mesh, tri, n)
-    planes = planes[np.lexsort(planes.T[::-1])]
-    distinct = np.concatenate([[True], np.any(planes[1:] != planes[:-1], axis=1)])
-    return {((a, b, c), d) for a, b, c, d in planes[distinct].tolist()}
+def _reduce_rows(n: np.ndarray) -> np.ndarray:
+    """Integer rows divided by the gcd of their components."""
+    g = np.gcd.reduce(np.abs(n), axis=1)
+    return n // np.where(g == 0, 1, g)[:, None]
 
 
 def _fmt_block_val(num: int, denom: int) -> str:
@@ -222,75 +205,76 @@ def _number(ents: list) -> None:
 def _build_surface(mesh: TetMesh) -> Surface:
     bmask = mesh.boundary_face_mask()
     bfids = np.nonzero(bmask)[0]
-    keys = _face_plane_keys(mesh, bfids)
-    interior_planes = _interior_plane_set(mesh)
-
     face_edge_ids = mesh.face_edges()[bfids]
+    v = mesh.verts_int
+
+    # outward-oriented reduced plane (n, n . x) of every boundary face: its
+    # canonical normal, flipped where it points into the owning tet, whose
+    # fourth vertex is the id sum minus the face's
+    tri = mesh.faces[bfids]
+    n = np.cross(v[tri[:, 1]] - v[tri[:, 0]], v[tri[:, 2]] - v[tri[:, 0]])
+    opp = mesh.tets[mesh.face_tets[bfids, 0]].sum(axis=1) - tri.sum(axis=1)
+    sign = np.where(np.einsum("ij,ij->i", n, v[opp] - v[tri[:, 0]]) > 0, -1, 1)
+    n = _reduce_rows(n * sign[:, None])
+    planes, pid = _row_ranks(np.column_stack([n, np.einsum("ij,ij->i", n, v[tri[:, 0]])]))
+    # a boundary plane is concave where an interior face lies in it
+    on = v @ planes[:, :3].T == planes[:, 3]
+    itri = mesh.faces[~bmask]
+    concave = (on[itri[:, 0]] & on[itri[:, 1]] & on[itri[:, 2]]).any(axis=0)
 
     # boundary faces linked by a common edge on a common oriented plane,
     # taken in plane-key order
-    rank = {key: i for i, key in enumerate(sorted(set(keys)))}
-    pid = np.array([rank[key] for key in keys], dtype=np.int64)
     faces: list[CoarseFace] = []
     patches = linked_components(pid[:, None] * mesh.ne + face_edge_ids)
     for comp in sorted(patches, key=lambda c: pid[c[0]]):
-        key = keys[comp[0]]
+        a, b, c, d = planes[pid[comp[0]]].tolist()
+        key = ((a, b, c), d)
         ffaces = bfids[comp]
-        fedges = np.unique(face_edge_ids[comp].ravel())
-        fnodes = np.unique(mesh.faces[ffaces].ravel())
-        bedges = mesh.patch_boundary(ffaces)
-        concave = (_canon_sign(key[0]), key[1] if key[0] == _canon_sign(key[0]) else -key[1]) in interior_planes
-        cf = CoarseFace(
+        faces.append(CoarseFace(
             id=-1,
             name=_face_name(key, mesh.denom),
             plane=key,
             fine_faces=ffaces,
-            fine_edges=fedges,
-            fine_nodes=fnodes,
-            boundary_edges=bedges,
-            concave=concave,
-            outward_sign=np.ones(len(ffaces), dtype=np.int8),
-        )
-        faces.append(cf)
+            fine_edges=np.unique(face_edge_ids[comp].ravel()),
+            fine_nodes=np.unique(tri[comp].ravel()),
+            boundary_edges=mesh.patch_boundary(ffaces),
+            concave=bool(concave[pid[comp[0]]]),
+            # the canonical fine-face normal against the outward one
+            outward_sign=sign[comp].astype(np.int8),
+        ))
     _number(faces)
 
-    # outward sign of the canonical fine-face normal per patch face
-    v = mesh.verts_int
-    for f in faces:
-        tri = mesh.faces[f.fine_faces]
-        n = np.cross(v[tri[:, 1]] - v[tri[:, 0]], v[tri[:, 2]] - v[tri[:, 0]])
-        s = np.sign(n @ np.array(f.plane[0], dtype=np.int64)).astype(np.int8)
-        f.outward_sign = s
-
-    # crease fine edges -> coarse edges
-    edge_planes: dict[int, set] = {}
-    for k, key in enumerate(keys):
-        for e in face_edge_ids[k]:
-            edge_planes.setdefault(int(e), set()).add(key)
-    crease = np.array(sorted(e for e, ps in edge_planes.items() if len(ps) >= 2),
-                      dtype=np.int64)
+    # crease fine edges (on two or more boundary planes) -> coarse edges;
+    # each with its ascending plane ranks, padded with -1
+    nplanes = len(planes)
+    inc = np.unique(face_edge_ids * nplanes + pid[:, None])
+    inc_edge, inc_plane = np.divmod(inc, nplanes)
+    bedges, first, count = np.unique(inc_edge, return_index=True, return_counts=True)
+    edge_planes = np.full((len(bedges), count.max(initial=0)), -1, dtype=np.int64)
+    edge_planes[np.repeat(np.arange(len(bedges)), count),
+                np.arange(len(inc)) - np.repeat(first, count)] = inc_plane
+    is_crease = count >= 2
+    crease = bedges[is_crease]
 
     # crease edges linked by a common node on a common line key; chains
     # split where the incident boundary planes change: collinear crease
     # edges of different dihedral structure (e.g. two blocks meeting at a
-    # junction vertex) stay distinct coarse edges
-    lines = []
-    for e in crease:
-        a, b = mesh.edges[e]
-        d = _canon_sign(_reduce_vec(v[b] - v[a]))
-        m = tuple(int(x) for x in np.cross(v[a], np.array(d, dtype=np.int64)))
-        lines.append((d, m, tuple(sorted(edge_planes[e]))))
-    rank = {key: i for i, key in enumerate(sorted(set(lines)))}
-    lid = np.array([rank[key] for key in lines], dtype=np.int64)
+    # junction vertex) stay distinct coarse edges.  The line key is the
+    # reduced direction with its first nonzero component positive, the
+    # moment x0 x d and the plane ranks.
+    ends = mesh.edges[crease]
+    d = _reduce_rows(v[ends[:, 1]] - v[ends[:, 0]])
+    d *= np.sign(d[np.arange(len(d)), np.argmax(d != 0, axis=1)])[:, None]
+    lid = _row_ranks(np.column_stack([d, np.cross(v[ends[:, 0]], d),
+                                      edge_planes[is_crease]]))[1]
 
     edges: list[CoarseEdge] = []
-    chains = linked_components(lid[:, None] * mesh.nv + mesh.edges[crease])
+    chains = linked_components(lid[:, None] * mesh.nv + ends)
     for comp in sorted(chains, key=lambda c: lid[c[0]]):
-        d = np.array(lines[comp[0]][0], dtype=np.int64)
         fe = crease[comp]
-        nodes = np.unique(mesh.edges[fe].ravel())
-        nodes = nodes[np.argsort(v[nodes] @ d, kind="stable")]
-        fe = np.array(sorted(fe, key=lambda e: int(v[mesh.edges[e]].min(axis=0) @ d)))
+        nodes = np.unique(ends[comp].ravel())
+        nodes = nodes[np.argsort(v[nodes] @ d[comp[0]], kind="stable")]
+        fe = fe[np.argsort(v[ends[comp]].min(axis=1) @ d[comp[0]], kind="stable")]
         edges.append(
             CoarseEdge(
                 id=-1,
@@ -305,15 +289,12 @@ def _build_surface(mesh: TetMesh) -> Surface:
     info = CATALOG.get(mesh.name)
     vertices: dict[str, int] = {}
     if info is not None:
-        idx = mesh.node_index()
+        corners = sorted({tuple(int(x) * mesh.denom for x in c)
+                          for blk in info.complex.blocks for c in blk.corners()})
+        nids = mesh.node_ids(corners)
         bn = mesh.boundary_node_mask()
-        cset = set()
-        for blk in info.complex.blocks:
-            for c in blk.corners():
-                cset.add(tuple(int(x) * mesh.denom for x in c))
-        for c in sorted(cset):
-            nid = idx.get(c)
-            if nid is not None and bn[nid]:
+        for c, nid in zip(corners, nids.tolist()):
+            if bn[nid]:
                 bu = tuple(Fraction(x, mesh.denom) for x in c)
                 vertices[f"v:({bu[0]},{bu[1]},{bu[2]})"] = nid
 

@@ -22,7 +22,7 @@ FOUR_EDGES = ["e:x=0,y=0", "e:x=1,y=0", "e:x=1,y=1", "e:x=0,y=1"]
 def _star3_specs():
     mesh = build_complex("vertex_junction_star3", 0.5)
     surf = surface(mesh)
-    apex = mesh.node_index()[(0, 0, 0)]
+    apex = int(mesh.node_ids([(0, 0, 0)])[0])
     laterals = []
     from helmdec.mesh import extract_block
 

@@ -95,6 +95,28 @@ def test_coarser_prolongation_is_exact(name):
             assert np.array_equal(P @ coarse.verts[:, d], fine.verts[:, d])
 
 
+@pytest.mark.parametrize("name", catalog_names(include_internal=True))
+def test_vertex_merge_and_node_ids(name):
+    """Vertices come in lexicographic order, the tets match a row-sort merge
+    of the block meshes, and node_ids inverts verts_int."""
+    blocks = catalog_info(name).complex.blocks
+    for k in (1, 2, 3):
+        mesh = build_complex(name, 1.0 / (1 << k))
+        v = mesh.verts_int
+        assert (np.lexsort(v.T[::-1]) == np.arange(mesh.nv)).all()
+        allc = np.concatenate([
+            (hmesh._mesh_brick(b, 1 << k) if isinstance(b, Brick)
+             else hmesh._mesh_pyramid(b, k)).reshape(-1, 3) for b in blocks])
+        uverts, inv = np.unique(allc, axis=0, return_inverse=True)
+        assert np.array_equal(v, uverts)
+        assert np.array_equal(mesh.tets, hmesh._canonical_tets(uverts, inv.reshape(-1, 4)))
+        assert np.array_equal(mesh.node_ids(v), np.arange(mesh.nv))
+        off = v.max(axis=0) + [0, 0, 1]
+        with pytest.raises(GeometryError, match=re.escape(
+                "(" + ",".join(str(Fraction(int(x), 1 << k)) for x in off) + ")")):
+            mesh.node_ids(np.vstack([v[:3], off]))
+
+
 def test_coarser_ends_the_hierarchy():
     fine = build_complex("three_cube_L", 0.25)
     assert fine.coarser()[0].coarser() is None  # h = 1/2

@@ -337,7 +337,7 @@ def test_junction_functionals_zero_and_gradient():
     mesh = build_complex("vertex_junction_pair", 0.25)
     surf = surface(mesh)
     trace = tag_trace(mesh, ["x=0", "x=2"])
-    v0 = mesh.node_index()[(mesh.denom, mesh.denom, mesh.denom)]
+    v0 = int(mesh.node_ids([(mesh.denom, mesh.denom, mesh.denom)])[0])
     zed = [surf.edge_by_name("e:x=0,y=1"), surf.edge_by_name("e:x=2,y=1")]
 
     def functionals(v):

@@ -46,8 +46,9 @@ def test_output_digest_smallest(tmp_path):
     res = run_script("output_digest.py", ["--levels", "1", "--out", str(out)], tmp_path)
     assert res.returncode == 0, res.stderr
     lines = out.read_text().splitlines()
-    # 24 configurations x 4 inputs x 3 routes at one level
-    assert len(lines) == 24 * 4 * 3
+    # 24 configurations x 4 inputs x 3 routes at one level, then one mesh
+    # line for each of the 8 geometries
+    assert len(lines) == 24 * 4 * 3 + 8
     first = lines[0].split()
     assert first[:5] == ["unit_cube", "z=0", "L1", "random", "auto"]
     assert len(first[5]) == 64

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -157,6 +159,78 @@ def _reference_linked_components(keysets):
     return comps
 
 
+# the per-face and per-edge loops the surface was once built with, on the
+# reference plane keys and groupings above
+def _reference_surface(mesh):
+    bfids = np.nonzero(mesh.boundary_face_mask())[0]
+    keys = _reference_face_plane_keys(mesh, bfids)
+    interior_planes = _reference_interior_plane_set(mesh)
+    face_edge_ids = mesh.face_edges()[bfids]
+    rank = {key: i for i, key in enumerate(sorted(set(keys)))}
+    pid = np.array([rank[key] for key in keys], dtype=np.int64)
+    faces = []
+    patches = _reference_linked_components(pid[:, None] * mesh.ne + face_edge_ids)
+    for comp in sorted(patches, key=lambda c: pid[c[0]]):
+        key = keys[comp[0]]
+        ffaces = bfids[comp]
+        canon = trace_mod._canon_sign(key[0])
+        faces.append(trace_mod.CoarseFace(
+            id=-1, name=trace_mod._face_name(key, mesh.denom), plane=key,
+            fine_faces=ffaces,
+            fine_edges=np.unique(face_edge_ids[comp].ravel()),
+            fine_nodes=np.unique(mesh.faces[ffaces].ravel()),
+            boundary_edges=mesh.patch_boundary(ffaces),
+            concave=(canon, key[1] if key[0] == canon else -key[1]) in interior_planes,
+            outward_sign=None))
+    trace_mod._number(faces)
+    v = mesh.verts_int
+    for f in faces:
+        tri = mesh.faces[f.fine_faces]
+        n = np.cross(v[tri[:, 1]] - v[tri[:, 0]], v[tri[:, 2]] - v[tri[:, 0]])
+        f.outward_sign = np.sign(n @ np.array(f.plane[0], dtype=np.int64)).astype(np.int8)
+
+    edge_planes = {}
+    for k, key in enumerate(keys):
+        for e in face_edge_ids[k]:
+            edge_planes.setdefault(int(e), set()).add(key)
+    crease = np.array(sorted(e for e, ps in edge_planes.items() if len(ps) >= 2),
+                      dtype=np.int64)
+    lines = []
+    for e in crease:
+        a, b = mesh.edges[e]
+        d = trace_mod._canon_sign(trace_mod._reduce_vec(v[b] - v[a]))
+        m = tuple(int(x) for x in np.cross(v[a], np.array(d, dtype=np.int64)))
+        lines.append((d, m, tuple(sorted(edge_planes[e]))))
+    rank = {key: i for i, key in enumerate(sorted(set(lines)))}
+    lid = np.array([rank[key] for key in lines], dtype=np.int64)
+    edges = []
+    chains = _reference_linked_components(lid[:, None] * mesh.nv + mesh.edges[crease])
+    for comp in sorted(chains, key=lambda c: lid[c[0]]):
+        d = np.array(lines[comp[0]][0], dtype=np.int64)
+        fe = crease[comp]
+        nodes = np.unique(mesh.edges[fe].ravel())
+        nodes = nodes[np.argsort(v[nodes] @ d, kind="stable")]
+        fe = np.array(sorted(fe, key=lambda e: int(v[mesh.edges[e]].min(axis=0) @ d)))
+        edges.append(trace_mod.CoarseEdge(id=-1, name=trace_mod._edge_name(mesh, nodes),
+                                          fine_edges=fe, fine_nodes=nodes))
+    trace_mod._number(edges)
+
+    info = trace_mod.CATALOG.get(mesh.name)
+    vertices = {}
+    if info is not None:
+        idx = {tuple(p): i for i, p in enumerate(v.tolist())}
+        bn = mesh.boundary_node_mask()
+        cset = {tuple(int(x) * mesh.denom for x in c)
+                for blk in info.complex.blocks for c in blk.corners()}
+        for c in sorted(cset):
+            nid = idx.get(c)
+            if nid is not None and bn[nid]:
+                bu = tuple(Fraction(x, mesh.denom) for x in c)
+                vertices[f"v:({bu[0]},{bu[1]},{bu[2]})"] = nid
+    aliases = dict(info.aliases) if info is not None else {}
+    return trace_mod.Surface(mesh, faces, edges, vertices, aliases)
+
+
 def _trace_specs(surf):
     faces = [f.name for f in surf.faces]
     pairs = [[a, b] for i, a in enumerate(faces) for b in faces[i + 1:]]
@@ -177,27 +251,25 @@ def _components(mesh, specs):
 def test_plane_keys_match_reference_loop(geometry, monkeypatch):
     for h in (0.5, 0.25, 0.125):
         mesh = build_complex(geometry, h)
-        bfids = np.nonzero(mesh.boundary_face_mask())[0]
-        assert trace_mod._face_plane_keys(mesh, bfids) == \
-            _reference_face_plane_keys(mesh, bfids)
-        assert trace_mod._interior_plane_set(mesh) == _reference_interior_plane_set(mesh)
         new = surface(mesh)
         specs = _trace_specs(new)
         new_components = _components(mesh, specs)
-        mesh._cache.pop("surface")
         with monkeypatch.context() as mp:
-            mp.setattr(trace_mod, "_face_plane_keys", _reference_face_plane_keys)
-            mp.setattr(trace_mod, "_interior_plane_set", _reference_interior_plane_set)
             mp.setattr(trace_mod, "linked_components", _reference_linked_components)
-            old = surface(mesh)
+            old = _reference_surface(mesh)
+            mp.setitem(mesh._cache, "surface", old)
             assert _components(mesh, specs) == new_components
         assert [f.name for f in new.faces] == [f.name for f in old.faces]
         assert [f.concave for f in new.faces] == [f.concave for f in old.faces]
         for a, b in zip(new.faces, old.faces):
-            assert a.id == b.id
-            assert np.array_equal(a.fine_faces, b.fine_faces)
-            assert np.array_equal(a.boundary_edges, b.boundary_edges)
+            assert (a.id, a.plane) == (b.id, b.plane)
+            for field in ("fine_faces", "fine_edges", "fine_nodes", "boundary_edges",
+                          "outward_sign"):
+                x, y = getattr(a, field), getattr(b, field)
+                assert x.dtype == y.dtype and np.array_equal(x, y), field
         assert [e.name for e in new.edges] == [e.name for e in old.edges]
         for a, b in zip(new.edges, old.edges):
+            assert a.id == b.id
             assert np.array_equal(a.fine_edges, b.fine_edges)
             assert np.array_equal(a.fine_nodes, b.fine_nodes)
+        assert new.vertices == old.vertices
