@@ -14,10 +14,22 @@ face-chain.
 After them comes one line `geometry - L<k> mesh - digest` per meshed
 (geometry, level): the sha256 of the mesh arrays (vertices, tets, edges,
 faces, block labels) and of every field of its coarse surface.
+
+`--arrays DIR` also saves p, w, R and the ratios of every split as one
+`.npz` file per line.  `--compare A B` reads two such directories and
+prints, for each line whose arrays differ, the largest move of p, w and
+R (relative to the largest entry of the three on that line) and of each
+ratio (relative to its size), then the largest move of each per input
+kind:
+
+    python3 scripts/output_digest.py --out old.txt --arrays old/
+    python3 scripts/output_digest.py --out new.txt --arrays new/
+    python3 scripts/output_digest.py --compare old/ new/
 """
 
 import argparse
 import hashlib
+import re
 from pathlib import Path
 
 import numpy as np
@@ -73,7 +85,9 @@ def field(kind, mesh, trace, seed):
     return incompatible_field(mesh, trace, seed)
 
 
-def digest(mesh, spec, kind, route, seed) -> str:
+def digest(mesh, spec, kind, route, seed, save=None) -> str:
+    """The line's sha256.  With `save` = (path, line key), a split's p, w,
+    R and ratios are also saved there."""
     h = hashlib.sha256()
     try:
         trace = tag_trace(mesh, spec)
@@ -87,6 +101,10 @@ def digest(mesh, spec, kind, route, seed) -> str:
         return h.hexdigest()
     for arr in (out.p.values, out.w.values, out.R.values):
         h.update(np.ascontiguousarray(arr).tobytes())
+    if save is not None:
+        path, key = save
+        np.savez(path, key=key, p=out.p.values, w=out.w.values, R=out.R.values,
+                 **{f"ratio:{k}": np.float64(r) for k, r in out.ratios.items()})
     h.update(repr((out.path, out.claims, out.norms, out.ratios, out.meta)).encode())
     return h.hexdigest()
 
@@ -103,12 +121,65 @@ def mesh_digest(mesh) -> str:
     return h.hexdigest()
 
 
+def relative_moves(a, b) -> dict:
+    """Largest move of each array and ratio of one line.  p, w and R are
+    measured against the largest entry of the three on either side, so an
+    array that is roundoff on its line (w and R of a gradient input) is
+    not measured against itself; a ratio against its own size."""
+    names = sorted((set(a.files) | set(b.files)) - {"key"})
+    fields = ("p", "w", "R")
+    split = max(np.abs(x[n]).max(initial=0.0) for x in (a, b) for n in fields if n in x.files)
+    moves = {}
+    for n in names:
+        if n not in a.files or n not in b.files:
+            moves[n] = float("inf")
+            continue
+        scale = split if n in fields else max(abs(float(a[n])), abs(float(b[n])))
+        diff = float(np.abs(a[n] - b[n]).max(initial=0.0))
+        moves[n] = diff / scale if scale > 0 else diff
+    return moves
+
+
+def compare(dir_a: Path, dir_b: Path):
+    """Print the relative moves between two `--arrays` directories: every
+    line that moves, then the largest move per input kind."""
+    worst = {}
+    for fa in sorted(dir_a.glob("*.npz")):
+        fb = dir_b / fa.name
+        if not fb.exists():
+            print(f"{fa.stem}: only in {dir_a}")
+            continue
+        with np.load(fa) as a, np.load(fb) as b:
+            key = str(a["key"])
+            moves = relative_moves(a, b)
+        kind = key.split()[3]
+        for n, m in moves.items():
+            if m >= worst.get((kind, n), (-1.0, ""))[0]:
+                worst[kind, n] = (m, key)
+        if any(moves.values()):
+            print(key + ": " + " ".join(f"{n}={m:.2e}" for n, m in moves.items()))
+    print("largest relative move:")
+    for (kind, n), (m, key) in sorted(worst.items()):
+        print(f"  {kind} {n} {m:.2e} {key if m else '-'}")
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--levels", default="1,2,3", help="levels k, h = 1/2^k")
-    ap.add_argument("--out", required=True, help="digest file to write")
+    ap.add_argument("--out", help="digest file to write")
+    ap.add_argument("--arrays", help="also save each split's arrays in this directory")
+    ap.add_argument("--compare", nargs=2, metavar=("A", "B"),
+                    help="compare two --arrays directories instead")
     args = ap.parse_args()
+    if args.compare:
+        compare(*map(Path, args.compare))
+        return
+    if not args.out:
+        ap.error("--out is required unless --compare is given")
+    arrays = Path(args.arrays) if args.arrays else None
+    if arrays is not None:
+        arrays.mkdir(parents=True, exist_ok=True)
     levels = [int(x) for x in args.levels.split(",") if x]
     lines, meshes = [], {}
     for geometry, spec in CONFIGS:
@@ -118,8 +189,11 @@ def main():
                 meshes[geometry, k] = f"{geometry} - L{k} mesh - {mesh_digest(mesh)}"
             for kind in INPUTS:
                 for route in ROUTES:
-                    d = digest(mesh, spec, kind, route, [SEED, k])
-                    lines.append(f"{geometry} {';'.join(spec) or '-'} L{k} {kind} {route} {d}")
+                    key = f"{geometry} {';'.join(spec) or '-'} L{k} {kind} {route}"
+                    save = None if arrays is None else (
+                        arrays / (re.sub(r"[^\w=.,+-]+", "_", key) + ".npz"), key)
+                    d = digest(mesh, spec, kind, route, [SEED, k], save)
+                    lines.append(f"{key} {d}")
     lines.extend(meshes.values())
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

@@ -138,11 +138,14 @@ def _kernel_fields(mesh: TetMesh, v: np.ndarray, gamma_nodes: np.ndarray):
     gamma_nodes (mean-zero gauge when empty).  The right-hand sides come
     from the cached edge operators: G^T (M_V v) for p, and r_h^T (K_V v)
     for w, exact because curl r_h phi = curl phi for every nodal vector
-    hat function phi."""
+    hat function phi.  K_V is applied in factored form C^T (W (C v)), so a
+    field whose per-tet curls are exact zeros gets w == 0 exactly."""
+    C = fem._curl_matrix(mesh)
+    vol, _ = fem.tet_geometry(mesh)
+    wcurl = vol[:, None] * (C @ v).reshape(-1, 3)  # W (C v)
     rhs = np.empty((mesh.nv, 4))
     rhs[:, 0] = fem.gradient_map(mesh).T @ (fem.assemble(mesh, "V", "mass") @ v)
-    rhs[:, 1:] = (ops.rh_matrix(mesh).T
-                  @ (fem.assemble(mesh, "V", "stiffness") @ v)).reshape(mesh.nv, 3)
+    rhs[:, 1:] = (ops.rh_matrix(mesh).T @ (C.T @ wcurl.ravel())).reshape(mesh.nv, 3)
     K = fem.assemble(mesh, "Z", "stiffness")
     free = np.nonzero(~gamma_nodes)[0]
 

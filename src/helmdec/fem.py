@@ -42,17 +42,11 @@ class NodalField:
     mesh: TetMesh
     values: np.ndarray  # (nv,)
 
-    def copy(self):
-        return NodalField(self.mesh, self.values.copy())
-
 
 @dataclass
 class NodalVectorField:
     mesh: TetMesh
     values: np.ndarray  # (nv,3)
-
-    def copy(self):
-        return NodalVectorField(self.mesh, self.values.copy())
 
 
 @dataclass
@@ -72,19 +66,20 @@ Field = NodalField | NodalVectorField | EdgeField
 # --------------------------------------------------------------------------
 
 def tet_geometry(mesh: TetMesh):
-    """(volumes (nt,), grads (nt,4,3)) of barycentric coordinates."""
+    """(volumes (nt,), grads (nt,4,3)) of barycentric coordinates by
+    cofactors: grad(lam_k) is the cross product of the other two edge vectors
+    from vertex 0 over their triple product, exact on the dyadic lattice."""
 
     def build():
         v = mesh.verts
         t = mesh.tets
-        e = np.stack([v[t[:, k]] - v[t[:, 0]] for k in (1, 2, 3)], axis=1)  # (nt,3,3)
-        det = np.linalg.det(e)
-        vol = det / 6.0
-        inv = np.linalg.inv(e)                     # rows of inv.T are grads 1..3
+        e1, e2, e3 = (v[t[:, k]] - v[t[:, 0]] for k in (1, 2, 3))
+        cof = np.stack([np.cross(e2, e3), np.cross(e3, e1), np.cross(e1, e2)], axis=1)
+        det = np.einsum("td,td->t", e1, cof[:, 0])
         g = np.empty((len(t), 4, 3))
-        g[:, 1:, :] = np.transpose(inv, (0, 2, 1))
+        g[:, 1:, :] = cof / det[:, None, None]
         g[:, 0, :] = -g[:, 1:, :].sum(axis=1)
-        return vol, g
+        return det / 6.0, g
 
     return mesh.cached("tetgeom", build)
 
@@ -103,9 +98,9 @@ def _gradient_gram(mesh: TetMesh) -> np.ndarray:
 def _curl_matrix(mesh: TetMesh) -> sp.csr_matrix:
     """(3nt x ne) map from edge moments to per-tet curls.  Row 3t+d holds
     the d-components of the signed local Whitney curls 2 grad(lam_i) x
-    grad(lam_j) of tet t in TET_EDGES order, so the matvec sums in the
-    order of the per-edge loop, bit for bit.  Its arrays are frozen
-    read-only, as the memo freezes its ndarrays."""
+    grad(lam_j) of tet t in TET_EDGES order, less the exact zeros, so the
+    matvec sums in the order of the per-edge loop, bit for bit.  Its arrays
+    are frozen read-only, as the memo freezes its ndarrays."""
 
     def build():
         nt = mesh.nt
@@ -115,6 +110,7 @@ def _curl_matrix(mesh: TetMesh) -> sp.csr_matrix:
         indices = np.repeat(mesh.tet_edges, 3, axis=0).ravel()
         C = sp.csr_matrix((c.ravel(), indices, np.arange(0, 18 * nt + 1, 6)),
                           shape=(3 * nt, mesh.ne))
+        C.eliminate_zeros()
         for a in (C.data, C.indices, C.indptr):
             a.setflags(write=False)
         return C
@@ -147,10 +143,8 @@ def gradient_map(mesh: TetMesh) -> sp.csr_matrix:
 
     def build():
         ne = mesh.ne
-        rows = np.repeat(np.arange(ne), 2)
-        cols = mesh.edges.ravel()
-        data = np.tile(np.array([-1.0, 1.0]), ne)
-        return sp.csr_matrix((data, (rows, cols)), shape=(ne, mesh.nv))
+        return sp.csr_matrix((np.tile([-1.0, 1.0], ne), mesh.edges.ravel(),
+                              np.arange(0, 2 * ne + 1, 2)), shape=(ne, mesh.nv))
 
     return mesh.cached("gradient_map", build)
 
@@ -174,17 +168,15 @@ def curl_map(mesh: TetMesh) -> sp.csr_matrix:
 # --------------------------------------------------------------------------
 
 def _scatter(rows, cols, vals, shape) -> sp.csr_matrix:
-    m = sp.coo_matrix((vals.ravel(), (rows.ravel(), cols.ravel())), shape=shape)
-    return m.tocsr()
+    """Summed CSR matrix of the local entries, less the sums that are exact
+    zeros (half the P1 stiffness pattern of a Kuhn lattice)."""
+    m = sp.coo_matrix((vals.ravel(), (rows.ravel(), cols.ravel())), shape=shape).tocsr()
+    m.eliminate_zeros()
+    return m
 
 
-def _bary_mass():
-    s = np.full((4, 4), 1.0 / 20.0)
-    np.fill_diagonal(s, 2.0 / 20.0)
-    return s
-
-
-_S4 = _bary_mass()
+# integrals of lam_a lam_b over a tet of unit volume
+_S4 = (1.0 + np.eye(4)) / 20.0
 
 
 def _assemble_nodal(mesh: TetMesh, kind: str, weight) -> sp.csr_matrix:
@@ -206,39 +198,30 @@ def _assemble_edge(mesh: TetMesh, kind: str, weight) -> sp.csr_matrix:
     if kind == "stiffness":
         C = _curl_matrix(mesh)
         return (C.T @ (sp.diags(np.repeat(w, 3)) @ C)).tocsr()
-    nt = mesh.nt
     gg = _gradient_gram(mesh)
-    loc = np.zeros((nt, 6, 6))
+    # row a = (i, j) against all b = (k, l): (nt, 6), not (nt, 6, 6), temporaries
+    loc = np.empty((mesh.nt, 6, 6))
+    k, l = np.array(TET_EDGES).T
     for a, (i, j) in enumerate(TET_EDGES):
-        for b, (k, l) in enumerate(TET_EDGES):
-            loc[:, a, b] = (
-                _S4[i, k] * gg[:, j, l]
-                - _S4[i, l] * gg[:, j, k]
-                - _S4[j, k] * gg[:, i, l]
-                + _S4[j, l] * gg[:, i, k]
-            )
+        loc[:, a] = (_S4[i, k] * gg[:, j, l] - _S4[i, l] * gg[:, j, k]
+                     - _S4[j, k] * gg[:, i, l] + _S4[j, l] * gg[:, i, k])
     sign = mesh.tet_edge_sign.astype(float)
     loc *= w[:, None, None] * sign[:, :, None] * sign[:, None, :]
     te = mesh.tet_edges
-    rows = np.repeat(te, 6, axis=1)
-    cols = np.tile(te, (1, 6))
-    return _scatter(rows, cols, loc.reshape(nt, 36), (mesh.ne, mesh.ne))
+    return _scatter(np.repeat(te, 6, axis=1), np.tile(te, (1, 6)), loc, (mesh.ne, mesh.ne))
 
 
 def assemble(mesh: TetMesh, space: str, kind: str, tet_weight=None) -> sp.csr_matrix:
-    """Symmetric mass/stiffness matrix for space in {Z, Z3, V}.
+    """Symmetric mass/stiffness matrix for space in {Z, V}.
 
     V-stiffness is the curl-curl form C^T W C on the cached curl matrix.
     `tet_weight` is an optional per-tet coefficient (not cached).
     """
-    if space not in ("Z", "Z3", "V") or kind not in ("mass", "stiffness"):
+    if space not in ("Z", "V") or kind not in ("mass", "stiffness"):
         raise ValueError(f"unknown assembly {space}/{kind}")
 
     def build():
-        if space == "V":
-            return _assemble_edge(mesh, kind, tet_weight)
-        m = _assemble_nodal(mesh, kind, tet_weight)
-        return sp.kron(m, sp.eye(3), format="csr") if space == "Z3" else m
+        return (_assemble_edge if space == "V" else _assemble_nodal)(mesh, kind, tet_weight)
 
     if tet_weight is not None:
         return build()
@@ -251,23 +234,25 @@ def assemble(mesh: TetMesh, space: str, kind: str, tet_weight=None) -> sp.csr_ma
 
 def norm(field: Field, which: str) -> float:
     """Computable norms: L2 for all spaces; H1 for nodal fields; curl and
-    curl_semi for edge fields."""
+    curl_semi for edge fields.  A nodal vector field's forms are the
+    scalar Z forms applied to its (nv, 3) array, which sums as the
+    Kronecker product with the 3x3 identity would."""
     mesh = field.mesh
-    x = field.values.ravel()
+    space = "V" if isinstance(field, EdgeField) else "Z"
+
+    def form(kind):
+        A = assemble(mesh, space, kind)
+        return float(field.values.ravel() @ (A @ field.values).ravel())
+
     if which == "L2":
-        space = {NodalField: "Z", NodalVectorField: "Z3", EdgeField: "V"}[type(field)]
-        M = assemble(mesh, space, "mass")
-        return float(np.sqrt(max(float(x @ (M @ x)), 0.0)))
+        return float(np.sqrt(max(form("mass"), 0.0)))
     if which == "H1":
-        if not isinstance(field, (NodalField, NodalVectorField)):
+        if space != "Z":
             raise ValueError("H1 norm requires a nodal field")
-        space = "Z" if isinstance(field, NodalField) else "Z3"
-        K = assemble(mesh, space, "stiffness")
-        semi = float(x @ (K @ x))
-        M = assemble(mesh, space, "mass")
-        return float(np.sqrt(max(semi + float(x @ (M @ x)), 0.0)))
+        semi = form("stiffness")
+        return float(np.sqrt(max(semi + form("mass"), 0.0)))
     if which in ("curl", "curl_semi"):
-        if not isinstance(field, EdgeField):
+        if space != "V":
             raise ValueError("curl norms require an edge field")
         # per-tet analytic curls: nonnegative by construction and exactly
         # zero for gradients (the assembled quadratic only cancels to
@@ -277,8 +262,7 @@ def norm(field: Field, which: str) -> float:
         semi = float(np.sum(vol * np.einsum("td,td->t", c, c)))
         if which == "curl_semi":
             return float(np.sqrt(semi))
-        M = assemble(mesh, "V", "mass")
-        return float(np.sqrt(semi + max(float(x @ (M @ x)), 0.0)))
+        return float(np.sqrt(semi + max(form("mass"), 0.0)))
     raise ValueError(f"unknown norm {which!r}")
 
 

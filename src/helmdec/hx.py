@@ -93,7 +93,8 @@ class _VCycle:
     """Symmetric V(2,2)-cycle for the SPD matrix A: damped Jacobi smoothing,
     Galerkin coarse operators P^T A P for the prolongations `transfers`
     (finest first), and one sparse LU on the coarsest level.  With no
-    transfers it is that exact solve."""
+    transfers it is that exact solve.  The restrictions P^T are kept as
+    CSR, which sums each entry in the order of the CSC view P.T."""
 
     def __init__(self, A: sp.csr_matrix, transfers: list):
         self.P = transfers
@@ -102,6 +103,7 @@ class _VCycle:
             self.A.append(_symmetric(P.T @ self.A[-1] @ P))
         self.w = [_OMEGA / a.diagonal() for a in self.A[:-1]]
         self.coarse = spla.splu(self.A[-1].tocsc(), **fem._SPD_SPLU)
+        self.R = [P.T.tocsr() for P in transfers]
 
     def __call__(self, b: np.ndarray, level: int = 0) -> np.ndarray:
         if level == len(self.P):
@@ -109,7 +111,7 @@ class _VCycle:
         A, w, P = self.A[level], self.w[level], self.P[level]
         x = w * b
         x += w * (b - A @ x)
-        x += P @ self(P.T @ (b - A @ x), level + 1)
+        x += P @ self(self.R[level] @ (b - A @ x), level + 1)
         x += w * (b - A @ x)
         x += w * (b - A @ x)
         return x
@@ -145,6 +147,8 @@ class HXPreconditioner:
     _diag: np.ndarray = field(init=False)
     _G: sp.csr_matrix = field(init=False)
     _P: sp.csr_matrix = field(init=False)
+    _Gt: sp.csr_matrix = field(init=False)
+    _Pt: sp.csr_matrix = field(init=False)
     _grad_solver: _VCycle = field(init=False)
     _nodal_solver: _VCycle = field(init=False)
 
@@ -165,11 +169,12 @@ class HXPreconditioner:
         K = fem.assemble(mesh, "Z", "stiffness", tet_weight=beta)
         self._grad_solver = _VCycle(K[sys.free_nodes][:, sys.free_nodes], scalar)
         self._nodal_solver = _VCycle(self._P.T @ sys.A @ self._P, vector)
+        self._Gt, self._Pt = self._G.T.tocsr(), self._P.T.tocsr()
 
     def apply(self, r: np.ndarray) -> np.ndarray:
         out = r / self._diag
-        out = out + self._G @ self._grad_solver(self._G.T @ r)
-        out = out + self._P @ self._nodal_solver(self._P.T @ r)
+        out = out + self._G @ self._grad_solver(self._Gt @ r)
+        out = out + self._P @ self._nodal_solver(self._Pt @ r)
         return out
 
     __call__ = apply

@@ -27,6 +27,9 @@ __all__ = ["TetMesh", "build_complex", "write_mesh", "read_mesh"]
 # local vertex pairs of a tet, in lexicographic order
 TET_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 TET_FACES = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
+# position in TET_EDGES of the local vertex pair (a, b), a < b
+_LOCAL_EDGE = np.zeros((4, 4), dtype=np.int64)
+_LOCAL_EDGE[tuple(np.array(TET_EDGES).T)] = np.arange(6)
 
 # guards every build of per-mesh derived data (`TetMesh.cached`)
 _LOCK = threading.RLock()
@@ -239,9 +242,16 @@ class TetMesh:
     def face_edges(self) -> np.ndarray:
         """(nf, 3) edge ids of each face, for its vertex pairs 01, 12, 02."""
         def build():
-            f = self.faces
-            keys = f[:, [0, 1, 0]].astype(np.int64) * self.nv + f[:, [1, 2, 2]]
-            return self.edge_ids(keys.ravel()).reshape(-1, 3)
+            # tets ascend but for a swap of the last two (`_canonical_tets`),
+            # so a face's vertices ascend in tet-local order unless it holds
+            # both swapped ones; then its pairs 01 and 02 trade places
+            loc = np.array(TET_FACES)
+            e = self.tet_edges[:, _LOCAL_EDGE[loc[:, [0, 1, 0]], loc[:, [1, 2, 2]]]]
+            swap = (self.tets[:, 2] > self.tets[:, 3])[:, None] & (loc[:, 1] == 2)
+            e[swap] = e[swap][:, ::-1]
+            out = np.empty((self.nf, 3), dtype=np.int64)
+            out[self.tet_faces] = e
+            return out
 
         return self.cached("face_edges", build)
 

@@ -56,19 +56,17 @@ def edge_interpolate_rh(w: NodalVectorField) -> EdgeField:
 
 
 def rh_matrix(mesh: TetMesh) -> sp.csr_matrix:
-    """Sparse matrix of edge_interpolate_rh: (ne) x (3*nv)."""
+    """Sparse matrix of edge_interpolate_rh: (ne) x (3*nv).  Row e holds
+    half the edge vector at both endpoints, less its exact zeros."""
 
     def build():
-        d = mesh.edge_vectors()
         ne = mesh.ne
-        rows = np.repeat(np.arange(ne), 6)
-        cols = np.empty((ne, 6), dtype=np.int64)
-        vals = np.empty((ne, 6))
-        for side in (0, 1):
-            for c in range(3):
-                cols[:, 3 * side + c] = 3 * mesh.edges[:, side] + c
-                vals[:, 3 * side + c] = 0.5 * d[:, c]
-        return sp.csr_matrix((vals.ravel(), (rows, cols.ravel())), shape=(ne, 3 * mesh.nv))
+        cols = (3 * mesh.edges[:, :, None] + np.arange(3)).reshape(ne, 6)
+        vals = np.tile(0.5 * mesh.edge_vectors(), 2)
+        R = sp.csr_matrix((vals.ravel(), cols.ravel(), np.arange(0, 6 * ne + 1, 6)),
+                          shape=(ne, 3 * mesh.nv))
+        R.eliminate_zeros()
+        return R
 
     return mesh.cached("rh_matrix", build)
 

@@ -81,6 +81,20 @@ def test_kernel_rhs_pairs_curls_through_rh(geometry, rng):
     assert abs(lhs - ref) <= 1e-13 * abs(ref)
 
 
+@pytest.mark.parametrize("geometry", ["unit_cube", "pyramid", "three_cube_L"])
+def test_kernel_pass_on_gradient_gives_exact_zero_w(geometry, rng):
+    """K_V applied in factored form keeps the exact zero curl of G q: with
+    q on a dyadic grid the per-tet curls cancel exactly (also on the
+    pyramid's non-Kuhn tets), and the kernel pass returns w == 0."""
+    mesh = build_complex(geometry, 0.25)
+    q = rng.integers(-2**30, 2**30, mesh.nv) / 2.0**30
+    v = fem.gradient_map(mesh) @ q
+    assert np.all(fem.curl_of_edge_field(fem.EdgeField(mesh, v)) == 0.0)
+    for pins in (mesh.boundary_node_mask(), np.zeros(mesh.nv, dtype=bool)):
+        p, w = dc._kernel_fields(mesh, v, pins)
+        assert np.all(w == 0.0)
+
+
 def test_kernel_zero_field(cube4):
     t = tag_trace(cube4, ["z=0"])
     s = dc.decompose(fem.EdgeField(cube4, np.zeros(cube4.ne)), t, route="kernel")

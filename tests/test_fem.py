@@ -1,9 +1,20 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from helmdec import fem
-from helmdec.mesh import TET_EDGES, build_complex
+from helmdec.geometry import catalog_names
+from helmdec.mesh import TET_EDGES, _signed_volumes, build_complex
+from helmdec.operators import rh_matrix
+
+
+def assembled(mesh, space, kind, weight=None):
+    """fem.assemble, with the vector nodal space Z3 as the Kronecker product
+    of the scalar Z form with the 3x3 identity."""
+    if space == "Z3":
+        return sp.kron(fem.assemble(mesh, "Z", kind, weight), sp.eye(3), format="csr")
+    return fem.assemble(mesh, space, kind, weight)
 
 
 def test_curl_grad_is_zero_integer_identity(cube4):
@@ -142,7 +153,7 @@ def test_quadratic_forms_match_quadrature_oracle(seed):
     ]
     for u, v, space in checks:
         for kind in ("mass", "stiffness"):
-            A = fem.assemble(mesh, space, kind)
+            A = assembled(mesh, space, kind)
             lhs = float(u.values.ravel() @ (A @ v.values.ravel()))
             rhs = quadrature_form(u, v, kind)
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
@@ -196,12 +207,46 @@ def test_zero_extension_preserves_norms():
 def test_symmetry_flags(cube4, rng):
     for space in ("Z", "Z3", "V"):
         for kind in ("mass", "stiffness"):
-            A = fem.assemble(cube4, space, kind)
+            A = assembled(cube4, space, kind)
             assert abs(A - A.T).max() <= 1e-13 * max(abs(A).max(), 1.0)
-    # the curl-curl pattern, which the cotree factor sees, stores no
-    # coupling that sums to exactly zero
-    for weight in (None, rng.uniform(0.5, 2.0, cube4.nt)):
-        assert np.all(fem.assemble(cube4, "V", "stiffness", weight).data != 0.0)
+    # no operator stores a coupling that sums to exactly zero, so no
+    # factor carries fill for one
+    for mesh in (cube4, build_complex("pyramid", 0.25)):
+        ops = [fem._curl_matrix(mesh), fem.gradient_map(mesh), fem.curl_map(mesh),
+               rh_matrix(mesh)]
+        for weight in (None, rng.uniform(0.5, 2.0, mesh.nt)):
+            ops += [fem.assemble(mesh, space, kind, weight)
+                    for space in ("Z", "V") for kind in ("mass", "stiffness")]
+        for A in ops:
+            assert A.nnz and np.all(A.data != 0.0)
+
+
+@pytest.mark.parametrize("name", catalog_names(include_internal=True))
+def test_tet_geometry_is_exact(name):
+    """Volumes are the exact integer triple products over 6 denom^3, and the
+    cofactor gradients equal the inverse-matrix ones bit for bit."""
+    mesh = build_complex(name, 0.25)
+    vol, g = fem.tet_geometry(mesh)
+    assert np.array_equal(vol, _signed_volumes(mesh.verts_int, mesh.tets)
+                          / (6 * mesh.denom ** 3))
+    v, t = mesh.verts, mesh.tets
+    e = np.stack([v[t[:, k]] - v[t[:, 0]] for k in (1, 2, 3)], axis=1)
+    ref = np.empty_like(g)
+    ref[:, 1:, :] = np.transpose(np.linalg.inv(e), (0, 2, 1))
+    ref[:, 0, :] = -ref[:, 1:, :].sum(axis=1)
+    assert np.array_equal(g, ref)
+
+
+@pytest.mark.parametrize("name", ["unit_cube", "pyramid", "three_cube_L"])
+def test_vector_norms_match_kronecker_reference(name, rng):
+    """Norms of a nodal vector field apply the scalar forms to its (nv, 3)
+    array, bit-equal to the Kronecker-product matvec."""
+    mesh = build_complex(name, 0.25)
+    w = fem.NodalVectorField(mesh, rng.uniform(-1, 1, (mesh.nv, 3)))
+    x = w.values.ravel()
+    M, K = (float(x @ (assembled(mesh, "Z3", kind) @ x)) for kind in ("mass", "stiffness"))
+    assert fem.norm(w, "L2") == float(np.sqrt(M))
+    assert fem.norm(w, "H1") == float(np.sqrt(K + M))
 
 
 def test_circulation_leaves_far_faces_untouched(cube4, rng):

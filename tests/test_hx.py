@@ -71,6 +71,29 @@ def test_hx_apply_probes(cube4, lshape8, rng):
         assert np.abs(lin).max() <= 1e-12 * max(1.0, np.abs(pre(r1)).max())
 
 
+def test_apply_equals_transpose_per_call(lshape8, rng):
+    """The cached CSR restrictions give the apply of transposing per call,
+    bit for bit."""
+    sysm = make_system(lshape8, [1e6, 1.0, 1.0], [1.0, 1.0, 1.0])
+    pre = hx.HXPreconditioner(sysm)
+
+    def cycle(vc, b, level=0):
+        if level == len(vc.P):
+            return vc.coarse.solve(b)
+        A, w, P = vc.A[level], vc.w[level], vc.P[level]
+        x = w * b
+        x += w * (b - A @ x)
+        x += P @ cycle(vc, P.T @ (b - A @ x), level + 1)
+        x += w * (b - A @ x)
+        x += w * (b - A @ x)
+        return x
+
+    for r in (rng.standard_normal(sysm.n), sysm.b):
+        ref = (r / pre._diag + pre._G @ cycle(pre._grad_solver, pre._G.T @ r)
+               + pre._P @ cycle(pre._nodal_solver, pre._P.T @ r))
+        assert np.array_equal(pre.apply(r), ref)
+
+
 def test_vcycle_smoother_is_convergent_on_every_level(lshape8):
     """omega * lambda_max(D^-1 A_l) < 2 on every smoothed level of both
     auxiliary hierarchies, so the V-cycle is SPD."""

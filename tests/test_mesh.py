@@ -171,6 +171,17 @@ def test_face_edges_and_patch_boundary(cube4):
     assert sorted(one.tolist()) == sorted(fe[fids[0]].tolist())
 
 
+@pytest.mark.parametrize("name", catalog_names(include_internal=True))
+def test_face_edges_match_edge_key_search(name):
+    """The edges read from the tet tables equal the searchsorted lookup of
+    the faces' packed vertex pairs, for meshes with swapped tets too."""
+    for h in (0.5, 0.25):
+        m = build_complex(name, h)
+        f = m.faces
+        keys = f[:, [0, 1, 0]].astype(np.int64) * m.nv + f[:, [1, 2, 2]]
+        assert np.array_equal(m.face_edges(), m.edge_ids(keys.ravel()).reshape(-1, 3))
+
+
 def test_euler_characteristic_catalog():
     for name in CATALOG_8:
         m = build_complex(name, 0.5)

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -52,7 +54,19 @@ def test_output_digest_smallest(tmp_path):
     first = lines[0].split()
     assert first[:5] == ["unit_cube", "z=0", "L1", "random", "auto"]
     assert len(first[5]) == 64
-    # a rerun writes the same file
+    # a rerun writes the same file, also while it saves the arrays
     again = tmp_path / "again.txt"
-    run_script("output_digest.py", ["--levels", "1", "--out", str(again)], tmp_path)
+    arrays = tmp_path / "arrays"
+    run_script("output_digest.py",
+               ["--levels", "1", "--out", str(again), "--arrays", str(arrays)], tmp_path)
     assert again.read_text() == out.read_text()
+    saved = sorted(arrays.glob("*.npz"))
+    assert saved and len(saved) < 24 * 4 * 3  # refusals save nothing
+    with np.load(arrays / "unit_cube_z=0_L1_random_auto.npz") as a:
+        assert {"p", "w", "R"} <= set(a.files)
+    # a directory compared with itself moves nowhere
+    res = run_script("output_digest.py", ["--compare", str(arrays), str(arrays)], tmp_path)
+    assert res.returncode == 0, res.stderr
+    lines = res.stdout.splitlines()
+    assert lines[0] == "largest relative move:"
+    assert lines[1:] and all(line.split()[2] == "0.00e+00" for line in lines[1:])
