@@ -139,13 +139,17 @@ def _kernel_fields(mesh: TetMesh, v: np.ndarray, gamma_nodes: np.ndarray):
     from the cached edge operators: G^T (M_V v) for p, and r_h^T (K_V v)
     for w, exact because curl r_h phi = curl phi for every nodal vector
     hat function phi.  K_V is applied in factored form C^T (W (C v)), so a
-    field whose per-tet curls are exact zeros gets w == 0 exactly."""
+    field whose per-tet curls are exact zeros gets w == 0 exactly.  The
+    transposes G^T, r_h^T and C^T are CSC views of the cached CSR arrays,
+    kept on the mesh so that a pass builds none."""
     C = fem._curl_matrix(mesh)
+    Gt, Rt, Ct = mesh.cached("kernel_rhs_transposes", lambda: (
+        fem.gradient_map(mesh).T, ops.rh_matrix(mesh).T, C.T))
     vol, _ = fem.tet_geometry(mesh)
     wcurl = vol[:, None] * (C @ v).reshape(-1, 3)  # W (C v)
     rhs = np.empty((mesh.nv, 4))
-    rhs[:, 0] = fem.gradient_map(mesh).T @ (fem.assemble(mesh, "V", "mass") @ v)
-    rhs[:, 1:] = (ops.rh_matrix(mesh).T @ (C.T @ wcurl.ravel())).reshape(mesh.nv, 3)
+    rhs[:, 0] = Gt @ (fem.assemble(mesh, "V", "mass") @ v)
+    rhs[:, 1:] = (Rt @ (Ct @ wcurl.ravel())).reshape(mesh.nv, 3)
     K = fem.assemble(mesh, "Z", "stiffness")
     free = np.nonzero(~gamma_nodes)[0]
 

@@ -7,20 +7,28 @@ right-hand) normal.  Mass and the nodal stiffness use exact barycentric
 integral formulas.  Every curl-curl form is built from one cached sparse
 (3nt x ne) curl matrix C: the per-tet curl of an edge field is one matvec
 C v, and the (weighted) edge stiffness is C^T W C with W the per-tet
-weighted volumes, repeated for the three curl components.
+weighted volumes, repeated for the three curl components.  Sparse SPD
+factors are chosen by matrix family: `Cholesky`, a nested-dissection
+multifrontal Cholesky, for the cotree curl-curl block, and SuperLU
+(`cached_solver`) for the smaller nodal blocks.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.blas import dsyrk as _dsyrk, dtrsm as _dtrsm, dtrsv as _dtrsv
+from scipy.linalg.lapack import dpotrf as _dpotrf
 
-from .mesh import TET_EDGES, TetMesh
+from .mesh import TET_EDGES, TetMesh, _lattice_keys
 
 __all__ = [
+    "PreconditionError",
+    "Cholesky",
     "NodalField",
     "NodalVectorField",
     "EdgeField",
@@ -32,6 +40,15 @@ __all__ = [
     "curl_of_edge_field",
     "curl_of_nodal_field",
 ]
+
+
+class PreconditionError(ValueError):
+    """An operation's precondition failed; `entity` names the offender."""
+
+    def __init__(self, msg, entity=None):
+        super().__init__(msg)
+        self.entity = entity
+
 
 # --------------------------------------------------------------------------
 # fields
@@ -192,21 +209,44 @@ def _assemble_nodal(mesh: TetMesh, kind: str, weight) -> sp.csr_matrix:
     return _scatter(rows, cols, loc.reshape(len(t), 16), (mesh.nv, mesh.nv))
 
 
+def _shape_classes(mesh: TetMesh):
+    """(first tet, class of each tet) of the tets' shape classes: equal
+    integer edge vectors v1-v0, v2-v0, v3-v0 and equal edge signs, packed
+    as int64 keys.  Tets of one class have bit-identical gradients and
+    local edge matrices: a Kuhn lattice has 6 classes."""
+    t = mesh.tets
+    shape = np.empty((mesh.nt, 15), dtype=np.int64, order="F")
+    shape[:, :9] = (mesh.verts_int[t[:, 1:]] - mesh.verts_int[t[:, :1]]).reshape(-1, 9)
+    shape[:, 9:] = mesh.tet_edge_sign
+    lo = shape.min(axis=0)
+    span = shape.max(axis=0) - lo + 1
+    if math.prod(span.tolist()) >= 1 << 63:  # too many shapes to pack: compare whole rows
+        _, first, cls = np.unique(shape, axis=0, return_index=True, return_inverse=True)
+    else:
+        _, first, cls = np.unique(_lattice_keys(shape, lo, span), return_index=True,
+                                  return_inverse=True)
+    return first, cls
+
+
 def _assemble_edge(mesh: TetMesh, kind: str, weight) -> sp.csr_matrix:
     vol, _ = tet_geometry(mesh)
     w = vol if weight is None else vol * weight
     if kind == "stiffness":
         C = _curl_matrix(mesh)
         return (C.T @ (sp.diags(np.repeat(w, 3)) @ C)).tocsr()
-    gg = _gradient_gram(mesh)
-    # row a = (i, j) against all b = (k, l): (nt, 6), not (nt, 6, 6), temporaries
-    loc = np.empty((mesh.nt, 6, 6))
+    # the signed unit-volume local matrix of each shape class, gathered and
+    # scaled per tet: w * (s_a s_b) * m_ab in any order, as s = +-1
+    first, cls = _shape_classes(mesh)
+    gg = _gradient_gram(mesh)[first]
+    loc = np.empty((len(first), 6, 6))
     k, l = np.array(TET_EDGES).T
     for a, (i, j) in enumerate(TET_EDGES):
         loc[:, a] = (_S4[i, k] * gg[:, j, l] - _S4[i, l] * gg[:, j, k]
                      - _S4[j, k] * gg[:, i, l] + _S4[j, l] * gg[:, i, k])
-    sign = mesh.tet_edge_sign.astype(float)
-    loc *= w[:, None, None] * sign[:, :, None] * sign[:, None, :]
+    sign = mesh.tet_edge_sign[first].astype(float)
+    loc *= sign[:, :, None] * sign[:, None, :]
+    loc = loc[cls]
+    loc *= w[:, None, None]
     te = mesh.tet_edges
     return _scatter(np.repeat(te, 6, axis=1), np.tile(te, (1, 6)), loc, (mesh.ne, mesh.ne))
 
@@ -279,12 +319,151 @@ _SPD_SPLU = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
 def cached_solver(mesh: TetMesh, key, build, spd: bool = False):
     """splu factorization cached on the mesh; `build` returns the csc/csr
     matrix when the key is missing, `spd` selects the symmetric-mode
-    settings.  The SPD keys are stiffness blocks with Dirichlet rows
-    removed: the pinned kernel factor ("kernel", pin mask), the interior
-    Poisson factor ("harm", "interior") and the cotree curl-curl block
-    ("curlharm", "cotree").
+    settings.  The SPD keys are nodal stiffness blocks with Dirichlet rows
+    removed: the pinned kernel factor ("kernel", pin mask) and the interior
+    Poisson factor ("harm", "interior"), small enough that SuperLU's
+    compiled solve beats the per-front steps of `Cholesky`.
     The gauge kernel ("kernel", "gauge") is the stiffness bordered by the
     mean-value row, a saddle point with a zero diagonal entry, so it keeps
     the default partial-pivoting settings."""
     return mesh.cached(("splu",) + tuple(key), lambda: spla.splu(
         build().tocsc(), **(_SPD_SPLU if spd else {})))
+
+
+# --------------------------------------------------------------------------
+# nested-dissection multifrontal Cholesky
+# --------------------------------------------------------------------------
+
+_LEAF = 128  # dissection stops at this many unknowns
+
+
+def _dissection(points: np.ndarray, u: np.ndarray, v: np.ndarray):
+    """Nested dissection of the graph with edges (u, v) whose vertices sit
+    at the lattice `points` (George 1973).  A set of more than _LEAF
+    vertices is cut by the median plane of one axis; the separator is the
+    smaller of the two sets of cut-edge ends, and of the three axes the one
+    with the smallest separator wins.  Returns the tree in postorder: a
+    list of (vertex ids, child node indices); a separator that comes out
+    empty leaves no node, its halves join the parent's children."""
+    nodes = []
+
+    def split(ids, pts, u, v):
+        m = len(ids)
+        best, size = None, m
+        for x in (pts.T if m > _LEAF else ()):
+            left = x < np.partition(x, m // 2)[m // 2]
+            if not left.any():
+                continue
+            cut = left[u] != left[v]
+            end = np.zeros(m, dtype=bool)
+            end[u[cut]] = True
+            end[v[cut]] = True
+            sep = min(end & left, end & ~left, key=np.count_nonzero)
+            if best is None or np.count_nonzero(sep) < size:
+                best, size = (sep, left), np.count_nonzero(sep)
+        if best is None:
+            nodes.append((ids, []))
+            return [len(nodes) - 1]
+        sep, left = best
+        kids = []
+        for side in (left & ~sep, ~left & ~sep):
+            sel = np.nonzero(side)[0]
+            if len(sel):
+                loc = np.full(m, -1)
+                loc[sel] = np.arange(len(sel))
+                keep = side[u] & side[v]
+                kids += split(ids[sel], pts[sel], loc[u[keep]], loc[v[keep]])
+        if not size:
+            return kids
+        nodes.append((ids[sep], kids))
+        return [len(nodes) - 1]
+
+    split(np.arange(len(points)), points, u, v)
+    return nodes
+
+
+class Cholesky:
+    """A = L L^T of a sparse SPD matrix by the multifrontal method (Liu,
+    SIAM Review 1992) on a nested-dissection order of `points`, one
+    lattice point per unknown.  Each tree node owns one dense front: its
+    own unknowns and the later ones they couple to.  The front sums the
+    node's columns of A and its children's update matrices (extend-add),
+    then `dpotrf` factors the pivot block, `dtrsm` gives the panel below it
+    and `dsyrk` the node's update matrix.  Only L is stored, one dense
+    (pivot, panel) pair per node; `nnz` counts its entries.  A pivot block
+    that is not positive definite raises a PreconditionError that names
+    `name`."""
+
+    def __init__(self, A, points, name: str):
+        A = sp.csr_matrix(A)
+        A.sum_duplicates()
+        A = A.tocoo()
+        upper = A.row < A.col
+        nodes = _dissection(np.asarray(points), A.row[upper], A.col[upper])
+        n = A.shape[0]
+        self.perm = np.concatenate([ids for ids, _ in nodes])
+        ends = np.cumsum([len(ids) for ids, _ in nodes])
+        # the lower triangle of the permuted A, column by column
+        new = np.empty(n, dtype=np.int64)
+        new[self.perm] = np.arange(n)
+        i, j = new[A.row], new[A.col]
+        low = i >= j
+        by_col = np.argsort(j[low], kind="stable")
+        rows, vals = i[low][by_col], A.data[low][by_col]
+        ptr = np.concatenate(([0], np.cumsum(np.bincount(j[low], minlength=n))))
+        pos = np.empty(n, dtype=np.int64)  # row -> front slot
+        self.blocks = []
+        update = {}
+        for t, (ids, kids) in enumerate(nodes):
+            e = int(ends[t])
+            s = e - len(ids)
+            k = e - s
+            # the front's later rows: those of its columns of A and of its
+            # children's updates
+            below = np.concatenate([rows[ptr[s]:ptr[e]]] + [self.blocks[c][2] for c in kids])
+            U = np.unique(below[below >= e])
+            m = k + len(U)
+            pos[s:e] = np.arange(k)
+            pos[U] = np.arange(k, m)
+            F = np.zeros((m, m), order="F")
+            cols = np.repeat(np.arange(k), np.diff(ptr[s:e + 1]))
+            F.ravel(order="F")[pos[rows[ptr[s]:ptr[e]]] + m * cols] = vals[ptr[s]:ptr[e]]
+            # only lower triangles are read, and a child's rows ascend in
+            # the front as in its update, so its lower triangle lands in ours
+            for c in kids:
+                at = pos[self.blocks[c][2]]
+                F[np.ix_(at, at)] += update.pop(c)
+            L11, info = _dpotrf(F[:k, :k], 1, 1)
+            if info:
+                raise PreconditionError(
+                    f"matrix of {name} is not positive definite (pivot block "
+                    f"{t} of {len(nodes)}, column {info} of {k})", entity=name)
+            L21 = _dtrsm(1.0, L11, F[k:, :k], 1, 1, 1, 0, 1)
+            if len(U):
+                update[t] = _dsyrk(-1.0, L21, 1.0, F[k:, k:], 0, 1, 1)
+            self.blocks.append((s, e, U, L11, L21))
+        self.nnz = sum((e - s) * (e - s + 1) // 2 + L21.size for s, e, _, _, L21 in self.blocks)
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """A^-1 b for b of shape (n,) or (n, k)."""
+        x = np.ascontiguousarray(b[self.perm], dtype=float)
+        work = x.reshape(len(x), -1)
+        if work.shape[1] == 1:  # y <- L11^-1 y (trans 0) or L11^-T y (trans 1), in place
+            work = work[:, 0]
+
+            def tri(L11, y, trans):
+                _dtrsv(L11, y, 1, 0, 1, trans, 0, 1)
+        else:  # the same as y^T <- y^T L11^-T or y^T L11^-1
+            def tri(L11, y, trans):
+                _dtrsm(1.0, L11, y.T, 1, 1, 1 - trans, 0, 1)
+        for s, e, U, L11, L21 in self.blocks:
+            y = work[s:e]
+            tri(L11, y, 0)
+            work[U] -= L21 @ y
+        for s, e, U, L11, L21 in reversed(self.blocks):
+            y = work[s:e]
+            y -= L21.T @ work[U]
+            tri(L11, y, 1)
+        out = np.empty_like(x)
+        out[self.perm] = x
+        return out

@@ -82,11 +82,15 @@ def _canonical_tets(verts_int: np.ndarray, tets: np.ndarray) -> np.ndarray:
 
 
 def _lattice_keys(points: np.ndarray, lo: np.ndarray, span: np.ndarray) -> np.ndarray:
-    """int64 keys (x*span_y + y)*span_z + z of (m, 3) lattice points taken
-    relative to `lo`; for points in the box [lo, lo + span) they are
-    distinct and ordered as the points are lexicographically."""
+    """int64 keys (x*span_y + y)*span_z + z of (m, d) integer points (d = 3:
+    lattice points) taken relative to `lo`, one mixed-radix digit per
+    column; for points in the box [lo, lo + span) they are distinct and
+    ordered as the points are lexicographically."""
     x = points - lo
-    return (x[:, 0] * span[1] + x[:, 1]) * span[2] + x[:, 2]
+    keys = x[:, 0]
+    for d in range(1, x.shape[1]):
+        keys = keys * span[d] + x[:, d]
+    return keys
 
 
 def _pack_pairs(pairs: np.ndarray, nv: int) -> np.ndarray:

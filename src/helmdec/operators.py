@@ -16,7 +16,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import breadth_first_order
 
 from . import fem
-from .fem import EdgeField, NodalField, NodalVectorField, cached_solver
+from .fem import EdgeField, NodalField, NodalVectorField, PreconditionError, cached_solver
 from .mesh import TetMesh
 from .trace import CoarseEdge, CoarseFace
 
@@ -34,14 +34,6 @@ __all__ = [
     "loop_constant_extension",
     "epsilon_correction",
 ]
-
-
-class PreconditionError(ValueError):
-    """An operation's precondition failed; `entity` names the offender."""
-
-    def __init__(self, msg, entity=None):
-        super().__init__(msg)
-        self.entity = entity
 
 
 # --------------------------------------------------------------------------
@@ -198,7 +190,7 @@ def curl_harmonic_extend(mesh: TetMesh, boundary_moments: np.ndarray) -> EdgeFie
     1. tree-cotree gauge: take a BFS spanning tree of the interior-edge
        graph, with all boundary nodes merged into its root; set u = 0 on
        the tree edges and solve K_cc u_c = -(K_ib v_b)_c on the cotree
-       edges (SuperLU in symmetric mode);
+       edges (`fem.Cholesky`, dissected on the edge midpoints);
     2. L2 projection: v_i = u - G_i q with (G_i^T M_ii G_i) q = G_i^T (M u)_i.
        Whitney edge fields contain the gradients exactly, so G_i^T M_ii G_i
        is the interior Dirichlet nodal stiffness, whose factor is shared
@@ -218,11 +210,9 @@ def curl_harmonic_extend(mesh: TetMesh, boundary_moments: np.ndarray) -> EdgeFie
     out = np.zeros(boundary_moments.shape)
     out[gauge.bidx] = boundary_moments[gauge.bidx]
     if len(gauge.cotree):
-        solver = cached_solver(
-            mesh, ("curlharm", "cotree"),
-            lambda: fem.assemble(mesh, "V", "stiffness")[gauge.cotree][:, gauge.cotree],
-            spd=True,
-        )
+        solver = mesh.cached(("cholesky", "curlharm", "cotree"), lambda: fem.Cholesky(
+            fem.assemble(mesh, "V", "stiffness")[gauge.cotree][:, gauge.cotree],
+            mesh.verts_int[mesh.edges[gauge.cotree]].sum(axis=1), mesh.name))
         out[gauge.cotree] = solver.solve(-(gauge.Kcb @ out[gauge.bidx]))
     if len(gauge.inodes):
         q = _interior_poisson(mesh, gauge.inodes).solve(gauge.GtM @ out)

@@ -259,10 +259,12 @@ def test_four_edge_hard_case(monkeypatch):
     s = dc.decompose(v, t)
     assert s.path == "disjoint-edges/subdomains"
     assert_contract(s, v, t)
-    # a warm call reuses the subdomain split and its core kernel factor
+    # a warm call reuses the subdomain split, its core kernel factor and its
+    # cotree factor
     factorizations = []
-    splu = spla.splu
+    splu, cholesky = spla.splu, fem.Cholesky
     monkeypatch.setattr(spla, "splu", lambda *a, **k: factorizations.append(1) or splu(*a, **k))
+    monkeypatch.setattr(fem, "Cholesky", lambda *a: factorizations.append(1) or cholesky(*a))
     v2 = dc.random_admissible_field(mesh, t, 16)
     assert_contract(dc.decompose(v2, t), v2, t)
     assert factorizations == []
@@ -520,9 +522,9 @@ class _CountingLU:
         self._lu = lu
         self._counts = counts
 
-    def solve(self, rhs, trans="N"):
+    def solve(self, rhs, *args):
         self._counts["solve"] += 1
-        return self._lu.solve(rhs, trans)
+        return self._lu.solve(rhs, *args)
 
     def __getattr__(self, name):
         return getattr(self._lu, name)
@@ -533,7 +535,7 @@ def test_warm_call_factors_nothing_and_builds_no_loop(geometry, spec, path, monk
     """A second call on the same (mesh, trace) only applies its plan: no
     loop, no factorization, no dense solve, and one triangular solve per
     kernel pass."""
-    counts = dict.fromkeys(["splu", "solve", "build_loop", "dense"], 0)
+    counts = dict.fromkeys(["splu", "cholesky", "solve", "build_loop", "dense"], 0)
     passes = []
 
     def counted(key, fn):
@@ -545,6 +547,9 @@ def test_warm_call_factors_nothing_and_builds_no_loop(geometry, spec, path, monk
     splu = spla.splu
     monkeypatch.setattr(spla, "splu", lambda *a, **k: _CountingLU(
         counted("splu", splu)(*a, **k), counts))
+    cholesky = fem.Cholesky
+    monkeypatch.setattr(fem, "Cholesky", lambda *a: _CountingLU(
+        counted("cholesky", cholesky)(*a), counts))
     monkeypatch.setattr(ops, "build_loop", counted("build_loop", ops.build_loop))
     monkeypatch.setattr(np.linalg, "solve", counted("dense", np.linalg.solve))
     monkeypatch.setattr(np.linalg, "pinv", counted("dense", np.linalg.pinv))
@@ -569,7 +574,8 @@ def test_warm_call_factors_nothing_and_builds_no_loop(geometry, spec, path, monk
     s = dc.decompose(warm, t)
     assert s.path == path
     assert_contract(s, warm, t)
-    assert counts["splu"] == counts["build_loop"] == counts["dense"] == 0, counts
+    assert (counts["splu"] == counts["cholesky"] == counts["build_loop"]
+            == counts["dense"] == 0), counts
     assert passes and passes == [1] * len(passes)
 
 
@@ -577,13 +583,8 @@ def test_warm_four_edge_call_is_one_cotree_solve(monkeypatch):
     """The four column routes run in lockstep: a warm call extends the four
     columns by one solve on the cotree curl-curl factor."""
     counts = {"solve": 0}
-    cached_solver = ops.cached_solver
-
-    def counting(mesh, key, build, spd=False):
-        lu = cached_solver(mesh, key, build, spd=spd)
-        return _CountingLU(lu, counts) if tuple(key) == ("curlharm", "cotree") else lu
-
-    monkeypatch.setattr(ops, "cached_solver", counting)
+    cholesky = fem.Cholesky
+    monkeypatch.setattr(fem, "Cholesky", lambda *a: _CountingLU(cholesky(*a), counts))
     mesh = build_complex("four_edge_cube", 0.25)
     t = tag_trace(mesh, FOUR_EDGES)
     dc.decompose(dc.random_admissible_field(mesh, t, 41), t)

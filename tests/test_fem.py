@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from helmdec import fem
 from helmdec.geometry import catalog_names
-from helmdec.mesh import TET_EDGES, _signed_volumes, build_complex
+from helmdec.mesh import TET_EDGES, TetMesh, _signed_volumes, build_complex
 from helmdec.operators import rh_matrix
 
 
@@ -285,3 +285,47 @@ def test_curl_of_edge_field_matches_cross_product_loop(lshape4, rng):
     for k, (i, j) in enumerate(TET_EDGES):
         ref += coef[:, k, None] * 2.0 * np.cross(g[:, i, :], g[:, j, :])
     assert np.array_equal(fem.curl_of_edge_field(v), ref)
+
+
+def _per_tet_edge_mass(mesh, weight):
+    """The V mass from one local 6x6 matrix per tet, the reference of the
+    shape-class gather."""
+    vol, _ = fem.tet_geometry(mesh)
+    w = vol if weight is None else vol * weight
+    gg = fem._gradient_gram(mesh)
+    S4 = (1.0 + np.eye(4)) / 20.0
+    loc = np.empty((mesh.nt, 6, 6))
+    k, l = np.array(TET_EDGES).T
+    for a, (i, j) in enumerate(TET_EDGES):
+        loc[:, a] = (S4[i, k] * gg[:, j, l] - S4[i, l] * gg[:, j, k]
+                     - S4[j, k] * gg[:, i, l] + S4[j, l] * gg[:, i, k])
+    sign = mesh.tet_edge_sign.astype(float)
+    loc *= w[:, None, None] * sign[:, :, None] * sign[:, None, :]
+    te = mesh.tet_edges
+    M = sp.coo_matrix((loc.ravel(), (np.repeat(te, 6, axis=1).ravel(), np.tile(te, (1, 6)).ravel())),
+                      shape=(mesh.ne, mesh.ne)).tocsr()
+    M.eliminate_zeros()
+    return M
+
+
+@pytest.mark.parametrize("name", catalog_names(include_internal=True))
+def test_edge_mass_by_shape_class_equals_per_tet_formula(name, rng):
+    """The V mass gathers one local matrix per tet shape class; with and
+    without a tet weight it is bit-equal to the per-tet formula."""
+    mesh = build_complex(name, 0.25)
+    if name == "unit_cube":
+        assert len(fem._shape_classes(mesh)[0]) == 6  # the Kuhn tets
+    for weight in (None, rng.uniform(0.5, 2.0, mesh.nt)):
+        A, ref = fem.assemble(mesh, "V", "mass", weight), _per_tet_edge_mass(mesh, weight)
+        for a, b in ((A.indptr, ref.indptr), (A.indices, ref.indices), (A.data, ref.data)):
+            assert np.array_equal(a, b)
+
+
+def test_edge_mass_of_shapes_too_varied_to_pack(cube4, rng):
+    """Tet shapes whose integer keys would overflow int64 are classed by
+    whole rows, with the same bits."""
+    big = TetMesh("unit_cube", cube4.verts_int * 2**20, cube4.denom, cube4.tets,
+                  cube4.block_of_tet, cube4.level)
+    for weight in (None, rng.uniform(0.5, 2.0, big.nt)):
+        A, ref = fem.assemble(big, "V", "mass", weight), _per_tet_edge_mass(big, weight)
+        assert np.array_equal(A.indices, ref.indices) and np.array_equal(A.data, ref.data)

@@ -147,13 +147,18 @@ def test_curl_harmonic_matches_saddle_point(geometry, block, monkeypatch):
     data = np.zeros(mesh.ne)
     data[be] = rng.uniform(-1, 1, int(be.sum()))
     factorizations = []
-    splu = spla.splu
+    splu, cholesky = spla.splu, fem.Cholesky
 
     def counting_splu(*args, **kwargs):
         factorizations.append(args[0].shape)
         return splu(*args, **kwargs)
 
+    def counting_cholesky(A, *args):
+        factorizations.append(A.shape)
+        return cholesky(A, *args)
+
     monkeypatch.setattr(spla, "splu", counting_splu)
+    monkeypatch.setattr(fem, "Cholesky", counting_cholesky)
     ext = ops.curl_harmonic_extend(mesh, data).values
     assert factorizations
     ref = _saddle_point_reference(mesh, data)
@@ -168,6 +173,56 @@ def test_curl_harmonic_matches_saddle_point(geometry, block, monkeypatch):
     again = ops.curl_harmonic_extend(mesh, data).values
     assert len(factorizations) == n
     assert np.array_equal(again, ext)
+
+
+# -- the cotree factor -----------------------------------------------------------
+
+def test_cotree_factor_matches_superlu(monkeypatch):
+    """On every cotree curl-curl block that the CURLHARM_MESHES extensions
+    and the ROUTING decompositions factor at h = 1/4, the nested-dissection
+    Cholesky solves as SuperLU in symmetric mode does, for 1 and 4 columns,
+    and two factorizations of one matrix solve bit for bit alike."""
+    from test_decompose import ROUTING
+
+    blocks = {}
+    cholesky = fem.Cholesky
+
+    def record(A, points, name):
+        blocks.setdefault((name, A.shape[0]), (A, points, name))
+        return cholesky(A, points, name)
+
+    monkeypatch.setattr(fem, "Cholesky", record)
+    for geometry, block in CURLHARM_MESHES:
+        mesh = build_complex(geometry, 0.25)
+        if block is not None:
+            mesh = extract_block(mesh, block).mesh
+        ops.curl_harmonic_extend(mesh, np.zeros(mesh.ne))
+    for geometry, spec, _ in ROUTING:
+        mesh = build_complex(geometry, 0.25)
+        t = tag_trace(mesh, spec)
+        dc.decompose(dc.random_admissible_field(mesh, t, 77), t)
+    monkeypatch.undo()
+    # the six of CURLHARM_MESHES, and the chained edge junction's block
+    assert len(blocks) == 7
+    rng = np.random.default_rng(11)
+    for A, points, name in blocks.values():
+        chol = fem.Cholesky(A, points, name)
+        lu = spla.splu(A.tocsc(), **fem._SPD_SPLU)
+        for b in (rng.uniform(-1, 1, A.shape[0]), rng.uniform(-1, 1, (A.shape[0], 4))):
+            x, ref = chol.solve(b), lu.solve(b)
+            assert x.shape == b.shape
+            assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max(), name
+            assert np.array_equal(fem.Cholesky(A, points, name).solve(b), x)
+
+
+def test_cholesky_refuses_a_singular_block(cube4):
+    """The full interior curl-curl block vanishes on interior gradients: its
+    factor raises a PreconditionError that names the mesh."""
+    ie = np.nonzero(~cube4.boundary_edge_mask())[0]
+    K = fem.assemble(cube4, "V", "stiffness")[ie][:, ie]
+    with pytest.raises(ops.PreconditionError, match="unit_cube") as exc:
+        fem.Cholesky(K, cube4.verts_int[cube4.edges[ie]].sum(axis=1), cube4.name)
+    assert exc.value.entity == cube4.name
 
 
 # -- loops ---------------------------------------------------------------------
