@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg.blas import dsyrk as _dsyrk, dtrsm as _dtrsm, dtrsv as _dtrsv
+from scipy.linalg.blas import dsyrk as _dsyrk, dtrsm as _dtrsm
 from scipy.linalg.lapack import dpotrf as _dpotrf
 
 from .mesh import TET_EDGES, TetMesh, _lattice_keys
@@ -213,18 +213,19 @@ def _shape_classes(mesh: TetMesh):
     """(first tet, class of each tet) of the tets' shape classes: equal
     integer edge vectors v1-v0, v2-v0, v3-v0 and equal edge signs, packed
     as int64 keys.  Tets of one class have bit-identical gradients and
-    local edge matrices: a Kuhn lattice has 6 classes."""
+    local edge matrices: a Kuhn lattice has 6 classes.  Shapes too varied
+    for the keys to fit in int64 raise a PreconditionError naming the mesh."""
     t = mesh.tets
     shape = np.empty((mesh.nt, 15), dtype=np.int64, order="F")
     shape[:, :9] = (mesh.verts_int[t[:, 1:]] - mesh.verts_int[t[:, :1]]).reshape(-1, 9)
     shape[:, 9:] = mesh.tet_edge_sign
     lo = shape.min(axis=0)
     span = shape.max(axis=0) - lo + 1
-    if math.prod(span.tolist()) >= 1 << 63:  # too many shapes to pack: compare whole rows
-        _, first, cls = np.unique(shape, axis=0, return_index=True, return_inverse=True)
-    else:
-        _, first, cls = np.unique(_lattice_keys(shape, lo, span), return_index=True,
-                                  return_inverse=True)
+    if math.prod(span.tolist()) >= 1 << 63:
+        raise PreconditionError(f"tet shapes of {mesh.name} are too varied to pack in int64 "
+                                f"keys (key spans {span.tolist()})", entity=mesh.name)
+    _, first, cls = np.unique(_lattice_keys(shape, lo, span), return_index=True,
+                              return_inverse=True)
     return first, cls
 
 
@@ -431,8 +432,9 @@ class Cholesky:
             # only lower triangles are read, and a child's rows ascend in
             # the front as in its update, so its lower triangle lands in ours
             for c in kids:
-                at = pos[self.blocks[c][2]]
-                F[np.ix_(at, at)] += update.pop(c)
+                if c in update:  # a child that couples to no later row sends none
+                    at = pos[self.blocks[c][2]]
+                    F[np.ix_(at, at)] += update.pop(c)
             L11, info = _dpotrf(F[:k, :k], 1, 1)
             if info:
                 raise PreconditionError(
@@ -448,22 +450,14 @@ class Cholesky:
         """A^-1 b for b of shape (n,) or (n, k)."""
         x = np.ascontiguousarray(b[self.perm], dtype=float)
         work = x.reshape(len(x), -1)
-        if work.shape[1] == 1:  # y <- L11^-1 y (trans 0) or L11^-T y (trans 1), in place
-            work = work[:, 0]
-
-            def tri(L11, y, trans):
-                _dtrsv(L11, y, 1, 0, 1, trans, 0, 1)
-        else:  # the same as y^T <- y^T L11^-T or y^T L11^-1
-            def tri(L11, y, trans):
-                _dtrsm(1.0, L11, y.T, 1, 1, 1 - trans, 0, 1)
         for s, e, U, L11, L21 in self.blocks:
             y = work[s:e]
-            tri(L11, y, 0)
+            _dtrsm(1.0, L11, y.T, 1, 1, 1, 0, 1)  # y^T <- y^T L11^-T, in place
             work[U] -= L21 @ y
         for s, e, U, L11, L21 in reversed(self.blocks):
             y = work[s:e]
             y -= L21.T @ work[U]
-            tri(L11, y, 1)
+            _dtrsm(1.0, L11, y.T, 1, 1, 0, 0, 1)  # y^T <- y^T L11^-1
         out = np.empty_like(x)
         out[self.perm] = x
         return out

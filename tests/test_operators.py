@@ -225,6 +225,25 @@ def test_cholesky_refuses_a_singular_block(cube4):
     assert exc.value.entity == cube4.name
 
 
+def test_cholesky_of_a_disconnected_matrix():
+    """A path on 300 collinear points and 150 diagonal-only rows to its left,
+    in shuffled order: the dissection leaves a leaf of lone rows under the
+    path's separator, and the factor still solves as SuperLU does."""
+    n = 450
+    path = sp.diags([-np.ones(299), np.full(300, 2.5), -np.ones(299)], [-1, 0, 1])
+    A = sp.block_diag([sp.diags(np.linspace(1.0, 2.0, 150)), path]).tocsr()
+    points = np.zeros((n, 3), dtype=np.int64)
+    points[:, 0] = np.arange(n)
+    shuffle = np.random.default_rng(5).permutation(n)
+    A, points = A[shuffle][:, shuffle], points[shuffle]
+    chol = fem.Cholesky(A, points, "path_and_lone_rows")
+    lu = spla.splu(A.tocsc(), **fem._SPD_SPLU)
+    rng = np.random.default_rng(6)
+    for b in (rng.uniform(-1, 1, n), rng.uniform(-1, 1, (n, 4))):
+        x, ref = chol.solve(b), lu.solve(b)
+        assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
 # -- loops ---------------------------------------------------------------------
 
 def test_loop_zero_field(cube4):
