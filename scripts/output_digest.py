@@ -20,7 +20,8 @@ faces, block labels) and of every field of its coarse surface.
 prints, for each line whose arrays differ, the largest move of p, w and
 R (relative to the largest entry of the three on that line) and of each
 ratio (relative to its size), then the largest move of each per input
-kind:
+kind.  It exits with status 1 when any line's arrays moved or a file
+exists on one side only, and 0 otherwise:
 
     python3 scripts/output_digest.py --out old.txt --arrays old/
     python3 scripts/output_digest.py --out new.txt --arrays new/
@@ -30,6 +31,7 @@ kind:
 import argparse
 import hashlib
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -140,14 +142,20 @@ def relative_moves(a, b) -> dict:
     return moves
 
 
-def compare(dir_a: Path, dir_b: Path):
+def compare(dir_a: Path, dir_b: Path) -> int:
     """Print the relative moves between two `--arrays` directories: every
-    line that moves, then the largest move per input kind."""
-    worst = {}
+    line that moves, then the largest move per input kind.  Returns 1 when
+    a line moved or a file is on one side only, else 0."""
+    worst, status = {}, 0
+    for fb in sorted(dir_b.glob("*.npz")):
+        if not (dir_a / fb.name).exists():
+            print(f"{fb.stem}: only in {dir_b}")
+            status = 1
     for fa in sorted(dir_a.glob("*.npz")):
         fb = dir_b / fa.name
         if not fb.exists():
             print(f"{fa.stem}: only in {dir_a}")
+            status = 1
             continue
         with np.load(fa) as a, np.load(fb) as b:
             key = str(a["key"])
@@ -158,9 +166,11 @@ def compare(dir_a: Path, dir_b: Path):
                 worst[kind, n] = (m, key)
         if any(moves.values()):
             print(key + ": " + " ".join(f"{n}={m:.2e}" for n, m in moves.items()))
+            status = 1
     print("largest relative move:")
     for (kind, n), (m, key) in sorted(worst.items()):
         print(f"  {kind} {n} {m:.2e} {key if m else '-'}")
+    return status
 
 
 def main():
@@ -173,8 +183,7 @@ def main():
                     help="compare two --arrays directories instead")
     args = ap.parse_args()
     if args.compare:
-        compare(*map(Path, args.compare))
-        return
+        return compare(*map(Path, args.compare))
     if not args.out:
         ap.error("--out is required unless --compare is given")
     arrays = Path(args.arrays) if args.arrays else None
@@ -199,7 +208,8 @@ def main():
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text("\n".join(lines) + "\n")
     print(f"wrote {len(lines)} digests to {out}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

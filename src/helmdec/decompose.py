@@ -145,8 +145,7 @@ def _kernel_fields(mesh: TetMesh, v: np.ndarray, gamma_nodes: np.ndarray):
     C = fem._curl_matrix(mesh)
     Gt, Rt, Ct = mesh.cached("kernel_rhs_transposes", lambda: (
         fem.gradient_map(mesh).T, ops.rh_matrix(mesh).T, C.T))
-    vol, _ = fem.tet_geometry(mesh)
-    wcurl = vol[:, None] * (C @ v).reshape(-1, 3)  # W (C v)
+    wcurl = fem.tet_volumes(mesh)[:, None] * (C @ v).reshape(-1, 3)  # W (C v)
     rhs = np.empty((mesh.nv, 4))
     rhs[:, 0] = Gt @ (fem.assemble(mesh, "V", "mass") @ v)
     rhs[:, 1:] = (Rt @ (Ct @ wcurl.ravel())).reshape(mesh.nv, 3)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -36,7 +37,8 @@ __all__ = [
     "curl_map",
     "assemble",
     "norm",
-    "tet_geometry",
+    "shape_table",
+    "tet_volumes",
     "curl_of_edge_field",
     "curl_of_nodal_field",
 ]
@@ -79,53 +81,80 @@ Field = NodalField | NodalVectorField | EdgeField
 
 
 # --------------------------------------------------------------------------
-# per-tet geometry
+# per-tet geometry by shape class
 # --------------------------------------------------------------------------
 
-def tet_geometry(mesh: TetMesh):
-    """(volumes (nt,), grads (nt,4,3)) of barycentric coordinates by
-    cofactors: grad(lam_k) is the cross product of the other two edge vectors
-    from vertex 0 over their triple product, exact on the dyadic lattice."""
+class ShapeTable(NamedTuple):
+    """Per-tet geometry by shape class.  Tets of one class have bit-identical
+    cofactors, so each value is computed once per class (a Kuhn lattice has
+    6) and gathered by `cls` where a per-tet value is needed."""
+
+    cls: np.ndarray    # (nt,) int32 class of each tet
+    first: np.ndarray  # (K,) first tet of each class
+    vol: np.ndarray    # (K,) volume
+    grad: np.ndarray   # (K,4,3) barycentric gradients
+    gram: np.ndarray   # (K,4,4) grad(lam_a).grad(lam_b)
+    curl: np.ndarray   # (K,3,6) signed Whitney curls 2 grad(lam_i) x grad(lam_j), TET_EDGES order
+
+
+def _shape_classes(mesh: TetMesh):
+    """(first tet, class of each tet) of the tets' shape classes: equal
+    integer edge vectors v1-v0, v2-v0, v3-v0 and equal edge signs, packed
+    as int64 keys.  Shapes too varied for the keys to fit in int64 raise a
+    PreconditionError naming the mesh."""
+    t = mesh.tets
+    shape = np.empty((mesh.nt, 15), dtype=np.int64, order="F")
+    shape[:, :9] = (mesh.verts_int[t[:, 1:]] - mesh.verts_int[t[:, :1]]).reshape(-1, 9)
+    shape[:, 9:] = mesh.tet_edge_sign
+    lo = shape.min(axis=0)
+    span = shape.max(axis=0) - lo + 1
+    if math.prod(span.tolist()) >= 1 << 63:
+        raise PreconditionError(f"tet shapes of {mesh.name} are too varied to pack in int64 "
+                                f"keys (key spans {span.tolist()})", entity=mesh.name)
+    _, first, cls = np.unique(_lattice_keys(shape, lo, span), return_index=True,
+                              return_inverse=True)
+    return first, cls
+
+
+def shape_table(mesh: TetMesh) -> ShapeTable:
+    """The mesh's shape classes and their geometry: grad(lam_k) is the cross
+    product of the other two edge vectors from vertex 0 over their triple
+    product, exact on the dyadic lattice."""
 
     def build():
-        v = mesh.verts
-        t = mesh.tets
-        e1, e2, e3 = (v[t[:, k]] - v[t[:, 0]] for k in (1, 2, 3))
+        first, cls = _shape_classes(mesh)
+        v, tf = mesh.verts, mesh.tets[first]
+        e1, e2, e3 = (v[tf[:, k]] - v[tf[:, 0]] for k in (1, 2, 3))
         cof = np.stack([np.cross(e2, e3), np.cross(e3, e1), np.cross(e1, e2)], axis=1)
         det = np.einsum("td,td->t", e1, cof[:, 0])
-        g = np.empty((len(t), 4, 3))
+        g = np.empty((len(first), 4, 3))
         g[:, 1:, :] = cof / det[:, None, None]
         g[:, 0, :] = -g[:, 1:, :].sum(axis=1)
-        return det / 6.0, g
+        curl = np.stack([2.0 * np.cross(g[:, i, :], g[:, j, :]) for (i, j) in TET_EDGES],
+                        axis=2) * mesh.tet_edge_sign[first][:, None, :]
+        return ShapeTable(cls.astype(np.int32), first, det / 6.0, g,
+                          np.einsum("tad,tbd->tab", g, g), curl)
 
-    return mesh.cached("tetgeom", build)
+    return mesh.cached("shape_table", build)
 
 
-def _gradient_gram(mesh: TetMesh) -> np.ndarray:
-    """(nt,4,4) dot products grad(lam_a).grad(lam_b) of the barycentric
-    gradients, shared by the nodal stiffness and the edge mass."""
-
-    def build():
-        _, g = tet_geometry(mesh)
-        return np.einsum("tad,tbd->tab", g, g)
-
-    return mesh.cached("gradient_gram", build)
+def tet_volumes(mesh: TetMesh) -> np.ndarray:
+    """(nt,) tet volumes, the exact integer triple products over 6 denom^3."""
+    return mesh.cached("tet_volumes", lambda: shape_table(mesh).vol[shape_table(mesh).cls])
 
 
 def _curl_matrix(mesh: TetMesh) -> sp.csr_matrix:
     """(3nt x ne) map from edge moments to per-tet curls.  Row 3t+d holds
-    the d-components of the signed local Whitney curls 2 grad(lam_i) x
-    grad(lam_j) of tet t in TET_EDGES order, less the exact zeros, so the
-    matvec sums in the order of the per-edge loop, bit for bit.  Its arrays
-    are frozen read-only, as the memo freezes its ndarrays."""
+    the d-components of the signed local Whitney curls of tet t in
+    TET_EDGES order, less the exact zeros, so the matvec sums in the order
+    of the per-edge loop, bit for bit.  Its arrays are frozen read-only, as
+    the memo freezes its ndarrays."""
 
     def build():
         nt = mesh.nt
-        _, g = tet_geometry(mesh)
-        c = np.stack([2.0 * np.cross(g[:, i, :], g[:, j, :]) for (i, j) in TET_EDGES],
-                     axis=2) * mesh.tet_edge_sign[:, None, :]  # (nt,3,6)
+        tab = shape_table(mesh)
         indices = np.repeat(mesh.tet_edges, 3, axis=0).ravel()
-        C = sp.csr_matrix((c.ravel(), indices, np.arange(0, 18 * nt + 1, 6)),
+        C = sp.csr_matrix((tab.curl[tab.cls].ravel(), indices, np.arange(0, 18 * nt + 1, 6)),
                           shape=(3 * nt, mesh.ne))
         C.eliminate_zeros()
         for a in (C.data, C.indices, C.indptr):
@@ -143,7 +172,8 @@ def curl_of_edge_field(v: EdgeField) -> np.ndarray:
 def curl_of_nodal_field(w: NodalVectorField) -> np.ndarray:
     """Per-tet constant curl of a continuous piecewise-linear vector field."""
     mesh = w.mesh
-    vol, g = tet_geometry(mesh)
+    tab = shape_table(mesh)
+    g = tab.grad[tab.cls]
     wt = w.values[mesh.tets]  # (nt,4,3)
     out = np.zeros((mesh.nt, 3))
     for a in range(4):
@@ -197,56 +227,38 @@ _S4 = (1.0 + np.eye(4)) / 20.0
 
 
 def _assemble_nodal(mesh: TetMesh, kind: str, weight) -> sp.csr_matrix:
-    vol, _ = tet_geometry(mesh)
+    vol = tet_volumes(mesh)
     w = vol if weight is None else vol * weight
     t = mesh.tets
     if kind == "mass":
         loc = w[:, None, None] * _S4[None, :, :]
-    else:
-        loc = w[:, None, None] * _gradient_gram(mesh)
+    else:  # the class grams, gathered and scaled in place
+        tab = shape_table(mesh)
+        loc = tab.gram[tab.cls]
+        loc *= w[:, None, None]
     rows = np.repeat(t, 4, axis=1)          # position 4a+b -> v_a
     cols = np.tile(t, (1, 4))               # position 4a+b -> v_b
     return _scatter(rows, cols, loc.reshape(len(t), 16), (mesh.nv, mesh.nv))
 
 
-def _shape_classes(mesh: TetMesh):
-    """(first tet, class of each tet) of the tets' shape classes: equal
-    integer edge vectors v1-v0, v2-v0, v3-v0 and equal edge signs, packed
-    as int64 keys.  Tets of one class have bit-identical gradients and
-    local edge matrices: a Kuhn lattice has 6 classes.  Shapes too varied
-    for the keys to fit in int64 raise a PreconditionError naming the mesh."""
-    t = mesh.tets
-    shape = np.empty((mesh.nt, 15), dtype=np.int64, order="F")
-    shape[:, :9] = (mesh.verts_int[t[:, 1:]] - mesh.verts_int[t[:, :1]]).reshape(-1, 9)
-    shape[:, 9:] = mesh.tet_edge_sign
-    lo = shape.min(axis=0)
-    span = shape.max(axis=0) - lo + 1
-    if math.prod(span.tolist()) >= 1 << 63:
-        raise PreconditionError(f"tet shapes of {mesh.name} are too varied to pack in int64 "
-                                f"keys (key spans {span.tolist()})", entity=mesh.name)
-    _, first, cls = np.unique(_lattice_keys(shape, lo, span), return_index=True,
-                              return_inverse=True)
-    return first, cls
-
-
 def _assemble_edge(mesh: TetMesh, kind: str, weight) -> sp.csr_matrix:
-    vol, _ = tet_geometry(mesh)
+    vol = tet_volumes(mesh)
     w = vol if weight is None else vol * weight
     if kind == "stiffness":
         C = _curl_matrix(mesh)
         return (C.T @ (sp.diags(np.repeat(w, 3)) @ C)).tocsr()
     # the signed unit-volume local matrix of each shape class, gathered and
     # scaled per tet: w * (s_a s_b) * m_ab in any order, as s = +-1
-    first, cls = _shape_classes(mesh)
-    gg = _gradient_gram(mesh)[first]
-    loc = np.empty((len(first), 6, 6))
+    tab = shape_table(mesh)
+    gg = tab.gram
+    loc = np.empty((len(gg), 6, 6))
     k, l = np.array(TET_EDGES).T
     for a, (i, j) in enumerate(TET_EDGES):
         loc[:, a] = (_S4[i, k] * gg[:, j, l] - _S4[i, l] * gg[:, j, k]
                      - _S4[j, k] * gg[:, i, l] + _S4[j, l] * gg[:, i, k])
-    sign = mesh.tet_edge_sign[first].astype(float)
+    sign = mesh.tet_edge_sign[tab.first].astype(float)
     loc *= sign[:, :, None] * sign[:, None, :]
-    loc = loc[cls]
+    loc = loc[tab.cls]
     loc *= w[:, None, None]
     te = mesh.tet_edges
     return _scatter(np.repeat(te, 6, axis=1), np.tile(te, (1, 6)), loc, (mesh.ne, mesh.ne))
@@ -298,9 +310,8 @@ def norm(field: Field, which: str) -> float:
         # per-tet analytic curls: nonnegative by construction and exactly
         # zero for gradients (the assembled quadratic only cancels to
         # roundoff after sqrt)
-        vol, _ = tet_geometry(mesh)
         c = curl_of_edge_field(field)
-        semi = float(np.sum(vol * np.einsum("td,td->t", c, c)))
+        semi = float(np.sum(tet_volumes(mesh) * np.einsum("td,td->t", c, c)))
         if which == "curl_semi":
             return float(np.sqrt(semi))
         return float(np.sqrt(semi + max(form("mass"), 0.0)))
@@ -383,6 +394,21 @@ def _dissection(points: np.ndarray, u: np.ndarray, v: np.ndarray):
     return nodes
 
 
+def _extend_add(P, T, at, upd) -> None:
+    """Add a child's update matrix `upd` into the front (pivot columns P,
+    trailing block T; `Cholesky`) at the ascending front slots `at` of its
+    rows.  Only lower triangles are read, so the add runs over the pairs of
+    maximal runs of consecutive slots (split where T begins), a row run at
+    or below a column run, each as one slice add."""
+    k = P.shape[1]
+    cut = np.flatnonzero((np.diff(at) != 1) | (at[1:] == k)) + 1
+    runs = list(zip([0] + cut.tolist(), cut.tolist() + [len(at)], at[np.append(0, cut)].tolist()))
+    for j, (c0, c1, a) in enumerate(runs):
+        X, o = (P, 0) if a < k else (T, k)
+        for r0, r1, b in runs[j:]:
+            X[b - o:b - o + r1 - r0, a - o:a - o + c1 - c0] += upd[r0:r1, c0:c1]
+
+
 class Cholesky:
     """A = L L^T of a sparse SPD matrix by the multifrontal method (Liu,
     SIAM Review 1992) on a nested-dissection order of `points`, one
@@ -426,23 +452,23 @@ class Cholesky:
             m = k + len(U)
             pos[s:e] = np.arange(k)
             pos[U] = np.arange(k, m)
-            F = np.zeros((m, m), order="F")
+            # the front's lower triangle: its k pivot columns P, and the
+            # trailing block T, contiguous so that dsyrk updates it in place
+            P = np.zeros((m, k), order="F")
+            T = np.zeros((m - k, m - k), order="F")
             cols = np.repeat(np.arange(k), np.diff(ptr[s:e + 1]))
-            F.ravel(order="F")[pos[rows[ptr[s]:ptr[e]]] + m * cols] = vals[ptr[s]:ptr[e]]
-            # only lower triangles are read, and a child's rows ascend in
-            # the front as in its update, so its lower triangle lands in ours
+            P.ravel(order="F")[pos[rows[ptr[s]:ptr[e]]] + m * cols] = vals[ptr[s]:ptr[e]]
             for c in kids:
                 if c in update:  # a child that couples to no later row sends none
-                    at = pos[self.blocks[c][2]]
-                    F[np.ix_(at, at)] += update.pop(c)
-            L11, info = _dpotrf(F[:k, :k], 1, 1)
+                    _extend_add(P, T, pos[self.blocks[c][2]], update.pop(c))
+            L11, info = _dpotrf(P[:k], 1, 1)
             if info:
                 raise PreconditionError(
                     f"matrix of {name} is not positive definite (pivot block "
                     f"{t} of {len(nodes)}, column {info} of {k})", entity=name)
-            L21 = _dtrsm(1.0, L11, F[k:, :k], 1, 1, 1, 0, 1)
+            L21 = _dtrsm(1.0, L11, P[k:], 1, 1, 1, 0, 1)
             if len(U):
-                update[t] = _dsyrk(-1.0, L21, 1.0, F[k:, k:], 0, 1, 1)
+                update[t] = _dsyrk(-1.0, L21, 1.0, T, 0, 1, 1)
             self.blocks.append((s, e, U, L11, L21))
         self.nnz = sum((e - s) * (e - s + 1) // 2 + L21.size for s, e, _, _, L21 in self.blocks)
 

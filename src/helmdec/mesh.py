@@ -93,6 +93,18 @@ def _lattice_keys(points: np.ndarray, lo: np.ndarray, span: np.ndarray) -> np.nd
     return keys
 
 
+def _compact(m) -> None:
+    """Give a CSR/CSC matrix arrays that own exactly its entries: COO
+    summing and `eliminate_zeros` leave views into longer buffers, which
+    are copied, keeping their read-only flag."""
+    for name, n in (("data", m.nnz), ("indices", m.nnz), ("indptr", len(m.indptr))):
+        a = getattr(m, name)
+        if not a.flags.owndata or len(a) != n:
+            b = a[:n].copy()
+            b.setflags(write=a.flags.writeable)
+            setattr(m, name, b)
+
+
 def _pack_pairs(pairs: np.ndarray, nv: int) -> np.ndarray:
     return pairs[:, 0].astype(np.int64) * nv + pairs[:, 1]
 
@@ -189,7 +201,8 @@ class TetMesh:
         """The derived value stored under `key`, made by `build()` on first
         use.  Builds run under one process-wide lock, so threads sharing a
         mesh get the same object; ndarray results (also inside a returned
-        tuple) are frozen read-only."""
+        tuple) are frozen read-only, and sparse CSR/CSC ones are compacted
+        (`_compact`)."""
         out = self._cache.get(key, _MISSING)
         if out is _MISSING:
             with _LOCK:
@@ -199,6 +212,8 @@ class TetMesh:
                     for a in out if isinstance(out, tuple) else (out,):
                         if isinstance(a, np.ndarray):
                             a.setflags(write=False)
+                        elif sp.issparse(a) and a.format in ("csr", "csc"):
+                            _compact(a)
                     self._cache[key] = out
         return out
 

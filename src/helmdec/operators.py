@@ -9,7 +9,7 @@ constant extensions and the piecewise-constant loop correction).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -122,8 +122,7 @@ def _interior_poisson(mesh: TetMesh, iidx: np.ndarray):
 # curl-harmonic extension
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _CotreeGauge:
+class _CotreeGauge(NamedTuple):
     """Per-mesh blocks of the tree-cotree gauged curl-harmonic extension:
     interior and boundary edges, interior nodes, cotree edges, the curl
     stiffness rows K[cotree][:, boundary], the interior gradient G_i and

@@ -75,8 +75,7 @@ def test_kernel_rhs_pairs_curls_through_rh(geometry, rng):
     u = rng.uniform(-1, 1, (mesh.nv, 3))
     v = fem.EdgeField(mesh, rng.uniform(-1, 1, mesh.ne))
     lhs = u.ravel() @ (ops.rh_matrix(mesh).T @ (fem.assemble(mesh, "V", "stiffness") @ v.values))
-    vol, _ = fem.tet_geometry(mesh)
-    ref = np.sum(vol[:, None] * fem.curl_of_nodal_field(fem.NodalVectorField(mesh, u))
+    ref = np.sum(fem.tet_volumes(mesh)[:, None] * fem.curl_of_nodal_field(fem.NodalVectorField(mesh, u))
                  * fem.curl_of_edge_field(v))
     assert abs(lhs - ref) <= 1e-13 * abs(ref)
 

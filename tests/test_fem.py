@@ -75,9 +75,26 @@ _QPTS = np.array(
 _QW = np.full(4, 0.25)
 
 
+def per_tet_geometry(mesh):
+    """(volumes, gradients, grams, signed Whitney curls) of every tet by the
+    cofactor formula: grad(lam_k) is the cross product of the other two
+    edge vectors from vertex 0 over their triple product.  The reference of
+    the shape-class table."""
+    v, t = mesh.verts, mesh.tets
+    e1, e2, e3 = (v[t[:, k]] - v[t[:, 0]] for k in (1, 2, 3))
+    cof = np.stack([np.cross(e2, e3), np.cross(e3, e1), np.cross(e1, e2)], axis=1)
+    det = np.einsum("td,td->t", e1, cof[:, 0])
+    g = np.empty((len(t), 4, 3))
+    g[:, 1:, :] = cof / det[:, None, None]
+    g[:, 0, :] = -g[:, 1:, :].sum(axis=1)
+    curl = np.stack([2.0 * np.cross(g[:, i, :], g[:, j, :]) for (i, j) in TET_EDGES],
+                    axis=2) * mesh.tet_edge_sign[:, None, :]
+    return det / 6.0, g, np.einsum("tad,tbd->tab", g, g), curl
+
+
 def _whitney_values(mesh, coefs, lam):
     """(nt,3) Whitney field values at one barycentric point."""
-    _, g = fem.tet_geometry(mesh)
+    g = per_tet_geometry(mesh)[1]
     sc = coefs[mesh.tet_edges] * mesh.tet_edge_sign
     out = np.zeros((mesh.nt, 3))
     for k, (i, j) in enumerate(TET_EDGES):
@@ -88,7 +105,7 @@ def _whitney_values(mesh, coefs, lam):
 def _whitney_curls(mesh, coefs):
     """(nt,3) per-tet curls by the cross-product loop over the local Whitney
     functions, independent of the curl matrix."""
-    _, g = fem.tet_geometry(mesh)
+    g = per_tet_geometry(mesh)[1]
     sc = coefs[mesh.tet_edges] * mesh.tet_edge_sign
     out = np.zeros((mesh.nt, 3))
     for k, (i, j) in enumerate(TET_EDGES):
@@ -104,7 +121,7 @@ def quadrature_form(u, v, kind):
     of the closed-form assembly.
     """
     mesh = u.mesh
-    vol, g = fem.tet_geometry(mesh)
+    vol, g, _, _ = per_tet_geometry(mesh)
     if kind == "stiffness" and isinstance(u, fem.EdgeField):
         cu = _whitney_curls(mesh, u.values)
         cv = _whitney_curls(mesh, v.values)
@@ -221,20 +238,43 @@ def test_symmetry_flags(cube4, rng):
             assert A.nnz and np.all(A.data != 0.0)
 
 
-@pytest.mark.parametrize("name", catalog_names(include_internal=True))
+def _table_mesh(name):
+    """A catalog mesh at h = 1/4, a block submesh ("block:<geometry>[b]") or
+    the extended mesh of cube_in_box ("extension:cube_in_box_B")."""
+    if name.startswith("block:"):
+        from helmdec.mesh import extract_block
+
+        geometry, b = name[6:-1].split("[")
+        return extract_block(build_complex(geometry, 0.25), int(b)).mesh
+    if name.startswith("extension:"):
+        from helmdec.decompose import _extended_mesh
+
+        return _extended_mesh(build_complex("cube_in_box", 0.25), name[10:])
+    return build_complex(name, 0.25)
+
+
+@pytest.mark.parametrize("name", catalog_names(include_internal=True)
+                         + ["block:three_cube_L[1]", "extension:cube_in_box_B"])
 def test_tet_geometry_is_exact(name):
-    """Volumes are the exact integer triple products over 6 denom^3, and the
-    cofactor gradients equal the inverse-matrix ones bit for bit."""
-    mesh = build_complex(name, 0.25)
-    vol, g = fem.tet_geometry(mesh)
-    assert np.array_equal(vol, _signed_volumes(mesh.verts_int, mesh.tets)
+    """The shape-class table, gathered per tet, reproduces the per-tet
+    cofactor formula bit for bit: volumes, gradients, grams and signed
+    curls.  Volumes are the exact integer triple products over 6 denom^3,
+    and the cofactor gradients equal the inverse-matrix ones."""
+    mesh = _table_mesh(name)
+    tab = fem.shape_table(mesh)
+    assert tab.cls.dtype == np.int32 and len(tab.cls) == mesh.nt
+    ref = per_tet_geometry(mesh)
+    for got, want in zip((tab.vol, tab.grad, tab.gram, tab.curl), ref):
+        assert np.array_equal(got[tab.cls], want)
+    assert np.array_equal(fem.tet_volumes(mesh), ref[0])
+    assert np.array_equal(ref[0], _signed_volumes(mesh.verts_int, mesh.tets)
                           / (6 * mesh.denom ** 3))
     v, t = mesh.verts, mesh.tets
     e = np.stack([v[t[:, k]] - v[t[:, 0]] for k in (1, 2, 3)], axis=1)
-    ref = np.empty_like(g)
-    ref[:, 1:, :] = np.transpose(np.linalg.inv(e), (0, 2, 1))
-    ref[:, 0, :] = -ref[:, 1:, :].sum(axis=1)
-    assert np.array_equal(g, ref)
+    g = np.empty((mesh.nt, 4, 3))
+    g[:, 1:, :] = np.transpose(np.linalg.inv(e), (0, 2, 1))
+    g[:, 0, :] = -g[:, 1:, :].sum(axis=1)
+    assert np.array_equal(g, ref[1])
 
 
 @pytest.mark.parametrize("name", ["unit_cube", "pyramid", "three_cube_L"])
@@ -279,7 +319,7 @@ def test_curl_map_matches_analytic_tet_curls(cube4, rng):
 
 def test_curl_of_edge_field_matches_cross_product_loop(lshape4, rng):
     v = fem.EdgeField(lshape4, rng.uniform(-1, 1, lshape4.ne))
-    _, g = fem.tet_geometry(lshape4)
+    g = per_tet_geometry(lshape4)[1]
     coef = v.values[lshape4.tet_edges] * lshape4.tet_edge_sign
     ref = np.zeros((lshape4.nt, 3))
     for k, (i, j) in enumerate(TET_EDGES):
@@ -290,9 +330,8 @@ def test_curl_of_edge_field_matches_cross_product_loop(lshape4, rng):
 def _per_tet_edge_mass(mesh, weight):
     """The V mass from one local 6x6 matrix per tet, the reference of the
     shape-class gather."""
-    vol, _ = fem.tet_geometry(mesh)
+    vol, _, gg, _ = per_tet_geometry(mesh)
     w = vol if weight is None else vol * weight
-    gg = fem._gradient_gram(mesh)
     S4 = (1.0 + np.eye(4)) / 20.0
     loc = np.empty((mesh.nt, 6, 6))
     k, l = np.array(TET_EDGES).T
@@ -314,7 +353,7 @@ def test_edge_mass_by_shape_class_equals_per_tet_formula(name, rng):
     without a tet weight it is bit-equal to the per-tet formula."""
     mesh = build_complex(name, 0.25)
     if name == "unit_cube":
-        assert len(fem._shape_classes(mesh)[0]) == 6  # the Kuhn tets
+        assert len(fem.shape_table(mesh).first) == 6  # the Kuhn tets
     for weight in (None, rng.uniform(0.5, 2.0, mesh.nt)):
         A, ref = fem.assemble(mesh, "V", "mass", weight), _per_tet_edge_mass(mesh, weight)
         for a, b in ((A.indptr, ref.indptr), (A.indices, ref.indices), (A.data, ref.data)):

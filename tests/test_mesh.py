@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import io
 import re
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 import helmdec
@@ -325,13 +327,69 @@ def test_memo_is_shared_across_threads():
 
 
 def test_memoized_arrays_are_read_only(cube2):
-    vol, g = fem.tet_geometry(cube2)
+    """Memoized arrays are frozen: the shape-class table, the per-tet
+    volumes and the curl matrix's arrays after their compaction."""
     C = fem._curl_matrix(cube2)
     for a in (cube2.verts, cube2.edge_lengths(), cube2.boundary_edge_mask(),
-              cube2.face_edges(), vol, g, C.data, C.indices, C.indptr):
+              cube2.face_edges(), *fem.shape_table(cube2), fem.tet_volumes(cube2),
+              C.data, C.indices, C.indptr):
         assert not a.flags.writeable
         with pytest.raises(ValueError):
-            a[0] = 0
+            a.flat[0] = 0
+    assert all(a.flags.owndata for a in (C.data, C.indices, C.indptr))
+
+
+def _memo_values(mesh, seen):
+    """Every value in the memo of `mesh` and of the meshes reachable from it
+    (block submeshes, extended meshes), with the items of tuples, lists,
+    dicts and dataclasses."""
+    if id(mesh) in seen:
+        return
+    seen.add(id(mesh))
+    stack = list(mesh._cache.values())
+    while stack:
+        x = stack.pop()
+        if isinstance(x, hmesh.TetMesh):
+            yield from _memo_values(x, seen)
+            continue
+        yield mesh, x
+        if isinstance(x, (tuple, list)):
+            stack.extend(x)
+        elif isinstance(x, dict):
+            stack.extend(x.values())
+        elif dataclasses.is_dataclass(x):
+            stack.extend(vars(x).values())
+
+
+def test_memoized_sparse_arrays_are_compact(monkeypatch):
+    """After a four-edge decomposition (column submeshes) and a face-chain
+    one (block submeshes), every sparse matrix in a reachable memo has data
+    and indices that own exactly its nnz entries, no memo holds a per-tet
+    gradient or gram table, and each mesh builds its shape classes once."""
+    from helmdec.decompose import decompose, random_admissible_field
+    from helmdec.trace import tag_trace
+
+    built = []
+    classes = fem._shape_classes
+    monkeypatch.setattr(fem, "_shape_classes", lambda m: built.append(m) or classes(m))
+    seen, values = set(), []
+    for name, spec in (("four_edge_cube", ["e:x=0,y=0", "e:x=1,y=0", "e:x=1,y=1", "e:x=0,y=1"]),
+                       ("three_cube_L", ["x=0"])):
+        mesh = build_complex(name, 0.25)
+        trace = tag_trace(mesh, spec)
+        decompose(random_admissible_field(mesh, trace, 3), trace)
+        values += _memo_values(mesh, seen)
+    blocks = {id(x.mesh) for _, x in values if isinstance(x, hmesh.Submesh)}
+    assert blocks and len({id(m) for m, _ in values}) > 2
+    mats = [x for _, x in values if sp.issparse(x)]
+    assert len(mats) > 20
+    for A in mats:
+        for a in (A.data, A.indices):
+            assert a.flags.owndata and len(a) == A.nnz
+    for m, x in values:
+        if isinstance(x, np.ndarray):
+            assert x.shape not in ((m.nt, 4, 3), (m.nt, 4, 4))
+    assert built and len({id(m) for m in built}) == len(built)
 
 
 def test_next_build_releases_a_collected_mesh(monkeypatch):

@@ -225,23 +225,68 @@ def test_cholesky_refuses_a_singular_block(cube4):
     assert exc.value.entity == cube4.name
 
 
-def test_cholesky_of_a_disconnected_matrix():
-    """A path on 300 collinear points and 150 diagonal-only rows to its left,
-    in shuffled order: the dissection leaves a leaf of lone rows under the
-    path's separator, and the factor still solves as SuperLU does."""
+def _path_and_lone_rows():
+    """A path on 300 collinear points and 150 diagonal-only rows to its
+    left, in shuffled order, with its points."""
     n = 450
     path = sp.diags([-np.ones(299), np.full(300, 2.5), -np.ones(299)], [-1, 0, 1])
     A = sp.block_diag([sp.diags(np.linspace(1.0, 2.0, 150)), path]).tocsr()
     points = np.zeros((n, 3), dtype=np.int64)
     points[:, 0] = np.arange(n)
     shuffle = np.random.default_rng(5).permutation(n)
-    A, points = A[shuffle][:, shuffle], points[shuffle]
+    return A[shuffle][:, shuffle], points[shuffle]
+
+
+def test_cholesky_of_a_disconnected_matrix():
+    """The path-and-lone-rows matrix: the dissection leaves a leaf of lone
+    rows under the path's separator, and the factor still solves as
+    SuperLU does."""
+    A, points = _path_and_lone_rows()
+    n = A.shape[0]
     chol = fem.Cholesky(A, points, "path_and_lone_rows")
     lu = spla.splu(A.tocsc(), **fem._SPD_SPLU)
     rng = np.random.default_rng(6)
     for b in (rng.uniform(-1, 1, n), rng.uniform(-1, 1, (n, 4))):
         x, ref = chol.solve(b), lu.solve(b)
         assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_cholesky_extend_add_by_runs(monkeypatch):
+    """The extend-add adds each child update over runs of consecutive front
+    slots, as slices: on the four-edge cotree block at h = 1/4 and the
+    path-and-lone-rows matrix some child update spans three or more runs,
+    L L^T reproduces A to 1e-13 and the solves match SuperLU to 1e-12."""
+    from pathlib import Path
+
+    mesh = build_complex("four_edge_cube", 0.25)
+    gauge = ops._cotree_gauge(mesh)
+    cotree = (fem.assemble(mesh, "V", "stiffness")[gauge.cotree][:, gauge.cotree],
+              mesh.verts_int[mesh.edges[gauge.cotree]].sum(axis=1))
+    runs = []
+    extend_add = fem._extend_add
+
+    def record(P, T, at, upd):
+        k = P.shape[1]
+        runs.append(1 + np.count_nonzero((np.diff(at) != 1) | (at[1:] == k)))
+        extend_add(P, T, at, upd)
+
+    monkeypatch.setattr(fem, "_extend_add", record)
+    rng = np.random.default_rng(12)
+    for A, points in (cotree, _path_and_lone_rows()):
+        chol = fem.Cholesky(A, points, "extend_add")
+        n = A.shape[0]
+        L = np.zeros((n, n))
+        for s, e, U, L11, L21 in chol.blocks:
+            L[s:e, s:e] = np.tril(L11)
+            L[U, s:e] = L21
+        Ap = A[chol.perm][:, chol.perm].toarray()
+        assert np.linalg.norm(L @ L.T - Ap) <= 1e-13 * np.linalg.norm(Ap)
+        lu = spla.splu(A.tocsc(), **fem._SPD_SPLU)
+        for b in (rng.uniform(-1, 1, n), rng.uniform(-1, 1, (n, 4))):
+            x, ref = chol.solve(b), lu.solve(b)
+            assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert max(runs) >= 3
+    assert "np.ix_" not in Path(fem.__file__).read_text()
 
 
 # -- loops ---------------------------------------------------------------------

@@ -70,3 +70,25 @@ def test_output_digest_smallest(tmp_path):
     lines = res.stdout.splitlines()
     assert lines[0] == "largest relative move:"
     assert lines[1:] and all(line.split()[2] == "0.00e+00" for line in lines[1:])
+
+
+def test_output_digest_compare_exit_status(tmp_path):
+    """`--compare` exits 0 on two identical runs at level 1, and 1 when a
+    line's arrays moved or a file is on one side only."""
+    a, b = tmp_path / "a", tmp_path / "b"
+    for d in (a, b):
+        res = run_script("output_digest.py", ["--levels", "1", "--out", str(d / "digest.txt"),
+                                              "--arrays", str(d)], tmp_path)
+        assert res.returncode == 0, res.stderr
+    res = run_script("output_digest.py", ["--compare", str(a), str(b)], tmp_path)
+    assert res.returncode == 0, res.stdout + res.stderr
+    line = b / "unit_cube_z=0_L1_random_auto.npz"
+    with np.load(line) as f:
+        saved = dict(f)
+    saved["p"] = saved["p"] + 1e-12
+    np.savez(line, **saved)
+    res = run_script("output_digest.py", ["--compare", str(a), str(b)], tmp_path)
+    assert res.returncode == 1 and "unit_cube z=0 L1 random auto: R=0.00e+00 p=" in res.stdout
+    line.unlink()
+    res = run_script("output_digest.py", ["--compare", str(a), str(b)], tmp_path)
+    assert res.returncode == 1 and f"only in {a}" in res.stdout
