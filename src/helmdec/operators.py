@@ -126,7 +126,8 @@ class _CotreeGauge(NamedTuple):
     """Per-mesh blocks of the tree-cotree gauged curl-harmonic extension:
     interior and boundary edges, interior nodes, cotree edges, the curl
     stiffness rows K[cotree][:, boundary], the interior gradient G_i and
-    the gauge right-hand side map G_i^T M[interior]."""
+    the gauge right-hand side map G_i^T M[interior].  A tuple, so that the
+    memo freezes and compacts its arrays."""
 
     ie: np.ndarray
     bidx: np.ndarray

@@ -362,8 +362,8 @@ def _memo_values(mesh, seen):
 
 
 def test_memoized_sparse_arrays_are_compact(monkeypatch):
-    """After a four-edge decomposition (column submeshes) and a face-chain
-    one (block submeshes), every sparse matrix in a reachable memo has data
+    """After a four-edge decomposition and a face-chain one (block
+    submeshes), every sparse matrix in a reachable memo has data
     and indices that own exactly its nnz entries, no memo holds a per-tet
     gradient or gram table, and each mesh builds its shape classes once."""
     from helmdec.decompose import decompose, random_admissible_field
