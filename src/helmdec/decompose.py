@@ -14,22 +14,25 @@ the route is a linear map v -> (p, w), so a route is a private planner
 `(mesh, trace) -> _Route(path, claims, apply)`: it fixes the path and the
 claims, derives once what depends on the mesh and the trace alone (the
 branch taken, the cut faces, the boundary loops and their arc positions,
-the kernel pin masks, the block plans of the junctions, the interface
-masks of the face chain), and holds `apply`, a function of v that does
-only matvecs and solves on cached factors and returns (p, w, meta) or a
-CompatibilityViolation.  `_plan` memoizes one plan per (mesh, route,
-coarse trace entities) on the mesh, so a second call on the same (mesh,
-trace) builds no loop and factors nothing; each kernel pass is one
-4-column solve [p | w_x w_y w_z].  Routes are built from shared passes:
-`_routed` applies every top-level plan (and every junction block plan)
-between one entry check, zero trace moments of v, and one exit placement,
-exact zeros of p and w on the trace nodes; `_loop_cut_columns` is the one
-boundary-loop subtraction and curl-harmonic split behind every edge route,
-run for k pass plans in lockstep (k = 1 on one edge route, k = 4 on the
-four-edge subdomain split, whose column extensions are one 4-column solve);
-`_block_kernel` is the one block-kernel pass.  The residual R and the norm
-battery are computed once, in `_finish`.  Stability is measured (norm
-quotients against the claimed bound), not assumed.
+the kernel pin masks, the block plans of the junctions, the interface masks
+of the face chain, the vertex-junction gate), and holds `apply`, a function
+of v that does only matvecs and solves on cached factors and returns (p, w,
+meta) or a CompatibilityViolation.  The gate is linear in v, one sparse
+matrix of the loop potentials at the junction vertex (`_gate_plan`): a
+refusal is one matvec.  `_plan` memoizes one plan per (mesh, route, coarse
+trace entities) on the mesh, so a second call on the same (mesh, trace)
+builds no loop and factors nothing; each kernel pass is one 4-column solve
+[p | w_x w_y w_z].  Routes are built from shared passes: `_routed` applies
+every top-level plan (and every junction block plan) between one entry
+check, zero trace moments of v, and one exit placement, exact zeros of p
+and w on the trace nodes; `_loop_cut_columns` is the one boundary-loop
+subtraction and curl-harmonic split behind every edge route, run for k pass
+plans in lockstep (k = 1 on one edge route, k = 4 on the four-edge
+subdomain split, whose column extensions are one 4-column solve);
+`_block_kernel` is the one block-kernel pass.  A pinned kernel pass solves
+on the nodal factor of its pin mask (`fem.cached_solver`).  The residual R
+and the norm battery are computed once, in `_finish`.  Stability is
+measured (norm quotients against the claimed bound), not assumed.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from . import fem, operators as ops
 from .fem import EdgeField, NodalField, NodalVectorField
@@ -149,22 +153,20 @@ def _kernel_fields(mesh: TetMesh, v: np.ndarray, gamma_nodes: np.ndarray):
     rhs = np.empty((mesh.nv, 4))
     rhs[:, 0] = Gt @ (fem.assemble(mesh, "V", "mass") @ v)
     rhs[:, 1:] = (Rt @ (Ct @ wcurl.ravel())).reshape(mesh.nv, 3)
-    K = fem.assemble(mesh, "Z", "stiffness")
-    free = np.nonzero(~gamma_nodes)[0]
+    if not gamma_nodes.any():
+        # the stiffness bordered by the mean-value row: a saddle point with
+        # a zero diagonal entry, so it keeps SuperLU's partial pivoting
+        def gauge():
+            mz = fem.assemble(mesh, "Z", "mass") @ np.ones(mesh.nv)
+            K = fem.assemble(mesh, "Z", "stiffness")
+            return spla.splu(sp.bmat([[K, mz[:, None]], [mz[None, :], None]], format="csc"))
 
-    if len(free) == mesh.nv:
-        mz = fem.assemble(mesh, "Z", "mass") @ np.ones(mesh.nv)
-
-        def build():
-            return sp.bmat([[K, mz[:, None]], [mz[None, :], None]], format="csc")
-
-        solver = fem.cached_solver(mesh, ("kernel", "gauge"), build)
-        out = solver.solve(np.vstack([rhs, np.zeros((1, 4))]))[:-1]
+        out = mesh.cached(("splu", "gauge"), gauge).solve(
+            np.vstack([rhs, np.zeros((1, 4))]))[:-1]
     else:
-        solver = fem.cached_solver(mesh, ("kernel", gamma_nodes.tobytes()),
-                                   lambda: K[free][:, free], spd=True)
+        free = np.nonzero(~gamma_nodes)[0]
         out = np.zeros((mesh.nv, 4))
-        out[free] = solver.solve(rhs[free])
+        out[free] = fem.cached_solver(mesh, gamma_nodes).solve(rhs[free])
     return np.ascontiguousarray(out[:, 0]), np.ascontiguousarray(out[:, 1:])
 
 
@@ -776,13 +778,9 @@ def _route(mesh: TetMesh, trace: TraceSet) -> _Route:
             comp = trace.components[0]
             if not comp["lipschitz"]:
                 return _corner_pair(mesh, trace)
-            rep = check_assumption31(mesh, trace)
-            if rep.extended_domain_convex:
+            if check_assumption31(mesh, trace).extended_domain_convex:
                 return _kernel_route(mesh, trace)
-            if info.sigma2:
-                return _face_chain(mesh, trace)
-            claims = {"rhs1": "curl_semi", "rhs2": "curl", "log": True}
-            return _kernel_pass(mesh, trace.node_mask, "kernel-fallback", claims)
+            return _face_chain(mesh, trace)
         # J >= 2 faces only: multi-component kernel; the curl-semi-norm bound
         # is known to fail here, so the claim references the full norm
         claims = {"rhs1": "curl", "rhs2": "l2", "log": not trace.lipschitz}
@@ -1007,10 +1005,24 @@ def _adjacent_coarse_edges(surf, loop, E):
     return e1, e2
 
 
-def _gate_plan(mesh: TetMesh, trace: TraceSet):
-    """The junction vertex, and per block its kind and loop setup (face,
-    loop, anchor edge; None for pinned blocks), made once per (mesh,
-    trace)."""
+class _Gate(NamedTuple):
+    """The vertex-junction gate on one (mesh, trace): its vertex v0, and per
+    block its kind, loop setup and shift; and the gate as one sparse matrix."""
+
+    v0: int
+    kinds: list
+    setups: list  # (face, loop, anchor edge or None, loop position of v0); None if pinned
+    rows: sp.csr_matrix  # (nblocks x ne): block b's loop potential at v0
+    shifts: list  # (fine edge, its coefficient) of an anchored block; else None
+
+
+def _gate_plan(mesh: TetMesh, trace: TraceSet) -> _Gate:
+    """The gate of the vertex junction on (mesh, trace), made once.  Row b
+    of its matrix is 0 for a pinned block, the first anchored block's row
+    for a free block, and for an anchored block the coefficients of
+    `loop_decompose(v, loop, zero_mean_edge=E).phi_at(v0)`.  An anchored
+    block's shift is the first loop edge off the trace and off E whose
+    coefficient exceeds 1e-12."""
 
     def build():
         info = geometry_info(mesh)
@@ -1021,42 +1033,42 @@ def _gate_plan(mesh: TetMesh, trace: TraceSet):
         block_faces = mesh.cached("block_faces", lambda: [
             [f for f in surf.faces if np.isin(f.fine_nodes, extract_block(mesh, b).vert_map).all()]
             for b in range(nblocks)])
-        kinds, setups = [], []
+        kinds, setups, shifts = [], [], []
+        rows = sp.lil_matrix((nblocks, mesh.ne))
         for b in range(nblocks):
             kind = _block_kind(trace, extract_block(mesh, b), v0)
             kinds.append(kind)
+            shifts.append(None)
             if kind == "pinned":
                 setups.append(None)
-            elif kind == "anchored":
-                setups.append(_anchored_setup(mesh, surf, block_faces[b], v0, trace))
-            else:
-                setups.append(_free_setup(mesh, block_faces[b], v0))
-        return v0, kinds, setups
+                continue
+            F, loop, E = (_anchored_setup(mesh, surf, block_faces[b], v0, trace)
+                          if kind == "anchored" else _free_setup(mesh, block_faces[b], v0))
+            k0 = loop.node_pos(v0)
+            setups.append((F, loop, E, k0))
+            if kind == "free":
+                continue
+            # phi at loop position k: the moments before k, less their share
+            # of the loop average, shifted to zero trapezoid mean on E
+            L, pos = loop.lengths, ops._edge_arc_positions(loop, E)
+            walk = np.tri(loop.n, k=-1) - np.cumsum(np.r_[0.0, L[:-1]])[:, None] / L.sum()
+            mean = (0.5 * L[pos]) @ (walk[pos] + walk[(pos + 1) % loop.n]) / L[pos].sum()
+            coef = (walk[k0] - mean) * loop.signs
+            rows[b, loop.edges] = coef
+            movable = ((np.abs(coef) > 1e-12) & ~trace.edge_mask[loop.edges]
+                       & ~np.isin(loop.edges, E.fine_edges))
+            if not movable.any():
+                raise PreconditionError(
+                    f"no loop moment of block {b} moves its potential at the junction "
+                    "vertex", entity=b)
+            k = int(np.argmax(movable))
+            shifts[b] = (int(loop.edges[k]), float(coef[k]))
+        if "anchored" in kinds:
+            for b in (b for b, k in enumerate(kinds) if k == "free"):
+                rows[b] = rows[kinds.index("anchored")]
+        return _Gate(v0, kinds, setups, rows.tocsr(), shifts)
 
     return mesh.cached(("vertex-gate",) + _trace_key(trace), build)
-
-
-def _vertex_gate(v: EdgeField, trace: TraceSet):
-    """Per-block loop data and the compatibility functionals: pinned blocks
-    contribute 0, anchored blocks their normalized loop potential at the
-    vertex, free blocks adapt (no contribution)."""
-    mesh = v.mesh
-    v0, kinds, plan = _gate_plan(mesh, trace)
-    setups, values, records = [], [], []
-    for kind, setup in zip(kinds, plan):
-        if kind == "pinned":
-            setups.append(None)
-            values.append(0.0)
-            continue
-        F, loop, E = setup
-        dec = ops.loop_decompose(v, loop, zero_mean_edge=E)
-        setups.append((F, loop, E, dec))
-        values.append(dec.phi_at(v0) if kind == "anchored" else None)
-        records.append((dec.C, dec.l0, _loop_flux(mesh, v, [F])))
-    gated = [x for x in values if x is not None]
-    ref = gated[0] if gated else 0.0
-    vals = np.array([ref if x is None else x for x in values])
-    return v0, kinds, setups, vals, ref, records
 
 
 def _vertex_junction(mesh: TetMesh, trace: TraceSet) -> _Route:
@@ -1064,16 +1076,18 @@ def _vertex_junction(mesh: TetMesh, trace: TraceSet) -> _Route:
     vertex decompose independently, blocks with no trace ride along with a
     free potential constant, and trace-anchored blocks go through the
     normalized loop subtraction.  The decomposition is refused (typed
-    outcome) unless all gated loop potentials agree at the vertex."""
+    outcome) unless all gated loop potentials agree at the vertex, which
+    is one matvec with the gate's rows."""
     surf = surface(mesh)
-    v0, kinds, gate = _gate_plan(mesh, trace)
+    gate = _gate_plan(mesh, trace)
+    v0 = gate.v0
     # per block: its submesh, the nodes it writes (the vertex only from
     # block 0), and for a pinned block its block plan, for a loop block
     # (anchored or free) the loop-subtraction data and the loop split on
     # the block face
     blocks = []
     log = False
-    for b, (kind, setup) in enumerate(zip(kinds, gate)):
+    for b, (kind, setup) in enumerate(zip(gate.kinds, gate.setups)):
         sub = extract_block(mesh, b)
         keep = sub.vert_map != v0 if b > 0 else np.ones(len(sub.vert_map), dtype=bool)
         if kind == "pinned":
@@ -1083,18 +1097,18 @@ def _vertex_junction(mesh: TetMesh, trace: TraceSet) -> _Route:
             continue
         log = True
         xr = _sub_trace(sub, trace.node_mask, trace.edge_mask)
-        F, loop, E = setup
+        F, loop, E, _ = setup
         fsub = next((f for f in surface(sub.mesh).faces if f.plane == F.plane), None)
         if fsub is None:
             raise PreconditionError(
                 f"block {b} has no surface face on the plane of {F.name}", entity=F.name)
-        sub_loop = ops.build_loop(sub.mesh, [fsub])
-        split = (_mask_from_ids(sub.mesh.ne, sub_loop.edges),
+        split = (np.isin(sub.edge_map, loop.edges),
                  _split_plan(sub.mesh, [fsub], xr.node_mask, xr.node_mask))
         if kind == "anchored":
+            # the loop correction is linear in the loop average C: kept for C = 1
             posE = ops._edge_arc_positions(loop, E)
             anchor = (posE, np.unique(np.concatenate([posE, (posE + 1) % loop.n])),
-                      _adjacent_coarse_edges(surf, loop, E))
+                      ops.epsilon_correction(loop, E, *_adjacent_coarse_edges(surf, loop, E), 1.0))
             pin_nodes = np.concatenate([[v0], E.fine_nodes])
         else:
             anchor = None
@@ -1105,7 +1119,7 @@ def _vertex_junction(mesh: TetMesh, trace: TraceSet) -> _Route:
 
     def apply(v: EdgeField):
         vcurl = fem.norm(v, "curl")
-        _, _, setups, vals, ref, records = _vertex_gate(v, trace)
+        vals = gate.rows @ v.values
         functionals = vals[1:] - vals[:-1]
         tol = VERTEX_GATE_TOL * max(vcurl, 1e-30)
         if np.abs(functionals).max(initial=0.0) > tol:
@@ -1113,22 +1127,24 @@ def _vertex_junction(mesh: TetMesh, trace: TraceSet) -> _Route:
 
         p = np.zeros(mesh.nv)
         w = np.zeros((mesh.nv, 3))
-        for kind, (sub, keep, block), setup in zip(kinds, blocks, setups):
+        records, block_records = [], []
+        for kind, (sub, keep, block), setup, val in zip(gate.kinds, blocks, gate.setups, vals):
             if kind == "pinned":
                 pb, wb, meta = _block_split(block, v.values)
-                records.extend(meta.get("loops", []))
+                block_records.extend(meta.get("loops", []))
             else:
                 anchor, pin_nodes, (loop_edges, split) = block
-                F, loop, E, dec = setup
+                F, loop, E, k0 = setup
+                dec = ops.loop_decompose(v, loop, zero_mean_edge=E)
+                records.append((dec.C, dec.l0, _loop_flux(mesh, v, [F])))
                 if anchor is not None:
-                    posE, ez, (e1, e2) = anchor
+                    posE, ez, unit_eps = anchor
                     phi_vals = dec.phi.copy()
                     if abs(dec.C) > 0:
                         # correct the potential so it vanishes on the trace
                         # edge, keeping its value at the vertex
-                        eps = ops.epsilon_correction(loop, E, e1, e2, dec.C)
-                        phi_vals = phi_vals - ops._loop_walk(eps * loop.lengths,
-                                                             loop.node_pos(v0), loop.n)
+                        eps = unit_eps * dec.C
+                        phi_vals = phi_vals - ops._loop_walk(eps * loop.lengths, k0, loop.n)
                         per_edge = dec.C + eps
                     else:
                         per_edge = np.full(loop.n, dec.C)
@@ -1137,8 +1153,8 @@ def _vertex_junction(mesh: TetMesh, trace: TraceSet) -> _Route:
                         raise PreconditionError("loop correction failed to zero the trace edge")
                     phi_vals[ez] = 0.0
                     per_edge[posE] = 0.0
-                else:  # free block: pin the potential at the vertex to ref
-                    phi_vals = dec.phi - dec.phi_at(v0) + ref
+                else:  # free block: pin the potential at the vertex to its gate value
+                    phi_vals = dec.phi - dec.phi[k0] + val
                     per_edge = np.full(loop.n, dec.C)
                 vhat, phi_g, ct = _loop_subtraction(v.values, loop, dec.C, phi_vals,
                                                     per_edge, pin_nodes)
@@ -1149,8 +1165,8 @@ def _vertex_junction(mesh: TetMesh, trace: TraceSet) -> _Route:
                 wb = ct[sub.vert_map] + wl
             p[sub.vert_map[keep]] = pb[keep]
             w[sub.vert_map[keep]] = wb[keep]
-        meta = {"loops": records, "functionals": functionals.tolist(), "tol": tol,
-                "block_kinds": list(kinds)}
+        meta = {"loops": records + block_records, "functionals": functionals.tolist(),
+                "tol": tol, "block_kinds": list(gate.kinds)}
         return p, w, meta
 
     return _Route("vertex-junction", claims, apply)
@@ -1193,39 +1209,22 @@ def gradient_field(mesh: TetMesh, trace: Optional[TraceSet], seed) -> tuple[Edge
 
 
 def _compatibilize(v: EdgeField, trace: TraceSet) -> EdgeField:
-    """Zero the vertex-junction compatibility functionals by shifting one
-    unconstrained loop moment per gated block (trace moments stay zero)."""
-    mesh = v.mesh
+    """Zero the vertex-junction compatibility functionals: the gate is
+    linear, so one shift of each anchored block's shift edge moves the
+    block's value at the vertex onto the target (trace moments stay
+    zero)."""
+    gate = _gate_plan(v.mesh, trace)
     out = v.copy()
-    v0, kinds, setups, vals, ref, _ = _vertex_gate(out, trace)
-    anchored = [b for b, k in enumerate(kinds) if k == "anchored"]
+    anchored = [b for b, k in enumerate(gate.kinds) if k == "anchored"]
     if not anchored:
         return out
-    target = 0.0 if "pinned" in kinds else vals[anchored[0]]
+    vals = gate.rows @ out.values
+    target = 0.0 if "pinned" in gate.kinds else vals[anchored[0]]
     for b in anchored:
-        if vals[b] == target:
-            continue
-        F, loop, E, dec = setups[b]
-        out = _bump_loop_potential(out, trace, loop, E, v0, target - vals[b])
+        if vals[b] != target:
+            edge, coef = gate.shifts[b]
+            out.values[edge] += (target - vals[b]) / coef
     return out
-
-
-def _bump_loop_potential(v: EdgeField, trace: TraceSet, loop, E, v0, delta) -> EdgeField:
-    """Add a single-edge circulation on the loop shifting the normalized
-    potential at the vertex by `delta` (linearity probe)."""
-    base = ops.loop_decompose(v, loop, zero_mean_edge=E).phi_at(v0)
-    efine = set(int(x) for x in E.fine_edges) if E is not None else set()
-    free = [k for k in range(loop.n)
-            if not trace.edge_mask[loop.edges[k]] and int(loop.edges[k]) not in efine]
-    out = v.copy()
-    for k in free:
-        probe = v.copy()
-        probe.values[loop.edges[k]] += 1.0
-        d1 = ops.loop_decompose(probe, loop, zero_mean_edge=E).phi_at(v0) - base
-        if abs(d1) > 1e-12:
-            out.values[loop.edges[k]] += delta / d1
-            return out
-    raise RuntimeError("no loop moment moves the vertex potential")
 
 
 def incompatible_field(mesh: TetMesh, trace: TraceSet, seed, magnitude=1.0) -> EdgeField:
@@ -1236,14 +1235,14 @@ def incompatible_field(mesh: TetMesh, trace: TraceSet, seed, magnitude=1.0) -> E
             f"incompatible fields need a vertex junction; {mesh.name} has none",
             entity=mesh.name)
     v = random_admissible_field(mesh, trace, seed)
-    v0, kinds, setups, vals, ref, _ = _vertex_gate(v, trace)
-    anchored = [b for b, k in enumerate(kinds) if k == "anchored"]
-    gated = anchored if "pinned" in kinds else anchored[1:]
+    gate = _gate_plan(mesh, trace)
+    anchored = [b for b, k in enumerate(gate.kinds) if k == "anchored"]
+    gated = anchored if "pinned" in gate.kinds else anchored[1:]
     if not gated:
         raise PreconditionError(
             "trace leaves no gated block: the vertex-junction decomposition "
             "always succeeds for this configuration"
         )
-    b = gated[-1]
-    F, loop, E, dec = setups[b]
-    return _bump_loop_potential(v, trace, loop, E, v0, magnitude)
+    edge, coef = gate.shifts[gated[-1]]
+    v.values[edge] += magnitude / coef
+    return v

@@ -9,8 +9,9 @@ integral formulas.  Every curl-curl form is built from one cached sparse
 C v, and the (weighted) edge stiffness is C^T W C with W the per-tet
 weighted volumes, repeated for the three curl components.  Sparse SPD
 factors are chosen by matrix family: `Cholesky`, a nested-dissection
-multifrontal Cholesky, for the cotree curl-curl block, and SuperLU
-(`cached_solver`) for the smaller nodal blocks.
+multifrontal Cholesky, for the cotree curl-curl block, and SuperLU for the
+smaller nodal blocks: `cached_solver` holds one symmetric-mode factor of
+the nodal stiffness per Dirichlet pin mask.
 """
 
 from __future__ import annotations
@@ -328,18 +329,17 @@ _SPD_SPLU = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                  options=dict(SymmetricMode=True))
 
 
-def cached_solver(mesh: TetMesh, key, build, spd: bool = False):
-    """splu factorization cached on the mesh; `build` returns the csc/csr
-    matrix when the key is missing, `spd` selects the symmetric-mode
-    settings.  The SPD keys are nodal stiffness blocks with Dirichlet rows
-    removed: the pinned kernel factor ("kernel", pin mask) and the interior
-    Poisson factor ("harm", "interior"), small enough that SuperLU's
-    compiled solve beats the per-front steps of `Cholesky`.
-    The gauge kernel ("kernel", "gauge") is the stiffness bordered by the
-    mean-value row, a saddle point with a zero diagonal entry, so it keeps
-    the default partial-pivoting settings."""
-    return mesh.cached(("splu",) + tuple(key), lambda: spla.splu(
-        build().tocsc(), **(_SPD_SPLU if spd else {})))
+def cached_solver(mesh: TetMesh, pins: np.ndarray):
+    """SuperLU factor of the nodal stiffness less the rows and columns of
+    the `pins` nodes, cached on the mesh per pin mask.  It is SPD, so it
+    keeps the symmetric fill, and small enough that SuperLU's compiled
+    solve beats the per-front steps of `Cholesky`."""
+
+    def build():
+        free = np.nonzero(~pins)[0]
+        return spla.splu(assemble(mesh, "Z", "stiffness")[free][:, free].tocsc(), **_SPD_SPLU)
+
+    return mesh.cached(("splu", "dirichlet", pins.tobytes()), build)
 
 
 # --------------------------------------------------------------------------

@@ -194,7 +194,7 @@ class PCGResult:
 
 
 def pcg_solve(system: CurlSystem, preconditioner=None, tol: float = 1e-8,
-              maxit: int = 2000, callback=None) -> PCGResult:
+              maxit: int = 2000) -> PCGResult:
     """Preconditioned conjugate gradients on the free-DOF system.
 
     The stopping norm is the preconditioned one: the iteration stops once
@@ -236,8 +236,6 @@ def pcg_solve(system: CurlSystem, preconditioner=None, tol: float = 1e-8,
         it += 1
         rel = float(np.sqrt(abs(rz_new)) / base)
         history.append(rel)
-        if callback is not None:
-            callback(x.copy())
         if rel <= tol:
             return result(it, True)
         d = z + (rz_new / rz) * d

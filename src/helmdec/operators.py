@@ -3,7 +3,9 @@
 Covers: the edge-moment interpolation onto the edge element space, the
 graph-distance cut-off, discrete harmonic and curl-harmonic extensions,
 and the boundary-loop calculus (loop averages, cumulative potentials,
-constant extensions and the piecewise-constant loop correction).
+constant extensions and the piecewise-constant loop correction).  Both
+extensions solve with the nodal stiffness pinned on the boundary nodes, one
+`fem.cached_solver` factor per mesh.
 """
 
 from __future__ import annotations
@@ -103,19 +105,8 @@ def harmonic_extend(mesh: TetMesh, boundary_values: np.ndarray) -> NodalField:
         return NodalField(mesh, out)
     neg_Kib = mesh.cached(("harm", "-K_ib"), lambda: -fem.assemble(
         mesh, "Z", "stiffness")[iidx][:, np.nonzero(bn)[0]])
-    out[iidx] = _interior_poisson(mesh, iidx).solve(neg_Kib @ out[bn])
+    out[iidx] = cached_solver(mesh, bn).solve(neg_Kib @ out[bn])
     return NodalField(mesh, out)
-
-
-def _interior_poisson(mesh: TetMesh, iidx: np.ndarray):
-    """SPD factor of the nodal stiffness on the interior nodes `iidx` (the
-    Dirichlet Laplacian), shared by the harmonic and curl-harmonic
-    extensions."""
-    return cached_solver(
-        mesh, ("harm", "interior"),
-        lambda: fem.assemble(mesh, "Z", "stiffness")[iidx][:, iidx],
-        spd=True,
-    )
 
 
 # --------------------------------------------------------------------------
@@ -193,8 +184,8 @@ def curl_harmonic_extend(mesh: TetMesh, boundary_moments: np.ndarray) -> EdgeFie
        edges (`fem.Cholesky`, dissected on the edge midpoints);
     2. L2 projection: v_i = u - G_i q with (G_i^T M_ii G_i) q = G_i^T (M u)_i.
        Whitney edge fields contain the gradients exactly, so G_i^T M_ii G_i
-       is the interior Dirichlet nodal stiffness, whose factor is shared
-       with `harmonic_extend`.
+       is the nodal stiffness pinned on the boundary nodes, whose
+       `fem.cached_solver` factor is shared with `harmonic_extend`.
 
     Both rest on curl-free interior fields being interior gradients (the
     curl kernel of K_ii is range G_i), which holds on simply connected
@@ -215,7 +206,7 @@ def curl_harmonic_extend(mesh: TetMesh, boundary_moments: np.ndarray) -> EdgeFie
             mesh.verts_int[mesh.edges[gauge.cotree]].sum(axis=1), mesh.name))
         out[gauge.cotree] = solver.solve(-(gauge.Kcb @ out[gauge.bidx]))
     if len(gauge.inodes):
-        q = _interior_poisson(mesh, gauge.inodes).solve(gauge.GtM @ out)
+        q = cached_solver(mesh, mesh.boundary_node_mask()).solve(gauge.GtM @ out)
         out[gauge.ie] -= gauge.Gi @ q
     return EdgeField(mesh, out)
 

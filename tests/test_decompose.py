@@ -350,6 +350,42 @@ def test_vertex_junction_star_kinds():
     assert_contract(s, v, t)
 
 
+# the vertex-junction configurations of the acceptance gate, and the empty
+# trace, whose blocks are all free
+JUNCTIONS = [
+    ("vertex_junction_pair", ["x=1#0", "x=1#1"]),
+    ("vertex_junction_pair", ["x=0", "x=2"]),
+    ("vertex_junction_star3", ["p:-2,0,-1:0", "p:-2,0,1:0", "p:-1,-2,0:0"]),
+    ("vertex_junction_star3", ["x=2", "z=-2", "z=2"]),
+    ("vertex_junction_star3", []),
+]
+
+
+@pytest.mark.parametrize("h", [0.25, 0.125])
+@pytest.mark.parametrize("geometry,spec", JUNCTIONS)
+def test_gate_rows_are_the_loop_potentials(geometry, spec, h):
+    """Row b of the gate is block b's normalized loop potential at the
+    vertex (anchored), the first anchored row (free) or 0 (pinned); the
+    functionals of a `random_admissible_field` vanish to roundoff."""
+    mesh = build_complex(geometry, h)
+    t = tag_trace(mesh, spec)
+    gate = dc._gate_plan(mesh, t)
+    anchored = [b for b, k in enumerate(gate.kinds) if k == "anchored"]
+    rng = np.random.default_rng(8)
+    for _ in range(3):
+        v = fem.EdgeField(mesh, rng.uniform(-1, 1, mesh.ne))
+        vals = gate.rows @ v.values
+        for b, kind in enumerate(gate.kinds):
+            if kind == "anchored":
+                _, loop, E, _ = gate.setups[b]
+                dec = ops.loop_decompose(v, loop, zero_mean_edge=E)
+                assert abs(vals[b] - dec.phi_at(gate.v0)) <= 1e-13 * np.abs(dec.phi).max()
+            else:
+                assert vals[b] == (vals[anchored[0]] if kind == "free" and anchored else 0.0)
+    v = dc.random_admissible_field(mesh, t, 9)
+    assert np.abs(np.diff(gate.rows @ v.values)).max() <= 1e-13 * fem.norm(v, "curl")
+
+
 @settings(max_examples=8, deadline=None)
 @given(st.integers(0, 2**31 - 1))
 def test_kernel_invariants_random_seeds(seed):
@@ -485,6 +521,19 @@ def test_layer_extension_matches_reference_loop(geometry, rng):
 
 # -- route plans ---------------------------------------------------------------
 
+def test_face_chain_on_convex_extension_is_the_kernel():
+    """Forced onto a face trace with a convex extension, the face-chain
+    route is one kernel pass: the kernel route's p and w, byte for byte."""
+    mesh = build_complex("unit_cube", 0.25)
+    t = tag_trace(mesh, ["z=0"])
+    v = dc.random_admissible_field(mesh, t, 45)
+    chain = dc.decompose(v, t, route="face-chain")
+    kernel = dc.decompose(v, t, route="kernel")
+    assert chain.path == "face-chain/convex-ext"
+    assert chain.p.values.tobytes() == kernel.p.values.tobytes()
+    assert chain.w.values.tobytes() == kernel.w.values.tobytes()
+
+
 @pytest.mark.parametrize("spec", [["e:x=0,y=0"], ["x=0", "e:x=0,y=0"]])
 def test_face_chain_rejects_coarse_edges(spec):
     mesh = build_complex("three_cube_L", 0.25)
@@ -532,9 +581,10 @@ class _CountingLU:
 @pytest.mark.parametrize("geometry,spec,path", WARM_PATHS)
 def test_warm_call_factors_nothing_and_builds_no_loop(geometry, spec, path, monkeypatch):
     """A second call on the same (mesh, trace) only applies its plan: no
-    loop, no factorization, no dense solve, and one triangular solve per
-    kernel pass."""
-    counts = dict.fromkeys(["splu", "cholesky", "solve", "build_loop", "dense"], 0)
+    loop, no factorization, no dense solve, no loop geometry outside
+    `loop_decompose`, and one triangular solve per kernel pass."""
+    counts = dict.fromkeys(["splu", "cholesky", "solve", "build_loop", "dense", "epsilon",
+                            "arc"], 0)
     passes = []
 
     def counted(key, fn):
@@ -552,6 +602,24 @@ def test_warm_call_factors_nothing_and_builds_no_loop(geometry, spec, path, monk
     monkeypatch.setattr(ops, "build_loop", counted("build_loop", ops.build_loop))
     monkeypatch.setattr(np.linalg, "solve", counted("dense", np.linalg.solve))
     monkeypatch.setattr(np.linalg, "pinv", counted("dense", np.linalg.pinv))
+    monkeypatch.setattr(ops, "epsilon_correction",
+                        counted("epsilon", ops.epsilon_correction))
+    in_loop_decompose = []
+    loop_decompose, arc_positions = ops.loop_decompose, ops._edge_arc_positions
+
+    def decompose_loop(*args, **kwargs):
+        in_loop_decompose.append(True)
+        try:
+            return loop_decompose(*args, **kwargs)
+        finally:
+            in_loop_decompose.pop()
+
+    def arc(*args):
+        counts["arc"] += not in_loop_decompose
+        return arc_positions(*args)
+
+    monkeypatch.setattr(ops, "loop_decompose", decompose_loop)
+    monkeypatch.setattr(ops, "_edge_arc_positions", arc)
     kernel_fields = dc._kernel_fields
 
     def kernel_pass(*args):
@@ -573,8 +641,8 @@ def test_warm_call_factors_nothing_and_builds_no_loop(geometry, spec, path, monk
     s = dc.decompose(warm, t)
     assert s.path == path
     assert_contract(s, warm, t)
-    assert (counts["splu"] == counts["cholesky"] == counts["build_loop"]
-            == counts["dense"] == 0), counts
+    assert (counts["splu"] == counts["cholesky"] == counts["build_loop"] == counts["dense"]
+            == counts["epsilon"] == counts["arc"] == 0), counts
     assert passes and passes == [1] * len(passes)
 
 

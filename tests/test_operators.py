@@ -460,10 +460,11 @@ def test_junction_functionals_zero_and_gradient():
     zed = [surf.edge_by_name("e:x=0,y=1"), surf.edge_by_name("e:x=2,y=1")]
 
     def functionals(v):
-        node, kinds, setups, vals, _, _ = dc._vertex_gate(v, trace)
-        assert node == v0 and kinds == ["anchored", "anchored"]
-        assert [s[0].name for s in setups] == ["y=1#0", "y=1#1"]
-        assert [s[2].name for s in setups] == [e.name for e in zed]
+        gate = dc._gate_plan(mesh, trace)
+        assert gate.v0 == v0 and gate.kinds == ["anchored", "anchored"]
+        assert [s[0].name for s in gate.setups] == ["y=1#0", "y=1#1"]
+        assert [s[2].name for s in gate.setups] == [e.name for e in zed]
+        vals = gate.rows @ v.values
         return vals[1:] - vals[:-1]
 
     z = fem.EdgeField(mesh, np.zeros(mesh.ne))

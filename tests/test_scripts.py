@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 
+from helmdec.geometry import catalog_info
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -92,3 +94,15 @@ def test_output_digest_compare_exit_status(tmp_path):
     line.unlink()
     res = run_script("output_digest.py", ["--compare", str(a), str(b)], tmp_path)
     assert res.returncode == 1 and f"only in {a}" in res.stdout
+
+
+def test_route_census_lipschitz_paths(tmp_path):
+    """On the Lipschitz geometries the census of single faces, face pairs,
+    `boundary` and `concave` plans these paths and refuses none."""
+    res = run_script("route_census.py", [], tmp_path)
+    assert res.returncode == 0, res.stderr
+    lines = res.stdout.splitlines()
+    rows = [line.split("\t") for line in lines if not line.startswith("#")]
+    assert sum(int(line.split()[-1]) for line in lines if line.startswith("#")) == len(rows)
+    paths = {path for geometry, _, path in rows if catalog_info(geometry).lipschitz}
+    assert paths == {"kernel", "kernel-multi", "face-chain", "corner-pair-faces"}
