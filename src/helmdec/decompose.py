@@ -144,8 +144,8 @@ def _kernel_fields(mesh: TetMesh, v: np.ndarray, gamma_nodes: np.ndarray):
     for w, exact because curl r_h phi = curl phi for every nodal vector
     hat function phi.  K_V is applied in factored form C^T (W (C v)), so a
     field whose per-tet curls are exact zeros gets w == 0 exactly.  The
-    transposes G^T, r_h^T and C^T are CSC views of the cached CSR arrays,
-    kept on the mesh so that a pass builds none."""
+    transposes G^T, r_h^T and C^T are CSC views that share the arrays of
+    the cached CSR matrices, kept on the mesh so that a pass builds none."""
     C = fem._curl_matrix(mesh)
     Gt, Rt, Ct = mesh.cached("kernel_rhs_transposes", lambda: (
         fem.gradient_map(mesh).T, ops.rh_matrix(mesh).T, C.T))
@@ -891,21 +891,30 @@ def _edge_junction(mesh: TetMesh, trace: TraceSet) -> _Route:
     share, so what is left on block 1 is v itself: the block splits are
     independent."""
     info = geometry_info(mesh)
-    E = surface(mesh).edge_by_name(info.junction_edge)
+    surf = surface(mesh)
+    E = surf.edge_by_name(info.junction_edge)
     shared = trace.edge_mask[E.fine_edges].all()
     if trace.node_mask[E.fine_nodes].any() and not shared:
+        touching = [x.name for x in trace.coarse_faces + trace.coarse_edges
+                    if np.isin(x.fine_nodes, E.fine_nodes).any()]
+        touching += [n for n, i in surf.vertices.items()
+                     if i in trace.vertex_nodes and i in E.fine_nodes]
         raise PreconditionError(
             "the junction edge meets the trace in a proper subset; "
-            "not a catalog case"
-        )
+            "not a catalog case", entity=touching[0])
     sub0 = extract_block(mesh, 0)
     sub1 = extract_block(mesh, 1)
-    block0 = _block_plan(sub0, trace.node_mask, trace.edge_mask)
     em1 = trace.edge_mask.copy()
     em1[E.fine_edges] = True
     nm1 = trace.node_mask.copy()
     nm1[E.fine_nodes] = True
-    block1 = _block_plan(sub1, nm1, em1)
+    try:
+        block0 = _block_plan(sub0, trace.node_mask, trace.edge_mask)
+        block1 = _block_plan(sub1, nm1, em1)
+    except PreconditionError as ex:  # a block refusal names the trace, not the block
+        if ex.entity is None:
+            ex.entity = ";".join(trace.spec)
+        raise
     log = not shared or trace.has_edges() or not all(c["lipschitz"] for c in trace.components)
     claims = {"rhs1": "curl_semi" if trace.J <= 1 else "curl", "rhs2": "curl",
               "log": bool(log)}

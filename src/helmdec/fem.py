@@ -7,7 +7,10 @@ right-hand) normal.  Mass and the nodal stiffness use exact barycentric
 integral formulas.  Every curl-curl form is built from one cached sparse
 (3nt x ne) curl matrix C: the per-tet curl of an edge field is one matvec
 C v, and the (weighted) edge stiffness is C^T W C with W the per-tet
-weighted volumes, repeated for the three curl components.  Sparse SPD
+weighted volumes, repeated for the three curl components.  Assemblies
+build int32 index arrays, cast once from the mesh tables: 4-byte
+temporaries, and the index dtype scipy gives these CSR results anyway
+below 2^31 entries.  Sparse SPD
 factors are chosen by matrix family: `Cholesky`, a nested-dissection
 multifrontal Cholesky, for the cotree curl-curl block, and SuperLU for the
 smaller nodal blocks: `cached_solver` holds one symmetric-mode factor of
@@ -154,9 +157,9 @@ def _curl_matrix(mesh: TetMesh) -> sp.csr_matrix:
     def build():
         nt = mesh.nt
         tab = shape_table(mesh)
-        indices = np.repeat(mesh.tet_edges, 3, axis=0).ravel()
-        C = sp.csr_matrix((tab.curl[tab.cls].ravel(), indices, np.arange(0, 18 * nt + 1, 6)),
-                          shape=(3 * nt, mesh.ne))
+        indices = np.repeat(mesh.tet_edges.astype(np.int32), 3, axis=0).ravel()
+        indptr = np.arange(0, 18 * nt + 1, 6, dtype=np.int32)
+        C = sp.csr_matrix((tab.curl[tab.cls].ravel(), indices, indptr), shape=(3 * nt, mesh.ne))
         C.eliminate_zeros()
         for a in (C.data, C.indices, C.indptr):
             a.setflags(write=False)
@@ -191,8 +194,8 @@ def gradient_map(mesh: TetMesh) -> sp.csr_matrix:
 
     def build():
         ne = mesh.ne
-        return sp.csr_matrix((np.tile([-1.0, 1.0], ne), mesh.edges.ravel(),
-                              np.arange(0, 2 * ne + 1, 2)), shape=(ne, mesh.nv))
+        return sp.csr_matrix((np.tile([-1.0, 1.0], ne), mesh.edges.astype(np.int32).ravel(),
+                              np.arange(0, 2 * ne + 1, 2, dtype=np.int32)), shape=(ne, mesh.nv))
 
     return mesh.cached("gradient_map", build)
 
@@ -203,10 +206,10 @@ def curl_map(mesh: TetMesh) -> sp.csr_matrix:
     normal."""
 
     def build():
-        rows = np.repeat(np.arange(mesh.nf), 3)
+        rows = np.repeat(np.arange(mesh.nf, dtype=np.int32), 3)
         data = np.tile(np.array([1.0, 1.0, -1.0]), mesh.nf)  # pairs 01, 12, 02
-        return sp.csr_matrix(
-            (data, (rows, mesh.face_edges().ravel())), shape=(mesh.nf, mesh.ne))
+        return sp.csr_matrix((data, (rows, mesh.face_edges().astype(np.int32).ravel())),
+                             shape=(mesh.nf, mesh.ne))
 
     return mesh.cached("curl_map", build)
 
@@ -230,7 +233,7 @@ _S4 = (1.0 + np.eye(4)) / 20.0
 def _assemble_nodal(mesh: TetMesh, kind: str, weight) -> sp.csr_matrix:
     vol = tet_volumes(mesh)
     w = vol if weight is None else vol * weight
-    t = mesh.tets
+    t = mesh.tets.astype(np.int32)
     if kind == "mass":
         loc = w[:, None, None] * _S4[None, :, :]
     else:  # the class grams, gathered and scaled in place
@@ -261,7 +264,7 @@ def _assemble_edge(mesh: TetMesh, kind: str, weight) -> sp.csr_matrix:
     loc *= sign[:, :, None] * sign[:, None, :]
     loc = loc[tab.cls]
     loc *= w[:, None, None]
-    te = mesh.tet_edges
+    te = mesh.tet_edges.astype(np.int32)
     return _scatter(np.repeat(te, 6, axis=1), np.tile(te, (1, 6)), loc, (mesh.ne, mesh.ne))
 
 

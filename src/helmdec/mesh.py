@@ -94,12 +94,13 @@ def _lattice_keys(points: np.ndarray, lo: np.ndarray, span: np.ndarray) -> np.nd
 
 
 def _compact(m) -> None:
-    """Give a CSR/CSC matrix arrays that own exactly its entries: COO
+    """Give a CSR/CSC matrix arrays that hold exactly its entries: COO
     summing and `eliminate_zeros` leave views into longer buffers, which
-    are copied, keeping their read-only flag."""
+    are copied, keeping their read-only flag.  A view of a buffer of its
+    own size is kept, so a transpose shares the arrays of its matrix."""
     for name, n in (("data", m.nnz), ("indices", m.nnz), ("indptr", len(m.indptr))):
         a = getattr(m, name)
-        if not a.flags.owndata or len(a) != n:
+        if len(a) != n or getattr(a.base, "nbytes", a.nbytes) != a.nbytes:
             b = a[:n].copy()
             b.setflags(write=a.flags.writeable)
             setattr(m, name, b)
@@ -202,7 +203,8 @@ class TetMesh:
         use.  Builds run under one process-wide lock, so threads sharing a
         mesh get the same object; ndarray results (also inside a returned
         tuple) are frozen read-only, and sparse CSR/CSC ones are compacted
-        (`_compact`)."""
+        (`_compact`): an array is copied only when it views a longer
+        buffer, so every buffer is held once."""
         out = self._cache.get(key, _MISSING)
         if out is _MISSING:
             with _LOCK:
@@ -223,8 +225,9 @@ class TetMesh:
         return self.cached("verts", lambda: self.verts_int / float(self.denom))
 
     def edge_vectors(self) -> np.ndarray:
-        return self.cached("edge_vectors", lambda: (
-            self.verts[self.edges[:, 1]] - self.verts[self.edges[:, 0]]))
+        """(ne, 3) head minus tail, computed on each call: only cold
+        builders read it."""
+        return self.verts[self.edges[:, 1]] - self.verts[self.edges[:, 0]]
 
     def edge_lengths(self) -> np.ndarray:
         return self.cached("edge_lengths",

@@ -55,10 +55,10 @@ def rh_matrix(mesh: TetMesh) -> sp.csr_matrix:
 
     def build():
         ne = mesh.ne
-        cols = (3 * mesh.edges[:, :, None] + np.arange(3)).reshape(ne, 6)
+        cols = 3 * mesh.edges.astype(np.int32)[:, :, None] + np.arange(3, dtype=np.int32)
         vals = np.tile(0.5 * mesh.edge_vectors(), 2)
-        R = sp.csr_matrix((vals.ravel(), cols.ravel(), np.arange(0, 6 * ne + 1, 6)),
-                          shape=(ne, 3 * mesh.nv))
+        indptr = np.arange(0, 6 * ne + 1, 6, dtype=np.int32)
+        R = sp.csr_matrix((vals.ravel(), cols.ravel(), indptr), shape=(ne, 3 * mesh.nv))
         R.eliminate_zeros()
         return R
 
@@ -116,9 +116,11 @@ def harmonic_extend(mesh: TetMesh, boundary_values: np.ndarray) -> NodalField:
 class _CotreeGauge(NamedTuple):
     """Per-mesh blocks of the tree-cotree gauged curl-harmonic extension:
     interior and boundary edges, interior nodes, cotree edges, the curl
-    stiffness rows K[cotree][:, boundary], the interior gradient G_i and
-    the gauge right-hand side map G_i^T M[interior].  A tuple, so that the
-    memo freezes and compacts its arrays."""
+    stiffness rows K[cotree][:, boundary], the interior gradient G_i, the
+    gauge right-hand side map G_i^T M[interior] and the `fem.Cholesky`
+    factor of K[cotree][:, cotree] (None without cotree edges).  K itself
+    is kept in no memo entry.  A tuple, so that the memo freezes and
+    compacts its arrays."""
 
     ie: np.ndarray
     bidx: np.ndarray
@@ -127,6 +129,7 @@ class _CotreeGauge(NamedTuple):
     Kcb: sp.csr_matrix
     Gi: sp.csr_matrix
     GtM: sp.csr_matrix
+    solver: Optional[fem.Cholesky]
 
 
 def _cotree_gauge(mesh: TetMesh) -> _CotreeGauge:
@@ -161,11 +164,13 @@ def _cotree_gauge(mesh: TetMesh) -> _CotreeGauge:
         on_cotree = np.ones(len(ie), dtype=bool)
         on_cotree[tree] = False
         cotree = ie[on_cotree]
-        K = fem.assemble(mesh, "V", "stiffness")
+        Kc = fem._assemble_edge(mesh, "stiffness", None)[cotree]
         M = fem.assemble(mesh, "V", "mass")
         Gi = fem.gradient_map(mesh)[ie][:, inodes].tocsr()
-        return _CotreeGauge(ie, bidx, inodes, cotree, K[cotree][:, bidx],
-                            Gi, (Gi.T @ M[ie]).tocsr())
+        solver = fem.Cholesky(Kc[:, cotree], mesh.verts_int[mesh.edges[cotree]].sum(axis=1),
+                              mesh.name) if len(cotree) else None
+        return _CotreeGauge(ie, bidx, inodes, cotree, Kc[:, bidx],
+                            Gi, (Gi.T @ M[ie]).tocsr(), solver)
 
     return mesh.cached(("curlharm", "cotree"), build)
 
@@ -200,11 +205,8 @@ def curl_harmonic_extend(mesh: TetMesh, boundary_moments: np.ndarray) -> EdgeFie
     gauge = _cotree_gauge(mesh)
     out = np.zeros(boundary_moments.shape)
     out[gauge.bidx] = boundary_moments[gauge.bidx]
-    if len(gauge.cotree):
-        solver = mesh.cached(("cholesky", "curlharm", "cotree"), lambda: fem.Cholesky(
-            fem.assemble(mesh, "V", "stiffness")[gauge.cotree][:, gauge.cotree],
-            mesh.verts_int[mesh.edges[gauge.cotree]].sum(axis=1), mesh.name))
-        out[gauge.cotree] = solver.solve(-(gauge.Kcb @ out[gauge.bidx]))
+    if gauge.solver is not None:
+        out[gauge.cotree] = gauge.solver.solve(-(gauge.Kcb @ out[gauge.bidx]))
     if len(gauge.inodes):
         q = cached_solver(mesh, mesh.boundary_node_mask()).solve(gauge.GtM @ out)
         out[gauge.ie] -= gauge.Gi @ q

@@ -9,6 +9,7 @@ Per-level statistics take the max over samples (bounds are worst case).
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -19,7 +20,7 @@ import numpy as np
 from . import fem, operators as ops
 from .decompose import (CompatibilityViolation, decompose as _dispatch,
                         gradient_field, random_admissible_field)
-from .mesh import TetMesh, build_complex
+from .mesh import build_complex
 from .trace import tag_trace
 
 __all__ = [
@@ -97,18 +98,11 @@ class StabilityReport:
         return "\n".join(lines) + "\n"
 
 
-from functools import lru_cache
-
-
-@lru_cache(maxsize=8)
-def _mesh_cached(geometry: str, k: int) -> TetMesh:
-    return build_complex(geometry, 1.0 / (1 << k))
-
-
 def sweep(geometry: str, trace_spec, route: str, levels, samples: int, seed: int,
           ratio_key: str = "w_h1") -> StabilityReport:
     """Per level, decompose `samples` seeded admissible fields and record
     the max ratio against the route's claimed bound, then fit the growth.
+    Each level's mesh is built in the call and freed before it returns.
 
     PASS iff the relative fit residual is <= 0.2 and, for no-log claims,
     |b| <= 0.1*a.
@@ -120,7 +114,7 @@ def sweep(geometry: str, trace_spec, route: str, levels, samples: int, seed: int
     no_log = False
 
     def run_level(k):
-        mesh = _mesh_cached(geometry, k)
+        mesh = build_complex(geometry, 1.0 / (1 << k))
         trace = tag_trace(mesh, trace_spec)
         best = None
         for s in range(samples):
@@ -144,6 +138,7 @@ def sweep(geometry: str, trace_spec, route: str, levels, samples: int, seed: int
     else:
         results = [run_level(k) for k in levels]
     results.sort(key=lambda t: t[0])
+    gc.collect()  # memo entries refer back to their mesh: free the levels' factors now
     for k, (ratio, norms, nolog) in results:
         no_log = nolog
         rows.append({"level": k, "h": 1.0 / (1 << k), "ratio": ratio, "norms": norms})
@@ -173,7 +168,7 @@ def invariant_battery(geometry: str, trace_spec, route: str, seed: int,
                       level: int = 2) -> list[dict]:
     """Run every assertable invariant for one geometry/trace/route combo and
     return the ledger (failures are data, not exceptions)."""
-    mesh = _mesh_cached(geometry, level)
+    mesh = build_complex(geometry, 1.0 / (1 << level))
     trace = tag_trace(mesh, trace_spec)
     ledger = []
     scale_tol = 1e-10

@@ -314,11 +314,20 @@ def test_edge_junction_shared_is_per_block_decompose():
 
 
 def test_edge_junction_partial_contact_rejected():
+    """A trace that touches the junction edge in a proper subset is refused
+    naming the touching trace entity (a face or a coarse vertex); a block
+    plan's refusal names the trace."""
     mesh = build_complex("edge_junction_pair", 0.25)
     t = tag_trace(mesh, ["z=0#0"])  # touches the junction edge endpoint
     v = dc.random_admissible_field(mesh, t, 18)
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError) as exc:
         dc.decompose(v, t)
+    assert exc.value.entity == "z=0#0"
+    for spec, entity in ((["x=0", "v:(1,1,0)"], "v:(1,1,0)"), (["x=2", "y=2"], "x=2;y=2")):
+        t = tag_trace(mesh, spec)
+        with pytest.raises(PreconditionError) as exc:
+            dc.decompose(fem.EdgeField(mesh, np.zeros(mesh.ne)), t)
+        assert exc.value.entity == entity
 
 
 def test_vertex_junction_gate_refusal():

@@ -361,10 +361,16 @@ def _memo_values(mesh, seen):
             stack.extend(vars(x).values())
 
 
+def _buffer_nbytes(a):
+    """Bytes of the buffer an array holds or views."""
+    return a.nbytes if a.base is None else a.base.nbytes
+
+
 def test_memoized_sparse_arrays_are_compact(monkeypatch):
     """After a four-edge decomposition and a face-chain one (block
-    submeshes), every sparse matrix in a reachable memo has data
-    and indices that own exactly its nnz entries, no memo holds a per-tet
+    submeshes), no sparse matrix in a reachable memo sits on a data or
+    indices buffer longer than its nnz entries, the kernel's cached
+    transposes share the arrays of G, r_h and C, no memo holds a per-tet
     gradient or gram table, and each mesh builds its shape classes once."""
     from helmdec.decompose import decompose, random_admissible_field
     from helmdec.trace import tag_trace
@@ -385,11 +391,18 @@ def test_memoized_sparse_arrays_are_compact(monkeypatch):
     assert len(mats) > 20
     for A in mats:
         for a in (A.data, A.indices):
-            assert a.flags.owndata and len(a) == A.nnz
+            assert len(a) == A.nnz and _buffer_nbytes(a) == a.nbytes
     for m, x in values:
         if isinstance(x, np.ndarray):
             assert x.shape not in ((m.nt, 4, 3), (m.nt, 4, 4))
     assert built and len({id(m) for m in built}) == len(built)
+    meshes = {id(m): m for m, _ in values if "kernel_rhs_transposes" in m._cache}
+    assert meshes
+    for m in meshes.values():
+        for A, At in zip((fem.gradient_map(m), rh_matrix(m), fem._curl_matrix(m)),
+                         m._cache["kernel_rhs_transposes"]):
+            for name in ("data", "indices", "indptr"):
+                assert np.shares_memory(getattr(A, name), getattr(At, name))
 
 
 def test_next_build_releases_a_collected_mesh(monkeypatch):

@@ -215,6 +215,25 @@ def test_cotree_factor_matches_superlu(monkeypatch):
             assert np.array_equal(fem.Cholesky(A, points, name).solve(b), x)
 
 
+def test_cold_builders_leave_no_memo_entry(monkeypatch):
+    """A cold edge-cut call forms the curl stiffness K_V for its cotree
+    block, but neither K_V nor the edge vectors stay in the memo, and a
+    warm call assembles nothing."""
+    mesh = build_complex("unit_cube", 0.25)
+    t = tag_trace(mesh, ["e:x=0,y=0"])
+    assembled = []
+    for name in ("_assemble_edge", "_assemble_nodal"):
+        build = getattr(fem, name)
+        monkeypatch.setattr(fem, name, lambda m, kind, w, build=build: (
+            assembled.append(kind) or build(m, kind, w)))
+    assert dc.decompose(dc.random_admissible_field(mesh, t, 5), t).path == "edge-cut"
+    assert "stiffness" in assembled and ops._cotree_gauge(mesh).solver is not None
+    assert ("op", "V", "stiffness") not in mesh._cache and "edge_vectors" not in mesh._cache
+    assembled.clear()
+    dc.decompose(dc.random_admissible_field(mesh, t, 6), t)
+    assert assembled == []
+
+
 def test_cholesky_refuses_a_singular_block(cube4):
     """The full interior curl-curl block vanishes on interior gradients: its
     factor raises a PreconditionError that names the mesh."""

@@ -98,7 +98,8 @@ def test_output_digest_compare_exit_status(tmp_path):
 
 def test_route_census_lipschitz_paths(tmp_path):
     """On the Lipschitz geometries the census of single faces, face pairs,
-    `boundary` and `concave` plans these paths and refuses none."""
+    `boundary` and `concave` plans these paths and refuses none, and every
+    refusal names its entity."""
     res = run_script("route_census.py", [], tmp_path)
     assert res.returncode == 0, res.stderr
     lines = res.stdout.splitlines()
@@ -106,3 +107,5 @@ def test_route_census_lipschitz_paths(tmp_path):
     assert sum(int(line.split()[-1]) for line in lines if line.startswith("#")) == len(rows)
     paths = {path for geometry, _, path in rows if catalog_info(geometry).lipschitz}
     assert paths == {"kernel", "kernel-multi", "face-chain", "corner-pair-faces"}
+    refusals = [path for _, _, path in rows if path.startswith("!")]
+    assert refusals and not [r for r in refusals if "(None)" in r]

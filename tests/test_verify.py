@@ -43,6 +43,25 @@ def test_sweep_reproducible():
     assert [lv["level"] for lv in r1.levels] == [1, 2, 3]
 
 
+def test_sweep_frees_its_meshes(monkeypatch):
+    """The meshes a sweep builds, with their memos and factors, are freed
+    before it returns; a second sweep builds its own."""
+    import weakref
+
+    built = []
+
+    def build(*args):
+        mesh = build_complex(*args)
+        built.append(weakref.ref(mesh))
+        return mesh
+
+    monkeypatch.setattr(verify, "build_complex", build)
+    for _ in range(2):
+        verify.sweep("unit_cube", ["e:x=0,y=0"], "auto", [1, 2, 3], 1, 5)
+        assert built and all(ref() is None for ref in built)
+    assert len(built) == 6
+
+
 def test_sweep_unknown_route():
     with pytest.raises(ValueError):
         verify.sweep("unit_cube", ["z=0"], "bogus", [1, 2, 3], 2, 0)
