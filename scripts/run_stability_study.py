@@ -27,8 +27,6 @@ CONFIGS = [
     ("vertex_junction_pair", ["x=0", "x=2"], "auto"),
 ]
 
-RATIOS = ["w_h1", "R_scaled", "w_l2_p_h1"]
-
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
@@ -44,9 +42,8 @@ def main():
     print(f"{'geometry':24s} {'trace':28s} {'ratio':10s} "
           f"{'a':>8s} {'b':>8s} {'resid':>7s} {'log?':>5s} verdict")
     for geometry, spec, route in CONFIGS:
-        for key in RATIOS:
-            rep = verify.sweep(geometry, spec, route, levels, args.samples,
-                               args.seed, key)
+        reports = verify.sweep(geometry, spec, route, levels, args.samples, args.seed)
+        for key, rep in reports.items():
             tag = f"{geometry}__{'+'.join(spec)}__{key}".replace("=", "")
             tag = "".join(c if c.isalnum() or c in "+_-" else "-" for c in tag)
             (out / f"{tag}.csv").write_text(rep.to_csv())

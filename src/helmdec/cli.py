@@ -130,6 +130,9 @@ def load_config(path: str, seed_override=None) -> ExperimentConfig:
     if cfg.input not in ("random", "gradient", "perturbed"):
         raise ConfigError(f"unknown input kind {cfg.input!r}")
     cfg.ratio = e.get("ratio", cfg.ratio)
+    if cfg.ratio not in verify.RATIO_KEYS:
+        raise ConfigError(f"unknown ratio {cfg.ratio!r}; expected one of "
+                          f"{', '.join(verify.RATIO_KEYS)}")
     if cp.has_section("hx"):
         h = cp["hx"]
         cfg.alpha = _get(h, "hx", "alpha", float, cfg.alpha)
@@ -226,7 +229,7 @@ def cmd_decompose(cfg: ExperimentConfig, out: Path) -> int:
 
 def cmd_sweep(cfg: ExperimentConfig, out: Path) -> int:
     report = verify.sweep(cfg.geometry, cfg.trace, cfg.route, cfg.levels,
-                          cfg.samples, cfg.seed, cfg.ratio)
+                          cfg.samples, cfg.seed)[cfg.ratio]
     base = _slug(["sweep", cfg.geometry, ",".join(cfg.trace), cfg.route,
                   f"s{cfg.seed}"])
     _write(out / f"{base}.csv", f"# config={cfg.hash}\n" + report.to_csv())

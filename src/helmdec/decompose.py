@@ -431,11 +431,6 @@ def _curl_harmonic_splits(mesh: TetMesh, fields: Sequence[np.ndarray], plans) ->
     return out
 
 
-def _curl_harmonic_split(v: EdgeField, plan):
-    """`_curl_harmonic_splits` of one field (k = 1): its summed p and w."""
-    return _curl_harmonic_splits(v.mesh, [v.values], [plan])[0]
-
-
 # --------------------------------------------------------------------------
 # edge routes
 # --------------------------------------------------------------------------
@@ -613,7 +608,7 @@ def _face_plus_edge(mesh: TetMesh, trace: TraceSet, E: list[CoarseEdge]) -> _Rou
             "that is not in the catalog"
         )
     B = _extended_mesh(mesh, info.extension_id)
-    nmap = _embed_nodes(mesh, B)
+    nmap = B.node_ids(mesh.verts_int)
     pairs = np.sort(nmap[mesh.edges], axis=1)
     gmap = B.edge_ids(pairs[:, 0] * B.nv + pairs[:, 1])
     surfB = surface(B)
@@ -638,11 +633,6 @@ def _face_plus_edge(mesh: TetMesh, trace: TraceSet, E: list[CoarseEdge]) -> _Rou
 
 def _extended_mesh(mesh: TetMesh, ext_id: str) -> TetMesh:
     return mesh.cached(("extension", ext_id), lambda: build_complex(ext_id, mesh.h))
-
-
-def _embed_nodes(mesh: TetMesh, B: TetMesh) -> np.ndarray:
-    """Node ids in B of the nodes of a mesh embedded in it."""
-    return B.node_ids(mesh.verts_int)
 
 
 # --------------------------------------------------------------------------
@@ -1029,9 +1019,9 @@ def _gate_plan(mesh: TetMesh, trace: TraceSet) -> _Gate:
     """The gate of the vertex junction on (mesh, trace), made once.  Row b
     of its matrix is 0 for a pinned block, the first anchored block's row
     for a free block, and for an anchored block the coefficients of
-    `loop_decompose(v, loop, zero_mean_edge=E).phi_at(v0)`.  An anchored
-    block's shift is the first loop edge off the trace and off E whose
-    coefficient exceeds 1e-12."""
+    `dec.phi[loop.node_pos(v0)]` with `dec = loop_decompose(v, loop,
+    zero_mean_edge=E)`.  An anchored block's shift is the first loop edge
+    off the trace and off E whose coefficient exceeds 1e-12."""
 
     def build():
         info = geometry_info(mesh)
@@ -1169,7 +1159,7 @@ def _vertex_junction(mesh: TetMesh, trace: TraceSet) -> _Route:
                                                     per_edge, pin_nodes)
                 vb = EdgeField(sub.mesh, sub.restrict_edge(vhat))
                 _check_zero_moments(vb, loop_edges, "the patch boundary")
-                pl, wl = _curl_harmonic_split(vb, split)
+                pl, wl = _curl_harmonic_splits(sub.mesh, [vb.values], [split])[0]
                 pb = phi_g[sub.vert_map] + pl
                 wb = ct[sub.vert_map] + wl
             p[sub.vert_map[keep]] = pb[keep]

@@ -300,9 +300,6 @@ class LoopDecomposition:
     c_shift: float
     l0: float
 
-    def phi_at(self, node: int) -> float:
-        return float(self.phi[self.loop.node_pos(node)])
-
 
 def _loop_moments(v: EdgeField, loop: BoundaryLoop) -> np.ndarray:
     return v.values[loop.edges] * loop.signs

@@ -147,10 +147,10 @@ def test_criterion_6_log_growth_fits():
     boundary (no-log claim)."""
     t0 = time.time()
     rep_face = verify.sweep("unit_cube", ["z=0"], "auto", [1, 2, 3, 4], 20,
-                            SEED, "w_h1")
+                            SEED)["w_h1"]
     assert rep_face.fit_residual <= 0.2, rep_face.fit_residual
     rep_bd = verify.sweep("unit_cube", ["boundary"], "auto", [1, 2, 3, 4], 60,
-                          SEED, "w_h1")
+                          SEED)["w_h1"]
     assert rep_bd.fit_residual <= 0.2, rep_bd.fit_residual
     assert rep_bd.no_log_claim
     a, b = rep_bd.fit

@@ -159,6 +159,28 @@ def test_sweep_two_levels_rejected(tmp_path):
     assert run("sweep", cfg, tmp_path / "s") == 2
 
 
+def test_unknown_ratio_is_config_error(tmp_path, monkeypatch, capsys):
+    # refused when the config loads, before any level is meshed
+    from helmdec import verify
+
+    def no_sweep(*args):
+        raise AssertionError("sweep ran")
+
+    monkeypatch.setattr(verify, "sweep", no_sweep)
+    cfg = write_cfg(tmp_path, BASE + "ratio = bogus\n")
+    assert run("sweep", cfg, tmp_path / "s") == 2
+    err = capsys.readouterr().err
+    assert "'bogus'" in err and all(key in err for key in verify.RATIO_KEYS)
+    assert "Traceback" not in err
+
+
+def test_sweep_writes_the_configured_ratio(tmp_path):
+    cfg = write_cfg(tmp_path, BASE + "ratio = R_scaled\n")
+    assert run("sweep", cfg, tmp_path / "s") == 0
+    (path,) = (tmp_path / "s").glob("*.json")
+    assert json.loads(path.read_text())["ratio_key"] == "R_scaled"
+
+
 def _tree_bytes(root: Path):
     return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 

@@ -205,10 +205,10 @@ def test_moment_sign_flips_with_orientation(cube4, rng):
 
 def test_zero_extension_preserves_norms():
     g = build_complex("cube_in_box", 0.25)
-    from helmdec.decompose import _embed_nodes, _extended_mesh
+    from helmdec.decompose import _extended_mesh
 
     B = _extended_mesh(g, "cube_in_box_B")
-    nmap = _embed_nodes(g, B)
+    nmap = B.node_ids(g.verts_int)
     rng = np.random.default_rng(4)
     w = np.zeros((g.nv, 3))
     inner = ~g.boundary_node_mask()

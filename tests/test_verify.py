@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from helmdec import fem, operators as ops, verify
+from helmdec import decompose as dc, fem, operators as ops, verify
 from helmdec.mesh import build_complex
+from helmdec.trace import tag_trace
 
 
 def test_fit_constant_series():
@@ -35,12 +36,58 @@ def test_sweep_needs_three_levels():
 
 
 def test_sweep_reproducible():
-    r1 = verify.sweep("unit_cube", ["z=0"], "kernel", [1, 2, 3], 3, 42)
-    r2 = verify.sweep("unit_cube", ["z=0"], "kernel", [1, 2, 3], 3, 42)
-    assert r1.to_json() == r2.to_json()
-    assert r1.to_csv() == r2.to_csv()
-    assert len(r1.levels) == 3
-    assert [lv["level"] for lv in r1.levels] == [1, 2, 3]
+    s1 = verify.sweep("unit_cube", ["z=0"], "kernel", [1, 2, 3], 3, 42)
+    s2 = verify.sweep("unit_cube", ["z=0"], "kernel", [1, 2, 3], 3, 42)
+    assert list(s1) == list(s2) == list(verify.RATIO_KEYS)
+    for key in verify.RATIO_KEYS:
+        r1, r2 = s1[key], s2[key]
+        assert r1.to_json() == r2.to_json()
+        assert r1.to_csv() == r2.to_csv()
+        assert len(r1.levels) == 3
+        assert [lv["level"] for lv in r1.levels] == [1, 2, 3]
+
+
+def test_sweep_decomposes_each_sample_once(monkeypatch):
+    """One decompose per (level, sample) serves every ratio key, and each
+    key's report equals that of a separate pass over the same seeds."""
+    geometry, spec, levels, samples, seed = "unit_cube", ["e:x=0,y=0"], [1, 2, 3], 2, 5
+    dispatch = verify._dispatch
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return dispatch(*args)
+
+    monkeypatch.setattr(verify, "_dispatch", counted)
+    reports = verify.sweep(geometry, spec, "auto", levels, samples, seed)
+    assert len(calls) == len(levels) * samples
+    assert list(reports) == list(verify.RATIO_KEYS)
+    for key, rep in reports.items():
+        rows = []
+        for k in levels:
+            mesh = build_complex(geometry, 1.0 / (1 << k))
+            trace = tag_trace(mesh, spec)
+            best = None
+            for s in range(samples):
+                v = dc.random_admissible_field(mesh, trace, [seed, k, s])
+                split = dispatch(v, trace, "auto")
+                r = split.ratios[key]
+                if best is None or r > best["ratio"]:
+                    best = {"level": k, "h": 1.0 / (1 << k), "ratio": r,
+                            "norms": split.norms}
+                    no_log = not split.claims.get("log", True)
+            rows.append(best)
+        a, b, rel = verify.fit_log_growth([row["h"] for row in rows],
+                                          [row["ratio"] for row in rows])
+        verdict = "PASS"
+        if rel > verify.FIT_RESIDUAL_TOL or (
+                no_log and abs(b) > verify.NO_LOG_SLOPE_FRACTION * abs(a)):
+            verdict = "FAIL"
+        assert rep.ratio_key == key
+        assert rep.levels == rows
+        assert rep.fit == (a, b) and rep.fit_residual == rel
+        assert rep.no_log_claim == no_log
+        assert rep.verdict == verdict
 
 
 def test_sweep_frees_its_meshes(monkeypatch):
@@ -102,4 +149,6 @@ def test_threaded_sweep_matches_serial(monkeypatch):
     serial = verify.sweep("unit_cube", ["z=0"], "kernel", [1, 2, 3], 4, 6)
     monkeypatch.setenv("HELMDEC_THREADS", "3")
     threaded = verify.sweep("unit_cube", ["z=0"], "kernel", [1, 2, 3], 4, 6)
-    assert serial.to_json() == threaded.to_json()
+    assert list(serial) == list(threaded) == list(verify.RATIO_KEYS)
+    for key in verify.RATIO_KEYS:
+        assert serial[key].to_json() == threaded[key].to_json(), key
