@@ -23,11 +23,11 @@ from pathlib import Path
 import numpy as np
 
 from . import fem, hx, verify
-from .decompose import (CompatibilityViolation, decompose as _dispatch,
+from .decompose import (ROUTES, CompatibilityViolation, decompose as _dispatch,
                         gradient_field, incompatible_field,
                         random_admissible_field)
 from .geometry import GeometryError, catalog_names
-from .mesh import build_complex, mesh_to_text
+from .mesh import build_complex, write_mesh
 from .operators import PreconditionError
 from .trace import TraceError, tag_trace
 
@@ -123,6 +123,9 @@ def load_config(path: str, seed_override=None) -> ExperimentConfig:
         raise ConfigError(f"unknown geometry {cfg.geometry!r}")
     cfg.trace = tuple(t.strip() for t in e.get("trace", "").split(";") if t.strip())
     cfg.route = e.get("route", cfg.route)
+    if cfg.route not in ROUTES:
+        raise ConfigError(f"unknown route {cfg.route!r}; expected one of "
+                          f"{', '.join(ROUTES)}")
     cfg.levels = _get(e, "experiment", "levels", _parse_levels, cfg.levels)
     cfg.samples = _get(e, "experiment", "samples", _parse_count, cfg.samples)
     cfg.seed = _get(e, "experiment", "seed", int, cfg.seed)
@@ -170,8 +173,10 @@ def cmd_mesh(cfg: ExperimentConfig, out: Path) -> int:
         mesh = build_complex(cfg.geometry, 1.0 / (1 << k))
         if cfg.trace:
             tag_trace(mesh, cfg.trace)  # validates the names
-        text = f"# config={cfg.hash}\n" + mesh_to_text(mesh, list(cfg.trace))
-        _write(out / f"{cfg.geometry}_L{k}.mesh.txt", text)
+        out.mkdir(parents=True, exist_ok=True)
+        with (out / f"{cfg.geometry}_L{k}.mesh.txt").open("w") as stream:
+            stream.write(f"# config={cfg.hash}\n")
+            write_mesh(mesh, stream, list(cfg.trace))
     print(f"wrote {len(cfg.levels)} mesh file(s) to {out}")
     return EXIT_OK
 

@@ -33,6 +33,11 @@ subdomain split, whose column extensions are one 4-column solve);
 on the nodal factor of its pin mask (`fem.cached_solver`).  The residual R
 and the norm battery are computed once, in `_finish`.  Stability is
 measured (norm quotients against the claimed bound), not assumed.
+
+The planners read which coarse faces, edges and blocks meet from the
+incidence `trace.surface` records once (`CoarseFace.edges`, `.block`,
+`Surface.edge_of`); only contact at a single node (a corner pair's apex,
+disjoint edges, the junction edge) is read from the fine node sets.
 """
 
 from __future__ import annotations
@@ -56,6 +61,7 @@ from .trace import (CoarseEdge, CoarseFace, TraceSet, _fine_closure,
 __all__ = [
     "HelmholtzSplit",
     "CompatibilityViolation",
+    "ROUTES",
     "decompose",
     "random_admissible_field",
     "gradient_field",
@@ -440,10 +446,10 @@ def _edge_nodes(E: Sequence[CoarseEdge]) -> np.ndarray:
 
 
 def _find_face_for_edge(mesh, E: list[CoarseEdge], forbidden_nodes=None) -> CoarseFace:
-    surf = surface(mesh)
-    fine = np.concatenate([e.fine_edges for e in E])
-    for f in surf.faces:
-        if not np.all(np.isin(fine, f.boundary_edges)):
+    """The first face with every edge of E on its boundary, clear of `forbidden_nodes`."""
+    ids = {e.id for e in E}
+    for f in surface(mesh).faces:
+        if not ids.issubset(f.edges):
             continue
         if forbidden_nodes is not None and forbidden_nodes[f.fine_nodes].any():
             continue
@@ -539,23 +545,14 @@ def _corner_pair(mesh: TetMesh, trace: TraceSet) -> _Route:
     apex = int(shared[0])
 
     def edge_between(fa, fb):
-        for e in surf.edges:
-            if apex in e.fine_nodes and np.all(np.isin(e.fine_edges, fa.fine_edges)) \
-                    and np.all(np.isin(e.fine_edges, fb.fine_edges)):
-                return e
-        return None
+        return next((surf.edges[i] for i in sorted(set(fa.edges) & set(fb.edges))
+                     if apex in surf.edges[i].fine_nodes), None)
 
-    W = None
-    E1 = E2 = None
-    for cand in surf.faces:
-        if cand.id in (f1.id, f2.id):
-            continue
-        e1 = edge_between(f1, cand)
-        e2 = edge_between(f2, cand)
-        if e1 is not None and e2 is not None:
-            W, E1, E2 = cand, e1, e2
+    for W in surf.faces:
+        E1, E2 = edge_between(f1, W), edge_between(f2, W)
+        if W.id not in (f1.id, f2.id) and E1 is not None and E2 is not None:
             break
-    if W is None:
+    else:
         raise PreconditionError("no auxiliary face adjoins both trace faces at the vertex")
 
     # the curl-harmonic split against W: one kernel pinned on W, one on
@@ -577,11 +574,10 @@ def _face_plus_edge(mesh: TetMesh, trace: TraceSet, E: list[CoarseEdge]) -> _Rou
         contact = enodes[trace.node_mask[enodes]]
         if len(contact) != 1:
             raise PreconditionError("edge meets the face trace in more than a point")
-        eprime = None
-        for ce in surf.edges:
-            if int(contact[0]) in ce.fine_nodes and trace.edge_mask[ce.fine_edges].all():
-                eprime = ce
-                break
+        # the first coarse edge of a trace face through the contact
+        traced = sorted({i for f in trace.coarse_faces for i in f.edges})
+        eprime = next((surf.edges[i] for i in traced if contact[0] in surf.edges[i].fine_nodes),
+                      None)
         if eprime is None:
             raise PreconditionError("no trace edge through the contact vertex")
         union = E + [eprime]
@@ -854,14 +850,10 @@ def _faces_only_trace(trace: TraceSet) -> TraceSet:
 # edge junction (two blocks sharing one coarse edge)
 # --------------------------------------------------------------------------
 
-def _sub_trace(sub: Submesh, node_mask: np.ndarray, edge_mask: np.ndarray) -> TraceSet:
-    return trace_from_fine(sub.mesh, node_mask[sub.vert_map], edge_mask[sub.edge_map])
-
-
 def _block_plan(sub: Submesh, node_mask: np.ndarray, edge_mask: np.ndarray):
     """A block, the trace masks restricted to it as a trace of the block
     mesh, and that trace's plan."""
-    trace = _sub_trace(sub, node_mask, edge_mask)
+    trace = trace_from_fine(sub.mesh, node_mask[sub.vert_map], edge_mask[sub.edge_map])
     return sub, trace, _plan("auto", trace)
 
 
@@ -932,51 +924,35 @@ def _edge_junction(mesh: TetMesh, trace: TraceSet) -> _Route:
 # vertex junction (blocks sharing one vertex)
 # --------------------------------------------------------------------------
 
-def _block_kind(trace: TraceSet, sub: Submesh, v0: int) -> str:
-    """pinned: the block's trace part contains the vertex; free: the block
-    carries no trace entity (its potential constant is a gauge); anchored:
-    trace present but clear of the vertex (gate participant)."""
+def _block_kind(trace: TraceSet, b: int, v0: int) -> str:
+    """The kind of block b, read from the block labels of the trace's faces
+    and edges.  pinned: the block's trace part contains the vertex; free:
+    the block carries no trace entity (its potential constant is a gauge);
+    anchored: trace present but clear of the vertex (gate participant)."""
     if v0 in trace.vertex_nodes:
         return "pinned"
-    nm = sub.node_mask()
-    has_any = False
-    for f in trace.coarse_faces:
-        if nm[f.fine_nodes].all():
-            has_any = True
-            if v0 in f.fine_nodes:
-                return "pinned"
-    for e in trace.coarse_edges:
-        if nm[e.fine_nodes].all():
-            has_any = True
-            if v0 in e.fine_nodes:
-                return "pinned"
-    return "anchored" if has_any else "free"
+    held = [x for x in trace.coarse_faces + trace.coarse_edges if x.block == b]
+    if any(v0 in x.fine_nodes for x in held):
+        return "pinned"
+    return "anchored" if held else "free"
 
 
 def _anchored_setup(mesh, surf, block_faces, v0, trace: TraceSet):
     """Loop face + normalization edge for a trace-anchored block: a face
     through the vertex whose contact with the trace is exactly one whole
-    coarse boundary edge (the anchor E)."""
+    coarse boundary edge (the anchor E), clear of the vertex."""
     for f in block_faces:
         if v0 not in f.fine_nodes:
             continue
-        contact = np.nonzero(trace.edge_mask[f.fine_edges])[0]
-        if len(contact) == 0:
+        traced = [surf.edges[i] for i in f.edges
+                  if trace.edge_mask[surf.edges[i].fine_edges].all()]
+        if len(traced) != 1 or v0 in traced[0].fine_nodes:
             continue
         bnodes = np.unique(mesh.edges[f.boundary_edges].ravel())
         inner_nodes = np.setdiff1d(f.fine_nodes, bnodes)
         if trace.node_mask[inner_nodes].any():
             continue
-        for e in surf.edges:
-            if v0 in e.fine_nodes:
-                continue
-            if not np.all(np.isin(e.fine_edges, f.boundary_edges)):
-                continue
-            if not trace.edge_mask[e.fine_edges].all():
-                continue
-            onface = f.fine_edges[trace.edge_mask[f.fine_edges]]
-            if np.array_equal(np.sort(onface), np.sort(e.fine_edges)):
-                return f, ops.build_loop(mesh, [f]), e
+        return f, ops.build_loop(mesh, [f]), traced[0]
     raise PreconditionError(
         "no loop face at the junction vertex meets the block trace in a "
         "single whole edge"
@@ -993,15 +969,8 @@ def _free_setup(mesh, block_faces, v0):
 def _adjacent_coarse_edges(surf, loop, E):
     """Coarse edges of the loop immediately before and after E."""
     first, last = ops._cyclic_arc(loop.n, ops._edge_arc_positions(loop, E))
-    before = loop.edges[(first - 1) % loop.n]
-    after = loop.edges[(last + 1) % loop.n]
-    e1 = e2 = None
-    for ce in surf.edges:
-        if before in ce.fine_edges:
-            e1 = ce
-        if after in ce.fine_edges:
-            e2 = ce
-    return e1, e2
+    ids = surf.edge_of[loop.edges[[(first - 1) % loop.n, (last + 1) % loop.n]]]
+    return tuple(surf.edges[i] if i >= 0 else None for i in ids)
 
 
 class _Gate(NamedTuple):
@@ -1016,33 +985,32 @@ class _Gate(NamedTuple):
 
 
 def _gate_plan(mesh: TetMesh, trace: TraceSet) -> _Gate:
-    """The gate of the vertex junction on (mesh, trace), made once.  Row b
-    of its matrix is 0 for a pinned block, the first anchored block's row
-    for a free block, and for an anchored block the coefficients of
-    `dec.phi[loop.node_pos(v0)]` with `dec = loop_decompose(v, loop,
-    zero_mean_edge=E)`.  An anchored block's shift is the first loop edge
-    off the trace and off E whose coefficient exceeds 1e-12."""
+    """The gate of the vertex junction on (mesh, trace), made once.  Each
+    block's kind and loop face come from the block labels of the coarse
+    entities.  Row b of its matrix is 0 for a pinned block, the first
+    anchored block's row for a free block, and for an anchored block the
+    coefficients of `dec.phi[loop.node_pos(v0)]` with `dec =
+    loop_decompose(v, loop, zero_mean_edge=E)`.  An anchored block's shift
+    is the first loop edge off the trace and off E whose coefficient
+    exceeds 1e-12."""
 
     def build():
         info = geometry_info(mesh)
         surf = surface(mesh)
         v0 = int(mesh.node_ids(np.multiply(info.junction_vertex, mesh.denom))[0])
         nblocks = len(info.complex.blocks)
-        # the surface faces of each block depend on the mesh alone
-        block_faces = mesh.cached("block_faces", lambda: [
-            [f for f in surf.faces if np.isin(f.fine_nodes, extract_block(mesh, b).vert_map).all()]
-            for b in range(nblocks)])
         kinds, setups, shifts = [], [], []
-        rows = sp.lil_matrix((nblocks, mesh.ne))
+        entries = [(np.zeros(0, dtype=np.int64), np.zeros(0))] * nblocks  # (edges, coefs)
         for b in range(nblocks):
-            kind = _block_kind(trace, extract_block(mesh, b), v0)
+            kind = _block_kind(trace, b, v0)
             kinds.append(kind)
             shifts.append(None)
             if kind == "pinned":
                 setups.append(None)
                 continue
-            F, loop, E = (_anchored_setup(mesh, surf, block_faces[b], v0, trace)
-                          if kind == "anchored" else _free_setup(mesh, block_faces[b], v0))
+            faces = [f for f in surf.faces if f.block == b]
+            F, loop, E = (_anchored_setup(mesh, surf, faces, v0, trace)
+                          if kind == "anchored" else _free_setup(mesh, faces, v0))
             k0 = loop.node_pos(v0)
             setups.append((F, loop, E, k0))
             if kind == "free":
@@ -1053,9 +1021,9 @@ def _gate_plan(mesh: TetMesh, trace: TraceSet) -> _Gate:
             walk = np.tri(loop.n, k=-1) - np.cumsum(np.r_[0.0, L[:-1]])[:, None] / L.sum()
             mean = (0.5 * L[pos]) @ (walk[pos] + walk[(pos + 1) % loop.n]) / L[pos].sum()
             coef = (walk[k0] - mean) * loop.signs
-            rows[b, loop.edges] = coef
+            entries[b] = (loop.edges, coef)
             movable = ((np.abs(coef) > 1e-12) & ~trace.edge_mask[loop.edges]
-                       & ~np.isin(loop.edges, E.fine_edges))
+                       & (surf.edge_of[loop.edges] != E.id))
             if not movable.any():
                 raise PreconditionError(
                     f"no loop moment of block {b} moves its potential at the junction "
@@ -1064,8 +1032,13 @@ def _gate_plan(mesh: TetMesh, trace: TraceSet) -> _Gate:
             shifts[b] = (int(loop.edges[k]), float(coef[k]))
         if "anchored" in kinds:
             for b in (b for b, k in enumerate(kinds) if k == "free"):
-                rows[b] = rows[kinds.index("anchored")]
-        return _Gate(v0, kinds, setups, rows.tocsr(), shifts)
+                entries[b] = entries[kinds.index("anchored")]
+        # one CSR build: sorted column indices, exact zeros dropped
+        edges, coefs = (np.concatenate(x) for x in zip(*entries))
+        blocks = np.repeat(np.arange(nblocks), [len(e) for e, _ in entries])
+        rows = sp.csr_matrix((coefs, (blocks, edges)), shape=(nblocks, mesh.ne))
+        rows.eliminate_zeros()
+        return _Gate(v0, kinds, setups, rows, shifts)
 
     return mesh.cached(("vertex-gate",) + _trace_key(trace), build)
 
@@ -1095,14 +1068,14 @@ def _vertex_junction(mesh: TetMesh, trace: TraceSet) -> _Route:
             log = log or block[2].claims["log"]  # the claims of the block's plan
             continue
         log = True
-        xr = _sub_trace(sub, trace.node_mask, trace.edge_mask)
+        pins = trace.node_mask[sub.vert_map]
         F, loop, E, _ = setup
         fsub = next((f for f in surface(sub.mesh).faces if f.plane == F.plane), None)
         if fsub is None:
             raise PreconditionError(
                 f"block {b} has no surface face on the plane of {F.name}", entity=F.name)
         split = (np.isin(sub.edge_map, loop.edges),
-                 _split_plan(sub.mesh, [fsub], xr.node_mask, xr.node_mask))
+                 _split_plan(sub.mesh, [fsub], pins, pins))
         if kind == "anchored":
             # the loop correction is linear in the loop average C: kept for C = 1
             posE = ops._edge_arc_positions(loop, E)
@@ -1172,6 +1145,7 @@ def _vertex_junction(mesh: TetMesh, trace: TraceSet) -> _Route:
 
 
 _ROUTES = {"auto": _route, "kernel": _kernel_route, "face-chain": _face_chain}
+ROUTES = tuple(_ROUTES)
 
 
 # --------------------------------------------------------------------------

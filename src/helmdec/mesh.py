@@ -9,7 +9,6 @@ so node identification across blocks and refinement levels is exact.
 from __future__ import annotations
 
 import ctypes
-import io
 import threading
 import weakref
 from dataclasses import dataclass, field
@@ -597,12 +596,6 @@ def read_mesh(stream) -> tuple[TetMesh, list[str]]:
     return mesh, tags
 
 
-def mesh_to_text(mesh: TetMesh, trace_tags: list[str] | None = None) -> str:
-    buf = io.StringIO()
-    write_mesh(mesh, buf, trace_tags)
-    return buf.getvalue()
-
-
 # --------------------------------------------------------------------------
 # submeshes
 # --------------------------------------------------------------------------
@@ -615,7 +608,6 @@ class Submesh:
     parent: TetMesh
     vert_map: np.ndarray  # sub vertex id -> parent vertex id
     edge_map: np.ndarray  # sub edge id -> parent edge id
-    tet_map: np.ndarray   # sub tet id -> parent tet id
 
     def restrict_edge(self, values: np.ndarray) -> np.ndarray:
         return values[self.edge_map].copy()
@@ -648,7 +640,7 @@ def extract_tets(mesh: TetMesh, tet_mask: np.ndarray, name: str) -> Submesh:
     pedges = vmap[sub.edges]
     keys = _pack_pairs(np.sort(pedges, axis=1), mesh.nv)
     emap = mesh.edge_ids(keys)
-    return Submesh(sub, mesh, vmap, emap, tids)
+    return Submesh(sub, mesh, vmap, emap)
 
 
 def extract_block(mesh: TetMesh, block: int) -> Submesh:

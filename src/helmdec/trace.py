@@ -68,6 +68,8 @@ class CoarseFace:
     boundary_edges: np.ndarray  # fine edges of the patch boundary curve
     concave: bool
     outward_sign: np.ndarray    # +-1 per fine face vs canonical face normal
+    edges: tuple = ()     # ascending ids of the coarse edges on the boundary curve
+    block: int = -1       # the block whose tets hold every fine face; -1 if several
 
 
 @dataclass
@@ -76,17 +78,20 @@ class CoarseEdge:
     name: str
     fine_edges: np.ndarray  # ordered along the line
     fine_nodes: np.ndarray  # ordered along the line
+    block: int = -1         # the block whose tets hold every fine edge; -1 if several
 
 
 @dataclass
 class Surface:
-    """All coarse boundary entities of a meshed complex."""
+    """All coarse boundary entities of a meshed complex, which carry their
+    incidence (face edges, blocks), and the coarse edge of each fine edge."""
 
     mesh: TetMesh
     faces: list[CoarseFace]
     edges: list[CoarseEdge]
     vertices: dict[str, int]       # name -> node id
     aliases: dict[str, str]
+    edge_of: np.ndarray = None     # fine edge -> coarse edge id, -1 off the creases
 
     def face_by_name(self, name: str) -> CoarseFace:
         name = self.aliases.get(name, name)
@@ -202,6 +207,12 @@ def _number(ents: list) -> None:
         x.id = i
 
 
+def _sole(labels: np.ndarray) -> int:
+    """The one value of `labels`, or -1 when it holds several."""
+    u = np.unique(labels)
+    return int(u[0]) if len(u) == 1 else -1
+
+
 def _build_surface(mesh: TetMesh) -> Surface:
     bmask = mesh.boundary_face_mask()
     bfids = np.nonzero(bmask)[0]
@@ -241,6 +252,7 @@ def _build_surface(mesh: TetMesh) -> Surface:
             concave=bool(concave[pid[comp[0]]]),
             # the canonical fine-face normal against the outward one
             outward_sign=sign[comp].astype(np.int8),
+            block=_sole(mesh.block_of_tet[mesh.face_tets[ffaces, 0]]),
         ))
     _number(faces)
 
@@ -268,6 +280,12 @@ def _build_surface(mesh: TetMesh) -> Surface:
     lid = _row_ranks(np.column_stack([d, np.cross(v[ends[:, 0]], d),
                                       edge_planes[is_crease]]))[1]
 
+    # the lowest and highest block label among the tets of each fine edge
+    lab = np.repeat(mesh.block_of_tet, 6)
+    lo, hi = np.full(mesh.ne, lab.max(initial=0)), np.zeros(mesh.ne, dtype=lab.dtype)
+    np.minimum.at(lo, mesh.tet_edges.ravel(), lab)
+    np.maximum.at(hi, mesh.tet_edges.ravel(), lab)
+
     edges: list[CoarseEdge] = []
     chains = linked_components(lid[:, None] * mesh.nv + ends)
     for comp in sorted(chains, key=lambda c: lid[c[0]]):
@@ -281,9 +299,20 @@ def _build_surface(mesh: TetMesh) -> Surface:
                 name=_edge_name(mesh, nodes),
                 fine_edges=fe,
                 fine_nodes=nodes,
+                block=_sole(np.concatenate([lo[fe], hi[fe]])),
             )
         )
     _number(edges)
+
+    # the coarse edges of a face: those whose fine edges all lie on its
+    # boundary curve (the trailing 0 sizes the fine edges off the creases)
+    edge_of = np.full(mesh.ne, -1, dtype=np.int64)
+    for e in edges:
+        edge_of[e.fine_edges] = e.id
+    size = np.array([len(e.fine_edges) for e in edges] + [0])
+    for f in faces:
+        ids, count = np.unique(edge_of[f.boundary_edges], return_counts=True)
+        f.edges = tuple(ids[count == size[ids]].tolist())
 
     # coarse vertices: block corners present on the boundary
     info = CATALOG.get(mesh.name)
@@ -299,7 +328,7 @@ def _build_surface(mesh: TetMesh) -> Surface:
                 vertices[f"v:({bu[0]},{bu[1]},{bu[2]})"] = nid
 
     aliases = dict(info.aliases) if info is not None else {}
-    return Surface(mesh, faces, edges, vertices, aliases)
+    return Surface(mesh, faces, edges, vertices, aliases, edge_of)
 
 
 # --------------------------------------------------------------------------
@@ -455,16 +484,9 @@ class InterfaceFace:
     """A coarse face shared by two blocks (not part of the boundary)."""
 
     blocks: tuple[int, int]
-    fine_faces: np.ndarray
-    fine_edges: np.ndarray
     fine_nodes: np.ndarray
-    boundary_edges: np.ndarray   # fine edges of the interface boundary curve
-    boundary_nodes: np.ndarray
+    boundary_nodes: np.ndarray    # nodes of the interface boundary curve
     plane: tuple                  # unoriented reduced plane key
-
-    @property
-    def name(self) -> str:
-        return f"iface:{self.blocks[0]}:{self.blocks[1]}"
 
 
 def interface_faces(mesh: TetMesh) -> list[InterfaceFace]:
@@ -488,16 +510,12 @@ def _build_interfaces(mesh: TetMesh) -> list[InterfaceFace]:
     for pair in sorted(groups):
         ff = np.array(groups[pair])
         tri = mesh.faces[ff]
-        bedges = mesh.patch_boundary(ff)
         n = _canon_sign(_reduce_vec(np.cross(v[tri[0, 1]] - v[tri[0, 0]], v[tri[0, 2]] - v[tri[0, 0]])))
         out.append(
             InterfaceFace(
                 blocks=pair,
-                fine_faces=ff,
-                fine_edges=np.unique(mesh.face_edges()[ff]),
                 fine_nodes=np.unique(tri.ravel()),
-                boundary_edges=bedges,
-                boundary_nodes=np.unique(mesh.edges[bedges].ravel()),
+                boundary_nodes=np.unique(mesh.edges[mesh.patch_boundary(ff)].ravel()),
                 plane=(n, int(np.dot(n, v[tri[0, 0]]))),
             )
         )

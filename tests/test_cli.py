@@ -174,6 +174,17 @@ def test_unknown_ratio_is_config_error(tmp_path, monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["mesh", "hx", "sweep"])
+def test_unknown_route_is_config_error(tmp_path, capsys, command):
+    # refused when the config loads, also by the commands that never route
+    cfg = write_cfg(tmp_path, BASE.replace("route = auto", "route = bogus"))
+    out = tmp_path / "out"
+    assert run(command, cfg, out) == 2
+    err = capsys.readouterr().err
+    assert "'bogus'" in err and all(r in err for r in ("auto", "kernel", "face-chain"))
+    assert "Traceback" not in err and not out.exists()
+
+
 def test_sweep_writes_the_configured_ratio(tmp_path):
     cfg = write_cfg(tmp_path, BASE + "ratio = R_scaled\n")
     assert run("sweep", cfg, tmp_path / "s") == 0

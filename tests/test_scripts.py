@@ -109,3 +109,8 @@ def test_route_census_lipschitz_paths(tmp_path):
     assert paths == {"kernel", "kernel-multi", "face-chain", "corner-pair-faces"}
     refusals = [path for _, _, path in rows if path.startswith("!")]
     assert refusals and not [r for r in refusals if "(None)" in r]
+    # a planner edit that re-routes or newly refuses a trace moves these
+    counts = {line.split()[1]: int(line.split()[2]) for line in lines if line.startswith("#")}
+    assert counts == {"corner-pair-faces": 2, "edge-junction/chained": 10,
+                      "edge-junction/shared": 43, "face-chain": 25, "kernel": 98,
+                      "kernel-multi": 22, "refused": 27, "vertex-junction": 1208}

@@ -273,3 +273,33 @@ def test_plane_keys_match_reference_loop(geometry, monkeypatch):
             assert np.array_equal(a.fine_edges, b.fine_edges)
             assert np.array_equal(a.fine_nodes, b.fine_nodes)
         assert new.vertices == old.vertices
+
+
+@pytest.mark.parametrize("geometry", catalog_names(include_internal=True))
+def test_incidence_table_matches_fine_sets(geometry):
+    for h in (0.5, 0.25):
+        mesh = build_complex(geometry, h)
+        surf = surface(mesh)
+        covered = np.zeros(mesh.ne, dtype=bool)
+        for e in surf.edges:
+            assert np.all(surf.edge_of[e.fine_edges] == e.id)
+            covered[e.fine_edges] = True
+            held = np.isin(mesh.tet_edges, e.fine_edges).any(axis=1)
+            blocks = np.unique(mesh.block_of_tet[held])
+            assert e.block == (blocks[0] if len(blocks) == 1 else -1), e.name
+        assert np.all(surf.edge_of[~covered] == -1)
+        for f in surf.faces:
+            assert np.all(surf.edge_of[f.boundary_edges] >= 0), f.name
+            ref = tuple(e.id for e in surf.edges
+                        if np.isin(e.fine_edges, f.boundary_edges).all())
+            assert f.edges == ref, f.name
+            tets = mesh.face_tets[f.fine_faces]
+            blocks = np.unique(mesh.block_of_tet[tets[tets >= 0]])
+            assert f.block == (blocks[0] if len(blocks) == 1 else -1), f.name
+    if geometry == "three_cube_L":
+        assert surf.face_by_name("z=0").block == -1
+    if geometry == "vertex_junction_star3":
+        # every face lies on one pyramid
+        for f in surf.faces:
+            assert f.block >= 0
+            assert f.block == mesh.block_of_tet[mesh.face_tets[f.fine_faces[0], 0]]
