@@ -15,6 +15,7 @@ import argparse
 import configparser
 import hashlib
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -86,8 +87,15 @@ def _parse_count(s: str) -> int:
     return n
 
 
-def _parse_floats(s: str):
-    return tuple(float(x) for x in s.split(","))
+def _parse_positive(s: str) -> float:
+    x = float(s)
+    if not 0 < x < math.inf:
+        raise ValueError("must be finite and > 0")
+    return x
+
+
+def _parse_positives(s: str):
+    return tuple(_parse_positive(x) for x in s.split(","))
 
 
 def _get(section, name: str, key: str, parse, default):
@@ -138,11 +146,11 @@ def load_config(path: str, seed_override=None) -> ExperimentConfig:
                           f"{', '.join(verify.RATIO_KEYS)}")
     if cp.has_section("hx"):
         h = cp["hx"]
-        cfg.alpha = _get(h, "hx", "alpha", float, cfg.alpha)
-        cfg.beta = _get(h, "hx", "beta", float, cfg.beta)
-        cfg.jumps = _get(h, "hx", "jumps", _parse_floats, cfg.jumps)
-        cfg.hx_tol = _get(h, "hx", "tol", float, cfg.hx_tol)
-        cfg.hx_maxit = _get(h, "hx", "maxit", int, cfg.hx_maxit)
+        cfg.alpha = _get(h, "hx", "alpha", _parse_positive, cfg.alpha)
+        cfg.beta = _get(h, "hx", "beta", _parse_positive, cfg.beta)
+        cfg.jumps = _get(h, "hx", "jumps", _parse_positives, cfg.jumps)
+        cfg.hx_tol = _get(h, "hx", "tol", _parse_positive, cfg.hx_tol)
+        cfg.hx_maxit = _get(h, "hx", "maxit", _parse_count, cfg.hx_maxit)
     if seed_override is not None:
         cfg.seed = seed_override
     return cfg

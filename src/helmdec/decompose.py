@@ -260,9 +260,9 @@ class _Route(NamedTuple):
 # kernel route (convex / extension traces)
 # --------------------------------------------------------------------------
 
-def _kernel_pass(mesh: TetMesh, pins: np.ndarray, path: str, claims: dict) -> _Route:
+def _kernel_pass(pins: np.ndarray, path: str, claims: dict) -> _Route:
     """Plan of a route that is one kernel pass pinned at `pins`."""
-    return _Route(path, claims, lambda v: _kernel_fields(mesh, v.values, pins) + ({},))
+    return _Route(path, claims, lambda v: _kernel_fields(v.mesh, v.values, pins) + ({},))
 
 
 def _kernel_route(mesh: TetMesh, trace: TraceSet) -> _Route:
@@ -283,7 +283,7 @@ def _kernel_route(mesh: TetMesh, trace: TraceSet) -> _Route:
         claims = {"rhs1": "curl_semi", "rhs2": "l2" if convex_b else "curl", "log": False}
     else:
         claims = {"rhs1": "curl", "rhs2": "l2", "log": False}
-    return _kernel_pass(mesh, trace.node_mask, "kernel", claims)
+    return _kernel_pass(trace.node_mask, "kernel", claims)
 
 
 # --------------------------------------------------------------------------
@@ -335,7 +335,7 @@ def _face_chain(mesh: TetMesh, trace: TraceSet) -> _Route:
     rep = check_assumption31(mesh, trace)
     if rep.satisfiable and rep.extended_domain_convex:
         claims = {"rhs1": "curl_semi", "rhs2": "l2", "log": False}
-        return _kernel_pass(mesh, trace.node_mask, "face-chain/convex-ext", claims)
+        return _kernel_pass(trace.node_mask, "face-chain/convex-ext", claims)
     if not info.sigma2:
         raise PreconditionError(f"no block split recorded for {mesh.name}")
 
@@ -370,6 +370,7 @@ def _face_chain(mesh: TetMesh, trace: TraceSet) -> _Route:
     claims = {"rhs1": "curl_semi", "rhs2": "l2", "log": True}
 
     def apply(v: EdgeField):
+        mesh = v.mesh
         p_t = np.zeros(mesh.nv)
         w_t = np.zeros((mesh.nv, 3))
         R_t = np.zeros(mesh.ne)
@@ -459,16 +460,16 @@ def _find_face_for_edge(mesh, E: list[CoarseEdge], forbidden_nodes=None) -> Coar
     )
 
 
-def _loop_subtraction(v: np.ndarray, loop: ops.BoundaryLoop, C: float,
+def _loop_subtraction(v: EdgeField, loop: ops.BoundaryLoop, C: float,
                       phi: np.ndarray, per_edge: np.ndarray, pins: np.ndarray):
     """Subtract a loop potential (as p) and the constant extension of the
-    per-edge drift, pinned at `pins` (as w), from the edge moments v.
+    per-edge drift, pinned at `pins` (as w), from the edge moments of v.
     Returns the subtracted moments, p and w."""
-    mesh = loop.mesh
+    mesh = v.mesh
     p = np.zeros(mesh.nv)
     p[loop.nodes] = phi
-    w = ops.loop_constant_extension(C, loop, pins, per_edge).values
-    return _residual(mesh, v, p, w), p, w
+    w = ops.loop_constant_extension(mesh, C, loop, pins, per_edge).values
+    return _residual(mesh, v.values, p, w), p, w
 
 
 def _cut_plan(mesh: TetMesh, cuts, extra_a: np.ndarray, extra_b: np.ndarray):
@@ -497,7 +498,7 @@ def _cut_loops(mesh: TetMesh, steps, v: EdgeField):
         per_edge = np.full(loop.n, dec.C)
         per_edge[posE] = 0.0
         records.append((dec.C, dec.l0, _loop_flux(mesh, v, [F])))
-        vhat, phi, ctilde = _loop_subtraction(v.values, loop, dec.C, dec.phi, per_edge, pins)
+        vhat, phi, ctilde = _loop_subtraction(v, loop, dec.C, dec.phi, per_edge, pins)
         v = EdgeField(mesh, vhat)
         _check_zero_moments(v, on_loop, "the patch boundary")
         p += phi
@@ -520,7 +521,7 @@ def _loop_cuts(mesh: TetMesh, cuts, extra_a: np.ndarray, extra_b: np.ndarray,
                path: str, claims: dict) -> _Route:
     """Plan of a route that is one loop-cut pass (k = 1)."""
     plan = _cut_plan(mesh, cuts, extra_a, extra_b)
-    return _Route(path, claims, lambda v: _loop_cut_columns(mesh, [plan], v)[0])
+    return _Route(path, claims, lambda v: _loop_cut_columns(v.mesh, [plan], v)[0])
 
 
 def _edge_route(mesh: TetMesh, E: list[CoarseEdge]) -> _Route:
@@ -618,9 +619,9 @@ def _face_plus_edge(mesh: TetMesh, trace: TraceSet, E: list[CoarseEdge]) -> _Rou
         pw = np.column_stack([pB[nmap], wB[nmap]])
         # subtract the boundary extension of [p | w] on the trace, one
         # 4-column solve, so p, w vanish on the trace as well
-        data = np.zeros((mesh.nv, 4))
+        data = np.zeros((v.mesh.nv, 4))
         data[on_trace] = pw[on_trace]
-        pw -= ops.harmonic_extend(mesh, data).values
+        pw -= ops.harmonic_extend(v.mesh, data).values
         return (np.ascontiguousarray(pw[:, 0]), np.ascontiguousarray(pw[:, 1:]),
                 {"loops": metaB["loops"]})
 
@@ -707,7 +708,7 @@ def _disjoint_edges_hard(mesh: TetMesh, edges: list[CoarseEdge]) -> _Route:
     if not g0.any():
         raise PreconditionError("subdomain split leaves no interior subdomain")
     core = extract_tets(mesh, g0, "core")
-    core_nodes = core.node_mask()
+    core_nodes = core.node_mask(mesh.nv)
     iface = np.zeros(mesh.nv, dtype=bool)
     no_pins = np.zeros(mesh.nv, dtype=bool)
     plans, columns = [], []
@@ -721,6 +722,7 @@ def _disjoint_edges_hard(mesh: TetMesh, edges: list[CoarseEdge]) -> _Route:
     claims = {"rhs1": "curl", "rhs2": "curl", "log": True}
 
     def apply(v: EdgeField):
+        mesh = v.mesh
         p = np.zeros(mesh.nv)
         w = np.zeros((mesh.nv, 3))
         R = np.zeros(mesh.ne)
@@ -770,7 +772,7 @@ def _route(mesh: TetMesh, trace: TraceSet) -> _Route:
         # J >= 2 faces only: multi-component kernel; the curl-semi-norm bound
         # is known to fail here, so the claim references the full norm
         claims = {"rhs1": "curl", "rhs2": "l2", "log": not trace.lipschitz}
-        return _kernel_pass(mesh, trace.node_mask, "kernel-multi", claims)
+        return _kernel_pass(trace.node_mask, "kernel-multi", claims)
 
     # connected unions of coarse edges (shared endpoints)
     groups = [[trace.coarse_edges[i] for i in comp]
@@ -902,6 +904,7 @@ def _edge_junction(mesh: TetMesh, trace: TraceSet) -> _Route:
               "log": bool(log)}
 
     def apply(v: EdgeField):
+        mesh = v.mesh
         p = np.zeros(mesh.nv)
         w = np.zeros((mesh.nv, 3))
         p0, w0, meta0 = _block_split(block0, v.values)
@@ -1095,10 +1098,10 @@ def _vertex_junction(mesh: TetMesh, trace: TraceSet) -> _Route:
         functionals = vals[1:] - vals[:-1]
         tol = VERTEX_GATE_TOL * max(vcurl, 1e-30)
         if np.abs(functionals).max(initial=0.0) > tol:
-            return CompatibilityViolation(mesh.name, functionals, tol)
+            return CompatibilityViolation(v.mesh.name, functionals, tol)
 
-        p = np.zeros(mesh.nv)
-        w = np.zeros((mesh.nv, 3))
+        p = np.zeros(v.mesh.nv)
+        w = np.zeros((v.mesh.nv, 3))
         records, block_records = [], []
         for kind, (sub, keep, block), setup, val in zip(gate.kinds, blocks, gate.setups, vals):
             if kind == "pinned":
@@ -1108,7 +1111,7 @@ def _vertex_junction(mesh: TetMesh, trace: TraceSet) -> _Route:
                 anchor, pin_nodes, (loop_edges, split) = block
                 F, loop, E, k0 = setup
                 dec = ops.loop_decompose(v, loop, zero_mean_edge=E)
-                records.append((dec.C, dec.l0, _loop_flux(mesh, v, [F])))
+                records.append((dec.C, dec.l0, _loop_flux(v.mesh, v, [F])))
                 if anchor is not None:
                     posE, ez, unit_eps = anchor
                     phi_vals = dec.phi.copy()
@@ -1128,8 +1131,7 @@ def _vertex_junction(mesh: TetMesh, trace: TraceSet) -> _Route:
                 else:  # free block: pin the potential at the vertex to its gate value
                     phi_vals = dec.phi - dec.phi[k0] + val
                     per_edge = np.full(loop.n, dec.C)
-                vhat, phi_g, ct = _loop_subtraction(v.values, loop, dec.C, phi_vals,
-                                                    per_edge, pin_nodes)
+                vhat, phi_g, ct = _loop_subtraction(v, loop, dec.C, phi_vals, per_edge, pin_nodes)
                 vb = EdgeField(sub.mesh, sub.restrict_edge(vhat))
                 _check_zero_moments(vb, loop_edges, "the patch boundary")
                 pl, wl = _curl_harmonic_splits(sub.mesh, [vb.values], [split])[0]

@@ -35,11 +35,12 @@ _LOCK = threading.RLock()
 _MISSING = object()
 
 # A mesh's memo holds most of a process's memory (operators, factorizations).
-# When a mesh is collected, glibc keeps the freed pages in its heap and the
+# No memo value refers back to its mesh (`TetMesh.cached`), so a mesh is freed
+# by reference count.  Then glibc keeps the freed pages in its heap and the
 # next meshes' arrays fragment around them, so a process that builds meshes
 # generation after generation grew with each one (perfbench's catalog sweep
 # on a 2-vCPU VM: 660 MB peak RSS after one round, 800 MB after two).  So
-# the first mesh built after a collection hands the freed pages back to the
+# the first mesh built after one is freed hands the freed pages back to the
 # system.  The finalizer only marks the trim as due: it runs before the memo
 # is freed.  Without glibc's malloc_trim this does nothing.
 try:
@@ -49,7 +50,7 @@ except (OSError, AttributeError, TypeError):
 _trim_due = False
 
 
-def _mesh_collected():
+def _mesh_freed():
     global _trim_due
     _trim_due = True
 
@@ -137,7 +138,7 @@ class TetMesh:
 
     def __post_init__(self):
         _release_freed_memory()
-        weakref.finalize(self, _mesh_collected)
+        weakref.finalize(self, _mesh_freed)
         self.tets = _canonical_tets(self.verts_int, np.asarray(self.tets))
         nv = self.nv
         # edges
@@ -203,7 +204,9 @@ class TetMesh:
         mesh get the same object; ndarray results (also inside a returned
         tuple) are frozen read-only, and sparse CSR/CSC ones are compacted
         (`_compact`): an array is copied only when it views a longer
-        buffer, so every buffer is held once."""
+        buffer, so every buffer is held once.  No value refers to this mesh,
+        directly or through another object (it may hold child meshes), so
+        the mesh and each dropped entry are freed by reference count."""
         out = self._cache.get(key, _MISSING)
         if out is _MISSING:
             with _LOCK:
@@ -605,15 +608,14 @@ class Submesh:
     """A TetMesh over a tet subset plus entity maps back to the parent."""
 
     mesh: TetMesh
-    parent: TetMesh
     vert_map: np.ndarray  # sub vertex id -> parent vertex id
     edge_map: np.ndarray  # sub edge id -> parent edge id
 
     def restrict_edge(self, values: np.ndarray) -> np.ndarray:
         return values[self.edge_map].copy()
 
-    def node_mask(self) -> np.ndarray:
-        m = np.zeros(self.parent.nv, dtype=bool)
+    def node_mask(self, nv: int) -> np.ndarray:
+        m = np.zeros(nv, dtype=bool)
         m[self.vert_map] = True
         return m
 
@@ -640,7 +642,7 @@ def extract_tets(mesh: TetMesh, tet_mask: np.ndarray, name: str) -> Submesh:
     pedges = vmap[sub.edges]
     keys = _pack_pairs(np.sort(pedges, axis=1), mesh.nv)
     emap = mesh.edge_ids(keys)
-    return Submesh(sub, mesh, vmap, emap)
+    return Submesh(sub, vmap, emap)
 
 
 def extract_block(mesh: TetMesh, block: int) -> Submesh:

@@ -227,7 +227,6 @@ class BoundaryLoop:
     direction.
     """
 
-    mesh: TetMesh
     nodes: np.ndarray
     edges: np.ndarray
     signs: np.ndarray
@@ -285,7 +284,7 @@ def build_loop(mesh: TetMesh, faces: Sequence[CoarseFace]) -> BoundaryLoop:
     nodes = tails[walk]
     signs = np.where(mesh.edges[edges, 0] == nodes, 1.0, -1.0)
     lengths = mesh.edge_lengths()[edges]
-    return BoundaryLoop(mesh, nodes, edges, signs, lengths, float(lengths.sum()))
+    return BoundaryLoop(nodes, edges, signs, lengths, float(lengths.sum()))
 
 
 @dataclass
@@ -407,6 +406,7 @@ def loop_decompose(
 # --------------------------------------------------------------------------
 
 def loop_constant_extension(
+    mesh: TetMesh,
     C: float,
     loop: BoundaryLoop,
     pinned_nodes: np.ndarray,
@@ -421,7 +421,6 @@ def loop_constant_extension(
     on edges with both ends pinned.  The dense operators depend only on the
     loop and its free positions and are built once per mesh.
     """
-    mesh = loop.mesh
     free_node = np.ones(mesh.nv, dtype=bool)
     free_node[pinned_nodes] = False
     free = np.nonzero(free_node[loop.nodes])[0]
@@ -431,7 +430,7 @@ def loop_constant_extension(
         return NodalVectorField(mesh, np.zeros((mesh.nv, 3)))
     pinned_edge, rows, Minv_At, pinv_S = mesh.cached(
         ("loop-extension", loop.edges.tobytes(), free.tobytes()),
-        lambda: _constant_extension_operator(loop, free))
+        lambda: _constant_extension_operator(mesh, loop, free))
     tgt = per_edge_values * loop.lengths
     if np.any(np.abs(tgt[pinned_edge]) > 1e-13 * max(1.0, abs(C))):
         raise PreconditionError("pinned loop edge with nonzero target")
@@ -441,11 +440,10 @@ def loop_constant_extension(
     return NodalVectorField(mesh, out)
 
 
-def _constant_extension_operator(loop: BoundaryLoop, free: np.ndarray):
+def _constant_extension_operator(mesh: TetMesh, loop: BoundaryLoop, free: np.ndarray):
     """The parts of the constant extension that depend only on the loop and
     its free positions: the mask of edges with both ends pinned, the
     constraint rows (the other edges), M^-1 A^T and pinv(A M^-1 A^T)."""
-    mesh = loop.mesh
     # slot of each loop position among the free nodes (-1: pinned), for the
     # tail a and the head b of every loop edge
     slot = np.full(loop.n, -1)

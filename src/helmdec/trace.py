@@ -86,7 +86,7 @@ class Surface:
     """All coarse boundary entities of a meshed complex, which carry their
     incidence (face edges, blocks), and the coarse edge of each fine edge."""
 
-    mesh: TetMesh
+    name: str                      # the mesh's name
     faces: list[CoarseFace]
     edges: list[CoarseEdge]
     vertices: dict[str, int]       # name -> node id
@@ -98,7 +98,7 @@ class Surface:
         for f in self.faces:
             if f.name == name:
                 return f
-        raise TraceError(f"no coarse face {name!r} on {self.mesh.name}; "
+        raise TraceError(f"no coarse face {name!r} on {self.name}; "
                          f"have {[f.name for f in self.faces]}")
 
     def edge_by_name(self, name: str) -> CoarseEdge:
@@ -106,7 +106,7 @@ class Surface:
         for e in self.edges:
             if e.name == name:
                 return e
-        raise TraceError(f"no coarse edge {name!r} on {self.mesh.name}; "
+        raise TraceError(f"no coarse edge {name!r} on {self.name}; "
                          f"have {[e.name for e in self.edges]}")
 
 
@@ -328,7 +328,7 @@ def _build_surface(mesh: TetMesh) -> Surface:
                 vertices[f"v:({bu[0]},{bu[1]},{bu[2]})"] = nid
 
     aliases = dict(info.aliases) if info is not None else {}
-    return Surface(mesh, faces, edges, vertices, aliases, edge_of)
+    return Surface(mesh.name, faces, edges, vertices, aliases, edge_of)
 
 
 # --------------------------------------------------------------------------

@@ -9,7 +9,6 @@ Per-level statistics take the max over samples (bounds are worst case).
 
 from __future__ import annotations
 
-import gc
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -139,7 +138,6 @@ def sweep(geometry: str, trace_spec, route: str, levels, samples: int,
     else:
         results = [run_level(k) for k in levels]
     results.sort(key=lambda t: t[0])
-    gc.collect()  # memo entries refer back to their mesh: free the levels' factors now
 
     reports = {}
     for key in RATIO_KEYS:

@@ -26,6 +26,14 @@ samples = 3
 seed = 11
 input = random
 """
+HX = """
+[hx]
+alpha = 1
+beta = 1
+jumps = 1,100
+tol = 1e-8
+maxit = 50
+"""
 
 
 def run(cmd, cfg, out, extra=()):
@@ -67,9 +75,16 @@ def test_unknown_key_is_config_error(tmp_path, capsys):
     ("mesh", "levels = 1,-1,2", "levels"),
     ("sweep", "samples = 0", "samples"),
     ("sweep", "seed = x", "seed"),
+    ("hx", "alpha = -1", "alpha"),
+    ("hx", "beta = nan", "beta"),
+    ("hx", "jumps = 1,0", "jumps"),
+    ("hx", "jumps = 1,inf", "jumps"),
+    ("hx", "tol = -1", "tol"),
+    ("hx", "tol = inf", "tol"),
+    ("hx", "maxit = 0", "maxit"),
 ])
 def test_bad_value_is_config_error_naming_its_key(tmp_path, capsys, command, line, key):
-    body = re.sub(rf"^{key} = .*$", line, BASE, flags=re.M)
+    body = re.sub(rf"^{key} = .*$", line, BASE + HX, flags=re.M)
     assert line in body
     assert run(command, write_cfg(tmp_path, body), tmp_path / "x") == 2
     err = capsys.readouterr().err

@@ -1,14 +1,16 @@
+import gc
 import inspect
 import re
+import weakref
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
-from helmdec import fem, operators as ops
+from helmdec import fem, mesh as hmesh, operators as ops
 import helmdec.decompose as dc
-from helmdec.mesh import build_complex, extract_block
+from helmdec.mesh import TetMesh, build_complex, extract_block
 from helmdec.operators import PreconditionError
 from helmdec.trace import interface_faces, surface, tag_trace, trace_from_fine
 
@@ -708,3 +710,38 @@ def test_plan_memo_keys(geometry, calls):
     for spec, route in calls:
         shared = _fingerprint(mesh, spec, route, 43)
         assert shared == _fingerprint(build_complex(geometry, 0.25), spec, route, 43)
+
+
+@pytest.mark.parametrize("geometry,spec,h", [(g, s, 0.25) for g, s, _ in ROUTING] + [
+    ("vertex_junction_star3", ["p:-2,0,-1:0", "p:-2,0,1:0", "p:-1,-2,0:0"], 0.25),
+    ("vertex_junction_star3", ["x=2", "z=-2", "z=2"], 0.25),
+    ("vertex_junction_pair", ["x=0", "x=2"], 0.25),
+    ("four_edge_cube", FOUR_EDGES, 0.125),
+])
+def test_dropped_mesh_is_freed_by_reference_count(geometry, spec, h, monkeypatch):
+    """No memo value refers back to its mesh: with the cyclic collector
+    off, dropping a decomposed mesh frees it and every mesh its plans built
+    (block and core submeshes, extension meshes), and the next mesh built
+    trims the heap."""
+    trims = []
+    monkeypatch.setattr(hmesh, "_malloc_trim", trims.append)
+    alive = [m for m in gc.get_objects() if isinstance(m, TetMesh)]
+    gc.disable()
+    try:
+        mesh = build_complex(geometry, h)
+        ref = weakref.ref(mesh)
+        trace = tag_trace(mesh, spec)
+        for seed in (1, 2):
+            v = dc.random_admissible_field(mesh, trace, seed)
+            split = dc.decompose(v, trace)
+        trims.clear()
+        monkeypatch.setattr(hmesh, "_trim_due", False)
+        del mesh, trace, v, split
+        known = {id(m) for m in alive}
+        assert [m.name for m in gc.get_objects()
+                if isinstance(m, TetMesh) and id(m) not in known] == []
+        assert ref() is None
+        build_complex("unit_cube", 0.5)
+        assert trims == [0]
+    finally:
+        gc.enable()

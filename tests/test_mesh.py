@@ -50,7 +50,7 @@ def test_three_cube_block_labels():
     m = build_complex("three_cube_L", 0.5)
     assert sorted(set(m.block_of_tet.tolist())) == [0, 1, 2]
     # union connected: every block shares nodes with another
-    masks = [extract_block(m, b).node_mask() for b in range(3)]
+    masks = [extract_block(m, b).node_mask(m.nv) for b in range(3)]
     assert (masks[0] & masks[1]).any() and (masks[0] & masks[2]).any()
 
 
@@ -207,18 +207,19 @@ def test_bad_geometry_and_bad_h():
 
 def test_vertex_junction_blocks_share_one_node():
     m = build_complex("vertex_junction_pair", 0.25)
-    shared = extract_block(m, 0).node_mask() & extract_block(m, 1).node_mask()
+    shared = extract_block(m, 0).node_mask(m.nv) & extract_block(m, 1).node_mask(m.nv)
     assert shared.sum() == 1
     s3 = build_complex("vertex_junction_star3", 0.25)
     for a in range(3):
         for b in range(a + 1, 3):
-            shared = extract_block(s3, a).node_mask() & extract_block(s3, b).node_mask()
+            shared = (extract_block(s3, a).node_mask(s3.nv)
+                      & extract_block(s3, b).node_mask(s3.nv))
             assert shared.sum() == 1
 
 
 def test_edge_junction_blocks_share_edge_nodes():
     m = build_complex("edge_junction_pair", 0.25)
-    shared = extract_block(m, 0).node_mask() & extract_block(m, 1).node_mask()
+    shared = extract_block(m, 0).node_mask(m.nv) & extract_block(m, 1).node_mask(m.nv)
     # the common edge has 1/h + 1 lattice nodes
     assert shared.sum() == 5
 
@@ -423,8 +424,12 @@ def test_next_build_releases_a_collected_mesh(monkeypatch):
 
 
 def test_only_mesh_module_touches_the_memo():
+    """Only mesh.py reads the memo, locks it or holds weak references (its
+    trim finalizer); and no module calls the cyclic collector, since meshes
+    are freed by reference count."""
     src = Path(helmdec.__file__).parent
     for path in sorted(src.glob("*.py")):
+        text = path.read_text()
+        assert not re.search(r"\bgc\.collect\b", text), path.name
         if path.name != "mesh.py":
-            text = path.read_text()
-            assert not re.search(r"\._cache\b|\bthreading\b", text), path.name
+            assert not re.search(r"\._cache\b|\bthreading\b|\bweakref\b", text), path.name

@@ -379,7 +379,7 @@ def test_constant_extension_zero(cube4):
     loop = loop_of(cube4, "z=1")
     E = surface(cube4).edge_by_name("e:y=0,z=1")
     per_edge = np.zeros(loop.n)
-    out = ops.loop_constant_extension(0.0, loop, E.fine_nodes, per_edge)
+    out = ops.loop_constant_extension(cube4, 0.0, loop, E.fine_nodes, per_edge)
     assert np.abs(out.values).max() == 0.0
 
 
@@ -395,7 +395,7 @@ def test_constant_extension_straight_complement(cube4):
     pos = loop.edge_positions(fine)
     per_edge[pos] = 0.0
     pins = np.unique(np.concatenate([e.fine_nodes for e in E]))
-    out = ops.loop_constant_extension(C, loop, pins, per_edge)
+    out = ops.loop_constant_extension(cube4, C, loop, pins, per_edge)
     rh = ops.edge_interpolate_rh(out)
     resid = rh.values[loop.edges] * loop.signs - per_edge * loop.lengths
     assert np.abs(resid).max() < 1e-12
@@ -639,8 +639,7 @@ def _ref_cyclic_order_after(mask):
     return [(start + j) % n for j in range(n) if not mask[(start + j) % n]]
 
 
-def _ref_loop_constant_extension(C, loop, pinned_nodes, per_edge_values, rcond=1e-12):
-    mesh = loop.mesh
+def _ref_loop_constant_extension(mesh, C, loop, pinned_nodes, per_edge_values, rcond=1e-12):
     pinned = set(int(p) for p in pinned_nodes)
     free = [int(nd) for nd in loop.nodes if nd not in pinned]
     if not free:
@@ -714,9 +713,9 @@ def _check_decomposition(v, loop, **mode):
     return dec
 
 
-def _check_extension(C, loop, pins, per_edge):
-    new = ops.loop_constant_extension(C, loop, pins, per_edge).values
-    assert _identical(new, _ref_loop_constant_extension(C, loop, pins, per_edge))
+def _check_extension(mesh, C, loop, pins, per_edge):
+    new = ops.loop_constant_extension(mesh, C, loop, pins, per_edge).values
+    assert _identical(new, _ref_loop_constant_extension(mesh, C, loop, pins, per_edge))
 
 
 @pytest.mark.parametrize("geometry", catalog_names())
@@ -738,7 +737,7 @@ def test_loop_calculus_matches_reference(geometry):
             zero = fem.EdgeField(mesh, np.zeros(mesh.ne))
             _check_decomposition(zero, loop)
             corner = int(loop.nodes[0])
-            _check_extension(dec.C, loop, np.array([corner]), np.full(loop.n, dec.C))
+            _check_extension(mesh, dec.C, loop, np.array([corner]), np.full(loop.n, dec.C))
             for E in surf.edges:
                 if not np.isin(E.fine_edges, F.boundary_edges).all():
                     continue
@@ -751,7 +750,7 @@ def test_loop_calculus_matches_reference(geometry):
                 posE = ops._edge_arc_positions(loop, E)
                 per_edge = np.full(loop.n, dec.C)
                 per_edge[posE] = 0.0
-                _check_extension(dec.C, loop, E.fine_nodes, per_edge)
+                _check_extension(mesh, dec.C, loop, E.fine_nodes, per_edge)
                 # anchored vertex-junction block: the epsilon walk from a
                 # node off E, pinned there and on E
                 e1, e2 = dc._adjacent_coarse_edges(surf, loop, E)
@@ -762,7 +761,7 @@ def test_loop_calculus_matches_reference(geometry):
                 assert _identical(walk, _ref_epsilon_walk(loop, eps, v0))
                 per_edge = dec.C + eps
                 per_edge[posE] = 0.0
-                _check_extension(dec.C, loop, np.concatenate([[v0], E.fine_nodes]),
+                _check_extension(mesh, dec.C, loop, np.concatenate([[v0], E.fine_nodes]),
                                  per_edge)
 
 

@@ -228,7 +228,7 @@ def _reference_surface(mesh):
                 bu = tuple(Fraction(x, mesh.denom) for x in c)
                 vertices[f"v:({bu[0]},{bu[1]},{bu[2]})"] = nid
     aliases = dict(info.aliases) if info is not None else {}
-    return trace_mod.Surface(mesh, faces, edges, vertices, aliases)
+    return trace_mod.Surface(mesh.name, faces, edges, vertices, aliases)
 
 
 def _trace_specs(surf):

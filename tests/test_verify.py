@@ -92,7 +92,9 @@ def test_sweep_decomposes_each_sample_once(monkeypatch):
 
 def test_sweep_frees_its_meshes(monkeypatch):
     """The meshes a sweep builds, with their memos and factors, are freed
-    before it returns; a second sweep builds its own."""
+    by reference count before it returns, with the cyclic collector off; a
+    second sweep builds its own."""
+    import gc
     import weakref
 
     built = []
@@ -103,9 +105,13 @@ def test_sweep_frees_its_meshes(monkeypatch):
         return mesh
 
     monkeypatch.setattr(verify, "build_complex", build)
-    for _ in range(2):
-        verify.sweep("unit_cube", ["e:x=0,y=0"], "auto", [1, 2, 3], 1, 5)
-        assert built and all(ref() is None for ref in built)
+    gc.disable()
+    try:
+        for _ in range(2):
+            verify.sweep("unit_cube", ["e:x=0,y=0"], "auto", [1, 2, 3], 1, 5)
+            assert built and all(ref() is None for ref in built)
+    finally:
+        gc.enable()
     assert len(built) == 6
 
 
