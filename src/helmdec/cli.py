@@ -87,6 +87,13 @@ def _parse_count(s: str) -> int:
     return n
 
 
+def _parse_seed(s: str) -> int:
+    n = int(s)
+    if n < 0:
+        raise ValueError("must be an integer >= 0")
+    return n
+
+
 def _parse_positive(s: str) -> float:
     x = float(s)
     if not 0 < x < math.inf:
@@ -136,7 +143,7 @@ def load_config(path: str, seed_override=None) -> ExperimentConfig:
                           f"{', '.join(ROUTES)}")
     cfg.levels = _get(e, "experiment", "levels", _parse_levels, cfg.levels)
     cfg.samples = _get(e, "experiment", "samples", _parse_count, cfg.samples)
-    cfg.seed = _get(e, "experiment", "seed", int, cfg.seed)
+    cfg.seed = _get(e, "experiment", "seed", _parse_seed, cfg.seed)
     cfg.input = e.get("input", cfg.input)
     if cfg.input not in ("random", "gradient", "perturbed"):
         raise ConfigError(f"unknown input kind {cfg.input!r}")
@@ -152,7 +159,10 @@ def load_config(path: str, seed_override=None) -> ExperimentConfig:
         cfg.hx_tol = _get(h, "hx", "tol", _parse_positive, cfg.hx_tol)
         cfg.hx_maxit = _get(h, "hx", "maxit", _parse_count, cfg.hx_maxit)
     if seed_override is not None:
-        cfg.seed = seed_override
+        try:
+            cfg.seed = _parse_seed(seed_override)
+        except ValueError as ex:
+            raise ConfigError(f"--seed {seed_override}: {ex}") from None
     return cfg
 
 

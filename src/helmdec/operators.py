@@ -293,10 +293,8 @@ class LoopDecomposition:
     lambda_e(v) = (phi(head) - phi(tail)) + C * |e| on the working part of
     the loop.  phi is per loop node (aligned with loop.nodes)."""
 
-    loop: BoundaryLoop
     C: float
     phi: np.ndarray
-    c_shift: float
     l0: float
 
 
@@ -357,7 +355,7 @@ def loop_decompose(
     is taken over the complement only and phi is extended by exact zeros
     onto the edge, so that the potential is continuous and vanishes there.
     With `zero_mean_edge` phi is shifted so its trapezoid mean over that
-    edge vanishes (c_shift is the applied constant).
+    edge vanishes.
     """
     lam = _loop_moments(v, loop)
     if zero_edge is not None and zero_mean_edge is not None:
@@ -374,7 +372,7 @@ def loop_decompose(
                 entity=int(loop.edges[pos[bad[0]]]),
             )
         if len(pos) == loop.n:
-            return LoopDecomposition(loop, 0.0, np.zeros(loop.n), 0.0, 0.0)
+            return LoopDecomposition(0.0, np.zeros(loop.n), 0.0)
         _, last = _cyclic_arc(loop.n, pos)
         onzero = np.zeros(loop.n, dtype=bool)
         onzero[pos] = True
@@ -385,20 +383,18 @@ def loop_decompose(
         phi = _loop_walk(lam - C * loop.lengths, last + 1, loop.n - len(pos))
         phi[pos] = 0.0
         phi[(pos + 1) % loop.n] = 0.0
-        return LoopDecomposition(loop, C, phi, 0.0, l0)
+        return LoopDecomposition(C, phi, l0)
 
     l0 = loop.total_length
     C = float(lam.sum() / l0)
     phi = _loop_walk(lam - C * loop.lengths, 0, loop.n - 1)
-    c_shift = 0.0
     if zero_mean_edge is not None:
         pos = _edge_arc_positions(loop, zero_mean_edge)
         ln = loop.lengths[pos]
         heads = (pos + 1) % loop.n
         mean = float(np.sum(ln * 0.5 * (phi[pos] + phi[heads])) / ln.sum())
-        c_shift = -mean
-        phi = phi + c_shift
-    return LoopDecomposition(loop, C, phi, c_shift, l0)
+        phi = phi - mean
+    return LoopDecomposition(C, phi, l0)
 
 
 # --------------------------------------------------------------------------

@@ -10,8 +10,6 @@ Per-level statistics take the max over samples (bounds are worst case).
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,23 +26,11 @@ __all__ = [
     "sweep",
     "invariant_battery",
     "fit_log_growth",
-    "worker_count",
 ]
 
 RATIO_KEYS = ("w_h1", "R_scaled", "w_l2_p_h1")
 FIT_RESIDUAL_TOL = 0.2
 NO_LOG_SLOPE_FRACTION = 0.1
-
-
-def worker_count() -> int:
-    env = os.environ.get("HELMDEC_THREADS")
-    if not env:
-        return 1
-    try:
-        n = int(env)
-    except ValueError:
-        raise ValueError(f"HELMDEC_THREADS = {env!r} is not an integer") from None
-    return max(1, min(n, os.cpu_count() or 1))
 
 
 def fit_log_growth(hs, ratios):
@@ -104,16 +90,19 @@ def sweep(geometry: str, trace_spec, route: str, levels, samples: int,
     """Per level, decompose `samples` seeded admissible fields once and
     record, for every key of RATIO_KEYS, the max ratio against the route's
     claimed bound; then fit each key's growth.  Returns one report per key.
-    Each level's mesh is built in the call and freed before it returns.
+    Levels run in ascending order, one at a time: each level's mesh is
+    built in the call and freed before the next level is built.  The levels
+    must be at least 3 and distinct.
 
     PASS iff the relative fit residual is <= 0.2 and, for no-log claims,
     |b| <= 0.1*a.
     """
-    levels = list(levels)
-    if len(levels) < 3:
-        raise ValueError("a growth fit needs at least 3 levels")
+    levels = sorted(levels)
+    if len(levels) < 3 or len(set(levels)) < len(levels):
+        raise ValueError(f"a growth fit needs at least 3 distinct levels; "
+                         f"got {levels}")
 
-    def run_level(k):
+    def run_level(k):  # a function, so its mesh dies when it returns
         mesh = build_complex(geometry, 1.0 / (1 << k))
         trace = tag_trace(mesh, trace_spec)
         best = {}
@@ -131,13 +120,7 @@ def sweep(geometry: str, trace_spec, route: str, levels, samples: int,
                 raise RuntimeError(f"no usable samples for {key} at level {k}")
         return k, best
 
-    workers = worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(run_level, levels))
-    else:
-        results = [run_level(k) for k in levels]
-    results.sort(key=lambda t: t[0])
+    results = [run_level(k) for k in levels]
 
     reports = {}
     for key in RATIO_KEYS:

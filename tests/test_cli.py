@@ -75,6 +75,7 @@ def test_unknown_key_is_config_error(tmp_path, capsys):
     ("mesh", "levels = 1,-1,2", "levels"),
     ("sweep", "samples = 0", "samples"),
     ("sweep", "seed = x", "seed"),
+    ("sweep", "seed = -1", "seed"),
     ("hx", "alpha = -1", "alpha"),
     ("hx", "beta = nan", "beta"),
     ("hx", "jumps = 1,0", "jumps"),
@@ -169,9 +170,14 @@ def test_perturbed_input_needs_a_vertex_junction(tmp_path, capsys):
     assert "unit_cube" in capsys.readouterr().err
 
 
-def test_sweep_two_levels_rejected(tmp_path):
-    cfg = write_cfg(tmp_path, BASE.replace("levels = 1,2,3", "levels = 1,2"))
-    assert run("sweep", cfg, tmp_path / "s") == 2
+def test_sweep_two_levels_rejected(tmp_path, capsys):
+    # a growth fit needs 3 distinct h; three rows of one h are no fit
+    for levels, named in (("1,2", "[1, 2]"), ("2,2,2", "[2, 2, 2]")):
+        cfg = write_cfg(tmp_path, BASE.replace("levels = 1,2,3", f"levels = {levels}"))
+        assert run("sweep", cfg, tmp_path / "s") == 2
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+    assert not (tmp_path / "s").exists()
 
 
 def test_unknown_ratio_is_config_error(tmp_path, monkeypatch, capsys):
@@ -249,6 +255,21 @@ tol = 1e-8
     data = json.loads(next(a.glob("hx__*.json")).read_text())
     assert all(r["hx_iterations"] < r["cg_iterations"] for r in data["runs"])
     assert all(r["cg_converged"] is True for r in data["runs"])
+
+
+@pytest.mark.parametrize("command", ["mesh", "decompose"])
+def test_negative_seed_override_is_config_error(tmp_path, monkeypatch, capsys, command):
+    # refused when the config loads, before any level is meshed
+    from helmdec import cli
+
+    def no_mesh(*args):
+        raise AssertionError("meshed")
+
+    monkeypatch.setattr(cli, "build_complex", no_mesh)
+    out = tmp_path / "out"
+    assert run(command, write_cfg(tmp_path, BASE), out, extra=["--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert "--seed -1" in err and "Traceback" not in err and not out.exists()
 
 
 def test_seed_override_changes_hash(tmp_path):

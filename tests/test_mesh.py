@@ -433,3 +433,15 @@ def test_only_mesh_module_touches_the_memo():
         assert not re.search(r"\bgc\.collect\b", text), path.name
         if path.name != "mesh.py":
             assert not re.search(r"\._cache\b|\bthreading\b|\bweakref\b", text), path.name
+
+
+def test_no_environment_knob_or_thread_pool():
+    """No module reads the environment, and only mesh.py names threading or
+    concurrent (the memo lock): a sweep runs its levels in turn, and the
+    same config gives the same run whatever the shell exports."""
+    src = Path(helmdec.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        text = path.read_text()
+        assert not re.search(r"\bos\.(environ|getenv)\b", text), path.name
+        if path.name != "mesh.py":
+            assert not re.search(r"\b(threading|concurrent)\b", text), path.name

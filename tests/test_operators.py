@@ -370,7 +370,6 @@ def test_loop_zero_mean_edge(cube4, rng):
     ln = loop.lengths[pos]
     mean = float(np.sum(ln * 0.5 * (dec.phi[pos] + dec.phi[(pos + 1) % loop.n])) / ln.sum())
     assert abs(mean) < 1e-13
-    assert dec.phi[0] == pytest.approx(dec.c_shift) or abs(dec.phi[0] - dec.c_shift) < 1e-13
 
 
 # -- constant extension ---------------------------------------------------------
@@ -569,7 +568,7 @@ def _ref_build_loop(mesh, faces):
 
 
 def _ref_loop_decompose(v, loop, zero_edge=None, zero_mean_edge=None, tol=1e-12):
-    """(C, phi, c_shift, l0)"""
+    """(C, phi, l0)"""
     lam = ops._loop_moments(v, loop)
     scale = max(1.0, float(np.abs(v.values).max()))
     if zero_edge is not None:
@@ -587,7 +586,7 @@ def _ref_loop_decompose(v, loop, zero_edge=None, zero_mean_edge=None, tol=1e-12)
             raise ops.PreconditionError(f"{zname} is not contiguous on the loop")
         l0 = float(loop.lengths[~onzero].sum())
         if l0 == 0.0:
-            return 0.0, np.zeros(loop.n), 0.0, 0.0
+            return 0.0, np.zeros(loop.n), 0.0
         C = float(lam[~onzero].sum() / l0)
         # walk the complement starting right after the zero arc
         order = _ref_cyclic_order_after(onzero)
@@ -603,7 +602,7 @@ def _ref_loop_decompose(v, loop, zero_edge=None, zero_mean_edge=None, tol=1e-12)
             zero_nodes[k] = True
             zero_nodes[(k + 1) % loop.n] = True
         phi[zero_nodes] = 0.0
-        return C, phi, 0.0, l0
+        return C, phi, l0
 
     l0 = loop.total_length
     C = float(lam.sum() / l0)
@@ -612,7 +611,6 @@ def _ref_loop_decompose(v, loop, zero_edge=None, zero_mean_edge=None, tol=1e-12)
     for k in range(loop.n - 1):
         acc += lam[k] - C * loop.lengths[k]
         phi[k + 1] = acc
-    c_shift = 0.0
     if zero_mean_edge is not None:
         pos = ops._edge_arc_positions(loop, zero_mean_edge)
         ln = loop.lengths[pos]
@@ -620,7 +618,7 @@ def _ref_loop_decompose(v, loop, zero_edge=None, zero_mean_edge=None, tol=1e-12)
         mean = float(np.sum(ln * 0.5 * (phi[pos] + phi[heads])) / ln.sum())
         c_shift = -mean
         phi = phi + c_shift
-    return C, phi, c_shift, l0
+    return C, phi, l0
 
 
 def _ref_cyclically_contiguous(mask):
@@ -707,8 +705,8 @@ def _identical(a, b):
 
 def _check_decomposition(v, loop, **mode):
     dec = ops.loop_decompose(v, loop, **mode)
-    C, phi, c_shift, l0 = _ref_loop_decompose(v, loop, **mode)
-    assert (dec.C, dec.c_shift, dec.l0) == (C, c_shift, l0)
+    C, phi, l0 = _ref_loop_decompose(v, loop, **mode)
+    assert (dec.C, dec.l0) == (C, l0)
     assert _identical(dec.phi, phi)
     return dec
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -31,8 +33,10 @@ def test_monotone_verdict_under_extension():
 
 
 def test_sweep_needs_three_levels():
-    with pytest.raises(ValueError):
-        verify.sweep("unit_cube", ["z=0"], "auto", [1, 2], 2, 0)
+    # a fit through fewer than 3 distinct h is no fit
+    for levels in ([1, 2], [2, 2, 2]):
+        with pytest.raises(ValueError, match=re.escape(str(levels))):
+            verify.sweep("unit_cube", ["z=0"], "auto", levels, 2, 0)
 
 
 def test_sweep_reproducible():
@@ -92,14 +96,16 @@ def test_sweep_decomposes_each_sample_once(monkeypatch):
 
 def test_sweep_frees_its_meshes(monkeypatch):
     """The meshes a sweep builds, with their memos and factors, are freed
-    by reference count before it returns, with the cyclic collector off; a
-    second sweep builds its own."""
+    by reference count, with the cyclic collector off: each level's mesh
+    before the next level is built, and the last before the sweep returns.
+    A second sweep builds its own."""
     import gc
     import weakref
 
     built = []
 
     def build(*args):
+        assert all(ref() is None for ref in built), "an earlier level is alive"
         mesh = build_complex(*args)
         built.append(weakref.ref(mesh))
         return mesh
@@ -143,18 +149,3 @@ def test_trace_probe_gradient_data():
     data[be] = gv.values[be]
     ext = ops.curl_harmonic_extend(mesh, data)
     assert fem.norm(ext, "curl_semi") < 1e-10
-
-
-def test_worker_count_names_the_variable(monkeypatch):
-    monkeypatch.setenv("HELMDEC_THREADS", "abc")
-    with pytest.raises(ValueError, match="HELMDEC_THREADS"):
-        verify.worker_count()
-
-
-def test_threaded_sweep_matches_serial(monkeypatch):
-    serial = verify.sweep("unit_cube", ["z=0"], "kernel", [1, 2, 3], 4, 6)
-    monkeypatch.setenv("HELMDEC_THREADS", "3")
-    threaded = verify.sweep("unit_cube", ["z=0"], "kernel", [1, 2, 3], 4, 6)
-    assert list(serial) == list(threaded) == list(verify.RATIO_KEYS)
-    for key in verify.RATIO_KEYS:
-        assert serial[key].to_json() == threaded[key].to_json(), key
