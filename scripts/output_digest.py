@@ -8,8 +8,8 @@ p, w and R and the repr of path, claims, norms, ratios and meta; for a
 refusal, the message and the functionals; for an error, its type and text.
 The configurations are the acceptance gate's 18 and six more traces; the
 inputs are a seeded random field, a gradient, the zero field and a
-perturbed (incompatible) field; the routes are auto, kernel and
-face-chain.
+perturbed (incompatible) field; the routes are the values of
+`helmdec.decompose.ROUTES`.
 
 After them comes one line `geometry - L<k> mesh - digest` per meshed
 (geometry, level): the sha256 of the mesh arrays (vertices, tets, edges,
@@ -37,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from helmdec import fem
-from helmdec.decompose import (CompatibilityViolation, decompose, gradient_field,
+from helmdec.decompose import (ROUTES, CompatibilityViolation, decompose, gradient_field,
                                incompatible_field, random_admissible_field)
 from helmdec.mesh import build_complex
 from helmdec.trace import surface, tag_trace
@@ -73,7 +73,6 @@ CONFIGS = [
     ("edge_junction_pair", ["z=0#0"]),
 ]
 INPUTS = ["random", "gradient", "zero", "perturbed"]
-ROUTES = ["auto", "kernel", "face-chain"]
 SEED = 20260810
 
 

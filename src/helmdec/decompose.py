@@ -4,10 +4,10 @@
 and returns a HelmholtzSplit with an exact DOF identity and exact zero
 coefficients of p, w on the trace entities (zeros are placed, never
 rounded).  The routes mirror the constructions the stability theory is
-built on: a two-Poisson kernel on convex-extension traces, the chained
-block construction for non-convex face traces, curl-harmonic face/edge
-splittings, the boundary-loop subtraction for edges, and the edge/vertex
-junction pipelines with their compatibility gate.
+built on: a two-Poisson kernel on traces with a convex extension, the
+chained block construction for non-convex face traces, curl-harmonic
+face/edge splittings, the boundary-loop subtraction for edges, and the
+edge/vertex junction pipelines with their compatibility gate.
 
 Every route is split into a plan and an apply.  For a fixed mesh and trace
 the route is a linear map v -> (p, w), so a route is a private planner
@@ -305,37 +305,24 @@ def _layer_extension(mesh: TetMesh, face_nodes: np.ndarray, target_nodes: np.nda
     off the interface, which take half the value of their source face node
     (returned alongside), with exact zeros beyond."""
     a, c = _axis_of_plane(plane)
-    v = mesh.verts_int
-    nodes = target_nodes[np.abs(v[target_nodes, a] - c) == 1]
-    # a target's source is the face node with the same in-plane lattice
-    # coordinates; match them on packed keys
-    b0, b1 = [b for b in range(3) if b != a]
-    span = int(np.ptp(v[:, b1])) + 1
-    fkeys = v[face_nodes, b0] * span + v[face_nodes, b1]
-    order = np.argsort(fkeys)
-    tkeys = v[nodes, b0] * span + v[nodes, b1]
-    pos = np.minimum(np.searchsorted(fkeys[order], tkeys), len(order) - 1)
-    hit = fkeys[order][pos] == tkeys
-    return nodes[hit], face_nodes[order[pos[hit]]]
+    nodes = target_nodes[np.abs(mesh.verts_int[target_nodes, a] - c) == 1]
+    # a target's source is its projection onto the plane, a node of the
+    # block (a lattice-meshed brick with the plane as a face); keep the
+    # targets whose source lies on the interface face
+    points = mesh.verts_int[nodes]
+    points[:, a] = c
+    src = mesh.node_ids(points)
+    hit = np.isin(src, face_nodes)
+    return nodes[hit], src[hit]
 
 
 def _face_chain(mesh: TetMesh, trace: TraceSet) -> _Route:
-    """Face-trace decomposition on a non-convex block union: kernel on the
-    first block set, cut-off interface extensions of w, harmonic extension
-    of p, zero extension of R, then residual kernels on the second set."""
-    surf = surface(mesh)
-    extra = [e.name for e in trace.coarse_edges] + [
-        next((k for k, n in surf.vertices.items() if n == node), f"node {node}")
-        for node in trace.vertex_nodes]
-    if extra:
-        raise PreconditionError(
-            f"the face-chain route needs a trace of faces only; {extra[0]} is not a face",
-            entity=extra[0])
+    """Face-trace decomposition on a non-convex block union (a trace of
+    faces only, one Lipschitz component, no convex extension): kernel on
+    the first block set, cut-off interface extensions of w, harmonic
+    extension of p, zero extension of R, then residual kernels on the
+    second set."""
     info = geometry_info(mesh)
-    rep = check_assumption31(mesh, trace)
-    if rep.satisfiable and rep.extended_domain_convex:
-        claims = {"rhs1": "curl_semi", "rhs2": "l2", "log": False}
-        return _kernel_pass(trace.node_mask, "face-chain/convex-ext", claims)
     if not info.sigma2:
         raise PreconditionError(f"no block split recorded for {mesh.name}")
 
@@ -638,19 +625,11 @@ def _extended_mesh(mesh: TetMesh, ext_id: str) -> TetMesh:
 
 def _disjoint_edges(mesh: TetMesh, edges: list[CoarseEdge],
                     trace: Optional[TraceSet] = None) -> _Route:
-    """Zero data on pairwise disjoint coarse edges.  Simple case: per-edge
+    """Zero data on two or more coarse edges that share no node (the
+    dispatcher's singleton link groups).  Simple case: per-edge
     loop subtractions on non-interfering faces plus one curl-harmonic
     split.  Hard case (every containing face meets another edge): the
     recorded element-aligned subdomain split with cut-off localization."""
-    for i in range(len(edges)):
-        for j in range(i + 1, len(edges)):
-            if np.intersect1d(edges[i].fine_nodes, edges[j].fine_nodes).size:
-                raise PreconditionError(
-                    f"edges {edges[i].name} and {edges[j].name} are not disjoint"
-                )
-    if len(edges) == 1:
-        return _edge_route(mesh, edges)
-
     xn = trace.node_mask if trace is not None else np.zeros(mesh.nv, dtype=bool)
     picks = []
     used_nodes = np.zeros(mesh.nv, dtype=bool)
@@ -672,7 +651,7 @@ def _disjoint_edges(mesh: TetMesh, edges: list[CoarseEdge],
 
     if trace is not None and not trace.empty:
         raise PreconditionError("interfering disjoint edges with a face trace "
-                                "are outside the catalog")
+                                "are outside the catalog", entity=e.name)
     return _disjoint_edges_hard(mesh, edges)
 
 
@@ -794,14 +773,19 @@ def _route(mesh: TetMesh, trace: TraceSet) -> _Route:
     raise PreconditionError("mixed trace outside the catalog routes")
 
 
+_ROUTES = {"auto": _route, "kernel": _kernel_route}
+ROUTES = tuple(_ROUTES)
+
+
 def decompose(v: EdgeField, trace: TraceSet,
               route: str = "auto") -> Union[HelmholtzSplit, CompatibilityViolation]:
-    """Decompose v with zero data on the trace.  `route="auto"` picks the
-    construction from the trace metadata; "kernel" and "face-chain" force
-    those routes.  Claims (which right-hand side, log factor present or
-    droppable) are recorded on the result."""
+    """Decompose v with zero data on the trace.  `route` is one of
+    `ROUTES`: "auto" picks the construction from the trace metadata, and
+    every other value forces the route of that name.  Claims (which
+    right-hand side, log factor present or droppable) are recorded on the
+    result."""
     if route not in _ROUTES:
-        raise ValueError(f"unknown route {route!r}; use 'auto', 'kernel' or 'face-chain'")
+        raise ValueError(f"unknown route {route!r}; expected one of {', '.join(ROUTES)}")
     plan = _plan(route, trace)
     out = _routed(plan, v, trace)
     if isinstance(out, CompatibilityViolation):
@@ -1144,10 +1128,6 @@ def _vertex_junction(mesh: TetMesh, trace: TraceSet) -> _Route:
         return p, w, meta
 
     return _Route("vertex-junction", claims, apply)
-
-
-_ROUTES = {"auto": _route, "kernel": _kernel_route, "face-chain": _face_chain}
-ROUTES = tuple(_ROUTES)
 
 
 # --------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -124,34 +124,22 @@ def _block_intersection_kind(a: Block, b: Block) -> Optional[str]:
 
 @dataclass(frozen=True)
 class BlockComplex:
-    """A union of convex blocks with declared pairwise junctions."""
+    """A union of convex blocks; two blocks may meet at a face, an edge or
+    a vertex, never overlap."""
 
     name: str
     blocks: tuple[Block, ...]
-    junctions: tuple[tuple[int, int, str], ...]
 
     def validate(self) -> None:
-        declared = {(min(i, j), max(i, j)): k for i, j, k in self.junctions}
-        actual = {(i, j): k for i, j, k in _auto_junctions(self.blocks)}
-        if declared != actual:
-            raise GeometryError(
-                f"{self.name}: declared junctions {declared} do not match geometry {actual}"
-            )
+        """Overlapping blocks raise in `_block_intersection_kind`; blocks
+        that touch must connect the union."""
         n = len(self.blocks)
-        pairs = np.array(list(actual), dtype=np.int64).reshape(-1, 2)
+        pairs = np.array([(i, j) for i in range(n) for j in range(i + 1, n)
+                          if _block_intersection_kind(self.blocks[i], self.blocks[j])],
+                         dtype=np.int64).reshape(-1, 2)
         graph = sp.coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(n, n))
         if connected_components(graph, directed=False)[0] > 1:
             raise GeometryError(f"{self.name}: block union is not connected")
-
-
-def _auto_junctions(blocks: Sequence[Block]) -> tuple[tuple[int, int, str], ...]:
-    out = []
-    for i in range(len(blocks)):
-        for j in range(i + 1, len(blocks)):
-            kind = _block_intersection_kind(blocks[i], blocks[j])
-            if kind is not None:
-                out.append((i, j, kind))
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -198,7 +186,7 @@ def _build_catalog() -> dict[str, GeometryInfo]:
 
     unit = _cube((0, 0, 0), (1, 1, 1))
 
-    add(GeometryInfo(BlockComplex("unit_cube", (unit,), ()), convex=True))
+    add(GeometryInfo(BlockComplex("unit_cube", (unit,)), convex=True))
 
     # three cubes forming an L in the xy-plane (shared concave edge x=1,y=1)
     d1 = _cube((0, 0, 0), (1, 1, 1))
@@ -207,7 +195,7 @@ def _build_catalog() -> dict[str, GeometryInfo]:
     blocks = (d1, d2, d3)
     add(
         GeometryInfo(
-            BlockComplex("three_cube_L", blocks, _auto_junctions(list(blocks))),
+            BlockComplex("three_cube_L", blocks),
             sigma1=(0,),
             sigma2=(1, 2),
         )
@@ -215,7 +203,7 @@ def _build_catalog() -> dict[str, GeometryInfo]:
 
     add(
         GeometryInfo(
-            BlockComplex("pyramid", (Pyramid((1, 1, 2), 2, -1),), ()),
+            BlockComplex("pyramid", (Pyramid((1, 1, 2), 2, -1),)),
             convex=True,
             aliases={
                 "base": "z=0",
@@ -233,7 +221,7 @@ def _build_catalog() -> dict[str, GeometryInfo]:
     # route)
     add(
         GeometryInfo(
-            BlockComplex("cube_in_box", (unit,), ()),
+            BlockComplex("cube_in_box", (unit,)),
             convex=True,
             extension_id="cube_in_box_B",
         )
@@ -246,7 +234,7 @@ def _build_catalog() -> dict[str, GeometryInfo]:
     )
     add(
         GeometryInfo(
-            BlockComplex("cube_in_box_B", bextra, _auto_junctions(list(bextra))),
+            BlockComplex("cube_in_box_B", bextra),
             convex=True,  # union is the brick [0,1]x[0,2]x[-1,1]
             internal=True,
         )
@@ -254,7 +242,7 @@ def _build_catalog() -> dict[str, GeometryInfo]:
 
     add(
         GeometryInfo(
-            BlockComplex("four_edge_cube", (unit,), ()),
+            BlockComplex("four_edge_cube", (unit,)),
             convex=True,
             split_width=Fraction(1, 4),
         )
@@ -263,7 +251,7 @@ def _build_catalog() -> dict[str, GeometryInfo]:
     ej = (_cube((0, 0, 0), (1, 1, 1)), _cube((1, 1, 0), (2, 2, 1)))
     add(
         GeometryInfo(
-            BlockComplex("edge_junction_pair", ej, _auto_junctions(list(ej))),
+            BlockComplex("edge_junction_pair", ej),
             lipschitz=False,
             junction_edge="e:x=1,y=1",
         )
@@ -272,7 +260,7 @@ def _build_catalog() -> dict[str, GeometryInfo]:
     vj = (_cube((0, 0, 0), (1, 1, 1)), _cube((1, 1, 1), (2, 2, 2)))
     add(
         GeometryInfo(
-            BlockComplex("vertex_junction_pair", vj, _auto_junctions(list(vj))),
+            BlockComplex("vertex_junction_pair", vj),
             lipschitz=False,
             junction_vertex=(1, 1, 1),
         )
@@ -284,7 +272,7 @@ def _build_catalog() -> dict[str, GeometryInfo]:
         blocks = tuple(Pyramid((0, 0, 0), a, sg) for a, sg in star_dirs[:s])
         add(
             GeometryInfo(
-                BlockComplex(f"vertex_junction_star{s}", blocks, _auto_junctions(list(blocks))),
+                BlockComplex(f"vertex_junction_star{s}", blocks),
                 lipschitz=False,
                 junction_vertex=(0, 0, 0),
             )

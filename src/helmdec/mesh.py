@@ -653,7 +653,7 @@ def extract_block(mesh: TetMesh, block: int) -> Submesh:
         except GeometryError:
             return sub
         sub.mesh.cached("geometry_info", lambda: GeometryInfo(
-            BlockComplex(sub.mesh.name, (blk,), ()), convex=True))
+            BlockComplex(sub.mesh.name, (blk,)), convex=True))
         return sub
 
     return mesh.cached(("block_submesh", block), build)

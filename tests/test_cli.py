@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from helmdec.cli import main
+from helmdec.decompose import ROUTES
 from helmdec.mesh import build_complex, read_mesh
 
 
@@ -197,13 +198,15 @@ def test_unknown_ratio_is_config_error(tmp_path, monkeypatch, capsys):
 
 @pytest.mark.parametrize("command", ["mesh", "hx", "sweep"])
 def test_unknown_route_is_config_error(tmp_path, capsys, command):
-    # refused when the config loads, also by the commands that never route
-    cfg = write_cfg(tmp_path, BASE.replace("route = auto", "route = bogus"))
-    out = tmp_path / "out"
-    assert run(command, cfg, out) == 2
-    err = capsys.readouterr().err
-    assert "'bogus'" in err and all(r in err for r in ("auto", "kernel", "face-chain"))
-    assert "Traceback" not in err and not out.exists()
+    # refused when the config loads, also by the commands that never route;
+    # "auto" plans the face chain, and no value forces it
+    for bad in ("bogus", "face-chain"):
+        cfg = write_cfg(tmp_path, BASE.replace("route = auto", f"route = {bad}"))
+        out = tmp_path / "out"
+        assert run(command, cfg, out) == 2
+        err = capsys.readouterr().err
+        assert f"'{bad}'" in err and all(r in err for r in ROUTES)
+        assert "Traceback" not in err and not out.exists()
 
 
 def test_sweep_writes_the_configured_ratio(tmp_path):

@@ -131,7 +131,9 @@ def test_kernel_empty_trace_gauge(cube4):
 
 # -- dispatcher routing -------------------------------------------------------
 
-ROUTING = [
+# traces and the path "auto" plans for each; a parametrization that appends
+# cases of its own takes ROUTING_PATHS, so their ids stay put
+ROUTING_PATHS = [
     ("unit_cube", ["boundary"], "kernel"),
     ("unit_cube", ["z=0", "z=1"], "kernel-multi"),
     ("unit_cube", ["e:x=0,y=0"], "edge-cut"),
@@ -143,6 +145,13 @@ ROUTING = [
     ("cube_in_box", ["z=0", "y=1", "e:y=0,z=1"], "faces-plus-edge/extension"),
     ("edge_junction_pair", ["x=0"], "edge-junction/chained"),
     ("vertex_junction_pair", ["x=1#0", "x=1#1"], "vertex-junction"),
+]
+ROUTING = ROUTING_PATHS + [
+    # a face trace plus two disjoint edges (the dispatcher's mixed branch)
+    ("three_cube_L", ["x=0", "e:x=1,y=1", "e:x=2,y=0"], "disjoint-edges/simple"),
+    # junctions with free blocks: kinds [anchored, free], [free, free, anchored]
+    ("vertex_junction_pair", ["x=0"], "vertex-junction"),
+    ("vertex_junction_star3", ["x=2"], "vertex-junction"),
 ]
 
 
@@ -163,7 +172,7 @@ def test_every_route_absorbs_gradients(geometry, spec, path):
     assert_absorbs_gradient(dc.decompose, mesh, t)
 
 
-@pytest.mark.parametrize("route", ["auto", "kernel", "face-chain"])
+@pytest.mark.parametrize("route", dc.ROUTES)
 def test_dispatcher_rejects_nonzero_moment(cube4, rng, route):
     t = tag_trace(cube4, ["z=0"])
     v = fem.EdgeField(cube4, rng.uniform(0.5, 1.0, cube4.ne))
@@ -233,16 +242,6 @@ def test_edge_route_stokes_record(cube4):
         assert abs(C - flux / l0) <= 1e-12 * (1 + abs(C))
 
 
-def test_single_edge_equals_disjoint_union(cube4):
-    t = tag_trace(cube4, ["e:x=0,y=0"])
-    v = dc.random_admissible_field(cube4, t, 13)
-    a = split_of(v, *dc._edge_route(cube4, t.coarse_edges).apply(v)[:2])
-    b = split_of(v, *dc._disjoint_edges(cube4, t.coarse_edges).apply(v)[:2])
-    assert np.array_equal(a.p.values, b.p.values)
-    assert np.array_equal(a.w.values, b.w.values)
-    assert np.array_equal(a.R.values, b.R.values)
-
-
 def test_disjoint_edges_simple_case(cube4):
     # two opposite edges admit non-interfering faces
     t = tag_trace(cube4, ["e:x=0,y=0", "e:x=1,y=1"])
@@ -283,8 +282,15 @@ def test_overlapping_edges_rejected(cube4):
     s = dc.decompose(v, t)  # connected union: single edge-cut
     assert s.path == "edge-cut"
     assert_contract(s, v, t)
-    with pytest.raises(PreconditionError):
-        dc._disjoint_edges(cube4, t.coarse_edges)
+
+
+def test_interfering_edges_with_face_trace_name_the_edge(cube4):
+    # neither edge has a containing face clear of the trace face x=0
+    t = tag_trace(cube4, ["x=0", "e:x=0,y=0", "e:x=0,y=1"])
+    v = dc.random_admissible_field(cube4, t, 16)
+    with pytest.raises(PreconditionError, match="interfering disjoint edges") as exc:
+        dc.decompose(v, t)
+    assert exc.value.entity == "e:x=0,y=0"
 
 
 # -- junctions -------------------------------------------------------------------
@@ -395,6 +401,23 @@ def test_gate_rows_are_the_loop_potentials(geometry, spec, h):
                 assert vals[b] == (vals[anchored[0]] if kind == "free" and anchored else 0.0)
     v = dc.random_admissible_field(mesh, t, 9)
     assert np.abs(np.diff(gate.rows @ v.values)).max() <= 1e-13 * fem.norm(v, "curl")
+
+
+@pytest.mark.parametrize("geometry,spec,kinds", [
+    ("vertex_junction_pair", ["x=0"], ["anchored", "free"]),
+    ("vertex_junction_star3", ["x=2"], ["free", "free", "anchored"]),
+])
+def test_free_blocks_copy_the_anchored_row(geometry, spec, kinds):
+    """A free block's gate row is the anchored block's row, entry for entry."""
+    mesh = build_complex(geometry, 0.25)
+    gate = dc._gate_plan(mesh, tag_trace(mesh, spec))
+    assert gate.kinds == kinds
+    rows = gate.rows.toarray()
+    anchored = rows[kinds.index("anchored")]
+    assert anchored.any()
+    for b, kind in enumerate(kinds):
+        if kind == "free":
+            assert np.array_equal(rows[b], anchored)
 
 
 @settings(max_examples=8, deadline=None)
@@ -532,29 +555,6 @@ def test_layer_extension_matches_reference_loop(geometry, rng):
 
 # -- route plans ---------------------------------------------------------------
 
-def test_face_chain_on_convex_extension_is_the_kernel():
-    """Forced onto a face trace with a convex extension, the face-chain
-    route is one kernel pass: the kernel route's p and w, byte for byte."""
-    mesh = build_complex("unit_cube", 0.25)
-    t = tag_trace(mesh, ["z=0"])
-    v = dc.random_admissible_field(mesh, t, 45)
-    chain = dc.decompose(v, t, route="face-chain")
-    kernel = dc.decompose(v, t, route="kernel")
-    assert chain.path == "face-chain/convex-ext"
-    assert chain.p.values.tobytes() == kernel.p.values.tobytes()
-    assert chain.w.values.tobytes() == kernel.w.values.tobytes()
-
-
-@pytest.mark.parametrize("spec", [["e:x=0,y=0"], ["x=0", "e:x=0,y=0"]])
-def test_face_chain_rejects_coarse_edges(spec):
-    mesh = build_complex("three_cube_L", 0.25)
-    t = tag_trace(mesh, spec)
-    v = dc.random_admissible_field(mesh, t, 40)
-    with pytest.raises(PreconditionError, match="e:x=0,y=0") as exc:
-        dc.decompose(v, t, route="face-chain")
-    assert exc.value.entity == "e:x=0,y=0"
-
-
 FOUR_EDGES = ["e:x=0,y=0", "e:x=1,y=0", "e:x=1,y=1", "e:x=0,y=1"]
 
 # one configuration per route path
@@ -672,7 +672,7 @@ def test_warm_four_edge_call_is_one_cotree_solve(monkeypatch):
     assert counts["solve"] == 1
 
 
-@pytest.mark.parametrize("geometry,spec,route", [(g, s, "auto") for g, s, _ in ROUTING]
+@pytest.mark.parametrize("geometry,spec,route", [(g, s, "auto") for g, s, _ in ROUTING_PATHS]
                          + [("unit_cube", ["z=0"], "kernel")])
 def test_plan_records_path_and_claims(geometry, spec, route):
     """The plan is built before any apply and fixes the split's path and
@@ -712,7 +712,7 @@ def test_plan_memo_keys(geometry, calls):
         assert shared == _fingerprint(build_complex(geometry, 0.25), spec, route, 43)
 
 
-@pytest.mark.parametrize("geometry,spec,h", [(g, s, 0.25) for g, s, _ in ROUTING] + [
+@pytest.mark.parametrize("geometry,spec,h", [(g, s, 0.25) for g, s, _ in ROUTING_PATHS] + [
     ("vertex_junction_star3", ["p:-2,0,-1:0", "p:-2,0,1:0", "p:-1,-2,0:0"], 0.25),
     ("vertex_junction_star3", ["x=2", "z=-2", "z=2"], 0.25),
     ("vertex_junction_pair", ["x=0", "x=2"], 0.25),

@@ -224,21 +224,10 @@ def test_edge_junction_blocks_share_edge_nodes():
     assert shared.sum() == 5
 
 
-def test_junction_declaration_mismatch_rejected():
-    bad = BlockComplex(
-        "bad",
-        (Brick((0, 0, 0), (1, 1, 1)), Brick((1, 0, 0), (2, 1, 1))),
-        ((0, 1, "edge"),),  # actually a face junction
-    )
-    with pytest.raises(GeometryError):
-        bad.validate()
-
-
 def test_disconnected_union_rejected():
     bad = BlockComplex(
         "bad2",
         (Brick((0, 0, 0), (1, 1, 1)), Brick((3, 3, 3), (4, 4, 4))),
-        (),
     )
     with pytest.raises(GeometryError):
         bad.validate()

@@ -1,5 +1,6 @@
 """Smoke runs of the study scripts at their smallest settings."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -8,7 +9,10 @@ from pathlib import Path
 
 import numpy as np
 
-from helmdec.geometry import catalog_info
+from helmdec.decompose import ROUTES, _plan
+from helmdec.geometry import catalog_info, catalog_names
+from helmdec.mesh import build_complex
+from helmdec.trace import tag_trace
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -50,9 +54,9 @@ def test_output_digest_smallest(tmp_path):
     res = run_script("output_digest.py", ["--levels", "1", "--out", str(out)], tmp_path)
     assert res.returncode == 0, res.stderr
     lines = out.read_text().splitlines()
-    # 24 configurations x 4 inputs x 3 routes at one level, then one mesh
+    # 24 configurations x 4 inputs x each route at one level, then one mesh
     # line for each of the 8 geometries
-    assert len(lines) == 24 * 4 * 3 + 8
+    assert len(lines) == 24 * 4 * len(ROUTES) + 8
     first = lines[0].split()
     assert first[:5] == ["unit_cube", "z=0", "L1", "random", "auto"]
     assert len(first[5]) == 64
@@ -63,7 +67,7 @@ def test_output_digest_smallest(tmp_path):
                ["--levels", "1", "--out", str(again), "--arrays", str(arrays)], tmp_path)
     assert again.read_text() == out.read_text()
     saved = sorted(arrays.glob("*.npz"))
-    assert saved and len(saved) < 24 * 4 * 3  # refusals save nothing
+    assert saved and len(saved) < 24 * 4 * len(ROUTES)  # refusals save nothing
     with np.load(arrays / "unit_cube_z=0_L1_random_auto.npz") as a:
         assert {"p", "w", "R"} <= set(a.files)
     # a directory compared with itself moves nowhere
@@ -114,3 +118,28 @@ def test_route_census_lipschitz_paths(tmp_path):
     assert counts == {"corner-pair-faces": 2, "edge-junction/chained": 10,
                       "edge-junction/shared": 43, "face-chain": 25, "kernel": 98,
                       "kernel-multi": 22, "refused": 27, "vertex-junction": 1208}
+
+
+def test_multi_component_face_plans_claim_the_curl_norm():
+    """On the census family of the Lipschitz geometries, every route value
+    plans a trace of faces only with J >= 2 against the full curl norm: the
+    curl semi-norm bound fails there (`unit_cube` z=0;z=1 has b1 = 1)."""
+    spec = importlib.util.spec_from_file_location("route_census",
+                                                  ROOT / "scripts" / "route_census.py")
+    census = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(census)
+    planned = 0
+    for geometry in catalog_names(include_internal=True):
+        if not catalog_info(geometry).lipschitz:
+            continue
+        mesh = build_complex(geometry, census.H)
+        for names in census.specs(mesh):
+            trace = tag_trace(mesh, names)
+            if trace.J < 2 or trace.has_edges():
+                continue
+            for route in ROUTES:
+                plan = _plan(route, trace)
+                assert plan.claims["rhs1"] == "curl", (geometry, names, route, plan.path)
+                planned += 1
+    # the census's 22 kernel-multi traces
+    assert planned == 22 * len(ROUTES)
