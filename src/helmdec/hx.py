@@ -2,24 +2,32 @@
 auxiliary-space preconditioner built from the decomposition transfers.
 
 The bilinear form is (alpha curl u, curl v) + (beta u, v) with essential
-tangential data on the trace.  The preconditioner combines a point Jacobi
-smoother with inexact, spectrally equivalent solves of the two Galerkin
-auxiliary problems: the scalar nodal space carried over by the gradient
-map and the vector nodal space carried over by the edge-moment
-interpolation.  Each auxiliary solve is one geometric multigrid V-cycle on
-the nested `build_complex` hierarchy (`TetMesh.coarser`), with a direct
-solve on the coarsest level only.  Blocks are resolved on every level, so
-coefficient jumps line up with every coarse grid.
+tangential data on the trace.  The preconditioner is the HX
+preconditioner of Hiptmair & Xu (SIAM J. Numer. Anal. 45, 2007): a point
+Jacobi smoother plus inexact, spectrally equivalent solves of two nodal
+auxiliary problems.  The scalar space is carried over by the gradient
+map, and its operator is the beta-weighted Laplacian.  The vector space
+is carried over by the edge-moment interpolation, and its operator is the
+alpha-weighted vector Laplacian plus the beta mass, which is the norm in
+which the regular decompositions bound w.  That operator is the scalar
+K_alpha + M_beta on each of the three components.  Each auxiliary solve
+is one geometric multigrid V-cycle on the nested `build_complex`
+hierarchy (`TetMesh.coarser`), with a direct solve on the coarsest level
+only; the vector solve is the scalar cycle on three columns.  Blocks are
+resolved on every level, so coefficient jumps line up with every coarse
+grid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import eigvalsh_tridiagonal
 
 from . import fem, operators as ops
 from .mesh import TetMesh
@@ -79,7 +87,7 @@ def assemble_problem(problem: ModelProblem) -> CurlSystem:
 
 # damped Jacobi weight of the V-cycle smoother; the cycle is SPD while
 # _OMEGA * lambda_max(D^-1 A) < 2 on every smoothed level
-_OMEGA = 0.6
+_OMEGA = 0.8
 
 
 def _symmetric(A) -> sp.csr_matrix:
@@ -94,7 +102,8 @@ class _VCycle:
     Galerkin coarse operators P^T A P for the prolongations `transfers`
     (finest first), and one sparse LU on the coarsest level.  With no
     transfers it is that exact solve.  The restrictions P^T are kept as
-    CSR, which sums each entry in the order of the CSC view P.T."""
+    CSR, which sums each entry in the order of the CSC view P.T.  A
+    right-hand side of shape (n, k) is k independent cycles."""
 
     def __init__(self, A: sp.csr_matrix, transfers: list):
         self.P = transfers
@@ -109,6 +118,8 @@ class _VCycle:
         if level == len(self.P):
             return self.coarse.solve(b)
         A, w, P = self.A[level], self.w[level], self.P[level]
+        if b.ndim == 2:
+            w = w[:, None]
         x = w * b
         x += w * (b - A @ x)
         x += P @ self(self.R[level] @ (b - A @ x), level + 1)
@@ -117,31 +128,33 @@ class _VCycle:
         return x
 
 
-def _transfers(mesh: TetMesh, free_nodes: np.ndarray):
-    """Prolongations of the scalar and the vector (3*node + c) nodal spaces
-    down the mesh hierarchy, restricted to free nodes; a coarse vertex is
-    free where its fine node is."""
+def _transfers(mesh: TetMesh, free_nodes: np.ndarray) -> list:
+    """Prolongations of the scalar nodal space down the mesh hierarchy,
+    restricted to free nodes; a coarse vertex is free where its fine node
+    is."""
     free = np.zeros(mesh.nv, dtype=bool)
     free[free_nodes] = True
-    scalar, vector = [], []
+    out = []
     while (step := mesh.coarser()) is not None:
         mesh, P, vids = step
         cfree = free[vids]
-        scalar.append(P[free][:, cfree].tocsr())
-        P3 = sp.kron(P, sp.identity(3), format="csr")
-        vector.append(P3[np.repeat(free, 3)][:, np.repeat(cfree, 3)].tocsr())
+        out.append(P[free][:, cfree].tocsr())
         free = cfree
-    return scalar, vector
+    return out
 
 
 @dataclass
 class HXPreconditioner:
-    """Additive three-term auxiliary-space correction:
+    """Additive three-term auxiliary-space correction of Hiptmair & Xu:
     Jacobi smoother + gradient-space V-cycle + vector-nodal-space V-cycle.
-    The vector auxiliary operator is the Galerkin product P^T A P.  The
-    gradient one, G^T A G, is assembled as the beta-weighted nodal
-    stiffness on the free nodes, which it equals exactly: the curl of a
-    gradient is zero, and every edge at a free node is free."""
+
+    The gradient operator, G^T A G, is assembled as the beta-weighted
+    nodal stiffness on the free nodes, which it equals exactly: the curl
+    of a gradient is zero, and every edge at a free node is free.  The
+    vector operator is the nodal Laplacian K_alpha + M_beta on the free
+    nodes, applied to the three components of P^T r as three columns;
+    it is spectrally equivalent to, not equal to, the Galerkin product
+    P^T A P.  Both cycles run on the same scalar hierarchy."""
 
     system: CurlSystem
     _diag: np.ndarray = field(init=False)
@@ -158,23 +171,27 @@ class HXPreconditioner:
         self._diag = sys.A.diagonal()
         if np.any(self._diag <= 0):
             raise ValueError("system diagonal is not positive")
+        free = sys.free_nodes
         G = fem.gradient_map(mesh)
-        self._G = G[sys.free_edges][:, sys.free_nodes].tocsr()
+        self._G = G[sys.free_edges][:, free].tocsr()
         P = ops.rh_matrix(mesh)
-        cols = np.concatenate([3 * sys.free_nodes + c for c in range(3)])
-        cols.sort()
+        cols = (3 * free[:, None] + np.arange(3)).ravel()  # node-major
         self._P = P[sys.free_edges][:, cols].tocsr()
-        scalar, vector = _transfers(mesh, sys.free_nodes)
+        transfers = _transfers(mesh, free)
+        alpha = sys.problem.alpha[mesh.block_of_tet]
         beta = sys.problem.beta[mesh.block_of_tet]
-        K = fem.assemble(mesh, "Z", "stiffness", tet_weight=beta)
-        self._grad_solver = _VCycle(K[sys.free_nodes][:, sys.free_nodes], scalar)
-        self._nodal_solver = _VCycle(self._P.T @ sys.A @ self._P, vector)
+        K_b = fem.assemble(mesh, "Z", "stiffness", tet_weight=beta)
+        self._grad_solver = _VCycle(K_b[free][:, free], transfers)
+        K_a = fem.assemble(mesh, "Z", "stiffness", tet_weight=alpha)
+        M_b = fem.assemble(mesh, "Z", "mass", tet_weight=beta)
+        self._nodal_solver = _VCycle((K_a + M_b)[free][:, free], transfers)
         self._Gt, self._Pt = self._G.T.tocsr(), self._P.T.tocsr()
 
     def apply(self, r: np.ndarray) -> np.ndarray:
         out = r / self._diag
         out = out + self._G @ self._grad_solver(self._Gt @ r)
-        out = out + self._P @ self._nodal_solver(self._Pt @ r)
+        w = self._nodal_solver((self._Pt @ r).reshape(-1, 3))
+        out = out + self._P @ w.ravel()
         return out
 
     __call__ = apply
@@ -187,10 +204,47 @@ class PCGResult:
     converged: bool
     residuals: list  # preconditioned residual norms, relative to the first
     true_residual: float  # ||b - A x|| / ||b|| at exit
+    alphas: list = field(default_factory=list)  # CG step lengths alpha_k
+    betas: list = field(default_factory=list)   # CG direction updates beta_k
 
     @property
     def final_residual(self) -> float:
         return self.residuals[-1] if self.residuals else 0.0
+
+    @cached_property
+    def _ritz_extremes(self) -> tuple:
+        """Smallest and largest eigenvalue of the Lanczos tridiagonal T_m
+        that the m CG steps define (Saad, Iterative Methods for Sparse
+        Linear Systems, 2nd ed., 6.7.3): diagonal 1/alpha_0 and
+        1/alpha_k + beta_{k-1}/alpha_{k-1}, off-diagonal
+        sqrt(beta_k)/alpha_k.  Its eigenvalues are Ritz values of the
+        preconditioned operator BA, so its extremes approach
+        lambda_min(BA) and lambda_max(BA) from inside."""
+        m = len(self.alphas)
+        if m == 0:
+            return (np.nan, np.nan)
+        a = np.asarray(self.alphas)
+        b = np.asarray(self.betas[:m - 1])
+        d = 1.0 / a
+        d[1:] += b / a[:-1]
+        e = np.sqrt(b) / a[:-1]
+        lo = eigvalsh_tridiagonal(d, e, select="i", select_range=(0, 0))[0]
+        hi = eigvalsh_tridiagonal(d, e, select="i", select_range=(m - 1, m - 1))[0]
+        return (float(lo), float(hi))
+
+    @property
+    def lam_min(self) -> float:
+        return self._ritz_extremes[0]
+
+    @property
+    def lam_max(self) -> float:
+        return self._ritz_extremes[1]
+
+    @property
+    def kappa(self) -> float:
+        """Effective condition number lam_max / lam_min of BA."""
+        lo, hi = self._ritz_extremes
+        return hi / lo
 
 
 def pcg_solve(system: CurlSystem, preconditioner=None, tol: float = 1e-8,
@@ -201,23 +255,26 @@ def pcg_solve(system: CurlSystem, preconditioner=None, tol: float = 1e-8,
     sqrt(r.Br), relative to its initial value, is below tol (B the
     preconditioner).  The true relative residual ||b - A x|| / ||b|| can
     differ from it by the conditioning of B; it is computed once at exit
-    and reported as `true_residual`.  Reaching maxit, and a breakdown
-    d.Ad <= 0 of a system that is not SPD, are typed outcomes
-    (converged=False), not exceptions."""
+    and reported as `true_residual`.  The coefficients alpha_k and beta_k
+    are kept, and the result reports the spectrum of BA they estimate.
+    Reaching maxit, and a breakdown d.Ad <= 0 of a system that is not
+    SPD, are typed outcomes (converged=False), not exceptions."""
     A = system.A
     b = system.b
     apply_m = preconditioner if preconditioner is not None else (lambda r: r)
     x = np.zeros_like(b)
-    r = b - A @ x
+    r = b.copy()  # b - A x at x = 0
     z = apply_m(r)
     rz = float(r @ z)
     base = np.sqrt(abs(rz)) if rz != 0 else 0.0
     history = [1.0 if base > 0 else 0.0]
+    alphas, betas = [], []
 
     def result(it, converged):
         bn = float(np.linalg.norm(b))
         rn = float(np.linalg.norm(b - A @ x))
-        return PCGResult(x, it, converged, history, rn / bn if bn > 0 else rn)
+        return PCGResult(x, it, converged, history, rn / bn if bn > 0 else rn,
+                         alphas, betas)
 
     if base == 0.0:
         return result(0, True)
@@ -229,6 +286,7 @@ def pcg_solve(system: CurlSystem, preconditioner=None, tol: float = 1e-8,
         if dAd <= 0.0:
             return result(it, False)
         alpha = rz / dAd
+        alphas.append(alpha)
         x += alpha * d
         r -= alpha * Ad
         z = apply_m(r)
@@ -238,6 +296,8 @@ def pcg_solve(system: CurlSystem, preconditioner=None, tol: float = 1e-8,
         history.append(rel)
         if rel <= tol:
             return result(it, True)
-        d = z + (rz_new / rz) * d
+        beta = rz_new / rz
+        betas.append(beta)
+        d = z + beta * d
         rz = rz_new
     return result(it, False)

@@ -4,6 +4,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from helmdec import fem, hx
+from helmdec.geometry import CATALOG
 from helmdec.mesh import build_complex
 from helmdec.operators import rh_matrix
 from helmdec.trace import tag_trace
@@ -81,6 +82,7 @@ def test_apply_equals_transpose_per_call(lshape8, rng):
         if level == len(vc.P):
             return vc.coarse.solve(b)
         A, w, P = vc.A[level], vc.w[level], vc.P[level]
+        w = w.reshape(-1, *[1] * (b.ndim - 1))  # one weight per node row
         x = w * b
         x += w * (b - A @ x)
         x += P @ cycle(vc, P.T @ (b - A @ x), level + 1)
@@ -89,35 +91,61 @@ def test_apply_equals_transpose_per_call(lshape8, rng):
         return x
 
     for r in (rng.standard_normal(sysm.n), sysm.b):
+        w = cycle(pre._nodal_solver, (pre._P.T @ r).reshape(-1, 3))
         ref = (r / pre._diag + pre._G @ cycle(pre._grad_solver, pre._G.T @ r)
-               + pre._P @ cycle(pre._nodal_solver, pre._P.T @ r))
+               + pre._P @ w.ravel())
         assert np.array_equal(pre.apply(r), ref)
 
 
-def test_vcycle_smoother_is_convergent_on_every_level(lshape8):
-    """omega * lambda_max(D^-1 A_l) < 2 on every smoothed level of both
-    auxiliary hierarchies, so the V-cycle is SPD."""
-    sysm = make_system(lshape8, [1e6, 1.0, 1.0], [1.0, 1.0, 1.0])
-    pre = hx.HXPreconditioner(sysm)
+def _assert_smoothers_convergent(pre):
     for cycle in (pre._grad_solver, pre._nodal_solver):
-        assert len(cycle.A) == 3  # h = 1/8, 1/4 and the direct solve at 1/2
         for A in cycle.A[:-1]:
             s = sp.diags(1.0 / np.sqrt(A.diagonal()))
             lam = spla.eigsh(s @ A @ s, k=1, which="LA", return_eigenvectors=False)[0]
             assert hx._OMEGA * lam < 2.0, lam
 
 
+def test_vcycle_smoother_is_convergent_on_every_level(lshape8):
+    """omega * lambda_max(D^-1 A_l) < 2 on every smoothed level of both
+    auxiliary hierarchies, so the V-cycle is SPD: on the L shape at h = 1/8
+    under a 1e6 jump, and on every catalog geometry at h = 1/4 with and
+    without a trace, at alpha_0 = 1 and 1e6."""
+    sysm = make_system(lshape8, [1e6, 1.0, 1.0], [1.0, 1.0, 1.0])
+    pre = hx.HXPreconditioner(sysm)
+    for cycle in (pre._grad_solver, pre._nodal_solver):
+        assert len(cycle.A) == 3  # h = 1/8, 1/4 and the direct solve at 1/2
+        assert cycle.A[0].shape[0] == len(sysm.free_nodes)  # scalar, not 3n
+    _assert_smoothers_convergent(pre)
+    for name in CATALOG:
+        mesh = build_complex(name, 0.25)
+        nb = int(mesh.block_of_tet.max()) + 1
+        for trace in (tag_trace(mesh, ["boundary"]), None):
+            for a0 in (1.0, 1e6):
+                alpha = np.ones(nb)
+                alpha[0] = a0
+                prob = hx.ModelProblem(mesh, alpha, np.ones(nb), trace,
+                                       fem.EdgeField(mesh, np.zeros(mesh.ne)))
+                _assert_smoothers_convergent(hx.HXPreconditioner(hx.assemble_problem(prob)))
+
+
 def exact_aux_reference(sysm):
     """The same three-term preconditioner with both auxiliary problems
-    solved exactly by sparse LU."""
+    solved exactly by sparse LU: the beta-weighted Laplacian G^T A G, and
+    K_alpha + M_beta on each of the three vector components."""
     mesh = sysm.problem.mesh
-    G = fem.gradient_map(mesh)[sysm.free_edges][:, sysm.free_nodes]
-    cols = np.sort(np.concatenate([3 * sysm.free_nodes + c for c in range(3)]))
+    free = sysm.free_nodes
+    G = fem.gradient_map(mesh)[sysm.free_edges][:, free]
+    cols = (3 * free[:, None] + np.arange(3)).ravel()
     P = rh_matrix(mesh)[sysm.free_edges][:, cols]
+    alpha = sysm.problem.alpha[mesh.block_of_tet]
+    beta = sysm.problem.beta[mesh.block_of_tet]
+    L = (fem.assemble(mesh, "Z", "stiffness", tet_weight=alpha)
+         + fem.assemble(mesh, "Z", "mass", tet_weight=beta))[free][:, free]
     lu_g = spla.splu((G.T @ sysm.A @ G).tocsc())
-    lu_p = spla.splu((P.T @ sysm.A @ P).tocsc())
+    lu_p = spla.splu(L.tocsc())
     diag = sysm.A.diagonal()
-    return lambda r: (r / diag + G @ lu_g.solve(G.T @ r) + P @ lu_p.solve(P.T @ r))
+    return lambda r: (r / diag + G @ lu_g.solve(G.T @ r)
+                      + P @ lu_p.solve((P.T @ r).reshape(-1, 3)).ravel())
 
 
 def test_matches_exact_auxiliary_reference(lshape8):
@@ -137,8 +165,9 @@ def test_matches_exact_auxiliary_reference(lshape8):
 
 
 def test_only_the_coarsest_level_is_factored(cube2, monkeypatch):
-    """No factored matrix is larger than the h = 1/2 vector auxiliary
-    system; trace=None and a one-level mesh converge."""
+    """No factored matrix is larger than the free nodes at h = 1/2, the
+    coarsest level of both auxiliary cycles; trace=None and a one-level
+    mesh converge."""
     sizes = []
     splu = spla.splu
 
@@ -147,7 +176,7 @@ def test_only_the_coarsest_level_is_factored(cube2, monkeypatch):
         return splu(A, *args, **kwargs)
 
     monkeypatch.setattr(spla, "splu", recording_splu)
-    coarsest = 3 * int((~tag_trace(cube2, ["boundary"]).node_mask).sum())
+    coarsest = int((~tag_trace(cube2, ["boundary"]).node_mask).sum())
     hx.HXPreconditioner(make_system(build_complex("unit_cube", 0.125), [1.0], [1.0]))
     assert sizes and max(sizes) <= coarsest, (sizes, coarsest)
     monkeypatch.undo()
@@ -162,6 +191,25 @@ def test_only_the_coarsest_level_is_factored(cube2, monkeypatch):
     for sysm in (free, one_level):
         res = hx.pcg_solve(sysm, hx.HXPreconditioner(sysm), tol=1e-8)
         assert res.converged and res.true_residual <= 1e-6
+
+
+def test_lanczos_spectrum_matches_dense_eigh(cube4):
+    """The Ritz extremes from PCG's own coefficients bound the spectrum of
+    the preconditioned operator BA from inside.  At tol 1e-8 they match
+    dense eigh: lambda_max to 1e-10 and lambda_min and kappa to 1e-3,
+    relative (lambda_max converges first; lambda_min read 1e-4 to 5e-4
+    off over seeds 0-2)."""
+    sysm = make_system(cube4, [1.0], [1.0], seed=0)
+    pre = hx.HXPreconditioner(sysm)
+    B = np.column_stack([pre(e) for e in np.eye(sysm.n)])
+    C = np.linalg.cholesky(0.5 * (B + B.T))
+    lam = np.linalg.eigvalsh(C.T @ sysm.A.toarray() @ C)
+    res = hx.pcg_solve(sysm, pre, tol=1e-8)
+    assert res.converged and len(res.alphas) == res.iterations
+    assert lam[0] * (1 - 1e-12) <= res.lam_min <= lam[0] * (1 + 1e-3)
+    assert lam[-1] * (1 - 1e-10) <= res.lam_max <= lam[-1] * (1 + 1e-12)
+    assert res.kappa == pytest.approx(lam[-1] / lam[0], rel=1e-3)
+    assert np.isnan(hx.pcg_solve(sysm, None, maxit=0).kappa)  # no step, no estimate
 
 
 def test_pcg_identity_system(cube2):

@@ -47,6 +47,9 @@ def test_hx_study_smallest(tmp_path):
     assert [(r["geometry"], r["level"]) for r in rows] == [
         ("unit_cube", 1), ("unit_cube", 2), ("three_cube_L", 3)]
     assert all(r["hx_iterations"] < r["cg_iterations"] for r in rows)
+    for r in rows:
+        assert all(r[key] >= 0.0 for key in ("hx_setup_s", "hx_solve_s", "cg_s"))
+        assert 1.0 <= r["hx_kappa"] == r["hx_lam_max"] / r["hx_lam_min"]
 
 
 def test_output_digest_smallest(tmp_path):
