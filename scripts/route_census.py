@@ -1,17 +1,19 @@
 #!/usr/bin/env python3
-"""Route census: the path the dispatcher plans for each trace of a fixed
-family on every catalog geometry, without applying a plan.
+"""Route census: the path the dispatcher plans for each trace of two fixed
+families on every catalog geometry, without applying a plan.
 
 The geometries are all catalog entries, internal ones included, meshed at
-h = 1/4.  The traces on each are every single coarse face, every pair of
-coarse faces, `boundary` and `concave`.  The script writes one line per
-trace to stdout,
+h = 1/4.  The `face` family on each is every single coarse face, every
+pair of coarse faces, `boundary` and `concave`; the `edge` family is every
+single coarse edge, every pair of coarse edges, and every (coarse face,
+coarse edge) pair.  The script writes one line per trace to stdout,
 
-    geometry  spec  path
+    family  geometry  spec  path
 
 with the entity names of the spec joined by ';' and, in place of the
 path, `! ErrorType(entity): message` for a typed refusal at plan time.
-A summary of the count per path follows, one `# path count` line each:
+A summary of the count per family and path follows, one
+`# family path count` line each:
 
     python3 scripts/route_census.py > census.txt
 """
@@ -28,7 +30,7 @@ from helmdec.trace import TraceError, surface, tag_trace
 H = 0.25
 
 
-def specs(mesh):
+def face_specs(mesh):
     names = [f.name for f in surface(mesh).faces]
     yield from ([n] for n in names)
     yield from (list(pair) for pair in itertools.combinations(names, 2))
@@ -36,26 +38,38 @@ def specs(mesh):
     yield ["concave"]
 
 
+def edge_specs(mesh):
+    surf = surface(mesh)
+    names = [e.name for e in surf.edges]
+    yield from ([n] for n in names)
+    yield from (list(pair) for pair in itertools.combinations(names, 2))
+    yield from ([f.name, n] for f in surf.faces for n in names)
+
+
+FAMILIES = {"face": face_specs, "edge": edge_specs}
+
+
 def census():
-    """(geometry, spec, path or refusal) per trace of the family."""
+    """(family, geometry, spec, path or refusal) per trace of the families."""
     for geometry in catalog_names(include_internal=True):
         mesh = build_complex(geometry, H)
-        for spec in specs(mesh):
-            try:
-                path = _plan("auto", tag_trace(mesh, spec)).path
-            except (PreconditionError, GeometryError, TraceError) as ex:
-                entity = getattr(ex, "entity", None)
-                path = f"! {type(ex).__name__}({entity}): {ex}"
-            yield geometry, ";".join(spec), path
+        for family, specs in FAMILIES.items():
+            for spec in specs(mesh):
+                try:
+                    path = _plan("auto", tag_trace(mesh, spec)).path
+                except (PreconditionError, GeometryError, TraceError) as ex:
+                    entity = getattr(ex, "entity", None)
+                    path = f"! {type(ex).__name__}({entity}): {ex}"
+                yield family, geometry, ";".join(spec), path
 
 
 def main():
     counts = collections.Counter()
-    for geometry, spec, path in census():
-        print(f"{geometry}\t{spec}\t{path}")
-        counts["refused" if path.startswith("!") else path] += 1
-    for path, n in sorted(counts.items()):
-        print(f"# {path} {n}")
+    for family, geometry, spec, path in census():
+        print(f"{family}\t{geometry}\t{spec}\t{path}")
+        counts[family, "refused" if path.startswith("!") else path] += 1
+    for (family, path), n in sorted(counts.items()):
+        print(f"# {family} {path} {n}")
 
 
 if __name__ == "__main__":

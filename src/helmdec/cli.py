@@ -302,12 +302,15 @@ def cmd_hx(cfg: ExperimentConfig, out: Path) -> int:
             system = hx.assemble_problem(prob)
             t0 = time.perf_counter()
             pre = hx.HXPreconditioner(system)
+            t1 = time.perf_counter()
             res = hx.pcg_solve(system, pre, tol=cfg.hx_tol, maxit=cfg.hx_maxit)
+            t2 = time.perf_counter()
             plain = hx.pcg_solve(system, None, tol=cfg.hx_tol,
                                  maxit=max(cfg.hx_maxit, 20000))
-            wall = time.perf_counter() - t0
+            t3 = time.perf_counter()
             print(f"level {k} alpha={a:g}: hx={res.iterations} cg={plain.iterations} "
-                  f"wall={wall:.2f}s", file=sys.stderr)
+                  f"hx_setup={t1 - t0:.3f}s hx_solve={t2 - t1:.3f}s cg={t3 - t2:.3f}s",
+                  file=sys.stderr)
             rows.append(f"{cfg.geometry},{k},{mesh.h!r},{a!r},{cfg.beta!r},"
                         f"{res.iterations},{plain.iterations},{res.final_residual!r}")
             summary.append({"level": k, "alpha": a, "hx_iterations": res.iterations,

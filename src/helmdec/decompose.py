@@ -436,15 +436,14 @@ def _edge_nodes(E: Sequence[CoarseEdge]) -> np.ndarray:
 def _find_face_for_edge(mesh, E: list[CoarseEdge], forbidden_nodes=None) -> CoarseFace:
     """The first face with every edge of E on its boundary, clear of `forbidden_nodes`."""
     ids = {e.id for e in E}
+    chain = "+".join(e.name for e in E)
     for f in surface(mesh).faces:
         if not ids.issubset(f.edges):
             continue
         if forbidden_nodes is not None and forbidden_nodes[f.fine_nodes].any():
             continue
         return f
-    raise PreconditionError(
-        f"no admissible face has {'+'.join(e.name for e in E)} on its boundary"
-    )
+    raise PreconditionError(f"no admissible face has {chain} on its boundary", entity=chain)
 
 
 def _loop_subtraction(v: EdgeField, loop: ops.BoundaryLoop, C: float,
@@ -795,9 +794,9 @@ def decompose(v: EdgeField, trace: TraceSet,
 
 
 def _trace_key(trace: TraceSet) -> tuple:
-    """The trace's coarse entities.  Its masks would not do as a key: a face
-    and an edge of its closure cover the fine entities of the face alone,
-    and route differently."""
+    """The ids of the trace's coarse entities.  A trace is in
+    closure-normal form (`trace_from_fine`), so they are a compact key of
+    its fine masks: traces with equal masks share their plans."""
     return (tuple(f.id for f in trace.coarse_faces), tuple(e.id for e in trace.coarse_edges),
             tuple(trace.vertex_nodes))
 
@@ -806,10 +805,16 @@ def _plan(route: str, trace: TraceSet) -> _Route:
     """The route's plan on (mesh, trace), made once per mesh: its path and
     claims, and everything it derives from the mesh and the trace alone
     (branch, faces, loops, masks, sub-traces), held by a function of v that
-    does only matvecs and cached solves."""
+    does only matvecs and cached solves.  A refusal that names no entity
+    names the trace."""
     mesh = trace.mesh
-    return mesh.cached(("plan", route) + _trace_key(trace),
-                       lambda: _ROUTES[route](mesh, trace))
+    try:
+        return mesh.cached(("plan", route) + _trace_key(trace),
+                           lambda: _ROUTES[route](mesh, trace))
+    except PreconditionError as ex:
+        if ex.entity is None:
+            ex.entity = ";".join(trace.spec)
+        raise
 
 
 def _routed(plan: _Route, v: EdgeField, trace: TraceSet):
@@ -826,20 +831,18 @@ def _routed(plan: _Route, v: EdgeField, trace: TraceSet):
 
 
 def _faces_only_trace(trace: TraceSet) -> TraceSet:
-    from .trace import _assemble_trace
-
-    return _assemble_trace(trace.mesh, trace.coarse_faces, [], [],
-                           tuple(f.name for f in trace.coarse_faces))
+    return trace_from_fine(trace.mesh, *_fine_closure(trace.mesh, trace.coarse_faces, (), ()))
 
 
 # --------------------------------------------------------------------------
 # edge junction (two blocks sharing one coarse edge)
 # --------------------------------------------------------------------------
 
-def _block_plan(sub: Submesh, node_mask: np.ndarray, edge_mask: np.ndarray):
+def _block_plan(sub: Submesh, node_mask: np.ndarray, edge_mask: np.ndarray, spec):
     """A block, the trace masks restricted to it as a trace of the block
-    mesh, and that trace's plan."""
-    trace = trace_from_fine(sub.mesh, node_mask[sub.vert_map], edge_mask[sub.edge_map])
+    mesh, and that trace's plan.  The block trace is named by the junction
+    trace's `spec`, so a block refusal names the trace, not the block."""
+    trace = trace_from_fine(sub.mesh, node_mask[sub.vert_map], edge_mask[sub.edge_map], spec)
     return sub, trace, _plan("auto", trace)
 
 
@@ -876,13 +879,8 @@ def _edge_junction(mesh: TetMesh, trace: TraceSet) -> _Route:
     em1[E.fine_edges] = True
     nm1 = trace.node_mask.copy()
     nm1[E.fine_nodes] = True
-    try:
-        block0 = _block_plan(sub0, trace.node_mask, trace.edge_mask)
-        block1 = _block_plan(sub1, nm1, em1)
-    except PreconditionError as ex:  # a block refusal names the trace, not the block
-        if ex.entity is None:
-            ex.entity = ";".join(trace.spec)
-        raise
+    block0 = _block_plan(sub0, trace.node_mask, trace.edge_mask, trace.spec)
+    block1 = _block_plan(sub1, nm1, em1, trace.spec)
     log = not shared or trace.has_edges() or not all(c["lipschitz"] for c in trace.components)
     claims = {"rhs1": "curl_semi" if trace.J <= 1 else "curl", "rhs2": "curl",
               "log": bool(log)}
@@ -924,7 +922,7 @@ def _block_kind(trace: TraceSet, b: int, v0: int) -> str:
     return "anchored" if held else "free"
 
 
-def _anchored_setup(mesh, surf, block_faces, v0, trace: TraceSet):
+def _anchored_setup(mesh, surf, block_faces, v0, trace: TraceSet, b: int):
     """Loop face + normalization edge for a trace-anchored block: a face
     through the vertex whose contact with the trace is exactly one whole
     coarse boundary edge (the anchor E), clear of the vertex."""
@@ -942,8 +940,7 @@ def _anchored_setup(mesh, surf, block_faces, v0, trace: TraceSet):
         return f, ops.build_loop(mesh, [f]), traced[0]
     raise PreconditionError(
         "no loop face at the junction vertex meets the block trace in a "
-        "single whole edge"
-    )
+        "single whole edge", entity=b)
 
 
 def _free_setup(mesh, block_faces, v0):
@@ -996,7 +993,7 @@ def _gate_plan(mesh: TetMesh, trace: TraceSet) -> _Gate:
                 setups.append(None)
                 continue
             faces = [f for f in surf.faces if f.block == b]
-            F, loop, E = (_anchored_setup(mesh, surf, faces, v0, trace)
+            F, loop, E = (_anchored_setup(mesh, surf, faces, v0, trace, b)
                           if kind == "anchored" else _free_setup(mesh, faces, v0))
             k0 = loop.node_pos(v0)
             setups.append((F, loop, E, k0))
@@ -1050,7 +1047,7 @@ def _vertex_junction(mesh: TetMesh, trace: TraceSet) -> _Route:
         sub = extract_block(mesh, b)
         keep = sub.vert_map != v0 if b > 0 else np.ones(len(sub.vert_map), dtype=bool)
         if kind == "pinned":
-            block = _block_plan(sub, trace.node_mask, trace.edge_mask)
+            block = _block_plan(sub, trace.node_mask, trace.edge_mask, trace.spec)
             blocks.append((sub, keep, block))
             log = log or block[2].claims["log"]  # the claims of the block's plan
             continue

@@ -4,9 +4,10 @@ The complex boundary is decomposed into complete coarse faces (maximal
 connected coplanar unions of boundary triangles with a common outward
 normal), coarse edges (maximal collinear crease chains) and coarse
 vertices.  All grouping is exact: plane and line keys are integer-reduced
-lattice data.  A TraceSet tags a subset of these entities and derives the
-fine node/edge/face sets plus the connectivity metadata the decomposition
-dispatcher routes on.
+lattice data.  A TraceSet is a pair of fine node/edge masks and its
+closure-normal form (the covered coarse faces, the covered coarse edges
+outside their closure, the nodes left over as vertices), plus the
+connectivity metadata the decomposition dispatcher routes on.
 """
 
 from __future__ import annotations
@@ -337,7 +338,8 @@ def _build_surface(mesh: TetMesh) -> Surface:
 
 @dataclass
 class TraceSet:
-    """A tagged subset of coarse boundary entities with derived fine sets."""
+    """Fine trace masks and their coarse entities in closure-normal form;
+    made by `trace_from_fine`.  `spec` names the trace in messages."""
 
     mesh: TetMesh
     spec: tuple[str, ...]
@@ -383,35 +385,62 @@ def _fine_closure(mesh: TetMesh, faces, edges, vnodes):
     return nmask, emask
 
 
-def trace_from_fine(mesh: TetMesh, node_mask: np.ndarray, edge_mask: np.ndarray) -> TraceSet:
-    """Reconstruct a TraceSet from fine masks: tagged coarse faces are those
-    fully covered, remaining covered coarse edges are tagged as edges, and
-    leftover masked nodes become vertex entries.  Raises if the masks do not
-    decompose into whole coarse entities (partial coverage)."""
+def trace_from_fine(mesh: TetMesh, node_mask: np.ndarray, edge_mask: np.ndarray,
+                    spec=None) -> TraceSet:
+    """The TraceSet of fine masks, in closure-normal form: the tagged faces
+    are the fully covered coarse faces, the tagged edges the covered coarse
+    edges outside every tagged face's closure, and the vertex entries the
+    masked nodes left over.  So traces with equal masks have equal
+    entities.  `spec` names the trace in messages; it defaults to the
+    entity names.  Raises if the masks do not decompose into whole coarse
+    entities (partial coverage)."""
     surf = surface(mesh)
     faces = [f for f in surf.faces if edge_mask[f.fine_edges].all() and node_mask[f.fine_nodes].all()]
     covered_n, covered_e = _fine_closure(mesh, faces, (), ())
-    edges = []
-    for e in surf.edges:
-        rest = edge_mask[e.fine_edges] & ~covered_e[e.fine_edges]
-        if rest.any():
-            if not edge_mask[e.fine_edges].all():
-                continue
-            edges.append(e)
-            covered_e[e.fine_edges] = True
-            covered_n[e.fine_nodes] = True
+    edges = [e for e in surf.edges
+             if edge_mask[e.fine_edges].all() and not covered_e[e.fine_edges].all()]
+    for e in edges:
+        covered_e[e.fine_edges] = True
+        covered_n[e.fine_nodes] = True
     if np.any(edge_mask & ~covered_e):
         bad = int(np.nonzero(edge_mask & ~covered_e)[0][0])
         raise TraceError(f"fine edge {bad} not covered by whole coarse entities")
-    vnodes = sorted(int(n) for n in np.nonzero(node_mask & ~covered_n)[0])
-    names = [f.name for f in faces] + [e.name for e in edges] + [f"@node{n}" for n in vnodes]
-    return _assemble_trace(mesh, faces, edges, vnodes, tuple(names))
+    vnodes = np.nonzero(node_mask & ~covered_n)[0].tolist()
+    if spec is None:
+        spec = [f.name for f in faces] + [e.name for e in edges] + [f"@node{n}" for n in vnodes]
+
+    # connected components over tagged coarse entities via shared fine nodes
+    ents = [("f", f) for f in faces] + [("e", e) for e in edges] + [("v", n) for n in vnodes]
+    comps = linked_components([f.fine_nodes for f in faces] + [e.fine_nodes for e in edges]
+                              + [[n] for n in vnodes])
+    components = []
+    for comp in comps:
+        cf = [ents[i][1] for i in comp if ents[i][0] == "f"]
+        ce = [ents[i][1] for i in comp if ents[i][0] == "e"]
+        cv = [ents[i][1] for i in comp if ents[i][0] == "v"]
+        # Lipschitz: the faces of the component are connected through shared
+        # coarse-face *edges*; false iff two faces meet only at a vertex.
+        lip = len(linked_components([f.fine_edges for f in cf])) <= 1
+        components.append({"faces": cf, "edges": ce, "vertices": cv, "lipschitz": lip})
+
+    concave_all = {f.id for f in surf.faces if f.concave}
+    return TraceSet(
+        mesh=mesh,
+        spec=tuple(spec),
+        coarse_faces=faces,
+        coarse_edges=edges,
+        vertex_nodes=vnodes,
+        node_mask=node_mask | covered_n,
+        edge_mask=covered_e,
+        components=components,
+        contains_concave=bool(concave_all) and concave_all <= {f.id for f in faces},
+    )
 
 
 def tag_trace(mesh: TetMesh, spec) -> TraceSet:
-    """Resolve coarse entity names into a TraceSet with connectivity
-    metadata.  Names: face names / aliases, ``e:...`` edges, ``v:(...)``
-    vertices, groups ``boundary`` and ``concave``."""
+    """Resolve coarse entity names into the TraceSet of their fine closure
+    (`trace_from_fine`).  Names: face names / aliases, ``e:...`` edges,
+    ``v:(...)`` vertices, groups ``boundary`` and ``concave``."""
     surf = surface(mesh)
     if isinstance(spec, str):
         spec = [s.strip() for s in spec.split(";") if s.strip()]
@@ -432,51 +461,7 @@ def tag_trace(mesh: TetMesh, spec) -> TraceSet:
             vnodes.append(surf.vertices[name])
         else:
             faces.append(surf.face_by_name(name))
-    # dedup, keep deterministic order
-    faces = sorted({f.id: f for f in faces}.values(), key=lambda f: f.id)
-    edges = sorted({e.id: e for e in edges}.values(), key=lambda e: e.id)
-    vnodes = sorted(set(vnodes))
-    return _assemble_trace(mesh, faces, edges, vnodes, tuple(spec))
-
-
-def _assemble_trace(mesh, faces, edges, vnodes, spec) -> "TraceSet":
-    nmask, emask = _fine_closure(mesh, faces, edges, vnodes)
-
-    # connected components over tagged coarse entities via shared fine nodes
-    ents = [("f", f) for f in faces] + [("e", e) for e in edges] + [("v", n) for n in vnodes]
-    comps = linked_components([f.fine_nodes for f in faces] + [e.fine_nodes for e in edges]
-                              + [[n] for n in vnodes])
-    components = []
-    for comp in comps:
-        cf = [ents[i][1] for i in comp if ents[i][0] == "f"]
-        ce = [ents[i][1] for i in comp if ents[i][0] == "e"]
-        cv = [ents[i][1] for i in comp if ents[i][0] == "v"]
-        # Lipschitz: the faces of the component are connected through shared
-        # coarse-face *edges*; false iff two faces meet only at a vertex.
-        lip = len(linked_components([f.fine_edges for f in cf])) <= 1
-        components.append(
-            {
-                "faces": cf,
-                "edges": ce,
-                "vertices": cv,
-                "lipschitz": lip,
-            }
-        )
-
-    surf = surface(mesh)
-    concave_all = {f.id for f in surf.faces if f.concave}
-    ts = TraceSet(
-        mesh=mesh,
-        spec=tuple(spec),
-        coarse_faces=faces,
-        coarse_edges=edges,
-        vertex_nodes=vnodes,
-        node_mask=nmask,
-        edge_mask=emask,
-        components=components,
-        contains_concave=bool(concave_all) and concave_all <= {f.id for f in faces},
-    )
-    return ts
+    return trace_from_fine(mesh, *_fine_closure(mesh, faces, edges, vnodes), spec=spec)
 
 
 @dataclass

@@ -285,12 +285,28 @@ def test_overlapping_edges_rejected(cube4):
 
 
 def test_interfering_edges_with_face_trace_name_the_edge(cube4):
-    # neither edge has a containing face clear of the trace face x=0
-    t = tag_trace(cube4, ["x=0", "e:x=0,y=0", "e:x=0,y=1"])
+    # each edge's one face clear of the trace face x=0 holds the other edge
+    t = tag_trace(cube4, ["x=0", "e:x=1,y=0", "e:x=1,y=1"])
     v = dc.random_admissible_field(cube4, t, 16)
     with pytest.raises(PreconditionError, match="interfering disjoint edges") as exc:
         dc.decompose(v, t)
-    assert exc.value.entity == "e:x=0,y=0"
+    assert exc.value.entity == "e:x=1,y=0"
+
+
+@pytest.mark.parametrize("geometry,spec", [
+    ("unit_cube", ["z=0", "e:x=0,z=0", "v:(0,0,0)"]),     # kernel
+    ("three_cube_L", ["x=0", "e:x=0,y=2"]),               # face-chain
+    ("edge_junction_pair", ["x=1#0", "e:x=1,y=0"]),       # edge-junction/shared
+])
+def test_face_plus_entities_of_its_closure_is_the_face(geometry, spec):
+    """A face and an edge or vertex of its own boundary have the fine masks
+    of the face alone, so they are the face's trace and get its plan."""
+    mesh = build_complex(geometry, 0.25)
+    t = tag_trace(mesh, spec)
+    assert [f.name for f in t.coarse_faces] == spec[:1]
+    assert not t.coarse_edges and not t.vertex_nodes
+    assert t.spec == tuple(spec)
+    assert dc._plan("auto", t) is dc._plan("auto", tag_trace(mesh, spec[:1]))
 
 
 # -- junctions -------------------------------------------------------------------
@@ -700,8 +716,8 @@ def _fingerprint(mesh, spec, route, seed):
 @pytest.mark.parametrize("geometry,calls", [
     ("unit_cube", [(["z=0"], "auto"), (["z=1"], "auto")]),
     ("three_cube_L", [(["x=0"], "kernel"), (["x=0"], "auto")]),
-    # equal fine masks, different coarse entities: a face, then the face
-    # and an edge of its closure (no catalog route)
+    # a face, then the face and an edge of its closure: equal fine masks,
+    # so one normal form and one plan
     ("unit_cube", [(["z=0"], "auto"), (["z=0", "e:x=0,z=0"], "auto")]),
 ])
 def test_plan_memo_keys(geometry, calls):

@@ -104,23 +104,34 @@ def test_output_digest_compare_exit_status(tmp_path):
 
 
 def test_route_census_lipschitz_paths(tmp_path):
-    """On the Lipschitz geometries the census of single faces, face pairs,
-    `boundary` and `concave` plans these paths and refuses none, and every
-    refusal names its entity."""
+    """On the Lipschitz geometries the face family of the census (single
+    faces, face pairs, `boundary` and `concave`) plans these paths and
+    refuses none; both families are pinned per path, and every refusal
+    names its entity."""
     res = run_script("route_census.py", [], tmp_path)
     assert res.returncode == 0, res.stderr
     lines = res.stdout.splitlines()
     rows = [line.split("\t") for line in lines if not line.startswith("#")]
     assert sum(int(line.split()[-1]) for line in lines if line.startswith("#")) == len(rows)
-    paths = {path for geometry, _, path in rows if catalog_info(geometry).lipschitz}
+    paths = {path for family, geometry, _, path in rows
+             if family == "face" and catalog_info(geometry).lipschitz}
     assert paths == {"kernel", "kernel-multi", "face-chain", "corner-pair-faces"}
-    refusals = [path for _, _, path in rows if path.startswith("!")]
+    refusals = [path for _, _, _, path in rows if path.startswith("!")]
     assert refusals and not [r for r in refusals if "(None)" in r]
     # a planner edit that re-routes or newly refuses a trace moves these
-    counts = {line.split()[1]: int(line.split()[2]) for line in lines if line.startswith("#")}
-    assert counts == {"corner-pair-faces": 2, "edge-junction/chained": 10,
-                      "edge-junction/shared": 43, "face-chain": 25, "kernel": 98,
-                      "kernel-multi": 22, "refused": 27, "vertex-junction": 1208}
+    counts = {(line.split()[1], line.split()[2]): int(line.split()[3])
+              for line in lines if line.startswith("#")}
+    assert {p: n for (family, p), n in counts.items() if family == "face"} == {
+        "corner-pair-faces": 2, "edge-junction/chained": 10, "edge-junction/shared": 43,
+        "face-chain": 25, "kernel": 98, "kernel-multi": 22, "refused": 27,
+        "vertex-junction": 1208}
+    # single edges, edge pairs and (face, edge) pairs; a face and an edge of
+    # its own boundary is the face's trace (the 112 kernel and 36 face-chain)
+    assert {p: n for (family, p), n in counts.items() if family == "edge"} == {
+        "disjoint-edges/simple": 285, "edge-cut": 222, "edge-junction/chained": 134,
+        "edge-junction/shared": 123, "face-chain": 36, "faces-plus-edge/clear-face": 168,
+        "faces-plus-edge/endpoint": 148, "kernel": 112, "refused": 756,
+        "vertex-junction": 6411}
 
 
 def test_multi_component_face_plans_claim_the_curl_norm():
@@ -136,7 +147,7 @@ def test_multi_component_face_plans_claim_the_curl_norm():
         if not catalog_info(geometry).lipschitz:
             continue
         mesh = build_complex(geometry, census.H)
-        for names in census.specs(mesh):
+        for names in census.face_specs(mesh):
             trace = tag_trace(mesh, names)
             if trace.J < 2 or trace.has_edges():
                 continue

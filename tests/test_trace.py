@@ -1,4 +1,6 @@
+import importlib.util
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,11 @@ from helmdec.geometry import catalog_names
 from helmdec.mesh import build_complex
 from helmdec.trace import (TraceError, check_assumption31, interface_faces,
                            surface, tag_trace, trace_from_fine)
+
+_spec = importlib.util.spec_from_file_location(
+    "route_census", Path(__file__).resolve().parents[1] / "scripts" / "route_census.py")
+census = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(census)
 
 
 def test_single_face_component(cube4):
@@ -80,6 +87,30 @@ def test_trace_from_fine_reconstructs(cube4):
     assert np.array_equal(r.edge_mask, t.edge_mask)
     assert {f.name for f in r.coarse_faces} == {"z=0"}
     assert {e.name for e in r.coarse_edges} == {"e:x=1,y=1"}
+
+
+def _entities(t):
+    return ([f.id for f in t.coarse_faces], [e.id for e in t.coarse_edges], t.vertex_nodes)
+
+
+@pytest.mark.parametrize("geometry", catalog_names(include_internal=True))
+def test_census_traces_are_in_closure_normal_form(geometry):
+    """On every trace of both route-census families, `tag_trace` has the
+    entities `trace_from_fine` gives its masks; its masks are the closure of
+    those entities; no tagged edge lies in a tagged face's closure and no
+    vertex entry in a tagged face or edge."""
+    mesh = build_complex(geometry, census.H)
+    for specs in census.FAMILIES.values():
+        for spec in specs(mesh):
+            t = tag_trace(mesh, spec)
+            assert _entities(t) == _entities(trace_from_fine(mesh, t.node_mask, t.edge_mask))
+            nmask, emask = trace_mod._fine_closure(mesh, t.coarse_faces, t.coarse_edges,
+                                                   t.vertex_nodes)
+            assert np.array_equal(nmask, t.node_mask) and np.array_equal(emask, t.edge_mask)
+            fe = trace_mod._fine_closure(mesh, t.coarse_faces, (), ())[1]
+            assert not any(fe[e.fine_edges].all() for e in t.coarse_edges), spec
+            en = trace_mod._fine_closure(mesh, t.coarse_faces, t.coarse_edges, ())[0]
+            assert not en[t.vertex_nodes].any(), spec
 
 
 def test_interfaces_of_l(lshape4):
