@@ -15,6 +15,13 @@ After them comes one line `geometry - L<k> mesh - digest` per meshed
 (geometry, level): the sha256 of the mesh arrays (vertices, tets, edges,
 faces, block labels) and of every field of its coarse surface.
 
+Last comes one line `hx geometry L<k> alpha=<a> - digest` per HX geometry,
+level and jump a on block 0 (1 elsewhere, beta 1): one HX-preconditioned
+PCG solve of the curl-curl model problem with the `boundary` trace and a
+seeded random right-hand side.  The digest covers the bytes of x and the
+repr of its iterations, converged flag, residual history and true
+residual.
+
 `--arrays DIR` also saves p, w, R and the ratios of every split as one
 `.npz` file per line.  `--compare A B` reads two such directories and
 prints, for each line whose arrays differ, the largest move of p, w and
@@ -36,7 +43,7 @@ from pathlib import Path
 
 import numpy as np
 
-from helmdec import fem
+from helmdec import fem, hx
 from helmdec.decompose import (ROUTES, CompatibilityViolation, decompose, gradient_field,
                                incompatible_field, random_admissible_field)
 from helmdec.mesh import build_complex
@@ -74,6 +81,8 @@ CONFIGS = [
 ]
 INPUTS = ["random", "gradient", "zero", "perturbed"]
 SEED = 20260810
+HX_GEOMETRIES = ["unit_cube", "three_cube_L", "edge_junction_pair"]
+HX_JUMPS = [1.0, 1e2, 1e4, 1e6]
 
 
 def field(kind, mesh, trace, seed):
@@ -107,6 +116,20 @@ def digest(mesh, spec, kind, route, seed, save=None) -> str:
         np.savez(path, key=key, p=out.p.values, w=out.w.values, R=out.R.values,
                  **{f"ratio:{k}": np.float64(r) for k, r in out.ratios.items()})
     h.update(repr((out.path, out.claims, out.norms, out.ratios, out.meta)).encode())
+    return h.hexdigest()
+
+
+def hx_digest(mesh, alpha0, seed) -> str:
+    trace = tag_trace(mesh, ["boundary"])
+    rhs = fem.EdgeField(mesh, np.random.default_rng(seed).uniform(-1, 1, mesh.ne))
+    rhs.values[trace.edge_mask] = 0.0
+    ones = np.ones(int(mesh.block_of_tet.max()) + 1)
+    alpha = ones.copy()
+    alpha[0] = alpha0
+    system = hx.assemble_problem(hx.ModelProblem(mesh, alpha, ones, trace, rhs))
+    res = hx.pcg_solve(system, hx.HXPreconditioner(system), tol=1e-8)
+    h = hashlib.sha256(np.ascontiguousarray(res.x).tobytes())
+    h.update(repr((res.iterations, res.converged, res.residuals, res.true_residual)).encode())
     return h.hexdigest()
 
 
@@ -203,6 +226,11 @@ def main():
                     d = digest(mesh, spec, kind, route, [SEED, k], save)
                     lines.append(f"{key} {d}")
     lines.extend(meshes.values())
+    for geometry in HX_GEOMETRIES:
+        for k in levels:
+            mesh = build_complex(geometry, 1.0 / (1 << k))
+            for a in HX_JUMPS:
+                lines.append(f"hx {geometry} L{k} alpha={a:g} - {hx_digest(mesh, a, [SEED, k])}")
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text("\n".join(lines) + "\n")

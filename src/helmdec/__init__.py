@@ -15,7 +15,7 @@ from .operators import (BoundaryLoop, LoopDecomposition, PreconditionError,
                         build_loop, curl_harmonic_extend, edge_interpolate_rh,
                         epsilon_correction, graph_cutoff, harmonic_extend,
                         loop_constant_extension, loop_decompose)
-from .trace import TraceSet, check_assumption31, surface, tag_trace
+from .trace import TraceSet, surface, tag_trace
 from .verify import (StabilityReport, fit_log_growth, invariant_battery,
                      sweep)
 

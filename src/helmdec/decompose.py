@@ -54,9 +54,8 @@ from .fem import EdgeField, NodalField, NodalVectorField
 from .geometry import GeometryError
 from .mesh import Submesh, TetMesh, build_complex, extract_block, extract_tets
 from .operators import PreconditionError
-from .trace import (CoarseEdge, CoarseFace, TraceSet, _fine_closure,
-                    check_assumption31, geometry_info, interface_faces,
-                    linked_components, surface, trace_from_fine)
+from .trace import (CoarseEdge, CoarseFace, TraceSet, _fine_closure, geometry_info,
+                    interface_faces, linked_components, surface, trace_from_fine)
 
 __all__ = [
     "HelmholtzSplit",
@@ -269,17 +268,20 @@ def _kernel_route(mesh: TetMesh, trace: TraceSet) -> _Route:
     """Computable decomposition kernel: constrained Poisson projection for
     p, constrained vector Poisson solve with curl data for w, exact
     residual R.  Valid whenever every trace component admits a Lipschitz
-    extension (decided by catalog lookup)."""
-    if not trace.empty:
-        rep = check_assumption31(mesh, trace)
-        if not rep.satisfiable:
-            raise PreconditionError(f"kernel route needs extension blocks: {rep.reason}")
-        convex_b = rep.extended_domain_convex
-        J = trace.J
-    else:
-        convex_b = geometry_info(mesh).convex
-        J = 0
-    if J <= 1:
+    extension block (Assumption 3.1, decided by catalog lookup): a
+    Lipschitz domain and a trace of faces only whose components are
+    Lipschitz.  The extended domain is convex when the domain is or the
+    trace covers every concave face."""
+    info = geometry_info(mesh)
+    need = "kernel route needs extension blocks"
+    if not trace.empty and not info.lipschitz:
+        raise PreconditionError(f"{need}: domain itself is not Lipschitz")
+    if trace.coarse_edges or trace.vertex_nodes:
+        raise PreconditionError(f"{need}: trace contains edges/vertices")
+    if not trace.lipschitz:
+        raise PreconditionError(f"{need}: trace component with isolated vertex")
+    convex_b = info.convex or trace.contains_concave
+    if trace.J <= 1:
         claims = {"rhs1": "curl_semi", "rhs2": "l2" if convex_b else "curl", "log": False}
     else:
         claims = {"rhs1": "curl", "rhs2": "l2", "log": False}
@@ -524,8 +526,7 @@ def _corner_pair(mesh: TetMesh, trace: TraceSet) -> _Route:
     through the shared neighbour face, then split against the face-union
     traces so p, w vanish on the whole union."""
     surf = surface(mesh)
-    comp = next(c for c in trace.components if not c["lipschitz"])
-    f1, f2 = comp["faces"][:2]
+    f1, f2 = trace.coarse_faces[:2]
     shared = np.intersect1d(f1.fine_nodes, f2.fine_nodes)
     if len(shared) != 1:
         raise PreconditionError("faces do not meet at a single vertex")
@@ -739,12 +740,11 @@ def _route(mesh: TetMesh, trace: TraceSet) -> _Route:
     if trace.empty:
         return _kernel_route(mesh, trace)
 
-    if trace.has_faces() and not trace.has_edges():
+    if trace.coarse_faces and not trace.coarse_edges:
         if trace.J == 1:
-            comp = trace.components[0]
-            if not comp["lipschitz"]:
+            if not trace.lipschitz:
                 return _corner_pair(mesh, trace)
-            if check_assumption31(mesh, trace).extended_domain_convex:
+            if info.convex or trace.contains_concave:
                 return _kernel_route(mesh, trace)
             return _face_chain(mesh, trace)
         # J >= 2 faces only: multi-component kernel; the curl-semi-norm bound
@@ -755,7 +755,7 @@ def _route(mesh: TetMesh, trace: TraceSet) -> _Route:
     # connected unions of coarse edges (shared endpoints)
     groups = [[trace.coarse_edges[i] for i in comp]
               for comp in linked_components([e.fine_nodes for e in trace.coarse_edges])]
-    if trace.has_edges() and not trace.has_faces():
+    if trace.coarse_edges and not trace.coarse_faces:
         if len(groups) == 1:
             return _edge_route(mesh, groups[0])
         if all(len(g) == 1 for g in groups):
@@ -881,7 +881,7 @@ def _edge_junction(mesh: TetMesh, trace: TraceSet) -> _Route:
     nm1[E.fine_nodes] = True
     block0 = _block_plan(sub0, trace.node_mask, trace.edge_mask, trace.spec)
     block1 = _block_plan(sub1, nm1, em1, trace.spec)
-    log = not shared or trace.has_edges() or not all(c["lipschitz"] for c in trace.components)
+    log = not shared or trace.coarse_edges or not trace.lipschitz
     claims = {"rhs1": "curl_semi" if trace.J <= 1 else "curl", "rhs2": "curl",
               "log": bool(log)}
 
@@ -1070,8 +1070,8 @@ def _vertex_junction(mesh: TetMesh, trace: TraceSet) -> _Route:
             anchor = None
             pin_nodes = np.array([v0])
         blocks.append((sub, keep, (anchor, pin_nodes, split)))
-    claims = {"rhs1": "curl_semi" if all(c["lipschitz"] for c in trace.components) else "curl",
-              "rhs2": "curl", "log": bool(log)}
+    claims = {"rhs1": "curl_semi" if trace.lipschitz else "curl", "rhs2": "curl",
+              "log": bool(log)}
 
     def apply(v: EdgeField):
         vcurl = fem.norm(v, "curl")

@@ -40,16 +40,24 @@ __all__ = ["ModelProblem", "CurlSystem", "assemble_problem", "HXPreconditioner",
 @dataclass
 class ModelProblem:
     mesh: TetMesh
-    alpha: np.ndarray      # per-block coefficient
+    alpha: np.ndarray      # one finite value > 0 per block label
     beta: np.ndarray
     trace: Optional[TraceSet]
     rhs: fem.EdgeField
 
     def __post_init__(self):
-        self.alpha = np.asarray(self.alpha, dtype=float)
-        self.beta = np.asarray(self.beta, dtype=float)
-        if np.any(self.alpha <= 0) or np.any(self.beta <= 0):
-            raise ValueError("coefficients must be positive on every block")
+        nb = int(self.mesh.block_of_tet.max()) + 1
+        for name in ("alpha", "beta"):
+            a = np.asarray(getattr(self, name), dtype=float)
+            if a.shape != (nb,):
+                raise ValueError(f"{name} has shape {a.shape}: each of the {nb} blocks "
+                                 "needs one value")
+            bad = np.flatnonzero(~(np.isfinite(a) & (a > 0)))
+            if len(bad):
+                i = int(bad[0])
+                raise ValueError(f"{name}[{i}] = {float(a[i])!r}: each of the {nb} blocks "
+                                 "needs a finite value > 0")
+            setattr(self, name, a)
 
 
 @dataclass

@@ -7,12 +7,13 @@ vertices.  All grouping is exact: plane and line keys are integer-reduced
 lattice data.  A TraceSet is a pair of fine node/edge masks and its
 closure-normal form (the covered coarse faces, the covered coarse edges
 outside their closure, the nodes left over as vertices), plus the
-connectivity metadata the decomposition dispatcher routes on.
+topological facts the decomposition dispatcher routes on: the number of
+connected components and whether each is Lipschitz.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -36,7 +37,6 @@ __all__ = [
     "surface",
     "TraceSet",
     "tag_trace",
-    "check_assumption31",
     "linked_components",
     "TraceError",
 ]
@@ -339,7 +339,10 @@ def _build_surface(mesh: TetMesh) -> Surface:
 @dataclass
 class TraceSet:
     """Fine trace masks and their coarse entities in closure-normal form;
-    made by `trace_from_fine`.  `spec` names the trace in messages."""
+    made by `trace_from_fine`.  `spec` names the trace in messages.  `J`
+    counts the components of the tagged entities linked by common fine
+    nodes; `lipschitz` holds when the faces of every component are linked
+    by common fine edges (no two faces meet only at a vertex)."""
 
     mesh: TetMesh
     spec: tuple[str, ...]
@@ -348,26 +351,13 @@ class TraceSet:
     vertex_nodes: list[int]
     node_mask: np.ndarray
     edge_mask: np.ndarray
-    components: list[dict] = field(default_factory=list)
-    contains_concave: bool = False
-
-    @property
-    def J(self) -> int:
-        return len(self.components)
+    J: int
+    lipschitz: bool
+    contains_concave: bool
 
     @property
     def empty(self) -> bool:
         return not (self.coarse_faces or self.coarse_edges or self.vertex_nodes)
-
-    @property
-    def lipschitz(self) -> bool:
-        return all(c["lipschitz"] for c in self.components)
-
-    def has_faces(self) -> bool:
-        return bool(self.coarse_faces)
-
-    def has_edges(self) -> bool:
-        return bool(self.coarse_edges)
 
 
 def _fine_closure(mesh: TetMesh, faces, edges, vnodes):
@@ -409,19 +399,14 @@ def trace_from_fine(mesh: TetMesh, node_mask: np.ndarray, edge_mask: np.ndarray,
     if spec is None:
         spec = [f.name for f in faces] + [e.name for e in edges] + [f"@node{n}" for n in vnodes]
 
-    # connected components over tagged coarse entities via shared fine nodes
-    ents = [("f", f) for f in faces] + [("e", e) for e in edges] + [("v", n) for n in vnodes]
+    # components of the tagged entities (faces first) linked by common fine
+    # nodes; a component is Lipschitz when its faces are linked by common
+    # fine edges
     comps = linked_components([f.fine_nodes for f in faces] + [e.fine_nodes for e in edges]
                               + [[n] for n in vnodes])
-    components = []
-    for comp in comps:
-        cf = [ents[i][1] for i in comp if ents[i][0] == "f"]
-        ce = [ents[i][1] for i in comp if ents[i][0] == "e"]
-        cv = [ents[i][1] for i in comp if ents[i][0] == "v"]
-        # Lipschitz: the faces of the component are connected through shared
-        # coarse-face *edges*; false iff two faces meet only at a vertex.
-        lip = len(linked_components([f.fine_edges for f in cf])) <= 1
-        components.append({"faces": cf, "edges": ce, "vertices": cv, "lipschitz": lip})
+    nf = len(faces)
+    lipschitz = all(len(linked_components([faces[i].fine_edges for i in c if i < nf])) <= 1
+                    for c in comps)
 
     concave_all = {f.id for f in surf.faces if f.concave}
     return TraceSet(
@@ -432,7 +417,8 @@ def trace_from_fine(mesh: TetMesh, node_mask: np.ndarray, edge_mask: np.ndarray,
         vertex_nodes=vnodes,
         node_mask=node_mask | covered_n,
         edge_mask=covered_e,
-        components=components,
+        J=len(comps),
+        lipschitz=lipschitz,
         contains_concave=bool(concave_all) and concave_all <= {f.id for f in faces},
     )
 
@@ -506,24 +492,3 @@ def _build_interfaces(mesh: TetMesh) -> list[InterfaceFace]:
         )
     return out
 
-
-@dataclass
-class Assumption31Report:
-    satisfiable: bool
-    extended_domain_convex: bool
-    reason: str = ""
-
-
-def check_assumption31(mesh: TetMesh, trace: TraceSet) -> Assumption31Report:
-    """Decide by catalog lookup whether Lipschitz extension blocks exist for
-    every trace component and whether the extended domain can be convex
-    (convex G, or the trace covering every concave part)."""
-    info = geometry_info(mesh)
-    if not info.lipschitz:
-        return Assumption31Report(False, False, "domain itself is not Lipschitz")
-    if trace.has_edges() or trace.vertex_nodes:
-        return Assumption31Report(False, False, "trace contains edges/vertices")
-    if not trace.lipschitz:
-        return Assumption31Report(False, False, "trace component with isolated vertex")
-    convex_b = info.convex or trace.contains_concave
-    return Assumption31Report(True, convex_b)

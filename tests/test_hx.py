@@ -49,10 +49,23 @@ def test_jump_scales_block_entries_linearly(lshape4):
     assert abs(diff).max() < 1e-6  # relative to 1e6-scaled entries
 
 
-def test_nonpositive_coefficient_rejected(cube4):
+def test_nonpositive_coefficient_rejected(cube4, lshape4):
     with pytest.raises(ValueError):
         hx.ModelProblem(cube4, np.array([0.0]), np.array([1.0]), None,
                         fem.EdgeField(cube4, np.zeros(cube4.ne)))
+    # one finite value > 0 per block: a short or long array, nan and inf are
+    # refused up front, naming the array, the bad index or shape and the
+    # block count, not in assembly or the factorization
+    zero = fem.EdgeField(lshape4, np.zeros(lshape4.ne))
+    ones = np.ones(3)
+    for bad, match in (([1.0], r" has shape \(1,\).*3 blocks"),
+                       ([1.0] * 4, r" has shape \(4,\).*3 blocks"),
+                       ([np.nan, 1.0, 1.0], r"\[0\] = nan: each of the 3 blocks"),
+                       ([1.0, np.inf, 1.0], r"\[1\] = inf: each of the 3 blocks")):
+        with pytest.raises(ValueError, match="alpha" + match):
+            hx.ModelProblem(lshape4, np.array(bad), ones, None, zero)
+        with pytest.raises(ValueError, match="beta" + match):
+            hx.ModelProblem(lshape4, ones, np.array(bad), None, zero)
 
 
 def test_hx_apply_probes(cube4, lshape8, rng):

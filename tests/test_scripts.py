@@ -58,8 +58,9 @@ def test_output_digest_smallest(tmp_path):
     assert res.returncode == 0, res.stderr
     lines = out.read_text().splitlines()
     # 24 configurations x 4 inputs x each route at one level, then one mesh
-    # line for each of the 8 geometries
-    assert len(lines) == 24 * 4 * len(ROUTES) + 8
+    # line for each of the 8 geometries, then 3 HX geometries x 4 jumps
+    assert len(lines) == 24 * 4 * len(ROUTES) + 8 + 12
+    assert lines[-1].startswith("hx edge_junction_pair L1 alpha=1e+06 - ")
     first = lines[0].split()
     assert first[:5] == ["unit_cube", "z=0", "L1", "random", "auto"]
     assert len(first[5]) == 64
@@ -149,7 +150,7 @@ def test_multi_component_face_plans_claim_the_curl_norm():
         mesh = build_complex(geometry, census.H)
         for names in census.face_specs(mesh):
             trace = tag_trace(mesh, names)
-            if trace.J < 2 or trace.has_edges():
+            if trace.J < 2 or trace.coarse_edges:
                 continue
             for route in ROUTES:
                 plan = _plan(route, trace)

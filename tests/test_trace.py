@@ -5,11 +5,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import helmdec.decompose as dc
 import helmdec.trace as trace_mod
 from helmdec.geometry import catalog_names
 from helmdec.mesh import build_complex
-from helmdec.trace import (TraceError, check_assumption31, interface_faces,
-                           surface, tag_trace, trace_from_fine)
+from helmdec.operators import PreconditionError
+from helmdec.trace import TraceError, interface_faces, surface, tag_trace, trace_from_fine
 
 _spec = importlib.util.spec_from_file_location(
     "route_census", Path(__file__).resolve().parents[1] / "scripts" / "route_census.py")
@@ -38,23 +39,28 @@ def test_adjacent_faces_are_lipschitz(cube4):
     assert t.J == 1 and t.lipschitz
 
 
+# Assumption 3.1 (Lipschitz extension blocks) is the kernel planner's to
+# check: the forced kernel plan claims the L2 right-hand side on a convex
+# extension, and refuses a trace without extension blocks
+
+
 def test_assumption31_cube_face(cube4):
-    rep = check_assumption31(cube4, tag_trace(cube4, ["z=0"]))
-    assert rep.satisfiable and rep.extended_domain_convex
+    assert dc._plan("kernel", tag_trace(cube4, ["z=0"])).claims["rhs2"] == "l2"
 
 
 def test_assumption31_pyramid_opposite(pyramid4):
-    rep = check_assumption31(pyramid4, tag_trace(pyramid4, ["lat:x-", "lat:x+"]))
-    assert not rep.satisfiable
+    with pytest.raises(PreconditionError, match="trace component with isolated vertex"):
+        dc._plan("kernel", tag_trace(pyramid4, ["lat:x-", "lat:x+"]))
 
 
 def test_assumption31_l_concave(lshape4):
     t = tag_trace(lshape4, ["concave"])
     assert t.contains_concave
-    rep = check_assumption31(lshape4, t)
-    assert rep.satisfiable and rep.extended_domain_convex
-    rep2 = check_assumption31(lshape4, tag_trace(lshape4, ["x=0"]))
-    assert rep2.satisfiable and not rep2.extended_domain_convex
+    plan = dc._plan("auto", t)
+    assert (plan.path, plan.claims["rhs2"]) == ("kernel", "l2")
+    t2 = tag_trace(lshape4, ["x=0"])
+    assert dc._plan("auto", t2).path == "face-chain"
+    assert dc._plan("kernel", t2).claims["rhs2"] == "curl"
 
 
 def test_concave_classification(lshape4):
@@ -93,12 +99,33 @@ def _entities(t):
     return ([f.id for f in t.coarse_faces], [e.id for e in t.coarse_edges], t.vertex_nodes)
 
 
+# the per-component dicts J and lipschitz were once derived from
+def _reference_J_lipschitz(t):
+    faces, edges, vnodes = t.coarse_faces, t.coarse_edges, t.vertex_nodes
+    linked_components = trace_mod.linked_components
+    # connected components over tagged coarse entities via shared fine nodes
+    ents = [("f", f) for f in faces] + [("e", e) for e in edges] + [("v", n) for n in vnodes]
+    comps = linked_components([f.fine_nodes for f in faces] + [e.fine_nodes for e in edges]
+                              + [[n] for n in vnodes])
+    components = []
+    for comp in comps:
+        cf = [ents[i][1] for i in comp if ents[i][0] == "f"]
+        ce = [ents[i][1] for i in comp if ents[i][0] == "e"]
+        cv = [ents[i][1] for i in comp if ents[i][0] == "v"]
+        # Lipschitz: the faces of the component are connected through shared
+        # coarse-face *edges*; false iff two faces meet only at a vertex.
+        lip = len(linked_components([f.fine_edges for f in cf])) <= 1
+        components.append({"faces": cf, "edges": ce, "vertices": cv, "lipschitz": lip})
+    return len(components), all(c["lipschitz"] for c in components)
+
+
 @pytest.mark.parametrize("geometry", catalog_names(include_internal=True))
 def test_census_traces_are_in_closure_normal_form(geometry):
     """On every trace of both route-census families, `tag_trace` has the
     entities `trace_from_fine` gives its masks; its masks are the closure of
     those entities; no tagged edge lies in a tagged face's closure and no
-    vertex entry in a tagged face or edge."""
+    vertex entry in a tagged face or edge.  `J` and `lipschitz` are those
+    of the per-component computation they replace."""
     mesh = build_complex(geometry, census.H)
     for specs in census.FAMILIES.values():
         for spec in specs(mesh):
@@ -111,6 +138,7 @@ def test_census_traces_are_in_closure_normal_form(geometry):
             assert not any(fe[e.fine_edges].all() for e in t.coarse_edges), spec
             en = trace_mod._fine_closure(mesh, t.coarse_faces, t.coarse_edges, ())[0]
             assert not en[t.vertex_nodes].any(), spec
+            assert (t.J, t.lipschitz) == _reference_J_lipschitz(t), spec
 
 
 def test_interfaces_of_l(lshape4):
@@ -270,11 +298,15 @@ def _trace_specs(surf):
 
 
 def _components(mesh, specs):
+    """Per trace: its entities grouped by common fine nodes, J and lipschitz."""
     out = []
     for spec in specs:
         t = tag_trace(mesh, spec)
-        out.append([([f.name for f in c["faces"]], [e.name for e in c["edges"]],
-                     c["vertices"], c["lipschitz"]) for c in t.components])
+        names = [f.name for f in t.coarse_faces] + [e.name for e in t.coarse_edges] + t.vertex_nodes
+        groups = trace_mod.linked_components(
+            [f.fine_nodes for f in t.coarse_faces] + [e.fine_nodes for e in t.coarse_edges]
+            + [[n] for n in t.vertex_nodes])
+        out.append(([[names[i] for i in g] for g in groups], t.J, t.lipschitz))
     return out
 
 
