@@ -26,9 +26,9 @@ residual.
 `.npz` file per line.  `--compare A B` reads two such directories and
 prints, for each line whose arrays differ, the largest move of p, w and
 R (relative to the largest entry of the three on that line) and of each
-ratio (relative to its size), then the largest move of each per input
-kind.  It exits with status 1 when any line's arrays moved or a file
-exists on one side only, and 0 otherwise:
+ratio (relative to the larger of its two values and 1), then the largest
+move of each per input kind.  It exits with status 1 when any line's
+arrays moved or a file exists on one side only, and 0 otherwise:
 
     python3 scripts/output_digest.py --out old.txt --arrays old/
     python3 scripts/output_digest.py --out new.txt --arrays new/
@@ -149,7 +149,9 @@ def relative_moves(a, b) -> dict:
     """Largest move of each array and ratio of one line.  p, w and R are
     measured against the largest entry of the three on either side, so an
     array that is roundoff on its line (w and R of a gradient input) is
-    not measured against itself; a ratio against its own size."""
+    not measured against itself; a ratio against the larger of its two
+    values and 1, so a ratio that is roundoff (a gradient input's) is not
+    measured against itself either."""
     names = sorted((set(a.files) | set(b.files)) - {"key"})
     fields = ("p", "w", "R")
     split = max(np.abs(x[n]).max(initial=0.0) for x in (a, b) for n in fields if n in x.files)
@@ -158,7 +160,7 @@ def relative_moves(a, b) -> dict:
         if n not in a.files or n not in b.files:
             moves[n] = float("inf")
             continue
-        scale = split if n in fields else max(abs(float(a[n])), abs(float(b[n])))
+        scale = split if n in fields else max(abs(float(a[n])), abs(float(b[n])), 1.0)
         diff = float(np.abs(a[n] - b[n]).max(initial=0.0))
         moves[n] = diff / scale if scale > 0 else diff
     return moves

@@ -11,10 +11,10 @@ from .decompose import (CompatibilityViolation, HelmholtzSplit,
 from .geometry import CATALOG, catalog_info, catalog_names
 from .hx import HXPreconditioner, ModelProblem, assemble_problem, pcg_solve
 from .mesh import TetMesh, build_complex, read_mesh, write_mesh
-from .operators import (BoundaryLoop, LoopDecomposition, PreconditionError,
+from .operators import (BoundaryLoop, LoopPotential, PreconditionError,
                         build_loop, curl_harmonic_extend, edge_interpolate_rh,
                         epsilon_correction, graph_cutoff, harmonic_extend,
-                        loop_constant_extension, loop_decompose)
+                        loop_constant_extension, loop_potential)
 from .trace import TraceSet, surface, tag_trace
 from .verify import (StabilityReport, fit_log_growth, invariant_battery,
                      sweep)

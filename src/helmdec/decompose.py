@@ -21,8 +21,8 @@ meta) or a CompatibilityViolation.  The gate is linear in v, one sparse
 matrix of the loop potentials at the junction vertex (`_gate_plan`): a
 refusal is one matvec.  `_plan` memoizes one plan per (mesh, route, coarse
 trace entities) on the mesh, so a second call on the same (mesh, trace)
-builds no loop and factors nothing; each kernel pass is one 4-column solve
-[p | w_x w_y w_z].  Routes are built from shared passes: `_routed` applies
+builds no loop or loop operator and factors nothing; each kernel pass is
+one 4-column solve [p | w_x w_y w_z].  Routes are built from shared passes: `_routed` applies
 every top-level plan (and every junction block plan) between one entry
 check, zero trace moments of v, and one exit placement, exact zeros of p
 and w on the trace nodes; `_loop_cut_columns` is the one boundary-loop
@@ -448,26 +448,31 @@ def _find_face_for_edge(mesh, E: list[CoarseEdge], forbidden_nodes=None) -> Coar
     raise PreconditionError(f"no admissible face has {chain} on its boundary", entity=chain)
 
 
-def _loop_subtraction(v: EdgeField, loop: ops.BoundaryLoop, C: float,
-                      phi: np.ndarray, per_edge: np.ndarray, pins: np.ndarray):
-    """Subtract a loop potential (as p) and the constant extension of the
-    per-edge drift, pinned at `pins` (as w), from the edge moments of v.
-    Returns the subtracted moments, p and w."""
+def _loop_subtraction(v: EdgeField, loop: ops.BoundaryLoop, pot: ops.LoopPotential,
+                      drift: np.ndarray, pins: np.ndarray, lift: float = 0.0):
+    """Subtract a loop potential plus `lift` (as p) and the constant
+    extension of the per-edge drift C * drift, pinned at `pins` (as w), from
+    the edge moments of v.  Returns the subtracted moments, p, w and C."""
     mesh = v.mesh
+    lam = v.values[loop.edges] * loop.signs
+    C = float(pot.c @ lam)
     p = np.zeros(mesh.nv)
-    p[loop.nodes] = phi
-    w = ops.loop_constant_extension(mesh, C, loop, pins, per_edge).values
-    return _residual(mesh, v.values, p, w), p, w
+    p[loop.nodes] = pot.Phi @ lam + lift
+    w = ops.loop_constant_extension(mesh, C, loop, pins, C * drift).values
+    return _residual(mesh, v.values, p, w), p, w, C
 
 
 def _cut_plan(mesh: TetMesh, cuts, extra_a: np.ndarray, extra_b: np.ndarray):
-    """Plan of one loop-cut pass: per cut (edges, face) its loop, the arc
-    of the edges on it, the edge nodes and the loop edge mask; and the
+    """Plan of one loop-cut pass: per cut (edges, face) the face, its loop,
+    the loop potential vanishing on the edges, the drift (1 off the edges,
+    0 on them), the edge nodes and the loop edge mask; and the
     curl-harmonic split against all the cut faces."""
     steps = []
     for E, F in cuts:
         loop = ops.build_loop(mesh, [F])
-        steps.append((E, F, loop, ops._edge_arc_positions(loop, E), _edge_nodes(E),
+        drift = np.ones(loop.n)
+        drift[ops._edge_arc_positions(loop, E)] = 0.0
+        steps.append((F, loop, ops.loop_potential(loop, zero_edge=E), drift, _edge_nodes(E),
                       _mask_from_ids(mesh.ne, loop.edges)))
     return steps, _split_plan(mesh, [F for _, F in cuts], extra_a, extra_b)
 
@@ -476,17 +481,16 @@ def _cut_loops(mesh: TetMesh, steps, v: EdgeField):
     """The loop cuts of one pass: each cut in turn subtracts, from the
     running field, the potential of its loop (into p) and the constant
     extension of the per-edge drift, pinned on the edges (into w); the
-    edges carry zero moments, and the subtracted field has zero moments on
-    the whole loop.  Returns that field, p, w and (C, l0, flux) per loop."""
+    subtracted field has zero moments on the whole loop, so nonzero
+    moments on the edges are refused there.  Returns that field, p, w and
+    (C, l0, flux) per loop."""
     p = np.zeros(mesh.nv)
     w = np.zeros((mesh.nv, 3))
     records = []
-    for E, F, loop, posE, pins, on_loop in steps:
-        dec = ops.loop_decompose(v, loop, zero_edge=E)
-        per_edge = np.full(loop.n, dec.C)
-        per_edge[posE] = 0.0
-        records.append((dec.C, dec.l0, _loop_flux(mesh, v, [F])))
-        vhat, phi, ctilde = _loop_subtraction(v, loop, dec.C, dec.phi, per_edge, pins)
+    for F, loop, pot, drift, pins, on_loop in steps:
+        flux = _loop_flux(mesh, v, [F])
+        vhat, phi, ctilde, C = _loop_subtraction(v, loop, pot, drift, pins)
+        records.append((C, pot.l0, flux))
         v = EdgeField(mesh, vhat)
         _check_zero_moments(v, on_loop, "the patch boundary")
         p += phi
@@ -963,7 +967,7 @@ class _Gate(NamedTuple):
 
     v0: int
     kinds: list
-    setups: list  # (face, loop, anchor edge or None, loop position of v0); None if pinned
+    setups: list  # (face, loop, anchor edge or None, block operator, drift); None if pinned
     rows: sp.csr_matrix  # (nblocks x ne): block b's loop potential at v0
     shifts: list  # (fine edge, its coefficient) of an anchored block; else None
 
@@ -971,12 +975,14 @@ class _Gate(NamedTuple):
 def _gate_plan(mesh: TetMesh, trace: TraceSet) -> _Gate:
     """The gate of the vertex junction on (mesh, trace), made once.  Each
     block's kind and loop face come from the block labels of the coarse
-    entities.  Row b of its matrix is 0 for a pinned block, the first
-    anchored block's row for a free block, and for an anchored block the
-    coefficients of `dec.phi[loop.node_pos(v0)]` with `dec =
-    loop_decompose(v, loop, zero_mean_edge=E)`.  An anchored block's shift
-    is the first loop edge off the trace and off E whose coefficient
-    exceeds 1e-12."""
+    entities.  A loop block's operator is its `loop_potential` on the face
+    loop, with zero mean on the anchor edge E and the epsilon correction
+    folded in (anchored: the potential vanishes on E and keeps its value at
+    v0, drift 1 + eps off E, 0 on E), or shifted to 0 at v0 (free: drift
+    1).  Row b of the gate is 0 for a pinned block, the first anchored
+    block's row for a free block, and row v0 of the block operator for an
+    anchored block.  An anchored block's shift is the first loop edge off
+    the trace and off E whose coefficient exceeds 1e-12."""
 
     def build():
         info = geometry_info(mesh)
@@ -996,15 +1002,24 @@ def _gate_plan(mesh: TetMesh, trace: TraceSet) -> _Gate:
             F, loop, E = (_anchored_setup(mesh, surf, faces, v0, trace, b)
                           if kind == "anchored" else _free_setup(mesh, faces, v0))
             k0 = loop.node_pos(v0)
-            setups.append((F, loop, E, k0))
+            pot = ops.loop_potential(loop, zero_mean_edge=E)
             if kind == "free":
+                setups.append((F, loop, E, pot._replace(Phi=pot.Phi - pot.Phi[k0]),
+                               np.ones(loop.n)))
                 continue
-            # phi at loop position k: the moments before k, less their share
-            # of the loop average, shifted to zero trapezoid mean on E
-            L, pos = loop.lengths, ops._edge_arc_positions(loop, E)
-            walk = np.tri(loop.n, k=-1) - np.cumsum(np.r_[0.0, L[:-1]])[:, None] / L.sum()
-            mean = (0.5 * L[pos]) @ (walk[pos] + walk[(pos + 1) % loop.n]) / L[pos].sum()
-            coef = (walk[k0] - mean) * loop.signs
+            # the unit correction, times C: E's own moments are the trace's
+            # zeros, so the potential must vanish on E's nodes
+            posE = ops._edge_arc_positions(loop, E)
+            eps = ops.epsilon_correction(loop, E, *_adjacent_coarse_edges(surf, loop, E))
+            Phi = pot.Phi - np.outer(ops._loop_walk(eps * loop.lengths, k0, loop.n - 1), pot.c)
+            ez = np.unique(np.concatenate([posE, (posE + 1) % loop.n]))
+            if np.abs(np.delete(Phi[ez], posE, axis=1)).max() > 1e-9 * max(1.0, np.abs(Phi).max()):
+                raise PreconditionError("loop correction failed to zero the trace edge")
+            Phi[ez] = 0.0
+            drift = 1.0 + eps
+            drift[posE] = 0.0
+            setups.append((F, loop, E, pot._replace(Phi=Phi), drift))
+            coef = Phi[k0] * loop.signs
             entries[b] = (loop.edges, coef)
             movable = ((np.abs(coef) > 1e-12) & ~trace.edge_mask[loop.edges]
                        & (surf.edge_of[loop.edges] != E.id))
@@ -1034,13 +1049,12 @@ def _vertex_junction(mesh: TetMesh, trace: TraceSet) -> _Route:
     normalized loop subtraction.  The decomposition is refused (typed
     outcome) unless all gated loop potentials agree at the vertex, which
     is one matvec with the gate's rows."""
-    surf = surface(mesh)
     gate = _gate_plan(mesh, trace)
     v0 = gate.v0
     # per block: its submesh, the nodes it writes (the vertex only from
     # block 0), and for a pinned block its block plan, for a loop block
-    # (anchored or free) the loop-subtraction data and the loop split on
-    # the block face
+    # (anchored or free) its pinned nodes and the loop split on the block
+    # face
     blocks = []
     log = False
     for b, (kind, setup) in enumerate(zip(gate.kinds, gate.setups)):
@@ -1053,23 +1067,15 @@ def _vertex_junction(mesh: TetMesh, trace: TraceSet) -> _Route:
             continue
         log = True
         pins = trace.node_mask[sub.vert_map]
-        F, loop, E, _ = setup
+        F, loop, E, _, _ = setup
         fsub = next((f for f in surface(sub.mesh).faces if f.plane == F.plane), None)
         if fsub is None:
             raise PreconditionError(
                 f"block {b} has no surface face on the plane of {F.name}", entity=F.name)
         split = (np.isin(sub.edge_map, loop.edges),
                  _split_plan(sub.mesh, [fsub], pins, pins))
-        if kind == "anchored":
-            # the loop correction is linear in the loop average C: kept for C = 1
-            posE = ops._edge_arc_positions(loop, E)
-            anchor = (posE, np.unique(np.concatenate([posE, (posE + 1) % loop.n])),
-                      ops.epsilon_correction(loop, E, *_adjacent_coarse_edges(surf, loop, E), 1.0))
-            pin_nodes = np.concatenate([[v0], E.fine_nodes])
-        else:
-            anchor = None
-            pin_nodes = np.array([v0])
-        blocks.append((sub, keep, (anchor, pin_nodes, split)))
+        pin_nodes = np.concatenate([[v0], E.fine_nodes]) if E is not None else np.array([v0])
+        blocks.append((sub, keep, (pin_nodes, split)))
     claims = {"rhs1": "curl_semi" if trace.lipschitz else "curl", "rhs2": "curl",
               "log": bool(log)}
 
@@ -1089,30 +1095,13 @@ def _vertex_junction(mesh: TetMesh, trace: TraceSet) -> _Route:
                 pb, wb, meta = _block_split(block, v.values)
                 block_records.extend(meta.get("loops", []))
             else:
-                anchor, pin_nodes, (loop_edges, split) = block
-                F, loop, E, k0 = setup
-                dec = ops.loop_decompose(v, loop, zero_mean_edge=E)
-                records.append((dec.C, dec.l0, _loop_flux(v.mesh, v, [F])))
-                if anchor is not None:
-                    posE, ez, unit_eps = anchor
-                    phi_vals = dec.phi.copy()
-                    if abs(dec.C) > 0:
-                        # correct the potential so it vanishes on the trace
-                        # edge, keeping its value at the vertex
-                        eps = unit_eps * dec.C
-                        phi_vals = phi_vals - ops._loop_walk(eps * loop.lengths, k0, loop.n)
-                        per_edge = dec.C + eps
-                    else:
-                        per_edge = np.full(loop.n, dec.C)
-                    scale = max(1.0, np.abs(phi_vals).max())
-                    if np.abs(phi_vals[ez]).max() > 1e-9 * scale:
-                        raise PreconditionError("loop correction failed to zero the trace edge")
-                    phi_vals[ez] = 0.0
-                    per_edge[posE] = 0.0
-                else:  # free block: pin the potential at the vertex to its gate value
-                    phi_vals = dec.phi - dec.phi[k0] + val
-                    per_edge = np.full(loop.n, dec.C)
-                vhat, phi_g, ct = _loop_subtraction(v, loop, dec.C, phi_vals, per_edge, pin_nodes)
+                # a free block's potential is pinned at the vertex to its gate value
+                pin_nodes, (loop_edges, split) = block
+                F, loop, _, pot, drift = setup
+                flux = _loop_flux(v.mesh, v, [F])
+                vhat, phi_g, ct, C = _loop_subtraction(v, loop, pot, drift, pin_nodes,
+                                                       val if kind == "free" else 0.0)
+                records.append((C, pot.l0, flux))
                 vb = EdgeField(sub.mesh, sub.restrict_edge(vhat))
                 _check_zero_moments(vb, loop_edges, "the patch boundary")
                 pl, wl = _curl_harmonic_splits(sub.mesh, [vb.values], [split])[0]

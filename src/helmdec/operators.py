@@ -30,9 +30,9 @@ __all__ = [
     "harmonic_extend",
     "curl_harmonic_extend",
     "BoundaryLoop",
-    "LoopDecomposition",
+    "LoopPotential",
     "build_loop",
-    "loop_decompose",
+    "loop_potential",
     "loop_constant_extension",
     "epsilon_correction",
 ]
@@ -231,7 +231,6 @@ class BoundaryLoop:
     edges: np.ndarray
     signs: np.ndarray
     lengths: np.ndarray
-    total_length: float
 
     @property
     def n(self) -> int:
@@ -283,23 +282,7 @@ def build_loop(mesh: TetMesh, faces: Sequence[CoarseFace]) -> BoundaryLoop:
     edges = edges[by_tail[walk]]
     nodes = tails[walk]
     signs = np.where(mesh.edges[edges, 0] == nodes, 1.0, -1.0)
-    lengths = mesh.edge_lengths()[edges]
-    return BoundaryLoop(nodes, edges, signs, lengths, float(lengths.sum()))
-
-
-@dataclass
-class LoopDecomposition:
-    """Split of loop moments into a potential plus a constant drift:
-    lambda_e(v) = (phi(head) - phi(tail)) + C * |e| on the working part of
-    the loop.  phi is per loop node (aligned with loop.nodes)."""
-
-    C: float
-    phi: np.ndarray
-    l0: float
-
-
-def _loop_moments(v: EdgeField, loop: BoundaryLoop) -> np.ndarray:
-    return v.values[loop.edges] * loop.signs
+    return BoundaryLoop(nodes, edges, signs, mesh.edge_lengths()[edges])
 
 
 def _edge_fine_set(E) -> tuple[np.ndarray, str]:
@@ -331,70 +314,66 @@ def _cyclic_arc(n: int, pos: np.ndarray) -> tuple[int, int]:
 
 
 def _loop_walk(steps: np.ndarray, start: int, count: int) -> np.ndarray:
-    """Cumulative sums of the per-edge `steps` walking `count` edges from
-    position `start`: the head of each walked edge gets the running sum, the
-    other nodes 0.  The sum runs in sequence from 0.0, so it is bit for bit
-    the one of a scalar accumulator."""
+    """Cumulative sums of the per-edge `steps` (entries or matrix rows)
+    walking `count` edges from position `start`: the head of each walked
+    edge gets the running sum, the other nodes 0.  Adding 0.0 makes the
+    sums bit for bit those of a scalar accumulator started at 0.0."""
     n = len(steps)
     k = (start + np.arange(count)) % n
-    out = np.zeros(n)
-    out[(k + 1) % n] = np.cumsum(np.concatenate(([0.0], steps[k])))[1:]
+    out = np.zeros(steps.shape)
+    out[(k + 1) % n] = np.cumsum(steps[k], axis=0) + 0.0
     return out
 
 
-def loop_decompose(
-    v: EdgeField,
+class LoopPotential(NamedTuple):
+    """The loop calculus as a linear map of the signed loop moments
+    lam = v[loop.edges] * loop.signs: the loop average C = c @ lam and the
+    cumulative potential phi = Phi @ lam (per loop node), with lam_e =
+    phi(head) - phi(tail) + C * |e| on the working part of the loop; l0 is
+    the length that C averages over."""
+
+    Phi: np.ndarray
+    c: np.ndarray
+    l0: float
+
+
+def loop_potential(
     loop: BoundaryLoop,
     zero_edge: Optional[CoarseEdge] = None,
     zero_mean_edge: Optional[CoarseEdge] = None,
-) -> LoopDecomposition:
-    """Loop average C and cumulative potential phi of the tangential
-    moments of v along the loop.
+) -> LoopPotential:
+    """Loop average and cumulative potential of the tangential moments
+    along the loop, as dense operators.
 
-    With `zero_edge` (an edge-union where v has zero moments) the average
-    is taken over the complement only and phi is extended by exact zeros
-    onto the edge, so that the potential is continuous and vanishes there.
-    With `zero_mean_edge` phi is shifted so its trapezoid mean over that
-    edge vanishes.
+    With `zero_edge` (an edge union where v is to have zero moments) the
+    average is taken over the complement only and the rows of the edge's
+    nodes are exact zeros, so that the potential is continuous and
+    vanishes there; the edge's moments do not enter.  With
+    `zero_mean_edge` phi is shifted so its trapezoid mean over that edge
+    vanishes.
     """
-    lam = _loop_moments(v, loop)
     if zero_edge is not None and zero_mean_edge is not None:
         raise ValueError("zero_edge and zero_mean_edge are mutually exclusive")
-
+    n, L = loop.n, loop.lengths
+    off = np.ones(n, dtype=bool)
+    start, count = 0, n - 1
     if zero_edge is not None:
         pos = _edge_arc_positions(loop, zero_edge)
-        _, zname = _edge_fine_set(zero_edge)
-        scale = max(1.0, float(np.abs(v.values).max()))
-        bad = np.nonzero(np.abs(lam[pos]) > 1e-12 * scale)[0]
-        if len(bad):
-            raise PreconditionError(
-                f"nonzero moment on {zname} (fine edge {loop.edges[pos[bad[0]]]})",
-                entity=int(loop.edges[pos[bad[0]]]),
-            )
-        if len(pos) == loop.n:
-            return LoopDecomposition(0.0, np.zeros(loop.n), 0.0)
-        _, last = _cyclic_arc(loop.n, pos)
-        onzero = np.zeros(loop.n, dtype=bool)
-        onzero[pos] = True
-        l0 = float(loop.lengths[~onzero].sum())
-        C = float(lam[~onzero].sum() / l0)
-        # walk the complement starting right after the zero arc, then place
+        if len(pos) == n:
+            return LoopPotential(np.zeros((n, n)), np.zeros(n), 0.0)
+        off[pos] = False
+        # walk the complement starting right after the zero arc
+        start, count = _cyclic_arc(n, pos)[1] + 1, n - len(pos)
+    l0 = float(L[off].sum())
+    c = off / l0
+    Phi = _loop_walk(np.eye(n) - np.outer(L, c), start, count)
+    if zero_edge is not None:
         # exact zeros on the arc nodes (the closure residual is roundoff)
-        phi = _loop_walk(lam - C * loop.lengths, last + 1, loop.n - len(pos))
-        phi[pos] = 0.0
-        phi[(pos + 1) % loop.n] = 0.0
-        return LoopDecomposition(C, phi, l0)
-
-    l0 = loop.total_length
-    C = float(lam.sum() / l0)
-    phi = _loop_walk(lam - C * loop.lengths, 0, loop.n - 1)
+        Phi[pos] = Phi[(pos + 1) % n] = 0.0
     if zero_mean_edge is not None:
         pos = _edge_arc_positions(loop, zero_mean_edge)
-        ln = loop.lengths[pos]
-        heads = (pos + 1) % loop.n
-        mean = float(np.sum(ln * 0.5 * (phi[pos] + phi[heads])) / ln.sum())
-        phi = phi - mean
-    return LoopDecomposition(C, phi, l0)
+        Phi -= (0.5 * L[pos] / L[pos].sum()) @ (Phi[pos] + Phi[(pos + 1) % n])
+    return LoopPotential(Phi, c, l0)
 
 
 # --------------------------------------------------------------------------
@@ -477,11 +456,11 @@ def epsilon_correction(
     E: CoarseEdge,
     E1: CoarseEdge,
     E2: CoarseEdge,
-    C: float,
 ) -> np.ndarray:
-    """Per-loop-edge piecewise-constant correction: -C on E, |E|/(2|E1|)*C
-    on the preceding edge E1, |E|/(2|E2|)*C on the following edge E2, zero
-    elsewhere; its loop integral vanishes."""
+    """Per-loop-edge piecewise-constant unit correction: -1 on E,
+    |E|/(2|E1|) on the preceding edge E1, |E|/(2|E2|) on the following edge
+    E2, zero elsewhere; its loop integral vanishes.  The correction of a
+    loop average C is C times it."""
     posE = _edge_arc_positions(loop, E)
     pos1 = _edge_arc_positions(loop, E1)
     pos2 = _edge_arc_positions(loop, E2)
@@ -492,7 +471,7 @@ def epsilon_correction(
     if (first - 1) % loop.n not in pos1 or (last + 1) % loop.n not in pos2:
         raise PreconditionError("E1/E2 must be the loop edges adjacent to E")
     eps = np.zeros(loop.n)
-    eps[posE] = -C
-    eps[pos1] = lenE / (2.0 * len1) * C
-    eps[pos2] = lenE / (2.0 * len2) * C
+    eps[posE] = -1.0
+    eps[pos1] = lenE / (2.0 * len1)
+    eps[pos2] = lenE / (2.0 * len2)
     return eps

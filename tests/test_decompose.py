@@ -5,6 +5,7 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
@@ -13,6 +14,7 @@ import helmdec.decompose as dc
 from helmdec.mesh import TetMesh, build_complex, extract_block
 from helmdec.operators import PreconditionError
 from helmdec.trace import interface_faces, surface, tag_trace, trace_from_fine
+from test_operators import _ref_loop_decompose
 
 
 def assert_contract(split, v, trace, extra_edge_names=()):
@@ -129,6 +131,38 @@ def test_kernel_empty_trace_gauge(cube4):
     assert abs(np.ones(cube4.nv) @ (M @ s.p.values)) < 1e-10
 
 
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+                    reason="np.longdouble has no extra precision here")
+def test_empty_trace_kernel_matches_refined_reference():
+    """With no trace nodes the kernel pass solves the stiffness bordered by
+    the mean-value row on a partial-pivoting LU.  Against the solution of
+    that system refined with long-double residuals, p and each component
+    of w are within 5e-14 relative (a node-0 pin plus a mass-mean shift is
+    off by 2.7e-13 on this mesh and field, so the border stays)."""
+    mesh = build_complex("unit_cube", 0.125)
+    t = tag_trace(mesh, [])
+    assert not t.node_mask.any()
+    v = np.random.default_rng(1).uniform(-1, 1, mesh.ne)
+    p, w = dc._kernel_fields(mesh, v, t.node_mask)
+    # the kernel pass's right-hand sides, made as it makes them
+    C = fem._curl_matrix(mesh)
+    wcurl = fem.tet_volumes(mesh)[:, None] * (C @ v).reshape(-1, 3)
+    rhs = np.column_stack([fem.gradient_map(mesh).T @ (fem.assemble(mesh, "V", "mass") @ v),
+                           (ops.rh_matrix(mesh).T @ (C.T @ wcurl.ravel())).reshape(-1, 3)])
+    mz = fem.assemble(mesh, "Z", "mass") @ np.ones(mesh.nv)
+    A = sp.bmat([[fem.assemble(mesh, "Z", "stiffness"), mz[:, None]], [mz[None, :], None]],
+                format="csc")
+    lu = spla.splu(A)
+    b = np.vstack([rhs, np.zeros((1, 4))]).astype(np.longdouble)
+    x = lu.solve(np.asarray(b, dtype=float)).astype(np.longdouble)
+    A = A.astype(np.longdouble)
+    for _ in range(4):
+        x += lu.solve(np.asarray(b - A @ x, dtype=float))
+    ref = np.asarray(x[:-1], dtype=float)
+    for got, want in zip(np.column_stack([p, w]).T, ref.T):
+        assert np.abs(got - want).max() <= 5e-14 * np.abs(want).max()
+
+
 # -- dispatcher routing -------------------------------------------------------
 
 # traces and the path "auto" plans for each; a parametrization that appends
@@ -179,6 +213,30 @@ def test_dispatcher_rejects_nonzero_moment(cube4, rng, route):
     with pytest.raises(PreconditionError) as exc:
         dc.decompose(v, t, route=route)
     assert exc.value.entity is not None
+    assert t.edge_mask[exc.value.entity]
+
+
+@pytest.mark.parametrize("geometry,spec,path", [
+    ("unit_cube", ["e:x=0,y=0"], "edge-cut"),
+    ("unit_cube", ["z=0", "e:y=1,z=1"], "faces-plus-edge/clear-face"),
+    ("pyramid", ["lat:x-", "lat:x+"], "corner-pair-faces"),
+])
+def test_loop_cut_plans_refuse_nonzero_trace_moments(geometry, spec, path, rng):
+    """A loop-cut plan applied without `_routed`'s entry check still
+    refuses a field with nonzero trace moments, naming a fine trace edge:
+    the loop potential ignores the cut edges' moments, so the subtraction
+    leaves them on the loop for its loop check.  Through `decompose` the
+    entry check names the edge first."""
+    mesh = build_complex(geometry, 0.25)
+    t = tag_trace(mesh, spec)
+    plan = dc._plan("auto", t)
+    assert plan.path == path
+    v = fem.EdgeField(mesh, rng.uniform(0.5, 1.0, mesh.ne))
+    with pytest.raises(PreconditionError, match="on the patch boundary") as exc:
+        plan.apply(v)
+    assert t.edge_mask[exc.value.entity]
+    with pytest.raises(PreconditionError, match="on the trace") as exc:
+        dc.decompose(v, t)
     assert t.edge_mask[exc.value.entity]
 
 
@@ -398,21 +456,28 @@ JUNCTIONS = [
 @pytest.mark.parametrize("geometry,spec", JUNCTIONS)
 def test_gate_rows_are_the_loop_potentials(geometry, spec, h):
     """Row b of the gate is block b's normalized loop potential at the
-    vertex (anchored), the first anchored row (free) or 0 (pinned); the
-    functionals of a `random_admissible_field` vanish to roundoff."""
+    vertex (anchored: the scalar reference's, and row v0 of the block
+    operator times the loop signs), the first anchored row (free) or 0
+    (pinned); the functionals of a `random_admissible_field` vanish to
+    roundoff."""
     mesh = build_complex(geometry, h)
     t = tag_trace(mesh, spec)
     gate = dc._gate_plan(mesh, t)
     anchored = [b for b, k in enumerate(gate.kinds) if k == "anchored"]
+    for b in anchored:
+        _, loop, _, pot, _ = gate.setups[b]
+        row = np.zeros(mesh.ne)
+        row[loop.edges] = pot.Phi[loop.node_pos(gate.v0)] * loop.signs
+        assert np.array_equal(gate.rows[b].toarray().ravel(), row)
     rng = np.random.default_rng(8)
     for _ in range(3):
         v = fem.EdgeField(mesh, rng.uniform(-1, 1, mesh.ne))
         vals = gate.rows @ v.values
         for b, kind in enumerate(gate.kinds):
             if kind == "anchored":
-                _, loop, E, _ = gate.setups[b]
-                dec = ops.loop_decompose(v, loop, zero_mean_edge=E)
-                assert abs(vals[b] - dec.phi[loop.node_pos(gate.v0)]) <= 1e-13 * np.abs(dec.phi).max()
+                _, loop, E, _, _ = gate.setups[b]
+                _, phi, _ = _ref_loop_decompose(v, loop, zero_mean_edge=E)
+                assert abs(vals[b] - phi[loop.node_pos(gate.v0)]) <= 1e-13 * np.abs(phi).max()
             else:
                 assert vals[b] == (vals[anchored[0]] if kind == "free" and anchored else 0.0)
     v = dc.random_admissible_field(mesh, t, 9)
@@ -609,10 +674,10 @@ class _CountingLU:
 @pytest.mark.parametrize("geometry,spec,path", WARM_PATHS)
 def test_warm_call_factors_nothing_and_builds_no_loop(geometry, spec, path, monkeypatch):
     """A second call on the same (mesh, trace) only applies its plan: no
-    loop, no factorization, no dense solve, no loop geometry outside
-    `loop_decompose`, and one triangular solve per kernel pass."""
+    loop, no loop potential, no factorization, no dense solve, no loop
+    geometry, and one triangular solve per kernel pass."""
     counts = dict.fromkeys(["splu", "cholesky", "solve", "build_loop", "dense", "epsilon",
-                            "arc"], 0)
+                            "arc", "potential"], 0)
     passes = []
 
     def counted(key, fn):
@@ -632,22 +697,8 @@ def test_warm_call_factors_nothing_and_builds_no_loop(geometry, spec, path, monk
     monkeypatch.setattr(np.linalg, "pinv", counted("dense", np.linalg.pinv))
     monkeypatch.setattr(ops, "epsilon_correction",
                         counted("epsilon", ops.epsilon_correction))
-    in_loop_decompose = []
-    loop_decompose, arc_positions = ops.loop_decompose, ops._edge_arc_positions
-
-    def decompose_loop(*args, **kwargs):
-        in_loop_decompose.append(True)
-        try:
-            return loop_decompose(*args, **kwargs)
-        finally:
-            in_loop_decompose.pop()
-
-    def arc(*args):
-        counts["arc"] += not in_loop_decompose
-        return arc_positions(*args)
-
-    monkeypatch.setattr(ops, "loop_decompose", decompose_loop)
-    monkeypatch.setattr(ops, "_edge_arc_positions", arc)
+    monkeypatch.setattr(ops, "_edge_arc_positions", counted("arc", ops._edge_arc_positions))
+    monkeypatch.setattr(ops, "loop_potential", counted("potential", ops.loop_potential))
     kernel_fields = dc._kernel_fields
 
     def kernel_pass(*args):
@@ -670,7 +721,7 @@ def test_warm_call_factors_nothing_and_builds_no_loop(geometry, spec, path, monk
     assert s.path == path
     assert_contract(s, warm, t)
     assert (counts["splu"] == counts["cholesky"] == counts["build_loop"] == counts["dense"]
-            == counts["epsilon"] == counts["arc"] == 0), counts
+            == counts["epsilon"] == counts["arc"] == counts["potential"] == 0), counts
     assert passes and passes == [1] * len(passes)
 
 

@@ -312,10 +312,16 @@ def test_cholesky_extend_add_by_runs(monkeypatch):
 
 # -- loops ---------------------------------------------------------------------
 
+def moments(v, loop):
+    """The signed loop moments the loop potential acts on."""
+    return v.values[loop.edges] * loop.signs
+
+
 def test_loop_zero_field(cube4):
     loop = loop_of(cube4, "z=1")
-    dec = ops.loop_decompose(fem.EdgeField(cube4, np.zeros(cube4.ne)), loop)
-    assert dec.C == 0.0 and np.abs(dec.phi).max() == 0.0
+    pot = ops.loop_potential(loop)
+    lam = moments(fem.EdgeField(cube4, np.zeros(cube4.ne)), loop)
+    assert pot.c @ lam == 0.0 and np.abs(pot.Phi @ lam).max() == 0.0
 
 
 @settings(max_examples=15, deadline=None)
@@ -325,25 +331,29 @@ def test_loop_reconstruction_and_stokes(seed):
     loop = loop_of(mesh, "z=1")
     rng = np.random.default_rng(seed)
     v = fem.EdgeField(mesh, rng.uniform(-1, 1, mesh.ne))
-    dec = ops.loop_decompose(v, loop)
-    lam = v.values[loop.edges] * loop.signs
-    rec = (np.roll(dec.phi, -1) - dec.phi) + dec.C * loop.lengths
+    pot = ops.loop_potential(loop)
+    lam = moments(v, loop)
+    C, phi = pot.c @ lam, pot.Phi @ lam
+    rec = (np.roll(phi, -1) - phi) + C * loop.lengths
     scale = max(1.0, np.abs(lam).max())
     assert np.abs(lam - rec).max() <= 1e-13 * scale
     # Stokes: the loop average equals the face flux over the length
     face = surface(mesh).face_by_name("z=1")
     flux = fem.curl_map(mesh) @ v.values
     tot = float((flux[face.fine_faces] * face.outward_sign).sum())
-    assert abs(dec.C - tot / loop.total_length) <= 1e-12 * (1 + abs(dec.C))
+    assert pot.l0 == loop.lengths.sum()
+    assert abs(C - tot / pot.l0) <= 1e-12 * (1 + abs(C))
 
 
 def test_loop_gradient_trace(cube4, rng):
     loop = loop_of(cube4, "z=1")
     q = rng.uniform(-1, 1, cube4.nv)
     gv = fem.EdgeField(cube4, fem.gradient_map(cube4) @ q)
-    dec = ops.loop_decompose(gv, loop)
-    assert abs(dec.C) < 1e-14
-    diff = (dec.phi - dec.phi[0]) - (q[loop.nodes] - q[loop.nodes[0]])
+    pot = ops.loop_potential(loop)
+    lam = moments(gv, loop)
+    assert abs(pot.c @ lam) < 1e-14
+    phi = pot.Phi @ lam
+    diff = (phi - phi[0]) - (q[loop.nodes] - q[loop.nodes[0]])
     assert np.abs(diff).max() < 1e-12
 
 
@@ -353,13 +363,18 @@ def test_loop_zero_edge_mode(cube4, rng):
     E = surf.edge_by_name("e:y=0,z=1")
     v = fem.EdgeField(cube4, rng.uniform(-1, 1, cube4.ne))
     v.values[E.fine_edges] = 0.0
-    dec = ops.loop_decompose(v, loop, zero_edge=E)
+    pot = ops.loop_potential(loop, zero_edge=E)
+    phi = pot.Phi @ moments(v, loop)
     for n in E.fine_nodes:
-        assert dec.phi[loop.node_pos(int(n))] == 0.0
-    assert dec.l0 == pytest.approx(3.0)
-    with pytest.raises(ops.PreconditionError):
-        bad = fem.EdgeField(cube4, rng.uniform(0.5, 1.0, cube4.ne))
-        ops.loop_decompose(bad, loop, zero_edge=E)
+        assert phi[loop.node_pos(int(n))] == 0.0
+    assert pot.l0 == pytest.approx(3.0)
+    # the edge's own moments do not enter: a field with nonzero moments
+    # there keeps them through the loop subtraction, whose loop check
+    # refuses it (see test_loop_cut_plans_refuse_nonzero_trace_moments)
+    pos = loop.edge_positions(E.fine_edges)
+    assert not pot.Phi[:, pos].any() and not pot.c[pos].any()
+    with pytest.raises(ValueError, match="mutually exclusive"):
+        ops.loop_potential(loop, zero_edge=E, zero_mean_edge=E)
 
 
 def test_loop_zero_mean_edge(cube4, rng):
@@ -367,10 +382,10 @@ def test_loop_zero_mean_edge(cube4, rng):
     loop = loop_of(cube4, "z=1")
     E = surf.edge_by_name("e:y=0,z=1")
     v = fem.EdgeField(cube4, rng.uniform(-1, 1, cube4.ne))
-    dec = ops.loop_decompose(v, loop, zero_mean_edge=E)
+    phi = ops.loop_potential(loop, zero_mean_edge=E).Phi @ moments(v, loop)
     pos = loop.edge_positions(E.fine_edges)
     ln = loop.lengths[pos]
-    mean = float(np.sum(ln * 0.5 * (dec.phi[pos] + dec.phi[(pos + 1) % loop.n])) / ln.sum())
+    mean = float(np.sum(ln * 0.5 * (phi[pos] + phi[(pos + 1) % loop.n])) / ln.sum())
     assert abs(mean) < 1e-13
 
 
@@ -448,23 +463,19 @@ def test_epsilon_correction_values_and_integral(cube4):
     C = 0.9
     names = ["e:x=0,z=1", "e:x=1,z=1"]
     try:
-        eps = ops.epsilon_correction(loop, E, surf.edge_by_name(names[0]),
-                                     surf.edge_by_name(names[1]), C)
+        unit = ops.epsilon_correction(loop, E, surf.edge_by_name(names[0]),
+                                      surf.edge_by_name(names[1]))
     except ops.PreconditionError:
-        eps = ops.epsilon_correction(loop, E, surf.edge_by_name(names[1]),
-                                     surf.edge_by_name(names[0]), C)
+        unit = ops.epsilon_correction(loop, E, surf.edge_by_name(names[1]),
+                                      surf.edge_by_name(names[0]))
+    eps = C * unit
     pos = loop.edge_positions(E.fine_edges)
     assert np.all(eps[pos] == -C)
     others = eps[np.abs(eps) > 0]
     assert np.isclose(sorted(set(np.round(others, 12))), [-C, C / 2]).all()
     assert abs((eps * loop.lengths).sum()) < 1e-14
-    try:
-        zero = ops.epsilon_correction(loop, E, surf.edge_by_name(names[0]),
-                                      surf.edge_by_name(names[1]), 0.0)
-    except ops.PreconditionError:
-        zero = ops.epsilon_correction(loop, E, surf.edge_by_name(names[1]),
-                                      surf.edge_by_name(names[0]), 0.0)
-    assert np.abs(zero).max() == 0.0
+    # the correction is linear in C: the unit one is -1 on E
+    assert np.all(unit[pos] == -1.0)
 
 
 # -- junction functionals -----------------------------------------------------------
@@ -514,7 +525,9 @@ def test_rh_of_constant_gradient_equals_gradient_map(cube4):
 # -- the loop calculus against its scalar reference ----------------------------
 #
 # The functions below are the scalar implementations the vectorized loop
-# calculus replaced, kept as references: the outputs must agree bit for bit.
+# calculus replaced, kept as references: the loops and the constant
+# extensions must agree bit for bit, the loop potentials (now dense
+# operators) to roundoff with the same exact zeros.
 
 def _ref_build_loop(mesh, faces):
     fset = np.concatenate([f.fine_faces for f in faces])
@@ -565,13 +578,12 @@ def _ref_build_loop(mesh, faces):
     nodes = np.array(nodes[:-1])
     edges = np.array(edges)
     signs = np.where(mesh.edges[edges, 0] == nodes, 1.0, -1.0)
-    lengths = mesh.edge_lengths()[edges]
-    return nodes, edges, signs, lengths, float(lengths.sum())
+    return nodes, edges, signs, mesh.edge_lengths()[edges]
 
 
 def _ref_loop_decompose(v, loop, zero_edge=None, zero_mean_edge=None, tol=1e-12):
     """(C, phi, l0)"""
-    lam = ops._loop_moments(v, loop)
+    lam = moments(v, loop)
     scale = max(1.0, float(np.abs(v.values).max()))
     if zero_edge is not None:
         pos = ops._edge_arc_positions(loop, zero_edge)
@@ -606,7 +618,7 @@ def _ref_loop_decompose(v, loop, zero_edge=None, zero_mean_edge=None, tol=1e-12)
         phi[zero_nodes] = 0.0
         return C, phi, l0
 
-    l0 = loop.total_length
+    l0 = float(loop.lengths.sum())
     C = float(lam.sum() / l0)
     phi = np.zeros(loop.n)
     acc = 0.0
@@ -705,12 +717,29 @@ def _identical(a, b):
     return np.array_equal(a, b) and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-def _check_decomposition(v, loop, **mode):
-    dec = ops.loop_decompose(v, loop, **mode)
-    C, phi, l0 = _ref_loop_decompose(v, loop, **mode)
-    assert (dec.C, dec.l0) == (C, l0)
-    assert _identical(dec.phi, phi)
-    return dec
+LOOP_TOL = 1e-14  # roundoff of a dense matvec against the scalar walk
+
+
+def _check_potential(v, loop, **mode):
+    """`loop_potential` on the moments of v against the scalar reference:
+    C and phi to roundoff, l0 exactly, and exact zero rows on the zero
+    edge's nodes.  Returns C."""
+    pot = ops.loop_potential(loop, **mode)
+    lam = moments(v, loop)
+    C, phi = float(pot.c @ lam), pot.Phi @ lam
+    C_ref, phi_ref, l0 = _ref_loop_decompose(v, loop, **mode)
+    assert pot.l0 == l0
+    scale = max(1.0, np.abs(phi_ref).max())
+    assert abs(C - C_ref) <= LOOP_TOL * max(1.0, abs(C_ref))
+    assert np.abs(phi - phi_ref).max() <= LOOP_TOL * scale
+    if "zero_edge" in mode:
+        pos = loop.edge_positions(ops._edge_fine_set(mode["zero_edge"])[0])
+        rows = np.union1d(pos, (pos + 1) % loop.n)
+        assert not pot.Phi[rows].any() and not phi[rows].any()
+        assert np.array_equal(phi_ref[rows], np.zeros(len(rows)))
+    if not lam.any():
+        assert C == 0.0 and not phi.any()
+    return C
 
 
 def _check_extension(mesh, C, loop, pins, per_edge):
@@ -726,42 +755,41 @@ def test_loop_calculus_matches_reference(geometry):
         for F in surf.faces:
             loop = ops.build_loop(mesh, [F])
             ref = _ref_build_loop(mesh, [F])
-            for got, want in zip((loop.nodes, loop.edges, loop.signs, loop.lengths,
-                                  loop.total_length), ref):
+            for got, want in zip((loop.nodes, loop.edges, loop.signs, loop.lengths), ref):
                 assert _identical(got, want), (geometry, h, F.name)
             rng = np.random.default_rng([int(1 / h), F.id])
             v = fem.EdgeField(mesh, rng.uniform(-1, 1, mesh.ne))
-            dec = _check_decomposition(v, loop)
-            # the zero field: moments of -0.0 on reversed edges must sum to
-            # +0.0, as in the scalar accumulator
+            C = _check_potential(v, loop)
+            # the zero field: moments of -0.0 on reversed edges must give
+            # exact zeros
             zero = fem.EdgeField(mesh, np.zeros(mesh.ne))
-            _check_decomposition(zero, loop)
+            _check_potential(zero, loop)
             corner = int(loop.nodes[0])
-            _check_extension(mesh, dec.C, loop, np.array([corner]), np.full(loop.n, dec.C))
+            _check_extension(mesh, C, loop, np.array([corner]), np.full(loop.n, C))
             for E in surf.edges:
                 if not np.isin(E.fine_edges, F.boundary_edges).all():
                     continue
-                _check_decomposition(v, loop, zero_mean_edge=E)
+                _check_potential(v, loop, zero_mean_edge=E)
                 vz = v.copy()
                 vz.values[E.fine_edges] = 0.0
-                _check_decomposition(zero, loop, zero_edge=E)
-                dec = _check_decomposition(vz, loop, zero_edge=E)
+                _check_potential(zero, loop, zero_edge=E)
+                C = _check_potential(vz, loop, zero_edge=E)
                 # edge subtraction: zero drift on E, pinned at its nodes
                 posE = ops._edge_arc_positions(loop, E)
-                per_edge = np.full(loop.n, dec.C)
+                per_edge = np.full(loop.n, C)
                 per_edge[posE] = 0.0
-                _check_extension(mesh, dec.C, loop, E.fine_nodes, per_edge)
+                _check_extension(mesh, C, loop, E.fine_nodes, per_edge)
                 # anchored vertex-junction block: the epsilon walk from a
                 # node off E, pinned there and on E
                 e1, e2 = dc._adjacent_coarse_edges(surf, loop, E)
-                eps = ops.epsilon_correction(loop, E, e1, e2, dec.C)
+                eps = C * ops.epsilon_correction(loop, E, e1, e2)
                 _, last = ops._cyclic_arc(loop.n, posE)
                 v0 = int(loop.nodes[(last + 1 + (loop.n - len(posE)) // 2) % loop.n])
                 walk = ops._loop_walk(eps * loop.lengths, loop.node_pos(v0), loop.n)
                 assert _identical(walk, _ref_epsilon_walk(loop, eps, v0))
-                per_edge = dec.C + eps
+                per_edge = C + eps
                 per_edge[posE] = 0.0
-                _check_extension(mesh, dec.C, loop, np.concatenate([[v0], E.fine_nodes]),
+                _check_extension(mesh, C, loop, np.concatenate([[v0], E.fine_nodes]),
                                  per_edge)
 
 
@@ -775,7 +803,7 @@ def test_loop_calculus_arc_edge_cases(cube4):
     for e in split:
         v.values[e.fine_edges] = 0.0
     with pytest.raises(ops.PreconditionError, match="contiguous"):
-        ops.loop_decompose(v, loop, zero_edge=split)
+        ops.loop_potential(loop, zero_edge=split)
     with pytest.raises(ops.PreconditionError, match="contiguous"):
         _ref_loop_decompose(v, loop, zero_edge=split)
     # all four sides: the zero arc is the whole loop, l0 = 0
@@ -783,5 +811,6 @@ def test_loop_calculus_arc_edge_cases(cube4):
     assert len(whole) == 4
     for e in whole:
         v.values[e.fine_edges] = 0.0
-    dec = _check_decomposition(v, loop, zero_edge=whole)
-    assert dec.l0 == 0.0 and dec.C == 0.0 and not dec.phi.any()
+    C = _check_potential(v, loop, zero_edge=whole)
+    pot = ops.loop_potential(loop, zero_edge=whole)
+    assert pot.l0 == 0.0 and C == 0.0 and not pot.c.any() and not pot.Phi.any()

@@ -104,6 +104,29 @@ def test_output_digest_compare_exit_status(tmp_path):
     assert res.returncode == 1 and f"only in {a}" in res.stdout
 
 
+def test_output_digest_compare_scales_ratios_by_at_least_one(tmp_path):
+    """A ratio's move is measured against the larger of its two values and
+    1: a roundoff-size quotient (a gradient input's R_scaled) moving in its
+    last bits reads as a roundoff move, while a ratio above 1 is still
+    measured against itself."""
+    key = "unit_cube z=0;e:y=1,z=1 L1 gradient auto"
+    p = np.linspace(-1.0, 1.0, 8)
+    old = {"p": p, "w": np.zeros((8, 3)), "R": np.zeros(4),
+           "ratio:R_scaled": 5.1e-16, "ratio:w_h1": 4.0}
+    new = dict(old, **{"ratio:R_scaled": 2.7e-16, "ratio:w_h1": 4.0 * (1 + 1e-12)})
+    for d, arrays in ((tmp_path / "a", old), (tmp_path / "b", new)):
+        d.mkdir()
+        np.savez(d / "line.npz", key=np.str_(key), **arrays)
+    res = run_script("output_digest.py",
+                     ["--compare", str(tmp_path / "a"), str(tmp_path / "b")], tmp_path)
+    assert res.returncode == 1, res.stdout + res.stderr
+    line = next(x for x in res.stdout.splitlines() if x.startswith(key + ": "))
+    moves = dict(m.split("=", 1) for m in line[len(key) + 2:].split())
+    assert float(moves["ratio:R_scaled"]) == float(f"{2.4e-16:.2e}")
+    assert abs(float(moves["ratio:w_h1"]) - 1e-12) <= 1e-14
+    assert float(moves["p"]) == float(moves["w"]) == float(moves["R"]) == 0.0
+
+
 def test_route_census_lipschitz_paths(tmp_path):
     """On the Lipschitz geometries the face family of the census (single
     faces, face pairs, `boundary` and `concave`) plans these paths and
