@@ -22,13 +22,16 @@ seeded random right-hand side.  The digest covers the bytes of x and the
 repr of its iterations, converged flag, residual history and true
 residual.
 
-`--arrays DIR` also saves p, w, R and the ratios of every split as one
-`.npz` file per line.  `--compare A B` reads two such directories and
-prints, for each line whose arrays differ, the largest move of p, w and
-R (relative to the largest entry of the three on that line) and of each
-ratio (relative to the larger of its two values and 1), then the largest
-move of each per input kind.  It exits with status 1 when any line's
-arrays moved or a file exists on one side only, and 0 otherwise:
+`--arrays DIR` also saves p, w, R and the ratios of every split, and x
+and the iteration count of every HX solve, as one `.npz` file per line.
+`--compare A B` reads two such directories and prints, for each line
+whose arrays differ, the largest move of p, w and R (relative to the
+largest entry of the three on that line), of x (relative to its largest
+entry), of each ratio (relative to the larger of its two values and 1)
+and of the iteration count (in iterations), then the largest move of
+each per input kind; HX lines are of kind `hx`.  It exits with status 1
+when any line's arrays moved or a file exists on one side only, and 0
+otherwise:
 
     python3 scripts/output_digest.py --out old.txt --arrays old/
     python3 scripts/output_digest.py --out new.txt --arrays new/
@@ -119,7 +122,9 @@ def digest(mesh, spec, kind, route, seed, save=None) -> str:
     return h.hexdigest()
 
 
-def hx_digest(mesh, alpha0, seed) -> str:
+def hx_digest(mesh, alpha0, seed, save=None) -> str:
+    """The line's sha256.  With `save` = (path, line key), x and the
+    iteration count are also saved there."""
     trace = tag_trace(mesh, ["boundary"])
     rhs = fem.EdgeField(mesh, np.random.default_rng(seed).uniform(-1, 1, mesh.ne))
     rhs.values[trace.edge_mask] = 0.0
@@ -128,6 +133,9 @@ def hx_digest(mesh, alpha0, seed) -> str:
     alpha[0] = alpha0
     system = hx.assemble_problem(hx.ModelProblem(mesh, alpha, ones, trace, rhs))
     res = hx.pcg_solve(system, hx.HXPreconditioner(system), tol=1e-8)
+    if save is not None:
+        path, key = save
+        np.savez(path, key=key, x=res.x, iterations=np.int64(res.iterations))
     h = hashlib.sha256(np.ascontiguousarray(res.x).tobytes())
     h.update(repr((res.iterations, res.converged, res.residuals, res.true_residual)).encode())
     return h.hexdigest()
@@ -145,22 +153,37 @@ def mesh_digest(mesh) -> str:
     return h.hexdigest()
 
 
+def save_to(arrays, key):
+    """The `save` argument of a line: its `.npz` path in `arrays` and its
+    key, or None when no arrays are saved."""
+    if arrays is None:
+        return None
+    return arrays / (re.sub(r"[^\w=.,+-]+", "_", key) + ".npz"), key
+
+
 def relative_moves(a, b) -> dict:
-    """Largest move of each array and ratio of one line.  p, w and R are
+    """Largest move of each array and scalar of one line.  p, w and R are
     measured against the largest entry of the three on either side, so an
     array that is roundoff on its line (w and R of a gradient input) is
-    not measured against itself; a ratio against the larger of its two
-    values and 1, so a ratio that is roundoff (a gradient input's) is not
-    measured against itself either."""
+    not measured against itself; an HX solution x against its own largest
+    entry; an iteration count in iterations; a ratio against the larger of
+    its two values and 1, so a ratio that is roundoff (a gradient input's)
+    is not measured against itself either."""
     names = sorted((set(a.files) | set(b.files)) - {"key"})
-    fields = ("p", "w", "R")
-    split = max(np.abs(x[n]).max(initial=0.0) for x in (a, b) for n in fields if n in x.files)
+    fields = ("p", "w", "R", "x")  # an HX line holds x, a split the other three
+    split = max((np.abs(x[n]).max(initial=0.0) for x in (a, b) for n in fields
+                 if n in x.files), default=0.0)
     moves = {}
     for n in names:
         if n not in a.files or n not in b.files:
             moves[n] = float("inf")
             continue
-        scale = split if n in fields else max(abs(float(a[n])), abs(float(b[n])), 1.0)
+        if n in fields:
+            scale = split
+        elif n == "iterations":
+            scale = 1.0
+        else:
+            scale = max(abs(float(a[n])), abs(float(b[n])), 1.0)
         diff = float(np.abs(a[n] - b[n]).max(initial=0.0))
         moves[n] = diff / scale if scale > 0 else diff
     return moves
@@ -184,7 +207,7 @@ def compare(dir_a: Path, dir_b: Path) -> int:
         with np.load(fa) as a, np.load(fb) as b:
             key = str(a["key"])
             moves = relative_moves(a, b)
-        kind = key.split()[3]
+        kind = "hx" if key.startswith("hx ") else key.split()[3]
         for n, m in moves.items():
             if m >= worst.get((kind, n), (-1.0, ""))[0]:
                 worst[kind, n] = (m, key)
@@ -202,7 +225,7 @@ def main():
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--levels", default="1,2,3", help="levels k, h = 1/2^k")
     ap.add_argument("--out", help="digest file to write")
-    ap.add_argument("--arrays", help="also save each split's arrays in this directory")
+    ap.add_argument("--arrays", help="also save each line's arrays in this directory")
     ap.add_argument("--compare", nargs=2, metavar=("A", "B"),
                     help="compare two --arrays directories instead")
     args = ap.parse_args()
@@ -223,16 +246,15 @@ def main():
             for kind in INPUTS:
                 for route in ROUTES:
                     key = f"{geometry} {';'.join(spec) or '-'} L{k} {kind} {route}"
-                    save = None if arrays is None else (
-                        arrays / (re.sub(r"[^\w=.,+-]+", "_", key) + ".npz"), key)
-                    d = digest(mesh, spec, kind, route, [SEED, k], save)
+                    d = digest(mesh, spec, kind, route, [SEED, k], save_to(arrays, key))
                     lines.append(f"{key} {d}")
     lines.extend(meshes.values())
     for geometry in HX_GEOMETRIES:
         for k in levels:
             mesh = build_complex(geometry, 1.0 / (1 << k))
             for a in HX_JUMPS:
-                lines.append(f"hx {geometry} L{k} alpha={a:g} - {hx_digest(mesh, a, [SEED, k])}")
+                key = f"hx {geometry} L{k} alpha={a:g} -"
+                lines.append(f"{key} {hx_digest(mesh, a, [SEED, k], save_to(arrays, key))}")
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text("\n".join(lines) + "\n")

@@ -230,19 +230,36 @@ def _scatter(rows, cols, vals, shape) -> sp.csr_matrix:
 _S4 = (1.0 + np.eye(4)) / 20.0
 
 
-def _assemble_nodal(mesh: TetMesh, kind: str, weight) -> sp.csr_matrix:
-    vol = tet_volumes(mesh)
-    w = vol if weight is None else vol * weight
+def _nodal_scatter(mesh: TetMesh, loc: np.ndarray) -> sp.csr_matrix:
+    """Summed nodal matrix of the (nt, 4, 4) local matrices `loc`."""
     t = mesh.tets.astype(np.int32)
-    if kind == "mass":
-        loc = w[:, None, None] * _S4[None, :, :]
-    else:  # the class grams, gathered and scaled in place
-        tab = shape_table(mesh)
-        loc = tab.gram[tab.cls]
-        loc *= w[:, None, None]
     rows = np.repeat(t, 4, axis=1)          # position 4a+b -> v_a
     cols = np.tile(t, (1, 4))               # position 4a+b -> v_b
     return _scatter(rows, cols, loc.reshape(len(t), 16), (mesh.nv, mesh.nv))
+
+
+def _assemble_nodal(mesh: TetMesh, kind: str, weight) -> sp.csr_matrix:
+    vol = tet_volumes(mesh)
+    w = vol if weight is None else vol * weight
+    if kind == "mass":
+        return _nodal_scatter(mesh, w[:, None, None] * _S4[None, :, :])
+    tab = shape_table(mesh)  # the class grams, gathered and scaled in place
+    loc = tab.gram[tab.cls]
+    loc *= w[:, None, None]
+    return _nodal_scatter(mesh, loc)
+
+
+def _assemble_laplacian(mesh: TetMesh, stiffness_weight, mass_weight) -> sp.csr_matrix:
+    """The weighted nodal Laplacian K_a + M_b for per-tet weights a and b,
+    in one scatter: each tet's local matrix a vol gram + b vol S4 is
+    summed once.  It equals `assemble` of the two kinds added up to the
+    order of its sums."""
+    vol = tet_volumes(mesh)
+    tab = shape_table(mesh)
+    loc = tab.gram[tab.cls]
+    loc *= (vol * stiffness_weight)[:, None, None]
+    loc += (vol * mass_weight)[:, None, None] * _S4
+    return _nodal_scatter(mesh, loc)
 
 
 def _assemble_edge(mesh: TetMesh, kind: str, weight) -> sp.csr_matrix:

@@ -4,20 +4,18 @@ auxiliary-space preconditioner built from the decomposition transfers.
 The bilinear form is (alpha curl u, curl v) + (beta u, v) with essential
 tangential data on the trace.  The preconditioner is the HX
 preconditioner of Hiptmair & Xu (SIAM J. Numer. Anal. 45, 2007): a point
-Jacobi smoother plus inexact, spectrally equivalent solves of two nodal
-auxiliary problems.  The scalar space is carried over by the gradient
-map, and its operator is the beta-weighted Laplacian.  The vector space
-is carried over by the edge-moment interpolation, and its operator is the
-alpha-weighted vector Laplacian plus the beta mass, which is the norm in
-which the regular decompositions bound w.  That operator is the scalar
-K_alpha + M_beta on each of the three components.  Each auxiliary solve
-is one geometric multigrid V-cycle on the nested `build_complex`
-hierarchy (`TetMesh.coarser`), with a direct solve on the coarsest level
-only; the vector solve is the scalar cycle on three columns.  Blocks are
-resolved on every level, so coefficient jumps line up with every coarse
-grid.
+Jacobi smoother plus one inexact, spectrally equivalent solve on the
+auxiliary space Z^4 of the free nodes, carried over by B = [G | r_h].
+Its operator is block-diagonal.  The gradient component has the
+beta-weighted Laplacian.  Each vector component has the alpha-weighted
+Laplacian plus the beta mass, K_alpha + M_beta, which is the norm in
+which the regular decompositions bound w.  The solve is one geometric
+multigrid V-cycle over all four components on the nested `build_complex`
+hierarchy (`TetMesh.coarser`), with direct solves on the coarsest level
+only, as hypre's AMS treats the same space (Kolev & Vassilevski,
+J. Comput. Math. 27, 2009).  Blocks are resolved on every level, so
+coefficient jumps line up with every coarse grid.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -29,7 +27,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import eigvalsh_tridiagonal
 
-from . import fem, operators as ops
+from . import fem
 from .mesh import TetMesh
 from .trace import TraceSet
 
@@ -105,35 +103,87 @@ def _symmetric(A) -> sp.csr_matrix:
     return (0.5 * (A + A.T)).tocsr()
 
 
-class _VCycle:
-    """Symmetric V(2,2)-cycle for the SPD matrix A: damped Jacobi smoothing,
-    Galerkin coarse operators P^T A P for the prolongations `transfers`
-    (finest first), and one sparse LU on the coarsest level.  With no
-    transfers it is that exact solve.  The restrictions P^T are kept as
-    CSR, which sums each entry in the order of the CSC view P.T.  A
-    right-hand side of shape (n, k) is k independent cycles."""
+def _interleave(blocks: list, counts: list) -> sp.csr_matrix:
+    """The block-diagonal operator of a node-major auxiliary space: block b
+    is the scalar n x n CSR `blocks[b]` on `counts[b]` components, and
+    unknown k i + c is component c of node i (k the total count).  Row
+    k i + c holds the scalar row i of its block in the same order, on
+    columns k j + c, so a matvec sums each component as the scalar matvec
+    does, bit for bit."""
+    comps = [A for A, m in zip(blocks, counts) for _ in range(m)]
+    k, n = len(comps), comps[0].shape[0]
+    lens = np.stack([np.diff(A.indptr) for A in comps], axis=1)
+    indptr = np.zeros(k * n + 1, dtype=np.int64)
+    np.cumsum(lens.ravel(), out=indptr[1:])
+    indices = np.empty(indptr[-1], dtype=np.int64)
+    data = np.empty(indptr[-1])
+    for c, A in enumerate(comps):
+        dest = np.repeat(indptr[c:-1:k] - A.indptr[:-1], lens[:, c]) + np.arange(A.nnz)
+        indices[dest] = k * A.indices + c
+        data[dest] = A.data
+    return sp.csr_matrix((data, indices, indptr), shape=(k * n, k * n))
 
-    def __init__(self, A: sp.csr_matrix, transfers: list):
+
+class _VCycle:
+    """Symmetric V(2,2)-cycle on a node-major auxiliary space whose operator
+    is block-diagonal with scalar nodal blocks: `blocks` holds one (SPD
+    scalar matrix, component count) pair per block, in component order.
+    Each level operator interleaves the scalar Galerkin products P^T A P of
+    the blocks (`_interleave`), for the scalar prolongations `transfers`
+    (finest first), which act on the (n, k)-reshaped vector; smoothing is
+    damped Jacobi.  The coarsest level keeps one sparse LU per block, each
+    solving its own columns.  With no transfers the cycle is those exact
+    solves.  The restrictions P^T are kept as CSR, which sums each entry in
+    the order of the CSC view P.T."""
+
+    def __init__(self, blocks: list, transfers: list):
         self.P = transfers
-        self.A = [_symmetric(A)]
-        for P in transfers:
-            self.A.append(_symmetric(P.T @ self.A[-1] @ P))
-        self.w = [_OMEGA / a.diagonal() for a in self.A[:-1]]
-        self.coarse = spla.splu(self.A[-1].tocsc(), **fem._SPD_SPLU)
         self.R = [P.T.tocsr() for P in transfers]
+        self.counts = [m for _, m in blocks]
+        self.k = sum(self.counts)
+        scalar = [_symmetric(A) for A, _ in blocks]
+        self.A = [_interleave(scalar, self.counts)]
+        for P in transfers:
+            scalar = [_symmetric(P.T @ A @ P) for A in scalar]
+            self.A.append(_interleave(scalar, self.counts))
+        self.w = [_OMEGA / a.diagonal() for a in self.A[:-1]]
+        self.coarse = [spla.splu(A.tocsc(), **fem._SPD_SPLU) for A in scalar]
+
+    def solve_coarsest(self, b: np.ndarray) -> np.ndarray:
+        """The exact solve on the coarsest level, one factor per block."""
+        b = b.reshape(-1, self.k)
+        x = np.empty_like(b)
+        c = 0
+        for lu, m in zip(self.coarse, self.counts):
+            x[:, c:c + m] = lu.solve(b[:, c:c + m]).reshape(-1, m)
+            c += m
+        return x.ravel()
 
     def __call__(self, b: np.ndarray, level: int = 0) -> np.ndarray:
         if level == len(self.P):
-            return self.coarse.solve(b)
-        A, w, P = self.A[level], self.w[level], self.P[level]
-        if b.ndim == 2:
-            w = w[:, None]
+            return self.solve_coarsest(b)
+        A, w, k = self.A[level], self.w[level], self.k
         x = w * b
-        x += w * (b - A @ x)
-        x += P @ self(self.R[level] @ (b - A @ x), level + 1)
-        x += w * (b - A @ x)
-        x += w * (b - A @ x)
+        _jacobi(A, w, b, x)
+        e = self((self.R[level] @ _residual(A, b, x).reshape(-1, k)).ravel(), level + 1)
+        x += (self.P[level] @ e.reshape(-1, k)).ravel()
+        _jacobi(A, w, b, x)
+        _jacobi(A, w, b, x)
         return x
+
+
+def _residual(A, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """b - A x, in the buffer of A x."""
+    r = A @ x
+    np.subtract(b, r, out=r)
+    return r
+
+
+def _jacobi(A, w: np.ndarray, b: np.ndarray, x: np.ndarray) -> None:
+    """One damped Jacobi step in place: x += w (b - A x)."""
+    r = _residual(A, b, x)
+    r *= w
+    x += r
 
 
 def _transfers(mesh: TetMesh, free_nodes: np.ndarray) -> list:
@@ -151,27 +201,51 @@ def _transfers(mesh: TetMesh, free_nodes: np.ndarray) -> list:
     return out
 
 
+def _aux_transfer(mesh: TetMesh, free_edges: np.ndarray, free_nodes: np.ndarray):
+    """B = [G | r_h] from the auxiliary space Z^4 on the free nodes, node
+    major with components (grad, w_x, w_y, w_z), to the free edges.  The
+    row of edge (a, b) holds -1 and +1 in the gradient columns of a and b
+    and half the edge vector in the vector columns of both, less its exact
+    zeros and the columns of trace nodes.  It is built as CSR directly: as
+    a < b, the kept entries of the (edge, 8) value array are in row order
+    with ascending columns."""
+    node = np.full(mesh.nv, -1, dtype=np.int32)
+    node[free_nodes] = np.arange(len(free_nodes), dtype=np.int32)
+    edges = mesh.edges[free_edges]
+    ends = node[edges]
+    half = 0.5 * (mesh.verts[edges[:, 1]] - mesh.verts[edges[:, 0]])
+    vals = np.empty((len(free_edges), 8))
+    vals[:, 0], vals[:, 1:4], vals[:, 4], vals[:, 5:] = -1.0, half, 1.0, half
+    keep = vals != 0.0
+    keep[ends[:, 0] < 0, :4] = False
+    keep[ends[:, 1] < 0, 4:] = False
+    pos = np.flatnonzero(keep)
+    cols = 4 * ends.ravel()[pos // 4] + (pos % 4).astype(np.int32)
+    indptr = np.searchsorted(pos, np.arange(0, vals.size + 1, 8))
+    return sp.csr_matrix((vals.ravel()[pos], cols, indptr),
+                         shape=(len(free_edges), 4 * len(free_nodes)))
+
+
 @dataclass
 class HXPreconditioner:
-    """Additive three-term auxiliary-space correction of Hiptmair & Xu:
-    Jacobi smoother + gradient-space V-cycle + vector-nodal-space V-cycle.
+    """The auxiliary-space preconditioner of Hiptmair & Xu as a Jacobi
+    smoother plus one auxiliary correction B C B^T, with B = [G | r_h] the
+    transfer from Z^4 (`_aux_transfer`) and C one V-cycle on the
+    block-diagonal auxiliary operator.
 
-    The gradient operator, G^T A G, is assembled as the beta-weighted
-    nodal stiffness on the free nodes, which it equals exactly: the curl
-    of a gradient is zero, and every edge at a free node is free.  The
-    vector operator is the nodal Laplacian K_alpha + M_beta on the free
-    nodes, applied to the three components of P^T r as three columns;
-    it is spectrally equivalent to, not equal to, the Galerkin product
-    P^T A P.  Both cycles run on the same scalar hierarchy."""
+    Its gradient block, G^T A G, is assembled as the beta-weighted nodal
+    stiffness on the free nodes, which it equals exactly: the curl of a
+    gradient is zero, and every edge at a free node is free.  Its vector
+    blocks are the nodal Laplacian K_alpha + M_beta on the free nodes, one
+    per component; together they are spectrally equivalent to, not equal
+    to, the Galerkin product r_h^T A r_h.  All four components run on the
+    same scalar hierarchy."""
 
     system: CurlSystem
     _diag: np.ndarray = field(init=False)
-    _G: sp.csr_matrix = field(init=False)
-    _P: sp.csr_matrix = field(init=False)
-    _Gt: sp.csr_matrix = field(init=False)
-    _Pt: sp.csr_matrix = field(init=False)
-    _grad_solver: _VCycle = field(init=False)
-    _nodal_solver: _VCycle = field(init=False)
+    _B: sp.csr_matrix = field(init=False)
+    _Bt: sp.csr_matrix = field(init=False)
+    _cycle: _VCycle = field(init=False)
 
     def __post_init__(self):
         sys = self.system
@@ -180,26 +254,18 @@ class HXPreconditioner:
         if np.any(self._diag <= 0):
             raise ValueError("system diagonal is not positive")
         free = sys.free_nodes
-        G = fem.gradient_map(mesh)
-        self._G = G[sys.free_edges][:, free].tocsr()
-        P = ops.rh_matrix(mesh)
-        cols = (3 * free[:, None] + np.arange(3)).ravel()  # node-major
-        self._P = P[sys.free_edges][:, cols].tocsr()
-        transfers = _transfers(mesh, free)
+        self._B = _aux_transfer(mesh, sys.free_edges, free)
+        self._Bt = self._B.T.tocsr()
         alpha = sys.problem.alpha[mesh.block_of_tet]
         beta = sys.problem.beta[mesh.block_of_tet]
         K_b = fem.assemble(mesh, "Z", "stiffness", tet_weight=beta)
-        self._grad_solver = _VCycle(K_b[free][:, free], transfers)
-        K_a = fem.assemble(mesh, "Z", "stiffness", tet_weight=alpha)
-        M_b = fem.assemble(mesh, "Z", "mass", tet_weight=beta)
-        self._nodal_solver = _VCycle((K_a + M_b)[free][:, free], transfers)
-        self._Gt, self._Pt = self._G.T.tocsr(), self._P.T.tocsr()
+        L = fem._assemble_laplacian(mesh, alpha, beta)
+        self._cycle = _VCycle([(K_b[free][:, free], 1), (L[free][:, free], 3)],
+                              _transfers(mesh, free))
 
     def apply(self, r: np.ndarray) -> np.ndarray:
         out = r / self._diag
-        out = out + self._G @ self._grad_solver(self._Gt @ r)
-        w = self._nodal_solver((self._Pt @ r).reshape(-1, 3))
-        out = out + self._P @ w.ravel()
+        out += self._B @ self._cycle(self._Bt @ r)
         return out
 
     __call__ = apply
@@ -250,7 +316,9 @@ class PCGResult:
 
     @property
     def kappa(self) -> float:
-        """Effective condition number lam_max / lam_min of BA."""
+        """lam_max / lam_min of the Ritz extremes: an estimate of the
+        condition number of BA from inside, a lower bound that depends on
+        the right-hand side."""
         lo, hi = self._ritz_extremes
         return hi / lo
 

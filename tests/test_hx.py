@@ -93,41 +93,123 @@ def test_apply_equals_transpose_per_call(lshape8, rng):
 
     def cycle(vc, b, level=0):
         if level == len(vc.P):
-            return vc.coarse.solve(b)
-        A, w, P = vc.A[level], vc.w[level], vc.P[level]
-        w = w.reshape(-1, *[1] * (b.ndim - 1))  # one weight per node row
+            return vc.solve_coarsest(b)
+        A, w, P, k = vc.A[level], vc.w[level], vc.P[level], vc.k
         x = w * b
         x += w * (b - A @ x)
-        x += P @ cycle(vc, P.T @ (b - A @ x), level + 1)
+        e = cycle(vc, (P.T @ (b - A @ x).reshape(-1, k)).ravel(), level + 1)
+        x += (P @ e.reshape(-1, k)).ravel()
         x += w * (b - A @ x)
         x += w * (b - A @ x)
         return x
 
     for r in (rng.standard_normal(sysm.n), sysm.b):
-        w = cycle(pre._nodal_solver, (pre._P.T @ r).reshape(-1, 3))
-        ref = (r / pre._diag + pre._G @ cycle(pre._grad_solver, pre._G.T @ r)
-               + pre._P @ w.ravel())
+        ref = r / pre._diag + pre._B @ cycle(pre._cycle, pre._B.T @ r)
         assert np.array_equal(pre.apply(r), ref)
 
 
+class TwoCycleHX:
+    """The preconditioner as two separate auxiliary V-cycles, one on the
+    gradient space and one on the vector space, with four transfer
+    matrices G, G^T, P, P^T: the reference that the one-space apply must
+    reproduce up to the order of its sums."""
+
+    class Cycle:
+        def __init__(self, A, transfers):
+            self.P = transfers
+            self.A = [hx._symmetric(A)]
+            for P in transfers:
+                self.A.append(hx._symmetric(P.T @ self.A[-1] @ P))
+            self.w = [hx._OMEGA / a.diagonal() for a in self.A[:-1]]
+            self.coarse = spla.splu(self.A[-1].tocsc(), **fem._SPD_SPLU)
+            self.R = [P.T.tocsr() for P in transfers]
+
+        def __call__(self, b, level=0):
+            if level == len(self.P):
+                return self.coarse.solve(b)
+            A, w, P = self.A[level], self.w[level], self.P[level]
+            if b.ndim == 2:
+                w = w[:, None]
+            x = w * b
+            x += w * (b - A @ x)
+            x += P @ self(self.R[level] @ (b - A @ x), level + 1)
+            x += w * (b - A @ x)
+            x += w * (b - A @ x)
+            return x
+
+    def __init__(self, sysm):
+        mesh = sysm.problem.mesh
+        free = sysm.free_nodes
+        self.diag = sysm.A.diagonal()
+        self.G = fem.gradient_map(mesh)[sysm.free_edges][:, free].tocsr()
+        cols = (3 * free[:, None] + np.arange(3)).ravel()
+        self.P = rh_matrix(mesh)[sysm.free_edges][:, cols].tocsr()
+        self.Gt, self.Pt = self.G.T.tocsr(), self.P.T.tocsr()
+        transfers = hx._transfers(mesh, free)
+        alpha = sysm.problem.alpha[mesh.block_of_tet]
+        beta = sysm.problem.beta[mesh.block_of_tet]
+        K_b = fem.assemble(mesh, "Z", "stiffness", tet_weight=beta)
+        L = (fem.assemble(mesh, "Z", "stiffness", tet_weight=alpha)
+             + fem.assemble(mesh, "Z", "mass", tet_weight=beta))
+        self.grad = self.Cycle(K_b[free][:, free], transfers)
+        self.nodal = self.Cycle(L[free][:, free], transfers)
+
+    def __call__(self, r):
+        out = r / self.diag + self.G @ self.grad(self.Gt @ r)
+        return out + self.P @ self.nodal((self.Pt @ r).reshape(-1, 3)).ravel()
+
+
+def test_one_cycle_matches_two_cycle_reference(lshape8, rng):
+    """The one-space apply is the two-cycle preconditioner up to the order
+    of its sums: applies agree to 1e-14 relative, and PCG takes the same
+    number of iterations across the jump sweep."""
+    for a in JUMPS:
+        sysm = make_system(lshape8, [a, 1.0, 1.0], [1.0, 1.0, 1.0], seed=7)
+        pre, ref = hx.HXPreconditioner(sysm), TwoCycleHX(sysm)
+        for r in (rng.standard_normal(sysm.n), sysm.b):
+            y, y_ref = pre(r), ref(r)
+            assert np.abs(y - y_ref).max() <= 1e-14 * np.abs(y_ref).max(), a
+        its = [hx.pcg_solve(sysm, m, tol=1e-8).iterations for m in (pre, ref)]
+        assert its[0] == its[1], (a, its)
+
+
 def _assert_smoothers_convergent(pre):
-    for cycle in (pre._grad_solver, pre._nodal_solver):
-        for A in cycle.A[:-1]:
-            s = sp.diags(1.0 / np.sqrt(A.diagonal()))
-            lam = spla.eigsh(s @ A @ s, k=1, which="LA", return_eigenvectors=False)[0]
-            assert hx._OMEGA * lam < 2.0, lam
+    for A in pre._cycle.A[:-1]:
+        s = sp.diags(1.0 / np.sqrt(A.diagonal()))
+        lam = spla.eigsh(s @ A @ s, k=1, which="LA", return_eigenvectors=False)[0]
+        assert hx._OMEGA * lam < 2.0, lam
 
 
 def test_vcycle_smoother_is_convergent_on_every_level(lshape8):
-    """omega * lambda_max(D^-1 A_l) < 2 on every smoothed level of both
-    auxiliary hierarchies, so the V-cycle is SPD: on the L shape at h = 1/8
+    """omega * lambda_max(D^-1 A_l) < 2 on every smoothed level of the
+    auxiliary hierarchy, so the V-cycle is SPD: on the L shape at h = 1/8
     under a 1e6 jump, and on every catalog geometry at h = 1/4 with and
-    without a trace, at alpha_0 = 1 and 1e6."""
-    sysm = make_system(lshape8, [1e6, 1.0, 1.0], [1.0, 1.0, 1.0])
+    without a trace, at alpha_0 = 1 and 1e6.  Each level operator is
+    block-diagonal over the four node-major components, and level 0 holds
+    the scalar nodal operators: K_beta on the gradient component and
+    K_alpha + M_beta on each vector component."""
+    alpha, beta = np.array([1e6, 1.0, 1.0]), np.ones(3)
+    sysm = make_system(lshape8, alpha, beta)
     pre = hx.HXPreconditioner(sysm)
-    for cycle in (pre._grad_solver, pre._nodal_solver):
-        assert len(cycle.A) == 3  # h = 1/8, 1/4 and the direct solve at 1/2
-        assert cycle.A[0].shape[0] == len(sysm.free_nodes)  # scalar, not 3n
+    cycle = pre._cycle
+    assert len(cycle.A) == 3  # h = 1/8, 1/4 and the direct solve at 1/2
+    free = sysm.free_nodes
+    aw, bw = alpha[lshape8.block_of_tet], beta[lshape8.block_of_tet]
+    K_b = fem.assemble(lshape8, "Z", "stiffness", tet_weight=bw)[free][:, free]
+    L = (fem.assemble(lshape8, "Z", "stiffness", tet_weight=aw)
+         + fem.assemble(lshape8, "Z", "mass", tet_weight=bw))[free][:, free]
+    A0 = cycle.A[0]
+    assert A0.shape == (4 * len(free), 4 * len(free))
+    for c in range(4):
+        for d in range(4):
+            if d != c:
+                assert A0[c::4, d::4].nnz == 0, (c, d)
+        block = A0[c::4, c::4]
+        if c == 0:
+            assert (block != K_b).nnz == 0
+        else:
+            assert (block != A0[1::4, 1::4]).nnz == 0
+            assert abs(block - L).max() <= 1e-15 * abs(L).max()
     _assert_smoothers_convergent(pre)
     for name in CATALOG:
         mesh = build_complex(name, 0.25)

@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -50,6 +51,29 @@ def test_hx_study_smallest(tmp_path):
     for r in rows:
         assert all(r[key] >= 0.0 for key in ("hx_setup_s", "hx_solve_s", "cg_s"))
         assert 1.0 <= r["hx_kappa"] == r["hx_lam_max"] / r["hx_lam_min"]
+
+
+def test_reproduction_probe_smallest(tmp_path):
+    """At h = 1/2 and 1/4 the probe prints one line per gate configuration
+    and level, its fields have exactly zero trace moments, and `unit_cube`
+    z=0 reads R_scaled 0.944 and 1.958, as the residual table of
+    ROADMAP.md records."""
+    res = run_script("reproduction_probe.py", ["--levels", "1,2"], tmp_path)
+    assert res.returncode == 0, res.stderr
+    spec = importlib.util.spec_from_file_location("reproduction_probe",
+                                                  ROOT / "scripts" / "reproduction_probe.py")
+    probe = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(probe)
+    rows = res.stdout.splitlines()[1:]
+    assert len(rows) == 2 * len(probe.CONFIGS) == 36
+    for geometry, names in probe.CONFIGS:
+        for k in (1, 2):
+            r = probe.probe(geometry, names, k)
+            v, trace = r["v"], r["trace"]
+            assert np.all(v.values[trace.edge_mask] == 0.0), (geometry, names, k)
+            assert np.abs(v.values).max() > 0.0
+    z0 = [row.split() for row in rows if row.startswith("unit_cube ") and row.split()[1] == "z=0"]
+    assert [(int(r[2]), r[3], r[4]) for r in z0] == [(1, "kernel", "0.944"), (2, "kernel", "1.958")]
 
 
 def test_output_digest_smallest(tmp_path):
@@ -102,6 +126,30 @@ def test_output_digest_compare_exit_status(tmp_path):
     line.unlink()
     res = run_script("output_digest.py", ["--compare", str(a), str(b)], tmp_path)
     assert res.returncode == 1 and f"only in {a}" in res.stdout
+
+
+def test_output_digest_compare_reports_hx_moves(tmp_path):
+    """`--arrays` saves each HX line's x and iteration count; `--compare`
+    reports a moved HX array under kind `hx` and exits 1."""
+    a = tmp_path / "a"
+    res = run_script("output_digest.py", ["--levels", "1", "--out", str(a / "digest.txt"),
+                                          "--arrays", str(a)], tmp_path)
+    assert res.returncode == 0, res.stderr
+    b = tmp_path / "b"
+    shutil.copytree(a, b)
+    line = b / "hx_unit_cube_L1_alpha=100_-.npz"
+    with np.load(line) as f:
+        saved = dict(f)
+    assert str(saved["key"]) == "hx unit_cube L1 alpha=100 -"
+    assert saved["x"].ndim == 1 and int(saved["iterations"]) > 0
+    saved["x"] = saved["x"] * (1 + 1e-9)
+    np.savez(line, **saved)
+    res = run_script("output_digest.py", ["--compare", str(a), str(b)], tmp_path)
+    assert res.returncode == 1, res.stdout + res.stderr
+    moved = [x for x in res.stdout.splitlines() if x.startswith("hx unit_cube L1 alpha=100 -: ")]
+    assert moved == ["hx unit_cube L1 alpha=100 -: iterations=0.00e+00 x=1.00e-09"]
+    worst = [x.split() for x in res.stdout.splitlines() if x.startswith("  hx ")]
+    assert [w[:3] for w in worst] == [["hx", "iterations", "0.00e+00"], ["hx", "x", "1.00e-09"]]
 
 
 def test_output_digest_compare_scales_ratios_by_at_least_one(tmp_path):
