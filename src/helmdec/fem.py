@@ -7,10 +7,12 @@ right-hand) normal.  Mass and the nodal stiffness use exact barycentric
 integral formulas.  Every curl-curl form is built from one cached sparse
 (3nt x ne) curl matrix C: the per-tet curl of an edge field is one matvec
 C v, and the (weighted) edge stiffness is C^T W C with W the per-tet
-weighted volumes, repeated for the three curl components.  Assemblies
-build int32 index arrays, cast once from the mesh tables: 4-byte
-temporaries, and the index dtype scipy gives these CSR results anyway
-below 2^31 entries.  Sparse SPD
+weighted volumes, repeated for the three curl components.  A nodal
+matrix is its node and edge sums (`_nodal_matrices`) on a CSR pattern
+read off the lexsorted edges, with no sort; only the edge mass scatters
+COO triplets (`_scatter`).  Assemblies build int32 index arrays, cast
+once from the mesh tables: 4-byte temporaries, and the index dtype scipy
+gives these CSR results anyway below 2^31 entries.  Sparse SPD
 factors are chosen by matrix family: `Cholesky`, a nested-dissection
 multifrontal Cholesky, for the cotree curl-curl block, and SuperLU for the
 smaller nodal blocks: `cached_solver` holds one symmetric-mode factor of
@@ -219,8 +221,8 @@ def curl_map(mesh: TetMesh) -> sp.csr_matrix:
 # --------------------------------------------------------------------------
 
 def _scatter(rows, cols, vals, shape) -> sp.csr_matrix:
-    """Summed CSR matrix of the local entries, less the sums that are exact
-    zeros (half the P1 stiffness pattern of a Kuhn lattice)."""
+    """Summed CSR matrix of the local entries of the edge mass, less the
+    sums that are exact zeros."""
     m = sp.coo_matrix((vals.ravel(), (rows.ravel(), cols.ravel())), shape=shape).tocsr()
     m.eliminate_zeros()
     return m
@@ -228,38 +230,86 @@ def _scatter(rows, cols, vals, shape) -> sp.csr_matrix:
 
 # integrals of lam_a lam_b over a tet of unit volume
 _S4 = (1.0 + np.eye(4)) / 20.0
+# the local vertex pairs of the tet edges, in TET_EDGES order
+_EDGE_I, _EDGE_J = np.array(TET_EDGES).T
 
 
-def _nodal_scatter(mesh: TetMesh, loc: np.ndarray) -> sp.csr_matrix:
-    """Summed nodal matrix of the (nt, 4, 4) local matrices `loc`."""
-    t = mesh.tets.astype(np.int32)
-    rows = np.repeat(t, 4, axis=1)          # position 4a+b -> v_a
-    cols = np.tile(t, (1, 4))               # position 4a+b -> v_b
-    return _scatter(rows, cols, loc.reshape(len(t), 16), (mesh.nv, mesh.nv))
+def _nodal_pattern(mesh: TetMesh, free=None):
+    """CSR (indptr, indices) of the P1 matrices of `mesh` on the nodes of
+    the bool mask `free` (every node when None), and the source of each
+    stored entry in the node values followed by the edge values: node i is
+    i, edge e is nv + e.  Row i holds its lower neighbours, itself, then
+    its upper neighbours, each ascending.  As the edges are lexsorted, the
+    upper ones come in edge order, and the lower ones in the order of the
+    CSC view of the upper triangle, which scipy's conversion gives by a
+    counting sort.  O(ne + nv), with no sort."""
+    if free is None:
+        free = np.ones(mesh.nv, dtype=bool)
+    nodes = np.flatnonzero(free).astype(np.int32)
+    ids = np.flatnonzero(free[mesh.edges[:, 0]] & free[mesh.edges[:, 1]]).astype(np.int32)
+    lo, hi = np.take(np.cumsum(free, dtype=np.int32) - 1, np.take(mesh.edges, ids, axis=0)).T
+    n, ne = len(nodes), len(ids)
+    seq = np.arange(ne, dtype=np.int32)
+    up_ptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(lo, minlength=n), out=up_ptr[1:])
+    by_hi = sp.csr_matrix((seq, hi, up_ptr), shape=(n, n)).tocsc()
+    n_up, n_low = np.diff(up_ptr), np.diff(by_hi.indptr)
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(n_low + n_up + 1, out=indptr[1:])
+    diag = indptr[:-1] + n_low
+    upper = seq + np.repeat(diag + 1 - up_ptr[:-1], n_up)
+    lower = seq + np.repeat(indptr[:-1] - by_hi.indptr[:-1], n_low)
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    src = np.empty(indptr[-1], dtype=np.int32)
+    indices[diag], src[diag] = np.arange(n, dtype=np.int32), nodes
+    indices[upper], src[upper] = hi, mesh.nv + ids
+    indices[lower], src[lower] = by_hi.indices, mesh.nv + np.take(ids, by_hi.data)
+    return indptr, indices, src
+
+
+def _nodal_matrices(mesh: TetMesh, weights: list, free=None) -> list:
+    """The nodal matrices K_a + M_b for each pair of per-tet weights (a, b)
+    in `weights` (arrays or scalars; None leaves the term out), on the
+    nodes of the bool mask `free` (every node when None).
+
+    A P1 matrix has one value per node and one per edge.  Each is a sum of
+    local entries, one `np.bincount` over `tets` and one over `tet_edges`,
+    summed in tet order, and the matrices share one `_nodal_pattern`.  An
+    edge's one value fills both its entries, so each matrix is exactly
+    symmetric; its exact zeros (half the P1 stiffness pattern of a Kuhn
+    lattice) are not stored.  The restriction to `free` equals the full
+    matrix sliced to the free rows and columns."""
+    indptr, indices, src = _nodal_pattern(mesh, free)
+    n = len(indptr) - 1
+    vol = tet_volumes(mesh)
+    tab = shape_table(mesh)
+    # (class grams, S4 entry, entity of each local entry, entity count) of
+    # the local diagonals, then of the local off-diagonals
+    parts = ((np.diagonal(tab.gram, axis1=1, axis2=2), _S4[0, 0], mesh.tets, mesh.nv),
+             (tab.gram[:, _EDGE_I, _EDGE_J], _S4[0, 1], mesh.tet_edges, mesh.ne))
+    out = []
+    for stiffness_weight, mass_weight in weights:
+        sums = []
+        for gram, s4, entity, size in parts:
+            if stiffness_weight is None:
+                loc = np.zeros(entity.shape)
+            else:  # the class grams, gathered and scaled in place
+                loc = np.take(gram, tab.cls, axis=0)
+                loc *= (vol * stiffness_weight)[:, None]
+            if mass_weight is not None:
+                loc += (vol * mass_weight)[:, None] * s4
+            sums.append(np.bincount(entity.ravel(), loc.ravel(), size))
+        vals = np.concatenate(sums)
+        m = sp.csr_matrix((np.take(vals, src), indices.copy(), indptr.copy()),
+                          shape=(n, n))
+        m.eliminate_zeros()  # in place, hence the copies
+        out.append(m)
+    return out
 
 
 def _assemble_nodal(mesh: TetMesh, kind: str, weight) -> sp.csr_matrix:
-    vol = tet_volumes(mesh)
-    w = vol if weight is None else vol * weight
-    if kind == "mass":
-        return _nodal_scatter(mesh, w[:, None, None] * _S4[None, :, :])
-    tab = shape_table(mesh)  # the class grams, gathered and scaled in place
-    loc = tab.gram[tab.cls]
-    loc *= w[:, None, None]
-    return _nodal_scatter(mesh, loc)
-
-
-def _assemble_laplacian(mesh: TetMesh, stiffness_weight, mass_weight) -> sp.csr_matrix:
-    """The weighted nodal Laplacian K_a + M_b for per-tet weights a and b,
-    in one scatter: each tet's local matrix a vol gram + b vol S4 is
-    summed once.  It equals `assemble` of the two kinds added up to the
-    order of its sums."""
-    vol = tet_volumes(mesh)
-    tab = shape_table(mesh)
-    loc = tab.gram[tab.cls]
-    loc *= (vol * stiffness_weight)[:, None, None]
-    loc += (vol * mass_weight)[:, None, None] * _S4
-    return _nodal_scatter(mesh, loc)
+    w = 1.0 if weight is None else weight
+    return _nodal_matrices(mesh, [(w, None) if kind == "stiffness" else (None, w)])[0]
 
 
 def _assemble_edge(mesh: TetMesh, kind: str, weight) -> sp.csr_matrix:

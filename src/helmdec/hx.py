@@ -14,7 +14,9 @@ multigrid V-cycle over all four components on the nested `build_complex`
 hierarchy (`TetMesh.coarser`), with direct solves on the coarsest level
 only, as hypre's AMS treats the same space (Kolev & Vassilevski,
 J. Comput. Math. 27, 2009).  Blocks are resolved on every level, so
-coefficient jumps line up with every coarse grid.
+coefficient jumps line up with every coarse grid, and each level's
+operators are assembled on that level's own mesh, which equals the
+Galerkin product of the level above in exact arithmetic.
 """
 from __future__ import annotations
 
@@ -96,13 +98,6 @@ def assemble_problem(problem: ModelProblem) -> CurlSystem:
 _OMEGA = 0.8
 
 
-def _symmetric(A) -> sp.csr_matrix:
-    """The symmetric part of a Galerkin product P^T A P, which is symmetric
-    in exact arithmetic only: its (i, j) and (j, i) entries are summed in
-    different orders.  PCG needs a symmetric cycle."""
-    return (0.5 * (A + A.T)).tocsr()
-
-
 def _interleave(blocks: list, counts: list) -> sp.csr_matrix:
     """The block-diagonal operator of a node-major auxiliary space: block b
     is the scalar n x n CSR `blocks[b]` on `counts[b]` components, and
@@ -126,28 +121,24 @@ def _interleave(blocks: list, counts: list) -> sp.csr_matrix:
 
 class _VCycle:
     """Symmetric V(2,2)-cycle on a node-major auxiliary space whose operator
-    is block-diagonal with scalar nodal blocks: `blocks` holds one (SPD
-    scalar matrix, component count) pair per block, in component order.
-    Each level operator interleaves the scalar Galerkin products P^T A P of
-    the blocks (`_interleave`), for the scalar prolongations `transfers`
-    (finest first), which act on the (n, k)-reshaped vector; smoothing is
-    damped Jacobi.  The coarsest level keeps one sparse LU per block, each
-    solving its own columns.  With no transfers the cycle is those exact
-    solves.  The restrictions P^T are kept as CSR, which sums each entry in
-    the order of the CSC view P.T."""
+    is block-diagonal with scalar nodal blocks, block b on `counts[b]`
+    components, in component order.  `levels` holds the scalar SPD blocks
+    of each level, finest first, each assembled on its own mesh, and
+    `transfers` the scalar prolongations between consecutive levels, which
+    act on the (n, k)-reshaped vector.  Each level operator interleaves its
+    blocks (`_interleave`); smoothing is damped Jacobi.  The coarsest level
+    keeps one sparse LU per block, each solving its own columns.  With one
+    level the cycle is those exact solves.  The restrictions P^T are kept
+    as CSR, which sums each entry in the order of the CSC view P.T."""
 
-    def __init__(self, blocks: list, transfers: list):
+    def __init__(self, levels: list, counts: list, transfers: list):
         self.P = transfers
         self.R = [P.T.tocsr() for P in transfers]
-        self.counts = [m for _, m in blocks]
-        self.k = sum(self.counts)
-        scalar = [_symmetric(A) for A, _ in blocks]
-        self.A = [_interleave(scalar, self.counts)]
-        for P in transfers:
-            scalar = [_symmetric(P.T @ A @ P) for A in scalar]
-            self.A.append(_interleave(scalar, self.counts))
+        self.counts = counts
+        self.k = sum(counts)
+        self.A = [_interleave(blocks, counts) for blocks in levels]
         self.w = [_OMEGA / a.diagonal() for a in self.A[:-1]]
-        self.coarse = [spla.splu(A.tocsc(), **fem._SPD_SPLU) for A in scalar]
+        self.coarse = [spla.splu(A.tocsc(), **fem._SPD_SPLU) for A in levels[-1]]
 
     def solve_coarsest(self, b: np.ndarray) -> np.ndarray:
         """The exact solve on the coarsest level, one factor per block."""
@@ -186,19 +177,21 @@ def _jacobi(A, w: np.ndarray, b: np.ndarray, x: np.ndarray) -> None:
     x += r
 
 
-def _transfers(mesh: TetMesh, free_nodes: np.ndarray) -> list:
-    """Prolongations of the scalar nodal space down the mesh hierarchy,
-    restricted to free nodes; a coarse vertex is free where its fine node
-    is."""
+def _hierarchy(mesh: TetMesh, free_nodes: np.ndarray):
+    """The levels of the nested hierarchy `mesh.coarser()`, finest first, as
+    (mesh, free-node mask) pairs, and the prolongations between consecutive
+    levels restricted to free nodes by integer index: a coarse vertex is
+    free where its fine node is."""
     free = np.zeros(mesh.nv, dtype=bool)
     free[free_nodes] = True
-    out = []
+    levels, transfers = [(mesh, free)], []
     while (step := mesh.coarser()) is not None:
         mesh, P, vids = step
         cfree = free[vids]
-        out.append(P[free][:, cfree].tocsr())
+        transfers.append(P[np.flatnonzero(free)][:, np.flatnonzero(cfree)])
         free = cfree
-    return out
+        levels.append((mesh, free))
+    return levels, transfers
 
 
 def _aux_transfer(mesh: TetMesh, free_edges: np.ndarray, free_nodes: np.ndarray):
@@ -239,7 +232,11 @@ class HXPreconditioner:
     blocks are the nodal Laplacian K_alpha + M_beta on the free nodes, one
     per component; together they are spectrally equivalent to, not equal
     to, the Galerkin product r_h^T A r_h.  All four components run on the
-    same scalar hierarchy."""
+    same scalar hierarchy (`_hierarchy`), and each level's blocks are
+    assembled on its own mesh and free nodes.  On this nested hierarchy,
+    with blocks resolved on every level, they equal the Galerkin products
+    P^T A P of the level above in exact arithmetic, with no roundoff
+    entries where the exact value is zero."""
 
     system: CurlSystem
     _diag: np.ndarray = field(init=False)
@@ -253,15 +250,15 @@ class HXPreconditioner:
         self._diag = sys.A.diagonal()
         if np.any(self._diag <= 0):
             raise ValueError("system diagonal is not positive")
-        free = sys.free_nodes
-        self._B = _aux_transfer(mesh, sys.free_edges, free)
+        self._B = _aux_transfer(mesh, sys.free_edges, sys.free_nodes)
         self._Bt = self._B.T.tocsr()
-        alpha = sys.problem.alpha[mesh.block_of_tet]
-        beta = sys.problem.beta[mesh.block_of_tet]
-        K_b = fem.assemble(mesh, "Z", "stiffness", tet_weight=beta)
-        L = fem._assemble_laplacian(mesh, alpha, beta)
-        self._cycle = _VCycle([(K_b[free][:, free], 1), (L[free][:, free], 3)],
-                              _transfers(mesh, free))
+        alpha, beta = sys.problem.alpha, sys.problem.beta
+        levels, transfers = _hierarchy(mesh, sys.free_nodes)
+        blocks = []
+        for m, free in levels:
+            a, b = alpha[m.block_of_tet], beta[m.block_of_tet]
+            blocks.append(fem._nodal_matrices(m, [(b, None), (a, b)], free))
+        self._cycle = _VCycle(blocks, [1, 3], transfers)
 
     def apply(self, r: np.ndarray) -> np.ndarray:
         out = r / self._diag

@@ -378,12 +378,35 @@ def _assert_same_csr(A, B):
         assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
+def _nodal_coo_reference(mesh, stiffness_weight, mass_weight):
+    """The nodal matrix K_a + M_b summed from int64 COO indices of the
+    (nt, 4, 4) local matrices, in scipy's per-row sort, less its exact
+    zeros."""
+    vol = fem.tet_volumes(mesh)
+    tab = fem.shape_table(mesh)
+    loc = np.zeros((mesh.nt, 4, 4))
+    if stiffness_weight is not None:
+        loc += tab.gram[tab.cls] * (vol * stiffness_weight)[:, None, None]
+    if mass_weight is not None:
+        loc += (vol * mass_weight)[:, None, None] * fem._S4
+    t = mesh.tets.astype(np.int64)
+    ref = sp.coo_matrix((loc.ravel(), (np.repeat(t, 4, axis=1).ravel(), np.tile(t, (1, 4)).ravel())),
+                        shape=(mesh.nv, mesh.nv)).tocsr()
+    ref.eliminate_zeros()
+    return ref
+
+
 @pytest.mark.parametrize("name", ["unit_cube", "pyramid", "vertex_junction_pair"])
 def test_assembly_equals_int64_coo_reference(name, rng, monkeypatch):
-    """Every assembly, weighted or not, scatters int32 indices and gives the
-    CSR matrix of the same local entries summed from int64 COO indices,
-    array-equal with its dtypes; the V stiffness equals C^T W C on a curl
-    matrix built from int64 indices."""
+    """The edge mass scatters int32 indices and gives the CSR matrix of the
+    same local entries summed from int64 COO indices, array-equal with its
+    dtypes; the V stiffness equals C^T W C on a curl matrix built from
+    int64 indices.  Every nodal operator, weighted or not and K_a + M_b
+    too, is summed from edge and node sums with no scatter: it has the
+    pattern and dtypes of the COO reference, values within 1e-15 of its
+    largest entry (the sums run in tet order per edge, not in scipy's
+    per-row sort), is exactly symmetric and stores no exact zero, and its
+    restriction to free nodes is the full matrix sliced, array-equal."""
     mesh = build_complex(name, 0.25)
     scattered = []
     scatter = fem._scatter
@@ -394,22 +417,41 @@ def test_assembly_equals_int64_coo_reference(name, rng, monkeypatch):
                        np.arange(0, 18 * mesh.nt + 1, 6)), shape=(3 * mesh.nt, mesh.ne))
     C.eliminate_zeros()
     _assert_same_csr(fem._curl_matrix(mesh), C)
+    free = rng.uniform(size=mesh.nv) < 0.7
+
+    def assert_nodal(A, stiffness_weight, mass_weight):
+        ref = _nodal_coo_reference(mesh, stiffness_weight, mass_weight)
+        assert A.format == "csr" and A.shape == ref.shape
+        for arr in ("data", "indices", "indptr"):
+            a, b = getattr(A, arr), getattr(ref, arr)
+            assert a.dtype == b.dtype and (arr == "data" or np.array_equal(a, b)), arr
+        assert np.abs(A.data - ref.data).max() <= 1e-15 * np.abs(ref.data).max()
+        assert (A != A.T).nnz == 0 and np.all(A.data != 0.0)
+        [F] = fem._nodal_matrices(mesh, [(stiffness_weight, mass_weight)], free)
+        _assert_same_csr(F, A[free][:, free])
+
     for weight in (None, rng.uniform(0.5, 2.0, mesh.nt)):
         w = fem.tet_volumes(mesh) * (1.0 if weight is None else weight)
+        a = 1.0 if weight is None else weight
         for space in ("Z", "V"):
             for kind in ("mass", "stiffness"):
                 scattered.clear()
                 A = fem.assemble(mesh, space, kind, weight)
-                if (space, kind) == ("V", "stiffness"):
+                if space == "Z":
+                    assert scattered == []
+                    assert_nodal(A, *((a, None) if kind == "stiffness" else (None, a)))
+                elif kind == "stiffness":
                     _assert_same_csr(A, (C.T @ (sp.diags(np.repeat(w, 3)) @ C)).tocsr())
-                    continue
-                [(r, c, v, shape)] = scattered
-                assert r.dtype == c.dtype == np.int32
-                ref = sp.coo_matrix((v.ravel(), (r.ravel().astype(np.int64),
-                                                  c.ravel().astype(np.int64))),
-                                    shape=shape).tocsr()
-                ref.eliminate_zeros()
-                _assert_same_csr(A, ref)
+                else:
+                    [(r, c, v, shape)] = scattered
+                    assert r.dtype == c.dtype == np.int32
+                    ref = sp.coo_matrix((v.ravel(), (r.ravel().astype(np.int64),
+                                                      c.ravel().astype(np.int64))),
+                                        shape=shape).tocsr()
+                    ref.eliminate_zeros()
+                    _assert_same_csr(A, ref)
+        b = 1.0 if weight is None else weight[::-1]
+        assert_nodal(fem._nodal_matrices(mesh, [(a, b)])[0], a, b)
 
 
 def test_edge_mass_transient_is_bounded():

@@ -7,7 +7,7 @@ from helmdec import fem, hx
 from helmdec.geometry import CATALOG
 from helmdec.mesh import build_complex
 from helmdec.operators import rh_matrix
-from helmdec.trace import tag_trace
+from helmdec.trace import surface, tag_trace
 
 JUMPS = (1.0, 1e2, 1e4, 1e6)
 
@@ -108,18 +108,26 @@ def test_apply_equals_transpose_per_call(lshape8, rng):
         assert np.array_equal(pre.apply(r), ref)
 
 
+def _symmetric(A) -> sp.csr_matrix:
+    """The symmetric part of a Galerkin product P^T A P, which is symmetric
+    in exact arithmetic only: its (i, j) and (j, i) entries are summed in
+    different orders."""
+    return (0.5 * (A + A.T)).tocsr()
+
+
 class TwoCycleHX:
     """The preconditioner as two separate auxiliary V-cycles, one on the
     gradient space and one on the vector space, with four transfer
-    matrices G, G^T, P, P^T: the reference that the one-space apply must
-    reproduce up to the order of its sums."""
+    matrices G, G^T, P, P^T and coarse levels that are Galerkin products
+    of the finest: the reference that the one-space apply, on levels
+    assembled on their own meshes, must reproduce up to roundoff."""
 
     class Cycle:
         def __init__(self, A, transfers):
             self.P = transfers
-            self.A = [hx._symmetric(A)]
+            self.A = [_symmetric(A)]
             for P in transfers:
-                self.A.append(hx._symmetric(P.T @ self.A[-1] @ P))
+                self.A.append(_symmetric(P.T @ self.A[-1] @ P))
             self.w = [hx._OMEGA / a.diagonal() for a in self.A[:-1]]
             self.coarse = spla.splu(self.A[-1].tocsc(), **fem._SPD_SPLU)
             self.R = [P.T.tocsr() for P in transfers]
@@ -145,7 +153,7 @@ class TwoCycleHX:
         cols = (3 * free[:, None] + np.arange(3)).ravel()
         self.P = rh_matrix(mesh)[sysm.free_edges][:, cols].tocsr()
         self.Gt, self.Pt = self.G.T.tocsr(), self.P.T.tocsr()
-        transfers = hx._transfers(mesh, free)
+        transfers = hx._hierarchy(mesh, free)[1]
         alpha = sysm.problem.alpha[mesh.block_of_tet]
         beta = sysm.problem.beta[mesh.block_of_tet]
         K_b = fem.assemble(mesh, "Z", "stiffness", tet_weight=beta)
@@ -171,6 +179,36 @@ def test_one_cycle_matches_two_cycle_reference(lshape8, rng):
             assert np.abs(y - y_ref).max() <= 1e-14 * np.abs(y_ref).max(), a
         its = [hx.pcg_solve(sysm, m, tol=1e-8).iterations for m in (pre, ref)]
         assert its[0] == its[1], (a, its)
+
+
+@pytest.mark.parametrize("name", list(CATALOG))
+def test_levels_equal_galerkin_products(name):
+    """Each level's K_beta and K_alpha + M_beta, assembled on its own mesh
+    and free nodes, is the symmetrized Galerkin product of the level above
+    (chained from the finest) to 1e-13 of its largest entry, and every
+    Galerkin entry outside the assembled pattern is roundoff below that
+    bound: on every catalog geometry at h = 1/8, with the boundary trace,
+    no trace and one face trace, at alpha_0 = 1 and 1e6."""
+    mesh = build_complex(name, 0.125)
+    nb = int(mesh.block_of_tet.max()) + 1
+    for spec in (["boundary"], None, [surface(mesh).faces[0].name]):
+        trace = None if spec is None else tag_trace(mesh, spec)
+        for a0 in (1.0, 1e6):
+            alpha = np.ones(nb)
+            alpha[0] = a0
+            sysm = hx.assemble_problem(hx.ModelProblem(
+                mesh, alpha, np.ones(nb), trace, fem.EdgeField(mesh, np.zeros(mesh.ne))))
+            cycle = hx.HXPreconditioner(sysm)._cycle
+            assert len(cycle.A) == 3 and len(cycle.P) == 2
+            for c in (0, 1):  # K_beta, then K_alpha + M_beta
+                galerkin = cycle.A[0][c::4, c::4]
+                for P, A in zip(cycle.P, cycle.A[1:]):
+                    galerkin = _symmetric(P.T @ galerkin @ P)
+                    direct = A[c::4, c::4]
+                    inside = galerkin.multiply(direct != 0)
+                    scale = 1e-13 * abs(galerkin).max()
+                    assert abs(direct - inside).max() <= scale, (spec, a0, c)
+                    assert abs(galerkin - inside).max() <= scale, (spec, a0, c)
 
 
 def _assert_smoothers_convergent(pre):
