@@ -29,9 +29,11 @@ whose arrays differ, the largest move of p, w and R (relative to the
 largest entry of the three on that line), of x (relative to its largest
 entry), of each ratio (relative to the larger of its two values and 1)
 and of the iteration count (in iterations), then the largest move of
-each per input kind; HX lines are of kind `hx`.  It exits with status 1
-when any line's arrays moved or a file exists on one side only, and 0
-otherwise:
+each per input kind; HX lines are of kind `hx`.  A line whose arrays
+differ in bytes but not in value (signed zeros, or a dtype) is listed
+with its zero moves and `bytes only`, so the listed lines are the lines
+whose digests moved.  It exits with status 1 when any line is listed or
+a file exists on one side only, and 0 otherwise:
 
     python3 scripts/output_digest.py --out old.txt --arrays old/
     python3 scripts/output_digest.py --out new.txt --arrays new/
@@ -191,8 +193,8 @@ def relative_moves(a, b) -> dict:
 
 def compare(dir_a: Path, dir_b: Path) -> int:
     """Print the relative moves between two `--arrays` directories: every
-    line that moves, then the largest move per input kind.  Returns 1 when
-    a line moved or a file is on one side only, else 0."""
+    line whose arrays differ, then the largest move per input kind.
+    Returns 1 when a line is listed or a file is on one side only, else 0."""
     worst, status = {}, 0
     for fb in sorted(dir_b.glob("*.npz")):
         if not (dir_a / fb.name).exists():
@@ -207,12 +209,15 @@ def compare(dir_a: Path, dir_b: Path) -> int:
         with np.load(fa) as a, np.load(fb) as b:
             key = str(a["key"])
             moves = relative_moves(a, b)
+            bytes_only = not any(moves.values()) and any(
+                a[n].dtype != b[n].dtype or a[n].tobytes() != b[n].tobytes() for n in moves)
         kind = "hx" if key.startswith("hx ") else key.split()[3]
         for n, m in moves.items():
             if m >= worst.get((kind, n), (-1.0, ""))[0]:
                 worst[kind, n] = (m, key)
-        if any(moves.values()):
-            print(key + ": " + " ".join(f"{n}={m:.2e}" for n, m in moves.items()))
+        if any(moves.values()) or bytes_only:
+            print(key + ": " + " ".join(f"{n}={m:.2e}" for n, m in moves.items())
+                  + " bytes only" * bytes_only)
             status = 1
     print("largest relative move:")
     for (kind, n), (m, key) in sorted(worst.items()):

@@ -52,7 +52,7 @@ import scipy.sparse.linalg as spla
 from . import fem, operators as ops
 from .fem import EdgeField, NodalField, NodalVectorField
 from .geometry import GeometryError
-from .mesh import Submesh, TetMesh, build_complex, extract_block, extract_tets
+from .mesh import Submesh, TetMesh, _pack_pairs, build_complex, extract_block, extract_tets
 from .operators import PreconditionError
 from .trace import (CoarseEdge, CoarseFace, TraceSet, _fine_closure, geometry_info,
                     interface_faces, linked_components, surface, trace_from_fine)
@@ -598,7 +598,7 @@ def _face_plus_edge(mesh: TetMesh, trace: TraceSet, E: list[CoarseEdge]) -> _Rou
     B = _extended_mesh(mesh, info.extension_id)
     nmap = B.node_ids(mesh.verts_int)
     pairs = np.sort(nmap[mesh.edges], axis=1)
-    gmap = B.edge_ids(pairs[:, 0] * B.nv + pairs[:, 1])
+    gmap = B.edge_ids(_pack_pairs(pairs, B.nv))
     surfB = surface(B)
     edge_B = _edge_route(B, [surfB.edge_by_name(e.name) for e in E])
     on_trace = trace.node_mask

@@ -10,13 +10,12 @@ C v, and the (weighted) edge stiffness is C^T W C with W the per-tet
 weighted volumes, repeated for the three curl components.  A nodal
 matrix is its node and edge sums (`_nodal_matrices`) on a CSR pattern
 read off the lexsorted edges, with no sort; only the edge mass scatters
-COO triplets (`_scatter`).  Assemblies build int32 index arrays, cast
-once from the mesh tables: 4-byte temporaries, and the index dtype scipy
-gives these CSR results anyway below 2^31 entries.  Sparse SPD
-factors are chosen by matrix family: `Cholesky`, a nested-dissection
-multifrontal Cholesky, for the cotree curl-curl block, and SuperLU for the
-smaller nodal blocks: `cached_solver` holds one symmetric-mode factor of
-the nodal stiffness per Dirichlet pin mask.
+COO triplets (`_scatter`).  Assembly casts no mesh table: there is one
+index width, int32, set by the `TetMesh` tables.  Sparse SPD factors are
+chosen by matrix family: `Cholesky`, a nested-dissection multifrontal
+Cholesky, for the cotree curl-curl block, and SuperLU for the smaller
+nodal blocks: `cached_solver` holds one symmetric-mode factor of the
+nodal stiffness per Dirichlet pin mask.
 """
 
 from __future__ import annotations
@@ -159,7 +158,7 @@ def _curl_matrix(mesh: TetMesh) -> sp.csr_matrix:
     def build():
         nt = mesh.nt
         tab = shape_table(mesh)
-        indices = np.repeat(mesh.tet_edges.astype(np.int32), 3, axis=0).ravel()
+        indices = np.repeat(mesh.tet_edges, 3, axis=0).ravel()
         indptr = np.arange(0, 18 * nt + 1, 6, dtype=np.int32)
         C = sp.csr_matrix((tab.curl[tab.cls].ravel(), indices, indptr), shape=(3 * nt, mesh.ne))
         C.eliminate_zeros()
@@ -196,7 +195,7 @@ def gradient_map(mesh: TetMesh) -> sp.csr_matrix:
 
     def build():
         ne = mesh.ne
-        return sp.csr_matrix((np.tile([-1.0, 1.0], ne), mesh.edges.astype(np.int32).ravel(),
+        return sp.csr_matrix((np.tile([-1.0, 1.0], ne), mesh.edges.ravel(),
                               np.arange(0, 2 * ne + 1, 2, dtype=np.int32)), shape=(ne, mesh.nv))
 
     return mesh.cached("gradient_map", build)
@@ -210,7 +209,7 @@ def curl_map(mesh: TetMesh) -> sp.csr_matrix:
     def build():
         rows = np.repeat(np.arange(mesh.nf, dtype=np.int32), 3)
         data = np.tile(np.array([1.0, 1.0, -1.0]), mesh.nf)  # pairs 01, 12, 02
-        return sp.csr_matrix((data, (rows, mesh.face_edges().astype(np.int32).ravel())),
+        return sp.csr_matrix((data, (rows, mesh.face_edges().ravel())),
                              shape=(mesh.nf, mesh.ne))
 
     return mesh.cached("curl_map", build)
@@ -331,7 +330,7 @@ def _assemble_edge(mesh: TetMesh, kind: str, weight) -> sp.csr_matrix:
     loc *= sign[:, :, None] * sign[:, None, :]
     loc = loc[tab.cls]
     loc *= w[:, None, None]
-    te = mesh.tet_edges.astype(np.int32)
+    te = mesh.tet_edges
     return _scatter(np.repeat(te, 6, axis=1), np.tile(te, (1, 6)), loc, (mesh.ne, mesh.ne))
 
 

@@ -108,9 +108,9 @@ def _interleave(blocks: list, counts: list) -> sp.csr_matrix:
     comps = [A for A, m in zip(blocks, counts) for _ in range(m)]
     k, n = len(comps), comps[0].shape[0]
     lens = np.stack([np.diff(A.indptr) for A in comps], axis=1)
-    indptr = np.zeros(k * n + 1, dtype=np.int64)
+    indptr = np.zeros(k * n + 1, dtype=np.int32)
     np.cumsum(lens.ravel(), out=indptr[1:])
-    indices = np.empty(indptr[-1], dtype=np.int64)
+    indices = np.empty(indptr[-1], dtype=np.int32)
     data = np.empty(indptr[-1])
     for c, A in enumerate(comps):
         dest = np.repeat(indptr[c:-1:k] - A.indptr[:-1], lens[:, c]) + np.arange(A.nnz)

@@ -21,7 +21,7 @@ import scipy.sparse as sp
 from .geometry import (BlockComplex, Brick, GeometryError, GeometryInfo,
                        Pyramid, catalog_info)
 
-__all__ = ["TetMesh", "build_complex", "write_mesh", "read_mesh"]
+__all__ = ["TetMesh", "MeshSizeError", "build_complex", "write_mesh", "read_mesh"]
 
 # local vertex pairs of a tet, in lexicographic order
 TET_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
@@ -29,6 +29,16 @@ TET_FACES = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
 # position in TET_EDGES of the local vertex pair (a, b), a < b
 _LOCAL_EDGE = np.zeros((4, 4), dtype=np.int64)
 _LOCAL_EDGE[tuple(np.array(TET_EDGES).T)] = np.arange(6)
+
+# Index tables are int32, as scipy's sparse indices: a mesh with INDEX_LIMIT
+# tets, edges or faces is refused, and one with VERTEX_LIMIT vertices, as its
+# face keys (`_pack_triples`, below nv^3) would pass the int64 range, 2^63.
+INDEX_LIMIT = np.iinfo(np.int32).max
+VERTEX_LIMIT = 2**21 + 1
+
+
+class MeshSizeError(ValueError):
+    """A mesh has too many entities of one kind for its index tables or keys."""
 
 # guards every build of per-mesh derived data (`TetMesh.cached`)
 _LOCK = threading.RLock()
@@ -71,8 +81,9 @@ def _signed_volumes(verts: np.ndarray, tets: np.ndarray) -> np.ndarray:
 
 def _canonical_tets(verts_int: np.ndarray, tets: np.ndarray) -> np.ndarray:
     """Sort vertex ids ascending, then swap the last two where needed so the
-    signed volume is positive (exact integer arithmetic)."""
-    t = np.sort(tets, axis=1)
+    signed volume is positive (exact integer arithmetic); int32."""
+    t = tets.astype(np.int32)
+    t.sort(axis=1)
     vol = _signed_volumes(verts_int, t)
     if np.any(vol == 0):
         raise ValueError("degenerate tet")
@@ -120,7 +131,7 @@ class TetMesh:
 
     vertices are `verts_int / denom` in block units; `h` is the dyadic grid
     spacing 1/2^level (`edge_lengths` gives the realized ones).  Edges
-    are globally oriented low id -> high id.
+    are globally oriented low id -> high id.  The index tables are int32.
     """
 
     name: str
@@ -139,28 +150,25 @@ class TetMesh:
     def __post_init__(self):
         _release_freed_memory()
         weakref.finalize(self, _mesh_freed)
-        self.tets = _canonical_tets(self.verts_int, np.asarray(self.tets))
         nv = self.nv
+        self._fits(vertices=nv, tets=len(self.tets))
+        self.tets = _canonical_tets(self.verts_int, np.asarray(self.tets))
+        self.block_of_tet = np.asarray(self.block_of_tet, dtype=np.int32)
         # edges
-        pair_idx = np.array(TET_EDGES)
-        raw = self.tets[:, pair_idx]                       # (nt,6,2)
-        lo = raw.min(axis=2)
-        hi = raw.max(axis=2)
-        keys = (lo.astype(np.int64) * nv + hi).ravel()
+        raw = self.tets[:, TET_EDGES]                      # (nt,6,2)
+        keys = (raw.min(axis=2).astype(np.int64) * nv + raw.max(axis=2)).ravel()
         ekeys, inv = np.unique(keys, return_inverse=True)
-        self.edges = np.column_stack([ekeys // nv, ekeys % nv]).astype(np.int64)
-        self.tet_edges = inv.reshape(-1, 6)
+        self._fits(edges=len(ekeys))
+        self.edges = np.column_stack([ekeys // nv, ekeys % nv]).astype(np.int32)
+        self.tet_edges = inv.astype(np.int32).reshape(-1, 6)
         self.tet_edge_sign = np.where(raw[:, :, 0] < raw[:, :, 1], 1, -1).astype(np.int8)
         # faces
-        tri_idx = np.array(TET_FACES)
-        rawf = np.sort(self.tets[:, tri_idx], axis=2)       # (nt,4,3) sorted
+        rawf = np.sort(self.tets[:, TET_FACES], axis=2)     # (nt,4,3) sorted
         fkeys = _pack_triples(rawf.reshape(-1, 3), nv)
         ufk, finv, counts = np.unique(fkeys, return_inverse=True, return_counts=True)
-        f2 = ufk % nv
-        f1 = (ufk // nv) % nv
-        f0 = ufk // (nv * nv)
-        self.faces = np.column_stack([f0, f1, f2]).astype(np.int64)
-        self.tet_faces = finv.reshape(-1, 4)
+        self._fits(faces=len(ufk))
+        self.faces = np.column_stack([ufk // nv**2, ufk // nv % nv, ufk % nv]).astype(np.int32)
+        self.tet_faces = finv.astype(np.int32).reshape(-1, 4)
         if counts.max(initial=0) > 2:
             raise ValueError("non-conforming mesh: face shared by >2 tets")
         # two slots per face, filled in tet order: the rank of each face
@@ -168,14 +176,18 @@ class TetMesh:
         order = np.argsort(finv, kind="stable")
         sf = finv[order]
         slot = np.arange(len(order)) - (np.cumsum(counts) - counts)[sf]
-        ft = np.full((len(ufk), 2), -1, dtype=np.int64)
-        ft[sf, slot] = order // 4
-        self.face_tets = ft
-        for arr in (self.verts_int, self.tets, self.edges, self.faces,
-                    self.tet_edges, self.tet_edge_sign, self.tet_faces,
-                    self.face_tets, self.block_of_tet):
+        self.face_tets = np.full((len(ufk), 2), -1, dtype=np.int32)
+        self.face_tets[sf, slot] = order // 4
+        for arr in (self.verts_int, self.tets, self.edges, self.faces, self.tet_edges,
+                    self.tet_edge_sign, self.tet_faces, self.face_tets, self.block_of_tet):
             arr.setflags(write=False)
         self._cache = {}
+
+    def _fits(self, **counts):
+        for what, n in counts.items():
+            if n >= (VERTEX_LIMIT if what == "vertices" else INDEX_LIMIT):
+                raise MeshSizeError(f"mesh {self.name} has {n} {what}, too many for its "
+                                    "int32 tables and int64 face keys")
 
     # -- basic counts ----------------------------------------------------
     @property
@@ -273,7 +285,7 @@ class TetMesh:
             e = self.tet_edges[:, _LOCAL_EDGE[loc[:, [0, 1, 0]], loc[:, [1, 2, 2]]]]
             swap = (self.tets[:, 2] > self.tets[:, 3])[:, None] & (loc[:, 1] == 2)
             e[swap] = e[swap][:, ::-1]
-            out = np.empty((self.nf, 3), dtype=np.int64)
+            out = np.empty((self.nf, 3), dtype=np.int32)
             out[self.tet_faces] = e
             return out
 
@@ -394,11 +406,8 @@ def _red_refine_arrays(verts_int: np.ndarray, tets: np.ndarray):
     """
     nv = len(verts_int)
     coords = verts_int.astype(np.int64) * 2
-    pair_idx = np.array(TET_EDGES)
-    raw = tets[:, pair_idx]
-    lo = raw.min(axis=2)
-    hi = raw.max(axis=2)
-    keys = (lo.astype(np.int64) * nv + hi).ravel()
+    raw = tets[:, TET_EDGES]
+    keys = (raw.min(axis=2).astype(np.int64) * nv + raw.max(axis=2)).ravel()
     ukeys, inv = np.unique(keys, return_inverse=True)
     mid_ids = nv + inv.reshape(-1, 6)  # (nt,6)
     mid_coords = coords[ukeys // nv] + coords[ukeys % nv]
@@ -449,9 +458,7 @@ def _assemble_mesh(name: str, tet_coords: list[np.ndarray], labels: list[int],
     _, first, inv = np.unique(keys, return_index=True, return_inverse=True)
     uverts = allc[first]
     tets = inv.reshape(-1, 4)
-    block = np.concatenate(
-        [np.full(len(tc), lab, dtype=np.int64) for tc, lab in zip(tet_coords, labels)]
-    )
+    block = np.repeat(np.array(labels, dtype=np.int32), [len(tc) for tc in tet_coords])
     return TetMesh(name, uverts, denom, tets, block, level)
 
 
@@ -628,16 +635,10 @@ def extract_tets(mesh: TetMesh, tet_mask: np.ndarray, name: str) -> Submesh:
         raise ValueError("empty submesh")
     tets = mesh.tets[tids]
     vmap = np.unique(tets.ravel())
-    renum = np.full(mesh.nv, -1, dtype=np.int64)
+    renum = np.full(mesh.nv, -1, dtype=np.int32)
     renum[vmap] = np.arange(len(vmap))
-    sub = TetMesh(
-        name,
-        mesh.verts_int[vmap],
-        mesh.denom,
-        renum[tets],
-        mesh.block_of_tet[tids].copy(),
-        mesh.level,
-    )
+    sub = TetMesh(name, mesh.verts_int[vmap], mesh.denom, renum[tets],
+                  mesh.block_of_tet[tids], mesh.level)
     # sub edge -> parent edge via parent vertex pairs
     pedges = vmap[sub.edges]
     keys = _pack_pairs(np.sort(pedges, axis=1), mesh.nv)

@@ -55,7 +55,7 @@ def rh_matrix(mesh: TetMesh) -> sp.csr_matrix:
 
     def build():
         ne = mesh.ne
-        cols = 3 * mesh.edges.astype(np.int32)[:, :, None] + np.arange(3, dtype=np.int32)
+        cols = 3 * mesh.edges[:, :, None] + np.arange(3, dtype=np.int32)
         vals = np.tile(0.5 * mesh.edge_vectors(), 2)
         indptr = np.arange(0, 6 * ne + 1, 6, dtype=np.int32)
         R = sp.csr_matrix((vals.ravel(), cols.ravel(), indptr), shape=(ne, 3 * mesh.nv))

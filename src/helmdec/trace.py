@@ -260,7 +260,7 @@ def _build_surface(mesh: TetMesh) -> Surface:
     # crease fine edges (on two or more boundary planes) -> coarse edges;
     # each with its ascending plane ranks, padded with -1
     nplanes = len(planes)
-    inc = np.unique(face_edge_ids * nplanes + pid[:, None])
+    inc = np.unique(face_edge_ids.astype(np.int64) * nplanes + pid[:, None])
     inc_edge, inc_plane = np.divmod(inc, nplanes)
     bedges, first, count = np.unique(inc_edge, return_index=True, return_counts=True)
     edge_planes = np.full((len(bedges), count.max(initial=0)), -1, dtype=np.int64)

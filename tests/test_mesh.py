@@ -184,6 +184,68 @@ def test_face_edges_match_edge_key_search(name):
         assert np.array_equal(m.face_edges(), m.edge_ids(keys.ravel()).reshape(-1, 3))
 
 
+INDEX_TABLES = ("tets", "edges", "faces", "tet_edges", "tet_faces", "face_tets", "block_of_tet")
+
+
+@pytest.mark.parametrize("name", CATALOG_8)
+def test_index_tables_are_int32(name):
+    """Every index table and the memoized face edges are int32, on built,
+    extracted and read meshes alike; coordinates and packed keys stay int64."""
+    m = build_complex(name, 0.25)
+    text = io.StringIO()
+    write_mesh(m, text)
+    text.seek(0)
+    for mesh in (m, extract_block(m, 0).mesh, read_mesh(text)[0]):
+        for table in INDEX_TABLES:
+            assert getattr(mesh, table).dtype == np.int32, (mesh.name, table)
+        assert mesh.face_edges().dtype == np.int32
+        assert mesh.verts_int.dtype == np.int64
+        mesh.edge_ids(hmesh._pack_pairs(mesh.edges[:1], mesh.nv))
+        mesh.node_ids(mesh.verts_int[:1])
+        assert mesh._cache["edge_keys"].dtype == mesh._cache["node_keys"][2].dtype == np.int64
+
+
+def test_packed_keys_are_exact_past_int32():
+    """From int32 ids, the packed pair and triple keys and the keys behind
+    edge_ids and node_ids are exact int64 values past 2^31: a 70,000-node
+    mesh whose one tet uses ids near the top, on lattice points 100 apart."""
+    nv = 70_000
+    ids = np.array([[69_997, 69_998, 69_999]], dtype=np.int32)
+    assert hmesh._pack_pairs(ids[:, 1:], nv).tolist() == [69_998 * nv + 69_999]
+    assert hmesh._pack_triples(ids, nv).tolist() == [(69_997 * nv + 69_998) * nv + 69_999]
+    grid = np.stack(np.meshgrid(*[np.arange(42)] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
+    corners = [(38, 27, 26), (39, 27, 26), (39, 28, 26), (39, 28, 27)]
+    tet = [x * 42 * 42 + y * 42 + z for x, y, z in corners]
+    m = hmesh.TetMesh("far", 100 * grid[:nv], 1, np.array([tet]), np.zeros(1, dtype=int), 0)
+    assert m.nv == nv and m.edges.dtype == np.int32 and m.edges.min() > 46_341
+    keys = hmesh._pack_pairs(m.edges, nv)
+    assert keys.dtype == np.int64 and keys.min() > 2**31
+    assert keys.tolist() == [int(a) * nv + int(b) for a, b in m.edges]
+    assert m.edge_ids(keys).tolist() == list(range(6))
+    assert m.node_ids(m.verts_int[tet].astype(np.int32)).tolist() == sorted(tet)
+    assert m._cache["node_keys"][2].max() > 2**31
+
+
+def test_mesh_size_limit_names_the_mesh(monkeypatch):
+    """A mesh with VERTEX_LIMIT or more vertices, or INDEX_LIMIT or more tets,
+    edges or faces, raises a MeshSizeError naming the mesh and the count;
+    one below passes.  VERTEX_LIMIT is the first vertex count whose largest
+    face key, nv^3 - 1, does not fit in int64."""
+    top = hmesh.VERTEX_LIMIT - 1
+    assert hmesh._pack_triples(np.full((1, 3), top - 1), top).tolist() == [top**3 - 1]
+    assert hmesh.VERTEX_LIMIT**3 - 1 > np.iinfo(np.int64).max
+    m = build_complex("unit_cube", 0.5)
+    counts = (("vertices", m.nv), ("tets", m.nt), ("edges", m.ne), ("faces", m.nf))
+    assert [n for _, n in counts] == sorted(n for _, n in counts)
+    for what, n in counts:
+        limit = "VERTEX_LIMIT" if what == "vertices" else "INDEX_LIMIT"
+        monkeypatch.setattr(hmesh, limit, n)
+        with pytest.raises(hmesh.MeshSizeError, match=f"mesh unit_cube has {n} {what}, too many"):
+            build_complex("unit_cube", 0.5)
+        monkeypatch.setattr(hmesh, limit, n + 1)
+    assert build_complex("unit_cube", 0.5).nf == m.nf
+
+
 def test_euler_characteristic_catalog():
     for name in CATALOG_8:
         m = build_complex(name, 0.5)

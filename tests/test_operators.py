@@ -575,8 +575,9 @@ def _ref_build_loop(mesh, faces):
         nxt, e = (n1, e1) if e1 != prev_e else (n2, e2)
         nodes.append(nxt)
         edges.append(e)
-    nodes = np.array(nodes[:-1])
-    edges = np.array(edges)
+    # ids in the mesh's index dtype, as build_loop reads them off its tables
+    nodes = np.array(nodes[:-1], dtype=mesh.edges.dtype)
+    edges = np.array(edges, dtype=mesh.edges.dtype)
     signs = np.where(mesh.edges[edges, 0] == nodes, 1.0, -1.0)
     return nodes, edges, signs, mesh.edge_lengths()[edges]
 

@@ -175,6 +175,26 @@ def test_output_digest_compare_scales_ratios_by_at_least_one(tmp_path):
     assert float(moves["p"]) == float(moves["w"]) == float(moves["R"]) == 0.0
 
 
+def test_output_digest_compare_lists_signed_zero_moves(tmp_path):
+    """A line whose arrays differ only by signed zeros moves its digest, so
+    `--compare` lists it, with zero moves and `bytes only`, and exits 1;
+    the same values in the same bytes are not listed."""
+    key = "unit_cube z=0 L1 zero auto"
+    old = {"p": np.array([0.0, 1.0, 0.0]), "w": np.zeros((3, 3)), "R": np.zeros(2)}
+    new = dict(old, p=np.array([-0.0, 1.0, 0.0]))
+    for d, arrays in ((tmp_path / "a", old), (tmp_path / "b", new), (tmp_path / "c", old)):
+        d.mkdir()
+        np.savez(d / "line.npz", key=np.str_(key), **arrays)
+    res = run_script("output_digest.py",
+                     ["--compare", str(tmp_path / "a"), str(tmp_path / "b")], tmp_path)
+    assert res.returncode == 1, res.stdout + res.stderr
+    listed = [x for x in res.stdout.splitlines() if x.startswith(key + ": ")]
+    assert listed == [key + ": R=0.00e+00 p=0.00e+00 w=0.00e+00 bytes only"]
+    res = run_script("output_digest.py",
+                     ["--compare", str(tmp_path / "a"), str(tmp_path / "c")], tmp_path)
+    assert res.returncode == 0 and key + ": " not in res.stdout, res.stdout + res.stderr
+
+
 def test_route_census_lipschitz_paths(tmp_path):
     """On the Lipschitz geometries the face family of the census (single
     faces, face pairs, `boundary` and `concave`) plans these paths and
