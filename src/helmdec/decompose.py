@@ -5,17 +5,18 @@ and returns a HelmholtzSplit with an exact DOF identity and exact zero
 coefficients of p, w on the trace entities (zeros are placed, never
 rounded).  The routes mirror the constructions the stability theory is
 built on: a two-Poisson kernel on traces with a convex extension, the
-chained block construction for non-convex face traces, curl-harmonic
-face/edge splittings, the boundary-loop subtraction for edges, and the
-edge/vertex junction pipelines with their compatibility gate.
+block chain (blocks in order, each on its own block plan) for non-convex
+face traces and the edge junction, curl-harmonic face/edge splittings,
+the boundary-loop subtraction for edges, and the vertex-junction pipeline
+with its compatibility gate.
 
 Every route is split into a plan and an apply.  For a fixed mesh and trace
 the route is a linear map v -> (p, w), so a route is a private planner
 `(mesh, trace) -> _Route(path, claims, apply)`: it fixes the path and the
 claims, derives once what depends on the mesh and the trace alone (the
 branch taken, the cut faces, the boundary loops and their arc positions,
-the kernel pin masks, the block plans of the junctions, the interface masks
-of the face chain, the vertex-junction gate), and holds `apply`, a function
+the kernel pin masks, the block plans and interface extensions of a block
+chain, the vertex-junction gate), and holds `apply`, a function
 of v that does only matvecs and solves on cached factors and returns (p, w,
 meta) or a CompatibilityViolation.  The gate is linear in v, one sparse
 matrix of the loop potentials at the junction vertex (`_gate_plan`): a
@@ -23,7 +24,7 @@ refusal is one matvec.  `_plan` memoizes one plan per (mesh, route, coarse
 trace entities) on the mesh, so a second call on the same (mesh, trace)
 builds no loop or loop operator and factors nothing; each kernel pass is
 one 4-column solve [p | w_x w_y w_z].  Routes are built from shared passes: `_routed` applies
-every top-level plan (and every junction block plan) between one entry
+every top-level plan (and every block plan) between one entry
 check, zero trace moments of v, and one exit placement, exact zeros of p
 and w on the trace nodes; `_loop_cut_columns` is the one boundary-loop
 subtraction and curl-harmonic split behind every edge route, run for k pass
@@ -37,7 +38,8 @@ measured (norm quotients against the claimed bound), not assumed.
 The planners read which coarse faces, edges and blocks meet from the
 incidence `trace.surface` records once (`CoarseFace.edges`, `.block`,
 `Surface.edge_of`); only contact at a single node (a corner pair's apex,
-disjoint edges, the junction edge) is read from the fine node sets.
+disjoint edges) and a chain block's contact with the blocks before it are
+read from the fine node sets.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ import scipy.sparse.linalg as spla
 
 from . import fem, operators as ops
 from .fem import EdgeField, NodalField, NodalVectorField
-from .geometry import GeometryError
+from .geometry import GeometryError, _block_intersection_kind
 from .mesh import Submesh, TetMesh, _pack_pairs, build_complex, extract_block, extract_tets
 from .operators import PreconditionError
 from .trace import (CoarseEdge, CoarseFace, TraceSet, _fine_closure, geometry_info,
@@ -289,7 +291,7 @@ def _kernel_route(mesh: TetMesh, trace: TraceSet) -> _Route:
 
 
 # --------------------------------------------------------------------------
-# chained face-trace route on block unions
+# block chains: the face chain and the edge junction
 # --------------------------------------------------------------------------
 
 def _axis_of_plane(plane) -> tuple[int, int]:
@@ -318,77 +320,125 @@ def _layer_extension(mesh: TetMesh, face_nodes: np.ndarray, target_nodes: np.nda
     return nodes[hit], src[hit]
 
 
-def _face_chain(mesh: TetMesh, trace: TraceSet) -> _Route:
-    """Face-trace decomposition on a non-convex block union (a trace of
-    faces only, one Lipschitz component, no convex extension): kernel on
-    the first block set, cut-off interface extensions of w, harmonic
-    extension of p, zero extension of R, then residual kernels on the
-    second set."""
-    info = geometry_info(mesh)
-    if not info.sigma2:
-        raise PreconditionError(f"no block split recorded for {mesh.name}")
+def _chain_order(blocks) -> tuple[int, ...]:
+    """The default visiting order of a block chain: first the blocks that
+    share a face with every other block, then the rest, in index order."""
+    n = len(blocks)
+    hubs = [a for a in range(n) if all(_block_intersection_kind(blocks[a], blocks[b]) == "face"
+                                       for b in range(n) if b != a)]
+    return tuple(hubs + [b for b in range(n) if b not in hubs])
+
+
+def _block_plan(sub: Submesh, node_mask: np.ndarray, edge_mask: np.ndarray, spec):
+    """A block, the trace masks restricted to it as a trace of the block
+    mesh, and that trace's plan.  The block trace is named by the outer
+    trace's `spec`, so a block refusal names the trace, not the block."""
+    trace = trace_from_fine(sub.mesh, node_mask[sub.vert_map], edge_mask[sub.edge_map], spec)
+    return sub, trace, _plan("auto", trace)
+
+
+def _block_split(block, vb: np.ndarray):
+    """The routed (p, w, meta) of the edge moments vb of a block.  A block
+    is one convex block, so its route is never a vertex junction and never
+    refuses."""
+    sub, trace, plan = block
+    return _routed(plan, EdgeField(sub.mesh, vb), trace)
+
+
+def _block_chain(mesh: TetMesh, trace: TraceSet, order: Sequence[int]) -> _Route:
+    """The blocks visited in `order`, each decomposed by the plan of its
+    block trace: the outer trace plus its contact with the blocks visited
+    before it (the fine nodes and edges it shares with them).  A block's
+    input is the residual v - grad p - r_h w - R left by those blocks, read
+    on its edges.  Across a face contact into a block not yet visited, the
+    block's p extends harmonically and its w by the two-layer cut-off (0 on
+    the interface boundary curve); across an edge contact the extension is
+    zero.  When every contact is a face, the chain is the face-trace
+    construction on a non-convex union; an edge contact makes it the edge
+    junction, refused when the trace meets the junction edge in a proper
+    subset, and `shared` when the trace holds the edge: then the blocks
+    before it vanish on the edge, and its input is v on the block."""
+    blocks = geometry_info(mesh).complex.blocks
+    subs = [extract_block(mesh, b) for b in order]
+    seen_n = np.zeros(mesh.nv, dtype=bool)
+    seen_e = np.zeros(mesh.ne, dtype=bool)
+    # the block trace masks, and the junction refusal, checked before any
+    # block plan so that it names the entity touching the edge
+    masks, edge_contacts = [], []
+    for i, (b, sub) in enumerate(zip(order, subs)):
+        masks.append((trace.node_mask | seen_n, trace.edge_mask | seen_e))
+        if i and "face" not in {_block_intersection_kind(blocks[a], blocks[b]) for a in order[:i]}:
+            E_nodes = sub.vert_map[seen_n[sub.vert_map]]
+            held = trace.edge_mask[sub.edge_map[seen_e[sub.edge_map]]].all()
+            if trace.node_mask[E_nodes].any() and not held:
+                touching = [x.name for x in trace.coarse_faces + trace.coarse_edges
+                            if np.isin(x.fine_nodes, E_nodes).any()]
+                touching += [n for n, nd in surface(mesh).vertices.items()
+                             if nd in trace.vertex_nodes and nd in E_nodes]
+                raise PreconditionError(
+                    "the junction edge meets the trace in a proper subset; "
+                    "not a catalog case", entity=touching[0])
+            edge_contacts.append(held)
+        seen_n[sub.vert_map] = True
+        seen_e[sub.edge_map] = True
 
     ifaces = interface_faces(mesh)
-    # per first-set block: its kernel pins and, per interface into a
-    # second-set block, the layer support of w with its source nodes (those
-    # on the interface boundary curve take 0), the interface nodes carrying
-    # the p data, and the block nodes p is extended to
-    first = []
-    for b1 in info.sigma1:
-        sub = extract_block(mesh, b1)
+    steps = []
+    for i, (b, sub, (node_mask, edge_mask)) in enumerate(zip(order, subs, masks)):
+        # per face contact into a block k not yet visited: the layer
+        # support of w off the interface curve with its source nodes in
+        # this block, and for the p data the interface nodes in k and in
+        # this block, and the nodes of k that p is extended to
         exts = []
         for iface in ifaces:
-            if b1 not in iface.blocks:
+            if b not in iface.blocks:
                 continue
-            k = iface.blocks[0] if iface.blocks[1] == b1 else iface.blocks[1]
+            k = iface.blocks[1] if iface.blocks[0] == b else iface.blocks[0]
+            if k not in order[i + 1:]:
+                continue
             subk = extract_block(mesh, k)
             on_iface = np.isin(subk.vert_map, iface.fine_nodes)
             nodes, src = _layer_extension(mesh, iface.fine_nodes, subk.vert_map[~on_iface],
                                           iface.plane)
-            exts.append((nodes, src, np.isin(src, iface.boundary_nodes), subk, on_iface,
+            inner = ~np.isin(src, iface.boundary_nodes)
+            exts.append((nodes[inner], np.searchsorted(sub.vert_map, src[inner]), subk,
+                         np.flatnonzero(on_iface),
+                         np.searchsorted(sub.vert_map, subk.vert_map[on_iface]),
                          ~np.isin(subk.vert_map, sub.vert_map)))
-        first.append((sub, trace.node_mask[sub.vert_map], exts))
-    second = []
-    for k in info.sigma2:
-        subk = extract_block(mesh, k)
-        gk = trace.node_mask[subk.vert_map].copy()
-        for iface in ifaces:
-            if k in iface.blocks and (iface.blocks[0] in info.sigma1 or iface.blocks[1] in info.sigma1):
-                gk |= np.isin(subk.vert_map, iface.fine_nodes)
-        second.append((subk, gk))
-    claims = {"rhs1": "curl_semi", "rhs2": "l2", "log": True}
+        steps.append((_block_plan(sub, node_mask, edge_mask, trace.spec), exts))
+    if not edge_contacts:
+        path, claims = "face-chain", {"rhs1": "curl_semi", "rhs2": "l2", "log": True}
+    else:
+        shared = all(edge_contacts)
+        log = not shared or trace.coarse_edges or not trace.lipschitz
+        path = "edge-junction/shared" if shared else "edge-junction/chained"
+        claims = {"rhs1": "curl_semi" if trace.J <= 1 else "curl", "rhs2": "curl",
+                  "log": bool(log)}
 
     def apply(v: EdgeField):
         mesh = v.mesh
-        p_t = np.zeros(mesh.nv)
-        w_t = np.zeros((mesh.nv, 3))
-        R_t = np.zeros(mesh.ne)
-        for sub, pins, exts in first:
-            # global accumulators: block values on the block, extensions beyond
-            p1, w1 = _block_kernel(sub, v.values, pins, p_t, w_t, R_t)
-            gp = np.zeros(mesh.nv)
-            gp[sub.vert_map] = p1
-            gw = np.zeros((mesh.nv, 3))
-            gw[sub.vert_map] = w1
-            for nodes, src, on_curve, subk, on_iface, addmask in exts:
-                # cut-off values on the interface: w1 at interior nodes, 0 on
-                # the interface boundary curve
-                vals = gw[src] * 0.5
-                vals[on_curve] = 0.0
-                w_t[nodes] += vals
-                # discrete harmonic p-extension into the block
+        p = np.zeros(mesh.nv)
+        w = np.zeros((mesh.nv, 3))
+        R = np.zeros(mesh.ne)
+        records = []
+        for block, exts in steps:
+            sub = block[0]
+            vb = (_residual(sub.mesh, sub.restrict_edge(v.values), p[sub.vert_map],
+                            w[sub.vert_map]) - R[sub.edge_map])
+            pb, wb, meta = _block_split(block, vb)
+            records.extend(meta.get("loops", []))
+            p[sub.vert_map] += pb
+            w[sub.vert_map] += wb
+            R[sub.edge_map] += _residual(sub.mesh, vb, pb, wb)
+            for nodes, src, subk, iface_k, iface_b, addmask in exts:
+                w[nodes] += wb[src] * 0.5
                 bdata = np.zeros(subk.mesh.nv)
-                bdata[on_iface] = gp[subk.vert_map[on_iface]]
+                bdata[iface_k] = pb[iface_b]
                 pk = ops.harmonic_extend(subk.mesh, bdata).values
-                sel = addmask & (np.abs(pk) > 0)
-                p_t[subk.vert_map[sel]] += pk[sel]
+                p[subk.vert_map[addmask]] += pk[addmask]
+        return p, w, {"loops": records}
 
-        v_res = _residual(mesh, v.values, p_t, w_t) - R_t
-        for subk, gk in second:
-            _block_kernel(subk, v_res, gk, p_t, w_t, R_t)
-        return p_t, w_t, {}
-
-    return _Route("face-chain", claims, apply)
+    return _Route(path, claims, apply)
 
 
 # --------------------------------------------------------------------------
@@ -728,16 +778,17 @@ def _disjoint_edges_hard(mesh: TetMesh, edges: list[CoarseEdge]) -> _Route:
 # --------------------------------------------------------------------------
 
 def _route(mesh: TetMesh, trace: TraceSet) -> _Route:
-    """Route by the trace metadata: face traces through the kernel or the
-    chained block construction, edge traces through the loop machinery,
-    mixed traces through the face-plus-edge composition, and junction
-    complexes through their dedicated pipelines."""
+    """Route by the trace metadata: a vertex junction through its gated
+    pipeline, any other non-Lipschitz complex through the block chain, face
+    traces through the kernel or the block chain, edge traces through the
+    loop machinery, and mixed traces through the face-plus-edge
+    composition."""
     info = geometry_info(mesh)
 
-    if info.junction_edge is not None:
-        return _edge_junction(mesh, trace)
     if info.junction_vertex is not None:
         return _vertex_junction(mesh, trace)
+    if not info.lipschitz:
+        return _block_chain(mesh, trace, _chain_order(info.complex.blocks))
     if trace.vertex_nodes:
         raise PreconditionError("standalone vertex traces are not a catalog route")
 
@@ -750,7 +801,7 @@ def _route(mesh: TetMesh, trace: TraceSet) -> _Route:
                 return _corner_pair(mesh, trace)
             if info.convex or trace.contains_concave:
                 return _kernel_route(mesh, trace)
-            return _face_chain(mesh, trace)
+            return _block_chain(mesh, trace, _chain_order(info.complex.blocks))
         # J >= 2 faces only: multi-component kernel; the curl-semi-norm bound
         # is known to fail here, so the claim references the full norm
         claims = {"rhs1": "curl", "rhs2": "l2", "log": not trace.lipschitz}
@@ -836,77 +887,6 @@ def _routed(plan: _Route, v: EdgeField, trace: TraceSet):
 
 def _faces_only_trace(trace: TraceSet) -> TraceSet:
     return trace_from_fine(trace.mesh, *_fine_closure(trace.mesh, trace.coarse_faces, (), ()))
-
-
-# --------------------------------------------------------------------------
-# edge junction (two blocks sharing one coarse edge)
-# --------------------------------------------------------------------------
-
-def _block_plan(sub: Submesh, node_mask: np.ndarray, edge_mask: np.ndarray, spec):
-    """A block, the trace masks restricted to it as a trace of the block
-    mesh, and that trace's plan.  The block trace is named by the junction
-    trace's `spec`, so a block refusal names the trace, not the block."""
-    trace = trace_from_fine(sub.mesh, node_mask[sub.vert_map], edge_mask[sub.edge_map], spec)
-    return sub, trace, _plan("auto", trace)
-
-
-def _block_split(block, v: np.ndarray):
-    """The routed (p, w, meta) of the edge moments v restricted to a block.
-    A block is one convex block, so its route is never a vertex junction
-    and never refuses."""
-    sub, trace, plan = block
-    return _routed(plan, EdgeField(sub.mesh, sub.restrict_edge(v)), trace)
-
-
-def _edge_junction(mesh: TetMesh, trace: TraceSet) -> _Route:
-    """Two blocks meeting along one coarse edge E, in one chained pass:
-    decompose block 0, extend with zero data off E, and decompose what is
-    left of v on block 1 with E added to its trace.  When E is in the trace
-    already, p and w of block 0 vanish on E, the only nodes the blocks
-    share, so what is left on block 1 is v itself: the block splits are
-    independent."""
-    info = geometry_info(mesh)
-    surf = surface(mesh)
-    E = surf.edge_by_name(info.junction_edge)
-    shared = trace.edge_mask[E.fine_edges].all()
-    if trace.node_mask[E.fine_nodes].any() and not shared:
-        touching = [x.name for x in trace.coarse_faces + trace.coarse_edges
-                    if np.isin(x.fine_nodes, E.fine_nodes).any()]
-        touching += [n for n, i in surf.vertices.items()
-                     if i in trace.vertex_nodes and i in E.fine_nodes]
-        raise PreconditionError(
-            "the junction edge meets the trace in a proper subset; "
-            "not a catalog case", entity=touching[0])
-    sub0 = extract_block(mesh, 0)
-    sub1 = extract_block(mesh, 1)
-    em1 = trace.edge_mask.copy()
-    em1[E.fine_edges] = True
-    nm1 = trace.node_mask.copy()
-    nm1[E.fine_nodes] = True
-    block0 = _block_plan(sub0, trace.node_mask, trace.edge_mask, trace.spec)
-    block1 = _block_plan(sub1, nm1, em1, trace.spec)
-    log = not shared or trace.coarse_edges or not trace.lipschitz
-    claims = {"rhs1": "curl_semi" if trace.J <= 1 else "curl", "rhs2": "curl",
-              "log": bool(log)}
-
-    def apply(v: EdgeField):
-        mesh = v.mesh
-        p = np.zeros(mesh.nv)
-        w = np.zeros((mesh.nv, 3))
-        p0, w0, meta0 = _block_split(block0, v.values)
-        p[sub0.vert_map] = p0
-        w[sub0.vert_map] = w0
-        v1 = v.values
-        if not shared:
-            R0 = np.zeros(mesh.ne)
-            R0[sub0.edge_map] = _residual(sub0.mesh, sub0.restrict_edge(v.values), p0, w0)
-            v1 = _residual(mesh, v.values, p, w) - R0
-        p1, w1, meta1 = _block_split(block1, v1)
-        p[sub1.vert_map] += p1
-        w[sub1.vert_map] += w1
-        return p, w, {"loops": meta0.get("loops", []) + meta1.get("loops", [])}
-
-    return _Route("edge-junction/shared" if shared else "edge-junction/chained", claims, apply)
 
 
 # --------------------------------------------------------------------------
@@ -1092,7 +1072,7 @@ def _vertex_junction(mesh: TetMesh, trace: TraceSet) -> _Route:
         records, block_records = [], []
         for kind, (sub, keep, block), setup, val in zip(gate.kinds, blocks, gate.setups, vals):
             if kind == "pinned":
-                pb, wb, meta = _block_split(block, v.values)
+                pb, wb, meta = _block_split(block, sub.restrict_edge(v.values))
                 block_records.extend(meta.get("loops", []))
             else:
                 # a free block's potential is pinned at the vertex to its gate value

@@ -4,8 +4,10 @@ All domains are unions of convex blocks on an integer lattice ("block
 units"): axis-aligned bricks plus one canonical square-base pyramid shape
 (apex height 2, base half-width 1).  The catalog is closed: every geometry
 the toolkit handles is listed here together with the metadata the
-decomposition routes need (interface splits, junction entities, extension
-complexes, subdomain splits).
+decomposition routes cannot derive from the blocks (convexity, the
+junction vertex, extension complexes, subdomain splits).  How two blocks
+meet (face, edge, vertex) is derived from their shapes
+(`_block_intersection_kind`); the block chain reads its order from it.
 """
 
 from __future__ import annotations
@@ -144,27 +146,23 @@ class BlockComplex:
 
 @dataclass(frozen=True)
 class GeometryInfo:
-    """Catalog entry: the block complex plus route metadata.
+    """Catalog entry: the block complex plus the route metadata that
+    cannot be derived from its blocks.
 
     convex           -- the union is a convex polyhedron
     lipschitz        -- the union is a Lipschitz domain (false for junctions)
-    sigma1 / sigma2  -- block-id split driving the chained face-trace route
     split_width      -- column half-width (block units) of the subdomain
                         split used by the disjoint-edge hard case
     extension_id     -- catalog id of the extended complex B
     junction_vertex  -- common vertex of a vertex-junction complex
-    junction_edge    -- name of the common edge of an edge-junction complex
     """
 
     complex: BlockComplex
     convex: bool = False
     lipschitz: bool = True
-    sigma1: tuple[int, ...] = ()
-    sigma2: tuple[int, ...] = ()
     split_width: Optional[Fraction] = None
     extension_id: Optional[str] = None
     junction_vertex: Optional[tuple[int, int, int]] = None
-    junction_edge: Optional[str] = None
     internal: bool = False
     aliases: dict = field(default_factory=dict)
 
@@ -193,13 +191,7 @@ def _build_catalog() -> dict[str, GeometryInfo]:
     d2 = _cube((1, 0, 0), (2, 1, 1))
     d3 = _cube((0, 1, 0), (1, 2, 1))
     blocks = (d1, d2, d3)
-    add(
-        GeometryInfo(
-            BlockComplex("three_cube_L", blocks),
-            sigma1=(0,),
-            sigma2=(1, 2),
-        )
-    )
+    add(GeometryInfo(BlockComplex("three_cube_L", blocks)))
 
     add(
         GeometryInfo(
@@ -253,7 +245,6 @@ def _build_catalog() -> dict[str, GeometryInfo]:
         GeometryInfo(
             BlockComplex("edge_junction_pair", ej),
             lipschitz=False,
-            junction_edge="e:x=1,y=1",
         )
     )
 

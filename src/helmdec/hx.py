@@ -125,19 +125,20 @@ class _VCycle:
     components, in component order.  `levels` holds the scalar SPD blocks
     of each level, finest first, each assembled on its own mesh, and
     `transfers` the scalar prolongations between consecutive levels, which
-    act on the (n, k)-reshaped vector.  Each level operator interleaves its
-    blocks (`_interleave`); smoothing is damped Jacobi.  The coarsest level
-    keeps one sparse LU per block, each solving its own columns.  With one
-    level the cycle is those exact solves.  The restrictions P^T are kept
-    as CSR, which sums each entry in the order of the CSC view P.T."""
+    act on the (n, k)-reshaped vector.  Each smoothed level's operator
+    interleaves its blocks (`_interleave`); smoothing is damped Jacobi.
+    The coarsest level keeps only one sparse LU per block, each solving its
+    own columns.  With one level the cycle is those exact solves.  The
+    restrictions P^T are kept as CSR, which sums each entry in the order of
+    the CSC view P.T."""
 
     def __init__(self, levels: list, counts: list, transfers: list):
         self.P = transfers
         self.R = [P.T.tocsr() for P in transfers]
         self.counts = counts
         self.k = sum(counts)
-        self.A = [_interleave(blocks, counts) for blocks in levels]
-        self.w = [_OMEGA / a.diagonal() for a in self.A[:-1]]
+        self.A = [_interleave(blocks, counts) for blocks in levels[:-1]]
+        self.w = [_OMEGA / a.diagonal() for a in self.A]
         self.coarse = [spla.splu(A.tocsc(), **fem._SPD_SPLU) for A in levels[-1]]
 
     def solve_coarsest(self, b: np.ndarray) -> np.ndarray:

@@ -1,5 +1,7 @@
+import dataclasses
 import gc
 import inspect
+import itertools
 import re
 import weakref
 
@@ -11,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from helmdec import fem, mesh as hmesh, operators as ops
 import helmdec.decompose as dc
+from helmdec.geometry import GeometryInfo, catalog_info
 from helmdec.mesh import TetMesh, build_complex, extract_block
 from helmdec.operators import PreconditionError
 from helmdec.trace import interface_faces, surface, tag_trace, trace_from_fine
@@ -186,6 +189,10 @@ ROUTING = ROUTING_PATHS + [
     # junctions with free blocks: kinds [anchored, free], [free, free, anchored]
     ("vertex_junction_pair", ["x=0"], "vertex-junction"),
     ("vertex_junction_star3", ["x=2"], "vertex-junction"),
+    # chains whose block 0 plan is not the kernel: edge-cut, and
+    # faces-plus-edge/endpoint (`test_chain_with_a_loop_routed_block_is_linear`)
+    ("three_cube_L", ["x=1"], "face-chain"),
+    ("three_cube_L", ["x=1", "z=0"], "face-chain"),
 ]
 
 
@@ -410,6 +417,228 @@ def test_edge_junction_partial_contact_rejected():
         with pytest.raises(PreconditionError) as exc:
             dc.decompose(fem.EdgeField(mesh, np.zeros(mesh.ne)), t)
         assert exc.value.entity == entity
+
+
+# -- block chain -------------------------------------------------------------
+
+# the block splits the catalog recorded for the two routes the block chain
+# replaced (`GeometryInfo.sigma1`/`.sigma2` and `.junction_edge`), read by
+# their references below
+REF_SIGMA = {"three_cube_L": ((0,), (1, 2))}
+REF_JUNCTION_EDGE = {"edge_junction_pair": "e:x=1,y=1"}
+
+
+def _ref_face_chain(mesh, trace):
+    """The face-chain route the block chain replaced, kept verbatim but for
+    the recorded split: kernel on the first block set, cut-off interface
+    extensions of w, harmonic extension of p, zero extension of R, then
+    residual kernels on the second set."""
+    sigma1, sigma2 = REF_SIGMA[mesh.name]
+    ifaces = interface_faces(mesh)
+    first = []
+    for b1 in sigma1:
+        sub = extract_block(mesh, b1)
+        exts = []
+        for iface in ifaces:
+            if b1 not in iface.blocks:
+                continue
+            k = iface.blocks[0] if iface.blocks[1] == b1 else iface.blocks[1]
+            subk = extract_block(mesh, k)
+            on_iface = np.isin(subk.vert_map, iface.fine_nodes)
+            nodes, src = dc._layer_extension(mesh, iface.fine_nodes, subk.vert_map[~on_iface],
+                                             iface.plane)
+            exts.append((nodes, src, np.isin(src, iface.boundary_nodes), subk, on_iface,
+                         ~np.isin(subk.vert_map, sub.vert_map)))
+        first.append((sub, trace.node_mask[sub.vert_map], exts))
+    second = []
+    for k in sigma2:
+        subk = extract_block(mesh, k)
+        gk = trace.node_mask[subk.vert_map].copy()
+        for iface in ifaces:
+            if k in iface.blocks and (iface.blocks[0] in sigma1 or iface.blocks[1] in sigma1):
+                gk |= np.isin(subk.vert_map, iface.fine_nodes)
+        second.append((subk, gk))
+    claims = {"rhs1": "curl_semi", "rhs2": "l2", "log": True}
+
+    def apply(v):
+        mesh = v.mesh
+        p_t = np.zeros(mesh.nv)
+        w_t = np.zeros((mesh.nv, 3))
+        R_t = np.zeros(mesh.ne)
+        for sub, pins, exts in first:
+            p1, w1 = dc._block_kernel(sub, v.values, pins, p_t, w_t, R_t)
+            gp = np.zeros(mesh.nv)
+            gp[sub.vert_map] = p1
+            gw = np.zeros((mesh.nv, 3))
+            gw[sub.vert_map] = w1
+            for nodes, src, on_curve, subk, on_iface, addmask in exts:
+                vals = gw[src] * 0.5
+                vals[on_curve] = 0.0
+                w_t[nodes] += vals
+                bdata = np.zeros(subk.mesh.nv)
+                bdata[on_iface] = gp[subk.vert_map[on_iface]]
+                pk = ops.harmonic_extend(subk.mesh, bdata).values
+                sel = addmask & (np.abs(pk) > 0)
+                p_t[subk.vert_map[sel]] += pk[sel]
+
+        v_res = dc._residual(mesh, v.values, p_t, w_t) - R_t
+        for subk, gk in second:
+            dc._block_kernel(subk, v_res, gk, p_t, w_t, R_t)
+        return p_t, w_t, {}
+
+    return dc._Route("face-chain", claims, apply)
+
+
+def _ref_block_split(block, v):
+    """The replaced `_block_split`, which restricted the whole-mesh v."""
+    sub, trace, plan = block
+    return dc._routed(plan, fem.EdgeField(sub.mesh, sub.restrict_edge(v)), trace)
+
+
+def _ref_edge_junction(mesh, trace):
+    """The edge-junction route the block chain replaced, kept verbatim but
+    for the recorded junction edge E: decompose block 0, extend with zero
+    data off E, and decompose what is left of v on block 1 with E added to
+    its trace; v itself when E is in the trace."""
+    surf = surface(mesh)
+    E = surf.edge_by_name(REF_JUNCTION_EDGE[mesh.name])
+    shared = trace.edge_mask[E.fine_edges].all()
+    if trace.node_mask[E.fine_nodes].any() and not shared:
+        touching = [x.name for x in trace.coarse_faces + trace.coarse_edges
+                    if np.isin(x.fine_nodes, E.fine_nodes).any()]
+        touching += [n for n, i in surf.vertices.items()
+                     if i in trace.vertex_nodes and i in E.fine_nodes]
+        raise PreconditionError(
+            "the junction edge meets the trace in a proper subset; "
+            "not a catalog case", entity=touching[0])
+    sub0 = extract_block(mesh, 0)
+    sub1 = extract_block(mesh, 1)
+    em1 = trace.edge_mask.copy()
+    em1[E.fine_edges] = True
+    nm1 = trace.node_mask.copy()
+    nm1[E.fine_nodes] = True
+    block0 = dc._block_plan(sub0, trace.node_mask, trace.edge_mask, trace.spec)
+    block1 = dc._block_plan(sub1, nm1, em1, trace.spec)
+    log = not shared or trace.coarse_edges or not trace.lipschitz
+    claims = {"rhs1": "curl_semi" if trace.J <= 1 else "curl", "rhs2": "curl",
+              "log": bool(log)}
+
+    def apply(v):
+        mesh = v.mesh
+        p = np.zeros(mesh.nv)
+        w = np.zeros((mesh.nv, 3))
+        p0, w0, meta0 = _ref_block_split(block0, v.values)
+        p[sub0.vert_map] = p0
+        w[sub0.vert_map] = w0
+        v1 = v.values
+        if not shared:
+            R0 = np.zeros(mesh.ne)
+            R0[sub0.edge_map] = dc._residual(sub0.mesh, sub0.restrict_edge(v.values), p0, w0)
+            v1 = dc._residual(mesh, v.values, p, w) - R0
+        p1, w1, meta1 = _ref_block_split(block1, v1)
+        p[sub1.vert_map] += p1
+        w[sub1.vert_map] += w1
+        return p, w, {"loops": meta0.get("loops", []) + meta1.get("loops", [])}
+
+    return dc._Route("edge-junction/shared" if shared else "edge-junction/chained", claims, apply)
+
+
+def _face_family(mesh):
+    """The census's face family: every coarse face, every pair of them,
+    `boundary` and `concave`."""
+    names = [f.name for f in surface(mesh).faces]
+    return ([[n] for n in names] + [list(pair) for pair in itertools.combinations(names, 2)]
+            + [["boundary"], ["concave"]])
+
+
+def _block_plan_paths(mesh, trace):
+    """The path of each block plan of the chain in its default order: the
+    block trace is the trace plus the block's contact with those before."""
+    seen_n = np.zeros(mesh.nv, dtype=bool)
+    seen_e = np.zeros(mesh.ne, dtype=bool)
+    paths = []
+    for b in dc._chain_order(catalog_info(mesh.name).complex.blocks):
+        sub = extract_block(mesh, b)
+        block = dc._block_plan(sub, trace.node_mask | seen_n, trace.edge_mask | seen_e,
+                               trace.spec)
+        paths.append(block[2].path)
+        seen_n[sub.vert_map] = True
+        seen_e[sub.edge_map] = True
+    return paths
+
+
+# the face-chain traces whose block 0 trace holds the edge x=1,y=1: their
+# block 0 plan is an edge route, not the kernel the reference pins there
+CHAIN_CHANGED = ["x=1", "y=1", "x=1;y=2", "x=1;z=0", "x=1;z=1", "x=2;y=1", "y=1;z=0",
+                 "y=1;z=1"]
+
+
+@pytest.mark.parametrize("geometry,reference,count", [
+    ("three_cube_L", _ref_face_chain, 25),
+    ("edge_junction_pair", _ref_edge_junction, 53),
+])
+def test_block_chain_matches_the_routes_it_replaces(geometry, reference, count):
+    """Over the census's face family at h = 1/4, the chain's p and w are
+    array-equal to the replaced route's on every edge-junction trace and on
+    every face-chain trace whose block plans are all one kernel pass
+    (`kernel`, or `kernel-multi` on the two faces x=1 and x=2 of block 1
+    under the trace x=2); the face-chain traces that differ are exactly
+    those with another block plan.  The loop records of the edge junction
+    are equal too."""
+    mesh = build_complex(geometry, 0.25)
+    seen, differ = 0, []
+    for spec in _face_family(mesh):
+        t = tag_trace(mesh, spec)
+        try:
+            plan = dc._plan("auto", t)
+        except PreconditionError:
+            continue
+        if plan.path != "face-chain" and not plan.path.startswith("edge-junction"):
+            continue
+        ref = reference(mesh, t)
+        assert (plan.path, plan.claims) == (ref.path, ref.claims)
+        v = dc.random_admissible_field(mesh, t, 45)
+        p, w, meta = dc._routed(plan, v, t)
+        p_ref, w_ref, meta_ref = dc._routed(ref, v, t)
+        same = np.array_equal(p, p_ref) and np.array_equal(w, w_ref)
+        kernels = set(_block_plan_paths(mesh, t)) <= {"kernel", "kernel-multi"}
+        if plan.path == "face-chain":
+            assert same == kernels, spec
+            if not same:
+                differ.append(";".join(spec))
+        else:
+            assert same and meta == meta_ref, spec
+        seen += 1
+    assert seen == count
+    assert differ == (CHAIN_CHANGED if geometry == "three_cube_L" else [])
+
+
+@pytest.mark.parametrize("spec,block0", [(["x=1"], "edge-cut"),
+                                         (["x=1", "z=0"], "faces-plus-edge/endpoint")])
+def test_chain_with_a_loop_routed_block_is_linear(spec, block0):
+    """A chain whose block 0 plan is a loop route is still one linear map:
+    the split of 2 v1 - 3 v2 is 2 times the split of v1 minus 3 times that
+    of v2, to 1e-10 of their largest entry."""
+    mesh = build_complex("three_cube_L", 0.25)
+    t = tag_trace(mesh, spec)
+    assert _block_plan_paths(mesh, t) == [block0, "kernel", "kernel"]
+    v1, v2 = (dc.random_admissible_field(mesh, t, s) for s in (46, 47))
+    s1, s2 = dc.decompose(v1, t), dc.decompose(v2, t)
+    s = dc.decompose(fem.EdgeField(mesh, 2.0 * v1.values - 3.0 * v2.values), t)
+    for name in ("p", "w", "R"):
+        a, a1, a2 = (getattr(x, name).values for x in (s, s1, s2))
+        scale = max(np.abs(a1).max(), np.abs(a2).max())
+        assert np.abs(a - (2.0 * a1 - 3.0 * a2)).max() <= 1e-10 * scale, name
+
+
+def test_chain_order_is_derived_not_recorded():
+    """The chain visits first the blocks that share a face with every other
+    block, then the rest in index order; the catalog records no block
+    split and no junction edge."""
+    assert dc._chain_order(catalog_info("three_cube_L").complex.blocks) == (0, 1, 2)
+    assert dc._chain_order(catalog_info("edge_junction_pair").complex.blocks) == (0, 1)
+    fields = {f.name for f in dataclasses.fields(GeometryInfo)}
+    assert not fields & {"sigma1", "sigma2", "junction_edge"}
 
 
 def test_vertex_junction_gate_refusal():

@@ -188,7 +188,10 @@ def test_levels_equal_galerkin_products(name):
     (chained from the finest) to 1e-13 of its largest entry, and every
     Galerkin entry outside the assembled pattern is roundoff below that
     bound: on every catalog geometry at h = 1/8, with the boundary trace,
-    no trace and one face trace, at alpha_0 = 1 and 1e6."""
+    no trace and one face trace, at alpha_0 = 1 and 1e6.  The cycle keeps
+    the operators of its smoothed levels only; the coarsest level's blocks
+    are assembled here, on the last level of `hx._hierarchy`, and the
+    cycle's coarsest factors solve them."""
     mesh = build_complex(name, 0.125)
     nb = int(mesh.block_of_tet.max()) + 1
     for spec in (["boundary"], None, [surface(mesh).faces[0].name]):
@@ -199,12 +202,18 @@ def test_levels_equal_galerkin_products(name):
             sysm = hx.assemble_problem(hx.ModelProblem(
                 mesh, alpha, np.ones(nb), trace, fem.EdgeField(mesh, np.zeros(mesh.ne))))
             cycle = hx.HXPreconditioner(sysm)._cycle
-            assert len(cycle.A) == 3 and len(cycle.P) == 2
+            assert len(cycle.A) == len(cycle.w) == len(cycle.P) == 2
+            coarse, free = hx._hierarchy(mesh, sysm.free_nodes)[0][-1]
+            a, b = alpha[coarse.block_of_tet], np.ones(coarse.nt)
+            coarsest = fem._nodal_matrices(coarse, [(b, None), (a, b)], free)
+            for lu, A in zip(cycle.coarse, coarsest):  # the blocks the cycle factors
+                rhs = A @ np.linspace(1.0, 2.0, A.shape[0])
+                assert np.abs(A @ lu.solve(rhs) - rhs).max() <= 1e-10 * np.abs(rhs).max()
             for c in (0, 1):  # K_beta, then K_alpha + M_beta
                 galerkin = cycle.A[0][c::4, c::4]
-                for P, A in zip(cycle.P, cycle.A[1:]):
+                for P, direct in zip(cycle.P, [A[c::4, c::4] for A in cycle.A[1:]]
+                                     + [coarsest[c]]):
                     galerkin = _symmetric(P.T @ galerkin @ P)
-                    direct = A[c::4, c::4]
                     inside = galerkin.multiply(direct != 0)
                     scale = 1e-13 * abs(galerkin).max()
                     assert abs(direct - inside).max() <= scale, (spec, a0, c)
@@ -212,7 +221,7 @@ def test_levels_equal_galerkin_products(name):
 
 
 def _assert_smoothers_convergent(pre):
-    for A in pre._cycle.A[:-1]:
+    for A in pre._cycle.A:
         s = sp.diags(1.0 / np.sqrt(A.diagonal()))
         lam = spla.eigsh(s @ A @ s, k=1, which="LA", return_eigenvectors=False)[0]
         assert hx._OMEGA * lam < 2.0, lam
@@ -230,7 +239,7 @@ def test_vcycle_smoother_is_convergent_on_every_level(lshape8):
     sysm = make_system(lshape8, alpha, beta)
     pre = hx.HXPreconditioner(sysm)
     cycle = pre._cycle
-    assert len(cycle.A) == 3  # h = 1/8, 1/4 and the direct solve at 1/2
+    assert len(cycle.A) == 2  # smoothed at h = 1/8 and 1/4, the direct solve at 1/2
     free = sysm.free_nodes
     aw, bw = alpha[lshape8.block_of_tet], beta[lshape8.block_of_tet]
     K_b = fem.assemble(lshape8, "Z", "stiffness", tet_weight=bw)[free][:, free]

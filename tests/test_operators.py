@@ -202,10 +202,11 @@ def test_cotree_factor_matches_superlu(monkeypatch):
         t = tag_trace(mesh, spec)
         dc.decompose(dc.random_admissible_field(mesh, t, 77), t)
     monkeypatch.undo()
-    # the six of CURLHARM_MESHES, the chained edge junction's block, the
-    # three_cube_L mesh of its disjoint edges and the two blocks of the
-    # vertex_junction_pair trace x=0
-    assert len(blocks) == 10
+    # the six of CURLHARM_MESHES, the chained edge junction's block, block 0
+    # of the three_cube_L chains whose block 0 plan is a loop route (x=1 and
+    # x=1;z=0), the three_cube_L mesh of its disjoint edges and the two
+    # blocks of the vertex_junction_pair trace x=0
+    assert len(blocks) == 11
     rng = np.random.default_rng(11)
     for A, points, name in blocks.values():
         chol = fem.Cholesky(A, points, name)
