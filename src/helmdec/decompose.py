@@ -201,12 +201,13 @@ def _finish(v: EdgeField, p: np.ndarray, w: np.ndarray, path: str,
     pf = NodalField(mesh, p)
     wf = NodalVectorField(mesh, w)
     R = EdgeField(mesh, _residual(mesh, v.values, p, w))
+    w_h1, w_l2 = fem.norm(wf, ("H1", "L2"))
     norms = {
         "h": mesh.h,
         "v_l2": fem.norm(v, "L2"),
         "v_curl_semi": fem.norm(v, "curl_semi"),
-        "w_h1": fem.norm(wf, "H1"),
-        "w_l2": fem.norm(wf, "L2"),
+        "w_h1": w_h1,
+        "w_l2": w_l2,
         "p_h1": fem.norm(pf, "H1"),
         "R_l2": fem.norm(R, "L2"),
     }

@@ -4,15 +4,16 @@ DOF conventions: nodal values per vertex; edge moments lambda_e(v) =
 int_e v.t ds with the global low-id -> high-id orientation; the curl
 incidence gives face fluxes with the canonical (ascending vertex triple,
 right-hand) normal.  Mass and the nodal stiffness use exact barycentric
-integral formulas.  Every curl-curl form is built from one cached sparse
-(3nt x ne) curl matrix C: the per-tet curl of an edge field is one matvec
-C v, and the (weighted) edge stiffness is C^T W C with W the per-tet
-weighted volumes, repeated for the three curl components.  A nodal
-matrix is its node and edge sums (`_nodal_matrices`) on a CSR pattern
-read off the lexsorted edges, with no sort; only the edge mass scatters
-COO triplets (`_scatter`).  Assembly casts no mesh table: there is one
-index width, int32, set by the `TetMesh` tables.  Sparse SPD factors are
-chosen by matrix family: `Cholesky`, a nested-dissection multifrontal
+integral formulas.  The per-tet curl of an edge field is one matvec C v
+with a cached sparse (3nt x ne) curl matrix C.  No matrix is assembled
+from COO triplets or sparse products: a nodal matrix is its node and
+edge sums (`_nodal_matrices`) on a CSR pattern read off the lexsorted
+edges, and an edge matrix, mass or curl-curl, its edge, face pair and
+opposite pair sums (`_edge_matrices`) on a pattern read off the face and
+tet incidences, each on the free entities in the same pass and with no
+global sort.  Assembly casts no mesh table: there is one index width,
+int32, set by the `TetMesh` tables.  Sparse SPD factors are chosen by
+matrix family: `Cholesky`, a nested-dissection multifrontal
 Cholesky, for the cotree curl-curl block, and SuperLU for the smaller
 nodal blocks: `cached_solver` holds one symmetric-mode factor of the
 nodal stiffness per Dirichlet pin mask.
@@ -30,7 +31,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg.blas import dsyrk as _dsyrk, dtrsm as _dtrsm
 from scipy.linalg.lapack import dpotrf as _dpotrf
 
-from .mesh import TET_EDGES, TetMesh, _lattice_keys
+from .mesh import SWAP_FACES, TET_EDGES, TET_FACE_EDGES, TetMesh, _lattice_keys
 
 __all__ = [
     "PreconditionError",
@@ -219,18 +220,20 @@ def curl_map(mesh: TetMesh) -> sp.csr_matrix:
 # mass / stiffness assembly
 # --------------------------------------------------------------------------
 
-def _scatter(rows, cols, vals, shape) -> sp.csr_matrix:
-    """Summed CSR matrix of the local entries of the edge mass, less the
-    sums that are exact zeros."""
-    m = sp.coo_matrix((vals.ravel(), (rows.ravel(), cols.ravel())), shape=shape).tocsr()
-    m.eliminate_zeros()
-    return m
-
-
 # integrals of lam_a lam_b over a tet of unit volume
 _S4 = (1.0 + np.eye(4)) / 20.0
 # the local vertex pairs of the tet edges, in TET_EDGES order
 _EDGE_I, _EDGE_J = np.array(TET_EDGES).T
+# face pair q of a face joins its edges other than q, in `face_edges` order
+_FACE_PAIRS = np.array([[1, 2], [2, 0], [0, 1]])
+# the local edge pairs (TET_EDGES positions, i <= j) that carry the 21
+# values of a local edge matrix: the 6 diagonals, the face pairs q of the
+# local faces f at 6 + 3 f + q, and the 3 opposite pairs
+_OPPOSITE = np.array([[0, 5], [1, 4], [2, 3]])
+_PAIR_I, _PAIR_J = np.concatenate([
+    np.repeat(np.arange(6), 2).reshape(6, 2),
+    np.sort(TET_FACE_EDGES[:, _FACE_PAIRS].reshape(12, 2), axis=1),
+    _OPPOSITE]).T
 
 
 def _nodal_pattern(mesh: TetMesh, free=None):
@@ -299,52 +302,144 @@ def _nodal_matrices(mesh: TetMesh, weights: list, free=None) -> list:
                 loc += (vol * mass_weight)[:, None] * s4
             sums.append(np.bincount(entity.ravel(), loc.ravel(), size))
         vals = np.concatenate(sums)
-        m = sp.csr_matrix((np.take(vals, src), indices.copy(), indptr.copy()),
+        m = sp.csr_matrix((vals[src], indices.copy(), indptr.copy()),
                           shape=(n, n))
         m.eliminate_zeros()  # in place, hence the copies
         out.append(m)
     return out
 
 
-def _assemble_nodal(mesh: TetMesh, kind: str, weight) -> sp.csr_matrix:
-    w = 1.0 if weight is None else weight
-    return _nodal_matrices(mesh, [(w, None) if kind == "stiffness" else (None, w)])[0]
+def _edge_pattern(mesh: TetMesh, free=None):
+    """CSR (indptr, indices) of the Whitney edge matrices of `mesh` on the
+    edges of the bool mask `free` (every edge when None), rows ascending,
+    and the source of each stored entry in the edge values, then the face
+    pair values (3 per face) and the opposite pair values (3 per tet),
+    the order of `_edge_matrices`.  Two edges couple where they share a
+    tet: an edge with itself, two edges of a face (a face pair, unique to
+    its face), or two opposite edges of a tet (unique to its tet).  So the
+    rows are one counting transpose of the (value, edge) incidence read off
+    `face_edges` and `tet_edges`, one row per value and one entry per end;
+    a pair with a fixed end is sent to a spare column n past the free
+    rank, which the transpose leaves at the end.  Then each row is sorted
+    in place.  O(nnz), with no global sort."""
+    ne, nf, nt = mesh.ne, mesh.nf, mesh.nt
+    nval = ne + 3 * nf + 3 * nt
+    n, rank = ne, np.arange(ne, dtype=np.int32)
+    if free is not None:
+        rank = np.cumsum(free, dtype=np.int32)
+        n = int(rank[-1]) if ne else 0
+        rank -= 1
+        rank[~free] = n
+    ends = np.empty(ne + 2 * (nval - ne), dtype=np.int32)
+    ends[:ne] = rank
+    ends[ne:ne + 6 * nf].reshape(nf, 6)[:] = rank[mesh.face_edges()][:, _FACE_PAIRS.ravel()]
+    ends[ne + 6 * nf:].reshape(nt, 6)[:] = rank[mesh.tet_edges][:, _OPPOSITE.ravel()]
+    if free is not None:
+        pairs = ends[ne:].reshape(-1, 2)
+        pairs[np.maximum(pairs[:, 0], pairs[:, 1]) == n] = n
+    other = ends.copy()
+    other[ne::2], other[ne + 1::2] = ends[ne + 1::2], ends[ne::2]
+    rows = np.empty(nval + 1, dtype=np.int32)
+    rows[:ne] = np.arange(ne, dtype=np.int32)
+    rows[ne:] = np.arange(ne, len(ends) + 1, 2, dtype=np.int32)
+    by_edge = sp.csr_matrix((other, ends, rows), shape=(nval, n + 1)).tocsc()
+    del ends, other, rows
+    nnz = by_edge.indptr[n]
+    m = sp.csr_matrix((by_edge.indices[:nnz], by_edge.data[:nnz], by_edge.indptr[:n + 1]),
+                      shape=(n, n))
+    m.sort_indices()
+    return m.indptr, m.indices, m.data
 
 
-def _assemble_edge(mesh: TetMesh, kind: str, weight) -> sp.csr_matrix:
-    vol = tet_volumes(mesh)
-    w = vol if weight is None else vol * weight
-    if kind == "stiffness":
-        C = _curl_matrix(mesh)
-        return (C.T @ (sp.diags(np.repeat(w, 3)) @ C)).tocsr()
-    # the signed unit-volume local matrix of each shape class, gathered and
-    # scaled per tet: w * (s_a s_b) * m_ab in any order, as s = +-1
+def _edge_local(mesh: TetMesh):
+    """(stiffness, mass) values of the signed unit-volume local edge
+    matrices of each shape class at the local pairs (_PAIR_I, _PAIR_J),
+    (K, 21) each: curl_i . curl_j, and the S4-gram formula of the mass,
+    signed by s_i s_j (any order, as s = +-1)."""
     tab = shape_table(mesh)
+    stiffness = (tab.curl[:, :, _PAIR_I] * tab.curl[:, :, _PAIR_J]).sum(axis=1)
+    i, j, k, l = _EDGE_I[_PAIR_I], _EDGE_J[_PAIR_I], _EDGE_I[_PAIR_J], _EDGE_J[_PAIR_J]
     gg = tab.gram
-    loc = np.empty((len(gg), 6, 6))
-    k, l = np.array(TET_EDGES).T
-    for a, (i, j) in enumerate(TET_EDGES):
-        loc[:, a] = (_S4[i, k] * gg[:, j, l] - _S4[i, l] * gg[:, j, k]
-                     - _S4[j, k] * gg[:, i, l] + _S4[j, l] * gg[:, i, k])
+    mass = (_S4[i, k] * gg[:, j, l] - _S4[i, l] * gg[:, j, k]
+            - _S4[j, k] * gg[:, i, l] + _S4[j, l] * gg[:, i, k])
     sign = mesh.tet_edge_sign[tab.first].astype(float)
-    loc *= sign[:, :, None] * sign[:, None, :]
-    loc = loc[tab.cls]
-    loc *= w[:, None, None]
-    te = mesh.tet_edges
-    return _scatter(np.repeat(te, 6, axis=1), np.tile(te, (1, 6)), loc, (mesh.ne, mesh.ne))
+    mass *= sign[:, _PAIR_I] * sign[:, _PAIR_J]
+    return stiffness, mass
+
+
+def _edge_matrices(mesh: TetMesh, weights: list, free=None) -> list:
+    """The Whitney edge matrices K_a + M_b for each pair of per-tet weights
+    (a, b) in `weights` (arrays or scalars; None leaves the term out), on
+    the edges of the bool mask `free` (every edge when None).
+
+    An edge matrix has one value per edge, per face pair and per opposite
+    pair (`_edge_pattern`).  Each kind is one sum of the local values in
+    tet order: a `np.bincount` over `tet_edges`, one over the face pair
+    slots of `tet_faces` (pair q of face f at 3 f + q, with q turned to
+    2 - q where `face_edges` reverses the face), and the tets' own opposite
+    values.  The local values are the class values of `_edge_local`
+    gathered by the shape class and scaled by volume times weight, so no
+    curl matrix is formed.  One value fills both its entries, so each
+    matrix is exactly symmetric; its exact zeros are not stored.  The
+    restriction to `free` equals the full matrix sliced to the free rows
+    and columns."""
+    ne, nf, nt = mesh.ne, mesh.nf, mesh.nt
+    vol = tet_volumes(mesh)
+    tab = shape_table(mesh)
+    local = _edge_local(mesh)
+    q = np.tile(np.arange(3), 4)
+    slot = np.multiply(mesh.tet_faces[:, np.repeat(np.arange(4), 3)], 3, dtype=np.intp)
+    slot += q
+    slot += ((mesh.tets[:, 2] > mesh.tets[:, 3])[:, None] & np.repeat(SWAP_FACES, 3)) * (2 - 2 * q)
+    # (local pairs, entity of each local value, first value, value count)
+    # of the diagonals, the face pairs and the opposite pairs
+    parts = ((slice(0, 6), mesh.tet_edges, 0, ne), (slice(6, 18), slot, ne, 3 * nf),
+             (slice(18, 21), None, ne + 3 * nf, 3 * nt))
+    sums = []
+    for stiffness_weight, mass_weight in weights:
+        vals = np.empty(ne + 3 * nf + 3 * nt)
+        for cols, entity, first, size in parts:
+            loc = None
+            for table, weight in zip(local, (stiffness_weight, mass_weight)):
+                if weight is not None:  # the class values, gathered and scaled in place
+                    term = np.take(table[:, cols], tab.cls, axis=0)
+                    term *= (vol * weight)[:, None]
+                    loc = term if loc is None else np.add(loc, term, out=loc)
+                    del term
+            vals[first:first + size] = (loc.ravel() if entity is None else
+                                        np.bincount(entity.ravel(), loc.ravel(), size))
+        sums.append(vals)
+    # the values first, so that their temporaries are gone before the
+    # pattern's transpose
+    del slot, parts, loc, vals
+    indptr, indices, src = _edge_pattern(mesh, free)
+    n = len(indptr) - 1
+    out = []
+    while sums:
+        vals = sums.pop(0)
+        # eliminate_zeros works in place: the last matrix takes the
+        # pattern, the others copies of it
+        m = sp.csr_matrix((vals[src], indices.copy() if sums else indices,
+                           indptr.copy() if sums else indptr), shape=(n, n))
+        del vals
+        m.eliminate_zeros()
+        out.append(m)
+    return out
 
 
 def assemble(mesh: TetMesh, space: str, kind: str, tet_weight=None) -> sp.csr_matrix:
-    """Symmetric mass/stiffness matrix for space in {Z, V}.
-
-    V-stiffness is the curl-curl form C^T W C on the cached curl matrix.
-    `tet_weight` is an optional per-tet coefficient (not cached).
+    """Symmetric mass/stiffness matrix for space in {Z, V}: the nodal
+    (`_nodal_matrices`) or Whitney edge (`_edge_matrices`) matrix, whose
+    V stiffness is the curl-curl form.  `tet_weight` is an optional
+    per-tet coefficient (not cached).
     """
     if space not in ("Z", "V") or kind not in ("mass", "stiffness"):
         raise ValueError(f"unknown assembly {space}/{kind}")
 
     def build():
-        return (_assemble_edge if space == "V" else _assemble_nodal)(mesh, kind, tet_weight)
+        w = 1.0 if tet_weight is None else tet_weight
+        matrices = _edge_matrices if space == "V" else _nodal_matrices
+        return matrices(mesh, [(w, None) if kind == "stiffness" else (None, w)])[0]
 
     if tet_weight is not None:
         return build()
@@ -355,37 +450,45 @@ def assemble(mesh: TetMesh, space: str, kind: str, tet_weight=None) -> sp.csr_ma
 # norms
 # --------------------------------------------------------------------------
 
-def norm(field: Field, which: str) -> float:
+def norm(field: Field, which):
     """Computable norms: L2 for all spaces; H1 for nodal fields; curl and
     curl_semi for edge fields.  A nodal vector field's forms are the
     scalar Z forms applied to its (nv, 3) array, which sums as the
-    Kronecker product with the 3x3 identity would."""
+    Kronecker product with the 3x3 identity would.  A tuple `which` gives
+    the tuple of those norms, which form each product once: ("H1", "L2")
+    forms the mass product once."""
     mesh = field.mesh
     space = "V" if isinstance(field, EdgeField) else "Z"
+    forms = {}
 
     def form(kind):
-        A = assemble(mesh, space, kind)
-        return float(field.values.ravel() @ (A @ field.values).ravel())
+        if kind not in forms:
+            A = assemble(mesh, space, kind)
+            forms[kind] = float(field.values.ravel() @ (A @ field.values).ravel())
+        return forms[kind]
 
-    if which == "L2":
-        return float(np.sqrt(max(form("mass"), 0.0)))
-    if which == "H1":
-        if space != "Z":
-            raise ValueError("H1 norm requires a nodal field")
-        semi = form("stiffness")
-        return float(np.sqrt(max(semi + form("mass"), 0.0)))
-    if which in ("curl", "curl_semi"):
-        if space != "V":
-            raise ValueError("curl norms require an edge field")
-        # per-tet analytic curls: nonnegative by construction and exactly
-        # zero for gradients (the assembled quadratic only cancels to
-        # roundoff after sqrt)
-        c = curl_of_edge_field(field)
-        semi = float(np.sum(tet_volumes(mesh) * np.einsum("td,td->t", c, c)))
-        if which == "curl_semi":
-            return float(np.sqrt(semi))
-        return float(np.sqrt(semi + max(form("mass"), 0.0)))
-    raise ValueError(f"unknown norm {which!r}")
+    def one(which):
+        if which == "L2":
+            return float(np.sqrt(max(form("mass"), 0.0)))
+        if which == "H1":
+            if space != "Z":
+                raise ValueError("H1 norm requires a nodal field")
+            semi = form("stiffness")
+            return float(np.sqrt(max(semi + form("mass"), 0.0)))
+        if which in ("curl", "curl_semi"):
+            if space != "V":
+                raise ValueError("curl norms require an edge field")
+            # per-tet analytic curls: nonnegative by construction and exactly
+            # zero for gradients (the assembled quadratic only cancels to
+            # roundoff after sqrt)
+            c = curl_of_edge_field(field)
+            semi = float(np.sum(tet_volumes(mesh) * np.einsum("td,td->t", c, c)))
+            if which == "curl_semi":
+                return float(np.sqrt(semi))
+            return float(np.sqrt(semi + max(form("mass"), 0.0)))
+        raise ValueError(f"unknown norm {which!r}")
+
+    return one(which) if isinstance(which, str) else tuple(map(one, which))
 
 
 # --------------------------------------------------------------------------

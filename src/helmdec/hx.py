@@ -79,18 +79,17 @@ def assemble_problem(problem: ModelProblem) -> CurlSystem:
     mesh = problem.mesh
     aw = problem.alpha[mesh.block_of_tet]
     bw = problem.beta[mesh.block_of_tet]
-    K = fem.assemble(mesh, "V", "stiffness", tet_weight=aw)
-    M = fem.assemble(mesh, "V", "mass", tet_weight=bw)
-    A = (K + M).tocsr()
     if problem.trace is not None:
-        free_e = np.nonzero(~problem.trace.edge_mask)[0]
+        free = ~problem.trace.edge_mask
+        free_e = np.nonzero(free)[0]
         free_n = np.nonzero(~problem.trace.node_mask)[0]
     else:
+        free = None
         free_e = np.arange(mesh.ne)
         free_n = np.arange(mesh.nv)
-    Aff = A[free_e][:, free_e].tocsr()
+    [A] = fem._edge_matrices(mesh, [(aw, bw)], free)
     b = problem.rhs.values[free_e].copy()
-    return CurlSystem(problem, Aff, free_e, free_n, b)
+    return CurlSystem(problem, A, free_e, free_n, b)
 
 
 # damped Jacobi weight of the V-cycle smoother; the cycle is SPD while
@@ -200,24 +199,23 @@ def _aux_transfer(mesh: TetMesh, free_edges: np.ndarray, free_nodes: np.ndarray)
     major with components (grad, w_x, w_y, w_z), to the free edges.  The
     row of edge (a, b) holds -1 and +1 in the gradient columns of a and b
     and half the edge vector in the vector columns of both, less its exact
-    zeros and the columns of trace nodes.  It is built as CSR directly: as
-    a < b, the kept entries of the (edge, 8) value array are in row order
-    with ascending columns."""
+    zeros and the columns of trace nodes.  It is built as CSR directly,
+    eight entries per row, which ascend in column as a < b; the entries of
+    trace nodes are zeroed, and they leave with the exact zeros."""
     node = np.full(mesh.nv, -1, dtype=np.int32)
     node[free_nodes] = np.arange(len(free_nodes), dtype=np.int32)
     edges = mesh.edges[free_edges]
     ends = node[edges]
     half = 0.5 * (mesh.verts[edges[:, 1]] - mesh.verts[edges[:, 0]])
-    vals = np.empty((len(free_edges), 8))
-    vals[:, 0], vals[:, 1:4], vals[:, 4], vals[:, 5:] = -1.0, half, 1.0, half
-    keep = vals != 0.0
-    keep[ends[:, 0] < 0, :4] = False
-    keep[ends[:, 1] < 0, 4:] = False
-    pos = np.flatnonzero(keep)
-    cols = 4 * ends.ravel()[pos // 4] + (pos % 4).astype(np.int32)
-    indptr = np.searchsorted(pos, np.arange(0, vals.size + 1, 8))
-    return sp.csr_matrix((vals.ravel()[pos], cols, indptr),
-                         shape=(len(free_edges), 4 * len(free_nodes)))
+    n = len(free_edges)
+    vals = np.empty((n, 2, 4))
+    vals[:, 0, 0], vals[:, 1, 0], vals[:, :, 1:] = -1.0, 1.0, half[:, None]
+    vals[ends < 0] = 0.0
+    cols = 4 * np.maximum(ends, 0)[:, :, None] + np.arange(4, dtype=np.int32)
+    B = sp.csr_matrix((vals.ravel(), cols.ravel(), np.arange(0, 8 * n + 1, 8, dtype=np.int32)),
+                      shape=(n, 4 * len(free_nodes)))
+    B.eliminate_zeros()
+    return B
 
 
 @dataclass

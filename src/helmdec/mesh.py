@@ -26,9 +26,12 @@ __all__ = ["TetMesh", "MeshSizeError", "build_complex", "write_mesh", "read_mesh
 # local vertex pairs of a tet, in lexicographic order
 TET_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 TET_FACES = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
-# position in TET_EDGES of the local vertex pair (a, b), a < b
-_LOCAL_EDGE = np.zeros((4, 4), dtype=np.int64)
-_LOCAL_EDGE[tuple(np.array(TET_EDGES).T)] = np.arange(6)
+# positions in TET_EDGES of the vertex pairs 01, 12, 02 of each local face
+TET_FACE_EDGES = np.array([[0, 3, 1], [0, 4, 2], [1, 5, 2], [3, 5, 4]])
+# the local faces that hold both of the last two tet vertices, which
+# `_canonical_tets` may swap: then the face's vertex pairs 01 and 02 trade
+# places (`TetMesh.face_edges`)
+SWAP_FACES = np.array(TET_FACES)[:, 1] == 2
 
 # Index tables are int32, as scipy's sparse indices: a mesh with INDEX_LIMIT
 # tets, edges or faces is refused, and one with VERTEX_LIMIT vertices, as its
@@ -281,9 +284,8 @@ class TetMesh:
             # tets ascend but for a swap of the last two (`_canonical_tets`),
             # so a face's vertices ascend in tet-local order unless it holds
             # both swapped ones; then its pairs 01 and 02 trade places
-            loc = np.array(TET_FACES)
-            e = self.tet_edges[:, _LOCAL_EDGE[loc[:, [0, 1, 0]], loc[:, [1, 2, 2]]]]
-            swap = (self.tets[:, 2] > self.tets[:, 3])[:, None] & (loc[:, 1] == 2)
+            e = self.tet_edges[:, TET_FACE_EDGES]
+            swap = (self.tets[:, 2] > self.tets[:, 3])[:, None] & SWAP_FACES
             e[swap] = e[swap][:, ::-1]
             out = np.empty((self.nf, 3), dtype=np.int32)
             out[self.tet_faces] = e

@@ -164,7 +164,7 @@ def _cotree_gauge(mesh: TetMesh) -> _CotreeGauge:
         on_cotree = np.ones(len(ie), dtype=bool)
         on_cotree[tree] = False
         cotree = ie[on_cotree]
-        Kc = fem._assemble_edge(mesh, "stiffness", None)[cotree]
+        Kc = fem._edge_matrices(mesh, [(1.0, None)])[0][cotree]
         M = fem.assemble(mesh, "V", "mass")
         Gi = fem.gradient_map(mesh)[ie][:, inodes].tocsr()
         solver = fem.Cholesky(Kc[:, cotree], mesh.verts_int[mesh.edges[cotree]].sum(axis=1),

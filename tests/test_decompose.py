@@ -812,8 +812,9 @@ from test_acceptance import VALID_CONFIGS  # noqa: E402
 @pytest.mark.parametrize("geometry,spec", [(g, s) for g, s, _ in VALID_CONFIGS],
                          ids=[f"{g}-{'+'.join(s)}" for g, s, _ in VALID_CONFIGS])
 def test_one_norm_battery_per_decompose(geometry, spec, monkeypatch):
-    """Nested routes hand fields up, so `decompose` runs the six norms of
-    the battery once; the vertex gate adds |v|_curl."""
+    """Nested routes hand fields up, so `decompose` runs the norm battery
+    once: five `fem.norm` calls, w's H1 and L2 norms in one call that
+    forms its mass product once; the vertex gate adds |v|_curl."""
     mesh = build_complex(geometry, 0.25)
     t = tag_trace(mesh, spec)
     v = dc.random_admissible_field(mesh, t, 31)
@@ -828,7 +829,8 @@ def test_one_norm_battery_per_decompose(geometry, spec, monkeypatch):
     s = dc.decompose(v, t)
     assert isinstance(s, dc.HelmholtzSplit)
     gated = geometry.startswith("vertex_junction")
-    assert len(calls) == (7 if gated else 6), (s.path, calls)
+    assert len(calls) == (6 if gated else 5), (s.path, calls)
+    assert calls.count(("H1", "L2")) == 1
 
 
 def _reference_layer_extension(mesh, face_nodes, source, target_nodes, plane, layers=2):

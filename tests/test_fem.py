@@ -327,37 +327,56 @@ def test_curl_of_edge_field_matches_cross_product_loop(lshape4, rng):
     assert np.array_equal(fem.curl_of_edge_field(v), ref)
 
 
-def _per_tet_edge_mass(mesh, weight):
-    """The V mass from one local 6x6 matrix per tet, the reference of the
-    shape-class gather."""
-    vol, _, gg, _ = per_tet_geometry(mesh)
-    w = vol if weight is None else vol * weight
-    S4 = (1.0 + np.eye(4)) / 20.0
-    loc = np.empty((mesh.nt, 6, 6))
-    k, l = np.array(TET_EDGES).T
-    for a, (i, j) in enumerate(TET_EDGES):
-        loc[:, a] = (S4[i, k] * gg[:, j, l] - S4[i, l] * gg[:, j, k]
-                     - S4[j, k] * gg[:, i, l] + S4[j, l] * gg[:, i, k])
-    sign = mesh.tet_edge_sign.astype(float)
-    loc *= w[:, None, None] * sign[:, :, None] * sign[:, None, :]
-    te = mesh.tet_edges
-    M = sp.coo_matrix((loc.ravel(), (np.repeat(te, 6, axis=1).ravel(), np.tile(te, (1, 6)).ravel())),
-                      shape=(mesh.ne, mesh.ne)).tocsr()
-    M.eliminate_zeros()
-    return M
+def _edge_coo_reference(mesh, stiffness_weight, mass_weight):
+    """The edge matrix K_a + M_b summed from int64 COO indices of one local
+    6x6 matrix per tet, from the per-tet geometry (the reference of the
+    shape-class gather), in scipy's per-row sort, less its exact zeros.
+    Each local matrix is its upper triangle mirrored, as the mass formula
+    is symmetric only in exact arithmetic."""
+    vol, _, gg, curl = per_tet_geometry(mesh)
+    loc = np.zeros((mesh.nt, 6, 6))
+    if stiffness_weight is not None:
+        loc += np.einsum("tda,tdb->tab", curl, curl) * (vol * stiffness_weight)[:, None, None]
+    if mass_weight is not None:
+        S4 = (1.0 + np.eye(4)) / 20.0
+        m = np.empty((mesh.nt, 6, 6))
+        k, l = np.array(TET_EDGES).T
+        for a, (i, j) in enumerate(TET_EDGES):
+            m[:, a] = (S4[i, k] * gg[:, j, l] - S4[i, l] * gg[:, j, k]
+                       - S4[j, k] * gg[:, i, l] + S4[j, l] * gg[:, i, k])
+        up = np.triu_indices(6, 1)
+        m[:, up[1], up[0]] = m[:, up[0], up[1]]
+        sign = mesh.tet_edge_sign.astype(float)
+        loc += m * (vol * mass_weight)[:, None, None] * sign[:, :, None] * sign[:, None, :]
+    te = mesh.tet_edges.astype(np.int64)
+    ref = sp.coo_matrix((loc.ravel(), (np.repeat(te, 6, axis=1).ravel(), np.tile(te, (1, 6)).ravel())),
+                        shape=(mesh.ne, mesh.ne)).tocsr()
+    ref.eliminate_zeros()
+    return ref
+
+
+def _assert_summed_like(A, ref):
+    """A has the pattern and dtypes of the COO reference, values within
+    1e-15 of its largest entry (the sums run in tet order, not in scipy's
+    per-row sort), is exactly symmetric and stores no exact zero."""
+    assert A.format == "csr" and A.shape == ref.shape
+    for arr in ("data", "indices", "indptr"):
+        a, b = getattr(A, arr), getattr(ref, arr)
+        assert a.dtype == b.dtype and (arr == "data" or np.array_equal(a, b)), arr
+    assert np.abs(A.data - ref.data).max() <= 1e-15 * np.abs(ref.data).max()
+    assert (A != A.T).nnz == 0 and np.all(A.data != 0.0)
 
 
 @pytest.mark.parametrize("name", catalog_names(include_internal=True))
 def test_edge_mass_by_shape_class_equals_per_tet_formula(name, rng):
     """The V mass gathers one local matrix per tet shape class; with and
-    without a tet weight it is bit-equal to the per-tet formula."""
+    without a tet weight it is summed like the per-tet formula."""
     mesh = build_complex(name, 0.25)
     if name == "unit_cube":
         assert len(fem.shape_table(mesh).first) == 6  # the Kuhn tets
     for weight in (None, rng.uniform(0.5, 2.0, mesh.nt)):
-        A, ref = fem.assemble(mesh, "V", "mass", weight), _per_tet_edge_mass(mesh, weight)
-        for a, b in ((A.indptr, ref.indptr), (A.indices, ref.indices), (A.data, ref.data)):
-            assert np.array_equal(a, b)
+        _assert_summed_like(fem.assemble(mesh, "V", "mass", weight),
+                            _edge_coo_reference(mesh, None, 1.0 if weight is None else weight))
 
 
 def test_edge_mass_refuses_shapes_too_varied_to_pack(cube4):
@@ -397,75 +416,110 @@ def _nodal_coo_reference(mesh, stiffness_weight, mass_weight):
 
 
 @pytest.mark.parametrize("name", ["unit_cube", "pyramid", "vertex_junction_pair"])
-def test_assembly_equals_int64_coo_reference(name, rng, monkeypatch):
-    """The edge mass scatters int32 indices and gives the CSR matrix of the
-    same local entries summed from int64 COO indices, array-equal with its
-    dtypes; the V stiffness equals C^T W C on a curl matrix built from
-    int64 indices.  Every nodal operator, weighted or not and K_a + M_b
-    too, is summed from edge and node sums with no scatter: it has the
-    pattern and dtypes of the COO reference, values within 1e-15 of its
-    largest entry (the sums run in tet order per edge, not in scipy's
-    per-row sort), is exactly symmetric and stores no exact zero, and its
-    restriction to free nodes is the full matrix sliced, array-equal."""
+def test_assembly_equals_int64_coo_reference(name, rng):
+    """The curl matrix built from int32 indices equals one built from int64
+    indices, array-equal with its dtypes.  Every nodal and edge operator,
+    weighted or not and K_a + M_b too, is summed from entity sums with no
+    scatter: it has the pattern and dtypes of the int64 COO reference,
+    values within 1e-15 of its largest entry, is exactly symmetric and
+    stores no exact zero, and its restriction to free entities is the full
+    matrix sliced, array-equal."""
     mesh = build_complex(name, 0.25)
-    scattered = []
-    scatter = fem._scatter
-    monkeypatch.setattr(fem, "_scatter", lambda r, c, v, s: (
-        scattered.append((r, c, v, s)) or scatter(r, c, v, s)))
     tab = fem.shape_table(mesh)
     C = sp.csr_matrix((tab.curl[tab.cls].ravel(), np.repeat(mesh.tet_edges, 3, axis=0).ravel(),
                        np.arange(0, 18 * mesh.nt + 1, 6)), shape=(3 * mesh.nt, mesh.ne))
     C.eliminate_zeros()
     _assert_same_csr(fem._curl_matrix(mesh), C)
-    free = rng.uniform(size=mesh.nv) < 0.7
+    cases = {"Z": (_nodal_coo_reference, fem._nodal_matrices, mesh.nv),
+             "V": (_edge_coo_reference, fem._edge_matrices, mesh.ne)}
 
-    def assert_nodal(A, stiffness_weight, mass_weight):
-        ref = _nodal_coo_reference(mesh, stiffness_weight, mass_weight)
-        assert A.format == "csr" and A.shape == ref.shape
-        for arr in ("data", "indices", "indptr"):
-            a, b = getattr(A, arr), getattr(ref, arr)
-            assert a.dtype == b.dtype and (arr == "data" or np.array_equal(a, b)), arr
-        assert np.abs(A.data - ref.data).max() <= 1e-15 * np.abs(ref.data).max()
-        assert (A != A.T).nnz == 0 and np.all(A.data != 0.0)
-        [F] = fem._nodal_matrices(mesh, [(stiffness_weight, mass_weight)], free)
+    def check(space, A, stiffness_weight, mass_weight):
+        reference, matrices, n = cases[space]
+        _assert_summed_like(A, reference(mesh, stiffness_weight, mass_weight))
+        free = rng.uniform(size=n) < 0.7
+        [F] = matrices(mesh, [(stiffness_weight, mass_weight)], free)
         _assert_same_csr(F, A[free][:, free])
 
     for weight in (None, rng.uniform(0.5, 2.0, mesh.nt)):
-        w = fem.tet_volumes(mesh) * (1.0 if weight is None else weight)
         a = 1.0 if weight is None else weight
+        b = 1.0 if weight is None else weight[::-1]
         for space in ("Z", "V"):
             for kind in ("mass", "stiffness"):
-                scattered.clear()
                 A = fem.assemble(mesh, space, kind, weight)
-                if space == "Z":
-                    assert scattered == []
-                    assert_nodal(A, *((a, None) if kind == "stiffness" else (None, a)))
-                elif kind == "stiffness":
-                    _assert_same_csr(A, (C.T @ (sp.diags(np.repeat(w, 3)) @ C)).tocsr())
-                else:
-                    [(r, c, v, shape)] = scattered
-                    assert r.dtype == c.dtype == np.int32
-                    ref = sp.coo_matrix((v.ravel(), (r.ravel().astype(np.int64),
-                                                      c.ravel().astype(np.int64))),
-                                        shape=shape).tocsr()
-                    ref.eliminate_zeros()
-                    _assert_same_csr(A, ref)
-        b = 1.0 if weight is None else weight[::-1]
-        assert_nodal(fem._nodal_matrices(mesh, [(a, b)])[0], a, b)
+                check(space, A, *((a, None) if kind == "stiffness" else (None, a)))
+            check(space, cases[space][1](mesh, [(a, b)])[0], a, b)
 
 
-def test_edge_mass_transient_is_bounded():
-    """The edge mass of three_cube_L at h = 1/8 allocates at most 5 times
-    the bytes of its result while it is assembled (6.7 times with int64
-    index temporaries)."""
+@pytest.mark.parametrize("name", catalog_names(include_internal=True))
+def test_edge_matrices_equal_coo_reference(name, rng):
+    """`_edge_matrices` on every catalog geometry at h = 1/4, weighted and
+    not: each of K_a, M_b and K_a + M_b, made in one call, is summed like
+    its int64 COO reference; on a free-edge mask it is the full matrix
+    sliced, array-equal; and it memoizes nothing."""
+    mesh = build_complex(name, 0.25)
+    fem.tet_volumes(mesh), fem.shape_table(mesh), mesh.face_edges()
+    keys = set(mesh._cache)
+    free = rng.uniform(size=mesh.ne) < 0.7
+    for weight in (None, rng.uniform(0.5, 2.0, mesh.nt)):
+        a = 1.0 if weight is None else weight
+        b = 2.0 if weight is None else weight[::-1]
+        pairs = [(a, None), (None, b), (a, b)]
+        full, restricted = fem._edge_matrices(mesh, pairs), fem._edge_matrices(mesh, pairs, free)
+        for (sw, mw), A, F in zip(pairs, full, restricted):
+            _assert_summed_like(A, _edge_coo_reference(mesh, sw, mw))
+            _assert_same_csr(F, A[free][:, free])
+            assert F.has_sorted_indices
+    assert set(mesh._cache) == keys
+
+
+def _traced_peak(build):
+    """The result of `build()` and the tracemalloc peak while it ran, as a
+    multiple of the result's bytes."""
     import tracemalloc
 
-    mesh = build_complex("three_cube_L", 0.125)
-    fem.tet_volumes(mesh)
     tracemalloc.start()
     try:
-        M = fem._assemble_edge(mesh, "mass", None)
+        A = build()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 5 * (M.data.nbytes + M.indices.nbytes + M.indptr.nbytes)
+    return A, peak / (A.data.nbytes + A.indices.nbytes + A.indptr.nbytes)
+
+
+def _edge_transient(pair):
+    """The tracemalloc ratio of one edge matrix of three_cube_L at h = 1/8."""
+    mesh = build_complex("three_cube_L", 0.125)
+    fem.tet_volumes(mesh), fem.shape_table(mesh), mesh.face_edges()
+    return _traced_peak(lambda: fem._edge_matrices(mesh, [pair])[0])[1]
+
+
+def test_edge_mass_transient_is_bounded():
+    """The edge mass of three_cube_L at h = 1/8 allocates at most 2.2 times
+    the bytes of its result while it is assembled (measured 1.9)."""
+    assert _edge_transient((None, 1.0)) <= 2.2
+
+
+def test_edge_stiffness_transient_is_bounded():
+    """The edge stiffness of three_cube_L at h = 1/8 allocates at most 3.0
+    times the bytes of its result (measured 2.7: it stores no exact zero,
+    so its result is smaller than the mass on the same pattern)."""
+    assert _edge_transient((1.0, None)) <= 3.0
+
+
+def test_curl_system_transient_is_bounded():
+    """The HX system K_alpha + M_beta on the free edges of three_cube_L at
+    h = 1/8 allocates at most 2.4 times the bytes of its matrix (measured
+    2.1), and it is the full matrix sliced to the free edges."""
+    from helmdec import hx
+    from helmdec.trace import tag_trace
+
+    mesh = build_complex("three_cube_L", 0.125)
+    fem.tet_volumes(mesh), fem.shape_table(mesh), mesh.face_edges()
+    trace = tag_trace(mesh, ["x=0"])
+    problem = hx.ModelProblem(mesh, np.array([1.0, 10.0, 100.0]), np.ones(3), trace,
+                              fem.EdgeField(mesh, np.ones(mesh.ne)))
+    A, ratio = _traced_peak(lambda: hx.assemble_problem(problem).A)
+    assert ratio <= 2.4
+    free = ~trace.edge_mask
+    w = problem.alpha[mesh.block_of_tet], problem.beta[mesh.block_of_tet]
+    _assert_same_csr(A, fem._edge_matrices(mesh, [w])[0][free][:, free])

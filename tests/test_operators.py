@@ -225,12 +225,13 @@ def test_cold_builders_leave_no_memo_entry(monkeypatch):
     mesh = build_complex("unit_cube", 0.25)
     t = tag_trace(mesh, ["e:x=0,y=0"])
     assembled = []
-    for name in ("_assemble_edge", "_assemble_nodal"):
+    for name in ("_edge_matrices", "_nodal_matrices"):
         build = getattr(fem, name)
-        monkeypatch.setattr(fem, name, lambda m, kind, w, build=build: (
-            assembled.append(kind) or build(m, kind, w)))
+        monkeypatch.setattr(fem, name, lambda m, weights, free=None, name=name, build=build: (
+            assembled.append((name, *weights)) or build(m, weights, free)))
     assert dc.decompose(dc.random_admissible_field(mesh, t, 5), t).path == "edge-cut"
-    assert "stiffness" in assembled and ops._cotree_gauge(mesh).solver is not None
+    assert ("_edge_matrices", (1.0, None)) in assembled
+    assert ops._cotree_gauge(mesh).solver is not None
     assert ("op", "V", "stiffness") not in mesh._cache and "edge_vectors" not in mesh._cache
     assembled.clear()
     dc.decompose(dc.random_admissible_field(mesh, t, 6), t)
